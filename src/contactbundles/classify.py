@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 
 class PreconditionViolated(ValueError):
@@ -295,6 +295,20 @@ def _sp_generators(g: int, n: int) -> List[List[List[int]]]:
     return gens
 
 
+def _close_orbit(start: Tuple[int, ...], gens, n: int, seen: Set[Tuple[int, ...]]) -> None:
+    """Add the orbit of `start` under the generator matrices (mod n) to `seen`."""
+    dim = len(start)
+    seen.add(start)
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for m in gens:
+            y = tuple(sum(m[i][k] * x[k] for k in range(dim)) % n for i in range(dim))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+
+
 def cohomology_orbit_count(g: int, n: int) -> int:
     """Brute-force count of orbits of the symplectic action on (Z/n)^{2g}.
 
@@ -307,23 +321,13 @@ def cohomology_orbit_count(g: int, n: int) -> int:
         raise ScaleExceeded("orbit oracle implemented for 1 <= n <= 12")
     if n == 1:
         return 1
-    dim = 2 * g
     gens = _sp_generators(g, n)
-    seen = set()
+    seen: Set[Tuple[int, ...]] = set()
     orbits = 0
-    for vec in itertools.product(range(n), repeat=dim):
-        if vec in seen:
-            continue
-        orbits += 1
-        frontier = [vec]
-        seen.add(vec)
-        while frontier:
-            x = frontier.pop()
-            for m in gens:
-                y = tuple(sum(m[i][k] * x[k] for k in range(dim)) % n for i in range(dim))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+    for vec in itertools.product(range(n), repeat=2 * g):
+        if vec not in seen:
+            orbits += 1
+            _close_orbit(vec, gens, n, seen)
     return orbits
 
 
@@ -335,15 +339,6 @@ def orbit_of_vector(vector: Sequence[int], n: int) -> FrozenSet[Tuple[int, ...]]
     g = dim // 2
     if g not in (1, 2) or not (1 <= n <= 12):
         raise ScaleExceeded("orbit oracle implemented for g in {1, 2}, n <= 12")
-    gens = _sp_generators(g, n)
-    start = tuple(v % n for v in vector)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for m in gens:
-            y = tuple(sum(m[i][k] * x[k] for k in range(dim)) % n for i in range(dim))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
+    seen: Set[Tuple[int, ...]] = set()
+    _close_orbit(tuple(v % n for v in vector), _sp_generators(g, n), n, seen)
     return frozenset(seen)

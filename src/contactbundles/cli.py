@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import __version__, classify, hyperbolic, multicurve
+from . import __version__, circle_dynamics, classify, hyperbolic, multicurve
 from . import formcalc as fc
 
 USAGE_ERROR = 2
@@ -122,12 +122,14 @@ def cmd_classify(args) -> int:
 def cmd_holonomy(args) -> int:
     area = _parse_area(args.area)
     try:
-        est = hyperbolic.holonomy_translation_number(args.genus, area, args.iters)
+        radius = hyperbolic.radius_for_area(args.genus, area)
     except hyperbolic.AreaOutOfRange as e:
         raise UsageDomainError(str(e))
-    radius = hyperbolic.radius_for_area(args.genus, area)
     poly = hyperbolic.build_symmetric_polygon(args.genus, radius)
-    comm = hyperbolic.commutator_product(hyperbolic.side_pairings(poly))
+    pairings = hyperbolic.side_pairings(poly)
+    lifts = [hyperbolic.boundary_lift(p) for p in pairings]
+    est = circle_dynamics.translation_number(circle_dynamics.evaluate_relator(lifts), args.iters)
+    comm = hyperbolic.commutator_product(pairings)
     target = area / (2.0 * math.pi)
     out = {
         "genus": args.genus,
@@ -203,7 +205,7 @@ def cmd_forms(args) -> int:
     try:
         form = fc.parse_form_file(text)
         rep = fc.contact_sign(form, grid=args.grid)
-    except (fc.FormSyntaxError, ValueError) as e:
+    except (fc.FormSyntaxError, ValueError, ZeroDivisionError) as e:
         return _emit("forms", {"form_file": args.form_file, "grid": args.grid}, {},
                      error={"type": type(e).__name__, "message": str(e)})
     out = {

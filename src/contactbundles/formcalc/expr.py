@@ -291,11 +291,6 @@ def normalize(e: Expr) -> Expr:
     return _rebuild(_to_sop(e))
 
 
-def is_zero(e: Expr) -> bool:
-    n = normalize(e)
-    return isinstance(n, Rat) and n.value == 0
-
-
 # ---------------------------------------------------------------------------
 # calculus and substitution
 

@@ -216,7 +216,6 @@ def parse_form(text: str, chart: Chart, params: Optional[Mapping[str, object]] =
             raise FormSyntaxError("coefficient must be joined to the differential by '*'",
                                   seg[-1].pos)
         if head:
-            src = " ".join(t.text for t in head)
             # reparse the token slice through the expression parser, keeping
             # original offsets by reusing the token objects
             coeff = _parse_token_slice(head, chart.names, params)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import (Add, Cos, Expr, Mul, Neg, Pi, Rat, Sin, Var, eval_expr,
+from .expr import (Add, Cos, Exp, Expr, Mul, Neg, Pi, Rat, Sin, Var, eval_expr,
                    normalize, parse_expr, rational)
 from .forms import Chart, OneForm, parse_form, pullback, r_of_slope
 
@@ -201,15 +201,10 @@ def torus_wrapping_pullback(p: int, q: int, sign: int, a_max: float = 0.45) -> O
 def scaling_flow_components(s: Fraction) -> Tuple[Sequence[Expr], Chart]:
     """(e^s x, e^s y, e^{2s} z) as target components over the (x, y, z) chart."""
     src = _box(["x", "y", "z"], [(-2.0, 2.0)] * 3)
-    es = Exp_of_rational(s)
-    e2s = Exp_of_rational(2 * Fraction(s))
+    es = Exp(Rat(s))
+    e2s = Exp(Rat(2 * Fraction(s)))
     comps = (Mul((es, Var("x"))), Mul((es, Var("y"))), Mul((e2s, Var("z"))))
     return comps, src
-
-
-def Exp_of_rational(s: Fraction) -> Expr:
-    from .expr import Exp
-    return Exp(Rat(Fraction(s)))
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,24 @@ boundary circle is the circle-dynamics coordinate, so no further conjugation
 is needed.  Interior angles are computed by the hyperbolic law of cosines on
 the isoceles center triangles; numeric geodesic integration is used only as
 a test oracle.
+
+The right triangle (centre, edge midpoint, vertex) has angles pi/n and
+beta/2, with n = 4g and interior angle beta = ((n-2)*pi - area)/n, so the
+circumradius R and inradius rho are (Beardon, The Geometry of Discrete
+Groups, 7.11 and 7.17)
+
+    cosh R = cot(pi/n) * cot(beta/2),    tanh rho = tanh R * cos(pi/n).
+
+The pairings are half-turns about edge midpoints followed by rotations about
+the origin (`side_pairings`); since rho < atanh(cos(pi/n)), their entries
+stay bounded as the area approaches (4g-2)*pi and the vertices the boundary.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -129,20 +141,20 @@ class HPoint:
         if self.x * self.x + self.y * self.y >= 1.0:
             raise ValueError("point must lie strictly inside the unit disk")
 
-    @classmethod
-    def from_complex(cls, w: complex) -> "HPoint":
-        return cls(w.real, w.imag)
-
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
 
 
 def hdistance(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance in the disk model (curvature -1)."""
+    """Hyperbolic distance in the disk model (curvature -1).
+
+    d = 2*asinh(|p - q| / sqrt((1 - |p|^2)(1 - |q|^2))), with 1 - |z|^2
+    taken as (1 - |z|)(1 + |z|) so that it keeps its digits near the boundary.
+    """
     zp, zq = p.as_complex(), q.as_complex()
-    num = abs(zp - zq)
-    den = abs(1.0 - zp.conjugate() * zq)
-    return 2.0 * math.atanh(num / den)
+    rp, rq = abs(zp), abs(zq)
+    den = math.sqrt((1.0 - rp) * (1.0 + rp) * (1.0 - rq) * (1.0 + rq))
+    return 2.0 * math.asinh(abs(zp - zq) / den)
 
 
 @dataclass(frozen=True)
@@ -169,7 +181,19 @@ class SymmetricPolygon:
 
 
 def build_symmetric_polygon(g: int, radius: float) -> SymmetricPolygon:
-    """Regular 4g-gon with hyperbolic circumradius `radius` about the origin."""
+    """Regular 4g-gon with hyperbolic circumradius `radius` about the origin.
+
+    Vertices s_k = r*exp(-2*pi*i*(k-1)/n), r = tanh(radius/2).  Side lengths
+    that differ by more than their rounding raise ArithmeticError.  All
+    vertices share one rounded r, so to first order in the unit roundoff eps
+    only per-vertex rounding separates the sides: it moves a vertex by
+    (2*pi + 3)*eps*r along the circle, a relative 5*n*eps of the chord
+    |p - q| = 2r*sin(pi/n) >= 4r/n, and |z| by 3*eps, a relative
+    6*eps/(1 - |z|^2) of 1 - |z|^2.  The side s = 2*asinh(u) moves by
+    2*tanh(s/2) < 2 times the relative error of u (above, plus 6*eps to
+    evaluate u) plus eps*s, so two sides differ by at most
+    eps*(2s + 20n + 48/(1 - |z|^2)) <= 48*eps*(s + n + 1/(1 - |z|^2)).
+    """
     if g < 1:
         raise ValueError("genus must be >= 1")
     if radius <= 0:
@@ -182,7 +206,9 @@ def build_symmetric_polygon(g: int, radius: float) -> SymmetricPolygon:
         verts.append(HPoint(re * math.cos(theta), re * math.sin(theta)))
     poly = SymmetricPolygon(genus=g, circumradius=radius, vertices=tuple(verts))
     lengths = poly.side_lengths()
-    if max(lengths) - min(lengths) > 1e-10:
+    bound = 48 * sys.float_info.epsilon * (
+        lengths[0] + n + 1.0 / ((1.0 - re) * (1.0 + re)))
+    if max(lengths) - min(lengths) > bound:
         raise ArithmeticError("side lengths of the symmetric polygon drifted apart")
     return poly
 
@@ -214,44 +240,28 @@ def polygon_area(poly: SymmetricPolygon) -> float:
     return (n - 2) * math.pi - angle_sum
 
 
-def radius_for_area(g: int, area: float, tol: float = 1e-12) -> float:
-    """Circumradius giving the requested polygon area, by monotone bisection."""
+def radius_for_area(g: int, area: float) -> float:
+    """Circumradius R of the regular 4g-gon of the given area, in closed form.
+
+    cosh R = cot(pi/n) * cot(beta/2) with n = 4g and beta = ((n-2)*pi - area)/n
+    (module docstring).  Since pi/n + beta/2 = pi/2 - area/(2n), it is
+    evaluated without cancellation at either end of (0, (4g-2)*pi) as
+    2*sinh(R/2)^2 = cosh R - 1 = sin(area/(2n)) / (sin(pi/n) * sin(beta/2)).
+    """
     if g < 1:
         raise ValueError("genus must be >= 1")
     amax = (4 * g - 2) * math.pi
     if not (0.0 < area < amax):
         raise AreaOutOfRange(f"area must lie strictly between 0 and {amax}")
-    lo, hi = 1e-9, 1.0
-    while polygon_area(build_symmetric_polygon(g, hi)) < area:
-        hi *= 2.0
-        if hi > 64.0:
-            raise ArithmeticError("bisection bracket blew up")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if polygon_area(build_symmetric_polygon(g, mid)) < area:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    n = 4 * g
+    half_beta = (amax - area) / (2 * n)
+    excess = math.sin(area / (2 * n)) / (math.sin(math.pi / n) * math.sin(half_beta))
+    return 2.0 * math.asinh(math.sqrt(excess / 2.0))
 
 
-def _translate_to_origin(p: complex):
-    """Disk coefficients of the isometry sending p to 0."""
-    s = math.sqrt(1.0 - abs(p) ** 2)
-    return (1.0 / s, -p / s)
-
-
-def _su_compose(m1, m2):
-    a1, b1 = m1
-    a2, b2 = m2
-    return (a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
-
-
-def _su_inverse(m):
-    a, b = m
-    return (a.conjugate(), -b)
+def _from_origin(z: complex) -> Isometry2H:
+    """The translation along the diameter through z that sends 0 to z."""
+    return Isometry2H.from_disk_coefficients(1.0 + 0.0j, z)
 
 
 def isometry_from_segments(a: HPoint, b: HPoint, a2: HPoint, b2: HPoint) -> Isometry2H:
@@ -264,17 +274,15 @@ def isometry_from_segments(a: HPoint, b: HPoint, a2: HPoint, b2: HPoint) -> Isom
     d2 = hdistance(a2, b2)
     if abs(d1 - d2) > 1e-9:
         raise LengthMismatch(f"segment lengths differ: {d1} vs {d2}")
-    ta = _translate_to_origin(a.as_complex())
-    ta2 = _translate_to_origin(a2.as_complex())
-    wb = (ta[0] * b.as_complex() + ta[1]) / (ta[1].conjugate() * b.as_complex() + ta[0].conjugate())
-    wb2 = (ta2[0] * b2.as_complex() + ta2[1]) / (ta2[1].conjugate() * b2.as_complex() + ta2[0].conjugate())
+    ta = _from_origin(a.as_complex()).inverse()
+    ta2 = _from_origin(a2.as_complex()).inverse()
+    wb = ta.apply_complex(b.as_complex())
+    wb2 = ta2.apply_complex(b2.as_complex())
     if abs(wb) < 1e-15 and abs(wb2) < 1e-15:
         phi = 0.0
     else:
         phi = cmath.phase(wb2) - cmath.phase(wb)
-    rot = (cmath.exp(0.5j * phi), 0.0 + 0.0j)
-    m = _su_compose(_su_inverse(ta2), _su_compose(rot, ta))
-    return Isometry2H.from_disk_coefficients(*m)
+    return ta2.inverse() @ Isometry2H.rotation(phi) @ ta
 
 
 def side_pairings(poly: SymmetricPolygon) -> List[Isometry2H]:
@@ -284,18 +292,24 @@ def side_pairings(poly: SymmetricPolygon) -> List[Isometry2H]:
     (s_{4i-2}, s_{4i-3}); phi_{2i} carries (s_{4i-2}, s_{4i-1}) to
     (s_{4i+1}, s_{4i}).  Every edge of the polygon belongs to exactly one
     pairing, and the commutator product fixes s_1.
+
+    With H(m_k) the half-turn about the midpoint of E_k = (s_k, s_{k+1}),
+    at angle -(2k-1)*pi/n and inradius rho, which reverses that edge:
+    phi_{2i-1} = Rot(+4*pi/n) o H(m_{4i-1}), phi_{2i} = Rot(-4*pi/n) o
+    H(m_{4i-2}).  `isometry_from_segments` gives the same maps from vertices.
     """
-    g = poly.genus
-    out: List[Isometry2H] = []
-    for i in range(1, g + 1):
-        phi_odd = isometry_from_segments(
-            poly.vertex(4 * i - 1), poly.vertex(4 * i),
-            poly.vertex(4 * i - 2), poly.vertex(4 * i - 3))
-        phi_even = isometry_from_segments(
-            poly.vertex(4 * i - 2), poly.vertex(4 * i - 1),
-            poly.vertex(4 * i + 1), poly.vertex(4 * i))
-        out += [phi_odd, phi_even]
-    return out
+    n = 4 * poly.genus
+    rho = math.atanh(math.tanh(poly.circumradius) * math.cos(math.pi / n))
+    # half-turn about the point at distance rho on the positive real axis
+    to_midpoint = _from_origin(complex(math.tanh(rho / 2.0)))
+    half_turn = to_midpoint @ Isometry2H.rotation(math.pi) @ to_midpoint.inverse()
+
+    def pairing(k: int, turn: float) -> Isometry2H:
+        psi = -(2 * k - 1) * math.pi / n
+        return Isometry2H.rotation(turn + psi) @ half_turn @ Isometry2H.rotation(-psi)
+
+    return [phi for i in range(1, poly.genus + 1)
+            for phi in (pairing(4 * i - 1, 4 * math.pi / n), pairing(4 * i - 2, -4 * math.pi / n))]
 
 
 def commutator_product(pairings: Sequence[Isometry2H]) -> Isometry2H:

@@ -321,6 +321,19 @@ def parse_decomposition(text: str) -> SurfaceDecomposition:
             raise InvalidDecomposition(f"bad curve endpoint {token!r}")
         return (piece_ids[name], int(slot))
 
+    def options(lineno: int, fields: List[str]) -> Dict[str, str]:
+        if not all("=" in f for f in fields):
+            raise InvalidDecomposition(f"line {lineno}: expected key=value fields")
+        return dict(f.split("=", 1) for f in fields)
+
+    def integer(lineno: int, opts: Dict[str, str], key: str) -> int:
+        try:
+            return int(opts[key])
+        except KeyError:
+            raise InvalidDecomposition(f"line {lineno}: missing {key}=")
+        except ValueError:
+            raise InvalidDecomposition(f"line {lineno}: {key}= must be an integer")
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -328,15 +341,17 @@ def parse_decomposition(text: str) -> SurfaceDecomposition:
         fields = line.split()
         kind = fields[0]
         if kind == "surface":
-            opts = dict(f.split("=", 1) for f in fields[1:])
-            chi = int(opts["chi"])
+            opts = options(lineno, fields[1:])
+            chi = integer(lineno, opts, "chi")
             sphere = opts.get("sphere", "false").lower() in ("true", "1", "yes")
         elif kind == "piece":
             if len(fields) != 4:
                 raise InvalidDecomposition(f"line {lineno}: piece takes id, genus=, boundaries=")
-            opts = dict(f.split("=", 1) for f in fields[2:])
+            if fields[1] in piece_ids:
+                raise InvalidDecomposition(f"line {lineno}: duplicate piece id {fields[1]!r}")
+            opts = options(lineno, fields[2:])
             piece_ids[fields[1]] = len(pieces)
-            pieces.append((int(opts["genus"]), int(opts["boundaries"])))
+            pieces.append((integer(lineno, opts, "genus"), integer(lineno, opts, "boundaries")))
         elif kind == "curve":
             if len(fields) != 4:
                 raise InvalidDecomposition(f"line {lineno}: curve takes id and two endpoints")

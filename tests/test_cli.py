@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from contactbundles import cli
 from contactbundles import multicurve as mc
 
@@ -64,6 +66,12 @@ class TestHolonomyCommand:
         code, out, err = run(capsys, "holonomy", "--genus", "2", "--area", "6pi")
         assert code == 2 and out == "" and "error" in err
 
+    def test_near_top_of_area_range(self, capsys):
+        code, rep, _ = run_json(capsys, "holonomy", "--genus", "2", "--area", "5.99pi",
+                                "--iters", "2000")
+        assert code == 0
+        assert abs(rep["outputs"]["abs_rho"] - 2.995) <= rep["outputs"]["error_bound"]
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "holonomy", "--genus", "2", "--area", "pi/2",
                          "--iters", "1000")
@@ -78,6 +86,14 @@ class TestPolygonCommand:
         assert code == 0
         assert rep["outputs"]["pairing_residual_max"] <= 1e-9
         assert abs(rep["outputs"]["commutator_trace"]) <= 1e-5  # expected trace 0 at 5pi
+
+    def test_near_top_of_area_range(self, capsys):
+        # 5.7pi is 0.95 of the top 6pi, where the vertices approach the boundary
+        code, rep, _ = run_json(capsys, "polygon", "--genus", "2", "--area", "5.7pi")
+        assert code == 0
+        out = rep["outputs"]
+        assert out["pairing_residual_max"] <= 1e-7
+        assert abs(abs(out["commutator_trace"]) - out["expected_abs_trace"]) <= 1e-6
 
 
 class TestFormsCommand:
@@ -106,6 +122,13 @@ class TestFormsCommand:
         assert code == 1
         assert rep["error"]["type"] == "UnknownVariableError"
 
+    def test_division_by_symbolic_zero_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "zero.form"
+        path.write_text("chart x:[-1,1] y:[-1,1] z:[-1,1];\nform 1/(x-x)*dy + dz")
+        code, rep, _ = run_json(capsys, "forms", "--form-file", str(path), "--grid", "8")
+        assert code == 1
+        assert rep["error"] == {"type": "ZeroDivisionError", "message": "division by symbolic zero"}
+
     def test_missing_file_exits_1(self, capsys):
         code, out, err = run(capsys, "forms", "--form-file", "/nonexistent.form")
         assert code == 1
@@ -131,6 +154,20 @@ class TestMulticurveCommand:
         code, rep, _ = run_json(capsys, "multicurve", "--file", str(path))
         assert code == 1
         assert rep["error"]["type"] == "InvalidDecomposition"
+
+    @pytest.mark.parametrize("header,piece", [
+        ("surface sphere=false", "piece P genus=1 boundaries=0"),
+        ("surface chi=0 sphere=false", "piece P genus=x boundaries=0"),
+        ("surface chi=0 sphere=false", "piece P genus boundaries=0"),
+        ("surface chi=0 sphere=false", "piece P genus=1 boundaries=0\npiece P genus=1 boundaries=0"),
+    ])
+    def test_malformed_file_exits_1_with_error(self, capsys, tmp_path, header, piece):
+        path = tmp_path / "bad.dec"
+        path.write_text(f"{header}\n{piece}\n")
+        code, rep, _ = run_json(capsys, "multicurve", "--file", str(path))
+        assert code == 1
+        assert rep["error"]["type"] == "InvalidDecomposition"
+        assert rep["error"]["message"].startswith("line ")
 
 
 class TestCoversCommand:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -82,6 +83,25 @@ class TestDistance:
             d1 = hy.hdistance(iso.apply(p), iso.apply(q))
             assert abs(d0 - d1) <= 1e-10
 
+    def test_accurate_near_boundary(self):
+        # rounding |z| costs eps/(1 - |z|^2) in any evaluation; the distance
+        # must lose nothing beyond that
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(15)
+        for gap in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            for _ in range(20):
+                t, dt = rng.uniform(0, 2 * math.pi), 10 ** rng.uniform(-6, 0.5)
+                pts = [hy.HPoint(r * math.cos(a), r * math.sin(a))
+                       for r, a in ((1 - gap * rng.uniform(0.5, 2), t),
+                                    (1 - gap * rng.uniform(0.5, 2), t + dt))]
+                with mp.workdps(40):
+                    zp, zq = (mp.mpc(p.x, p.y) for p in pts)
+                    exact = float(2 * mp.asinh(
+                        abs(zp - zq) / mp.sqrt((1 - abs(zp) ** 2) * (1 - abs(zq) ** 2))))
+                one_minus = min(1 - abs(p.as_complex()) ** 2 for p in pts)
+                err = abs(hy.hdistance(*pts) - exact)
+                assert err <= 4 * sys.float_info.epsilon / one_minus
+
     def test_triangle_inequality(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -126,6 +146,22 @@ class TestGaussBonnet:
         for g, area in ((1, 1.0), (2, 4 * math.pi), (2, 12.0), (3, 25.0)):
             radius = hy.radius_for_area(g, area)
             assert abs(hy.polygon_area(hy.build_symmetric_polygon(g, radius)) - area) <= 1e-9
+
+    def test_radius_closed_form_oracle(self):
+        # cosh R = cot(pi/n) * cot(beta/2), evaluated in 40-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        for g in (1, 2, 3, 10):
+            n = 4 * g
+            s_max = (4 * g - 2) * math.pi
+            for share in (1e-6, 0.01, 0.3, 0.9, 1 - 1e-6):
+                area = share * s_max
+                with mp.workdps(40):
+                    beta = ((n - 2) * mp.pi - mp.mpf(area)) / n
+                    exact = float(mp.acosh(mp.cot(mp.pi / n) * mp.cot(beta / 2)))
+                # the float top s_max is off by ~eps*s_max, which moves beta/2
+                # by a relative eps*s_max/(s_max - area), and R with it
+                tol = 1e-14 * exact + 2 * sys.float_info.epsilon * s_max / (s_max - area)
+                assert abs(hy.radius_for_area(g, area) - exact) <= tol
 
     def test_small_area_small_radius(self):
         assert hy.radius_for_area(2, 1e-4) < 0.05
@@ -192,6 +228,19 @@ class TestSidePairings:
                 for p in hy.side_pairings(hy.build_symmetric_polygon(g, radius)):
                     assert hy.hdistance(p.apply(center), center) <= 5 * radius
                     assert abs(p.trace()) <= 2.0 + 10 * radius ** 2
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 5])
+    def test_half_turns_match_segment_reference(self, g):
+        s_max = (4 * g - 2) * math.pi
+        for share in (0.2, 0.5, 0.8):
+            poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, share * s_max))
+            s = poly.vertex
+            pairings = hy.side_pairings(poly)
+            for i in range(1, g + 1):
+                ref_odd = hy.isometry_from_segments(s(4 * i - 1), s(4 * i), s(4 * i - 2), s(4 * i - 3))
+                ref_even = hy.isometry_from_segments(s(4 * i - 2), s(4 * i - 1), s(4 * i + 1), s(4 * i))
+                assert pairings[2 * i - 2].proj_distance(ref_odd) <= 1e-9
+                assert pairings[2 * i - 1].proj_distance(ref_even) <= 1e-9
 
     def test_pairings_preserve_distance(self):
         rng = random.Random(13)
@@ -303,3 +352,35 @@ class TestIsometryValidation:
     def test_point_outside_disk_rejected(self):
         with pytest.raises(ValueError):
             hy.HPoint(0.8, 0.7)
+
+
+class TestTopOfAreaRange:
+    """Areas up to (1 - 1e-6) * (4g - 2) * pi, where the vertices approach the
+    ideal boundary (1 - |z|^2 down to about 2e-8 at g = 10)."""
+
+    SHARES = (0.05, 0.5, 0.9, 0.95, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6)
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_polygon_pairings_and_holonomy(self, g):
+        s_max = (4 * g - 2) * math.pi
+        for share in self.SHARES:
+            area = share * s_max
+            poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, area))
+            pairings = hy.side_pairings(poly)
+            s = poly.vertex
+            for i in range(1, g + 1):
+                po, pe = pairings[2 * i - 2], pairings[2 * i - 1]
+                for iso, a, b in ((po, 4 * i - 1, 4 * i - 2), (po, 4 * i, 4 * i - 3),
+                                  (pe, 4 * i - 2, 4 * i + 1), (pe, 4 * i - 1, 4 * i)):
+                    assert hy.hdistance(iso.apply(s(a)), s(b)) <= 1e-7
+            assert abs(hy.polygon_area(poly) - area) <= 1e-9 * s_max
+            trace = hy.commutator_product(pairings).trace()
+            assert abs(abs(trace) - 2 * abs(math.cos((s_max - area) / 2))) <= 1e-6
+            lifts = [hy.boundary_lift(p) for p in pairings]
+            est = cd.translation_number(cd.evaluate_relator(lifts), 2000)
+            assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
+
+    def test_holonomy_translation_number_at_top(self):
+        area = (1 - 1e-6) * 6 * math.pi
+        est = hy.holonomy_translation_number(2, area, 2000)
+        assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound

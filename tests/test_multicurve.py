@@ -314,3 +314,18 @@ class TestTextFormat:
             mc.parse_decomposition("piece P genus=0 boundaries=1")
         with pytest.raises(mc.InvalidDecomposition):
             mc.parse_decomposition("surface chi=0 sphere=false\ncurve c A.0 B.0")
+
+    @pytest.mark.parametrize("text,lineno,fragment", [
+        ("surface sphere=false\npiece P genus=1 boundaries=0", 1, "missing chi="),
+        ("surface chi=x sphere=false\npiece P genus=1 boundaries=0", 1, "chi= must be an integer"),
+        ("surface chi=0 sphere=false\npiece P genus=x boundaries=0", 2, "genus= must be an integer"),
+        ("surface chi=0 sphere=false\npiece P genus boundaries=0", 2, "key=value"),
+        ("surface chi=0 sphere=false\npiece P bound=1 boundaries=0", 2, "missing genus="),
+        ("surface chi=0 sphere=false\npiece P genus=0 boundaries=2\n"
+         "piece P genus=0 boundaries=2\ncurve c P.0 P.1", 3, "duplicate piece id 'P'"),
+    ])
+    def test_malformed_lines_name_their_line(self, text, lineno, fragment):
+        with pytest.raises(mc.InvalidDecomposition) as info:
+            mc.parse_decomposition(text)
+        assert str(info.value).startswith(f"line {lineno}: ")
+        assert fragment in str(info.value)
