@@ -205,7 +205,7 @@ def cmd_forms(args) -> int:
     try:
         form = fc.parse_form_file(text)
         rep = fc.contact_sign(form, grid=args.grid)
-    except (fc.FormSyntaxError, ValueError, ZeroDivisionError) as e:
+    except (ValueError, ArithmeticError) as e:
         return _emit("forms", {"form_file": args.form_file, "grid": args.grid}, {},
                      error={"type": type(e).__name__, "message": str(e)})
     out = {

@@ -12,8 +12,14 @@ Surface syntax for coefficients:
 
     Expr  := sum over IDENT, RATIONAL, pi, + - * / ^INT, sin cos exp, parens
 
-Rational literals (including decimal and scientific notation) are parsed
-bit-exactly into `fractions.Fraction`.
+with |INT| <= MAX_EXPONENT and decimal exponents of literals at most
+MAX_DECIMAL_EXPONENT in absolute value.  The same parser reads the 1-form
+grammar of `forms` when given basis names.  Rational literals (including
+decimal and scientific notation) are parsed bit-exactly into
+`fractions.Fraction`.
+
+`compile_expr` is the numeric evaluator of the library; `eval_expr` walks
+the tree point by point and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -146,6 +152,10 @@ def _render(e: Expr, prec: int) -> str:
         s = f"{_render(e.num, 2)}/{_render(e.den, 3)}"
         return f"({s})" if prec >= 2 else s
     if isinstance(e, Pow):
+        k = e.exponent
+        if abs(k) > MAX_EXPONENT:  # printed powers stay within what the parser reads
+            head = MAX_EXPONENT if k > 0 else -MAX_EXPONENT
+            return _render(Mul((Pow(e.base, head), Pow(e.base, k - head))), prec)
         if isinstance(e.base, (Var, Pi, Sin, Cos, Exp)):
             b = _render(e.base, 3)
         else:
@@ -472,86 +482,149 @@ def tokenize(text: str) -> list:
     return tokens
 
 
+#: largest |k| accepted in a power x^k; `_to_sop` expands a power by |k| - 1
+#: products, so (x + y + z + 1)^32 alone costs seconds
+MAX_EXPONENT = 16
+#: largest |e| accepted in a literal 1e<e>: beyond it the value is not a
+#: float, and the exact Fraction("1e9999999") alone costs seconds
+MAX_DECIMAL_EXPONENT = 324
+
+
 class _Parser:
-    def __init__(self, tokens, allowed: Iterable[str], params: Mapping[str, Expr]):
-        self.tokens = tokens
+    """Recursive descent over the coefficient grammar and, given basis names,
+    the 1-form grammar of `forms` (`parse_form`).
+
+    A basis differential d<name> may only end a top-level term of a form;
+    anywhere else it is a syntax error.
+    """
+
+    def __init__(self, text: str, allowed: Iterable[str],
+                 params: Optional[Mapping[str, object]] = None, basis: Sequence[str] = ()):
+        self.tokens = tokenize(text)
         self.i = 0
         self.allowed = set(allowed)
-        self.params = dict(params)
+        self.params = {k: (v if isinstance(v, Expr) else rational(v))
+                       for k, v in (params or {}).items()}
+        self.basis = {f"d{name}": axis for axis, name in enumerate(basis)}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self, ahead: int = 0) -> _Token:
+        return self.tokens[self.i + ahead]
 
     def next(self) -> _Token:
         t = self.tokens[self.i]
         self.i += 1
         return t
 
-    def expect_op(self, op: str) -> _Token:
+    def at_op(self, ops: str) -> bool:
         t = self.peek()
-        if t.kind != "op" or t.text != op:
-            raise FormSyntaxError(f"expected {op!r}", t.pos)
+        return t.kind == "op" and t.text in ops
+
+    def at_basis(self, ahead: int = 0) -> bool:
+        t = self.peek(ahead)
+        return t.kind == "ident" and t.text in self.basis
+
+    def expect_op(self, op: str) -> _Token:
+        if not self.at_op(op):
+            raise FormSyntaxError(f"expected {op!r}", self.peek().pos)
         return self.next()
+
+    def parse_form(self) -> Tuple[Expr, ...]:
+        """form := ['-'] term (('+'|'-') term)*; one coefficient per basis name."""
+        if self.peek().kind == "end":
+            raise FormSyntaxError("empty form", 0)
+        coeffs = [ZERO] * len(self.basis)
+        negate = self.at_op("-")
+        if negate:
+            self.next()
+        while True:
+            axis, coeff = self.parse_term()
+            coeffs[axis] = Add((coeffs[axis], Neg(coeff) if negate else coeff))
+            t = self.next()
+            if t.kind == "end":
+                return tuple(coeffs)
+            negate = t.text == "-"
+
+    def parse_term(self) -> Tuple[int, Expr]:
+        """term := product '*' basis | basis, followed by '+', '-' or the end."""
+        start = self.peek()
+        if start.kind == "end" or self.at_op("+-"):
+            raise FormSyntaxError("empty term", start.pos)
+        coeff = ONE
+        if not self.at_basis():
+            coeff = self.parse_product(basis_ends=True)
+            t = self.peek()
+            if t.kind == "end" or self.at_op("+-"):
+                raise FormSyntaxError("term carries no differential", start.pos)
+            if self.at_op("*/") and self.at_basis(1):
+                self.next()
+            if not self.at_basis():
+                raise FormSyntaxError(f"trailing input {t.text!r}", t.pos)
+            if t.text != "*":
+                raise FormSyntaxError("coefficient must be joined to the differential by '*'",
+                                      self.peek().pos)
+        basis = self.next()
+        if not (self.peek().kind == "end" or self.at_op("+-")):
+            raise FormSyntaxError("differential must end its term", basis.pos)
+        return self.basis[basis.text], coeff
 
     def parse_sum(self) -> Expr:
         terms = [self.parse_product()]
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in "+-":
-                self.next()
-                rhs = self.parse_product()
-                terms.append(rhs if t.text == "+" else Neg(rhs))
-            else:
-                break
+        while self.at_op("+-"):
+            sign = self.next().text
+            rhs = self.parse_product()
+            terms.append(rhs if sign == "+" else Neg(rhs))
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
-    def parse_product(self) -> Expr:
+    def parse_product(self, basis_ends: bool = False) -> Expr:
+        """Factors joined by '*' or '/'; with `basis_ends`, stops before an
+        operator whose right operand is a basis differential."""
         out = self.parse_unary()
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in "*/":
-                self.next()
-                rhs = self.parse_unary()
-                out = Mul((out, rhs)) if t.text == "*" else Div(out, rhs)
-            else:
-                break
+        while self.at_op("*/") and not (basis_ends and self.at_basis(1)):
+            op = self.next().text
+            rhs = self.parse_unary()
+            out = Mul((out, rhs)) if op == "*" else Div(out, rhs)
         return out
 
     def parse_unary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
+        if self.at_op("-"):
             self.next()
             return Neg(self.parse_unary())
-        if t.kind == "op" and t.text == "+":
+        if self.at_op("+"):
             self.next()
             return self.parse_unary()
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
+        if not self.at_op("^"):
+            return base
+        self.next()
+        sign = 1
+        if self.at_op("-"):
             self.next()
-            sign = 1
-            t2 = self.peek()
-            if t2.kind == "op" and t2.text == "-":
-                self.next()
-                sign = -1
-            t3 = self.next()
-            if t3.kind != "number" or not t3.text.isdigit():
-                raise FormSyntaxError("exponent must be an integer literal", t3.pos)
-            return Pow(base, sign * int(t3.text))
-        return base
+            sign = -1
+        t = self.next()
+        if t.kind != "number" or not t.text.isdigit():
+            raise FormSyntaxError("exponent must be an integer literal", t.pos)
+        if int(t.text) > MAX_EXPONENT:
+            raise FormSyntaxError(f"exponent exceeds {MAX_EXPONENT} in absolute value", t.pos)
+        return Pow(base, sign * int(t.text))
 
     def parse_atom(self) -> Expr:
         t = self.next()
         if t.kind == "number":
+            _, _, exp10 = t.text.lower().partition("e")
+            if exp10 and abs(int(exp10)) > MAX_DECIMAL_EXPONENT:
+                raise FormSyntaxError(
+                    f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in absolute value", t.pos)
             return Rat(Fraction(t.text))
         if t.kind == "op" and t.text == "(":
             inner = self.parse_sum()
             self.expect_op(")")
             return inner
         if t.kind == "ident":
+            if t.text in self.basis:
+                raise FormSyntaxError("differential must end its term", t.pos)
             if t.text == "pi":
                 return Pi()
             if t.text in _FUNCTIONS:
@@ -572,8 +645,7 @@ def parse_expr(text: str, allowed: Iterable[str], params: Optional[Mapping[str, 
 
     `params` binds extra identifiers to numbers or expressions at parse time.
     """
-    bound = {k: (v if isinstance(v, Expr) else rational(v)) for k, v in (params or {}).items()}
-    parser = _Parser(tokenize(text), allowed, bound)
+    parser = _Parser(text, allowed, params)
     out = parser.parse_sum()
     t = parser.peek()
     if t.kind != "end":

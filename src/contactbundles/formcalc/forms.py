@@ -8,12 +8,17 @@ order that reproduces the intended sign.
 
 Form surface syntax:
 
-    form  := term (('+'|'-') term)*
-    term  := coeff '*' basis | basis | coeff
+    form  := ['-'] term (('+'|'-') term)*
+    term  := coeff '*' basis | basis
     basis := 'd' IDENT
 
-with `coeff` the expression grammar of `expr`.  A term without a basis
-differential is rejected (a 1-form has no scalar part).
+with `coeff` a product in the expression grammar of `expr`; `expr._Parser`
+implements both grammars.  A term without a basis differential is rejected
+(a 1-form has no scalar part), and so is a differential anywhere but at the
+end of its term.
+
+Numbers come from `compile_expr` evaluated on numpy arrays; the tree-walking
+`expr.eval_expr` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .expr import (Add, Div, Expr, FormSyntaxError, Mul, Neg, Rat,
-                   UnknownVariableError, ZERO, compile_expr, diff, eval_expr,
-                   normalize, parse_expr, rational, render, subst, tokenize, variables)
+                   UnknownVariableError, ZERO, _Parser, compile_expr, diff,
+                   normalize, parse_expr, render, subst, variables)
 
 
 class DegenerateKernel(ValueError):
@@ -96,11 +101,14 @@ class Chart:
         return keep
 
     def random_points(self, count: int, rng) -> List[Dict[str, float]]:
-        pts = []
+        """`count` uniform points that survive the exclusions, drawn one
+        coordinate at a time from `rng` until enough are kept."""
+        pts: List[Dict[str, float]] = []
         while len(pts) < count:
-            env = {n: rng.uniform(lo, hi) for n, (lo, hi) in zip(self.names, self.ranges)}
-            if all(abs(eval_expr(expr, env)) >= eps for expr, eps in self.exclusions):
-                pts.append(env)
+            draws = [[rng.uniform(lo, hi) for lo, hi in self.ranges]
+                     for _ in range(count - len(pts))]
+            keep = self.sample_mask(list(np.array(draws).T))
+            pts += [dict(zip(self.names, d)) for d, k in zip(draws, keep) if k]
         return pts
 
 
@@ -167,79 +175,7 @@ def parse_form(text: str, chart: Chart, params: Optional[Mapping[str, object]] =
     Raises FormSyntaxError with a 0-based offset, or UnknownVariableError for
     identifiers that are neither coordinates, parameters, pi nor functions.
     """
-    tokens = tokenize(text)
-    basis_names = {f"d{n}": i for i, n in enumerate(chart.names)}
-    if tokens[0].kind == "end":
-        raise FormSyntaxError("empty form", 0)
-    # split into terms at top-level +/-; only the very first term may carry
-    # a leading '-'
-    terms: List[Tuple[int, int, int]] = []  # (sign, start index, end index) over tokens
-    depth = 0
-    sign = 1
-    start = 0
-    i = 0
-    if tokens[0].kind == "op" and tokens[0].text == "-":
-        sign = -1
-        start = i = 1
-    while True:
-        t = tokens[i]
-        if t.kind == "op" and t.text == "(":
-            depth += 1
-        elif t.kind == "op" and t.text == ")":
-            depth -= 1
-        at_top_sign = (t.kind == "op" and t.text in "+-" and depth == 0)
-        if at_top_sign or t.kind == "end":
-            if i <= start:
-                raise FormSyntaxError("empty term", t.pos)
-            terms.append((sign, start, i))
-            if t.kind == "end":
-                break
-            sign = 1 if t.text == "+" else -1
-            start = i + 1
-        i += 1
-    coeffs: List[Expr] = [ZERO] * chart.dim
-    for sgn, a, b in terms:
-        seg = tokens[a:b]
-        # locate the basis token
-        basis_positions = [k for k, t in enumerate(seg)
-                           if t.kind == "ident" and t.text in basis_names]
-        if not basis_positions:
-            raise FormSyntaxError("term carries no differential", seg[0].pos)
-        if len(basis_positions) > 1 or basis_positions[0] != len(seg) - 1:
-            bad = seg[basis_positions[0 if basis_positions[0] != len(seg) - 1 else 1]]
-            raise FormSyntaxError("differential must end its term", bad.pos)
-        axis = basis_names[seg[-1].text]
-        head = seg[:-1]
-        if head and head[-1].kind == "op" and head[-1].text == "*":
-            head = head[:-1]
-        elif head:
-            raise FormSyntaxError("coefficient must be joined to the differential by '*'",
-                                  seg[-1].pos)
-        if head:
-            # reparse the token slice through the expression parser, keeping
-            # original offsets by reusing the token objects
-            coeff = _parse_token_slice(head, chart.names, params)
-        else:
-            coeff = rational(1)
-        if sgn < 0:
-            coeff = Neg(coeff)
-        coeffs[axis] = Add((coeffs[axis], coeff))
-    return OneForm(chart, tuple(coeffs))
-
-
-def _parse_token_slice(tokens, allowed, params):
-    from .expr import _Parser, _Token  # local import of parser internals
-    toks = list(tokens) + [_Token("end", "", tokens[-1].pos + len(tokens[-1].text))]
-    bound = {k: (v if isinstance(v, Expr) else rational(v)) for k, v in (params or {}).items()}
-    p = _Parser(toks, allowed, bound)
-    out = p.parse_sum()
-    t = p.peek()
-    if t.kind != "end":
-        raise FormSyntaxError(f"trailing input {t.text!r}", t.pos)
-    return out
-
-
-_BOOL = {"true": True, "false": False, "1": True, "0": False}
+    return OneForm(chart, _Parser(text, chart.names, params, basis=chart.names).parse_form())
 
 
 def parse_chart(text: str) -> Chart:
@@ -380,24 +316,23 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64,
     flagged = np.isfinite(vals) & (np.abs(vals) < 10 * tol)
     min_abs = float(np.min(np.abs(flat)))
     if flagged.any():
-        steps = [(axes[k][1] - axes[k][0]) / 2 if len(axes[k]) > 1 else 0.0
-                 for k in range(chart.dim)]
-        refined = []
-        for idx in zip(*np.nonzero(flagged)):
-            center = [mesh[k][idx] for k in range(chart.dim)]
-            for offs in itertools.product((-1, 0, 1), repeat=chart.dim):
-                pt = [float(c + o * s) for c, o, s in zip(center, offs, steps)]
-                env = dict(zip(chart.names, pt))
-                if all(abs(eval_expr(x, env)) >= eps for x, eps in chart.exclusions):
-                    refined.append((pt, eval_expr(coeff, env)))
-        ref_vals = np.array([v for _, v in refined]) if refined else np.array([])
-        all_vals = np.concatenate([flat, ref_vals]) if ref_vals.size else flat
+        # each flagged sample and its 3^dim neighbours at half the grid step
+        steps = np.array([(ax[1] - ax[0]) / 2 if len(ax) > 1 else 0.0 for ax in axes])
+        centers = np.stack([m[flagged] for m in mesh], axis=-1)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=chart.dim)))
+        pts = (centers[:, None, :] + offsets * steps).reshape(-1, chart.dim)
+        cols = list(pts.T)
+        with np.errstate(all="ignore"):
+            ref_vals = fn(*cols)
+        kept = chart.sample_mask(cols) & np.isfinite(ref_vals)
+        pts, ref_vals = pts[kept], ref_vals[kept]
+        all_vals = np.concatenate([flat, ref_vals])
         min_abs = float(np.min(np.abs(all_vals)))
         if (np.abs(all_vals) <= tol).any() or ((all_vals > tol).any() and (all_vals < -tol).any()):
-            k = int(np.argmin(np.abs(ref_vals))) if ref_vals.size else 0
-            witness = tuple(refined[k][0]) if refined else witness_at(flagged)
+            witness = (tuple(pts[np.argmin(np.abs(ref_vals))].tolist()) if ref_vals.size
+                       else witness_at(flagged))
             return ContactReport("Mixed", min_abs, (witness,),
-                                 samples=int(flat.size + ref_vals.size), tolerance=tol)
+                                 samples=int(all_vals.size), tolerance=tol)
     sign = "Positive" if has_pos else "Negative"
     return ContactReport(sign, min_abs, (), samples=int(flat.size), tolerance=tol)
 
@@ -432,12 +367,17 @@ def forms_equal_numeric(f1: OneForm, f2: OneForm, points: int = 1000,
     if f1.chart.names != f2.chart.names:
         return False
     import random
-    rng = random.Random(seed)
-    for env in f1.chart.random_points(points, rng):
-        for c1, c2 in zip(f1.coefficients, f2.coefficients):
-            if abs(eval_expr(c1, env) - eval_expr(c2, env)) > tol:
-                return False
-    return True
+    pts = f1.chart.random_points(points, random.Random(seed))
+    gap = np.abs(coefficient_values(f1, pts) - coefficient_values(f2, pts))
+    return not (gap > tol).any()
+
+
+def coefficient_values(form: OneForm, points: Sequence[Mapping[str, float]]) -> np.ndarray:
+    """Array [coefficient, point] of the form's coefficients at the points."""
+    names = form.chart.names
+    cols = [np.array([p[n] for p in points], dtype=float) for n in names]
+    with np.errstate(all="ignore"):
+        return np.array([compile_expr(c, names)(*cols) for c in form.coefficients])
 
 
 @dataclass(frozen=True)
@@ -465,30 +405,28 @@ def characteristic_slope_on_torus(form: OneForm, r: float, samples: int = 24,
     ia = chart.axis(angle)
     ir = chart.axis(radial)
     (iz,) = [k for k in range(3) if k not in (ia, ir)]
-    slopes = []
-    for u in range(samples):
-        for v in range(samples):
-            env = {
-                chart.names[ir]: float(r),
-                chart.names[ia]: 2.0 * math.pi * u / samples,
-                chart.names[iz]: 2.0 * math.pi * v / samples,
-            }
-            a_ang = eval_expr(form.coefficients[ia], env)
-            a_z = eval_expr(form.coefficients[iz], env)
-            if abs(a_z) <= degeneracy_tol:
-                raise DegenerateKernel(f"height coefficient vanishes at radius {r}")
-            slopes.append(-a_ang / a_z)
+    turns = 2.0 * math.pi * np.arange(samples) / samples
+    cols = [float(r)] * 3
+    cols[ia], cols[iz] = np.meshgrid(turns, turns, indexing="ij")
+    with np.errstate(all="ignore"):
+        a_ang, a_z = (compile_expr(form.coefficients[k], chart.names)(*cols) for k in (ia, iz))
+    if not (np.abs(a_z) > degeneracy_tol).all():
+        raise DegenerateKernel(f"height coefficient vanishes at radius {r}")
+    slopes = (-a_ang / a_z).ravel()
     return TorusSlope(value=float(np.mean(slopes)),
                       spread=float(np.max(slopes) - np.min(slopes)),
                       radius=float(r))
 
 
-def r_of_slope(p: int, q: int, residual_tol: float = 1e-10) -> float:
-    """Radius r with r^2/(r^4 - 1) = p/q, by bisection.
+def r_of_slope(p: int, q: int) -> float:
+    """Radius r with r^2/(r^4 - 1) = p/q, in closed form.
 
     The slope map is strictly decreasing on (0, 1) with range (-inf, 0) and
     on (1, inf) with range (0, inf); slope 0 occurs only at the excluded
-    axis, so it is out of range.  p, q must be coprime with q > 0.
+    axis, so it is out of range.  p, q must be coprime with q > 0.  With
+    k = p/q and x = r^2 the equation is k*x^2 - x - k = 0, whose root in the
+    right interval is, with s = sqrt(1 + 4k^2) and no cancellation,
+    x = -2k/(1 + s) for k < 0 and x = (1 + s)/(2k) for k > 0.
     """
     from math import gcd
     if q <= 0:
@@ -497,27 +435,6 @@ def r_of_slope(p: int, q: int, residual_tol: float = 1e-10) -> float:
         raise ValueError("p/q must be in lowest terms")
     if p == 0:
         raise SlopeOutOfRange("slope 0 is attained only on the excluded axis r = 0")
-    target = p / q
-
-    def f(r: float) -> float:
-        return r * r / (r ** 4 - 1.0)
-
-    if target < 0:
-        lo, hi = 1e-8, 1.0 - 1e-14
-        # f decreases from ~0- to -inf on (0, 1)
-        while f(lo) < target:
-            lo *= 0.5
-    else:
-        lo, hi = 1.0 + 1e-14, 2.0
-        while f(hi) > target:
-            hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    if abs(f(r) - target) > residual_tol:
-        raise ArithmeticError(f"bisection residual {abs(f(r) - target)} too large")
-    return r
+    k = p / q
+    s = math.hypot(1.0, 2.0 * k)
+    return math.sqrt(-2.0 * k / (1.0 + s) if k < 0 else (1.0 + s) / (2.0 * k))

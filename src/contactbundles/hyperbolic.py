@@ -247,6 +247,9 @@ def radius_for_area(g: int, area: float) -> float:
     (module docstring).  Since pi/n + beta/2 = pi/2 - area/(2n), it is
     evaluated without cancellation at either end of (0, (4g-2)*pi) as
     2*sinh(R/2)^2 = cosh R - 1 = sin(area/(2n)) / (sin(pi/n) * sin(beta/2)).
+    Rounding moves x^2 + y^2 of the vertices of `build_symmetric_polygon` by
+    a relative 4*eps, so their radius tanh(R/2) must stay below 1 - 4*eps:
+    the areas above that float limit (within ~1e-15 of the top) are refused.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
@@ -256,7 +259,15 @@ def radius_for_area(g: int, area: float) -> float:
     n = 4 * g
     half_beta = (amax - area) / (2 * n)
     excess = math.sin(area / (2 * n)) / (math.sin(math.pi / n) * math.sin(half_beta))
-    return 2.0 * math.asinh(math.sqrt(excess / 2.0))
+    radius = 2.0 * math.asinh(math.sqrt(excess / 2.0))
+    r_max = 1.0 - 4 * sys.float_info.epsilon
+    if math.tanh(radius / 2.0) > r_max:
+        # the area at r = r_max: cot(beta/2) = cosh R * tan(pi/n), cosh R = (1 + r^2)/(1 - r^2)
+        cosh_max = (1.0 + r_max * r_max) / ((1.0 - r_max) * (1.0 + r_max))
+        limit = amax - 2 * n * math.atan(1.0 / (cosh_max * math.tan(math.pi / n)))
+        raise AreaOutOfRange(f"area {area!r} is above the float limit {limit!r} below the top "
+                             f"{amax}: the polygon's vertices would round onto the unit circle")
+    return radius
 
 
 def _from_origin(z: complex) -> Isometry2H:

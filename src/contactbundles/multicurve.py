@@ -20,13 +20,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
+from .classify import ScaleExceeded
+
 
 class InvalidDecomposition(ValueError):
     """The decomposition data violates a structural invariant."""
-
-
-class ScaleExceeded(ValueError):
-    """Brute-force isomorphism search refused beyond 8 pieces."""
 
 
 class TightnessVerdict(Enum):

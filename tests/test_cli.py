@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -72,6 +74,13 @@ class TestHolonomyCommand:
         assert code == 0
         assert abs(rep["outputs"]["abs_rho"] - 2.995) <= rep["outputs"]["error_bound"]
 
+    def test_float_limit_of_the_top_exits_2(self, capsys):
+        # tanh(R/2) rounds to 1 here, so the vertices would lie on the unit circle
+        area = repr((1 - 2.3e-16) * 38 * math.pi)
+        code, out, err = run(capsys, "holonomy", "--genus", "10", "--area", area,
+                             "--iters", "100")
+        assert code == 2 and out == "" and "float limit" in err
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "holonomy", "--genus", "2", "--area", "pi/2",
                          "--iters", "1000")
@@ -86,6 +95,11 @@ class TestPolygonCommand:
         assert code == 0
         assert rep["outputs"]["pairing_residual_max"] <= 1e-9
         assert abs(rep["outputs"]["commutator_trace"]) <= 1e-5  # expected trace 0 at 5pi
+
+    def test_float_limit_of_the_top_exits_2(self, capsys):
+        area = repr((1 - 2.3e-16) * 38 * math.pi)
+        code, out, err = run(capsys, "polygon", "--genus", "10", "--area", area)
+        assert code == 2 and out == "" and "float limit" in err
 
     def test_near_top_of_area_range(self, capsys):
         # 5.7pi is 0.95 of the top 6pi, where the vertices approach the boundary
@@ -128,6 +142,16 @@ class TestFormsCommand:
         code, rep, _ = run_json(capsys, "forms", "--form-file", str(path), "--grid", "8")
         assert code == 1
         assert rep["error"] == {"type": "ZeroDivisionError", "message": "division by symbolic zero"}
+
+    def test_huge_exponent_exits_1_quickly(self, capsys, tmp_path):
+        path = tmp_path / "power.form"
+        path.write_text("chart x:[-1,1] y:[-1,1] z:[-1,1];\nform x^99999999*dy + dz")
+        t0 = time.perf_counter()
+        code, rep, _ = run_json(capsys, "forms", "--form-file", str(path), "--grid", "8")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert rep["error"]["type"] == "FormSyntaxError"
+        assert "exponent" in rep["error"]["message"]
 
     def test_missing_file_exits_1(self, capsys):
         code, out, err = run(capsys, "forms", "--form-file", "/nonexistent.form")

@@ -1,11 +1,13 @@
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from contactbundles import formcalc as fc
-from contactbundles.formcalc.expr import Rat, Var, eval_expr
+from contactbundles.formcalc.expr import MAX_EXPONENT, Rat, Var, eval_expr
 from contactbundles.formcalc.models import (fiber_tube_pullback, scaling_flow_components,
                                             torus_wrapping_pullback)
 
@@ -14,6 +16,40 @@ XYZ = fc.Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
 
 def coeff_values(form, env):
     return [eval_expr(c, env) for c in form.coefficients]
+
+
+# (text, exception, message, offset) for rejected forms and (text, None,
+# printed form, None) for accepted ones, over the chart XYZ
+PINNED_PARSES = [
+    ("dz + -y*dx", fc.FormSyntaxError, "empty term", 5),
+    ("dx + + dy", fc.FormSyntaxError, "empty term", 5),
+    ("- -dz", fc.FormSyntaxError, "empty term", 2),
+    ("dz-", fc.FormSyntaxError, "empty term", 3),
+    ("dz + y", fc.FormSyntaxError, "no differential", 5),
+    ("dz + y*dx*2", fc.FormSyntaxError, "must end its term", 7),
+    ("dx dy", fc.FormSyntaxError, "must end its term", 0),
+    ("(dz)", fc.FormSyntaxError, "must end its term", 1),
+    ("dz + (y*dx)", fc.FormSyntaxError, "must end its term", 8),
+    ("y dx", fc.FormSyntaxError, "joined to the differential by '*'", 2),
+    ("dz +* y*dx", fc.FormSyntaxError, "unexpected token", 4),
+    ("dz + w*dx", fc.UnknownVariableError, "unknown variable 'w'", 5),
+    ("", fc.FormSyntaxError, "empty form", 0),
+    ("-dz", None, "(-1)*dz", None),
+    ("2*(x+1)*dx - 3*dy", None, "(2 + 2*x)*dx + (-3)*dy", None),
+    ("dz + y*dx + x*dx", None, "(x + y)*dx + dz", None),
+]
+
+
+@pytest.mark.parametrize("text, exc, message, offset", PINNED_PARSES)
+def test_pinned_parse_results(text, exc, message, offset):
+    if exc is None:
+        assert fc.parse_form(text, XYZ).text() == message
+        return
+    with pytest.raises(fc.FormSyntaxError) as info:
+        fc.parse_form(text, XYZ)
+    assert type(info.value) is exc
+    assert message in str(info.value)
+    assert info.value.position == offset
 
 
 class TestParser:
@@ -59,6 +95,23 @@ class TestParser:
             f = fc.parse_form(text, chart)
             again = fc.parse_form(f.text(), chart)
             assert f.coefficients == again.coefficients
+
+    def test_signed_factor_inside_a_term(self):
+        # the coefficient is a product of the expression grammar, unary signs included
+        f = fc.parse_form("x^-1*dy - y*-x*dz", XYZ)
+        env = {"x": 0.5, "y": 3.0, "z": 0.0}
+        assert coeff_values(f, env) == pytest.approx([0.0, 2.0, 1.5])
+
+    def test_exponent_cap(self):
+        assert fc.parse_form(f"x^{MAX_EXPONENT}*dz", XYZ).text() == f"x^{MAX_EXPONENT}*dz"
+        for text, offset in ((f"x^{MAX_EXPONENT + 1}*dz", 2), ("dz + (x+y)^-17*dx", 12)):
+            with pytest.raises(fc.FormSyntaxError) as info:
+                fc.parse_form(text, XYZ)
+            assert info.value.position == offset and "exponent" in str(info.value)
+        t0 = time.perf_counter()
+        with pytest.raises(fc.FormSyntaxError):
+            fc.parse_expr("x^99999999", ["x"])
+        assert time.perf_counter() - t0 < 0.1
 
     def test_chart_header(self):
         chart = fc.parse_chart("chart x:[-2,2] y:[-2,2] z:[-2,2]; periodic z; exclude x<1e-3;")
@@ -129,6 +182,19 @@ class TestContactSign:
     def test_standard_positive(self):
         rep = fc.contact_sign(fc.parse_form("dz - y*dx", XYZ), grid=32)
         assert rep.sign == "Positive" and rep.min_abs > 0.5
+
+    def test_refinement_skips_poles(self):
+        # volume coefficient (x+2)/(x+9/4): zero on the grid at x = -2, pole
+        # at the refined neighbour x = -2.25
+        f = fc.parse_form("dz - y*(x+2)/(x+9/4)*dx", XYZ)
+        rep = fc.contact_sign(f, grid=9)
+        assert rep.sign == "Mixed" and rep.min_abs == 0.0
+        (w,) = rep.witnesses
+        assert w[0] == -2.0
+        coeff = fc.volume_coefficient(f)
+        assert eval_expr(coeff, dict(zip(XYZ.names, w))) == 0.0
+        # 81 flagged grid points, each with 27 refined points, 9 of them poles
+        assert rep.samples == 9 ** 3 + 81 * (27 - 9)
 
     def test_flat_form_mixed(self):
         rep = fc.contact_sign(fc.parse_form("dx", XYZ), grid=8)
@@ -232,9 +298,49 @@ class TestPullback:
             for c1, c2 in zip(lhs.coefficients, rhs.coefficients):
                 assert abs(eval_expr(c1, env) - eval_expr(c2, env)) <= 1e-8
 
+    def test_numeric_inequality(self):
+        f = fc.parse_form("dz - y*dx", XYZ)
+        g = fc.parse_form("dz - 1.0000001*y*dx", XYZ)
+        assert fc.forms_equal_numeric(f, f) and not fc.forms_equal_numeric(f, g)
+
     def test_component_count_guard(self):
         with pytest.raises(ValueError):
             fc.pullback((Var("x"),), XYZ, fc.parse_form("dz - y*dx", XYZ))
+
+
+class TestCompiledSamples:
+    """The library's compiled evaluation against the tree-walking `eval_expr`."""
+
+    def test_random_points_draw_like_rejection_sampling(self):
+        chart = fc.Chart(("r", "theta", "z"), ((0.0, 1.0), (0.0, 6.0), (-1.0, 1.0)),
+                         exclusions=((fc.parse_expr("r - 1/2", ["r"]), 0.25),))
+        rng = random.Random(5)
+        expected = []
+        while len(expected) < 40:
+            env = {n: rng.uniform(lo, hi) for n, (lo, hi) in zip(chart.names, chart.ranges)}
+            if all(abs(eval_expr(e, env)) >= eps for e, eps in chart.exclusions):
+                expected.append(env)
+        assert chart.random_points(40, random.Random(5)) == expected
+
+    def test_slope_matches_pointwise_evaluation(self):
+        f = fc.parse_form("(2 + sin(theta)*r)*dz + r^2*cos(z)*dtheta",
+                          fc.solid_torus_universal_form().chart)
+        slopes = []
+        for u in range(24):
+            for v in range(24):
+                env = {"r": 0.7, "theta": 2.0 * math.pi * u / 24, "z": 2.0 * math.pi * v / 24}
+                slopes.append(-eval_expr(f.coefficients[1], env) / eval_expr(f.coefficients[2], env))
+        s = fc.characteristic_slope_on_torus(f, 0.7)
+        assert s.value == pytest.approx(sum(slopes) / len(slopes), abs=1e-14)
+        assert s.spread == pytest.approx(max(slopes) - min(slopes), abs=1e-14)
+
+    def test_coefficient_values(self):
+        f = fc.parse_form("exp(x)*dz - y/(1 + z^2)*dx", XYZ)
+        pts = XYZ.random_points(20, random.Random(6))
+        got = fc.forms.coefficient_values(f, pts)
+        assert got.shape == (3, 20)
+        for j, env in enumerate(pts):
+            assert got[:, j] == pytest.approx(coeff_values(f, env), rel=1e-14, abs=1e-15)
 
 
 class TestSlope:
@@ -261,6 +367,17 @@ class TestSlope:
 
     def test_r_of_slope_forward_inverse(self):
         assert fc.r_of_slope(-4, 15) == pytest.approx(0.5, abs=1e-9)
+
+    def test_r_of_slope_residual(self):
+        # exact residual of k*x^2 - x - k at x = r^2, against the size of its terms
+        eps = sys.float_info.epsilon
+        for q in range(1, 41):
+            for p in range(-40, 41):
+                if p == 0 or math.gcd(abs(p), q) != 1:
+                    continue
+                k, x = Fraction(p, q), Fraction(fc.r_of_slope(p, q)) ** 2
+                scale = abs(k) * x * x + x + abs(k)
+                assert abs(k * x * x - x - k) <= 4 * eps * scale, (p, q)
 
     def test_zero_slope_out_of_range(self):
         with pytest.raises(fc.SlopeOutOfRange):

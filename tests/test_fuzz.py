@@ -1,0 +1,74 @@
+"""Property tests of the form parser and of `forms --form-file`."""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from contactbundles import cli  # noqa: E402
+from contactbundles import formcalc as fc  # noqa: E402
+from contactbundles.formcalc.expr import (Add, Cos, Div, Exp, Mul, Neg, Pi, Pow,  # noqa: E402
+                                          Rat, Sin, Var)
+
+XYZ = fc.Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
+
+leaves = st.one_of(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), Pi()]),
+    st.builds(lambda p, q: Rat(Fraction(p, q)), st.integers(-9, 9), st.integers(1, 4)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda a, b: Add((a, b)), children, children),
+        st.builds(lambda a, b: Mul((a, b)), children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.integers(-3, 3)),
+        st.builds(Neg, children),
+        st.builds(Sin, children),
+        st.builds(Cos, children),
+        st.builds(Exp, children),
+    )
+
+
+coefficients = st.recursive(leaves, _extend, max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(coefficients, coefficients, coefficients))
+@example((Pow(Pow(Var("x"), 3), 6), Pow(Pow(Var("y"), -3), 7), Rat(Fraction(1))))  # x^18, y^-21
+def test_printed_form_parses_back(coeffs):
+    try:
+        form = fc.OneForm(XYZ, coeffs)
+    except ZeroDivisionError:  # a quotient by a symbolic zero has no form
+        assume(False)
+    assert fc.parse_form(form.text(), XYZ).coefficients == form.coefficients
+
+
+FORM_TOKENS = ["dx", "dy", "dz", "x", "y", "z", "w", "pi", "sin", "cos", "exp", "+", "-",
+               "*", "/", "^", "(", ")", "0", "2", "16", "17", "0.5", "1e3", "1e999", " "]
+
+
+@settings(max_examples=150, deadline=5000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.lists(st.sampled_from(FORM_TOKENS), max_size=14).map("".join),
+                 st.text(alphabet="dxyz+-*/^().e0123456789 ", max_size=20)))
+@example("dz + 1e300^2*x*dy")  # a coefficient beyond the float range
+@example("dz + 1e9999999*x*dy")
+@example("x^99999999*dy + dz")
+def test_form_file_exit_contract(tmp_path, text):
+    path = tmp_path / "fuzz.form"
+    path.write_text(f"chart x:[-1,1] y:[-1,1] z:[-1,1];\nform {text}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["forms", "--form-file", str(path), "--grid", "4"])
+    assert code in (0, 1, 2)
+    if code in (0, 1):
+        report = json.loads(out.getvalue())
+        assert ("error" in report) == (code == 1)

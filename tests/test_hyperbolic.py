@@ -176,6 +176,27 @@ class TestGaussBonnet:
         with pytest.raises(hy.AreaOutOfRange):
             hy.radius_for_area(1, -1.0)
 
+    def test_float_limit_of_the_top(self):
+        # tanh(R/2) rounds to 1.0 at this area, inside (0, 38pi) as a real number
+        with pytest.raises(hy.AreaOutOfRange, match="float limit"):
+            hy.radius_for_area(10, (1 - 2.3e-16) * 38 * math.pi)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 10, 40])
+    def test_last_floats_below_the_top(self, g):
+        # each of the 300 largest areas is refused or builds a polygon
+        area = (4 * g - 2) * math.pi
+        built = 0
+        for _ in range(300):
+            area = math.nextafter(area, 0.0)
+            try:
+                radius = hy.radius_for_area(g, area)
+            except hy.AreaOutOfRange:
+                assert built == 0  # refused areas lie above every accepted one
+                continue
+            hy.side_pairings(hy.build_symmetric_polygon(g, radius))
+            built += 1
+        assert built > 0
+
 
 class TestIsometryFromSegments:
     def test_identity_case(self):

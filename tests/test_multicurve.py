@@ -289,6 +289,10 @@ class TestIsotopyEqual:
         with pytest.raises(mc.ScaleExceeded):
             mc.isotopy_equal(big, big)
 
+    def test_one_scale_exceeded_class(self):
+        from contactbundles import classify as cl
+        assert mc.ScaleExceeded is cl.ScaleExceeded
+
 
 class TestTextFormat:
     def test_round_trip(self):
