@@ -10,6 +10,14 @@ representations are provided:
 * `WordMap` -- a formal composition of other maps (with exponents +-1),
   evaluated by nesting.
 
+`flatten` folds an all-PL word into one exact PL map and an all-Moebius word
+into one Moebius lift; two Moebius lifts compose by multiplying their
+matrices and fixing the integer winding from values in [0, 2) at one point
+(`_compose_moebius`).  `translation_number` therefore needs N steps only for
+mixed words: PL data is iterated exactly, and a single Moebius lift has its
+translation number in closed form, whatever N (`_moebius_rho`: the rotation
+angle of an elliptic matrix, or the exact integer at a boundary fixed point).
+
 Conventions
 -----------
 * Only one period is stored; f(t + 1) = f(t) + 1 holds by construction.
@@ -25,9 +33,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 TWO_PI = 2.0 * math.pi
@@ -169,13 +179,15 @@ class MoebiusBoundaryLift(LiftedCircleMap):
         w = self._boundary_image(z)
         return (math.atan2(w.imag, w.real) / TWO_PI) % 1.0
 
+    def _canonical(self, tau: float) -> float:
+        """The canonical lift at tau in [0, 1): a value in [c0, c0 + 1) within [0, 2)."""
+        p = self._principal(cmath.exp(2j * math.pi * tau))
+        return self._c0 + (p - self._c0) % 1.0
+
     def eval(self, t: Scalar) -> float:
         t = float(t)
         n = math.floor(t)
-        tau = t - n
-        p = self._principal(cmath.exp(2j * math.pi * tau))
-        delta = (p - self._c0) % 1.0
-        return self._c0 + delta + self.winding + n
+        return self._canonical(t - n) + self.winding + n
 
     def inverse(self) -> "MoebiusBoundaryLift":
         inv0 = MoebiusBoundaryLift(self.iso.inverse(), 0)
@@ -250,29 +262,33 @@ def _as_piecewise_linear(f: LiftedCircleMap) -> Optional[PiecewiseLinearMap]:
     return None
 
 
-def _as_moebius(f: LiftedCircleMap) -> Optional[MoebiusBoundaryLift]:
-    """Collapse an all-Moebius word to a single lift (pointwise identical).
+def _compose_moebius(a: MoebiusBoundaryLift, b: MoebiusBoundaryLift) -> MoebiusBoundaryLift:
+    """The lift a o b, pointwise equal to evaluating b and then a.
 
-    Two lifts of one circle map that agree at a point agree everywhere, so the
-    composite equals the canonical lift of the matrix product shifted by the
-    integer winding; the winding is cross-checked by `track_lift` in tests.
+    It lifts the matrix product, so it is the canonical lift c of a.iso o b.iso
+    shifted by an integer.  At 0, (a o b)(0) = a.canonical(b.c0) + a.winding +
+    b.winding, and a.canonical(b.c0) lies in [0, 2), as does c(0) = c.c0: the
+    shift is a.winding + b.winding plus the nearest integer to the difference
+    of those two, which no winding of any size enters.
     """
+    ab = MoebiusBoundaryLift(a.iso.compose(b.iso))
+    ab.winding = a.winding + b.winding + round(a._canonical(b._c0) - ab._c0)
+    return ab
+
+
+def _as_moebius(f: LiftedCircleMap) -> Optional[MoebiusBoundaryLift]:
+    """Collapse an all-Moebius word to a single lift (pointwise identical)."""
     if isinstance(f, MoebiusBoundaryLift):
         return f
     if not (isinstance(f, WordMap) and f.letters()):
         return None
     if not all(isinstance(m, MoebiusBoundaryLift) for m, _ in f.letters()):
         return None
-    iso = None
-    for m, e in f.letters():
-        step = m.iso if e == 1 else m.iso.inverse()
-        iso = step if iso is None else iso.compose(step)
-    canon = MoebiusBoundaryLift(iso, 0)
-    w = f.eval(0.0) - canon.eval(0.0)
-    k = int(round(w))
-    if abs(w - k) > 1e-6:
-        raise ArithmeticError(f"composite winding {w} is not close to an integer")
-    return MoebiusBoundaryLift(iso, k)
+    factors = reversed(f._chain)
+    acc = next(factors)
+    for m in factors:
+        acc = _compose_moebius(acc, m)
+    return acc
 
 
 def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
@@ -354,10 +370,16 @@ def inf_displacement(f: LiftedCircleMap, grid: int = 4096) -> Scalar:
 
 @dataclass(frozen=True)
 class TranslationNumberEstimate:
-    """f^N(0)/N together with its a-priori error bound.
+    """An estimate of the translation number rho together with its error bound.
 
-    Since t -> f^N(t) - t has width < 1 and the true translation number is
-    its mean slope, |value - rho| <= 1/N up to evaluation slack.
+    For piecewise-linear data (an exact Fraction) and for mixed words,
+    `value` is the orbit average f^N(0)/N with N = `iterations`.  Since
+    t -> f^N(t) - t has width < 1 and rho is its mean slope,
+    |f^N(0)/N - rho| < 1/N (Ghys, Enseign. Math. 2001).  For a Moebius lift,
+    or a word of them, `value` is rho of the computed matrix in closed form,
+    so it needs no orbit.  `error_bound` is 1/N plus the evaluation slack of
+    the representation (see `translation_number`); for a Moebius lift it
+    bounds both |value - rho| and |value - f^N(0)/N|.
     """
 
     value: Scalar
@@ -371,25 +393,142 @@ class TranslationNumberEstimate:
             raise ValueError("estimate is not finite")
 
 
-#: evaluation slack charged per orbit for binary64 map representations
+#: slack added to the bound of a float word that mixes representations; such
+#: a word has no matrix to derive one from, so this value is asserted
 FLOAT_ORBIT_SLACK = 1e-9
+
+_EPS = sys.float_info.epsilon
+
+#: relative error (in units of eps, spectral norm) assumed for each letter's
+#: matrix against the exact isometry it stands for, e.g. a side pairing built
+#: from closed-form trigonometry in a handful of roundings
+LETTER_ERROR_ULPS = 16
+
+
+def _moebius_rho(f: MoebiusBoundaryLift) -> float:
+    """The translation number of a Moebius lift, from its matrix in O(1).
+
+    With (alpha, beta) the disk coefficients, |Re(alpha)| = |trace|/2.
+
+    * |Re(alpha)| < 1 (elliptic): f is conjugate to a rotation by 2*pi*r,
+      r = acos(+-Re(alpha))/pi in (0, 1) with the sign of Im(alpha) (the
+      rotation by theta about 0 has alpha = exp(i*theta/2)).  With no
+      boundary fixed point, D(t) = f(t) - t is never an integer, so rho and
+      every D(t) lie in one interval (m, m + 1); D(0) = c0 + winding with c0
+      in (0, 1), so rho = winding + r.
+    * |Re(alpha)| >= 1 (hyperbolic, parabolic or the identity): the boundary
+      fixed points solve conj(beta)*w^2 + (conj(alpha) - alpha)*w - beta = 0,
+      w = (+-sqrt(Re(alpha)^2 - 1) + i*Im(alpha)) / conj(beta); the sign of
+      Re(alpha) picks the attracting one t*, where rounding in t* shrinks
+      under f, and rho = f(t*) - t* is an integer.  Within 1e-3 of 0 the lift
+      is read at 0 instead (f moves 0 towards t*, so |D(0) - rho| < 2e-3),
+      which keeps the evaluation off the seam of [0, 1).  (beta = 0 is the
+      identity.)
+    """
+    a, b = f._alpha, f._beta
+    if abs(a.real) < 1.0:
+        return f.winding + math.acos(a.real if a.imag >= 0.0 else -a.real) / math.pi
+    s = math.copysign(math.sqrt(a.real * a.real - 1.0), a.real)
+    w = complex(s, a.imag) / b.conjugate() if b else 1.0
+    t = (math.atan2(w.imag, w.real) / TWO_PI) % 1.0
+    if min(t, 1.0 - t) < 1e-3:
+        t = 0.0
+    return float(round(f.eval(t) - t))
+
+
+def _su11_norm(alpha: complex, beta: complex) -> float:
+    """Spectral norm of the isometry with disk coefficients (alpha, beta)."""
+    return abs(alpha) + abs(beta)
+
+
+def _su11_mul(x: tuple, y: tuple) -> tuple:
+    """Disk coefficients of the product of two isometries given by theirs."""
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
+
+
+def _rho_from_trace_slack(trace: float, err: float) -> float:
+    """How far rho can move while the SL(2) trace moves by at most `err`.
+
+    An elliptic element is conjugate to a rotation by 2h with trace 2*cos(h),
+    and its lift has rho = +-u + n with u = acos(trace/2)/pi in [0, 1].  Inside
+    (-2, 2) rho moves with u; a trace interval that reaches 2 (u = 0) or -2
+    (u = 1) lets the sign of the rotation flip, so rho can cross to the mirror
+    value.  Hyperbolic traces clamp to u = 0 or 1, an integer rho.
+    """
+    def u(x: float) -> float:
+        return math.acos(max(-1.0, min(1.0, x / 2.0))) / math.pi
+
+    lo, hi = trace - err, trace + err
+    r = u(trace)
+    slack = max(u(lo) - r, r - u(hi))
+    if hi >= 2.0:
+        slack = max(slack, r + u(lo))
+    if lo <= -2.0:
+        slack = max(slack, 2.0 - r - u(hi))
+    return slack
+
+
+def _moebius_rho_slack(factors: Sequence[MoebiusBoundaryLift], flat: MoebiusBoundaryLift) -> float:
+    """Bound on |rho(flat) - rho(exact product of the letters' isometries)|.
+
+    `factors` are the letters A_1..A_k in product order and `flat` their
+    folded lift with matrix M^.  To first order in eps, with P_<i and P_>i the
+    products of the letters before and after A_i,
+
+        ||M^ - M|| <= e := (LETTER_ERROR_ULPS + 4) * eps * S,
+        S = sum_i ||P_<i|| * ||A_i|| * ||P_>i||,
+
+    since an error D in A_i reaches M as P_<i D P_>i, and the rounded 2x2
+    product that forms P_<=i errs by at most 4*eps*||P_<i||*||A_i||.  Each
+    product is rescaled by 1/sqrt(det); the next rescaling cancels that
+    scalar, so only the last one counts: it moves the trace by a relative
+    4*eps*||M^||^2.  So |trace(M^) - trace(M)| <= 2*e + 4*eps*||M^||^2*|trace|,
+    and rho, a function of the trace for a Moebius lift, moves by at most
+    `_rho_from_trace_slack` of that.  Near traces +-2 the bound grows like the
+    square root of the trace error, as the error itself does: the rotation
+    angle of a near-parabolic matrix is that ill-conditioned.  (A bound on
+    the displacement of the boundary map would not do: rho is not Lipschitz
+    in the displacement near such maps.)
+    """
+    coeffs = [(m._alpha, m._beta) for m in factors]
+    before = [1.0] + [_su11_norm(*p) for p in accumulate(coeffs[:-1], _su11_mul)]
+    after = [_su11_norm(*p) for p in accumulate(coeffs[:0:-1], lambda p, c: _su11_mul(c, p))]
+    after = after[::-1] + [1.0]
+    s = math.fsum(p * _su11_norm(*c) * q for p, c, q in zip(before, coeffs, after))
+    e = (LETTER_ERROR_ULPS + 4) * _EPS * s
+    norm = _su11_norm(flat._alpha, flat._beta)
+    trace = 2.0 * flat._alpha.real
+    return _rho_from_trace_slack(trace, 2.0 * e + 4.0 * _EPS * norm * norm * abs(trace))
 
 
 def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumberEstimate:
-    """Estimate the translation number by value = f^N(0)/N, N = `iterations`.
+    """Estimate the translation number rho of f; N = `iterations`.
 
-    Exact-rational orbits (piecewise-linear data) carry no evaluation slack;
-    Moebius orbits add FLOAT_ORBIT_SLACK to the bound.
+    * Piecewise-linear data: the exact rational orbit average f^N(0)/N,
+      error bound 1/N.
+    * A Moebius lift, or a word of them (flattened to one lift first): rho of
+      the computed matrix in closed form (`_moebius_rho`), at a cost that does
+      not depend on N.  The bound is 1/N plus `_moebius_rho_slack`, the
+      distance the rounding of the letters and of their product can put
+      between the computed matrix and the exact one, measured in rho; with
+      the 1/N it also bounds |value - f^N(0)/N|.
+    * Any other word: the float orbit average, 1/N plus FLOAT_ORBIT_SLACK.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     g = flatten(f)
+    if isinstance(g, MoebiusBoundaryLift):
+        factors = tuple(reversed(f._chain)) if isinstance(f, WordMap) else (g,)
+        return TranslationNumberEstimate(
+            value=_moebius_rho(g), error_bound=1.0 / iterations + _moebius_rho_slack(factors, g),
+            iterations=iterations)
     exact = isinstance(g, PiecewiseLinearMap)
     x: Scalar = Fraction(0) if exact else 0.0
     for _ in range(iterations):
         x = g.eval(x)
     if exact:
-        value: Scalar = Fraction(x, iterations)
+        value = Fraction(x, iterations)
         slack = 0.0
     else:
         value = x / iterations

@@ -482,9 +482,16 @@ def tokenize(text: str) -> list:
     return tokens
 
 
-#: largest |k| accepted in a power x^k; `_to_sop` expands a power by |k| - 1
-#: products, so (x + y + z + 1)^32 alone costs seconds
+#: largest |k| accepted in a power x^k, and largest expansion degree of a
+#: parsed expression: a sum of several terms counts the largest of them, at
+#: least 1; a product or quotient the sum of its factors; a power |k| times
+#: its base; variables, numbers, pi, parameters and function calls count 0.
+#: `_to_sop` multiplies sums out, so (x + y + z + 1)^32 alone costs seconds,
+#: as does (x + y + z + 1)^16 * (x + y + z + 1)^16
 MAX_EXPONENT = 16
+#: deepest nesting of parentheses, function calls and unary signs; the parser
+#: and the tree walkers recurse once per level
+MAX_NESTING = 100
 #: largest |e| accepted in a literal 1e<e>: beyond it the value is not a
 #: float, and the exact Fraction("1e9999999") alone costs seconds
 MAX_DECIMAL_EXPONENT = 324
@@ -506,6 +513,29 @@ class _Parser:
         self.params = {k: (v if isinstance(v, Expr) else rational(v))
                        for k, v in (params or {}).items()}
         self.basis = {f"d{name}": axis for axis, name in enumerate(basis)}
+        self.depth = 0
+        self.degrees: Dict[int, int] = {}
+
+    def degree(self, e: Expr) -> int:
+        """Expansion degree (see MAX_EXPONENT) of a node this parser built."""
+        return self.degrees.get(id(e), 0)
+
+    def bounded(self, e: Expr, degree: int, t: _Token) -> Expr:
+        """Record e's expansion degree; past MAX_EXPONENT it is an error at t."""
+        if degree > MAX_EXPONENT:
+            raise FormSyntaxError(f"expansion degree exceeds {MAX_EXPONENT}", t.pos)
+        self.degrees[id(e)] = degree
+        return e
+
+    def nested(self, t: _Token, parse):
+        """parse() one level deeper than `t`, within MAX_NESTING levels."""
+        if self.depth >= MAX_NESTING:
+            raise FormSyntaxError(f"nesting exceeds {MAX_NESTING} levels", t.pos)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[self.i + ahead]
@@ -568,30 +598,38 @@ class _Parser:
         return self.basis[basis.text], coeff
 
     def parse_sum(self) -> Expr:
+        start = self.peek()
         terms = [self.parse_product()]
+        degree = self.degree(terms[0])
         while self.at_op("+-"):
             sign = self.next().text
             rhs = self.parse_product()
+            degree = max(degree, self.degree(rhs))
             terms.append(rhs if sign == "+" else Neg(rhs))
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
+        if len(terms) == 1:
+            return terms[0]
+        return self.bounded(Add(tuple(terms)), max(degree, 1), start)
 
     def parse_product(self, basis_ends: bool = False) -> Expr:
         """Factors joined by '*' or '/'; with `basis_ends`, stops before an
         operator whose right operand is a basis differential."""
         out = self.parse_unary()
+        degree = self.degree(out)
         while self.at_op("*/") and not (basis_ends and self.at_basis(1)):
             op = self.next().text
+            t = self.peek()
             rhs = self.parse_unary()
-            out = Mul((out, rhs)) if op == "*" else Div(out, rhs)
+            degree += self.degree(rhs)
+            out = self.bounded(Mul((out, rhs)) if op == "*" else Div(out, rhs), degree, t)
         return out
 
     def parse_unary(self) -> Expr:
         if self.at_op("-"):
-            self.next()
-            return Neg(self.parse_unary())
+            t = self.next()
+            arg = self.nested(t, self.parse_unary)
+            return self.bounded(Neg(arg), self.degree(arg), t)
         if self.at_op("+"):
-            self.next()
-            return self.parse_unary()
+            return self.nested(self.next(), self.parse_unary)
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -608,7 +646,7 @@ class _Parser:
             raise FormSyntaxError("exponent must be an integer literal", t.pos)
         if int(t.text) > MAX_EXPONENT:
             raise FormSyntaxError(f"exponent exceeds {MAX_EXPONENT} in absolute value", t.pos)
-        return Pow(base, sign * int(t.text))
+        return self.bounded(Pow(base, sign * int(t.text)), int(t.text) * self.degree(base), t)
 
     def parse_atom(self) -> Expr:
         t = self.next()
@@ -619,7 +657,7 @@ class _Parser:
                     f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in absolute value", t.pos)
             return Rat(Fraction(t.text))
         if t.kind == "op" and t.text == "(":
-            inner = self.parse_sum()
+            inner = self.nested(t, self.parse_sum)
             self.expect_op(")")
             return inner
         if t.kind == "ident":
@@ -629,7 +667,7 @@ class _Parser:
                 return Pi()
             if t.text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.parse_sum()
+                arg = self.nested(t, self.parse_sum)
                 self.expect_op(")")
                 return _FUNCTIONS[t.text](arg)
             if t.text in self.params:

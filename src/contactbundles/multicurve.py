@@ -90,6 +90,10 @@ def tb_from_degree(deg: int, n: int) -> int:
 
 Slot = Tuple[int, int]  # (piece index, boundary slot)
 
+#: unused slots of one piece that `validate` names one by one; a boundary
+#: count read from a file can be any integer
+MAX_LISTED_SLOTS = 64
+
 
 @dataclass(frozen=True)
 class SurfaceDecomposition:
@@ -143,10 +147,18 @@ def validate(dec: SurfaceDecomposition) -> Tuple[bool, List[str]]:
         for s in (sa, sb):
             used[s] = used.get(s, 0) + 1
     for i, (g, b) in enumerate(dec.pieces):
-        for k in range(b):
+        listed = min(b, MAX_LISTED_SLOTS)
+        for k in range(listed):
             c = used.pop((i, k), 0)
             if c != 1:
                 diags.append(f"slot {i}.{k} used {c} times")
+        named = sorted(s for s in used if s[0] == i and listed <= s[1] < b)
+        for s in named:
+            c = used.pop(s)
+            if c != 1:
+                diags.append(f"slot {i}.{s[1]} used {c} times")
+        if b - listed - len(named) > 0:
+            diags.append(f"{b - listed - len(named)} more slots of piece {i} used 0 times")
     for s in used:
         diags.append(f"curve endpoint at nonexistent slot {s[0]}.{s[1]}")
     # connectivity of the gluing graph

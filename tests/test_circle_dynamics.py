@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -280,3 +281,142 @@ class TestTrackLift:
         vals = cd.track_lift(circle_map, rel.eval(0.0))
         canon0 = cd.MoebiusBoundaryLift(flat.iso, 0).eval(0.0)
         assert flat.winding == round(vals[0] - canon0)
+
+
+def polygon_relator(g, share):
+    """The lifted holonomy relator of the symmetric 4g-gon and its area."""
+    area = share * (4 * g - 2) * math.pi
+    poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, area))
+    return cd.evaluate_relator([hy.boundary_lift(p) for p in hy.side_pairings(poly)]), area
+
+
+SHARES_LOW = (0.001, 0.01, 0.1, 0.5, 0.9)
+SHARES_TOP = (0.99, 0.9999, 1 - 1e-6)
+SHARES_AT_TOP = tuple(1 - 10.0 ** -k for k in range(8, 14))
+POWERS = (1, 2, 3, 1000, 10 ** 4, 10 ** 5)
+
+
+def rotation_about(v, angle, winding):
+    """Lift of the rotation by `angle` about the disk point v."""
+    s = math.sqrt((1 - abs(v)) * (1 + abs(v)))
+    h, h_inv = (1 / s, -v / s), (1 / s, v / s)
+    spin = (complex(math.cos(angle / 2), math.sin(angle / 2)), 0j)
+    alpha, beta = cd._su11_mul(h_inv, cd._su11_mul(spin, h))
+    return cd.MoebiusBoundaryLift(hy.Isometry2H.from_disk_coefficients(alpha, beta), winding)
+
+
+class TestMoebiusRho:
+    """translation_number of a Moebius lift in closed form."""
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_closed_form_matches_iteration(self, g):
+        """|rho - f^N(0)/N| < 1/N; the longest orbits only for some genera."""
+        powers = POWERS if g in (1, 2, 5, 10) else POWERS[:-1]
+        for share in SHARES_LOW + SHARES_TOP:
+            rel, _ = polygon_relator(g, share)
+            flat = cd.flatten(rel)
+            x, done = 0.0, 0
+            for n in powers:
+                for _ in range(n - done):
+                    x = flat.eval(x)
+                done = n
+                assert abs(cd.translation_number(rel, n).value - x / n) <= 2.0 / n
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_error_bound_covers_area_over_two_pi(self, g):
+        for share in SHARES_LOW + SHARES_TOP + SHARES_AT_TOP:
+            rel, area = polygon_relator(g, share)
+            for n in POWERS + (2 ** 30, 10 ** 12):
+                est = cd.translation_number(rel, n)
+                assert est.iterations == n
+                assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
+                if share <= 0.9:
+                    assert est.error_bound - 1.0 / n <= 1e-7
+
+    def test_rotations_about_random_points(self):
+        """rho = m + angle/2pi, with m the common floor of f(t) - t; the bound
+        leaves room for the rounding of near-identity rotations near the
+        boundary, whose angle depends on the trace through a square root."""
+        rng = random.Random(17)
+        for _ in range(500):
+            radius = rng.choice([rng.random(), 1 - 10 ** rng.uniform(-6, -1)])
+            v = cmath.rect(radius, rng.uniform(-math.pi, math.pi))
+            angle = rng.choice([rng.uniform(0, 2 * math.pi), 1e-6, math.pi, 2 * math.pi - 1e-6])
+            f = rotation_about(v, angle, rng.randint(-3, 3))
+            floors = {math.floor(f.eval(t) - t) for t in (0.1, 0.3, 0.55, 0.8)}
+            assert len(floors) == 1
+            value = cd.translation_number(f, 10 ** 12).value
+            assert abs(value - floors.pop() - angle / (2 * math.pi)) <= 1e-4
+
+    @pytest.mark.parametrize("g,share", [(1, 0.5), (2, 2 / 3), (3, 0.99), (5, 1 - 1e-6)])
+    def test_rho_against_high_precision_orbit(self, g, share):
+        """|F^N(0) - N*rho| < 1 (Ghys), with F^N(0) of the same letters in mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+
+        def lift(m):
+            alpha, beta = mpmath.mpc(m._alpha), mpmath.mpc(m._beta)
+
+            def principal(tau):
+                z = mpmath.expjpi(2 * tau)
+                w = (alpha * z + beta) / (mpmath.conj(beta) * z + mpmath.conj(alpha))
+                return mpmath.fmod(mpmath.arg(w) / (2 * mpmath.pi) + 1, 1)
+
+            c0 = principal(0)
+
+            def evaluate(t):
+                n = mpmath.floor(t)
+                return c0 + mpmath.fmod(principal(t - n) - c0 + 1, 1) + m.winding + n
+            return evaluate
+
+        rel, _ = polygon_relator(g, share)
+        n = 300
+        with mpmath.workdps(40):
+            chain = [lift(m) for m in rel._chain]
+            x = mpmath.mpf(0)
+            for _ in range(n):
+                for f in chain:
+                    x = f(x)
+        est = cd.translation_number(rel, n)
+        assert abs(est.value * n - float(x)) < 1 + n * (est.error_bound - 1 / n)
+
+    @pytest.mark.parametrize("winding", [0, 3, -2])
+    def test_hyperbolic_parabolic_and_identity_lifts_have_integer_rho(self, winding):
+        for iso in (hy.Isometry2H(2.0, 0.0, 0.0, 0.5), hy.Isometry2H(1.0, 1.0, 0.0, 1.0),
+                    hy.Isometry2H(-1.0, 1.0, 0.0, -1.0), hy.Isometry2H.identity()):
+            f = cd.MoebiusBoundaryLift(iso, winding)
+            est = cd.translation_number(f, 10 ** 12)
+            assert est.value == winding
+            x = 0.0
+            for _ in range(1000):
+                x = f.eval(x)
+            assert abs(est.value - x / 1000) <= 1 / 1000
+
+    @pytest.mark.parametrize("make", [
+        lambda: cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2 * math.pi * 0.2137)),
+        lambda: polygon_relator(2, 1 / 3)[0],
+        lambda: polygon_relator(2, 2 / 3)[0],
+        lambda: polygon_relator(3, SHARES_AT_TOP[-1])[0],
+        lambda: cd.MoebiusBoundaryLift(hy.Isometry2H(2.0, 0.0, 0.0, 0.5)),
+    ], ids=["elliptic", "area-2pi", "area-4pi", "top", "hyperbolic"])
+    def test_work_does_not_grow_with_iterations(self, make, monkeypatch):
+        f = make()
+        calls = []
+        canonical = cd.MoebiusBoundaryLift._canonical
+        monkeypatch.setattr(cd.MoebiusBoundaryLift, "_canonical",
+                            lambda lift, tau: calls.append(tau) or canonical(lift, tau))
+        counts = []
+        for n in (1, 10 ** 12):
+            del calls[:]
+            assert cd.translation_number(f, n).iterations == n
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4 * len(f.letters()) + 1
+
+    def test_piecewise_linear_path_is_exact(self):
+        rng = random.Random(21)
+        f = random_pl(rng)
+        est = cd.translation_number(f, 64)
+        x = Fraction(0)
+        for _ in range(64):
+            x = f.eval(x)
+        assert est.value == Fraction(x, 64) and isinstance(est.value, Fraction)
+        assert est.error_bound == 1 / 64

@@ -81,6 +81,27 @@ class TestHolonomyCommand:
                              "--iters", "100")
         assert code == 2 and out == "" and "float limit" in err
 
+    @pytest.mark.parametrize("area,target", [("2pi", 1.0), ("4pi", 2.0), ("5pi", 2.5)])
+    def test_huge_iteration_count(self, capsys, area, target):
+        start = time.perf_counter()
+        code, rep, _ = run_json(capsys, "holonomy", "--genus", "2", "--area", area,
+                                "--iters", str(10 ** 12))
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and rep["outputs"]["iterations"] == 10 ** 12
+        assert abs(rep["outputs"]["abs_rho"] - target) <= rep["outputs"]["error_bound"]
+
+    @pytest.mark.parametrize("genus", [1, 2, 5, 10])
+    def test_huge_iteration_count_at_the_top(self, capsys, genus):
+        top = (4 * genus - 2) * math.pi
+        for k in range(8, 14):
+            area = (1 - 10.0 ** -k) * top
+            for iters in (10 ** 4, 10 ** 12):
+                code, rep, _ = run_json(capsys, "holonomy", "--genus", str(genus),
+                                        "--area", repr(area), "--iters", str(iters))
+                assert code == 0
+                out = rep["outputs"]
+                assert abs(out["abs_rho"] - area / (2 * math.pi)) <= out["error_bound"]
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "holonomy", "--genus", "2", "--area", "pi/2",
                          "--iters", "1000")

@@ -1,8 +1,11 @@
-"""Property tests of the form parser and of `forms --form-file`."""
+"""Property tests of the form parser, `forms --form-file` and `multicurve --file`."""
 
 import contextlib
 import io
 import json
+import os
+import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from contactbundles import cli  # noqa: E402
 from contactbundles import formcalc as fc  # noqa: E402
+from contactbundles import multicurve as mc  # noqa: E402
 from contactbundles.formcalc.expr import (Add, Cos, Div, Exp, Mul, Neg, Pi, Pow,  # noqa: E402
                                           Rat, Sin, Var)
 
@@ -68,6 +72,75 @@ def test_form_file_exit_contract(tmp_path, text):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["forms", "--form-file", str(path), "--grid", "4"])
+    assert code in (0, 1, 2)
+    if code in (0, 1):
+        report = json.loads(out.getvalue())
+        assert ("error" in report) == (code == 1)
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "x" + ")" * 3000 + "*dy + dz",
+                                  "(" + "-" * 3000 + "x)*dy + dz",
+                                  "((x+y+z)^16)^16*dy + dz",
+                                  "(x+y+z+1)^16*(x+y+z+1)^16*(x+y+z+1)^16*dy + dz",
+                                  "(x+y+z+1)^16/(x+y+z+1)^16*dy + dz"])
+def test_form_file_bounds_nesting_and_expansion(tmp_path, text):
+    path = tmp_path / "deep.form"
+    path.write_text(f"chart x:[-1,1] y:[-1,1] z:[-1,1];\nform {text}\n")
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["forms", "--form-file", str(path), "--grid", "4"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(out.getvalue())["error"]["type"] == "FormSyntaxError"
+
+
+def test_nested_exponents_bounded_by_their_product():
+    fc.parse_form("((x+y)^4)^4*dy + dz", XYZ)
+    with pytest.raises(fc.FormSyntaxError) as info:
+        fc.parse_form("((x+y)^4)^5*dy + dz", XYZ)
+    assert info.value.position == len("((x+y)^4)^")
+
+
+def test_products_bounded_by_their_total_degree():
+    fc.parse_form("(x+y)^8*(x-z)^8*x^16*sin((y+1)^16)*dy + dz", XYZ)
+    for text in ("(x+y)^8*(x-z)^9*dy + dz", "(x+y)^8/(x-z)^9*dy + dz",
+                 "(x+y)^8*-(x-z)^9*dy + dz"):
+        with pytest.raises(fc.FormSyntaxError) as info:
+            fc.parse_form(text, XYZ)
+        assert info.value.position == len("(x+y)^8*")
+
+
+DECOMPOSITION_LINES = st.one_of(
+    st.builds("surface chi={} sphere={}".format, st.integers(-8, 4),
+              st.sampled_from(["true", "false", "1", "no"])),
+    st.builds("piece {} genus={} boundaries={}".format, st.sampled_from("ABC"),
+              st.integers(-1, 3), st.integers(-1, 4)),
+    st.builds("curve {} {}.{} {}.{}".format, st.sampled_from("cd"), st.sampled_from("ABCZ"),
+              st.integers(0, 4), st.sampled_from("ABC"), st.integers(-1, 4)),
+    st.text(alphabet="surfacepiecvgnsbdy=.#ABC 0123456789-", max_size=30),
+)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(st.lists(DECOMPOSITION_LINES, max_size=8).map("\n".join))
+@example("surface chi=-2 sphere=false\npiece A genus=0 boundaries=999999999999")
+@example("surface chi=99999999999999999999 sphere=false\npiece A genus=99999999999 boundaries=0")
+def test_multicurve_exit_contract(text):
+    try:
+        dec = mc.parse_decomposition(text)
+    except mc.InvalidDecomposition:
+        dec = None
+    assert dec is None or isinstance(dec, mc.SurfaceDecomposition)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.dec")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["multicurve", "--file", path, "--compare", path])
+        assert time.perf_counter() - start < 2.0
     assert code in (0, 1, 2)
     if code in (0, 1):
         report = json.loads(out.getvalue())
