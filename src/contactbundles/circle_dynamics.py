@@ -157,8 +157,8 @@ class MoebiusBoundaryLift(LiftedCircleMap):
     canonical lift by an integer.
 
     Evaluation is pointwise exact up to float roundoff: the canonical lift
-    restricted to [0, 1) takes values in [c0, c0 + 1) with c0 = f(0), so the
-    value is c0 + ((principal - c0) mod 1).
+    restricted to [0, 1) takes values in [c0, c0 + 1), with c0 = f(0) the
+    principal argument of the image of 1 (in turns, in [0, 1)).
     """
 
     kind = "moebius"
@@ -167,27 +167,35 @@ class MoebiusBoundaryLift(LiftedCircleMap):
         self.iso = iso
         self.winding = int(winding)
         alpha, beta = iso.disk_coefficients()
-        self._alpha = complex(alpha)
-        self._beta = complex(beta)
-        self._c0 = self._principal(1.0 + 0.0j)
-
-    def _boundary_image(self, z: complex) -> complex:
-        a, b = self._alpha, self._beta
-        return (a * z + b) / (b.conjugate() * z + a.conjugate())
-
-    def _principal(self, z: complex) -> float:
-        w = self._boundary_image(z)
-        return (math.atan2(w.imag, w.real) / TWO_PI) % 1.0
+        self._alpha = a = complex(alpha)
+        self._beta = b = complex(beta)
+        w1 = (a + b) / (b.conjugate() + a.conjugate())
+        c0 = (math.atan2(w1.imag, w1.real) / TWO_PI) % 1.0
+        self._c0 = 0.0 if c0 == 1.0 else c0  # a turn just below 0 rounds to 1.0
 
     def _canonical(self, tau: float) -> float:
-        """The canonical lift at tau in [0, 1): a value in [c0, c0 + 1) within [0, 2)."""
-        p = self._principal(cmath.exp(2j * math.pi * tau))
-        return self._c0 + (p - self._c0) % 1.0
+        """The canonical lift at tau in [0, 1): a value in [c0, c0 + 1) within [0, 2).
+
+        The turn from c0 to the image is the argument of w(z)/w(1) = 1 + u with
+        u = (z - 1) / ((alpha + beta)(conj(beta) z + conj(alpha))) (det 1) and
+        z - 1 = 2i sin(pi tau) e^(i pi tau).  u carries no cancellation, so the
+        turn keeps its sign and relative accuracy at both ends of [0, 1), where
+        the difference of two principal arguments is rounding noise.
+        """
+        a, b = self._alpha, self._beta
+        half = cmath.exp(1j * math.pi * tau)
+        step = 2j * math.sin(math.pi * min(tau, 1.0 - tau)) * half
+        u = step / ((a + b) * (b.conjugate() * half * half + a.conjugate()))
+        turn = (math.atan2(u.imag, 1.0 + u.real) / TWO_PI) % 1.0
+        return min(self._c0 + turn, math.nextafter(self._c0 + 1.0, 0.0))
 
     def eval(self, t: Scalar) -> float:
         t = float(t)
         n = math.floor(t)
-        return self._canonical(t - n) + self.winding + n
+        tau = t - n
+        if tau == 1.0:  # t just below an integer, rounded up
+            tau, n = 0.0, n + 1
+        return self._canonical(tau) + self.winding + n
 
     def inverse(self) -> "MoebiusBoundaryLift":
         inv0 = MoebiusBoundaryLift(self.iso.inverse(), 0)

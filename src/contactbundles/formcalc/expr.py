@@ -12,8 +12,9 @@ Surface syntax for coefficients:
 
     Expr  := sum over IDENT, RATIONAL, pi, + - * / ^INT, sin cos exp, parens
 
-with |INT| <= MAX_EXPONENT and decimal exponents of literals at most
-MAX_DECIMAL_EXPONENT in absolute value.  The same parser reads the 1-form
+with |INT| <= MAX_EXPONENT, decimal exponents of literals at most
+MAX_DECIMAL_EXPONENT in absolute value, and trees at most MAX_DEPTH levels
+tall.  The same parser reads the 1-form
 grammar of `forms` when given basis names.  Rational literals (including
 decimal and scientific notation) are parsed bit-exactly into
 `fractions.Fraction`.
@@ -492,9 +493,29 @@ MAX_EXPONENT = 16
 #: deepest nesting of parentheses, function calls and unary signs; the parser
 #: and the tree walkers recurse once per level
 MAX_NESTING = 100
+#: tallest expression tree the parser builds, counted in nodes from the root to
+#: a leaf: a chain of k factors joined by '*' or '/' is a left-deep tree k - 1
+#: tall, and so is the sum of k terms on one differential of a form.  Hashing
+#: and the tree walkers recurse once or twice per level: a 500-factor chain
+#: ran them out of Python's default 1000 frames, a 400-factor one did not
+MAX_DEPTH = 200
 #: largest |e| accepted in a literal 1e<e>: beyond it the value is not a
 #: float, and the exact Fraction("1e9999999") alone costs seconds
 MAX_DECIMAL_EXPONENT = 324
+
+
+def _children(e: Expr) -> Tuple[Expr, ...]:
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Div):
+        return (e.num, e.den)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Neg, Sin, Cos, Exp)):
+        return (e.arg,)
+    return ()
 
 
 class _Parser:
@@ -515,16 +536,23 @@ class _Parser:
         self.basis = {f"d{name}": axis for axis, name in enumerate(basis)}
         self.depth = 0
         self.degrees: Dict[int, int] = {}
+        self.heights: Dict[int, int] = {}
 
     def degree(self, e: Expr) -> int:
         """Expansion degree (see MAX_EXPONENT) of a node this parser built."""
         return self.degrees.get(id(e), 0)
 
     def bounded(self, e: Expr, degree: int, t: _Token) -> Expr:
-        """Record e's expansion degree; past MAX_EXPONENT it is an error at t."""
+        """Record e's expansion degree and height; past MAX_EXPONENT or
+        MAX_DEPTH it is an error at t.  Every node the parser builds passes
+        here; leaves and parameters count height 0."""
         if degree > MAX_EXPONENT:
             raise FormSyntaxError(f"expansion degree exceeds {MAX_EXPONENT}", t.pos)
+        height = 1 + max(self.heights.get(id(c), 0) for c in _children(e))
+        if height > MAX_DEPTH:
+            raise FormSyntaxError(f"expression depth exceeds {MAX_DEPTH}", t.pos)
         self.degrees[id(e)] = degree
+        self.heights[id(e)] = height
         return e
 
     def nested(self, t: _Token, parse):
@@ -567,8 +595,12 @@ class _Parser:
         if negate:
             self.next()
         while True:
+            t = self.peek()
             axis, coeff = self.parse_term()
-            coeffs[axis] = Add((coeffs[axis], Neg(coeff) if negate else coeff))
+            if negate:
+                coeff = self.bounded(Neg(coeff), self.degree(coeff), t)
+            coeffs[axis] = self.bounded(Add((coeffs[axis], coeff)),
+                                        max(self.degree(coeffs[axis]), self.degree(coeff), 1), t)
             t = self.next()
             if t.kind == "end":
                 return tuple(coeffs)
@@ -603,9 +635,10 @@ class _Parser:
         degree = self.degree(terms[0])
         while self.at_op("+-"):
             sign = self.next().text
+            t = self.peek()
             rhs = self.parse_product()
             degree = max(degree, self.degree(rhs))
-            terms.append(rhs if sign == "+" else Neg(rhs))
+            terms.append(rhs if sign == "+" else self.bounded(Neg(rhs), self.degree(rhs), t))
         if len(terms) == 1:
             return terms[0]
         return self.bounded(Add(tuple(terms)), max(degree, 1), start)
@@ -669,7 +702,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.nested(t, self.parse_sum)
                 self.expect_op(")")
-                return _FUNCTIONS[t.text](arg)
+                return self.bounded(_FUNCTIONS[t.text](arg), 0, t)
             if t.text in self.params:
                 return self.params[t.text]
             if t.text in self.allowed:

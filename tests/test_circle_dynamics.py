@@ -305,6 +305,49 @@ def rotation_about(v, angle, winding):
     return cd.MoebiusBoundaryLift(hy.Isometry2H.from_disk_coefficients(alpha, beta), winding)
 
 
+class TestMoebiusSeam:
+    """The canonical lift near the ends of [0, 1), where the image lies within
+    rounding of f(0) on one side or the other."""
+
+    @staticmethod
+    def half_turns(count):
+        rng = random.Random(23)
+        for _ in range(count):
+            v = cmath.rect(math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+            yield rotation_about(v, math.pi, rng.randint(-3, 3))
+
+    def test_half_turn_orbits_advance_by_one_integer(self):
+        """f o f is a translation by an odd integer for a rotation by pi."""
+        for f in self.half_turns(400):
+            orbit = [0.0]
+            for _ in range(6):
+                orbit.append(f.eval(orbit[-1]))
+            steps = [orbit[k + 2] - orbit[k] for k in range(5)]
+            shifts = {round(d) for d in steps}
+            assert len(shifts) == 1 and 0 not in shifts, orbit
+            assert max(abs(d - round(d)) for d in steps) <= 1e-6, orbit
+
+    def test_eval_monotone_and_within_one_period(self):
+        eps = 2.0 ** -52
+        grid = sorted({k / 512 for k in range(512)}
+                      | {1 - k * eps / 2 for k in range(1, 40)}
+                      | {k * 2.0 ** -60 for k in range(40)}
+                      | {1 - 2.0 ** -j for j in range(1, 53)}
+                      | {2.0 ** -j for j in range(1, 200)})
+        lifts = list(self.half_turns(100))
+        for g, share in ((2, 0.5), (2, 1 - 1e-6), (3, 0.99)):
+            poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, share * (4 * g - 2) * math.pi))
+            lifts += [hy.boundary_lift(p) for p in hy.side_pairings(poly)]
+        for f in lifts:
+            values = [f.eval(t) for t in grid]
+            assert all(a <= b for a, b in zip(values, values[1:]))
+            canonical = cd.MoebiusBoundaryLift(f.iso)
+            c0 = canonical.eval(0.0)
+            assert all(c0 <= canonical.eval(t) < c0 + 1 for t in grid)
+            # just below 0, t - floor(t) rounds to 1
+            assert abs(f.eval(-1e-20) - f.eval(0.0)) < 1e-9
+
+
 class TestMoebiusRho:
     """translation_number of a Moebius lift in closed form."""
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -152,6 +155,29 @@ class TestCounting:
     def test_orbit_count_equals_divisor_count(self, g, n):
         assert cl.cohomology_orbit_count(g, n) == cl.count_tangent_conjugacy_classes(n)
 
+    @pytest.mark.parametrize("g,n", [(2, n) for n in range(7, 17)] + [(3, n) for n in range(1, 7)])
+    def test_orbit_count_equals_divisor_count_beyond_old_guard(self, g, n):
+        assert cl.cohomology_orbit_count(g, n) == cl.count_tangent_conjugacy_classes(n)
+
+    @pytest.mark.parametrize("g,n", [(1, n) for n in range(1, 9)] + [(2, n) for n in range(1, 9)]
+                             + [(3, n) for n in range(1, 4)])
+    def test_orbit_partition_equals_tuple_bfs(self, g, n):
+        reference = _bfs_orbits(g, n)
+        assert cl.cohomology_orbit_count(g, n) == len(reference)
+        # the reference orbits cover (Z/n)^{2g}, so one vector of each fixes the partition
+        for orbit in reference:
+            assert cl.orbit_of_vector(min(orbit), n) == orbit
+
+    @pytest.mark.parametrize("g,n", [(1, 12), (1, 30), (2, 6), (2, 12), (3, 4), (3, 6)])
+    def test_orbit_is_image_divisor_class(self, g, n):
+        rng = random.Random(1000 * g + n)
+        space = list(itertools.product(range(n), repeat=2 * g))
+        for _ in range(3):
+            v = tuple(rng.randrange(-2 * n, 2 * n) for _ in range(2 * g))
+            d = cl.morphism_image_divisor(v, n)
+            expected = {w for w in space if cl.morphism_image_divisor(w, n) == d}
+            assert cl.orbit_of_vector(v, n) == expected
+
     def test_orbits_are_divisor_classes(self):
         n = 6
         for g in (1, 2):
@@ -159,15 +185,60 @@ class TestCounting:
             orbit = cl.orbit_of_vector(start, n)
             divisors = {cl.morphism_image_divisor(v, n) for v in orbit}
             assert divisors == {2}
-            expected = sum(1 for v in __import__("itertools").product(range(n), repeat=2 * g)
+            expected = sum(1 for v in itertools.product(range(n), repeat=2 * g)
                            if cl.morphism_image_divisor(v, n) == 2)
             assert len(orbit) == expected
 
     def test_scale_guard(self):
-        with pytest.raises(cl.ScaleExceeded):
-            cl.cohomology_orbit_count(3, 2)
-        with pytest.raises(cl.ScaleExceeded):
-            cl.cohomology_orbit_count(2, 13)
+        # the first (g, n) with n^{2g} above MAX_ORBIT_VECTORS = 2^16
+        assert cl.MAX_ORBIT_VECTORS == 2 ** 16
+        for g, n in ((1, 257), (2, 17), (3, 7), (4, 5), (8, 3), (9, 2)):
+            with pytest.raises(cl.ScaleExceeded):
+                cl.cohomology_orbit_count(g, n)
+            with pytest.raises(cl.ScaleExceeded):
+                cl.orbit_of_vector((1,) + (0,) * (2 * g - 1), n)
+        assert cl.cohomology_orbit_count(1, 256) == cl.count_tangent_conjugacy_classes(256)
+        assert cl.cohomology_orbit_count(8, 2) == 2
+
+    def test_huge_genus_refused_without_forming_the_power(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(cl.ScaleExceeded):
+                cl.cohomology_orbit_count(10 ** 9, 2)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert cl.cohomology_orbit_count(10 ** 9, 1) == 1
+        assert cl.orbit_of_vector((5, 7), 1) == {(0, 0)}
+
+    @pytest.mark.parametrize("g,n", [(0, 2), (-1, 2), (2, 0), (1, -3)])
+    def test_domain(self, g, n):
+        with pytest.raises(ValueError):
+            cl.cohomology_orbit_count(g, n)
+
+
+def _bfs_orbits(g, n):
+    """Reference: the orbits of `_sp_generators(g, n)` by breadth-first closure
+    over tuples, one vector and one generator at a time."""
+    gens = cl._sp_generators(g, n)
+    dim = 2 * g
+    seen = set()
+    orbits = []
+    for start in itertools.product(range(n), repeat=dim):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for m in gens:
+                y = tuple(sum(m[i][k] * x[k] for k in range(dim)) % n for i in range(dim))
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return orbits
 
 
 class TestBundleData:

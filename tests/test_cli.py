@@ -222,9 +222,28 @@ class TestCoversCommand:
         assert rep["outputs"]["orbit_count"] == 4
         assert rep["outputs"]["agree"] is True
 
+    def test_beyond_old_guard(self, capsys):
+        code, rep, _ = run_json(capsys, "covers", "--genus", "3", "--n", "6")
+        assert code == 0
+        assert rep["outputs"]["orbit_count"] == 4
+        assert rep["outputs"]["agree"] is True
+
     def test_scale_guard_exits_2(self, capsys):
-        code, out, err = run(capsys, "covers", "--genus", "3", "--n", "2")
-        assert code == 2
+        # the first n with n^{2g} above the 2^16 vectors of the memory bound
+        code, out, err = run(capsys, "covers", "--genus", "3", "--n", "7")
+        assert code == 2 and out == ""
+        assert "refused above 65536" in err
+
+    @pytest.mark.parametrize("argv", [("--genus", "0", "--n", "2"),
+                                      ("--genus", "-1", "--n", "2"),
+                                      ("--genus", "2", "--n", "0"),
+                                      ("--genus", "1000000000", "--n", "2")])
+    def test_outside_domain_exits_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "covers", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
 
 class TestReportShape:

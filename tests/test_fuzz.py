@@ -82,7 +82,11 @@ def test_form_file_exit_contract(tmp_path, text):
                                   "(" + "-" * 3000 + "x)*dy + dz",
                                   "((x+y+z)^16)^16*dy + dz",
                                   "(x+y+z+1)^16*(x+y+z+1)^16*(x+y+z+1)^16*dy + dz",
-                                  "(x+y+z+1)^16/(x+y+z+1)^16*dy + dz"])
+                                  "(x+y+z+1)^16/(x+y+z+1)^16*dy + dz",
+                                  "*".join(["x"] * 3000) + "*dy + dz",
+                                  "*".join(["2"] * 3000) + "*dy + dz",
+                                  "/".join(["2"] * 3000) + "*dy + dz",
+                                  " + ".join(["x*dy"] * 3000) + " + dz"])
 def test_form_file_bounds_nesting_and_expansion(tmp_path, text):
     path = tmp_path / "deep.form"
     path.write_text(f"chart x:[-1,1] y:[-1,1] z:[-1,1];\nform {text}\n")
@@ -93,6 +97,34 @@ def test_form_file_bounds_nesting_and_expansion(tmp_path, text):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert json.loads(out.getvalue())["error"]["type"] == "FormSyntaxError"
+
+
+@pytest.mark.parametrize("op,factor", [("*", "x"), ("*", "2"), ("/", "2"), ("*", "sin(y)")])
+def test_chain_bounded_by_tree_depth(tmp_path, op, factor):
+    """A form whose tree is MAX_DEPTH tall runs through `forms`; a chain one
+    level taller than MAX_DEPTH is refused at its last factor."""
+    depth = fc.expr.MAX_DEPTH
+    # the form adds one level above its coefficient; sin(y) one under each factor
+    k = depth if factor != "sin(y)" else depth - 1
+    path = tmp_path / "deep.form"
+    path.write_text(f"chart x:[-1,1] y:[-1,1] z:[-1,1];\n"
+                    f"form dz + {op.join([factor] * k)}*dy\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["forms", "--form-file", str(path), "--grid", "4"])
+    assert code == 0, out.getvalue()
+    chain = op.join([factor] * (k + 1))
+    fc.expr.parse_expr(chain, "xyz")
+    with pytest.raises(fc.FormSyntaxError) as info:
+        fc.expr.parse_expr(f"{chain}{op}{factor}", "xyz")
+    assert info.value.position == len(f"{chain}{op}")
+
+
+def test_chains_stay_left_deep():
+    """The depth bound refuses long chains; it does not regroup short ones."""
+    x, y, z, two = Var("x"), Var("y"), Var("z"), Rat(Fraction(2))
+    assert fc.expr.parse_expr("x*y/z*2/x", "xyz") == \
+        Div(Mul((Div(Mul((x, y)), z), two)), x)
 
 
 def test_nested_exponents_bounded_by_their_product():
