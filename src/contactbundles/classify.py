@@ -319,11 +319,23 @@ def _vector_count(g: int, n: int) -> int:
     return count
 
 
-def _image_index(matrix, digits, weights, n: int):
-    """Index of the image of every vector (digit columns) under `matrix` mod n."""
-    product = matrix @ digits
-    product %= n
-    return weights @ product
+def _image_index(matrix, digits, weights, index, n: int):
+    """Index of the image of every vector (digit columns) under `matrix` mod n.
+
+    Only the rows of `matrix` that differ from the identity's are applied,
+    each from its nonzero entries: at most two rows of at most three entries
+    for a transvection, and 2g rows of one entry (a weighted sum of permuted
+    digit rows) for the handle permutation.
+    """
+    image = index.copy()
+    for k, row in enumerate(matrix):
+        terms = [(j, a) for j, a in enumerate(row) if a]
+        if terms != [(k, 1)]:
+            new = sum(a * digits[j] for j, a in terms) % n
+            new -= digits[k]
+            new *= weights[k]
+            image += new
+    return image
 
 
 def _orbit_labels(g: int, n: int, size: int):
@@ -338,8 +350,7 @@ def _orbit_labels(g: int, n: int, size: int):
     index = np.arange(size, dtype=np.int64)
     digits = index // weights[:, None]
     digits %= n
-    images = [_image_index(np.array(m, dtype=np.int64), digits, weights, n)
-              for m in _sp_generators(g, n)]
+    images = [_image_index(m, digits, weights, index, n) for m in _sp_generators(g, n)]
     del digits
     lab = index
     while True:
@@ -356,19 +367,20 @@ def cohomology_orbit_count(g: int, n: int) -> int:
 
     Vector x is encoded as the index sum_k x_k n^(2g-1-k), 0 .. n^{2g} - 1 in
     `itertools.product` order.  Each generator of `_sp_generators` becomes one
-    image-index array, from one matrix product mod n.  Labels start as the
-    indices; lab = min(lab, lab[img]) over the generators, then lab = lab[lab]
-    (pointer jumping), repeat until nothing changes (Shiloach-Vishkin).  The
-    generated group is finite, so each orbit is strongly connected along
-    forward images, and the fixed point labels every vector with the smallest
-    index of its orbit; the orbits are the labels equal to their own index.
+    image-index array, built from the digit rows it changes (`_image_index`).
+    Labels start as the indices; lab = min(lab, lab[img]) over the generators,
+    then lab = lab[lab] (pointer jumping), repeat until nothing changes
+    (Shiloach-Vishkin).  The generated group is finite, so each orbit is
+    strongly connected along forward images, and the fixed point labels every
+    vector with the smallest index of its orbit; the orbits are the labels
+    equal to their own index.
 
     Memory: the arrays are int64, 8 bytes per vector in each row.  Building
-    the images holds the index row, the 2g digit rows, the 2g rows of one
-    generator's product and one image row per generator (2 for g = 1, 3g
-    above): 7g + 1 rows for g >= 2, more than the 3g + 4 of the propagation.
+    the images holds the index row, the 2g digit rows, one image row per
+    generator (2 for g = 1, 3g above) and at most three temporary rows:
+    5g + 4 rows for g >= 2, more than the 3g + 4 of the propagation.
     Up to MAX_ORBIT_VECTORS = 2^16 vectors the worst case is g = 8, n = 2:
-    57 rows, 8 B x 57 x 2^16 = 28.5 MiB (g = 2, n = 16 takes 7.5 MiB).
+    44 rows, 8 B x 44 x 2^16 = 22 MiB (g = 2, n = 16 takes 7 MiB).
     Beyond the bound it raises ScaleExceeded; g < 1 or n < 1 is a ValueError.
     """
     import numpy as np  # on use, see _orbit_labels
@@ -383,7 +395,7 @@ def orbit_of_vector(vector: Sequence[int], n: int) -> FrozenSet[Tuple[int, ...]]
     The labels of `cohomology_orbit_count` (min-label propagation with pointer
     jumping over one image-index array per generator), decoded back to tuples
     for the indices that share the label of `vector`.  Same domain and memory
-    bound: at most MAX_ORBIT_VECTORS vectors, 7g + 1 int64 rows of them.
+    bound: at most MAX_ORBIT_VECTORS vectors, 5g + 4 int64 rows of them.
     """
     dim = len(vector)
     if dim % 2:

@@ -68,7 +68,7 @@ def _parse_area(text: str) -> float:
             num, _, den = s.partition("pi/")
             return (float(num) if num else 1.0) * math.pi / float(den)
         return float(s)
-    except ValueError:
+    except (ValueError, ArithmeticError):
         raise UsageDomainError(f"cannot parse area {text!r}")
 
 

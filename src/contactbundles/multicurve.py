@@ -14,6 +14,7 @@ Non-orientable bases are rejected: pieces carry orientable genus only.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -249,64 +250,285 @@ def convex_neighborhood_tight(dec: SurfaceDecomposition) -> bool:
 # ---------------------------------------------------------------------------
 # isotopy classes
 
-class MulticurveClass:
-    """A decomposition up to decorated-graph isomorphism, with cached canonical form."""
+#: Leaves the canonical-labelling search may reach before `isotopy_equal`
+#: refuses with ScaleExceeded.  The search never reaches more than prod k_i!
+#: leaves, k_i the number of pieces with each (genus, boundaries) label, so
+#: every decomposition with at most 8 pieces is answered.
+MAX_SEARCH_LEAVES = 40320  # 8!
 
-    def __init__(self, dec: SurfaceDecomposition):
-        _require_valid(dec)
-        self.decomposition = dec
-        self._canonical: Optional[tuple] = None
 
-    def canonical_key(self) -> tuple:
-        if self._canonical is None:
-            self._canonical = _canonical_form(self.decomposition)
-        return self._canonical
+class _Partition:
+    """An ordered partition of the pieces into cells.
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MulticurveClass):
-            return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+    `order` lists the pieces cell by cell and `pos` is its inverse; `cell[v]`
+    is the first position of v's cell and `size[p]` the size of the cell that
+    starts at position p.  A cell is named by its first position, so names
+    and order do not depend on how the pieces are numbered.
+    """
 
-    def __hash__(self) -> int:
-        return hash(self.canonical_key())
+    def __init__(self, order: List[int], sizes: List[int]):
+        n = len(order)
+        self.order = order
+        self.pos = [0] * n
+        self.cell = [0] * n
+        self.size = [0] * n
+        for p, v in enumerate(order):
+            self.pos[v] = p
+        p = 0
+        for k in sizes:
+            self._set_cell(p, p + k)
+            p += k
+
+    def copy(self) -> "_Partition":
+        part = _Partition([], [])
+        part.order, part.pos = self.order[:], self.pos[:]
+        part.cell, part.size = self.cell[:], self.size[:]
+        return part
+
+    def _set_cell(self, p: int, q: int) -> None:
+        self.size[p] = q - p
+        for w in self.order[p:q]:
+            self.cell[w] = p
+
+    def _move(self, v: int, p: int) -> None:
+        """Swap v into position p."""
+        w, q = self.order[p], self.pos[v]
+        self.order[p], self.order[q] = v, w
+        self.pos[v], self.pos[w] = p, q
+
+    def target_cell(self) -> Optional[List[int]]:
+        """The pieces of the first smallest cell with more than one, or None."""
+        best, p = None, 0
+        while p < len(self.order):
+            if self.size[p] > 1 and (best is None or self.size[p] < self.size[best]):
+                best = p
+            p += self.size[p]
+        return None if best is None else self.order[best:best + self.size[best]]
+
+    def individualize(self, pieces: List[int]) -> List[int]:
+        """Split `pieces`, all of one cell, off its front as cells of their own,
+        in the order given; returns the positions of the new cells."""
+        c = self.cell[pieces[0]]
+        end = c + self.size[c]
+        for i, v in enumerate(pieces):
+            self._move(v, c + i)
+            self._set_cell(c + i, c + i + 1)
+        if c + len(pieces) < end:
+            self._set_cell(c + len(pieces), end)
+        return list(range(c, c + len(pieces)))
+
+    def refine(self, queue: List[int], adj: List[Dict[int, int]]) -> None:
+        """Split cells until all pieces of a cell send equally many curves into
+        each cell: the coarsest equitable refinement, or 1-dimensional
+        Weisfeiler-Leman colour refinement, with the splitter queue of McKay's
+        refinement procedure.
+
+        Splitter cells come off the queue in order.  Each cell is split by
+        the number of curves its pieces send into the splitter (a loop counts
+        once), and the parts keep the cell's place, ordered by that number.
+        A part is queued unless its cell was not queued and it is the first
+        largest part: counts into it are then the counts into the old cell,
+        already equal on every cell, less those into the other parts.
+        """
+        queued = set(queue)
+        queue = deque(queue)
+        while queue:
+            s = queue.popleft()
+            queued.discard(s)
+            count: Dict[int, int] = {}
+            for u in self.order[s:s + self.size[s]]:
+                for w, m in adj[u].items():
+                    count[w] = count.get(w, 0) + m
+            hits: Dict[int, List[int]] = {}
+            for w in count:
+                hits.setdefault(self.cell[w], []).append(w)
+            for c in sorted(hits):
+                hit, end = sorted(hits[c], key=count.__getitem__), c + self.size[c]
+                if len(hit) == end - c and count[hit[0]] == count[hit[-1]]:
+                    continue
+                # the counted pieces go to the end of the cell, by count
+                first = end - len(hit)
+                for i, w in enumerate(reversed(hit)):
+                    self._move(w, end - 1 - i)
+                starts = [c] if first > c else []
+                starts += [first + i for i, w in enumerate(hit)
+                           if i == 0 or count[w] != count[hit[i - 1]]]
+                for p, q in zip(starts, starts[1:] + [end]):
+                    self._set_cell(p, q)
+                if c in queued:
+                    fresh = starts[1:]
+                else:
+                    largest = max(starts, key=lambda p: (self.size[p], -p))
+                    fresh = [p for p in starts if p != largest]
+                queue.extend(fresh)
+                queued.update(fresh)
+
+
+def _twins(adj: List[Dict[int, int]], u: int, v: int) -> bool:
+    """Equal loop counts and equal multiplicities to every third piece, so
+    swapping u and v (of one label) is an automorphism."""
+    au, av = adj[u], adj[v]
+    return au.get(u, 0) == av.get(v, 0) and all(
+        au.get(w, 0) == av.get(w, 0) for w in (au.keys() | av.keys()) - {u, v})
+
+
+def _twin_classes(cell: List[int], adj: List[Dict[int, int]]) -> List[List[int]]:
+    """The pieces of the cell grouped into twin classes, in cell order.
+
+    Twins joined by no curve have equal neighbour multisets; twins joined by
+    a curve are neighbours, and are compared directly.  Being twins is an
+    equivalence relation.
+    """
+    classes: List[List[int]] = []
+    by_nbhd: Dict[tuple, List[int]] = {}
+    by_piece: Dict[int, List[int]] = {}
+    for v in cell:
+        nbrs = adj[v]
+        nbhd = (nbrs.get(v, 0), frozenset(item for item in nbrs.items() if item[0] != v))
+        cls = by_nbhd.get(nbhd) or next(
+            (by_piece[u] for u in nbrs if u in by_piece and _twins(adj, u, v)), None)
+        if cls is None:
+            cls = []
+            classes.append(cls)
+        cls.append(v)
+        by_nbhd[nbhd] = by_piece[v] = cls
+    return classes
+
+
+class _Node:
+    """A non-leaf node of the search: its partition, the pieces split off on
+    the way to it, and the twin classes of its target cell to branch on.
+
+    `orbit` is a union-find forest over the cell: twins start joined, and
+    every automorphism found that fixes `fixed` joins the orbits it maps
+    together.  A class whose orbit holds a class already branched on is
+    skipped, because the automorphism carries one subtree onto the other.
+    """
+
+    def __init__(self, part: _Partition, fixed: List[int], cell: List[int],
+                 adj: List[Dict[int, int]]):
+        self.part = part
+        self.fixed = fixed
+        self.todo = deque(_twin_classes(cell, adj))
+        self.orbit = {v: cls[0] for cls in self.todo for v in cls}
+        self.done: List[int] = []
+        self.folded = 0
+
+    def _root(self, v: int) -> int:
+        while self.orbit[v] != v:
+            self.orbit[v] = v = self.orbit[self.orbit[v]]
+        return v
+
+    def next_branch(self, autos: List[List[int]]) -> Optional[List[int]]:
+        """The next twin class to split off, or None when all are done."""
+        for gamma in autos[self.folded:]:
+            if all(gamma[u] == u for u in self.fixed):
+                for v in self.orbit:
+                    self.orbit[self._root(v)] = self._root(gamma[v])
+        self.folded = len(autos)
+        explored = {self._root(u) for u in self.done}
+        while self.todo:
+            cls = self.todo.popleft()
+            if self._root(cls[0]) not in explored:
+                self.done.append(cls[0])
+                return cls
+        return None
+
+
+def _multiplicities(dec: SurfaceDecomposition) -> List[Dict[int, int]]:
+    """adj[i][j]: the number of curves joining pieces i and j (loops at i: adj[i][i])."""
+    adj: List[Dict[int, int]] = [{} for _ in dec.pieces]
+    for (a, _), (b, _) in dec.curves:
+        adj[a][b] = adj[a].get(b, 0) + 1
+        if a != b:
+            adj[b][a] = adj[b].get(a, 0) + 1
+    return adj
+
+
+def _equitable_partition(dec: SurfaceDecomposition, adj: List[Dict[int, int]]) -> _Partition:
+    """The pieces in cells by (genus, boundaries), ordered by that label, refined."""
+    sizes = [len(list(group)) for _, group in itertools.groupby(sorted(dec.pieces))]
+    part = _Partition(sorted(range(len(dec.pieces)), key=dec.pieces.__getitem__), sizes)
+    part.refine(list(itertools.accumulate([0] + sizes[:-1])), adj)
+    return part
 
 
 def _canonical_form(dec: SurfaceDecomposition) -> tuple:
-    """Minimal encoding over all label-preserving relabelings of the pieces."""
+    """(ambient chi, sphere flag, sorted labels, least sorted edge list over
+    the leaves of the search); algorithm in `isotopy_equal`."""
     n = len(dec.pieces)
-    if n > 8:
-        raise ScaleExceeded("canonical form implemented for at most 8 pieces")
-    labels = list(dec.pieces)
-    order = sorted(range(n), key=lambda i: labels[i])
-    sorted_labels = tuple(labels[i] for i in order)
-    # group positions by label; candidate relabelings permute within groups
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for pos, i in enumerate(order):
-        groups.setdefault(labels[i], []).append(pos)
-    best = None
-    group_items = sorted(groups.items())
-    perms_per_group = [list(itertools.permutations(positions)) for _, positions in group_items]
-    members_per_group = [[i for i in order if labels[i] == lab] for lab, _ in group_items]
-    for choice in itertools.product(*perms_per_group):
-        target: Dict[int, int] = {}
-        for (perm, members) in zip(choice, members_per_group):
-            for new_pos, old_index in zip(perm, members):
-                target[old_index] = new_pos
-        edges = sorted(
-            tuple(sorted((target[ia], target[ib])))
-            for (ia, _), (ib, _) in dec.curves
-        )
-        key = tuple(edges)
-        if best is None or key < best:
-            best = key
-    return (dec.ambient_chiS, dec.ambient_sphere, sorted_labels, best)
+    adj = _multiplicities(dec)
+    leaves = 0
+    first = best = None  # (edge list, positions) of the first and the least leaf
+    autos: List[List[int]] = []  # automorphisms found by equal leaves
+    stack: List[_Node] = []
+
+    def visit(part: _Partition, fixed: List[int]) -> None:
+        nonlocal leaves, first, best
+        cell = part.target_cell()
+        if cell is not None:
+            stack.append(_Node(part, fixed, cell, adj))
+            return
+        leaves += 1
+        if leaves > MAX_SEARCH_LEAVES:
+            raise ScaleExceeded(f"canonical labelling search refused above "
+                                f"{MAX_SEARCH_LEAVES} leaves")
+        pos = part.pos
+        edges = tuple(sorted((pos[a], pos[b]) if pos[a] <= pos[b] else (pos[b], pos[a])
+                             for (a, _), (b, _) in dec.curves))
+        if first is None:
+            first = best = (edges, pos)
+            return
+        for key, ref_pos in (first, best):
+            if key == edges:
+                autos.append([part.order[ref_pos[v]] for v in range(n)])
+                break
+        if edges < best[0]:
+            best = (edges, pos)
+
+    visit(_equitable_partition(dec, adj), [])
+    while stack:
+        node = stack[-1]
+        cls = node.next_branch(autos)
+        if cls is None:
+            stack.pop()
+            continue
+        child = node.part.copy()
+        child.refine(child.individualize(cls), adj)
+        visit(child, node.fixed + cls)
+    return (dec.ambient_chiS, dec.ambient_sphere, tuple(sorted(dec.pieces)), best[0])
 
 
-def isotopy_equal(a, b) -> bool:
-    """Decorated-graph isomorphism of two decompositions (<= 8 pieces each)."""
-    ca = a if isinstance(a, MulticurveClass) else MulticurveClass(a)
-    cb = b if isinstance(b, MulticurveClass) else MulticurveClass(b)
-    return ca == cb
+def isotopy_equal(a: SurfaceDecomposition, b: SurfaceDecomposition) -> bool:
+    """Decorated-graph isomorphism of two decompositions, by comparing
+    canonical forms.
+
+    The canonical form is found by individualisation-refinement (McKay and
+    Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
+    2014).  The pieces start in cells by (genus, boundaries), ordered by that
+    label, and the partition is refined until it is equitable (1-dimensional
+    Weisfeiler-Leman refinement by curve multiplicities into each cell, see
+    `_Partition.refine`).  While a cell has several pieces, the first smallest
+    such cell is split: each of its pieces in turn becomes a cell of its own,
+    the partition is refined again, and the search recurses.  Every leaf
+    orders the pieces; the key is the least sorted list of curves as position
+    pairs.  Refinement and the choice of cell depend only on the isomorphism
+    class, so equal keys mean isomorphic decompositions.
+
+    Two pruning rules skip subtrees whose leaves repeat keys already seen.
+    Twins (equal loop counts and multiplicities to every third piece) can be
+    swapped by an automorphism, so each twin class of the cell is split off
+    whole, once.  And a class is skipped when an automorphism found by two
+    leaves with equal keys, fixing every piece already split off, maps it to
+    a class branched on.
+
+    Both decompositions are validated first (InvalidDecomposition).  A search
+    that would pass MAX_SEARCH_LEAVES leaves raises ScaleExceeded; with at
+    most 8 pieces it cannot.
+    """
+    _require_valid(a)
+    _require_valid(b)
+    return _canonical_form(a) == _canonical_form(b)
 
 
 # ---------------------------------------------------------------------------

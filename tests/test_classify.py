@@ -168,6 +168,18 @@ class TestCounting:
         for orbit in reference:
             assert cl.orbit_of_vector(min(orbit), n) == orbit
 
+    @pytest.mark.parametrize("g,n", [(g, n) for g in (1, 2, 3) for n in range(1, 7)] + [(8, 2)])
+    def test_image_index_equals_matrix_product(self, g, n):
+        import numpy as np
+        weights = n ** np.arange(2 * g - 1, -1, -1, dtype=np.int64)
+        index = np.arange(n ** (2 * g), dtype=np.int64)
+        digits = index // weights[:, None] % n
+        for m in cl._sp_generators(g, n):
+            reference = weights @ (np.array(m, dtype=np.int64) @ digits % n)
+            image = cl._image_index(m, digits, weights, index, n)
+            assert image.dtype == np.int64
+            assert np.array_equal(image, reference)
+
     @pytest.mark.parametrize("g,n", [(1, 12), (1, 30), (2, 6), (2, 12), (3, 4), (3, 6)])
     def test_orbit_is_image_divisor_class(self, g, n):
         rng = random.Random(1000 * g + n)

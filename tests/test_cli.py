@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,16 @@ class TestMulticurveCommand:
         assert rep["outputs"]["isotopy_equal"] is True
         assert rep["outputs"]["universal_tightness"] == "UniversallyTight"
 
+    @pytest.mark.parametrize("name", ["regular12", "complete8"])
+    def test_compare_committed_relabelled_pairs(self, capsys, name):
+        # 12 pieces are beyond the old 8-piece guard; the 8 pieces of the
+        # complete multigraph are pairwise twins
+        data = Path(__file__).parent / "data"
+        code, rep, _ = run_json(capsys, "multicurve", "--file", str(data / f"{name}_a.dec"),
+                                "--compare", str(data / f"{name}_b.dec"))
+        assert code == 0
+        assert rep["outputs"]["isotopy_equal"] is True
+
     def test_invalid_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.dec"
         path.write_text("surface chi=-2 sphere=false\npiece P genus=0 boundaries=1\n")
@@ -279,3 +290,10 @@ class TestArgumentDomains:
     def test_unparseable_area_exits_2(self, capsys):
         code, out, err = run(capsys, "holonomy", "--genus", "1", "--area", "2tau")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("command", ["holonomy", "polygon"])
+    @pytest.mark.parametrize("area", ["pi/0", "0pi/0", "pi/-0"])
+    def test_zero_denominator_area_exits_2(self, capsys, command, area):
+        code, out, err = run(capsys, command, "--genus", "2", "--area", area)
+        assert code == 2 and out == ""
+        assert "cannot parse area" in err

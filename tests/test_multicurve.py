@@ -1,8 +1,11 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactbundles import multicurve as mc
 
@@ -55,6 +58,164 @@ def sphere_disk_chain(k: int) -> mc.SurfaceDecomposition:
         slot_a = 0 if i == 0 else 1
         curves.append(((i, slot_a), (i + 1, 0)))
     return mc.SurfaceDecomposition(tuple(pieces), tuple(curves), 2, True)
+
+
+def from_edges(edges, genera) -> mc.SurfaceDecomposition:
+    """Pieces of the given genera glued along `edges` (pairs of piece
+    indices, loops allowed), slots numbered in edge order."""
+    deg = [0] * len(genera)
+    curves = []
+    for a, b in edges:
+        ends = []
+        for i in (a, b):
+            ends.append((i, deg[i]))
+            deg[i] += 1
+        curves.append(tuple(ends))
+    pieces = tuple((g, d) for g, d in zip(genera, deg))
+    chi = sum(2 - 2 * g - d for g, d in pieces)
+    return mc.SurfaceDecomposition(pieces, tuple(curves), chi, chi == 2)
+
+
+def relabeled(dec, piece_perm, slot_perms, curve_order, flips) -> mc.SurfaceDecomposition:
+    """The same decorated graph with pieces, slots, curves and curve ends permuted."""
+    pieces = [None] * len(dec.pieces)
+    for i, p in enumerate(dec.pieces):
+        pieces[piece_perm[i]] = p
+
+    def end(i, s):
+        return (piece_perm[i], slot_perms[i][s])
+
+    curves = []
+    for k in curve_order:
+        a, b = (end(*e) for e in dec.curves[k])
+        curves.append((b, a) if flips[k] else (a, b))
+    return mc.SurfaceDecomposition(tuple(pieces), tuple(curves), dec.ambient_chiS,
+                                   dec.ambient_sphere)
+
+
+def shuffled(dec, rng) -> mc.SurfaceDecomposition:
+    def perm(k):
+        p = list(range(k))
+        rng.shuffle(p)
+        return p
+    return relabeled(dec, perm(len(dec.pieces)), [perm(b) for _, b in dec.pieces],
+                     perm(len(dec.curves)), [rng.random() < 0.5 for _ in dec.curves])
+
+
+def regular_multigraph(rng, k, degree):
+    """A connected degree-regular multigraph on k nodes (configuration model)."""
+    while True:
+        half = [i for i in range(k) for _ in range(degree)]
+        rng.shuffle(half)
+        edges = list(zip(half[::2], half[1::2]))
+        seen, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for a, b in edges:
+                for u, v in ((a, b), (b, a)):
+                    if u == x and v not in seen:
+                        seen.add(v)
+                        frontier.append(v)
+        if len(seen) == k:
+            return edges
+
+
+def complete_multigraph(k, multiplicity):
+    return [(i, j) for i in range(k) for j in range(i + 1, k) for _ in range(multiplicity)]
+
+
+def rook_and_shrikhande():
+    """The 4 x 4 rook's graph and the Shrikhande graph: both strongly regular
+    with parameters (16, 6, 2, 2), so colour refinement cannot tell them
+    apart, and not isomorphic."""
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    index = {c: i for i, c in enumerate(cells)}
+
+    def graph(adjacent):
+        return [(index[c], index[d]) for c in cells for d in cells
+                if index[c] < index[d] and adjacent(c, d)]
+
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    rook = graph(lambda c, d: c[0] == d[0] or c[1] == d[1])
+    shrikhande = graph(lambda c, d: ((d[0] - c[0]) % 4, (d[1] - c[1]) % 4) in steps)
+    return from_edges(rook, [0] * 16), from_edges(shrikhande, [0] * 16)
+
+
+def _permutation_key(dec: mc.SurfaceDecomposition) -> tuple:
+    """Reference canonical form: the least sorted edge list over every
+    relabelling of the pieces within each group of like-labelled pieces,
+    prod k! of them.  Only usable up to about 8 pieces."""
+    n = len(dec.pieces)
+    labels = list(dec.pieces)
+    order = sorted(range(n), key=lambda i: labels[i])
+    groups = {}
+    for pos, i in enumerate(order):
+        groups.setdefault(labels[i], []).append(pos)
+    group_items = sorted(groups.items())
+    perms_per_group = [list(itertools.permutations(positions)) for _, positions in group_items]
+    members_per_group = [[i for i in order if labels[i] == lab] for lab, _ in group_items]
+    best = None
+    for choice in itertools.product(*perms_per_group):
+        target = {}
+        for perm, members in zip(choice, members_per_group):
+            for new_pos, old_index in zip(perm, members):
+                target[old_index] = new_pos
+        key = tuple(sorted(tuple(sorted((target[ia], target[ib])))
+                           for (ia, _), (ib, _) in dec.curves))
+        if best is None or key < best:
+            best = key
+    return (dec.ambient_chiS, dec.ambient_sphere, tuple(sorted(labels)), best)
+
+
+def equitable_cells(dec, colour):
+    """Reference colour refinement: recolour every piece by its colour and the
+    sorted (neighbour colour, multiplicity) pairs until the number of colours
+    stops growing; returns the colour classes."""
+    adj = mc._multiplicities(dec)
+    while True:
+        signature = [(colour[v], tuple(sorted((colour[w], m) for w, m in adj[v].items())))
+                     for v in range(len(colour))]
+        if len(set(signature)) == len(set(colour)):
+            classes = {}
+            for v, c in enumerate(colour):
+                classes.setdefault(c, set()).add(v)
+            return {frozenset(c) for c in classes.values()}
+        rank = {sig: r for r, sig in enumerate(sorted(set(signature)))}
+        colour = [rank[sig] for sig in signature]
+
+
+def partition_cells(part):
+    return {frozenset(part.order[p:p + part.size[p]]) for p in set(part.cell)}
+
+
+@st.composite
+def decompositions(draw, max_pieces=40):
+    """Connected decompositions up to `max_pieces` pieces: random trees with
+    extra curves, and the symmetric cycles, complete multigraphs and rings of
+    cliques whose search trees branch most."""
+    k = draw(st.integers(1, max_pieces))
+    shape = draw(st.sampled_from(["random", "cycle", "complete", "cliques"]))
+    if shape == "cycle":
+        edges = [(i, (i + 1) % k) for i in range(k)]
+    elif shape == "complete":
+        k = min(k, 9)
+        edges = complete_multigraph(k, draw(st.integers(1, 2))) or [(0, 0)]
+    elif shape == "cliques":
+        size = draw(st.integers(2, 4))
+        ring = max(1, k // size)
+        k = ring * size
+        edges = [(b * size + i, b * size + j) for b in range(ring)
+                 for i in range(size) for j in range(i + 1, size)]
+        edges += [(b * size, (b + 1) % ring * size + 1) for b in range(ring)]
+    else:
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+        node = st.integers(0, k - 1)
+        edges += draw(st.lists(st.tuples(node, node), max_size=2 * k))
+    if draw(st.booleans()):
+        genera = [0] * k
+    else:
+        genera = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    return from_edges(edges, genera)
 
 
 class TestTorusCurves:
@@ -262,17 +423,7 @@ class TestIsotopyEqual:
     def test_equivalence_relation_on_random_family(self):
         rng = random.Random(32)
         family = [annuli_cycle(k) for k in (2, 3, 4)]
-        # random relabelings of each
-        def shuffled(dec):
-            n = len(dec.pieces)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            pieces = tuple(dec.pieces[perm.index(i)] for i in range(n))
-            curves = tuple(((perm[ia], sa), (perm[ib], sb))
-                           for (ia, sa), (ib, sb) in dec.curves)
-            return mc.SurfaceDecomposition(pieces, curves, dec.ambient_chiS,
-                                           dec.ambient_sphere)
-        family += [shuffled(d) for d in family]
+        family += [shuffled(d, rng) for d in family]
         for a in family:
             assert mc.isotopy_equal(a, a)  # reflexive
         for a in family:
@@ -284,10 +435,101 @@ class TestIsotopyEqual:
                     if mc.isotopy_equal(a, b) and mc.isotopy_equal(b, c):
                         assert mc.isotopy_equal(a, c)  # transitive
 
-    def test_scale_guard(self):
-        big = annuli_cycle(9)
+    def test_scale_guard(self, monkeypatch):
+        # the old guard refused more than 8 pieces; the bound is now on leaves
+        rng = random.Random(35)
+        for k in (9, 40):
+            assert mc.isotopy_equal(annuli_cycle(k), shuffled(annuli_cycle(k), rng))
+        assert not mc.isotopy_equal(annuli_cycle(40), annuli_cycle(39))
+        assert mc.MAX_SEARCH_LEAVES == 40320
+        # a 9-cycle has two leaves below the piece split off first (the reflection)
+        monkeypatch.setattr(mc, "MAX_SEARCH_LEAVES", 1)
+        start = time.perf_counter()
         with pytest.raises(mc.ScaleExceeded):
-            mc.isotopy_equal(big, big)
+            mc.isotopy_equal(annuli_cycle(9), annuli_cycle(9))
+        assert time.perf_counter() - start < 2.0
+
+    def test_complete_multigraph_is_one_leaf(self, monkeypatch):
+        # the 8 pieces are pairwise twins, so twin pruning leaves a single leaf
+        # where the unpruned search has 8! = 40320
+        rng = random.Random(36)
+        dec = from_edges(complete_multigraph(8, 2), [0] * 8)
+        monkeypatch.setattr(mc, "MAX_SEARCH_LEAVES", 1)
+        assert mc.isotopy_equal(dec, shuffled(dec, rng))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_verdicts_agree_with_permutation_search(self, k):
+        # a relabelled copy is isomorphic, a graph with another number of
+        # loops is not, and a random one is what the permutation search says
+        rng = random.Random(400 + k)
+
+        def loops(dec):
+            return sum(a == b for (a, _), (b, _) in dec.curves)
+
+        for _ in range(1 if k == 8 else 3):
+            a = from_edges(regular_multigraph(rng, k, 4), [0] * k)
+            other_loops = a
+            while loops(other_loops) == loops(a):
+                other_loops = from_edges(regular_multigraph(rng, k, 4), [0] * k)
+            key = _permutation_key(a)
+            for b, equal in ((shuffled(a, rng), True), (other_loops, False),
+                             (from_edges(regular_multigraph(rng, k, 4), [0] * k), None)):
+                expected = key == _permutation_key(b)
+                assert equal is None or expected is equal
+                assert mc.isotopy_equal(a, b) is expected
+
+    def test_refinement_cannot_separate_strongly_regular_pair(self):
+        rook, shrikhande = rook_and_shrikhande()
+        rng = random.Random(37)
+        for dec in (rook, shrikhande):
+            root = mc._equitable_partition(dec, mc._multiplicities(dec))
+            assert partition_cells(root) == {frozenset(range(16))}
+            assert mc.isotopy_equal(dec, shuffled(dec, rng))
+        assert not mc.isotopy_equal(rook, shrikhande)
+
+    @staticmethod
+    def check_refinement(dec, choose):
+        """The root partition, and the partition after splitting off the piece
+        `choose` picks from the target cell, equal colour refinement's."""
+        adj = mc._multiplicities(dec)
+        root = mc._equitable_partition(dec, adj)
+        labels = sorted(set(dec.pieces))
+        colour = [labels.index(p) for p in dec.pieces]
+        assert partition_cells(root) == equitable_cells(dec, colour)
+        cell = root.target_cell()
+        if cell is not None:
+            v = choose(cell)
+            child = root.copy()
+            child.refine(child.individualize([v]), adj)
+            split = [(root.cell[w], w != v) for w in range(len(colour))]
+            assert partition_cells(child) == equitable_cells(dec, split)
+
+    def test_refinement_is_colour_refinement_on_seeded_graphs(self):
+        # 1 in about 700 of these graphs needs a part of a still-queued cell
+        # to be queued even when it is the largest part
+        rng = random.Random(38)
+        for _ in range(2000):
+            k = rng.randint(2, 14)
+            edges = [(rng.randrange(i), i) for i in range(1, k)]
+            edges += [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, 2 * k))]
+            self.check_refinement(from_edges(edges, [0] * k), rng.choice)
+
+    @settings(max_examples=60, deadline=None)
+    @given(decompositions(max_pieces=30), st.data())
+    def test_refinement_is_colour_refinement(self, dec, data):
+        self.check_refinement(dec, lambda cell: data.draw(st.sampled_from(cell)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(decompositions(), st.data())
+    def test_verdict_invariant_under_relabelling(self, dec, data):
+        other = relabeled(
+            dec,
+            data.draw(st.permutations(range(len(dec.pieces)))),
+            [data.draw(st.permutations(range(b))) for _, b in dec.pieces],
+            data.draw(st.permutations(range(len(dec.curves)))),
+            data.draw(st.lists(st.booleans(), min_size=len(dec.curves),
+                               max_size=len(dec.curves))))
+        assert mc.isotopy_equal(dec, other)
 
     def test_one_scale_exceeded_class(self):
         from contactbundles import classify as cl
