@@ -13,10 +13,11 @@ representations are provided:
 `flatten` folds an all-PL word into one exact PL map and an all-Moebius word
 into one Moebius lift; two Moebius lifts compose by multiplying their
 matrices and fixing the integer winding from values in [0, 2) at one point
-(`_compose_moebius`).  `translation_number` therefore needs N steps only for
-mixed words: PL data is iterated exactly, and a single Moebius lift has its
-translation number in closed form, whatever N (`_moebius_rho`: the rotation
-angle of an elliptic matrix, or the exact integer at a boundary fixed point).
+(`_compose_moebius`).  `translation_number` iterates PL data exactly, and
+reads a single Moebius lift's translation number in closed form, whatever N
+(`_moebius_rho`: the rotation angle of an elliptic matrix, or the exact
+integer at a boundary fixed point).  A word that mixes the two has neither
+an exact orbit nor a matrix to derive an error bound from, so it is refused.
 
 Conventions
 -----------
@@ -380,14 +381,14 @@ def inf_displacement(f: LiftedCircleMap, grid: int = 4096) -> Scalar:
 class TranslationNumberEstimate:
     """An estimate of the translation number rho together with its error bound.
 
-    For piecewise-linear data (an exact Fraction) and for mixed words,
-    `value` is the orbit average f^N(0)/N with N = `iterations`.  Since
+    For piecewise-linear data `value` is the exact orbit average f^N(0)/N
+    (a Fraction) with N = `iterations`, and `error_bound` is 1/N: since
     t -> f^N(t) - t has width < 1 and rho is its mean slope,
     |f^N(0)/N - rho| < 1/N (Ghys, Enseign. Math. 2001).  For a Moebius lift,
     or a word of them, `value` is rho of the computed matrix in closed form,
-    so it needs no orbit.  `error_bound` is 1/N plus the evaluation slack of
-    the representation (see `translation_number`); for a Moebius lift it
-    bounds both |value - rho| and |value - f^N(0)/N|.
+    so it needs no orbit; `error_bound` is 1/N plus the rounding slack of
+    that matrix (see `translation_number`), and bounds both |value - rho|
+    and |value - f^N(0)/N|.
     """
 
     value: Scalar
@@ -400,10 +401,6 @@ class TranslationNumberEstimate:
         if not math.isfinite(float(self.value)):
             raise ValueError("estimate is not finite")
 
-
-#: slack added to the bound of a float word that mixes representations; such
-#: a word has no matrix to derive one from, so this value is asserted
-FLOAT_ORBIT_SLACK = 1e-9
 
 _EPS = sys.float_info.epsilon
 
@@ -521,27 +518,26 @@ def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumber
       distance the rounding of the letters and of their product can put
       between the computed matrix and the exact one, measured in rho; with
       the 1/N it also bounds |value - f^N(0)/N|.
-    * Any other word: the float orbit average, 1/N plus FLOAT_ORBIT_SLACK.
+    * A word that flattens to neither (one mixing PL and Moebius letters)
+      raises ValueError: its float orbit has no derived error bound.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     g = flatten(f)
     if isinstance(g, MoebiusBoundaryLift):
         factors = tuple(reversed(f._chain)) if isinstance(f, WordMap) else (g,)
+        # 1 / N of two ints, so an N beyond the float range gives 0.0, not OverflowError
         return TranslationNumberEstimate(
-            value=_moebius_rho(g), error_bound=1.0 / iterations + _moebius_rho_slack(factors, g),
+            value=_moebius_rho(g), error_bound=1 / iterations + _moebius_rho_slack(factors, g),
             iterations=iterations)
-    exact = isinstance(g, PiecewiseLinearMap)
-    x: Scalar = Fraction(0) if exact else 0.0
+    if not isinstance(g, PiecewiseLinearMap):
+        raise ValueError("translation_number: a word mixing piecewise-linear and Moebius "
+                         "letters has no derived error bound")
+    x = Fraction(0)
     for _ in range(iterations):
         x = g.eval(x)
-    if exact:
-        value = Fraction(x, iterations)
-        slack = 0.0
-    else:
-        value = x / iterations
-        slack = FLOAT_ORBIT_SLACK
-    return TranslationNumberEstimate(value=value, error_bound=1.0 / iterations + slack, iterations=iterations)
+    return TranslationNumberEstimate(value=Fraction(x, iterations), error_bound=1 / iterations,
+                                     iterations=iterations)
 
 
 def evaluate_relator(maps: Sequence[LiftedCircleMap]) -> WordMap:

@@ -215,10 +215,21 @@ def tangent_isotopy_equal(a: TwistVector, b: TwistVector) -> bool:
 # ---------------------------------------------------------------------------
 # counting
 
+#: Largest n whose divisors `count_tangent_conjugacy_classes` counts.  Trial
+#: division takes sqrt(n) steps: on a 2-vCPU VM (Python 3.11) n = 10^12 took
+#: 0.16 s and n = 10^13 0.54 s, and n = 10^20 did not finish in 20 s.
+MAX_DIVISOR_N = 10 ** 12
+
+
 def count_tangent_conjugacy_classes(n: int) -> int:
-    """Number of divisors tau(n), by trial division."""
+    """Number of divisors tau(n), by trial division.
+
+    The domain is 1 <= n <= MAX_DIVISOR_N; above it this raises ScaleExceeded.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if n > MAX_DIVISOR_N:
+        raise ScaleExceeded(f"divisor count by trial division refused above n = {MAX_DIVISOR_N}")
     count = 0
     d = 1
     while d * d <= n:

@@ -1,9 +1,12 @@
 """Command-line front end: deterministic JSON reports on stdout.
 
 Exit codes: 0 success, 1 validation failure (structured "error" object in
-the JSON), 2 usage / argument-domain error.  Floats are printed with 12
-significant digits and rationals as "p/q" (plain integer when q = 1), so
-reports are byte-identical across runs.
+the JSON), 2 usage / argument-domain error.  A command signals the last by
+raising ValueError (the engines' domain errors, such as
+`hyperbolic.AreaOutOfRange` and `classify.ScaleExceeded`, are ValueErrors);
+`main` prints its message on stderr and nothing on stdout.  Floats are
+printed with 12 significant digits and rationals as "p/q" (plain integer
+when q = 1), so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ from . import formcalc as fc
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
-
-
-class UsageDomainError(ValueError):
-    """Argument values outside the command's domain."""
 
 
 def _fmt_fraction(x: Fraction) -> str:
@@ -69,7 +68,7 @@ def _parse_area(text: str) -> float:
             return (float(num) if num else 1.0) * math.pi / float(den)
         return float(s)
     except (ValueError, ArithmeticError):
-        raise UsageDomainError(f"cannot parse area {text!r}")
+        raise ValueError(f"cannot parse area {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +77,7 @@ def _parse_area(text: str) -> float:
 def cmd_classify(args) -> int:
     chiS, euler = args.chi_s, args.euler
     if chiS % 2 or chiS > 2:
-        raise UsageDomainError("--chi-s must be an even integer <= 2")
+        raise ValueError("--chi-s must be an even integer <= 2")
     te = classify.transverse_exists(chiS, euler)
     out = {
         "transverse_exists": te,
@@ -121,20 +120,14 @@ def cmd_classify(args) -> int:
 
 def cmd_holonomy(args) -> int:
     area = _parse_area(args.area)
-    try:
-        radius = hyperbolic.radius_for_area(args.genus, area)
-    except hyperbolic.AreaOutOfRange as e:
-        raise UsageDomainError(str(e))
-    poly = hyperbolic.build_symmetric_polygon(args.genus, radius)
-    pairings = hyperbolic.side_pairings(poly)
-    lifts = [hyperbolic.boundary_lift(p) for p in pairings]
-    est = circle_dynamics.translation_number(circle_dynamics.evaluate_relator(lifts), args.iters)
+    poly, pairings = hyperbolic.symmetric_pairings(args.genus, area)
+    est = circle_dynamics.translation_number(hyperbolic.holonomy_relator(pairings), args.iters)
     comm = hyperbolic.commutator_product(pairings)
     target = area / (2.0 * math.pi)
     out = {
         "genus": args.genus,
         "area": area,
-        "circumradius": radius,
+        "circumradius": poly.circumradius,
         "commutator_trace": comm.trace(),
         "commutator_class": comm.classification(1e-9),
         "rho": float(est.value),
@@ -149,12 +142,7 @@ def cmd_holonomy(args) -> int:
 
 def cmd_polygon(args) -> int:
     area = _parse_area(args.area)
-    try:
-        radius = hyperbolic.radius_for_area(args.genus, area)
-    except hyperbolic.AreaOutOfRange as e:
-        raise UsageDomainError(str(e))
-    poly = hyperbolic.build_symmetric_polygon(args.genus, radius)
-    pairings = hyperbolic.side_pairings(poly)
+    poly, pairings = hyperbolic.symmetric_pairings(args.genus, area)
     g = args.genus
     residuals = []
     for i in range(1, g + 1):
@@ -170,7 +158,7 @@ def cmd_polygon(args) -> int:
     out = {
         "genus": g,
         "requested_area": area,
-        "circumradius": radius,
+        "circumradius": poly.circumradius,
         "computed_area": hyperbolic.polygon_area(poly),
         "side_length": poly.side_lengths()[0],
         "pairing_residual_max": max(residuals),
@@ -199,7 +187,7 @@ def cmd_forms(args) -> int:
             entries[key] = rec
         return _emit("forms", {"library": True, "grid": args.grid}, {"library": entries})
     if not args.form_file:
-        raise UsageDomainError("provide --form-file or --library")
+        raise ValueError("provide --form-file or --library")
     with open(args.form_file, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -253,10 +241,7 @@ def cmd_multicurve(args) -> int:
 
 
 def cmd_covers(args) -> int:
-    try:
-        orbits = classify.cohomology_orbit_count(args.genus, args.n)
-    except classify.ScaleExceeded as e:
-        raise UsageDomainError(str(e))
+    orbits = classify.cohomology_orbit_count(args.genus, args.n)
     tau = classify.count_tangent_conjugacy_classes(args.n)
     out = {
         "genus": args.genus,
@@ -312,15 +297,15 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if value == []:  # argparse drops the value of "--opt=--" and leaves []
+                raise ValueError(f"argument --{name.replace('_', '-')}: expected one argument")
         return args.fn(args)
-    except UsageDomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return VALIDATION_ERROR
     except ValueError as e:
-        # remaining ValueErrors come from argument domains (genus, iters, ...)
+        # every argument outside its command's domain raises ValueError
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -345,6 +345,31 @@ def boundary_lift(iso: Isometry2H) -> cd.MoebiusBoundaryLift:
     return cd.MoebiusBoundaryLift(iso, 0)
 
 
+#: Largest genus `symmetric_pairings` builds.  A `polygon` or `holonomy`
+#: request costs time linear in g: in-process on a 2-vCPU VM (Python 3.11,
+#: best of 3) g = 10^3 took 0.07 s for either, and g = 10^4 0.62 s for
+#: `polygon` and 0.85 s for `holonomy`, so the bound keeps a request under 1 s.
+MAX_GENUS = 10 ** 4
+
+
+def symmetric_pairings(g: int, area: float) -> Tuple[SymmetricPolygon, List[Isometry2H]]:
+    """The symmetric 4g-gon of the given area and its 2g side pairings.
+
+    The domain is 1 <= g <= MAX_GENUS and 0 < area < (4g-2)*pi below the
+    float limit of `radius_for_area`; outside it this raises ValueError
+    (AreaOutOfRange for the area).
+    """
+    if g > MAX_GENUS:
+        raise ValueError(f"genus must be <= {MAX_GENUS}: the polygon is built in time linear in g")
+    poly = build_symmetric_polygon(g, radius_for_area(g, area))
+    return poly, side_pairings(poly)
+
+
+def holonomy_relator(pairings: Sequence[Isometry2H]) -> cd.WordMap:
+    """The relator prod_i [phi_{2i-1}, phi_{2i}] of the pairings' canonical boundary lifts."""
+    return cd.evaluate_relator([boundary_lift(p) for p in pairings])
+
+
 def holonomy_translation_number(g: int, area: float, iterations: int) -> cd.TranslationNumberEstimate:
     """Translation number of the lifted commutator product for the area-`area` polygon.
 
@@ -353,8 +378,5 @@ def holonomy_translation_number(g: int, area: float, iterations: int) -> cd.Tran
     exponents and integer translations are central.  |value| approximates
     area/(2*pi) within the estimate's error bound.
     """
-    radius = radius_for_area(g, area)
-    poly = build_symmetric_polygon(g, radius)
-    lifts = [boundary_lift(p) for p in side_pairings(poly)]
-    rel = cd.evaluate_relator(lifts)
-    return cd.translation_number(rel, iterations)
+    _, pairings = symmetric_pairings(g, area)
+    return cd.translation_number(holonomy_relator(pairings), iterations)

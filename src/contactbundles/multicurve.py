@@ -147,13 +147,16 @@ def validate(dec: SurfaceDecomposition) -> Tuple[bool, List[str]]:
     for (sa, sb) in dec.curves:
         for s in (sa, sb):
             used[s] = used.get(s, 0) + 1
+    by_piece: Dict[int, List[Slot]] = {}
+    for s in used:
+        by_piece.setdefault(s[0], []).append(s)
     for i, (g, b) in enumerate(dec.pieces):
         listed = min(b, MAX_LISTED_SLOTS)
         for k in range(listed):
             c = used.pop((i, k), 0)
             if c != 1:
                 diags.append(f"slot {i}.{k} used {c} times")
-        named = sorted(s for s in used if s[0] == i and listed <= s[1] < b)
+        named = sorted(s for s in by_piece.get(i, ()) if listed <= s[1] < b)
         for s in named:
             c = used.pop(s)
             if c != 1:

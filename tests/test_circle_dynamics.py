@@ -138,6 +138,13 @@ class TestTranslationNumber:
             e2 = cd.translation_number(conj, 120)
             assert abs(e1.value - e2.value) <= e1.error_bound + e2.error_bound
 
+    def test_mixed_word_is_refused(self):
+        # a PL o Moebius word has no exact orbit and no matrix to bound its error by
+        rng = random.Random(7)
+        mixed = cd.compose(random_pl(rng), cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9)))
+        with pytest.raises(ValueError, match="no derived error bound"):
+            cd.translation_number(mixed, 100)
+
     def test_full_turn_shifts_by_one(self):
         rng = random.Random(6)
         f = random_pl(rng)

@@ -140,6 +140,13 @@ class TestCounting:
         assert cl.count_tangent_conjugacy_classes(12) == 6
         assert cl.count_tangent_conjugacy_classes(36) == 9
 
+    def test_divisor_count_bound(self):
+        assert cl.MAX_DIVISOR_N == 10 ** 12
+        assert cl.count_tangent_conjugacy_classes(10 ** 12) == 13 * 13  # 2^12 * 5^12
+        for n in (10 ** 12 + 1, 10 ** 20):
+            with pytest.raises(cl.ScaleExceeded):
+                cl.count_tangent_conjugacy_classes(n)
+
     def test_vot_bound(self):
         assert cl.virtually_overtwisted_bound(-2, -3) == 4
         assert cl.virtually_overtwisted_bound(-2, 1) == 1

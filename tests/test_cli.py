@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from contactbundles import cli
+from contactbundles import cli, hyperbolic
 from contactbundles import multicurve as mc
 
 
@@ -297,3 +297,34 @@ class TestArgumentDomains:
         code, out, err = run(capsys, command, "--genus", "2", "--area", area)
         assert code == 2 and out == ""
         assert "cannot parse area" in err
+
+    @pytest.mark.parametrize("argv", [("--genus=--", "--area=1pi"), ("--genus=2", "--area=--")])
+    def test_double_dash_value_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "polygon", *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(": expected one argument\n")
+
+    @pytest.mark.parametrize("command", ["holonomy", "polygon"])
+    def test_genus_domain_boundary(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(hyperbolic, "MAX_GENUS", 3)
+        code, rep, _ = run_json(capsys, command, "--genus", "3", "--area", "1pi")
+        assert code == 0 and rep["outputs"]["genus"] == 3
+        code, out, err = run(capsys, command, "--genus", "4", "--area", "1pi")
+        assert code == 2 and out == ""
+        assert err == "error: genus must be <= 3: the polygon is built in time linear in g\n"
+
+    @pytest.mark.parametrize("command", ["holonomy", "polygon"])
+    @pytest.mark.parametrize("genus", [hyperbolic.MAX_GENUS + 1, 10 ** 20])
+    def test_genus_above_the_domain_exits_2_quickly(self, capsys, command, genus):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--genus", str(genus), "--area", "1pi")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: genus must be <= ")
+
+    def test_divisor_count_above_its_bound_exits_2_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--chi-s", str(-10 ** 20), "--euler", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "refused above n = 1000000000000" in err

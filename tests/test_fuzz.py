@@ -1,4 +1,6 @@
-"""Property tests of the form parser, `forms --form-file` and `multicurve --file`."""
+"""Property tests of the form parser and of the CLI's exit contract on fuzzed input:
+`forms --form-file`, `multicurve --file` and the argv of `classify`,
+`holonomy`, `polygon` and `covers`."""
 
 import contextlib
 import io
@@ -177,3 +179,45 @@ def test_multicurve_exit_contract(text):
     if code in (0, 1):
         report = json.loads(out.getvalue())
         assert ("error" in report) == (code == 1)
+
+
+AREA_TOKENS = ["pi", "/", "-", "+", ".", "0", "1", "2", "5", "e", "e-3", "e308", "e999",
+               "nan", "inf", " "]
+AREAS = st.one_of(st.lists(st.sampled_from(AREA_TOKENS), max_size=6).map("".join),
+                  st.floats().map(repr),
+                  st.builds("{}pi/{}".format, st.integers(-2, 40), st.integers(-1, 9)))
+# small values as well, so that a fair share of the draws lands inside the domains
+HUGE = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.integers(-2, 12))
+ARGVS = st.one_of(
+    st.builds(lambda c, e: ["classify", "--chi-s", str(c), "--euler", str(e)], HUGE, HUGE),
+    st.builds(lambda g, a, n: ["holonomy", "--genus", str(g), f"--area={a}", "--iters", str(n)],
+              HUGE, AREAS, HUGE),
+    st.builds(lambda g, a: ["polygon", "--genus", str(g), f"--area={a}"], HUGE, AREAS),
+    st.builds(lambda g, n: ["covers", "--genus", str(g), "--n", str(n)], HUGE, HUGE),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGVS)
+@example(["classify", "--chi-s", str(-10 ** 20), "--euler", "1"])  # tau(10^20) by trial division
+@example(["polygon", "--genus", "1000000", "--area=1pi"])  # a build linear in the genus
+@example(["holonomy", "--genus", str(10 ** 20), "--area=1pi", "--iters", "1"])
+@example(["holonomy", "--genus", "2", "--area=pi/0", "--iters", "1"])
+@example(["polygon", "--genus", "11", "--area=--"])  # argparse leaves [] for the value "--"
+@example(["holonomy", "--genus", "2", "--area=4pi", "--iters", str(10 ** 400)])  # 1/N below floats
+@example(["covers", "--genus", str(10 ** 20), "--n", "2"])
+def test_argv_exit_contract(argv):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse exits 2 on its own usage errors
+            code = e.code
+    assert time.perf_counter() - start < 2.0
+    assert code in (0, 1, 2)
+    if code in (0, 1):
+        report = json.loads(out.getvalue())
+        assert ("error" in report) == (code == 1)
+    else:
+        assert out.getvalue() == ""

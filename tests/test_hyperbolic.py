@@ -343,6 +343,14 @@ class TestHolonomy:
         with pytest.raises(hy.AreaOutOfRange):
             hy.holonomy_translation_number(2, 6 * math.pi, 100)
 
+    def test_genus_domain(self, monkeypatch):
+        monkeypatch.setattr(hy, "MAX_GENUS", 2)
+        hy.holonomy_translation_number(2, math.pi, 100)
+        with pytest.raises(ValueError, match="genus must be <= 2"):
+            hy.holonomy_translation_number(3, math.pi, 100)
+        with pytest.raises(ValueError, match="genus must be >= 1"):
+            hy.symmetric_pairings(0, math.pi)
+
     def test_lift_independence_of_relator(self):
         poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
         lifts = [hy.boundary_lift(p) for p in hy.side_pairings(poly)]

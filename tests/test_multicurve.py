@@ -327,6 +327,34 @@ class TestValidation:
         ok, diags = mc.validate(bad)
         assert not ok and any("sphere" in d for d in diags)
 
+    def test_slot_diagnostics_order(self):
+        # a reused named slot beyond MAX_LISTED_SLOTS, and endpoints at a missing
+        # piece, past the boundary count and at a negative slot, in curve order
+        bad = mc.SurfaceDecomposition(
+            ((0, 70), (1, 1)),
+            (((5, 0), (0, 65)), ((0, 65), (1, 0)), ((0, 80), (0, 66)), ((1, -1), (0, 0)),
+             ((0, 69), (3, 2))), -68, False)
+        ok, diags = mc.validate(bad)
+        assert not ok
+        assert diags[0] == "euler mismatch: pieces sum to -69, ambient is -68"
+        assert diags[1:64] == [f"slot 0.{k} used 0 times" for k in range(1, 64)]
+        assert diags[64:] == ["slot 0.65 used 2 times", "3 more slots of piece 0 used 0 times",
+                              "curve endpoint at nonexistent slot 5.0",
+                              "curve endpoint at nonexistent slot 0.80",
+                              "curve endpoint at nonexistent slot 1.-1",
+                              "curve endpoint at nonexistent slot 3.2"]
+
+    def test_large_star_validates_quickly(self):
+        # one (0, k) piece glued to k one-holed tori: each piece's named slots
+        # are found without scanning every used slot
+        k = 20000
+        star = mc.SurfaceDecomposition(((0, k),) + ((1, 1),) * k,
+                                       tuple(((0, j), (j + 1, 0)) for j in range(k)),
+                                       2 - 2 * k, False)
+        start = time.perf_counter()
+        assert mc.validate(star) == (True, [])
+        assert time.perf_counter() - start < 2.0
+
 
 class TestEssential:
     def test_torus_parallel_curves(self):
