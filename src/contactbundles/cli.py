@@ -168,7 +168,22 @@ def cmd_polygon(args) -> int:
     return _emit("polygon", {"genus": g, "area": args.area}, out)
 
 
+#: what reading an input file raises for a file that is missing, a
+#: directory, unreadable or not UTF-8 text: a validation failure, exit 1
+READ_ERRORS = (OSError, UnicodeDecodeError)
+
+
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _error(e: Exception) -> dict:
+    return {"type": type(e).__name__, "message": str(e)}
+
+
 def cmd_forms(args) -> int:
+    fc.grid_counts(args.grid, 3)  # contact_sign samples 3-dimensional charts
     if args.library:
         entries = {}
         for key, entry in fc.model_library().items():
@@ -188,14 +203,12 @@ def cmd_forms(args) -> int:
         return _emit("forms", {"library": True, "grid": args.grid}, {"library": entries})
     if not args.form_file:
         raise ValueError("provide --form-file or --library")
-    with open(args.form_file, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        form = fc.parse_form_file(text)
+        form = fc.parse_form_file(_read(args.form_file))
         rep = fc.contact_sign(form, grid=args.grid)
-    except (ValueError, ArithmeticError) as e:
+    except (*READ_ERRORS, ValueError, ArithmeticError) as e:
         return _emit("forms", {"form_file": args.form_file, "grid": args.grid}, {},
-                     error={"type": type(e).__name__, "message": str(e)})
+                     error=_error(e))
     out = {
         "chart": list(form.chart.names),
         "form": form.text(),
@@ -208,13 +221,10 @@ def cmd_forms(args) -> int:
 
 
 def cmd_multicurve(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        dec = multicurve.parse_decomposition(text)
-    except multicurve.InvalidDecomposition as e:
-        return _emit("multicurve", {"file": args.file}, {},
-                     error={"type": "InvalidDecomposition", "message": str(e)})
+        dec = multicurve.parse_decomposition(_read(args.file))
+    except (*READ_ERRORS, multicurve.InvalidDecomposition) as e:
+        return _emit("multicurve", {"file": args.file}, {}, error=_error(e))
     ok, diags = multicurve.validate(dec)
     out = {"valid": ok, "diagnostics": diags}
     if ok:
@@ -223,14 +233,12 @@ def cmd_multicurve(args) -> int:
         out["convex_neighborhood_tight"] = multicurve.convex_neighborhood_tight(dec)
         out["euler"] = args.euler
     if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            text2 = fh.read()
         try:
-            dec2 = multicurve.parse_decomposition(text2)
+            dec2 = multicurve.parse_decomposition(_read(args.compare))
             out["isotopy_equal"] = multicurve.isotopy_equal(dec, dec2)
-        except multicurve.InvalidDecomposition as e:
+        except (*READ_ERRORS, multicurve.InvalidDecomposition) as e:
             return _emit("multicurve", {"file": args.file, "compare": args.compare}, out,
-                         error={"type": "InvalidDecomposition", "message": str(e)})
+                         error=_error(e))
     inputs = {"file": args.file}
     if args.compare:
         inputs["compare"] = args.compare
@@ -301,9 +309,6 @@ def main(argv=None) -> int:
             if value == []:  # argparse drops the value of "--opt=--" and leaves []
                 raise ValueError(f"argument --{name.replace('_', '-')}: expected one argument")
         return args.fn(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return VALIDATION_ERROR
     except ValueError as e:
         # every argument outside its command's domain raises ValueError
         print(f"error: {e}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 The node set is deliberately small: variables, exact rational constants, pi,
 sums, products, quotients, integer powers, sin/cos/exp and negation.  Trees
-are immutable.  `normalize` rewrites a tree into a sum of products of atomic
+are immutable, and a node computes its structural hash once, on first use.
+`normalize` rewrites a tree into a sum of products of atomic
 factors with exact rational coefficients, merging like terms; this is enough
 for the cancellations the calculus layer relies on (mixed partials, d o d = 0)
 while equality of general expressions remains a numeric check at random
@@ -19,8 +20,10 @@ grammar of `forms` when given basis names.  Rational literals (including
 decimal and scientific notation) are parsed bit-exactly into
 `fractions.Fraction`.
 
-`compile_expr` is the numeric evaluator of the library; `eval_expr` walks
-the tree point by point and is kept as its reference.
+`compile_expr` is the numeric evaluator of the library: a straight-line
+numpy kernel that computes each repeated subtree once and returns values on
+the broadcast shape of the coordinates it reads.  `eval_expr` walks the tree
+point by point and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -50,10 +53,37 @@ class UnknownVariableError(FormSyntaxError):
 
 
 class Expr:
+    """Base of the expression nodes: frozen dataclasses, equal when their
+    fields are.
+
+    The structural hash is computed on first use and kept on the node, so a
+    dict or `lru_cache` probe costs one lookup instead of a walk of the
+    subtree.  str hashes are salted per process, so `__reduce__` rebuilds a
+    node from its fields alone and the kept value never travels.
+    """
+
     __slots__ = ()
 
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            fields = self.__dict__
+            h = fields["_hash"] = hash((type(self), *fields.values()))
+            return h
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return type(self), tuple(v for k, v in self.__dict__.items() if k != "_hash")
+
+
+def _node(cls):
+    """`dataclass(frozen=True)`, keeping `Expr.__hash__` over the generated one."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
+@_node
 class Rat(Expr):
     value: Fraction
 
@@ -61,54 +91,54 @@ class Rat(Expr):
         object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
+@_node
 class Pi(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     terms: Tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     factors: Tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Cos(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Exp(Expr):
     arg: Expr
 
@@ -411,38 +441,81 @@ def eval_expr(e: Expr, env: Mapping[str, float]) -> float:
 
 
 def compile_expr(e: Expr, names: Sequence[str]):
-    """Compile to a vectorised numpy function of the chart coordinates."""
+    """Compile to a vectorised numpy function of the chart coordinates.
+
+    The kernel takes one array per name and returns the value on the
+    broadcast shape of the arguments the expression reads (a float if it
+    reads none), so on `np.meshgrid(..., sparse=True)` axes it touches only
+    the axes it uses.  It is a straight-line `def` built by value numbering
+    (Aho, Lam, Sethi and Ullman, *Compilers*, §6.1): a subtree that occurs
+    twice or more is computed once into a temporary, deleted after its last
+    use; everything else is written inline, so numpy frees intermediates as
+    it goes.  The operations inside each subtree keep their order, so the
+    values are those of the tree written out in full.
+    """
+    uses: Dict[Expr, int] = {}
+
+    def count(x: Expr) -> None:
+        if isinstance(x, (Rat, Pi, Var)):  # leaves are always written inline
+            return
+        seen = uses.get(x, 0)
+        uses[x] = seen + 1
+        if not seen:
+            for c in _children(x):
+                count(c)
+
+    count(e)
+    arg = {n: f"_a{i}" for i, n in enumerate(names)}
+    temps: Dict[Expr, str] = {}
+    lines = []
 
     def emit(x: Expr) -> str:
         if isinstance(x, Rat):
-            return repr(float(x.value))
+            return f"({float(x.value)!r})" if x.value < 0 else repr(float(x.value))
         if isinstance(x, Pi):
             return "np.pi"
         if isinstance(x, Var):
-            return f"_v_{x.name}"
+            return arg[x.name]
+        if x in temps:
+            return temps[x]
         if isinstance(x, Neg):
-            return f"(-{emit(x.arg)})"
-        if isinstance(x, Add):
-            return "(" + " + ".join(emit(t) for t in x.terms) + ")" if x.terms else "0.0"
-        if isinstance(x, Mul):
-            return "(" + " * ".join(emit(f) for f in x.factors) + ")" if x.factors else "1.0"
-        if isinstance(x, Div):
-            return f"({emit(x.num)} / {emit(x.den)})"
-        if isinstance(x, Pow):
-            if x.exponent < 0:
-                return f"({emit(x.base)} ** {x.exponent:.1f})"
-            return f"({emit(x.base)} ** {x.exponent})"
-        if isinstance(x, Sin):
-            return f"np.sin({emit(x.arg)})"
-        if isinstance(x, Cos):
-            return f"np.cos({emit(x.arg)})"
-        if isinstance(x, Exp):
-            return f"np.exp({emit(x.arg)})"
-        raise TypeError(f"not an expression: {x!r}")
+            text = f"(-{emit(x.arg)})"
+        elif isinstance(x, Add):
+            text = "(" + " + ".join(emit(t) for t in x.terms) + ")" if x.terms else "0.0"
+        elif isinstance(x, Mul):
+            text = "(" + " * ".join(emit(f) for f in x.factors) + ")" if x.factors else "1.0"
+        elif isinstance(x, Div):
+            text = f"({emit(x.num)} / {emit(x.den)})"
+        elif isinstance(x, Pow):
+            k = f"{x.exponent:.1f}" if x.exponent < 0 else str(x.exponent)
+            text = f"({emit(x.base)} ** {k})"
+        elif isinstance(x, Sin):
+            text = f"np.sin({emit(x.arg)})"
+        elif isinstance(x, Cos):
+            text = f"np.cos({emit(x.arg)})"
+        elif isinstance(x, Exp):
+            text = f"np.exp({emit(x.arg)})"
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+        if uses[x] == 1:
+            return text
+        temps[x] = f"_t{len(temps)}"
+        lines.append(f"{temps[x]} = {text}")
+        return temps[x]
 
-    args = ", ".join(f"_v_{n}" for n in names)
-    src = f"lambda {args}: ({emit(e)}) + 0.0*({' + '.join(f'_v_{n}' for n in names)})"
-    return eval(src, {"np": np})  # noqa: S307 - source is generated here
+    lines.append(f"return {emit(e)}")
+    last = {t: i for i, line in enumerate(lines) for t in re.findall(r"_t\d+", line)}
+    body = []
+    for i, line in enumerate(lines[:-1]):
+        body.append(line)
+        dead = [t for t in dict.fromkeys(re.findall(r"_t\d+", line)) if last[t] == i]
+        if dead:
+            body.append(f"del {', '.join(dead)}")
+    body.append(lines[-1])
+    src = f"def kernel({', '.join(arg.values())}):\n" + "".join(f"    {b}\n" for b in body)
+    scope = {"np": np}
+    exec(src, scope)  # noqa: S102 - source is generated here
+    return scope["kernel"]
 
 
 # ---------------------------------------------------------------------------

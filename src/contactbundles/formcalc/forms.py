@@ -18,13 +18,20 @@ implements both grammars.  A term without a basis differential is rejected
 end of its term.
 
 Numbers come from `compile_expr` evaluated on numpy arrays; the tree-walking
-`expr.eval_expr` is the reference it is tested against.
+`expr.eval_expr` is the reference it is tested against.  `contact_sign`
+evaluates on sparse `meshgrid` axes, so its cost follows the axes the
+coefficient and the exclusions read, and its grid is bounded by
+MAX_GRID_POINTS.  Callers that need one value per point (`coefficient_values`,
+`characteristic_slope_on_torus`, refinement) pad kernel values to the full
+shape with `_padded`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -56,6 +63,8 @@ class Chart:
     def __post_init__(self):
         if not (3 <= len(self.names) <= 4):
             raise ValueError("charts have 3 or 4 coordinates")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("coordinate names must be distinct")
         if len(self.ranges) != len(self.names):
             raise ValueError("one range per coordinate")
         if not self.periodic:
@@ -77,12 +86,8 @@ class Chart:
         return self.names.index(name)
 
     def grid_axes(self, counts: Union[int, Sequence[int]]) -> List[np.ndarray]:
-        if isinstance(counts, int):
-            counts = [counts] * self.dim
-        if len(counts) != self.dim:
-            raise ValueError("one sample count per axis")
         axes = []
-        for (lo, hi), per, n in zip(self.ranges, self.periodic, counts):
+        for (lo, hi), per, n in zip(self.ranges, self.periodic, grid_counts(counts, self.dim)):
             if per:
                 axes.append(lo + (hi - lo) * np.arange(n) / n)
             else:
@@ -90,14 +95,14 @@ class Chart:
         return axes
 
     def sample_mask(self, mesh: Sequence[np.ndarray]) -> np.ndarray:
-        """True where the point survives all exclusions."""
-        keep = np.ones(np.broadcast(*mesh).shape, dtype=bool) if len(mesh) > 1 \
-            else np.ones(mesh[0].shape, dtype=bool)
+        """True where the point survives all exclusions, on the broadcast
+        shape of the coordinates the exclusions read: length 1 along every
+        other axis, so sparse `meshgrid` axes give a reduced mask."""
+        keep = np.ones((1,) * np.ndim(mesh[0]), dtype=bool)
         for expr, eps in self.exclusions:
             fn = compile_expr(normalize(expr), self.names)
             with np.errstate(all="ignore"):
-                vals = fn(*mesh)
-            keep &= np.abs(vals) >= eps
+                keep = keep & (np.abs(fn(*mesh)) >= eps)
         return keep
 
     def random_points(self, count: int, rng) -> List[Dict[str, float]]:
@@ -107,9 +112,37 @@ class Chart:
         while len(pts) < count:
             draws = [[rng.uniform(lo, hi) for lo, hi in self.ranges]
                      for _ in range(count - len(pts))]
-            keep = self.sample_mask(list(np.array(draws).T))
+            keep = np.broadcast_to(self.sample_mask(list(np.array(draws).T)), len(draws))
             pts += [dict(zip(self.names, d)) for d, k in zip(draws, keep) if k]
         return pts
+
+
+#: most points `grid_counts` admits: grid 256 on a 3-dimensional chart.
+#: `contact_sign` evaluates on the reduced grid, so the bound matters for
+#: coefficients that read every coordinate.  The torus pullback coefficient
+#: of the benchmark is one; its tracemalloc peak in `contact_sign` is 52 MB
+#: at 2^21 points (grid 128), about 25 bytes per point, and 416 MB at 2^24.
+#: Refinement is not covered: it adds 3^dim points per flagged sample.
+MAX_GRID_POINTS = 2 ** 24
+
+
+def grid_counts(grid: Union[int, Sequence[int]], dim: int) -> Tuple[int, ...]:
+    """Per-axis sample counts of `grid` (one count for every axis, or one
+    per axis).  ValueError unless each is at least 1 and their product is at
+    most MAX_GRID_POINTS."""
+    counts = (grid,) * dim if isinstance(grid, int) else tuple(grid)
+    if len(counts) != dim:
+        raise ValueError("one sample count per axis")
+    if min(counts) < 1 or math.prod(counts) > MAX_GRID_POINTS:
+        raise ValueError(f"grid {grid} is outside the domain: at least 1 sample per axis "
+                         f"and at most {MAX_GRID_POINTS} points")
+    return counts
+
+
+def _padded(fn, cols: Sequence) -> np.ndarray:
+    """fn(*cols) on the full broadcast shape of `cols`: the kernel's value
+    plus 0.0*(cols[0] + cols[1] + ...)."""
+    return fn(*cols) + 0.0 * functools.reduce(operator.add, cols)
 
 
 @dataclass(frozen=True)
@@ -287,23 +320,30 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64,
 
     Samples with |coefficient| below 10*tol trigger a local x2 refinement
     before a Mixed verdict is returned.
+
+    The coefficient and the exclusion mask are evaluated on sparse
+    `meshgrid` axes, i.e. on their broadcast shape, which spans only the
+    axes they read.  A sample there stands for every grid point that differs
+    from it along the other axes only, so counts, witnesses (the first grid
+    point in C order) and the order of refined points are the dense grid's.
     """
     chart = form.chart
     coeff = volume_coefficient(form)
     fn = compile_expr(coeff, chart.names)
     axes = chart.grid_axes(grid)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    keep = chart.sample_mask(mesh)
+    full = tuple(len(ax) for ax in axes)
+    sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    keep = chart.sample_mask(sparse)
     with np.errstate(all="ignore"):
-        vals = fn(*mesh)
-    vals = np.where(keep, vals, np.nan)
+        vals = np.where(keep, fn(*sparse), np.nan)
+    repeat = math.prod(full) // vals.size  # grid points per reduced sample
     flat = vals[np.isfinite(vals)]
     if flat.size == 0:
         raise ValueError("no samples survive the exclusions")
 
     def witness_at(mask: np.ndarray) -> Tuple[float, ...]:
-        idx = tuple(int(k[0]) for k in np.nonzero(mask))
-        return tuple(float(m[idx]) for m in mesh)
+        idx = [int(k[0]) for k in np.nonzero(mask)]
+        return tuple(float(ax[i]) for ax, i in zip(axes, idx))
 
     has_pos = bool((flat > tol).any())
     has_neg = bool((flat < -tol).any())
@@ -311,19 +351,20 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64,
         wp = witness_at(np.nan_to_num(vals, nan=0.0) > tol)
         wn = witness_at(np.nan_to_num(vals, nan=0.0) < -tol)
         return ContactReport("Mixed", float(np.nanmin(np.abs(vals))), (wp, wn),
-                             samples=int(flat.size), tolerance=tol)
+                             samples=int(flat.size) * repeat, tolerance=tol)
 
     flagged = np.isfinite(vals) & (np.abs(vals) < 10 * tol)
     min_abs = float(np.min(np.abs(flat)))
     if flagged.any():
         # each flagged sample and its 3^dim neighbours at half the grid step
         steps = np.array([(ax[1] - ax[0]) / 2 if len(ax) > 1 else 0.0 for ax in axes])
-        centers = np.stack([m[flagged] for m in mesh], axis=-1)
+        idx = np.nonzero(np.broadcast_to(flagged, full))
+        centers = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=-1)
         offsets = np.array(list(itertools.product((-1, 0, 1), repeat=chart.dim)))
         pts = (centers[:, None, :] + offsets * steps).reshape(-1, chart.dim)
         cols = list(pts.T)
         with np.errstate(all="ignore"):
-            ref_vals = fn(*cols)
+            ref_vals = _padded(fn, cols)
         kept = chart.sample_mask(cols) & np.isfinite(ref_vals)
         pts, ref_vals = pts[kept], ref_vals[kept]
         all_vals = np.concatenate([flat, ref_vals])
@@ -332,9 +373,10 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64,
             witness = (tuple(pts[np.argmin(np.abs(ref_vals))].tolist()) if ref_vals.size
                        else witness_at(flagged))
             return ContactReport("Mixed", min_abs, (witness,),
-                                 samples=int(all_vals.size), tolerance=tol)
+                                 samples=int(flat.size) * repeat + int(ref_vals.size),
+                                 tolerance=tol)
     sign = "Positive" if has_pos else "Negative"
-    return ContactReport(sign, min_abs, (), samples=int(flat.size), tolerance=tol)
+    return ContactReport(sign, min_abs, (), samples=int(flat.size) * repeat, tolerance=tol)
 
 
 def pullback(components: Sequence[Expr], source_chart: Chart, form: OneForm) -> OneForm:
@@ -377,7 +419,7 @@ def coefficient_values(form: OneForm, points: Sequence[Mapping[str, float]]) -> 
     names = form.chart.names
     cols = [np.array([p[n] for p in points], dtype=float) for n in names]
     with np.errstate(all="ignore"):
-        return np.array([compile_expr(c, names)(*cols) for c in form.coefficients])
+        return np.array([_padded(compile_expr(c, names), cols) for c in form.coefficients])
 
 
 @dataclass(frozen=True)
@@ -409,7 +451,8 @@ def characteristic_slope_on_torus(form: OneForm, r: float, samples: int = 24,
     cols = [float(r)] * 3
     cols[ia], cols[iz] = np.meshgrid(turns, turns, indexing="ij")
     with np.errstate(all="ignore"):
-        a_ang, a_z = (compile_expr(form.coefficients[k], chart.names)(*cols) for k in (ia, iz))
+        a_ang, a_z = (_padded(compile_expr(form.coefficients[k], chart.names), cols)
+                      for k in (ia, iz))
     if not (np.abs(a_z) > degeneracy_tol).all():
         raise DegenerateKernel(f"height coefficient vanishes at radius {r}")
     slopes = (-a_ang / a_z).ravel()

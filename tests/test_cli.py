@@ -176,11 +176,37 @@ class TestFormsCommand:
         assert "exponent" in rep["error"]["message"]
 
     def test_missing_file_exits_1(self, capsys):
-        code, out, err = run(capsys, "forms", "--form-file", "/nonexistent.form")
+        code, rep, err = run_json(capsys, "forms", "--form-file", "/nonexistent.form")
         assert code == 1
+        assert rep["error"]["type"] == "FileNotFoundError"
+        assert "/nonexistent.form" in rep["error"]["message"]
+
+    def test_unreadable_files_exit_1(self, capsys, tmp_path):
+        binary = tmp_path / "binary.form"
+        binary.write_bytes(b"\xff\xfe")
+        for path, kind in ((tmp_path, "IsADirectoryError"), (binary, "UnicodeDecodeError")):
+            code, rep, _ = run_json(capsys, "forms", "--form-file", str(path))
+            assert code == 1 and rep["error"]["type"] == kind
+
+    @pytest.mark.parametrize("grid", ["0", "-1", "257", "2000"])
+    def test_grid_outside_domain_exits_2(self, capsys, tmp_path, grid):
+        path = tmp_path / "std.form"
+        path.write_text("chart x:[-1,1] y:[-1,1] z:[-1,1];\nform dz - y*dx")
+        for mode in (["--library"], ["--form-file", str(path)]):
+            code, out, err = run(capsys, "forms", *mode, "--grid", grid)
+            assert code == 2 and out == "" and "grid" in err
 
 
 class TestMulticurveCommand:
+    def test_unreadable_files_exit_1(self, capsys, tmp_path):
+        dec = tmp_path / "a.dec"
+        dec.write_text(mc.format_decomposition(mc.SurfaceDecomposition(
+            ((0, 2), (0, 2)), (((0, 0), (1, 0)), ((0, 1), (1, 1))), 0, False)))
+        for argv in (["--file", str(tmp_path)], ["--file", str(tmp_path / "missing.dec")],
+                     ["--file", str(dec), "--compare", str(tmp_path)]):
+            code, rep, _ = run_json(capsys, "multicurve", *argv)
+            assert code == 1
+            assert rep["error"]["type"] in ("IsADirectoryError", "FileNotFoundError")
     def test_compare_identical(self, capsys, tmp_path):
         dec = mc.SurfaceDecomposition(((0, 2), (0, 2)),
                                       (((0, 0), (1, 0)), ((0, 1), (1, 1))), 0, False)

@@ -1,13 +1,22 @@
+import functools
+import itertools
 import math
+import operator
+import pickle
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactbundles import formcalc as fc
-from contactbundles.formcalc.expr import MAX_EXPONENT, Rat, Var, eval_expr
+from contactbundles.formcalc.expr import (MAX_EXPONENT, Add, Cos, Div, Exp, Mul, Neg, Pi, Pow,
+                                          Rat, Sin, Var, compile_expr, eval_expr)
 from contactbundles.formcalc.models import (fiber_tube_pullback, scaling_flow_components,
                                             torus_wrapping_pullback)
 
@@ -119,6 +128,16 @@ class TestParser:
         assert chart.periodic == (False, False, True)
         assert len(chart.exclusions) == 1 and chart.exclusions[0][1] == pytest.approx(1e-3)
 
+    def test_duplicate_coordinate_names(self):
+        # parse_form used to index past its coefficient list (IndexError)
+        with pytest.raises(ValueError, match="distinct"):
+            fc.parse_form_file("chart x:[0,1] x:[0,1] z:[0,1]; form dz + x*dx;")
+
+    def test_coordinate_names_need_not_be_identifiers(self):
+        # kernels name their arguments by position, so no SyntaxError
+        form = fc.parse_form_file("chart a-b:[0,1] y:[0,1] z:[0,1]; form dz + y*dy;")
+        assert fc.contact_sign(form, grid=4).sign == "Mixed"
+
     def test_form_file(self):
         text = ("chart r:[0.05,1.4] theta:[0,6.28] z:[0,6.28];\n"
                 "periodic theta z;\nexclude r<1e-3;\nform (1-r^4)*dz + r^2*dtheta")
@@ -226,6 +245,82 @@ class TestContactSign:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             fc.contact_sign(fc.hopf_plane_field_form())
+
+    @pytest.mark.parametrize("grid", [0, -3, (4, 0, 4), 257, (256, 256, 257), (4, 4)])
+    def test_grid_domain(self, grid):
+        with pytest.raises(ValueError):
+            fc.contact_sign(fc.parse_form("dz - y*dx", XYZ), grid=grid)
+
+    def test_largest_grid_in_domain(self):
+        assert fc.MAX_GRID_POINTS == 256 ** 3
+        rep = fc.contact_sign(fc.three_torus_form(2), grid=256)
+        assert rep.sign == "Positive" and rep.samples == 256 ** 3
+
+
+REDUCED_COEFFS = ["0", "1", "-1", "x", "y", "z", "x*y", "y^2/2", "x - y", "sin(x)", "z*(x - 1/2)",
+                  "(x + 2)/(x + 9/4)", "cos(y)*z", "x^2 + z^2"]
+REDUCED_EXCLUSIONS = [("x", "1/4"), ("x - y", "1/10"), ("y*z", "1/20"), ("1", "1/2"),
+                      ("x^2 + z^2", "1/3"), ("z - 1", "1/8")]
+RANGES = [(-1.0, 1.0), (-2.0, 2.0), (0.0, 1.0)]
+
+
+def _reduced_case(coeffs, exclusions, ranges, periodic, grid):
+    chart = fc.Chart(("x", "y", "z"), tuple(ranges), tuple(periodic),
+                     tuple((fc.parse_expr(e, "xyz"), float(Fraction(eps)))
+                           for e, eps in exclusions))
+    return fc.OneForm(chart, tuple(fc.parse_expr(c, "xyz") for c in coeffs)), grid
+
+
+def _outcome(sign_fn, form, grid):
+    try:
+        return repr(sign_fn(form, grid))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+class TestReducedGrid:
+    """`contact_sign` on the broadcast-reduced grid against the dense oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.tuples(*[st.sampled_from(REDUCED_COEFFS)] * 3),
+           exclusions=st.lists(st.sampled_from(REDUCED_EXCLUSIONS), max_size=2),
+           ranges=st.tuples(*[st.sampled_from(RANGES)] * 3),
+           periodic=st.tuples(*[st.booleans()] * 3),
+           grid=st.one_of(st.integers(1, 9), st.tuples(*[st.integers(1, 7)] * 3)))
+    @example(("0", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, 9)  # dz - (y^2/2) dx: Mixed
+    @example(("y^2/2", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, (5, 1, 3))
+    @example(("y*(x + 2)/(x + 9/4)", "0", "-1"), [], [(-2.0, 2.0)] * 3, (False,) * 3, 9)
+    @example(("1", "0", "0"), [("x", "1/4")], [(-1.0, 1.0)] * 3, (False,) * 3, (7, 1, 1))
+    @example(("x*y", "z", "1"), [("1", "1/2")], [(-1.0, 1.0)] * 3, (False,) * 3, 4)
+    def test_matches_dense_oracle_bit_for_bit(self, coeffs, exclusions, ranges, periodic, grid):
+        form, grid = _reduced_case(coeffs, exclusions, ranges, periodic, grid)
+        assert _outcome(fc.contact_sign, form, grid) == _outcome(_dense_contact_sign, form, grid)
+
+    @pytest.mark.parametrize("coeffs,grid,sign,refined", [
+        (("-y^2/2", "0", "1"), 9, "Mixed", False),
+        (("-y*(x + 2)/(x + 9/4)", "0", "1"), 9, "Mixed", True),
+        (("1", "0", "0"), (5, 1, 3), "Mixed", True),
+        (("x^2*y", "0", "1"), (7, 3, 1), "Mixed", True),
+    ])
+    def test_mixed_and_refined_cases(self, coeffs, grid, sign, refined):
+        form, grid = _reduced_case(coeffs, [], [(-2.0, 2.0)] * 3, (False,) * 3, grid)
+        rep = fc.contact_sign(form, grid)
+        assert rep.sign == sign
+        assert (rep.samples > math.prod(fc.grid_counts(grid, 3))) == refined
+        assert repr(rep) == repr(_dense_contact_sign(form, grid))
+
+    def test_library_builds_no_dense_mesh(self):
+        entries = [e.form for e in fc.model_library().values() if e.expected_sign is not None]
+        for form in entries:  # warm the symbolic caches
+            fc.contact_sign(form, grid=2)
+        tracemalloc.start()
+        try:
+            for form in entries:
+                fc.contact_sign(form, grid=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20  # one dense float64 array at grid 128 is 16 MB
 
 
 class TestPullback:
@@ -443,6 +538,83 @@ class TestHopf:
         assert chk.ok
 
 
+SMALL_LEAVES = st.one_of(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), Pi()]),
+    st.builds(lambda p, q: Rat(Fraction(p, q)), st.integers(-9, 9), st.integers(1, 4)),
+)
+SMALL_TREES = st.recursive(SMALL_LEAVES, lambda c: st.one_of(
+    st.builds(lambda a, b: Add((a, b)), c, c),
+    st.builds(lambda a, b: Mul((a, b)), c, c),
+    st.builds(Neg, c), st.builds(Sin, c), st.builds(Cos, c), st.builds(Exp, c),
+    st.builds(Pow, c, st.integers(0, 3))), max_leaves=5)
+
+
+class TestKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(SMALL_TREES, SMALL_TREES)
+    def test_matches_eval_expr_on_shared_subtrees(self, s, t):
+        # s and t occur several times, as the same objects and as equal copies
+        t_copy = pickle.loads(pickle.dumps(t))
+        e = Add((Mul((s, t)), Sin(s), Neg(Mul((Exp(t_copy), s))),
+                 Div(t, Add((Rat(Fraction(3)), Mul((s, s))))), Cos(Add((s, t_copy)))))
+        rng = random.Random(3)
+        pts = [{n: rng.uniform(-1.0, 1.0) for n in "xyz"} for _ in range(20)]
+        with np.errstate(all="ignore"):
+            got = np.broadcast_to(compile_expr(e, "xyz")(
+                *(np.array([p[n] for p in pts]) for n in "xyz")), (len(pts),))
+        for k, env in zip(got, pts):
+            try:
+                want = eval_expr(e, env)
+            except (ArithmeticError, ValueError):  # beyond Python's float range
+                continue
+            if math.isfinite(want):
+                assert abs(k - want) <= 1e-9 * (1 + abs(want)), (k, want)
+
+    def test_shared_subtree_computed_once(self):
+        kernel = compile_expr(fc.parse_expr("sin(x)*sin(x) + sin(x)", "xyz"), "xyz")
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sin(self, a):
+                calls.append(a)
+                return np.sin(a)
+
+        kernel.__globals__["np"] = CountingNumpy()
+        x = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(kernel(x, 0.0, 0.0), np.sin(x) * np.sin(x) + np.sin(x))
+        assert len(calls) == 1
+
+    def test_value_on_the_axes_it_reads(self):
+        x, y, z = np.meshgrid(*[np.linspace(0.0, 1.0, n) for n in (3, 4, 5)],
+                              indexing="ij", sparse=True)
+        assert np.shape(compile_expr(fc.parse_expr("sin(y)*y", "xyz"), "xyz")(x, y, z)) == (1, 4, 1)
+        assert compile_expr(fc.parse_expr("2*pi", "xyz"), "xyz")(x, y, z) == 2 * math.pi
+
+    def test_negative_constant_base(self):
+        # -1.0 ** 2 would read as -(1.0 ** 2)
+        assert compile_expr(Pow(Rat(Fraction(-1)), 2), "xyz")(0.0, 0.0, 0.0) == 1.0
+
+
+class TestNodeHash:
+    def test_equal_trees_hash_equal_and_share_the_normalize_cache(self):
+        text = "sin(x*y)^3 + exp(z)/(1 + x^2) - cos(y)*z"
+        a, b = fc.parse_expr(text, "xyz"), fc.parse_expr(text, "xyz")
+        assert a is not b and a == b and hash(a) == hash(b)
+        fc.normalize(a)
+        hits = fc.normalize.cache_info().hits
+        assert fc.normalize(b) is fc.normalize(a)
+        assert fc.normalize.cache_info().hits == hits + 2
+
+    def test_pickle_rebuilds_the_hash(self):
+        e = fc.parse_expr("sin(x)*y + 1/3", "xyz")
+        hash(e)
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and "_hash" not in vars(copy) and hash(copy) == hash(e)
+
+
 class TestNormalizer:
     def test_binomial_cancellation(self):
         e = fc.parse_expr("(x+y)^3 - x^3 - 3*x^2*y - 3*x*y^2 - y^3", ["x", "y"])
@@ -493,3 +665,66 @@ class TestCatalogInvariance:
             scaled = fc.OneForm(entry.form.chart,
                                 tuple(Mul((factor, c)) for c in entry.form.coefficients))
             assert fc.contact_sign(scaled, grid=16).sign == entry.expected_sign, key
+
+
+def _dense_contact_sign(form, grid=64, tol=1e-12):
+    """Reference: `contact_sign` on the dense `meshgrid`, with every kernel
+    padded to the full mesh by 0.0*(x + y + z), as it was before the reduced
+    grid."""
+    chart = form.chart
+
+    def padded(fn, cols):
+        return fn(*cols) + 0.0 * functools.reduce(operator.add, cols)
+
+    def sample_mask(mesh):
+        keep = np.ones(np.broadcast(*mesh).shape, dtype=bool)
+        for expr, eps in chart.exclusions:
+            with np.errstate(all="ignore"):
+                vals = padded(compile_expr(fc.normalize(expr), chart.names), mesh)
+            keep &= np.abs(vals) >= eps
+        return keep
+
+    fn = compile_expr(fc.volume_coefficient(form), chart.names)
+    axes = chart.grid_axes(grid)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    keep = sample_mask(mesh)
+    with np.errstate(all="ignore"):
+        vals = padded(fn, mesh)
+    vals = np.where(keep, vals, np.nan)
+    flat = vals[np.isfinite(vals)]
+    if flat.size == 0:
+        raise ValueError("no samples survive the exclusions")
+
+    def witness_at(mask):
+        idx = tuple(int(k[0]) for k in np.nonzero(mask))
+        return tuple(float(m[idx]) for m in mesh)
+
+    has_pos = bool((flat > tol).any())
+    has_neg = bool((flat < -tol).any())
+    if has_pos and has_neg:
+        wp = witness_at(np.nan_to_num(vals, nan=0.0) > tol)
+        wn = witness_at(np.nan_to_num(vals, nan=0.0) < -tol)
+        return fc.ContactReport("Mixed", float(np.nanmin(np.abs(vals))), (wp, wn),
+                                samples=int(flat.size), tolerance=tol)
+
+    flagged = np.isfinite(vals) & (np.abs(vals) < 10 * tol)
+    min_abs = float(np.min(np.abs(flat)))
+    if flagged.any():
+        steps = np.array([(ax[1] - ax[0]) / 2 if len(ax) > 1 else 0.0 for ax in axes])
+        centers = np.stack([m[flagged] for m in mesh], axis=-1)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=chart.dim)))
+        pts = (centers[:, None, :] + offsets * steps).reshape(-1, chart.dim)
+        cols = list(pts.T)
+        with np.errstate(all="ignore"):
+            ref_vals = padded(fn, cols)
+        kept = sample_mask(cols) & np.isfinite(ref_vals)
+        pts, ref_vals = pts[kept], ref_vals[kept]
+        all_vals = np.concatenate([flat, ref_vals])
+        min_abs = float(np.min(np.abs(all_vals)))
+        if (np.abs(all_vals) <= tol).any() or ((all_vals > tol).any() and (all_vals < -tol).any()):
+            witness = (tuple(pts[np.argmin(np.abs(ref_vals))].tolist()) if ref_vals.size
+                       else witness_at(flagged))
+            return fc.ContactReport("Mixed", min_abs, (witness,),
+                                    samples=int(all_vals.size), tolerance=tol)
+    sign = "Positive" if has_pos else "Negative"
+    return fc.ContactReport(sign, min_abs, (), samples=int(flat.size), tolerance=tol)
