@@ -19,6 +19,17 @@ reads a single Moebius lift's translation number in closed form, whatever N
 integer at a boundary fixed point).  A word that mixes the two has neither
 an exact orbit nor a matrix to derive an error bound from, so it is refused.
 
+Exact PL arithmetic is done on integers, not on `Fraction` (rationals kept as
+integer pairs, reduced only where a value is returned; Knuth, TAOCP vol. 2,
+4.5.1).  A PL map keeps each knot as reduced pairs (tn, td), (vn, vd) and
+each affine segment as integers (A, B, C), x -> (A*x + B)/C.  Inversion and
+composition build reduced knot pairs with one gcd per knot.  The orbit in
+`translation_number` keeps x = P/Q unreduced: with n = P // Q and
+r = P - n*Q on the segment (A, B, C) holding r/Q, the next point is
+(A*r + (B + n*C)*Q) / (C*Q), and only F^N(0)/N is reduced.  The public
+values stay exact `Fraction`s: `knots`, `eval` at a rational point, and the
+estimate's `value`.
+
 Conventions
 -----------
 * Only one period is stored; f(t + 1) = f(t) + 1 holds by construction.
@@ -80,6 +91,12 @@ class PiecewiseLinearMap(LiftedCircleMap):
     interpolates linearly between consecutive breakpoints and wraps the last
     segment to (t_0 + 1, v_0 + 1).  Strict monotonicity on [0, 1] is checked
     on construction.
+
+    The map is held in integers: knot i as reduced pairs t_i = tn_i/td_i and
+    v_i = vn_i/vd_i, and the segment starting at knot i as (A, B, C), lowest
+    terms with C > 0, for x -> (A*x + B)/C.  The segment [t_last - 1, t_0]
+    that a point below t_0 falls on is kept too, last.  `knots` (Fraction
+    pairs) and the binary64 knots of the float path are built on first use.
     """
 
     kind = "pl"
@@ -99,9 +116,38 @@ class PiecewiseLinearMap(LiftedCircleMap):
                 raise ValueError("breakpoint values must be strictly increasing")
         if vs[0] + 1 <= vs[-1]:
             raise ValueError("wraparound segment is not increasing")
-        self.knots = tuple(knots)
-        self._ts = ts
-        self._float_knots = [(float(t), float(v)) for t, v in knots]
+        self._set_pairs([(t.numerator, t.denominator, v.numerator, v.denominator)
+                         for t, v in knots])
+        self._knots = tuple(knots)
+
+    @classmethod
+    def _from_pairs(cls, pairs: list) -> "PiecewiseLinearMap":
+        """A map from (tn, td, vn, vd) knots, reduced, sorted and increasing."""
+        self = object.__new__(cls)
+        self._set_pairs(pairs)
+        return self
+
+    def _set_pairs(self, pairs: list) -> None:
+        self._pairs = pairs
+        self._tn = [tn for tn, _, _, _ in pairs]
+        self._td = [td for _, td, _, _ in pairs]
+        self._tf = [tn / td for tn, td, _, _ in pairs]
+        tn0, td0, vn0, vd0 = pairs[0]
+        ends = pairs[1:] + [(tn0 + td0, td0, vn0 + vd0, vd0)]
+        tn, td, vn, vd = pairs[-1]
+        # _segs[-1] is the wrapped segment, which `_locate` calls -1
+        self._segs = [_affine(a, b) for a, b in zip(pairs, ends)]
+        self._segs.append(_affine((tn - td, td, vn - vd, vd), pairs[0]))
+        self._knots = None
+        self._float_knots = None
+
+    @property
+    def knots(self) -> tuple:
+        """The breakpoints as a tuple of (t, value) Fraction pairs."""
+        if self._knots is None:
+            self._knots = tuple((Fraction(tn, td), Fraction(vn, vd))
+                                for tn, td, vn, vd in self._pairs)
+        return self._knots
 
     @classmethod
     def translation(cls, c: Scalar) -> "PiecewiseLinearMap":
@@ -111,42 +157,72 @@ class PiecewiseLinearMap(LiftedCircleMap):
     def identity(cls) -> "PiecewiseLinearMap":
         return cls.translation(0)
 
-    def _segment(self, idx: int, exact: bool):
-        """Endpoints of the linear segment starting at knot idx (wrapping)."""
-        knots = self.knots if exact else self._float_knots
-        k = len(knots)
-        t0, v0 = knots[idx]
-        if idx + 1 < k:
-            t1, v1 = knots[idx + 1]
-        else:
-            t1, v1 = knots[0][0] + 1, knots[0][1] + 1
-        return t0, v0, t1, v1
+    def _locate(self, r: int, q: int) -> int:
+        """Index of the last knot with t_i <= r/q, -1 below t_0 (the wrapped
+        segment), for q > 0.  Rounding to the nearest float is monotone, so
+        the same search on the rounded parameters can only overshoot; the
+        guess steps down by cross-multiplied comparison."""
+        tn, td = self._tn, self._td
+        i = bisect_right(self._tf, r / q) - 1
+        while i >= 0 and tn[i] * q > r * td[i]:
+            i -= 1
+        return i
+
+    def _eval_pair(self, p: int, q: int) -> tuple:
+        """f(p/q) as an unreduced pair (P, Q) with Q > 0, for q > 0."""
+        n, r = divmod(p, q)
+        a, b, c = self._segs[self._locate(r, q)]
+        return a * r + (b + n * c) * q, c * q
 
     def eval(self, t: Scalar) -> Scalar:
-        exact = not isinstance(t, float)
-        if exact:
+        if isinstance(t, float):
+            return self._eval_float(t)
+        if not isinstance(t, (int, Fraction)):
             t = Fraction(t)
+        return Fraction(*self._eval_pair(t.numerator, t.denominator))
+
+    def _eval_float(self, t: float) -> float:
         n = math.floor(t)
         tau = t - n
-        ts = self._ts
-        knots = self.knots if exact else self._float_knots
-        if tau < ts[0]:
-            # inside the wrapped segment [t_last - 1, t_0]
+        if self._float_knots is None:
+            self._float_knots = [(tn / td, vn / vd) for tn, td, vn, vd in self._pairs]
+        knots = self._float_knots
+        idx = self._locate(*tau.as_integer_ratio())
+        if idx < 0:
             t0, v0 = knots[-1]
             t0, v0 = t0 - 1, v0 - 1
             t1, v1 = knots[0]
         else:
-            idx = bisect_right(ts, tau) - 1
-            t0, v0, t1, v1 = self._segment(idx, exact)
+            t0, v0 = knots[idx]
+            t1, v1 = knots[idx + 1] if idx + 1 < len(knots) else (knots[0][0] + 1, knots[0][1] + 1)
         v = v0 + (v1 - v0) * (tau - t0) / (t1 - t0)
         return v + n
 
     def inverse(self) -> "PiecewiseLinearMap":
-        pts = []
-        for t, v in self.knots:
-            m = math.floor(v)
-            pts.append((v - m, t - m))
-        return PiecewiseLinearMap(pts)
+        # the values of the knots lie in [v_0, v_0 + 1), so taken mod 1 they
+        # are a rotation of a sorted list; it starts at the first larger floor
+        shifted = []
+        for tn, td, vn, vd in self._pairs:
+            m = vn // vd
+            shifted.append((m, (vn - m * vd, vd, tn - m * td, td)))
+        m0 = shifted[0][0]
+        j = next((i for i, (m, _) in enumerate(shifted) if m > m0), len(shifted))
+        return PiecewiseLinearMap._from_pairs([k for _, k in shifted[j:] + shifted[:j]])
+
+
+def _affine(k0: tuple, k1: tuple) -> tuple:
+    """(A, B, C) in lowest terms, C > 0, with (A*x + B)/C the line through the
+    knots k0 = (tn, td, vn, vd) and k1 (t0 < t1)."""
+    tn0, td0, vn0, vd0 = k0
+    tn1, td1, vn1, vd1 = k1
+    # slope sn/sd = (v1 - v0) / (t1 - t0), sd > 0
+    sn = (vn1 * vd0 - vn0 * vd1) * td0 * td1
+    sd = (tn1 * td0 - tn0 * td1) * vd0 * vd1
+    a = sn * vd0 * td0
+    b = vn0 * sd * td0 - sn * tn0 * vd0
+    c = sd * vd0 * td0
+    g = math.gcd(a, b, c)
+    return a // g, b // g, c // g
 
 
 class MoebiusBoundaryLift(LiftedCircleMap):
@@ -250,25 +326,56 @@ def invert(f: LiftedCircleMap) -> LiftedCircleMap:
     return f.inverse()
 
 
-def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap) -> PiecewiseLinearMap:
-    """Exact breakpoints of f o g: g's knots plus g-preimages of f's knots."""
-    ginv = g.inverse()
-    ts = {t for t, _ in g.knots}
-    for s, _ in f.knots:
-        x = ginv.eval(s)
-        ts.add(x - math.floor(x))
-    return PiecewiseLinearMap([(t, f.eval(g.eval(t))) for t in sorted(ts)])
+def _reduced(p: int, q: int) -> tuple:
+    d = math.gcd(p, q)
+    return p // d, q // d
+
+
+def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
+                ginv: Optional[PiecewiseLinearMap] = None) -> PiecewiseLinearMap:
+    """Exact breakpoints of f o g: g's knots plus g-preimages of f's knots.
+
+    `ginv` is g's inverse when the caller has it.  The knots are reduced
+    integer pairs, sorted on their numerators over a common denominator.
+    """
+    if ginv is None:
+        ginv = g.inverse()
+    ts = set(zip(g._tn, g._td))
+    for s in zip(f._tn, f._td):
+        p, q = ginv._eval_pair(*s)
+        ts.add(_reduced(p % q, q))
+    den = math.lcm(*(q for _, q in ts))
+    return PiecewiseLinearMap._from_pairs(
+        [(p, q) + _reduced(*f._eval_pair(*g._eval_pair(p, q)))
+         for p, q in sorted(ts, key=lambda t: t[0] * (den // t[1]))])
 
 
 def _as_piecewise_linear(f: LiftedCircleMap) -> Optional[PiecewiseLinearMap]:
     if isinstance(f, PiecewiseLinearMap):
         return f
     if isinstance(f, WordMap) and all(isinstance(m, PiecewiseLinearMap) for m, _ in f.letters()):
+        # the chain holds each letter resolved, inverse letters already inverted
+        resolved = tuple(zip(f.letters(), reversed(f._chain)))
+        inverses = {id(m): g for (m, e), g in resolved if e == -1}
         acc = PiecewiseLinearMap.identity()
-        for m, e in f.letters():
-            acc = _compose_pl(acc, m if e == 1 else m.inverse())
+        for (m, e), g in resolved:
+            acc = _compose_pl(acc, g, m if e == -1 else inverses.get(id(m)))
         return acc
     return None
+
+
+def _displacements(pl: PiecewiseLinearMap) -> list:
+    """v - t at each knot as an unreduced pair (n, d), d > 0."""
+    return [(vn * td - tn * vd, vd * td) for tn, td, vn, vd in pl._pairs]
+
+
+def _first_max(pairs: Sequence[tuple]) -> int:
+    """Index of the first largest n/d among pairs (n, d) with d > 0."""
+    best, (bn, bd) = 0, pairs[0]
+    for i, (n, d) in enumerate(pairs):
+        if n * bd > bn * d:
+            best, bn, bd = i, n, d
+    return best
 
 
 def _compose_moebius(a: MoebiusBoundaryLift, b: MoebiusBoundaryLift) -> MoebiusBoundaryLift:
@@ -352,7 +459,8 @@ def sup_displacement(f: LiftedCircleMap, grid: int = 4096) -> Scalar:
     """
     pl = _as_piecewise_linear(f)
     if pl is not None:
-        return max(v - t for t, v in pl.knots)
+        ds = _displacements(pl)
+        return Fraction(*ds[_first_max(ds)])
     g = flatten(f)
     lo, hi = 0.0, 1.0
     best_t, best = 0.0, g.eval(0.0)
@@ -373,7 +481,8 @@ def inf_displacement(f: LiftedCircleMap, grid: int = 4096) -> Scalar:
     """inf over one period of f(t) - t; equals -sup_displacement(f^-1)."""
     pl = _as_piecewise_linear(f)
     if pl is not None:
-        return min(v - t for t, v in pl.knots)
+        ds = _displacements(pl)
+        return Fraction(*ds[_first_max([(-n, d) for n, d in ds])])
     return -sup_displacement(invert(f), grid=grid)
 
 
@@ -533,10 +642,12 @@ def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumber
     if not isinstance(g, PiecewiseLinearMap):
         raise ValueError("translation_number: a word mixing piecewise-linear and Moebius "
                          "letters has no derived error bound")
-    x = Fraction(0)
+    # the orbit stays an unreduced pair p/q: each step multiplies q by the
+    # segment's C, and only the returned value is reduced
+    p, q = 0, 1
     for _ in range(iterations):
-        x = g.eval(x)
-    return TranslationNumberEstimate(value=Fraction(x, iterations), error_bound=1 / iterations,
+        p, q = g._eval_pair(p, q)
+    return TranslationNumberEstimate(value=Fraction(p, q * iterations), error_bound=1 / iterations,
                                      iterations=iterations)
 
 
@@ -564,15 +675,18 @@ class DisplacementCheck:
 
 def displacement_within(f: LiftedCircleMap, bound: Scalar, grid: int = 1024,
                         slack: float = 1e-9) -> DisplacementCheck:
-    """Check |f(t) - t| <= bound on a grid (exactly, via breakpoints, for PL data)."""
+    """Check |f(t) - t| <= bound: exactly at the breakpoints for PL data,
+    otherwise on `grid` points with `slack`.  A failed PL check names the
+    first breakpoint of largest |displacement| as its witness."""
     pl = _as_piecewise_linear(f)
     if pl is not None:
-        sup = max(v - t for t, v in pl.knots)
-        inf = min(v - t for t, v in pl.knots)
-        if sup <= bound and -inf <= bound:
+        ds = _displacements(pl)
+        i = _first_max([(abs(n), d) for n, d in ds])
+        n, d = ds[i]
+        if Fraction(abs(n), d) <= bound:
             return DisplacementCheck(True, float(bound))
-        t, v = max(pl.knots, key=lambda kv: abs(kv[1] - kv[0]))
-        return DisplacementCheck(False, float(bound), float(t), float(v - t))
+        tn, td, _, _ = pl._pairs[i]
+        return DisplacementCheck(False, float(bound), tn / td, n / d)
     g = flatten(f)
     for k in range(grid):
         t = k / grid
@@ -583,7 +697,11 @@ def displacement_within(f: LiftedCircleMap, bound: Scalar, grid: int = 1024,
 
 
 def wood_bound_check(maps: Sequence[LiftedCircleMap], grid: int = 1024) -> DisplacementCheck:
-    """Check the relator displacement bound |relator(t) - t| <= 2g on a grid.
+    """Check the relator displacement bound |relator(t) - t| <= 2g (Milnor-Wood).
+
+    For PL maps the check is exact: the relator is flattened and its
+    displacement, linear between breakpoints, is compared at the breakpoints.
+    Otherwise it samples `grid` points (see `displacement_within`).
 
     For constructed words that are not honest relators, call
     `displacement_within` directly with the synthetic map.

@@ -122,8 +122,13 @@ class Chart:
 #: coefficients that read every coordinate.  The torus pullback coefficient
 #: of the benchmark is one; its tracemalloc peak in `contact_sign` is 52 MB
 #: at 2^21 points (grid 128), about 25 bytes per point, and 416 MB at 2^24.
-#: Refinement is not covered: it adds 3^dim points per flagged sample.
+#: Refinement adds 3^dim points per flagged sample; it takes REFINE_CHUNK
+#: flagged samples at a time, so its memory does not grow with the grid.
 MAX_GRID_POINTS = 2 ** 24
+
+#: flagged grid points `contact_sign` refines at once; on a 3-dimensional
+#: chart the refinement then peaks at about 7 MB in tracemalloc, at any grid
+REFINE_CHUNK = 2 ** 12
 
 
 def grid_counts(grid: Union[int, Sequence[int]], dim: int) -> Tuple[int, ...]:
@@ -356,27 +361,64 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64,
     flagged = np.isfinite(vals) & (np.abs(vals) < 10 * tol)
     min_abs = float(np.min(np.abs(flat)))
     if flagged.any():
-        # each flagged sample and its 3^dim neighbours at half the grid step
-        steps = np.array([(ax[1] - ax[0]) / 2 if len(ax) > 1 else 0.0 for ax in axes])
-        idx = np.nonzero(np.broadcast_to(flagged, full))
-        centers = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=-1)
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=chart.dim)))
-        pts = (centers[:, None, :] + offsets * steps).reshape(-1, chart.dim)
-        cols = list(pts.T)
-        with np.errstate(all="ignore"):
-            ref_vals = _padded(fn, cols)
-        kept = chart.sample_mask(cols) & np.isfinite(ref_vals)
-        pts, ref_vals = pts[kept], ref_vals[kept]
-        all_vals = np.concatenate([flat, ref_vals])
-        min_abs = float(np.min(np.abs(all_vals)))
-        if (np.abs(all_vals) <= tol).any() or ((all_vals > tol).any() and (all_vals < -tol).any()):
-            witness = (tuple(pts[np.argmin(np.abs(ref_vals))].tolist()) if ref_vals.size
-                       else witness_at(flagged))
-            return ContactReport("Mixed", min_abs, (witness,),
-                                 samples=int(flat.size) * repeat + int(ref_vals.size),
-                                 tolerance=tol)
+        # each flagged sample and its 3^dim neighbours at half the grid step,
+        # REFINE_CHUNK samples at a time in C order.  A chunk of n samples is
+        # a (3, ..., 3, n) block with axis d offset along dimension d, so the
+        # order of the refined points, by sample and then by offset as in
+        # itertools.product((-1, 0, 1), repeat=dim), is C order of its
+        # (3^dim, n) transpose.
+        steps = [(ax[1] - ax[0]) / 2 if len(ax) > 1 else 0.0 for ax in axes]
+        offsets = np.array((-1, 0, 1))
+        dim = chart.dim
+        best, witness, count = math.inf, None, 0
+        has_pos_ref, has_neg_ref = has_pos, has_neg
+        for centers in _flagged_points(np.broadcast_to(flagged, full), axes, REFINE_CHUNK):
+            n = len(centers[0])
+            cols = [(c + (offsets * step)[:, None]).reshape(
+                        (1,) * d + (3,) + (1,) * (dim - 1 - d) + (n,))
+                    for d, (c, step) in enumerate(zip(centers, steps))]
+            with np.errstate(all="ignore"):
+                block = _padded(fn, cols)
+            kept = chart.sample_mask(cols) & np.isfinite(block)
+            ref_vals = block[kept]
+            if not ref_vals.size:
+                continue
+            count += ref_vals.size
+            low = float(np.min(np.abs(ref_vals)))
+            if low < best:
+                at = ((np.abs(block) == low) & kept).reshape(-1, n).T
+                sample, offset = (int(i[0]) for i in np.nonzero(at))
+                digits = np.unravel_index(offset, (3,) * dim)
+                best = low
+                witness = tuple(float(c.reshape(3, n)[i, sample]) for c, i in zip(cols, digits))
+            has_pos_ref = has_pos_ref or bool(ref_vals.max() > tol)
+            has_neg_ref = has_neg_ref or bool(ref_vals.min() < -tol)
+        min_abs = min(min_abs, best)
+        if min_abs <= tol or (has_pos_ref and has_neg_ref):
+            return ContactReport("Mixed", min_abs, (witness or witness_at(flagged),),
+                                 samples=int(flat.size) * repeat + count, tolerance=tol)
     sign = "Positive" if has_pos else "Negative"
     return ContactReport(sign, min_abs, (), samples=int(flat.size) * repeat, tolerance=tol)
+
+
+def _flagged_points(flagged: np.ndarray, axes: Sequence[np.ndarray], chunk: int):
+    """Coordinates (one array per axis) of the grid points where `flagged`
+    (a view of the grid's full shape) holds, in C order, at most `chunk` at a
+    time.  The grid is scanned in blocks of at most 16 * `chunk` points: a run
+    of indices on one axis k by every index of the axes after k, with the
+    indices before k fixed."""
+    full = flagged.shape
+    scan = 16 * chunk
+    k = next(d for d in range(len(full)) if math.prod(full[d + 1:]) <= scan)
+    run = max(1, scan // math.prod(full[k + 1:]))
+    for prefix in np.ndindex(*full[:k]):
+        for start in range(0, full[k], run):
+            idx = np.nonzero(flagged[prefix + (slice(start, start + run),)])
+            for lo in range(0, idx[0].size, chunk):
+                part = [i[lo:lo + chunk] for i in idx]
+                yield ([np.full(part[0].size, ax[i]) for ax, i in zip(axes, prefix)]
+                       + [axes[k][part[0] + start]]
+                       + [ax[i] for ax, i in zip(axes[k + 1:], part[1:])])
 
 
 def pullback(components: Sequence[Expr], source_chart: Chart, form: OneForm) -> OneForm:

@@ -123,7 +123,22 @@ class SurfaceDecomposition:
 
 
 def validate(dec: SurfaceDecomposition) -> Tuple[bool, List[str]]:
-    """Check all structural invariants; diagnostics name the first violations."""
+    """Check all structural invariants; diagnostics name the first violations.
+
+    A decomposition is frozen, so each object is checked once: the verdict
+    is kept on it, and every later call (among them those of `is_essential`,
+    `universal_tightness`, `convex_neighborhood_tight` and `isotopy_equal`)
+    returns a copy of it.
+    """
+    kept = dec.__dict__.get("_validation")
+    if kept is None:
+        kept = _check(dec)
+        object.__setattr__(dec, "_validation", kept)
+    ok, diags = kept
+    return ok, list(diags)
+
+
+def _check(dec: SurfaceDecomposition) -> Tuple[bool, Tuple[str, ...]]:
     diags: List[str] = []
     if dec.ambient_chiS % 2:
         diags.append("ambient chi must be even")
@@ -131,7 +146,7 @@ def validate(dec: SurfaceDecomposition) -> Tuple[bool, List[str]]:
         diags.append("sphere flag: a closed orientable surface is a sphere iff chi = 2")
     if not dec.pieces:
         diags.append("no pieces")
-        return False, diags
+        return False, tuple(diags)
     for i, (g, b) in enumerate(dec.pieces):
         if g < 0:
             diags.append(f"piece {i}: negative genus")
@@ -181,7 +196,7 @@ def validate(dec: SurfaceDecomposition) -> Tuple[bool, List[str]]:
                 frontier.append(j)
     if len(seen) != len(dec.pieces):
         diags.append("disconnected gluing graph")
-    return (not diags), diags
+    return (not diags), tuple(diags)
 
 
 def _require_valid(dec: SurfaceDecomposition) -> None:

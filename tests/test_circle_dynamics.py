@@ -1,9 +1,12 @@
+import bisect
 import cmath
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
@@ -470,3 +473,182 @@ class TestMoebiusRho:
             x = f.eval(x)
         assert est.value == Fraction(x, 64) and isinstance(est.value, Fraction)
         assert est.error_bound == 1 / 64
+
+
+# ---------------------------------------------------------------------------
+# The integer PL engine against the Fraction engine it replaced.  `RefPL`,
+# `ref_compose` and `ref_orbit` are that engine, kept here as the oracle.
+
+class RefPL:
+    """Piecewise-linear lift evaluated in `Fraction` (or, for floats, binary64)."""
+
+    def __init__(self, breakpoints):
+        self.knots = tuple(sorted((Fraction(t), Fraction(v)) for t, v in breakpoints))
+        self._ts = [t for t, _ in self.knots]
+        self._float_knots = [(float(t), float(v)) for t, v in self.knots]
+
+    def _segment(self, idx, exact):
+        knots = self.knots if exact else self._float_knots
+        t0, v0 = knots[idx]
+        if idx + 1 < len(knots):
+            t1, v1 = knots[idx + 1]
+        else:
+            t1, v1 = knots[0][0] + 1, knots[0][1] + 1
+        return t0, v0, t1, v1
+
+    def eval(self, t):
+        exact = not isinstance(t, float)
+        if exact:
+            t = Fraction(t)
+        n = math.floor(t)
+        tau = t - n
+        knots = self.knots if exact else self._float_knots
+        if tau < self._ts[0]:
+            t0, v0 = knots[-1]
+            t0, v0 = t0 - 1, v0 - 1
+            t1, v1 = knots[0]
+        else:
+            t0, v0, t1, v1 = self._segment(bisect.bisect_right(self._ts, tau) - 1, exact)
+        return v0 + (v1 - v0) * (tau - t0) / (t1 - t0) + n
+
+    def inverse(self):
+        pts = []
+        for t, v in self.knots:
+            m = math.floor(v)
+            pts.append((v - m, t - m))
+        return RefPL(pts)
+
+
+def ref_compose(f, g):
+    ginv = g.inverse()
+    ts = {t for t, _ in g.knots}
+    for s, _ in f.knots:
+        x = ginv.eval(s)
+        ts.add(x - math.floor(x))
+    return RefPL([(t, f.eval(g.eval(t))) for t in sorted(ts)])
+
+
+def ref_flatten(letters):
+    acc = RefPL([(0, 0)])
+    for m, e in letters:
+        ref = RefPL(m.knots)
+        acc = ref_compose(acc, ref if e == 1 else ref.inverse())
+    return acc
+
+
+def ref_orbit(f, iterations):
+    x = Fraction(0)
+    for _ in range(iterations):
+        x = f.eval(x)
+    return Fraction(x, iterations)
+
+
+FRACTIONS_32 = st.fractions(min_value=0, max_value=1, max_denominator=32)
+
+
+@st.composite
+def pl_maps(draw):
+    """1-5 knots, every parameter and value increment of denominator <= 32;
+    a single knot is a translation (the identity at 0)."""
+    k = draw(st.integers(1, 5))
+    ts = draw(st.lists(FRACTIONS_32.filter(lambda t: t < 1), min_size=k, max_size=k,
+                       unique=True))
+    incs = draw(st.lists(FRACTIONS_32.filter(lambda t: 0 < t < 1), min_size=k - 1,
+                         max_size=k - 1, unique=True))
+    v0 = draw(st.fractions(min_value=-4, max_value=4, max_denominator=32))
+    return cd.PiecewiseLinearMap(zip(sorted(ts), [v0] + [v0 + d for d in sorted(incs)]))
+
+
+SPECIAL_MAPS = (cd.identity(), cd.translation(Fraction(5, 7)), cd.translation(-3),
+                cd.PiecewiseLinearMap([(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 5))]))
+
+
+def probe_points(f):
+    """Exact points: a grid, the knots and their shifts by whole turns."""
+    pts = [Fraction(i - 40, 17) for i in range(81)]
+    for t, _ in f.knots:
+        pts += [t, t - 1, t + 3]
+    return pts
+
+
+def probe_floats(f):
+    """Float points, among them each knot's nearest float and its neighbours."""
+    pts = [0.0, -0.0, 1e-300, -1e-20, math.nextafter(1.0, 0.0), 0.5, -7.25, 1e6 + 0.1]
+    pts += [(i - 40) / 17 for i in range(81)]
+    for t, _ in f.knots:
+        x = float(t)
+        pts += [x, math.nextafter(x, -1.0), math.nextafter(x, 2.0), x - 1.0, x + 2.0]
+    return pts
+
+
+def seeded_relator(rng, g):
+    return cd.evaluate_relator([random_pl(rng) for _ in range(2 * g)])
+
+
+class TestIntegerEngine:
+    def assert_same_map(self, f, ref):
+        assert f.knots == ref.knots
+        assert all(isinstance(t, Fraction) and isinstance(v, Fraction) for t, v in f.knots)
+        for t in probe_points(ref):
+            v = f.eval(t)
+            assert v == ref.eval(t) and isinstance(v, Fraction)
+        assert f.eval(3) == ref.eval(3) and f.eval("1/3") == ref.eval(Fraction(1, 3))
+        for x in probe_floats(ref):
+            assert f.eval(x).hex() == ref.eval(x).hex(), x
+
+    @settings(max_examples=150, deadline=None)
+    @given(pl_maps(), pl_maps())
+    @example(*SPECIAL_MAPS[:2])
+    @example(*SPECIAL_MAPS[2:])
+    def test_maps_match_reference(self, f, g):
+        rf, rg = RefPL(f.knots), RefPL(g.knots)
+        self.assert_same_map(f, rf)
+        self.assert_same_map(f.inverse(), rf.inverse())
+        self.assert_same_map(cd.compose(f, g), ref_compose(rf, rg))
+        self.assert_same_map(cd.compose(g.inverse(), f), ref_compose(rg.inverse(), rf))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(pl_maps(), min_size=2, max_size=6).filter(lambda ms: len(ms) % 2 == 0))
+    def test_relator_flattening_matches_reference(self, maps):
+        rel = cd.evaluate_relator(maps)
+        self.assert_same_map(cd.flatten(rel), ref_flatten(rel.letters()))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_relators_match_reference(self, seed):
+        rng = random.Random(100 + seed)
+        rel = seeded_relator(rng, 1 + seed % 3)
+        ref = ref_flatten(rel.letters())
+        self.assert_same_map(cd.flatten(rel), ref)
+        disp = [v - t for t, v in ref.knots]
+        assert cd.sup_displacement(rel) == max(disp)
+        assert cd.inf_displacement(rel) == min(disp)
+        t, v = max(ref.knots, key=lambda kv: abs(kv[1] - kv[0]))
+        chk = cd.displacement_within(rel, Fraction(1, 10 ** 6))
+        assert not chk.ok and (chk.witness_t, chk.witness_displacement) == (float(t), float(v - t))
+
+    @pytest.mark.parametrize("g, iterations", [(1, 1), (1, 3000), (2, 7), (2, 1000), (3, 500),
+                                               (3, 3000)])
+    def test_translation_number_matches_reference_orbit(self, g, iterations):
+        rng = random.Random(7 * g + iterations)
+        rel = seeded_relator(rng, g)
+        est = cd.translation_number(rel, iterations)
+        assert est.value == ref_orbit(ref_flatten(rel.letters()), iterations)
+        assert isinstance(est.value, Fraction)
+        assert est.error_bound == 1 / iterations and est.iterations == iterations
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(pl_maps(), min_size=2, max_size=6).filter(lambda ms: len(ms) % 2 == 0),
+           st.integers(1, 300))
+    def test_drawn_translation_numbers_match_reference_orbit(self, maps, iterations):
+        rel = cd.evaluate_relator(maps)
+        est = cd.translation_number(rel, iterations)
+        assert est.value == ref_orbit(ref_flatten(rel.letters()), iterations)
+
+    def test_flatten_reuses_the_words_inverses(self, monkeypatch):
+        rel = seeded_relator(random.Random(3), 3)
+        calls = []
+        inverse = cd.PiecewiseLinearMap.inverse
+        monkeypatch.setattr(cd.PiecewiseLinearMap, "inverse",
+                            lambda f: calls.append(f) or inverse(f))
+        cd.flatten(rel)
+        assert calls == []

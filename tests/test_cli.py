@@ -230,6 +230,29 @@ class TestMulticurveCommand:
         assert code == 0
         assert rep["outputs"]["isotopy_equal"] is True
 
+    @pytest.mark.parametrize("name", ["regular12", "complete8"])
+    def test_each_decomposition_is_validated_once(self, capsys, monkeypatch, name):
+        # validate, then is_essential, universal_tightness,
+        # convex_neighborhood_tight and isotopy_equal all need the verdict
+        data = Path(__file__).parent / "data"
+        checked = []
+        check = mc._check
+        monkeypatch.setattr(mc, "_check", lambda dec: checked.append(dec) or check(dec))
+        code, rep, _ = run_json(capsys, "multicurve", "--file", str(data / f"{name}_a.dec"),
+                                "--compare", str(data / f"{name}_b.dec"))
+        assert code == 0 and rep["outputs"]["valid"] is True
+        assert len(checked) == 2 and checked[0] is not checked[1]
+
+    def test_kept_verdict_keeps_the_error_contract(self):
+        bad = mc.SurfaceDecomposition(((0, 1),), (), -2, False)
+        ok, diags = mc.validate(bad)
+        diags.append("changed by the caller")
+        assert mc.validate(bad) == (False, diags[:-1])
+        for check in (mc.is_essential, mc.convex_neighborhood_tight,
+                      lambda d: mc.universal_tightness(d, 1), lambda d: mc.isotopy_equal(d, d)):
+            with pytest.raises(mc.InvalidDecomposition, match="euler mismatch"):
+                check(bad)
+
     def test_invalid_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.dec"
         path.write_text("surface chi=-2 sphere=false\npiece P genus=0 boundaries=1\n")

@@ -8,6 +8,8 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactbundles import formcalc as fc
+from contactbundles.formcalc import forms
 from contactbundles.formcalc.expr import (MAX_EXPONENT, Add, Cos, Div, Exp, Mul, Neg, Pi, Pow,
                                           Rat, Sin, Var, compile_expr, eval_expr)
 from contactbundles.formcalc.models import (fiber_tube_pullback, scaling_flow_components,
@@ -321,6 +324,66 @@ class TestReducedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20  # one dense float64 array at grid 128 is 16 MB
+
+
+FLAT_DX = Path(__file__).parent / "data" / "flat_dx.form"
+
+
+class TestChunkedRefinement:
+    """`contact_sign` refines REFINE_CHUNK flagged samples at a time."""
+
+    @staticmethod
+    def sign_with_chunk(form, grid, chunk):
+        with mock.patch.object(forms, "REFINE_CHUNK", chunk):
+            return _outcome(fc.contact_sign, form, grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.tuples(*[st.sampled_from(REDUCED_COEFFS + ["x^2*y", "-y^2/2", "x*y*z"])] * 3),
+           exclusions=st.lists(st.sampled_from(REDUCED_EXCLUSIONS), max_size=2),
+           ranges=st.tuples(*[st.sampled_from(RANGES)] * 3),
+           periodic=st.tuples(*[st.booleans()] * 3),
+           grid=st.one_of(st.integers(1, 9), st.tuples(*[st.integers(1, 7)] * 3)),
+           chunk=st.integers(1, 9))
+    @example(("1", "0", "0"), [], [(-2.0, 2.0)] * 3, (False,) * 3, (5, 1, 3), 2)
+    @example(("x^2*y", "0", "1"), [], [(-2.0, 2.0)] * 3, (False,) * 3, (7, 3, 1), 1)
+    def test_small_chunks_match_dense_oracle(self, coeffs, exclusions, ranges, periodic, grid,
+                                             chunk):
+        form, grid = _reduced_case(coeffs, exclusions, ranges, periodic, grid)
+        assert self.sign_with_chunk(form, grid, chunk) == _outcome(_dense_contact_sign, form, grid)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 31, 32, 33, 124, 125, 126])
+    def test_chunk_boundaries_of_a_flat_form(self, chunk):
+        # grid 5: all 125 samples flagged, 3375 refined points, all zero
+        form = fc.parse_form_file(FLAT_DX.read_text())
+        whole = self.sign_with_chunk(form, 5, 10 ** 6)
+        assert self.sign_with_chunk(form, 5, chunk) == whole
+        assert whole == _outcome(_dense_contact_sign, form, 5)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 47, 48, 49, 53, 54])
+    def test_chunk_boundaries_with_a_late_minimum(self, chunk):
+        # coefficient (2 - x)/10^13: every sample is flagged and positive, and
+        # the least value is met first at the refined points x = 1 + 1/8 of
+        # sample 48 of 54, tied at each later sample on x = 1
+        form, grid = _reduced_case(("-(2 - x)*y/10000000000000", "0", "1"), [],
+                                   [(-1.0, 1.0)] * 3, (False,) * 3, (9, 3, 2))
+        whole = self.sign_with_chunk(form, grid, 10 ** 6)
+        assert "witnesses=((1.125, -1.5, -2.0),), samples=1512" in whole
+        assert self.sign_with_chunk(form, grid, chunk) == whole
+        assert whole == _outcome(_dense_contact_sign, form, grid)
+
+    def test_memory_does_not_grow_with_flagged_samples(self):
+        # every sample of the grid is flagged: at grid 128 the unchunked
+        # refinement built 2^21 * 27 points, about 4 GB
+        form = fc.parse_form_file(FLAT_DX.read_text())
+        fc.contact_sign(form, grid=2)
+        tracemalloc.start()
+        try:
+            rep = fc.contact_sign(form, grid=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.sign == "Mixed" and rep.samples == 128 ** 3 * 28
+        assert peak < 16 * 2 ** 20
 
 
 class TestPullback:
