@@ -576,6 +576,19 @@ MAX_DEPTH = 200
 #: float, and the exact Fraction("1e9999999") alone costs seconds
 MAX_DECIMAL_EXPONENT = 324
 
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _read_number(text: str, pos: int) -> Fraction:
+    """Fraction(text), refused with FormSyntaxError at `pos` when its decimal
+    exponent exceeds MAX_DECIMAL_EXPONENT in absolute value."""
+    exp10 = _EXPONENT_RE.search(text)
+    digits = exp10[1].replace("_", "").lstrip("0") if exp10 else ""
+    if len(digits) > 9 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise FormSyntaxError(
+            f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in absolute value", pos)
+    return Fraction(text)
+
 
 def _children(e: Expr) -> Tuple[Expr, ...]:
     if isinstance(e, Add):
@@ -757,11 +770,7 @@ class _Parser:
     def parse_atom(self) -> Expr:
         t = self.next()
         if t.kind == "number":
-            _, _, exp10 = t.text.lower().partition("e")
-            if exp10 and abs(int(exp10)) > MAX_DECIMAL_EXPONENT:
-                raise FormSyntaxError(
-                    f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in absolute value", t.pos)
-            return Rat(Fraction(t.text))
+            return Rat(_read_number(t.text, t.pos))
         if t.kind == "op" and t.text == "(":
             inner = self.nested(t, self.parse_sum)
             self.expect_op(")")

@@ -19,11 +19,11 @@ end of its term.
 
 Numbers come from `compile_expr` evaluated on numpy arrays; the tree-walking
 `expr.eval_expr` is the reference it is tested against.  `contact_sign`
-evaluates on sparse `meshgrid` axes, so its cost follows the axes the
-coefficient and the exclusions read, and its grid is bounded by
+evaluates and refines on sparse `meshgrid` axes, so its cost follows the axes
+the coefficient and the exclusions read, and its grid is bounded by
 MAX_GRID_POINTS.  Callers that need one value per point (`coefficient_values`,
-`characteristic_slope_on_torus`, refinement) pad kernel values to the full
-shape with `_padded`.
+`characteristic_slope_on_torus`, a refinement block) pad kernel values to
+the full shape with `_padded`.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .expr import (Add, Div, Expr, FormSyntaxError, Mul, Neg, Rat,
-                   UnknownVariableError, ZERO, _Parser, compile_expr, diff,
-                   normalize, parse_expr, render, subst, variables)
+                   UnknownVariableError, ZERO, _Parser, _read_number, compile_expr,
+                   diff, normalize, parse_expr, render, subst, variables)
 
 
 class DegenerateKernel(ValueError):
@@ -122,11 +121,14 @@ class Chart:
 #: coefficients that read every coordinate.  The torus pullback coefficient
 #: of the benchmark is one; its tracemalloc peak in `contact_sign` is 52 MB
 #: at 2^21 points (grid 128), about 25 bytes per point, and 416 MB at 2^24.
-#: Refinement adds 3^dim points per flagged sample; it takes REFINE_CHUNK
-#: flagged samples at a time, so its memory does not grow with the grid.
+#: Refinement adds 3^dim points per flagged sample of that reduced grid, and
+#: takes REFINE_CHUNK of them at a time, so its memory does not grow with it.
 MAX_GRID_POINTS = 2 ** 24
 
-#: flagged grid points `contact_sign` refines at once; on a 3-dimensional
+#: |alpha ^ d(alpha)| at or below which `contact_sign` counts a sample as zero
+SIGN_TOL = 1e-12
+
+#: flagged reduced samples `contact_sign` refines at once; on a 3-dimensional
 #: chart the refinement then peaks at about 7 MB in tracemalloc, at any grid
 REFINE_CHUNK = 2 ** 12
 
@@ -238,12 +240,12 @@ def parse_chart(text: str) -> Chart:
                     raise FormSyntaxError(f"bad range spec {fieldspec!r}", text.find(fieldspec))
                 lo, _, hi = rng[1:-1].partition(",")
                 names.append(name)
-                ranges.append((float(Fraction(lo)), float(Fraction(hi))))
+                ranges.append(tuple(float(_read_number(v, text.find(rng))) for v in (lo, hi)))
         elif head == "periodic":
             periodic.extend(rest.split())
         elif head == "exclude":
             expr_text, _, eps_text = rest.partition("<")
-            exclusions.append((expr_text.strip(), float(Fraction(eps_text.strip()))))
+            exclusions.append((expr_text.strip(), float(_read_number(eps_text, text.find(stmt)))))
         else:
             raise FormSyntaxError(f"unknown chart directive {head!r}", text.find(head))
     if not names:
@@ -271,7 +273,7 @@ def parse_form_file(text: str, params: Optional[Mapping[str, object]] = None) ->
         elif head == "param":
             body = s[len("param"):].strip()
             name, _, val = body.partition("=")
-            bound[name.strip()] = Fraction(val.strip())
+            bound[name.strip()] = _read_number(val, text.find(stmt))
         else:
             header_parts.append(s)
     if form_text is None:
@@ -312,36 +314,36 @@ class ContactReport:
     min_abs: float
     witnesses: Tuple[Tuple[float, ...], ...] = ()
     samples: int = 0
-    tolerance: float = 1e-12
+    tolerance: float = SIGN_TOL
 
     def __post_init__(self):
         if self.sign in ("Positive", "Negative") and not (self.min_abs > self.tolerance):
             raise ValueError("definite sign requires min_abs above tolerance")
 
 
-def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64,
-                 tol: float = 1e-12) -> ContactReport:
+def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> ContactReport:
     """Classify the sign of alpha ^ d(alpha) on the chart grid minus exclusions.
 
-    Samples with |coefficient| below 10*tol trigger a local x2 refinement
+    Samples with |coefficient| below 10*SIGN_TOL trigger a local x2 refinement
     before a Mixed verdict is returned.
 
     The coefficient and the exclusion mask are evaluated on sparse
     `meshgrid` axes, i.e. on their broadcast shape, which spans only the
     axes they read.  A sample there stands for every grid point that differs
-    from it along the other axes only, so counts, witnesses (the first grid
-    point in C order) and the order of refined points are the dense grid's.
+    from it along the other axes only; those points, and their refined
+    neighbours, share its values and its mask.  So each flagged sample is
+    refined once and counted once per grid point it stands for, and counts,
+    witnesses (the first grid point in C order) and min_abs are the dense
+    grid's.
     """
     chart = form.chart
-    coeff = volume_coefficient(form)
-    fn = compile_expr(coeff, chart.names)
+    fn = compile_expr(volume_coefficient(form), chart.names)
     axes = chart.grid_axes(grid)
-    full = tuple(len(ax) for ax in axes)
     sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
     keep = chart.sample_mask(sparse)
     with np.errstate(all="ignore"):
         vals = np.where(keep, fn(*sparse), np.nan)
-    repeat = math.prod(full) // vals.size  # grid points per reduced sample
+    repeat = math.prod(len(ax) for ax in axes) // vals.size  # grid points per reduced sample
     flat = vals[np.isfinite(vals)]
     if flat.size == 0:
         raise ValueError("no samples survive the exclusions")
@@ -350,30 +352,38 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64,
         idx = [int(k[0]) for k in np.nonzero(mask)]
         return tuple(float(ax[i]) for ax, i in zip(axes, idx))
 
-    has_pos = bool((flat > tol).any())
-    has_neg = bool((flat < -tol).any())
+    has_pos = bool((flat > SIGN_TOL).any())
+    has_neg = bool((flat < -SIGN_TOL).any())
     if has_pos and has_neg:
-        wp = witness_at(np.nan_to_num(vals, nan=0.0) > tol)
-        wn = witness_at(np.nan_to_num(vals, nan=0.0) < -tol)
+        wp = witness_at(np.nan_to_num(vals, nan=0.0) > SIGN_TOL)
+        wn = witness_at(np.nan_to_num(vals, nan=0.0) < -SIGN_TOL)
         return ContactReport("Mixed", float(np.nanmin(np.abs(vals))), (wp, wn),
-                             samples=int(flat.size) * repeat, tolerance=tol)
+                             samples=int(flat.size) * repeat)
 
-    flagged = np.isfinite(vals) & (np.abs(vals) < 10 * tol)
+    flagged = np.isfinite(vals) & (np.abs(vals) < 10 * SIGN_TOL)
     min_abs = float(np.min(np.abs(flat)))
     if flagged.any():
-        # each flagged sample and its 3^dim neighbours at half the grid step,
-        # REFINE_CHUNK samples at a time in C order.  A chunk of n samples is
-        # a (3, ..., 3, n) block with axis d offset along dimension d, so the
-        # order of the refined points, by sample and then by offset as in
-        # itertools.product((-1, 0, 1), repeat=dim), is C order of its
-        # (3^dim, n) transpose.
+        # each flagged reduced sample and its 3^dim neighbours at half the
+        # grid step, REFINE_CHUNK samples at a time in C order, found in
+        # blocks of 16 * REFINE_CHUNK positions.  A reduced sample has index 0
+        # on the unread axes, so it is the first in C order of the `repeat`
+        # grid points it stands for, whose neighbours carry the same values
+        # and mask.  A chunk of n samples is a (3, ..., 3, n) block with axis d
+        # offset along dimension d, so the order of the refined points, by
+        # sample and then by offset as in itertools.product((-1, 0, 1),
+        # repeat=dim), is C order of its (3^dim, n) transpose.
         steps = [(ax[1] - ax[0]) / 2 if len(ax) > 1 else 0.0 for ax in axes]
         offsets = np.array((-1, 0, 1))
         dim = chart.dim
         best, witness, count = math.inf, None, 0
         has_pos_ref, has_neg_ref = has_pos, has_neg
-        for centers in _flagged_points(np.broadcast_to(flagged, full), axes, REFINE_CHUNK):
-            n = len(centers[0])
+        scan = 16 * REFINE_CHUNK
+        blocks = (np.flatnonzero(flagged.ravel()[s:s + scan]) + s
+                  for s in range(0, flagged.size, scan))
+        for chunk in (b[lo:lo + REFINE_CHUNK] for b in blocks
+                      for lo in range(0, b.size, REFINE_CHUNK)):
+            n = chunk.size
+            centers = [ax[i] for ax, i in zip(axes, np.unravel_index(chunk, flagged.shape))]
             cols = [(c + (offsets * step)[:, None]).reshape(
                         (1,) * d + (3,) + (1,) * (dim - 1 - d) + (n,))
                     for d, (c, step) in enumerate(zip(centers, steps))]
@@ -383,7 +393,7 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64,
             ref_vals = block[kept]
             if not ref_vals.size:
                 continue
-            count += ref_vals.size
+            count += ref_vals.size * repeat
             low = float(np.min(np.abs(ref_vals)))
             if low < best:
                 at = ((np.abs(block) == low) & kept).reshape(-1, n).T
@@ -391,34 +401,14 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64,
                 digits = np.unravel_index(offset, (3,) * dim)
                 best = low
                 witness = tuple(float(c.reshape(3, n)[i, sample]) for c, i in zip(cols, digits))
-            has_pos_ref = has_pos_ref or bool(ref_vals.max() > tol)
-            has_neg_ref = has_neg_ref or bool(ref_vals.min() < -tol)
+            has_pos_ref = has_pos_ref or bool(ref_vals.max() > SIGN_TOL)
+            has_neg_ref = has_neg_ref or bool(ref_vals.min() < -SIGN_TOL)
         min_abs = min(min_abs, best)
-        if min_abs <= tol or (has_pos_ref and has_neg_ref):
+        if min_abs <= SIGN_TOL or (has_pos_ref and has_neg_ref):
             return ContactReport("Mixed", min_abs, (witness or witness_at(flagged),),
-                                 samples=int(flat.size) * repeat + count, tolerance=tol)
+                                 samples=int(flat.size) * repeat + count)
     sign = "Positive" if has_pos else "Negative"
-    return ContactReport(sign, min_abs, (), samples=int(flat.size) * repeat, tolerance=tol)
-
-
-def _flagged_points(flagged: np.ndarray, axes: Sequence[np.ndarray], chunk: int):
-    """Coordinates (one array per axis) of the grid points where `flagged`
-    (a view of the grid's full shape) holds, in C order, at most `chunk` at a
-    time.  The grid is scanned in blocks of at most 16 * `chunk` points: a run
-    of indices on one axis k by every index of the axes after k, with the
-    indices before k fixed."""
-    full = flagged.shape
-    scan = 16 * chunk
-    k = next(d for d in range(len(full)) if math.prod(full[d + 1:]) <= scan)
-    run = max(1, scan // math.prod(full[k + 1:]))
-    for prefix in np.ndindex(*full[:k]):
-        for start in range(0, full[k], run):
-            idx = np.nonzero(flagged[prefix + (slice(start, start + run),)])
-            for lo in range(0, idx[0].size, chunk):
-                part = [i[lo:lo + chunk] for i in idx]
-                yield ([np.full(part[0].size, ax[i]) for ax, i in zip(axes, prefix)]
-                       + [axes[k][part[0] + start]]
-                       + [ax[i] for ax, i in zip(axes[k + 1:], part[1:])])
+    return ContactReport(sign, min_abs, (), samples=int(flat.size) * repeat)
 
 
 def pullback(components: Sequence[Expr], source_chart: Chart, form: OneForm) -> OneForm:
@@ -445,15 +435,14 @@ def pullback(components: Sequence[Expr], source_chart: Chart, form: OneForm) -> 
     return OneForm(source_chart, tuple(coeffs))
 
 
-def forms_equal_numeric(f1: OneForm, f2: OneForm, points: int = 1000,
-                        tol: float = 1e-10, seed: int = 0) -> bool:
+def forms_equal_numeric(f1: OneForm, f2: OneForm, points: int = 1000) -> bool:
     """Coefficient-wise equality at random chart points (the package's equality test)."""
     if f1.chart.names != f2.chart.names:
         return False
     import random
-    pts = f1.chart.random_points(points, random.Random(seed))
+    pts = f1.chart.random_points(points, random.Random(0))
     gap = np.abs(coefficient_values(f1, pts) - coefficient_values(f2, pts))
-    return not (gap > tol).any()
+    return not (gap > 1e-10).any()
 
 
 def coefficient_values(form: OneForm, points: Sequence[Mapping[str, float]]) -> np.ndarray:
@@ -473,10 +462,10 @@ class TorusSlope:
     radius: float
 
 
-def characteristic_slope_on_torus(form: OneForm, r: float, samples: int = 24,
-                                  radial: str = "r", angle: str = "theta",
-                                  degeneracy_tol: float = 1e-12) -> TorusSlope:
-    """Slope dz/dtheta of ker(alpha) restricted to the torus {radial = r}.
+def characteristic_slope_on_torus(form: OneForm, r: float) -> TorusSlope:
+    """Slope dz/dtheta of ker(alpha) restricted to the torus of radius r in
+    a chart with coordinates r and theta, averaged over a 24 x 24 grid of
+    (theta, height) in [0, 2 pi)^2.
 
     The tangent space of the torus is spanned by the angle and height
     directions, so the kernel line has slope -alpha_angle / alpha_height;
@@ -486,16 +475,15 @@ def characteristic_slope_on_torus(form: OneForm, r: float, samples: int = 24,
     chart = form.chart
     if chart.dim != 3:
         raise ValueError("torus slopes require a 3-dimensional chart")
-    ia = chart.axis(angle)
-    ir = chart.axis(radial)
+    ia, ir = chart.axis("theta"), chart.axis("r")
     (iz,) = [k for k in range(3) if k not in (ia, ir)]
-    turns = 2.0 * math.pi * np.arange(samples) / samples
+    turns = 2.0 * math.pi * np.arange(24) / 24
     cols = [float(r)] * 3
     cols[ia], cols[iz] = np.meshgrid(turns, turns, indexing="ij")
     with np.errstate(all="ignore"):
         a_ang, a_z = (_padded(compile_expr(form.coefficients[k], chart.names), cols)
                       for k in (ia, iz))
-    if not (np.abs(a_z) > degeneracy_tol).all():
+    if not (np.abs(a_z) > 1e-12).all():
         raise DegenerateKernel(f"height coefficient vanishes at radius {r}")
     slopes = (-a_ang / a_z).ravel()
     return TorusSlope(value=float(np.mean(slopes)),

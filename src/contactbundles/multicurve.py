@@ -565,11 +565,14 @@ def parse_decomposition(text: str) -> SurfaceDecomposition:
     pieces: List[Tuple[int, int]] = []
     curves: List[Tuple[Slot, Slot]] = []
 
-    def parse_end(token: str) -> Slot:
+    def parse_end(lineno: int, token: str) -> Slot:
         name, _, slot = token.partition(".")
-        if name not in piece_ids or not slot.isdigit():
-            raise InvalidDecomposition(f"bad curve endpoint {token!r}")
-        return (piece_ids[name], int(slot))
+        try:
+            if name in piece_ids and slot.isascii() and slot.isdigit():
+                return (piece_ids[name], int(slot))
+        except ValueError:  # more digits than int() converts
+            pass
+        raise InvalidDecomposition(f"line {lineno}: bad curve endpoint {token!r}")
 
     def options(lineno: int, fields: List[str]) -> Dict[str, str]:
         if not all("=" in f for f in fields):
@@ -605,7 +608,7 @@ def parse_decomposition(text: str) -> SurfaceDecomposition:
         elif kind == "curve":
             if len(fields) != 4:
                 raise InvalidDecomposition(f"line {lineno}: curve takes id and two endpoints")
-            curves.append((parse_end(fields[2]), parse_end(fields[3])))
+            curves.append((parse_end(lineno, fields[2]), parse_end(lineno, fields[3])))
         else:
             raise InvalidDecomposition(f"line {lineno}: unknown directive {kind!r}")
     if chi is None or sphere is None:

@@ -327,6 +327,9 @@ class TestReducedGrid:
 
 
 FLAT_DX = Path(__file__).parent / "data" / "flat_dx.form"
+#: a coefficient that reads every axis and is flagged on every sample, so its
+#: reduced grid is the whole grid: 1/10^13 + 3*x*y^2*z/10^14
+ALL_AXES = "chart x:[-1,1] y:[-1,1] z:[-1,1]; form dz - ((y + y^3*x*z/10)/10^13)*dx"
 
 
 class TestChunkedRefinement:
@@ -351,13 +354,22 @@ class TestChunkedRefinement:
         form, grid = _reduced_case(coeffs, exclusions, ranges, periodic, grid)
         assert self.sign_with_chunk(form, grid, chunk) == _outcome(_dense_contact_sign, form, grid)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 31, 32, 33, 124, 125, 126])
-    def test_chunk_boundaries_of_a_flat_form(self, chunk):
-        # grid 5: all 125 samples flagged, 3375 refined points, all zero
-        form = fc.parse_form_file(FLAT_DX.read_text())
+    def check_chunk_boundaries(self, text, chunk):
+        form = fc.parse_form_file(text)
         whole = self.sign_with_chunk(form, 5, 10 ** 6)
         assert self.sign_with_chunk(form, 5, chunk) == whole
         assert whole == _outcome(_dense_contact_sign, form, 5)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 31, 32, 33, 124, 125, 126])
+    def test_chunk_boundaries_of_a_flat_form(self, chunk):
+        # grid 5: all 125 grid points flagged, all in the one reduced sample
+        # of dx, and 3375 refined points, all zero
+        self.check_chunk_boundaries(FLAT_DX.read_text(), chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 31, 32, 33, 124, 125, 126])
+    def test_chunk_boundaries_of_an_all_axes_form(self, chunk):
+        # grid 5: all 125 reduced samples flagged, 3375 refined points
+        self.check_chunk_boundaries(ALL_AXES, chunk)
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 47, 48, 49, 53, 54])
     def test_chunk_boundaries_with_a_late_minimum(self, chunk):
@@ -371,10 +383,11 @@ class TestChunkedRefinement:
         assert self.sign_with_chunk(form, grid, chunk) == whole
         assert whole == _outcome(_dense_contact_sign, form, grid)
 
-    def test_memory_does_not_grow_with_flagged_samples(self):
+    @staticmethod
+    def peak_at_grid_128(text):
         # every sample of the grid is flagged: at grid 128 the unchunked
         # refinement built 2^21 * 27 points, about 4 GB
-        form = fc.parse_form_file(FLAT_DX.read_text())
+        form = fc.parse_form_file(text)
         fc.contact_sign(form, grid=2)
         tracemalloc.start()
         try:
@@ -383,7 +396,35 @@ class TestChunkedRefinement:
         finally:
             tracemalloc.stop()
         assert rep.sign == "Mixed" and rep.samples == 128 ** 3 * 28
-        assert peak < 16 * 2 ** 20
+        return peak
+
+    def test_memory_does_not_grow_with_flagged_samples(self):
+        assert self.peak_at_grid_128(FLAT_DX.read_text()) < 16 * 2 ** 20
+
+    def test_memory_of_an_all_axes_form(self):
+        # its reduced grid is the whole grid, whose evaluation alone peaks at
+        # 52 MB (see MAX_GRID_POINTS)
+        assert self.peak_at_grid_128(ALL_AXES) < 64 * 2 ** 20
+
+    def test_flat_form_refines_its_one_reduced_sample(self):
+        # dx reads no axis: one reduced sample stands for all 256^3 grid
+        # points, so 27 points are refined, not 256^3 * 27
+        sizes = []
+
+        def counting(expr, names):
+            kernel = compile_expr(expr, names)
+
+            def counted(*cols):
+                sizes.append(np.broadcast(*cols).size)
+                return kernel(*cols)
+            return counted
+
+        form = fc.parse_form_file(FLAT_DX.read_text())
+        with mock.patch.object(forms, "compile_expr", counting):
+            rep = fc.contact_sign(form, grid=256)
+        assert rep.sign == "Mixed" and rep.samples == 256 ** 3 * 28
+        _, *refined = sizes
+        assert sum(refined) <= 27
 
 
 class TestPullback:

@@ -90,8 +90,22 @@ def test_form_file_exit_contract(tmp_path, text):
                                   "/".join(["2"] * 3000) + "*dy + dz",
                                   " + ".join(["x*dy"] * 3000) + " + dz"])
 def test_form_file_bounds_nesting_and_expansion(tmp_path, text):
-    path = tmp_path / "deep.form"
-    path.write_text(f"chart x:[-1,1] y:[-1,1] z:[-1,1];\nform {text}\n")
+    assert_refused_at_once(tmp_path, f"chart x:[-1,1] y:[-1,1] z:[-1,1];\nform {text}\n")
+
+
+@pytest.mark.parametrize("header", ["chart x:[0,1e999999999] y:[-1,1] z:[-1,1];",
+                                    "chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude x<1e999999999;",
+                                    "chart x:[-1,1] y:[-1,1] z:[-1,1]; param a=1e999999999;"])
+def test_form_file_header_numbers_bounded(tmp_path, header):
+    """Header numbers are read under the decimal-exponent bound of literals."""
+    assert_refused_at_once(tmp_path, f"{header}\nform dz - y*dx\n")
+
+
+def assert_refused_at_once(tmp_path, text):
+    """`forms` refuses the form file `text` within 1 s: rc 1 and a
+    FormSyntaxError object."""
+    path = tmp_path / "refused.form"
+    path.write_text(text)
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -160,6 +174,10 @@ DECOMPOSITION_LINES = st.one_of(
 @given(st.lists(DECOMPOSITION_LINES, max_size=8).map("\n".join))
 @example("surface chi=-2 sphere=false\npiece A genus=0 boundaries=999999999999")
 @example("surface chi=99999999999999999999 sphere=false\npiece A genus=99999999999 boundaries=0")
+@example("surface chi=-2 sphere=false\npiece P0 genus=0 boundaries=3\n"
+         "piece P1 genus=0 boundaries=3\ncurve c0 P0.\u00b2 P1.0")  # a digit int() refuses
+@example("surface chi=-2 sphere=false\npiece P0 genus=0 boundaries=3\n"
+         f"piece P1 genus=0 boundaries=3\ncurve c0 P0.{'9' * 5000} P1.0")  # beyond int()'s digits
 def test_multicurve_exit_contract(text):
     try:
         dec = mc.parse_decomposition(text)
