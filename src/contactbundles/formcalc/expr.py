@@ -3,11 +3,12 @@
 The node set is deliberately small: variables, exact rational constants, pi,
 sums, products, quotients, integer powers, sin/cos/exp and negation.  Trees
 are immutable, and a node computes its structural hash once, on first use.
-`normalize` rewrites a tree into a sum of products of atomic
-factors with exact rational coefficients, merging like terms; this is enough
-for the cancellations the calculus layer relies on (mixed partials, d o d = 0)
-while equality of general expressions remains a numeric check at random
-points, not a canonical-form decision.
+`normalize` rewrites a tree into a sum of products of atoms with exact
+rational coefficients, over one sparse polynomial ring (`_ring`), and `diff`
+differentiates on that ring, atom by atom.  This decides the cancellations
+the calculus layer relies on (mixed partials, d o d = 0), while equality of
+general expressions remains a numeric check at random points, not a
+canonical-form decision.
 
 Surface syntax for coefficients:
 
@@ -154,6 +155,7 @@ def rational(v) -> Rat:
 # ---------------------------------------------------------------------------
 # rendering (also provides the deterministic sort key for normalization)
 
+@lru_cache(maxsize=65536)
 def render(e: Expr) -> str:
     """Canonical text; reparses to an equal tree."""
     return _render(e, 0)
@@ -205,171 +207,148 @@ def _render(e: Expr, prec: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# normalization: sum of products of atomic factors
+# normalization and differentiation on a sparse polynomial ring
+#
+# A polynomial is a {monomial: Fraction} dict without zero coefficients, and
+# a monomial the frozenset of its (atom, exponent) pairs, exponents nonzero
+# (S. C. Johnson, "Sparse polynomial arithmetic", ACM SIGSAM Bull. 8(3),
+# 1974).  The atoms are Var, Pi, Sin/Cos/Exp of a normalized nonzero
+# argument, and Pow(s, -1) of a normalized sum s of two or more terms.  The
+# polynomials `_ring` and `_datom` return are shared through their memos and
+# never mutated.
 
-Monomial = Tuple[Tuple[Expr, int], ...]  # sorted ((atom, exponent), ...)
-SOP = Dict[Monomial, Fraction]
+_ONE = {frozenset(): Fraction(1)}
 
 
-def _atom_key(a: Expr) -> str:
-    return render(a)
+def _atom(a: Expr, k: int = 1, c: Fraction = Fraction(1)) -> dict:
+    return {frozenset(((a, k),)): c}
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    acc: Dict[Expr, int] = dict(m1)
+def _add_term(out: dict, m: frozenset, c: Fraction) -> None:
+    """out += c*m, in place."""
+    c = out.pop(m) + c if m in out else c
+    if c:
+        out[m] = c
+
+
+def _product(m1: frozenset, m2) -> frozenset:
+    """The monomial m1*m2; m2 may be any iterable of (atom, exponent) pairs."""
+    powers = dict(m1)
     for a, k in m2:
-        acc[a] = acc.get(a, 0) + k
-    items = [(a, k) for a, k in acc.items() if k != 0]
-    items.sort(key=lambda ak: (_atom_key(ak[0]), ak[1]))
-    return tuple(items)
+        powers[a] = powers.get(a, 0) + k
+    return frozenset((a, k) for a, k in powers.items() if k)
 
 
-def _sop_add(s1: SOP, s2: SOP) -> SOP:
-    out = dict(s1)
-    for m, c in s2.items():
-        c2 = out.get(m, Fraction(0)) + c
-        if c2:
-            out[m] = c2
-        elif m in out:
-            del out[m]
+def _times(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            _add_term(out, _product(m1, m2), c1 * c2)
     return out
 
 
-def _sop_mul(s1: SOP, s2: SOP) -> SOP:
-    out: SOP = {}
-    for m1, c1 in s1.items():
-        for m2, c2 in s2.items():
-            m = _mono_mul(m1, m2)
-            c = out.get(m, Fraction(0)) + c1 * c2
-            if c:
-                out[m] = c
-            elif m in out:
-                del out[m]
-    return out
-
-
-def _sop_scale(s: SOP, c: Fraction) -> SOP:
-    if not c:
-        return {}
-    return {m: cc * c for m, cc in s.items()}
-
-
-def _sop_const(c: Fraction) -> SOP:
-    return {(): Fraction(c)} if c else {}
-
-
-def _sop_atom(a: Expr, k: int = 1) -> SOP:
-    return {((a, k),): Fraction(1)}
-
-
-def _sop_invert(s: SOP) -> SOP:
-    if not s:
+def _invert(p: dict) -> dict:
+    """1/p: the reciprocal of a monomial, or the atom p^-1 of a sum."""
+    if not p:
         raise ZeroDivisionError("division by symbolic zero")
-    if len(s) == 1:
-        (mono, coeff), = s.items()
-        inv_mono = tuple((a, -k) for a, k in mono)
-        inv_mono = tuple(sorted(inv_mono, key=lambda ak: (_atom_key(ak[0]), ak[1])))
-        return {inv_mono: Fraction(1) / coeff}
-    return _sop_atom(Pow(_rebuild(s), -1))
+    if len(p) == 1:
+        (m, c), = p.items()
+        return {frozenset((a, -k) for a, k in m): 1 / c}
+    return _atom(Pow(_rebuild(p), -1))
 
 
-def _to_sop(e: Expr) -> SOP:
+@lru_cache(maxsize=65536)
+def _ring(e: Expr) -> dict:
+    """The polynomial of e, with every product and power multiplied out."""
     if isinstance(e, Rat):
-        return _sop_const(e.value)
+        return {frozenset(): e.value} if e.value else {}
     if isinstance(e, (Pi, Var)):
-        return _sop_atom(e)
+        return _atom(e)
     if isinstance(e, Neg):
-        return _sop_scale(_to_sop(e.arg), Fraction(-1))
+        return {m: -c for m, c in _ring(e.arg).items()}
     if isinstance(e, Add):
-        out: SOP = {}
+        out: dict = {}
         for t in e.terms:
-            out = _sop_add(out, _to_sop(t))
+            for m, c in _ring(t).items():
+                _add_term(out, m, c)
         return out
     if isinstance(e, Mul):
-        out = _sop_const(Fraction(1))
+        out = _ONE
         for f in e.factors:
-            out = _sop_mul(out, _to_sop(f))
+            out = _times(out, _ring(f))
         return out
     if isinstance(e, Div):
-        return _sop_mul(_to_sop(e.num), _sop_invert(_to_sop(e.den)))
+        return _times(_ring(e.num), _invert(_ring(e.den)))
     if isinstance(e, Pow):
-        base = _to_sop(e.base)
-        k = e.exponent
-        if k == 0:
-            return _sop_const(Fraction(1))
-        core = base if k > 0 else _sop_invert(base)
-        out = dict(core)
-        for _ in range(abs(k) - 1):
-            out = _sop_mul(out, core)
+        core = _ring(e.base) if e.exponent >= 0 else _invert(_ring(e.base))
+        out = _ONE
+        for _ in range(abs(e.exponent)):
+            out = _times(out, core)
         return out
     if isinstance(e, (Sin, Cos, Exp)):
         arg = normalize(e.arg)
         if isinstance(arg, Rat) and arg.value == 0:
-            if isinstance(e, Sin):
-                return {}
-            return _sop_const(Fraction(1))
-        return _sop_atom(type(e)(arg))
+            return {} if isinstance(e, Sin) else _ONE
+        return _atom(type(e)(arg))
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _rebuild(s: SOP) -> Expr:
-    if not s:
+def _factor_key(factor: Tuple[Expr, int]) -> Tuple[str, int]:
+    return render(factor[0]), factor[1]
+
+
+def _rebuild(p: dict) -> Expr:
+    """The tree of p: a sum of products, the factors of each product and then
+    the products ordered by their (rendered atom, exponent) keys."""
+    if not p:
         return ZERO
+    monomials = sorted(([sorted(m, key=_factor_key), c] for m, c in p.items()),
+                       key=lambda mc: [_factor_key(f) for f in mc[0]])
     terms = []
-    for mono, coeff in sorted(s.items(), key=lambda mc: tuple((_atom_key(a), k) for a, k in mc[0])):
-        factors = []
-        if coeff != 1 or not mono:
-            factors.append(Rat(coeff))
-        for a, k in mono:
-            factors.append(a if k == 1 else Pow(a, k))
-        terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
+    for factors, c in monomials:
+        out = [Rat(c)] if c != 1 or not factors else []
+        out += [a if k == 1 else Pow(a, k) for a, k in factors]
+        terms.append(out[0] if len(out) == 1 else Mul(tuple(out)))
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
 @lru_cache(maxsize=65536)
 def normalize(e: Expr) -> Expr:
-    """Sum-of-products canonicalisation with exact coefficient arithmetic."""
-    return _rebuild(_to_sop(e))
+    """Canonical sum of products of atoms with exact rational coefficients:
+    products and integer powers multiplied out, like terms merged, and a
+    quotient by a sum of two or more terms written with the atom (sum)^-1.
+    ZeroDivisionError on a division by a symbolic zero."""
+    return _rebuild(_ring(e))
 
 
 # ---------------------------------------------------------------------------
 # calculus and substitution
 
 def diff(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative; the result is normalized."""
-    return normalize(_diff(e, var))
+    """Symbolic partial derivative, normalized: the chain rule applied to the
+    atoms of normalize(e), with d(s^-1) = -(s^-1)^2 ds for a sum s."""
+    return _rebuild(_diff(_ring(e), var))
 
 
-def _diff(e: Expr, var: str) -> Expr:
-    if isinstance(e, (Rat, Pi)):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
-    if isinstance(e, Neg):
-        return Neg(_diff(e.arg, var))
-    if isinstance(e, Add):
-        return Add(tuple(_diff(t, var) for t in e.terms))
-    if isinstance(e, Mul):
-        terms = []
-        fs = e.factors
-        for i in range(len(fs)):
-            terms.append(Mul(tuple(fs[:i]) + (_diff(fs[i], var),) + tuple(fs[i + 1:])))
-        return Add(tuple(terms))
-    if isinstance(e, Div):
-        return Div(Add((Mul((_diff(e.num, var), e.den)),
-                        Neg(Mul((e.num, _diff(e.den, var)))))),
-                   Pow(e.den, 2))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ZERO
-        return Mul((Rat(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), _diff(e.base, var)))
-    if isinstance(e, Sin):
-        return Mul((Cos(e.arg), _diff(e.arg, var)))
-    if isinstance(e, Cos):
-        return Neg(Mul((Sin(e.arg), _diff(e.arg, var))))
-    if isinstance(e, Exp):
-        return Mul((Exp(e.arg), _diff(e.arg, var)))
-    raise TypeError(f"not an expression: {e!r}")
+def _diff(p: dict, var: str) -> dict:
+    out: dict = {}
+    for m, c in p.items():
+        for a, k in m:
+            for m2, c2 in _datom(a, var).items():
+                _add_term(out, _product(m, ((a, -1), *m2)), c * k * c2)
+    return out
+
+
+@lru_cache(maxsize=65536)
+def _datom(a: Expr, var: str) -> dict:
+    """The derivative of the atom a by var."""
+    if isinstance(a, (Var, Pi)):
+        return _ONE if a == Var(var) else {}
+    if isinstance(a, Pow):
+        return _times(_atom(a, 2, Fraction(-1)), _diff(_ring(a.base), var))
+    outer = (_atom(Cos(a.arg)) if isinstance(a, Sin) else
+             _atom(Sin(a.arg), 1, Fraction(-1)) if isinstance(a, Cos) else _atom(a))
+    return _times(outer, _diff(_ring(a.arg), var))
 
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -560,7 +539,7 @@ def tokenize(text: str) -> list:
 #: parsed expression: a sum of several terms counts the largest of them, at
 #: least 1; a product or quotient the sum of its factors; a power |k| times
 #: its base; variables, numbers, pi, parameters and function calls count 0.
-#: `_to_sop` multiplies sums out, so (x + y + z + 1)^32 alone costs seconds,
+#: `normalize` multiplies sums out, so (x + y + z + 1)^32 alone costs seconds,
 #: as does (x + y + z + 1)^16 * (x + y + z + 1)^16
 MAX_EXPONENT = 16
 #: deepest nesting of parentheses, function calls and unary signs; the parser
@@ -580,14 +559,18 @@ _EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _read_number(text: str, pos: int) -> Fraction:
-    """Fraction(text), refused with FormSyntaxError at `pos` when its decimal
-    exponent exceeds MAX_DECIMAL_EXPONENT in absolute value."""
+    """Fraction(text), refused with FormSyntaxError at `pos` when it is not a
+    number or its decimal exponent exceeds MAX_DECIMAL_EXPONENT in absolute
+    value."""
     exp10 = _EXPONENT_RE.search(text)
     digits = exp10[1].replace("_", "").lstrip("0") if exp10 else ""
     if len(digits) > 9 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
         raise FormSyntaxError(
             f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in absolute value", pos)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise FormSyntaxError(f"not a number: {text.strip()!r}", pos) from None
 
 
 def _children(e: Expr) -> Tuple[Expr, ...]:

@@ -32,6 +32,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -222,64 +223,79 @@ def parse_chart(text: str) -> Chart:
     """Parse the plain-text chart header.
 
     chart x:[-2,2] y:[-2,2] z:[-2,2]; periodic theta; exclude r<1e-3;
+
+    A range's endpoints and its width must be finite floats.  Errors are
+    FormSyntaxErrors at offsets into `text`.
     """
-    names: List[str] = []
-    ranges: List[Tuple[float, float]] = []
-    periodic: List[str] = []
-    exclusions: List[Tuple[str, float]] = []
-    for stmt in text.split(";"):
-        stmt = stmt.strip()
-        if not stmt:
-            continue
-        head, _, rest = stmt.partition(" ")
-        rest = rest.strip()
-        if head == "chart":
-            for fieldspec in rest.split():
-                name, _, rng = fieldspec.partition(":")
-                if not rng.startswith("[") or not rng.endswith("]"):
-                    raise FormSyntaxError(f"bad range spec {fieldspec!r}", text.find(fieldspec))
-                lo, _, hi = rng[1:-1].partition(",")
-                names.append(name)
-                ranges.append(tuple(float(_read_number(v, text.find(rng))) for v in (lo, hi)))
-        elif head == "periodic":
-            periodic.extend(rest.split())
-        elif head == "exclude":
-            expr_text, _, eps_text = rest.partition("<")
-            exclusions.append((expr_text.strip(), float(_read_number(eps_text, text.find(stmt)))))
-        else:
-            raise FormSyntaxError(f"unknown chart directive {head!r}", text.find(head))
-    if not names:
-        raise FormSyntaxError("no chart statement", 0)
-    flags = tuple(n in periodic for n in names)
-    excl = tuple((parse_expr(eexpr, names), eps) for eexpr, eps in exclusions)
-    return Chart(tuple(names), tuple(ranges), flags, excl)
+    return _parse_statements(text, None)[0]
 
 
 def parse_form_file(text: str, params: Optional[Mapping[str, object]] = None) -> OneForm:
     """Parse a chart header followed by a `form <...>` statement.
 
     `param name=value;` statements bind identifiers for the form expression.
+    Errors in the header and in `param` statements are at offsets into
+    `text`; errors in the form are at offsets into the form's own text, from
+    the first character after `form` and its blanks.
     """
-    header_parts: List[str] = []
-    form_text: Optional[str] = None
     bound: Dict[str, object] = dict(params or {})
-    for stmt in text.split(";"):
-        s = stmt.strip()
-        if not s:
-            continue
-        head = s.split(None, 1)[0]
-        if head == "form":
-            form_text = s[len("form"):].strip()
-        elif head == "param":
-            body = s[len("param"):].strip()
-            name, _, val = body.partition("=")
-            bound[name.strip()] = _read_number(val, text.find(stmt))
-        else:
-            header_parts.append(s)
-    if form_text is None:
-        raise FormSyntaxError("missing form statement", len(text))
-    chart = parse_chart("; ".join(header_parts) + ";")
+    chart, form_text = _parse_statements(text, bound)
     return parse_form(form_text, chart, bound)
+
+
+def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional[str]]:
+    """The chart of the ';'-separated statements of `text`, and the text of
+    its form statement.  A form file passes `bound`, which its `param`
+    statements extend; without it `form` and `param` are unknown directives."""
+    names: List[str] = []
+    ranges: List[Tuple[float, float]] = []
+    periodic: List[str] = []
+    exclusions: List[Tuple[int, str, float]] = []
+    form_text: Optional[str] = None
+    for stmt in re.finditer(r"[^;\s][^;]*", text):
+        head = stmt[0].split(None, 1)[0]
+        rest = stmt[0][len(head):]
+        at = stmt.start() + len(head)  # offset of `rest`
+        if head == "chart":
+            for field in re.finditer(r"\S+", rest):
+                name, _, rng = field[0].partition(":")
+                if not rng.startswith("[") or not rng.endswith("]"):
+                    raise FormSyntaxError(f"bad range spec {field[0]!r}", at + field.start())
+                pos = at + field.start() + len(name) + 1
+                lo, _, hi = rng[1:-1].partition(",")
+                lo, hi = _read_float(lo, pos), _read_float(hi, pos)
+                if not math.isfinite(hi - lo):
+                    raise FormSyntaxError(f"width of {rng} exceeds the float range", pos)
+                names.append(name)
+                ranges.append((lo, hi))
+        elif head == "periodic":
+            periodic.extend(rest.split())
+        elif head == "exclude":
+            expr_text, _, eps_text = rest.partition("<")
+            exclusions.append((at, expr_text, _read_float(eps_text, at + len(expr_text) + 1)))
+        elif head == "form" and bound is not None:
+            form_text = rest.strip()
+        elif head == "param" and bound is not None:
+            name, _, val = rest.partition("=")
+            bound[name.strip()] = _read_number(val, at + len(name) + 1)
+        else:
+            raise FormSyntaxError(f"unknown chart directive {head!r}", stmt.start())
+    if bound is not None and form_text is None:
+        raise FormSyntaxError("missing form statement", len(text))
+    if not names:
+        raise FormSyntaxError("no chart statement", 0)
+    flags = tuple(n in periodic for n in names)
+    # behind as many blanks as precede it, an exclusion's error offsets are file offsets
+    excl = tuple((parse_expr(" " * at + src, names), eps) for at, src, eps in exclusions)
+    return Chart(tuple(names), tuple(ranges), flags, excl), form_text
+
+
+def _read_float(text: str, pos: int) -> float:
+    """A header number as a float; FormSyntaxError at `pos` if not finite."""
+    try:
+        return float(_read_number(text, pos))
+    except OverflowError:
+        raise FormSyntaxError(f"{text.strip()} exceeds the float range", pos) from None
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,12 @@ def test_form_file_bounds_nesting_and_expansion(tmp_path, text):
 
 @pytest.mark.parametrize("header", ["chart x:[0,1e999999999] y:[-1,1] z:[-1,1];",
                                     "chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude x<1e999999999;",
-                                    "chart x:[-1,1] y:[-1,1] z:[-1,1]; param a=1e999999999;"])
+                                    "chart x:[-1,1] y:[-1,1] z:[-1,1]; param a=1e999999999;",
+                                    "chart x:[-1e308,1e308] y:[-1,1] z:[-1,1];",
+                                    "chart x:[0,1e309] y:[-1,1] z:[-1,1];"])
 def test_form_file_header_numbers_bounded(tmp_path, header):
-    """Header numbers are read under the decimal-exponent bound of literals."""
+    """Header numbers are read under the decimal-exponent bound of literals,
+    and a range's endpoints and width are finite floats."""
     assert_refused_at_once(tmp_path, f"{header}\nform dz - y*dx\n")
 
 

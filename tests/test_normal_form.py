@@ -1,0 +1,299 @@
+"""`normalize` and `diff` against the tuple sum-of-products normaliser and the
+tree-walking chain rule they replaced, kept here as the reference.
+
+The reference expands a tree into a dict from sorted ((atom, exponent), ...)
+tuples to Fractions, re-sorting each product by the rendered atoms, and
+differentiates by building the chain-rule tree and normalising it.  Both
+normalisers treat the same atoms as independent indeterminates, so their
+normal forms render identically.  The derivatives differ only through a
+quotient by a sum s: the reference's quotient rule divides by the expanded
+s^2, a new atom, while the ring writes (s^-1)^2; there the two must agree in
+value.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from contactbundles import formcalc as fc
+from contactbundles.formcalc.expr import (MAX_EXPONENT, ONE, ZERO, Add, Cos, Div, Exp, Mul, Neg,
+                                          Pi, Pow, Rat, Sin, Var, eval_expr, render)
+
+
+# ---------------------------------------------------------------------------
+# reference: tuple sum of products
+
+def _atom_key(a):
+    return render(a)
+
+
+def _mono_mul(m1, m2):
+    acc = dict(m1)
+    for a, k in m2:
+        acc[a] = acc.get(a, 0) + k
+    items = [(a, k) for a, k in acc.items() if k != 0]
+    items.sort(key=lambda ak: (_atom_key(ak[0]), ak[1]))
+    return tuple(items)
+
+
+def _sop_add(s1, s2):
+    out = dict(s1)
+    for m, c in s2.items():
+        c2 = out.get(m, Fraction(0)) + c
+        if c2:
+            out[m] = c2
+        elif m in out:
+            del out[m]
+    return out
+
+
+def _sop_mul(s1, s2):
+    out = {}
+    for m1, c1 in s1.items():
+        for m2, c2 in s2.items():
+            m = _mono_mul(m1, m2)
+            c = out.get(m, Fraction(0)) + c1 * c2
+            if c:
+                out[m] = c
+            elif m in out:
+                del out[m]
+    return out
+
+
+def _sop_const(c):
+    return {(): Fraction(c)} if c else {}
+
+
+def _sop_atom(a):
+    return {((a, 1),): Fraction(1)}
+
+
+def _sop_invert(s):
+    if not s:
+        raise ZeroDivisionError("division by symbolic zero")
+    if len(s) == 1:
+        (mono, coeff), = s.items()
+        inv_mono = tuple(sorted(((a, -k) for a, k in mono),
+                                key=lambda ak: (_atom_key(ak[0]), ak[1])))
+        return {inv_mono: Fraction(1) / coeff}
+    return _sop_atom(Pow(_rebuild(s), -1))
+
+
+def _to_sop(e):
+    if isinstance(e, Rat):
+        return _sop_const(e.value)
+    if isinstance(e, (Pi, Var)):
+        return _sop_atom(e)
+    if isinstance(e, Neg):
+        return {m: -c for m, c in _to_sop(e.arg).items()}
+    if isinstance(e, Add):
+        out = {}
+        for t in e.terms:
+            out = _sop_add(out, _to_sop(t))
+        return out
+    if isinstance(e, Mul):
+        out = _sop_const(Fraction(1))
+        for f in e.factors:
+            out = _sop_mul(out, _to_sop(f))
+        return out
+    if isinstance(e, Div):
+        return _sop_mul(_to_sop(e.num), _sop_invert(_to_sop(e.den)))
+    if isinstance(e, Pow):
+        base = _to_sop(e.base)
+        k = e.exponent
+        if k == 0:
+            return _sop_const(Fraction(1))
+        core = base if k > 0 else _sop_invert(base)
+        out = dict(core)
+        for _ in range(abs(k) - 1):
+            out = _sop_mul(out, core)
+        return out
+    if isinstance(e, (Sin, Cos, Exp)):
+        arg = reference_normalize(e.arg)
+        if isinstance(arg, Rat) and arg.value == 0:
+            return {} if isinstance(e, Sin) else _sop_const(Fraction(1))
+        return _sop_atom(type(e)(arg))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _rebuild(s):
+    if not s:
+        return ZERO
+    terms = []
+    for mono, coeff in sorted(s.items(), key=lambda mc: tuple((_atom_key(a), k)
+                                                              for a, k in mc[0])):
+        factors = []
+        if coeff != 1 or not mono:
+            factors.append(Rat(coeff))
+        for a, k in mono:
+            factors.append(a if k == 1 else Pow(a, k))
+        terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
+    return terms[0] if len(terms) == 1 else Add(tuple(terms))
+
+
+def reference_normalize(e):
+    return _rebuild(_to_sop(e))
+
+
+def _tree_diff(e, var):
+    if isinstance(e, (Rat, Pi)):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.name == var else ZERO
+    if isinstance(e, Neg):
+        return Neg(_tree_diff(e.arg, var))
+    if isinstance(e, Add):
+        return Add(tuple(_tree_diff(t, var) for t in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return Add(tuple(Mul(fs[:i] + (_tree_diff(fs[i], var),) + fs[i + 1:])
+                         for i in range(len(fs))))
+    if isinstance(e, Div):
+        return Div(Add((Mul((_tree_diff(e.num, var), e.den)),
+                        Neg(Mul((e.num, _tree_diff(e.den, var)))))),
+                   Pow(e.den, 2))
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return ZERO
+        return Mul((Rat(Fraction(e.exponent)), Pow(e.base, e.exponent - 1),
+                    _tree_diff(e.base, var)))
+    if isinstance(e, Sin):
+        return Mul((Cos(e.arg), _tree_diff(e.arg, var)))
+    if isinstance(e, Cos):
+        return Neg(Mul((Sin(e.arg), _tree_diff(e.arg, var))))
+    if isinstance(e, Exp):
+        return Mul((Exp(e.arg), _tree_diff(e.arg, var)))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def reference_diff(e, var):
+    return reference_normalize(_tree_diff(e, var))
+
+
+# ---------------------------------------------------------------------------
+# random trees with shared subtrees
+
+def _subtrees(e):
+    yield e
+    for c in fc.expr._children(e):
+        yield from _subtrees(c)
+
+
+def divides_by_a_sum(e) -> bool:
+    return any(isinstance(n, Div) and len(_to_sop(n.den)) > 1 for n in _subtrees(e))
+
+
+RATIONALS = st.builds(lambda p, q: Rat(Fraction(p, q)), st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree built bottom-up, each node over the one before and two earlier
+    ones, so a subtree may occur several times: sums, products, quotients (by
+    sums too), powers with exponents -2..3, negations, and sin/cos/exp, some
+    of a zero argument."""
+    pool = [Var("x"), Var("y"), Var("z"), Pi(), draw(RATIONALS)]
+    for _ in range(draw(st.integers(1, 8))):
+        a, k = pool[-1], draw(st.integers(-2, 3))
+        b, c = (pool[draw(st.integers(0, len(pool) - 1))] for _ in range(2))
+        zero = Add((b, Neg(b)))
+        pool.append(draw(st.sampled_from([
+            Add((a, b)), Add((a, b, c)), Mul((a, b)), Div(a, b), Div(a, Add((b, c))),
+            Pow(a, k), Neg(a), Sin(a), Cos(a), Exp(a), Sin(zero), Cos(zero), Mul((Sin(zero), a)),
+        ])))
+    assume(_degree(pool[-1]) <= MAX_EXPONENT)
+    return pool[-1]
+
+
+def _degree(e) -> int:
+    """A bound on the degree of e multiplied out, its function arguments
+    included, so that no tree costs the reference seconds."""
+    if isinstance(e, (Var, Pi, Rat)):
+        return 1
+    if isinstance(e, Add):
+        return max(map(_degree, e.terms))
+    if isinstance(e, (Mul, Div)):
+        return sum(map(_degree, fc.expr._children(e)))
+    if isinstance(e, Pow):
+        return abs(e.exponent) * _degree(e.base)
+    return _degree(e.arg)
+
+
+X, Y, Z = Var("x"), Var("y"), Var("z")
+S = Add((X, Y))
+
+
+def _close(a: float, b: float, scale: float) -> bool:
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b), scale)
+
+
+def _scale(e, env) -> float:
+    """Largest |term| of the sum e at env: rounding in either form is
+    relative to it."""
+    terms = e.terms if isinstance(e, Add) else (e,)
+    return max(abs(eval_expr(t, env)) for t in terms)
+
+
+def _values(e, points):
+    out = []
+    for env in points:
+        try:
+            out.append((eval_expr(e, env), _scale(e, env)))
+        except (ZeroDivisionError, OverflowError, ValueError):
+            out.append(None)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_trees())
+@example(Div(X, S))
+@example(Div(S, S))
+@example(Div(ONE, Div(ONE, S)))
+@example(Pow(Div(X, S), -2))
+@example(Mul((Sin(Add((X, Neg(X)))), Div(Y, Add((Z, Neg(Z)))))))
+@example(Exp(Div(Cos(Add((Y, Neg(Y)))), Add((X, Pi())))))
+@example(Mul((Pow(Add((X, Mul((Y, Cos(S))))), 3), Div(Sin(S), Add((ONE, Mul((X, Cos(S)))))))))
+def test_normal_form_and_derivative_match_the_reference(e):
+    try:
+        expected = reference_normalize(e)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            fc.normalize(e)
+        with pytest.raises(ZeroDivisionError):
+            fc.diff(e, "x")
+        return
+    assert render(fc.normalize(e)) == render(expected)
+    rng = random.Random(7)
+    points = [{n: rng.uniform(-2.0, 2.0) for n in "xyz"} for _ in range(5)]
+    for var in "xy":
+        got, ref = fc.diff(e, var), reference_diff(e, var)
+        if not divides_by_a_sum(e):
+            assert render(got) == render(ref)
+            continue
+        for g, r in zip(_values(got, points), _values(ref, points)):
+            if g is None or r is None or not all(map(math.isfinite, (*g, *r))):
+                continue
+            assert _close(g[0], r[0], max(g[1], r[1])), (render(got), render(ref))
+
+
+def test_quotient_by_a_sum_differentiates_through_its_atom():
+    """The one text the ring changes: (s^-1)^2 where the reference wrote the
+    expanded s^2 as a new atom."""
+    e = Div(X, S)
+    assert render(fc.diff(e, "x")) == "(x + y)^-1 + (-1)*((x + y)^-1)^2*x"
+    assert render(reference_diff(e, "x")) == "(2*x*y + x^2 + y^2)^-1*y"
+    assert fc.normalize(fc.parse_expr(render(fc.diff(e, "x")), "xyz")) == fc.diff(e, "x")
+
+
+@pytest.mark.parametrize("e", [Div(X, Add((Y, Neg(Y)))), Pow(Mul((Y, ZERO)), -1),
+                               Div(X, Sin(Add((Z, Neg(Z))))),
+                               Pow(Div(ONE, Add((X, Neg(X)))), 0)])
+def test_division_by_a_symbolic_zero_raises(e):
+    with pytest.raises(ZeroDivisionError):
+        fc.normalize(e)
+    with pytest.raises(ZeroDivisionError):
+        fc.diff(e, "x")
