@@ -12,9 +12,20 @@ The package is organised around five independent engines plus a CLI:
   brute-force cohomology orbit oracle.
 * `multicurve` -- multicurves on surfaces encoded by complement
   decompositions; tightness criteria and torus intersection numbers.
+
+`formcalc` needs numpy, so it is imported on first access to
+`contactbundles.formcalc` (a PEP 562 module `__getattr__`), not with the
+package.
 """
 
 __version__ = "0.1.0"
 
+import importlib
+
 from . import circle_dynamics, classify, hyperbolic, multicurve  # noqa: F401
-from . import formcalc  # noqa: F401
+
+
+def __getattr__(name):
+    if name == "formcalc":
+        return importlib.import_module(f"{__name__}.formcalc")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -352,8 +352,8 @@ def _image_index(matrix, digits, weights, index, n: int):
 def _orbit_labels(g: int, n: int, size: int):
     """Label of every vector of (Z/n)^{2g}, the smallest index in its orbit
     (algorithm in `cohomology_orbit_count`), as an int64 numpy array."""
-    # numpy is imported on use: the package imports this module before
-    # formcalc, and numpy loaded that early raised the CLI's peak RSS by ~1 MB
+    # numpy is imported on use, so that the package and the CLI commands
+    # other than `covers` and `forms` load without it
     import numpy as np
     if size == 1:  # n = 1, whatever the genus: no generators to build
         return np.zeros(1, dtype=np.int64)

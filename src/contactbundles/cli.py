@@ -7,18 +7,24 @@ raising ValueError (the engines' domain errors, such as
 `main` prints its message on stderr and nothing on stdout.  Floats are
 printed with 12 significant digits and rationals as "p/q" (plain integer
 when q = 1), so reports are byte-identical across runs.
+
+Fixed cost: `main` builds the argparse tree of `build_parser` on its first
+call and reuses it for every later call in the process, and looks the
+handler `cmd_<command>` up in this module when the call runs.  `formcalc`,
+and with it numpy, is imported by `cmd_forms` only, so the other commands
+start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
 
 from . import __version__, circle_dynamics, classify, hyperbolic, multicurve
-from . import formcalc as fc
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -183,6 +189,7 @@ def _error(e: Exception) -> dict:
 
 
 def cmd_forms(args) -> int:
+    from . import formcalc as fc
     fc.grid_counts(args.grid, 3)  # contact_sign samples 3-dimensional charts
     if args.library:
         entries = {}
@@ -269,46 +276,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="existence / counting / bound formulas")
     p.add_argument("--chi-s", type=int, required=True)
     p.add_argument("--euler", type=int, required=True)
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("holonomy", help="translation number of the polygon holonomy relator")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--area", type=str, required=True, help="float or multiple of pi, e.g. 4pi")
     p.add_argument("--iters", type=int, default=100000)
-    p.set_defaults(fn=cmd_holonomy)
 
     p = sub.add_parser("polygon", help="symmetric polygon data and pairing residuals")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--area", type=str, required=True)
-    p.set_defaults(fn=cmd_polygon)
 
     p = sub.add_parser("forms", help="contact sign of a 1-form file or the model library")
     p.add_argument("--form-file", type=str)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--library", action="store_true")
-    p.set_defaults(fn=cmd_forms)
 
     p = sub.add_parser("multicurve", help="validate / compare multicurve decompositions")
     p.add_argument("--file", type=str, required=True)
     p.add_argument("--compare", type=str)
     p.add_argument("--euler", type=int, default=0)
-    p.set_defaults(fn=cmd_multicurve)
 
     p = sub.add_parser("covers", help="cohomology orbit count vs divisor count")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_covers)
     return ap
 
 
+#: the parser of this process, built by the first `main` call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for name, value in vars(args).items():
             if value == []:  # argparse drops the value of "--opt=--" and leaves []
                 raise ValueError(f"argument --{name.replace('_', '-')}: expected one argument")
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as e:
         # every argument outside its command's domain raises ValueError
         print(f"error: {e}", file=sys.stderr)

@@ -224,8 +224,9 @@ def parse_chart(text: str) -> Chart:
 
     chart x:[-2,2] y:[-2,2] z:[-2,2]; periodic theta; exclude r<1e-3;
 
-    A range's endpoints and its width must be finite floats.  Errors are
-    FormSyntaxErrors at offsets into `text`.
+    A range's endpoints and its width must be finite floats, and a periodic
+    name must be a chart coordinate.  Errors are FormSyntaxErrors at offsets
+    into `text`.
     """
     return _parse_statements(text, None)[0]
 
@@ -249,7 +250,7 @@ def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional
     statements extend; without it `form` and `param` are unknown directives."""
     names: List[str] = []
     ranges: List[Tuple[float, float]] = []
-    periodic: List[str] = []
+    periodic: List[Tuple[str, int]] = []  # name, file offset
     exclusions: List[Tuple[int, str, float]] = []
     form_text: Optional[str] = None
     for stmt in re.finditer(r"[^;\s][^;]*", text):
@@ -269,7 +270,7 @@ def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional
                 names.append(name)
                 ranges.append((lo, hi))
         elif head == "periodic":
-            periodic.extend(rest.split())
+            periodic.extend((f[0], at + f.start()) for f in re.finditer(r"\S+", rest))
         elif head == "exclude":
             expr_text, _, eps_text = rest.partition("<")
             exclusions.append((at, expr_text, _read_float(eps_text, at + len(expr_text) + 1)))
@@ -284,7 +285,11 @@ def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional
         raise FormSyntaxError("missing form statement", len(text))
     if not names:
         raise FormSyntaxError("no chart statement", 0)
-    flags = tuple(n in periodic for n in names)
+    for name, pos in periodic:
+        if name not in names:
+            raise FormSyntaxError(f"periodic {name!r} is not a chart coordinate", pos)
+    marked = {name for name, _ in periodic}
+    flags = tuple(n in marked for n in names)
     # behind as many blanks as precede it, an exclusion's error offsets are file offsets
     excl = tuple((parse_expr(" " * at + src, names), eps) for at, src, eps in exclusions)
     return Chart(tuple(names), tuple(ranges), flags, excl), form_text
@@ -341,7 +346,9 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
     """Classify the sign of alpha ^ d(alpha) on the chart grid minus exclusions.
 
     Samples with |coefficient| below 10*SIGN_TOL trigger a local x2 refinement
-    before a Mixed verdict is returned.
+    before a Mixed verdict is returned.  A grid sample that no exclusion
+    removes and where the coefficient is not finite (an overflow, a pole)
+    raises ArithmeticError naming the first such point in C order.
 
     The coefficient and the exclusion mask are evaluated on sparse
     `meshgrid` axes, i.e. on their broadcast shape, which spans only the
@@ -360,13 +367,19 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
     with np.errstate(all="ignore"):
         vals = np.where(keep, fn(*sparse), np.nan)
     repeat = math.prod(len(ax) for ax in axes) // vals.size  # grid points per reduced sample
-    flat = vals[np.isfinite(vals)]
-    if flat.size == 0:
-        raise ValueError("no samples survive the exclusions")
+    finite = np.isfinite(vals)
 
     def witness_at(mask: np.ndarray) -> Tuple[float, ...]:
         idx = [int(k[0]) for k in np.nonzero(mask)]
         return tuple(float(ax[i]) for ax, i in zip(axes, idx))
+
+    bad = keep & ~finite
+    if bad.any():
+        raise ArithmeticError(f"alpha ^ d(alpha) is {vals[bad][0]} at the grid point "
+                              f"{witness_at(bad)}, which no exclusion removes")
+    flat = vals[finite]
+    if flat.size == 0:
+        raise ValueError("no samples survive the exclusions")
 
     has_pos = bool((flat > SIGN_TOL).any())
     has_neg = bool((flat < -SIGN_TOL).any())
@@ -376,7 +389,7 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
         return ContactReport("Mixed", float(np.nanmin(np.abs(vals))), (wp, wn),
                              samples=int(flat.size) * repeat)
 
-    flagged = np.isfinite(vals) & (np.abs(vals) < 10 * SIGN_TOL)
+    flagged = finite & (np.abs(vals) < 10 * SIGN_TOL)
     min_abs = float(np.min(np.abs(flat)))
     if flagged.any():
         # each flagged reduced sample and its 3^dim neighbours at half the

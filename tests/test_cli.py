@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -7,6 +12,10 @@ import pytest
 
 from contactbundles import cli, hyperbolic
 from contactbundles import multicurve as mc
+
+DATA = Path(__file__).parent / "data"
+#: the directory that holds the imported package, for child processes
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -196,6 +205,16 @@ class TestFormsCommand:
             code, out, err = run(capsys, "forms", *mode, "--grid", grid)
             assert code == 2 and out == "" and "grid" in err
 
+    def test_non_finite_coefficient_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "overflow.form"
+        path.write_text("chart x:[-1,1] y:[-1,1] z:[-1,1];\nform dz - exp(exp(exp(3*x)))*y*dx")
+        code, rep, _ = run_json(capsys, "forms", "--form-file", str(path), "--grid", "8")
+        assert code == 1 and rep["outputs"] == {}
+        assert rep["error"] == {
+            "type": "ArithmeticError",
+            "message": "alpha ^ d(alpha) is inf at the grid point (0.7142857142857142, -1.0, "
+                       "-1.0), which no exclusion removes"}
+
 
 class TestMulticurveCommand:
     def test_unreadable_files_exit_1(self, capsys, tmp_path):
@@ -377,3 +396,87 @@ class TestArgumentDomains:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "refused above n = 1000000000000" in err
+
+
+def in_process(argv):
+    """(stdout, stderr, exit code) of one in-process `cli.main` call, argparse's
+    own usage errors (SystemExit) included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def child_env():
+    return dict(os.environ, COLUMNS="80", PYTHONPATH=SRC)
+
+
+def fresh_process(argv):
+    """(stdout, stderr, exit code) of `python -m contactbundles.cli argv`."""
+    proc = subprocess.run([sys.executable, "-m", "contactbundles.cli", *argv],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+class TestOneParserPerProcess:
+    """`main` builds its parser once per process and looks up the handler
+    when the call runs."""
+
+    def test_same_bytes_in_process_as_in_fresh_processes(self, monkeypatch, tmp_path):
+        # argparse wraps its usage text to $COLUMNS; fix it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        periodic = tmp_path / "periodic.form"
+        periodic.write_text("chart x:[-1,1] y:[-1,1] theta:[0,6.283185307179586]; "
+                            "periodic thta; form dtheta - y*dx")
+        overflow = tmp_path / "overflow.form"
+        overflow.write_text("chart x:[-1,1] y:[-1,1] z:[-1,1]; "
+                            "form dz - exp(exp(exp(3*x)))*y*dx")
+        calls = [
+            ["polygon", "--genus", "2", "--area", "3pi"],
+            ["classify", "--chi-s", "-2", "--euler", "1"],
+            ["holonomy", "--genus", "2", "--area", "4pi", "--iters", "2000"],
+            ["forms", "--form-file", str(DATA / "flat_dx.form"), "--grid", "8"],
+            ["multicurve", "--file", str(DATA / "regular12_a.dec"),
+             "--compare", str(DATA / "regular12_b.dec")],
+            ["covers", "--genus", "2", "--n", "6"],
+            ["polygon", "--genus", "2"],  # a required option is missing
+            ["forms", "--library", "--grid=--"],
+            ["bogus", "--genus", "2"],  # an unknown subcommand
+            ["holonomy", "--genus", "0", "--area", "1pi"],
+            ["polygon", "--genus", "2", "--area", "7pi"],  # above the top 6pi
+            ["forms", "--form-file", str(tmp_path / "missing.form")],
+            ["forms", "--form-file", str(periodic), "--grid", "4"],
+            ["forms", "--form-file", str(overflow), "--grid", "8"],
+            ["polygon", "--genus", "3", "--area", "5pi"],
+        ]
+        for argv in calls:
+            assert in_process(argv) == fresh_process(argv), argv
+        assert cli._parser.cache_info().misses == 1
+
+    def test_handler_is_looked_up_when_the_call_runs(self, monkeypatch):
+        assert in_process(["polygon", "--genus", "2", "--area", "3pi"])[2] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_polygon", lambda args: seen.append(args.genus) or 7)
+        assert in_process(["polygon", "--genus", "2", "--area", "3pi"])[2] == 7
+        assert seen == [2]
+
+    def test_numpy_stays_unloaded_outside_forms(self):
+        script = f"""
+import sys
+import contactbundles.cli as cli
+for argv in (["polygon", "--genus", "2", "--area", "3pi"],
+             ["holonomy", "--genus", "2", "--area", "4pi", "--iters", "100"],
+             ["classify", "--chi-s", "-2", "--euler", "1"],
+             ["multicurve", "--file", {str(DATA / "regular12_a.dec")!r}]):
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was loaded"
+import contactbundles
+contactbundles.formcalc.contact_sign
+"""
+        for code in (script, "from contactbundles import formcalc; formcalc.parse_form"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=child_env(), timeout=60)
+            assert proc.returncode == 0, proc.stderr

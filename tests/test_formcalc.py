@@ -139,6 +139,10 @@ class TestParser:
         ("chart x:[-1,1] y:[-1,1] z:[-1,1];\n\nparam a=1e999999999;\nform dz", "1e9"),
         ("param a=1;\nchart x:[-1,1] y:[0,1e309] z:[-1,1];\nform dz", "[0,1e309]"),
         ("param a=1;\n  periodc z;\nchart x:[-1,1] y:[-1,1] z:[-1,1];\nform dz", "periodc"),
+        # a periodic name that is not a coordinate, before or after the chart
+        ("chart x:[-1,1] y:[-1,1] theta:[0,6.283185307179586]; periodic thta; "
+         "form dtheta - y*dx", "thta"),
+        ("periodic z w;\nchart x:[-1,1] y:[-1,1] z:[-1,1];\nform dz", "w;"),
     ])
     def test_header_errors_at_file_offsets(self, text, at):
         with pytest.raises(fc.FormSyntaxError) as info:
@@ -264,6 +268,25 @@ class TestContactSign:
             scaled = fc.OneForm(XYZ, tuple(Mul((factor, c)) for c in base.coefficients))
             assert fc.contact_sign(scaled, grid=16).sign == "Positive"
 
+    @pytest.mark.parametrize("coeff, value, point", [
+        ("exp(exp(exp(3*x)))*y", "inf", (0.7142857142857142, -1.0, -1.0)),
+        ("exp(" * 99 + "x*y" + ")" * 99, "-inf", (-1.0, -1.0, -1.0)),
+    ], ids=["triple_exp", "exp_tower_99"])
+    def test_non_finite_coefficient_inside_the_chart_is_reported(self, coeff, value, point):
+        # the first overflows on the columns x = 0.714 and x = 1 only, the tower everywhere
+        form = fc.parse_form_file(f"chart x:[-1,1] y:[-1,1] z:[-1,1]; form dz - {coeff}*dx")
+        with pytest.raises(ArithmeticError) as info:
+            fc.contact_sign(form, grid=8)
+        assert str(info.value) == (f"alpha ^ d(alpha) is {value} at the grid point {point}, "
+                                   "which no exclusion removes")
+
+    def test_non_finite_coefficient_outside_the_exclusions_is_not_sampled(self):
+        # |x - 1| < 1/2 removes the columns x = 5/7 and x = 1 where the coefficient overflows
+        form = fc.parse_form_file("chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude x - 1<1/2; "
+                                  "form dz - exp(exp(exp(3*x)))*y*dx")
+        rep = fc.contact_sign(form, grid=8)
+        assert (rep.sign, rep.samples) == ("Positive", 6 * 64)
+
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             fc.contact_sign(fc.hopf_plane_field_form())
@@ -296,8 +319,8 @@ def _reduced_case(coeffs, exclusions, ranges, periodic, grid):
 def _outcome(sign_fn, form, grid):
     try:
         return repr(sign_fn(form, grid))
-    except ValueError as e:
-        return f"ValueError: {e}"
+    except (ValueError, ArithmeticError) as e:
+        return f"{type(e).__name__}: {e}"
 
 
 class TestReducedGrid:
@@ -314,6 +337,8 @@ class TestReducedGrid:
     @example(("y*(x + 2)/(x + 9/4)", "0", "-1"), [], [(-2.0, 2.0)] * 3, (False,) * 3, 9)
     @example(("1", "0", "0"), [("x", "1/4")], [(-1.0, 1.0)] * 3, (False,) * 3, (7, 1, 1))
     @example(("x*y", "z", "1"), [("1", "1/2")], [(-1.0, 1.0)] * 3, (False,) * 3, 4)
+    @example(("y/x", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, 9)  # a pole at x = 0
+    @example(("y/x", "0", "1"), [("x", "1/4")], [(-1.0, 1.0)] * 3, (False,) * 3, 9)
     def test_matches_dense_oracle_bit_for_bit(self, coeffs, exclusions, ranges, periodic, grid):
         form, grid = _reduced_case(coeffs, exclusions, ranges, periodic, grid)
         assert _outcome(fc.contact_sign, form, grid) == _outcome(_dense_contact_sign, form, grid)
@@ -809,13 +834,18 @@ def _dense_contact_sign(form, grid=64, tol=1e-12):
     with np.errstate(all="ignore"):
         vals = padded(fn, mesh)
     vals = np.where(keep, vals, np.nan)
-    flat = vals[np.isfinite(vals)]
-    if flat.size == 0:
-        raise ValueError("no samples survive the exclusions")
 
     def witness_at(mask):
         idx = tuple(int(k[0]) for k in np.nonzero(mask))
         return tuple(float(m[idx]) for m in mesh)
+
+    bad = keep & ~np.isfinite(vals)
+    if bad.any():
+        raise ArithmeticError(f"alpha ^ d(alpha) is {vals[bad][0]} at the grid point "
+                              f"{witness_at(bad)}, which no exclusion removes")
+    flat = vals[np.isfinite(vals)]
+    if flat.size == 0:
+        raise ValueError("no samples survive the exclusions")
 
     has_pos = bool((flat > tol).any())
     has_neg = bool((flat < -tol).any())
