@@ -5,10 +5,12 @@ sums, products, quotients, integer powers, sin/cos/exp and negation.  Trees
 are immutable, and a node computes its structural hash once, on first use.
 `normalize` rewrites a tree into a sum of products of atoms with exact
 rational coefficients, over one sparse polynomial ring (`_ring`), and `diff`
-differentiates on that ring, atom by atom.  This decides the cancellations
-the calculus layer relies on (mixed partials, d o d = 0), while equality of
-general expressions remains a numeric check at random points, not a
-canonical-form decision.
+differentiates on that ring, atom by atom.  The calculus of `forms` combines
+ring polynomials with the private `_ring`, `_diff`, `_times` and `_sum` and
+rebuilds each result into a tree once (`_rebuild`).  This decides the
+cancellations the calculus layer relies on (mixed partials, d o d = 0), while
+equality of general expressions remains a numeric check at random points, not
+a canonical-form decision.
 
 Surface syntax for coefficients:
 
@@ -29,6 +31,7 @@ point by point and is kept as its reference.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -231,6 +234,15 @@ def _add_term(out: dict, m: frozenset, c: Fraction) -> None:
         out[m] = c
 
 
+def _sum(polys: Iterable[dict], signs: Iterable[int] = itertools.repeat(1)) -> dict:
+    """The sum of sign*p over the pairs of `polys` and `signs` (each +1 or -1)."""
+    out: dict = {}
+    for p, sign in zip(polys, signs):
+        for m, c in p.items():
+            _add_term(out, m, c if sign > 0 else -c)
+    return out
+
+
 def _product(m1: frozenset, m2) -> frozenset:
     """The monomial m1*m2; m2 may be any iterable of (atom, exponent) pairs."""
     powers = dict(m1)
@@ -265,13 +277,9 @@ def _ring(e: Expr) -> dict:
     if isinstance(e, (Pi, Var)):
         return _atom(e)
     if isinstance(e, Neg):
-        return {m: -c for m, c in _ring(e.arg).items()}
+        return _sum((_ring(e.arg),), (-1,))
     if isinstance(e, Add):
-        out: dict = {}
-        for t in e.terms:
-            for m, c in _ring(t).items():
-                _add_term(out, m, c)
-        return out
+        return _sum(map(_ring, e.terms))
     if isinstance(e, Mul):
         out = _ONE
         for f in e.factors:

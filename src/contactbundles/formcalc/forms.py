@@ -17,6 +17,10 @@ implements both grammars.  A term without a basis differential is rejected
 (a 1-form has no scalar part), and so is a differential anywhere but at the
 end of its term.
 
+`exterior_derivative`, `volume_coefficient` and `pullback` compute on the
+ring polynomials of `expr` and leave the ring once, through one `_rebuild`
+per returned coefficient; a `OneForm` normalizes the trees it is given.
+
 Numbers come from `compile_expr` evaluated on numpy arrays; the tree-walking
 `expr.eval_expr` is the reference it is tested against.  `contact_sign`
 evaluates and refines on sparse `meshgrid` axes, so its cost follows the axes
@@ -38,9 +42,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import (Add, Div, Expr, FormSyntaxError, Mul, Neg, Rat,
-                   UnknownVariableError, ZERO, _Parser, _read_number, compile_expr,
-                   diff, normalize, parse_expr, render, subst, variables)
+from .expr import (Add, Div, Expr, FormSyntaxError, Neg, Rat, UnknownVariableError, ZERO,
+                   _diff, _Parser, _read_number, _rebuild, _ring, _sum, _times, compile_expr,
+                   normalize, parse_expr, render, subst, variables)
 
 
 class DegenerateKernel(ValueError):
@@ -107,11 +111,17 @@ class Chart:
 
     def random_points(self, count: int, rng) -> List[Dict[str, float]]:
         """`count` uniform points that survive the exclusions, drawn one
-        coordinate at a time from `rng` until enough are kept."""
+        coordinate at a time from `rng` until enough are kept.  ValueError
+        once 1000*count draws have kept no point: the exclusions leave none,
+        or almost none, of the box."""
         pts: List[Dict[str, float]] = []
+        drawn = 0
         while len(pts) < count:
+            if not pts and drawn >= 1000 * count:
+                raise ValueError(f"no samples survive the exclusions in {drawn} random draws")
             draws = [[rng.uniform(lo, hi) for lo, hi in self.ranges]
                      for _ in range(count - len(pts))]
+            drawn += len(draws)
             keep = np.broadcast_to(self.sample_mask(list(np.array(draws).T)), len(draws))
             pts += [dict(zip(self.names, d)) for d, k in zip(draws, keep) if k]
         return pts
@@ -196,15 +206,10 @@ class TwoForm:
     table: Tuple[Tuple[int, int, Expr], ...]
 
     def coefficient(self, i: int, j: int) -> Expr:
-        if i == j:
-            return ZERO
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for a, b, c in self.table:
-            if (a, b) == (i, j):
-                return normalize(c if sign == 1 else Neg(c))
-        return ZERO
+        """The entry of dx_i ^ dx_j for i < j, and the normalized negation of
+        the entry of dx_j ^ dx_i for i > j."""
+        c = next((c for a, b, c in self.table if (a, b) in ((i, j), (j, i))), ZERO)
+        return c if i < j else normalize(Neg(c))
 
 
 # ---------------------------------------------------------------------------
@@ -306,25 +311,28 @@ def _read_float(text: str, pos: int) -> float:
 # ---------------------------------------------------------------------------
 # calculus
 
+def _d(form: OneForm) -> Dict[Tuple[int, int], dict]:
+    """d_i alpha_j - d_j alpha_i on the ring, keyed by (i, j) for i < j."""
+    names = form.chart.names
+    rings = [_ring(c) for c in form.coefficients]
+    return {(i, j): _sum((_diff(rings[j], names[i]), _diff(rings[i], names[j])), (1, -1))
+            for i, j in itertools.combinations(range(len(names)), 2)}
+
+
 def exterior_derivative(form: OneForm) -> TwoForm:
     """d(alpha): table of d_i alpha_j - d_j alpha_i for i < j."""
-    names = form.chart.names
-    table = []
-    for i, j in itertools.combinations(range(len(names)), 2):
-        cij = normalize(Add((diff(form.coefficients[j], names[i]),
-                             Neg(diff(form.coefficients[i], names[j])))))
-        table.append((i, j, cij))
-    return TwoForm(form.chart, tuple(table))
+    return TwoForm(form.chart, tuple((i, j, _rebuild(p)) for (i, j), p in _d(form).items()))
 
 
 def volume_coefficient(form: OneForm) -> Expr:
-    """Coefficient of alpha ^ d(alpha) against dx1 ^ dx2 ^ dx3 in chart order."""
+    """Coefficient a1*d23 - a2*d13 + a3*d12 of alpha ^ d(alpha) against
+    dx1 ^ dx2 ^ dx3 in chart order."""
     if form.chart.dim != 3:
         raise ValueError("contact condition requires a 3-dimensional chart")
-    d = exterior_derivative(form)
-    a1, a2, a3 = form.coefficients
-    c23, c13, c12 = d.coefficient(1, 2), d.coefficient(0, 2), d.coefficient(0, 1)
-    return normalize(Add((Mul((a1, c23)), Neg(Mul((a2, c13))), Mul((a3, c12)))))
+    d = _d(form)
+    a1, a2, a3 = (_ring(c) for c in form.coefficients)
+    return _rebuild(_sum((_times(a1, d[1, 2]), _times(a2, d[0, 2]), _times(a3, d[0, 1])),
+                         (1, -1, 1)))
 
 
 @dataclass(frozen=True)
@@ -454,18 +462,16 @@ def pullback(components: Sequence[Expr], source_chart: Chart, form: OneForm) -> 
         extra = variables(comp) - set(source_chart.names)
         if extra:
             raise UnknownVariableError(sorted(extra)[0], 0)
-    coeffs = []
-    for j, src_name in enumerate(source_chart.names):
-        terms = []
-        for i in range(form.chart.dim):
-            pulled = subst(form.coefficients[i], mapping)
-            terms.append(Mul((pulled, diff(components[i], src_name))))
-        coeffs.append(Add(tuple(terms)))
-    return OneForm(source_chart, tuple(coeffs))
+    pulled = [_ring(subst(c, mapping)) for c in form.coefficients]
+    comps = [_ring(c) for c in components]
+    return OneForm(source_chart, tuple(
+        _rebuild(_sum(_times(p, _diff(c, name)) for p, c in zip(pulled, comps)))
+        for name in source_chart.names))
 
 
 def forms_equal_numeric(f1: OneForm, f2: OneForm, points: int = 1000) -> bool:
-    """Coefficient-wise equality at random chart points (the package's equality test)."""
+    """Coefficient-wise equality at random chart points (the package's equality test);
+    ValueError, from `Chart.random_points`, when the exclusions keep no point."""
     if f1.chart.names != f2.chart.names:
         return False
     import random

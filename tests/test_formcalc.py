@@ -565,6 +565,14 @@ class TestCompiledSamples:
                 expected.append(env)
         assert chart.random_points(40, random.Random(5)) == expected
 
+    def test_random_points_refuse_a_chart_the_exclusions_empty(self):
+        chart = fc.parse_chart("chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude 1<2")
+        with pytest.raises(ValueError, match="no samples survive the exclusions in 5000 "):
+            chart.random_points(5, random.Random(0))
+        f = fc.parse_form("dz - y*dx", chart)
+        with pytest.raises(ValueError, match="no samples survive the exclusions"):
+            fc.forms_equal_numeric(f, f, points=3)
+
     def test_slope_matches_pointwise_evaluation(self):
         f = fc.parse_form("(2 + sin(theta)*r)*dz + r^2*cos(z)*dtheta",
                           fc.solid_torus_universal_form().chart)

@@ -1,5 +1,7 @@
 """`normalize` and `diff` against the tuple sum-of-products normaliser and the
-tree-walking chain rule they replaced, kept here as the reference.
+tree-walking chain rule they replaced, kept here as the reference; and the
+ring calculus of `forms` against its composition from `normalize` and `diff`
+on trees.
 
 The reference expands a tree into a dict from sorted ((atom, exponent), ...)
 tuples to Fractions, re-sorting each product by the rendered atoms, and
@@ -11,6 +13,7 @@ s^2, a new atom, while the ring writes (s^-1)^2; there the two must agree in
 value.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from contactbundles import formcalc as fc
 from contactbundles.formcalc.expr import (MAX_EXPONENT, ONE, ZERO, Add, Cos, Div, Exp, Mul, Neg,
                                           Pi, Pow, Rat, Sin, Var, eval_expr, render)
+from test_formcalc import REDUCED_COEFFS
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +195,13 @@ RATIONALS = st.builds(lambda p, q: Rat(Fraction(p, q)), st.integers(-4, 4), st.i
 
 
 @st.composite
-def shared_trees(draw):
-    """A tree built bottom-up, each node over the one before and two earlier
-    ones, so a subtree may occur several times: sums, products, quotients (by
-    sums too), powers with exponents -2..3, negations, and sin/cos/exp, some
-    of a zero argument."""
+def shared_trees(draw, steps=8, max_degree=MAX_EXPONENT):
+    """A tree built bottom-up in 1..`steps` steps, each node over the one
+    before and two earlier ones, so a subtree may occur several times: sums,
+    products, quotients (by sums too), powers with exponents -2..3,
+    negations, and sin/cos/exp, some of a zero argument."""
     pool = [Var("x"), Var("y"), Var("z"), Pi(), draw(RATIONALS)]
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, steps))):
         a, k = pool[-1], draw(st.integers(-2, 3))
         b, c = (pool[draw(st.integers(0, len(pool) - 1))] for _ in range(2))
         zero = Add((b, Neg(b)))
@@ -205,7 +209,7 @@ def shared_trees(draw):
             Add((a, b)), Add((a, b, c)), Mul((a, b)), Div(a, b), Div(a, Add((b, c))),
             Pow(a, k), Neg(a), Sin(a), Cos(a), Exp(a), Sin(zero), Cos(zero), Mul((Sin(zero), a)),
         ])))
-    assume(_degree(pool[-1]) <= MAX_EXPONENT)
+    assume(_degree(pool[-1]) <= max_degree)
     return pool[-1]
 
 
@@ -267,6 +271,7 @@ def test_normal_form_and_derivative_match_the_reference(e):
             fc.diff(e, "x")
         return
     assert render(fc.normalize(e)) == render(expected)
+    assert fc.normalize(fc.normalize(e)) == fc.normalize(e)
     rng = random.Random(7)
     points = [{n: rng.uniform(-2.0, 2.0) for n in "xyz"} for _ in range(5)]
     for var in "xy":
@@ -297,3 +302,61 @@ def test_division_by_a_symbolic_zero_raises(e):
         fc.normalize(e)
     with pytest.raises(ZeroDivisionError):
         fc.diff(e, "x")
+
+
+# ---------------------------------------------------------------------------
+# the calculus: ring polynomials against trees composed from normalize and diff
+
+def reference_exterior_derivative(form):
+    names, a = form.chart.names, form.coefficients
+    return {(i, j): fc.normalize(Add((fc.diff(a[j], names[i]), Neg(fc.diff(a[i], names[j])))))
+            for i, j in itertools.combinations(range(len(names)), 2)}
+
+
+def reference_volume_coefficient(form):
+    d = reference_exterior_derivative(form)
+    a1, a2, a3 = form.coefficients
+    return fc.normalize(Add((Mul((a1, d[1, 2])), Neg(Mul((a2, d[0, 2]))), Mul((a3, d[0, 1])))))
+
+
+def reference_pullback(components, source_chart, form):
+    mapping = dict(zip(form.chart.names, components))
+    return fc.OneForm(source_chart, tuple(
+        Add(tuple(Mul((fc.subst(a, mapping), fc.diff(c, name)))
+                  for a, c in zip(form.coefficients, components)))
+        for name in source_chart.names))
+
+
+CHART = fc.Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
+COEFFS = st.one_of(st.sampled_from(REDUCED_COEFFS).map(lambda t: fc.parse_expr(t, "xyz")),
+                   shared_trees(steps=4, max_degree=4))
+Q = fc.parse_expr("y/(3 + x^2 + y^2)", "xyz")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(COEFFS, COEFFS, COEFFS), st.tuples(COEFFS, COEFFS, COEFFS))
+@example((Neg(Q), ZERO, ONE), (X, Y, Z))
+@example((Div(Sin(X), Add((Y, Cos(Z)))), Exp(Div(X, S)), Pow(S, -2)),
+         (Div(ONE, Add((X, Pi()))), Mul((Y, Exp(Z))), Cos(S)))
+@example((Y, Div(X, Add((Y, Neg(Y)))), ONE), (X, Y, Z))
+@example((Div(X, S), ZERO, Y), (Div(X, Add((Z, Neg(Z)))), Y, Z))
+def test_calculus_on_the_ring_matches_the_tree_route(coeffs, components):
+    form = _outcome(fc.OneForm, CHART, coeffs)
+    assume(form is not ZeroDivisionError)
+    d = fc.exterior_derivative(form)
+    assert dict(((i, j), c) for i, j, c in d.table) == reference_exterior_derivative(form)
+    for i, j, c in d.table:
+        assert d.coefficient(i, j) is c
+        assert d.coefficient(j, i) == fc.normalize(Neg(c))
+        assert d.coefficient(i, i) == ZERO
+    assert fc.volume_coefficient(form) == reference_volume_coefficient(form)
+    got = _outcome(fc.pullback, components, CHART, form)
+    expected = _outcome(reference_pullback, components, CHART, form)
+    assert got == expected
