@@ -16,8 +16,10 @@ matrices and fixing the integer winding from values in [0, 2) at one point
 (`_compose_moebius`).  `translation_number` iterates PL data exactly, and
 reads a single Moebius lift's translation number in closed form, whatever N
 (`_moebius_rho`: the rotation angle of an elliptic matrix, or the exact
-integer at a boundary fixed point).  A word that mixes the two has neither
-an exact orbit nor a matrix to derive an error bound from, so it is refused.
+integer at a boundary fixed point).  The extremes of f(t) - t are read
+without sampling: at PL breakpoints, or where a Moebius lift has slope 1
+(`_moebius_extremes`).  A word that mixes the two has neither an exact
+orbit nor a matrix to derive an error bound from, so it is refused.
 
 Exact PL arithmetic is done on integers, not on `Fraction` (rationals kept as
 integer pairs, reduced only where a value is returned; Knuth, TAOCP vol. 2,
@@ -418,72 +420,83 @@ def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
     return f
 
 
-def track_lift(circle_map, lift_at_0: float, points: int = 1024, max_points: int = 1 << 16):
+def track_lift(circle_map, lift_at_0: float):
     """Continue a lift along [0, 1] by unwrapping the image argument.
 
     `circle_map(z)` maps the unit circle to itself.  The subdivision starts at
-    `points` samples and doubles until successive principal arguments differ
-    by less than 1/4 of a turn.  Returns the list of lift values at the
-    subdivision points, starting from `lift_at_0`.
+    1024 samples and doubles until successive principal arguments differ by
+    less than 1/4 of a turn; past 2**16 samples it raises ArithmeticError.
+    Returns the list of lift values at the subdivision points, starting from
+    `lift_at_0`.
     """
-    n = points
+    n = 1024
     while True:
         vals = [lift_at_0]
-        ok = True
-        prev = lift_at_0
         for k in range(1, n + 1):
             z = cmath.exp(2j * math.pi * (k / n))
             p = (cmath.phase(circle_map(z)) / TWO_PI) % 1.0
-            step = (p - prev) % 1.0
+            step = (p - vals[-1]) % 1.0
             if step > 0.5:
                 step -= 1.0
             if abs(step) >= 0.25:
-                ok = False
                 break
-            prev = prev + step
-            vals.append(prev)
-        if ok:
+            vals.append(vals[-1] + step)
+        else:
             return vals
-        if n >= max_points:
+        if n >= 1 << 16:
             raise ArithmeticError("argument tracking did not stabilise")
         n *= 2
 
 
-def sup_displacement(f: LiftedCircleMap, grid: int = 4096) -> Scalar:
-    """sup over one period of f(t) - t.
+def _moebius_extremes(f: LiftedCircleMap) -> tuple:
+    """(t, f(t) - t) at the minimum and the maximum of D = f - id, lowest first,
+    for a Moebius lift or a word of them; a word with PL letters raises ValueError.
+
+    The lift is w(z) = (alpha*z + beta)/(conj(beta)*z + conj(alpha)) with
+    |alpha|^2 - |beta|^2 = 1 (`Isometry2H` normalises the determinant); its
+    slope in turns at z = exp(2*pi*i*t) is 1/|conj(beta)*z + conj(alpha)|^2
+    (Beardon, The Geometry of Discrete Groups, 1983).  So D' = 0 exactly on
+    the isometric circle |z + conj(alpha)/conj(beta)| = 1/|beta|, which meets
+    |z| = 1 at theta = arg(-conj(alpha)*beta) +- phi, cos(phi) = |beta|/|alpha|
+    and sin(phi) = 1/|alpha|.  phi is atan2(1, |beta|): in acos(|beta|/|alpha|)
+    the argument rounds to 1 for large |beta| and the two points merge.
+    Nothing divides by beta: for beta = 0, a rotation about the centre,
+    phi = pi/2 and D is constant.  D' = 0 at both points, so rounding in t
+    moves D only at second order.
+    """
+    g = _as_moebius(f)
+    if g is None:
+        raise ValueError("displacement: a word mixing piecewise-linear and Moebius "
+                         "letters has no closed-form extremes")
+    a, b = g._alpha, g._beta
+    mid, phi = cmath.phase(-a.conjugate() * b), math.atan2(1.0, abs(b))
+    ts = [((mid + s * phi) / TWO_PI) % 1.0 for s in (-1.0, 1.0)]
+    return tuple(sorted(((t, g.eval(t) - t) for t in ts), key=lambda e: e[1]))
+
+
+def sup_displacement(f: LiftedCircleMap) -> Scalar:
+    """sup over one period of f(t) - t, without sampling.
 
     Exact for (words of) piecewise-linear maps: the displacement is linear
-    between breakpoints, so the sup is attained at a breakpoint.  Otherwise a
-    scan of `grid` points with three local refinement rounds; the argmax is
-    then located to about (1/grid) * 4**-3.
+    between breakpoints, so the sup is attained at a breakpoint.  For Moebius
+    data, the larger critical value in closed form (`_moebius_extremes`).  A
+    word mixing PL and Moebius letters raises ValueError.
     """
     pl = _as_piecewise_linear(f)
     if pl is not None:
         ds = _displacements(pl)
         return Fraction(*ds[_first_max(ds)])
-    g = flatten(f)
-    lo, hi = 0.0, 1.0
-    best_t, best = 0.0, g.eval(0.0)
-    n = grid
-    for _ in range(4):
-        step = (hi - lo) / n
-        for k in range(n + 1):
-            t = lo + k * step
-            d = g.eval(t) - t
-            if d > best:
-                best, best_t = d, t
-        lo, hi = best_t - step, best_t + step
-        n = 64
-    return best
+    return _moebius_extremes(f)[1][1]
 
 
-def inf_displacement(f: LiftedCircleMap, grid: int = 4096) -> Scalar:
-    """inf over one period of f(t) - t; equals -sup_displacement(f^-1)."""
+def inf_displacement(f: LiftedCircleMap) -> Scalar:
+    """inf over one period of f(t) - t, equal to -sup_displacement(f^-1) and
+    found the same way: at a breakpoint, or the lower critical value."""
     pl = _as_piecewise_linear(f)
     if pl is not None:
         ds = _displacements(pl)
         return Fraction(*ds[_first_max([(-n, d) for n, d in ds])])
-    return -sup_displacement(invert(f), grid=grid)
+    return _moebius_extremes(f)[0][1]
 
 
 @dataclass(frozen=True)
@@ -673,60 +686,47 @@ class DisplacementCheck:
         return self.ok
 
 
-def displacement_within(f: LiftedCircleMap, bound: Scalar, grid: int = 1024,
-                        slack: float = 1e-9) -> DisplacementCheck:
-    """Check |f(t) - t| <= bound: exactly at the breakpoints for PL data,
-    otherwise on `grid` points with `slack`.  A failed PL check names the
-    first breakpoint of largest |displacement| as its witness."""
+def displacement_within(f: LiftedCircleMap, bound: Scalar) -> DisplacementCheck:
+    """Check |f(t) - t| <= bound without sampling and with no slack: exactly
+    at the breakpoints for PL data, at the two critical points of the
+    displacement for Moebius data (`_moebius_extremes`).  A failed check names
+    the first point of largest |displacement| as its witness; a word mixing PL
+    and Moebius letters raises ValueError."""
     pl = _as_piecewise_linear(f)
-    if pl is not None:
+    if pl is None:
+        t, d = max(_moebius_extremes(f), key=lambda e: abs(e[1]))
+        ok = abs(d) <= bound
+    else:
         ds = _displacements(pl)
         i = _first_max([(abs(n), d) for n, d in ds])
         n, d = ds[i]
-        if Fraction(abs(n), d) <= bound:
-            return DisplacementCheck(True, float(bound))
-        tn, td, _, _ = pl._pairs[i]
-        return DisplacementCheck(False, float(bound), tn / td, n / d)
-    g = flatten(f)
-    for k in range(grid):
-        t = k / grid
-        d = g.eval(t) - t
-        if abs(d) > bound + slack:
-            return DisplacementCheck(False, float(bound), t, d)
-    return DisplacementCheck(True, float(bound))
+        ok = Fraction(abs(n), d) <= bound
+        t, d = pl._tn[i] / pl._td[i], n / d
+    if ok:
+        return DisplacementCheck(True, float(bound))
+    return DisplacementCheck(False, float(bound), t, d)
 
 
-def wood_bound_check(maps: Sequence[LiftedCircleMap], grid: int = 1024) -> DisplacementCheck:
-    """Check the relator displacement bound |relator(t) - t| <= 2g (Milnor-Wood).
-
-    For PL maps the check is exact: the relator is flattened and its
-    displacement, linear between breakpoints, is compared at the breakpoints.
-    Otherwise it samples `grid` points (see `displacement_within`).
-
-    For constructed words that are not honest relators, call
-    `displacement_within` directly with the synthetic map.
+def wood_bound_check(maps: Sequence[LiftedCircleMap]) -> DisplacementCheck:
+    """Check the relator displacement bound |relator(t) - t| <= 2g (Milnor-Wood)
+    with `displacement_within`: exactly for PL maps, in closed form for Moebius
+    lifts, and a mix of the two raises ValueError.  For constructed words that
+    are not honest relators, call `displacement_within` with the synthetic map.
     """
-    rel = evaluate_relator(maps)
-    return displacement_within(rel, Fraction(len(maps)), grid=grid)
+    return displacement_within(evaluate_relator(maps), Fraction(len(maps)))
 
 
-def euler_from_sections(fD: LiftedCircleMap, fK: LiftedCircleMap, grid: int = 256,
-                        tol: float = 1e-9) -> int:
-    """The constant integer fD(t) - fK(t), verified on `grid` points.
-
-    Raises NonConstantDifference if the difference varies by more than `tol`,
-    NonIntegerDifference if the constant is farther than `tol` from Z.
-    """
-    diffs = []
-    for k in range(grid):
-        t = k / grid
-        diffs.append(float(fD.eval(t)) - float(fK.eval(t)))
+def euler_from_sections(fD: LiftedCircleMap, fK: LiftedCircleMap) -> int:
+    """The constant integer fD(t) - fK(t), verified at the 256 points k/256:
+    NonConstantDifference is raised if the difference varies by more than
+    1e-9, NonIntegerDifference if the constant is farther than 1e-9 from Z."""
+    diffs = [float(fD.eval(k / 256)) - float(fK.eval(k / 256)) for k in range(256)]
     lo, hi = min(diffs), max(diffs)
-    if hi - lo > tol:
+    if hi - lo > 1e-9:
         raise NonConstantDifference(f"difference varies over [{lo}, {hi}]")
     mean = math.fsum(diffs) / len(diffs)
     k = round(mean)
-    if abs(mean - k) > tol:
+    if abs(mean - k) > 1e-9:
         raise NonIntegerDifference(f"constant difference {mean} is not an integer")
     return int(k)
 

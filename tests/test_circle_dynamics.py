@@ -183,12 +183,12 @@ class TestWoodBound:
     def test_rotations_within_bound(self):
         a = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.7))
         b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(1.3))
-        assert cd.wood_bound_check([a, b], grid=256).ok
+        assert cd.wood_bound_check([a, b]).ok
 
     def test_hyperbolic_pairings_within_bound(self):
         poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
         lifts = [hy.boundary_lift(p) for p in hy.side_pairings(poly)]
-        check = cd.wood_bound_check(lifts, grid=256)
+        check = cd.wood_bound_check(lifts)
         assert check.ok and check.bound == 4.0
 
     def test_synthetic_violation_with_witness(self):
@@ -209,7 +209,7 @@ class TestEulerFromSections:
         b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2.2))
         fK = cd.evaluate_relator([a, b])
         fD = cd.translation(-3)
-        assert cd.euler_from_sections(fD, fK, tol=1e-9) == -3
+        assert cd.euler_from_sections(fD, fK) == -3
 
     def test_nonconstant_difference(self):
         f = cd.PiecewiseLinearMap([(Fraction(0), Fraction(0)),
@@ -473,6 +473,92 @@ class TestMoebiusRho:
             x = f.eval(x)
         assert est.value == Fraction(x, 64) and isinstance(est.value, Fraction)
         assert est.error_bound == 1 / 64
+
+
+def seeded_moebius_lifts(family, seed=31):
+    """Moebius lifts of one family, winding -3..3, three lifts a winding."""
+    rng = random.Random(seed)
+    for winding in range(-3, 4):
+        for k in range(3):
+            if family == "rotation":
+                v = cmath.rect(math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+                yield rotation_about(v, rng.uniform(0, 2 * math.pi), winding)
+            elif family == "hyperbolic":
+                s = 1e4 if k == 0 else 10 ** rng.uniform(0, 4)
+                iso = (hy.Isometry2H.rotation(rng.uniform(0, 2 * math.pi))
+                       @ hy.Isometry2H(s, 0.0, 0.0, 1 / s)
+                       @ hy.Isometry2H.rotation(rng.uniform(0, 2 * math.pi)))
+                yield cd.MoebiusBoundaryLift(iso, winding)
+            else:  # beta = 0
+                yield cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(rng.uniform(0, 2 * math.pi)),
+                                             winding)
+
+
+MOEBIUS_FAMILIES = ("rotation", "hyperbolic", "centre")
+
+
+class TestMoebiusDisplacement:
+    """sup/inf_displacement and displacement_within of Moebius data, read at
+    the two points where the lift has slope 1."""
+
+    @pytest.mark.parametrize("family", MOEBIUS_FAMILIES)
+    def test_closed_form_bounds_a_dense_scan(self, family):
+        n = 20000
+        for f in seeded_moebius_lifts(family):
+            scan = [f.eval(k / n) - k / n for k in range(n + 1)]
+            assert cd.sup_displacement(f) >= max(scan) - 1e-12
+            assert cd.inf_displacement(f) <= min(scan) + 1e-12
+
+    @pytest.mark.parametrize("family", MOEBIUS_FAMILIES)
+    def test_inf_is_negated_sup_of_inverse(self, family):
+        for f in seeded_moebius_lifts(family, seed=37):
+            assert abs(cd.inf_displacement(f) + cd.sup_displacement(f.inverse())) <= 1e-12
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_polygon_relators_obey_milnor_wood(self, g):
+        for share in SHARES_LOW + SHARES_TOP:
+            _, pairings = hy.symmetric_pairings(g, share * (4 * g - 2) * math.pi)
+            lifts = [hy.boundary_lift(p) for p in pairings]
+            check = cd.wood_bound_check(lifts)
+            assert check.ok and check.bound == 2 * g
+            rel = cd.evaluate_relator(lifts)
+            assert max(abs(cd.sup_displacement(rel)), abs(cd.inf_displacement(rel))) < 2 * g
+
+    def test_mixed_word_is_refused(self):
+        rng = random.Random(41)
+        pl, mb = random_pl(rng), cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9))
+        mixed = cd.compose(pl, mb)
+        for call in (cd.sup_displacement, cd.inf_displacement,
+                     lambda f: cd.displacement_within(f, 2)):
+            with pytest.raises(ValueError, match="mixing"):
+                call(mixed)
+        with pytest.raises(ValueError, match="mixing"):
+            cd.wood_bound_check([pl, mb])
+
+    @pytest.mark.parametrize("family", MOEBIUS_FAMILIES)
+    def test_failed_check_witness_is_the_larger_extreme(self, family):
+        for f in seeded_moebius_lifts(family, seed=43):
+            if f.winding == 0:
+                continue
+            check = cd.displacement_within(f, Fraction(1, 2))
+            assert not check.ok
+            t = check.witness_t
+            assert f.eval(t) - t == check.witness_displacement
+            extreme = max(abs(cd.sup_displacement(f)), abs(cd.inf_displacement(f)))
+            assert abs(check.witness_displacement) == extreme
+
+    def test_relator_displacement_reads_two_points(self, monkeypatch):
+        rel, _ = polygon_relator(3, 0.5)
+        calls = []
+        canonical = cd.MoebiusBoundaryLift._canonical
+        monkeypatch.setattr(cd.MoebiusBoundaryLift, "_canonical",
+                            lambda lift, tau: calls.append(tau) or canonical(lift, tau))
+        for call in (cd.sup_displacement, cd.inf_displacement,
+                     lambda f: cd.displacement_within(f, 6)):
+            del calls[:]
+            call(rel)
+            # one value a letter to fix the folded winding, then the two points
+            assert len(calls) == len(rel.letters()) - 1 + 2
 
 
 # ---------------------------------------------------------------------------
