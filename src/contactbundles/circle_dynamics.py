@@ -16,10 +16,11 @@ matrices and fixing the integer winding from values in [0, 2) at one point
 (`_compose_moebius`).  `translation_number` iterates PL data exactly, and
 reads a single Moebius lift's translation number in closed form, whatever N
 (`_moebius_rho`: the rotation angle of an elliptic matrix, or the exact
-integer at a boundary fixed point).  The extremes of f(t) - t are read
-without sampling: at PL breakpoints, or where a Moebius lift has slope 1
-(`_moebius_extremes`).  A word that mixes the two has neither an exact
-orbit nor a matrix to derive an error bound from, so it is refused.
+integer at a boundary fixed point).  Nothing is sampled: `_extremes` reads
+the extremes of f(t) - t at PL breakpoints, or where a Moebius lift has
+slope 1 (`_moebius_extremes`), and decides the displacement checks and the
+Euler number of a pair of lifts.  A word that mixes the two has neither an
+exact orbit nor a matrix to derive an error bound from, so it is refused.
 
 Exact PL arithmetic is done on integers, not on `Fraction` (rationals kept as
 integer pairs, reduced only where a value is returned; Knuth, TAOCP vol. 2,
@@ -30,7 +31,7 @@ composition build reduced knot pairs with one gcd per knot.  The orbit in
 r = P - n*Q on the segment (A, B, C) holding r/Q, the next point is
 (A*r + (B + n*C)*Q) / (C*Q), and only F^N(0)/N is reduced.  The public
 values stay exact `Fraction`s: `knots`, `eval` at a rational point, and the
-estimate's `value`.
+estimate's `value`; `eval` at a float is the exact value there, rounded once.
 
 Conventions
 -----------
@@ -98,7 +99,8 @@ class PiecewiseLinearMap(LiftedCircleMap):
     v_i = vn_i/vd_i, and the segment starting at knot i as (A, B, C), lowest
     terms with C > 0, for x -> (A*x + B)/C.  The segment [t_last - 1, t_0]
     that a point below t_0 falls on is kept too, last.  `knots` (Fraction
-    pairs) and the binary64 knots of the float path are built on first use.
+    pairs) are built on first use.  `eval` at a float x is f(x) exactly,
+    rounded once to binary64.
     """
 
     kind = "pl"
@@ -141,7 +143,6 @@ class PiecewiseLinearMap(LiftedCircleMap):
         self._segs = [_affine(a, b) for a, b in zip(pairs, ends)]
         self._segs.append(_affine((tn - td, td, vn - vd, vd), pairs[0]))
         self._knots = None
-        self._float_knots = None
 
     @property
     def knots(self) -> tuple:
@@ -178,27 +179,13 @@ class PiecewiseLinearMap(LiftedCircleMap):
 
     def eval(self, t: Scalar) -> Scalar:
         if isinstance(t, float):
-            return self._eval_float(t)
+            # NaN and +-inf raise ValueError and OverflowError here; the
+            # quotient of two ints is correctly rounded
+            p, q = self._eval_pair(*t.as_integer_ratio())
+            return p / q
         if not isinstance(t, (int, Fraction)):
             t = Fraction(t)
         return Fraction(*self._eval_pair(t.numerator, t.denominator))
-
-    def _eval_float(self, t: float) -> float:
-        n = math.floor(t)
-        tau = t - n
-        if self._float_knots is None:
-            self._float_knots = [(tn / td, vn / vd) for tn, td, vn, vd in self._pairs]
-        knots = self._float_knots
-        idx = self._locate(*tau.as_integer_ratio())
-        if idx < 0:
-            t0, v0 = knots[-1]
-            t0, v0 = t0 - 1, v0 - 1
-            t1, v1 = knots[0]
-        else:
-            t0, v0 = knots[idx]
-            t1, v1 = knots[idx + 1] if idx + 1 < len(knots) else (knots[0][0] + 1, knots[0][1] + 1)
-        v = v0 + (v1 - v0) * (tau - t0) / (t1 - t0)
-        return v + n
 
     def inverse(self) -> "PiecewiseLinearMap":
         # the values of the knots lie in [v_0, v_0 + 1), so taken mod 1 they
@@ -420,34 +407,6 @@ def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
     return f
 
 
-def track_lift(circle_map, lift_at_0: float):
-    """Continue a lift along [0, 1] by unwrapping the image argument.
-
-    `circle_map(z)` maps the unit circle to itself.  The subdivision starts at
-    1024 samples and doubles until successive principal arguments differ by
-    less than 1/4 of a turn; past 2**16 samples it raises ArithmeticError.
-    Returns the list of lift values at the subdivision points, starting from
-    `lift_at_0`.
-    """
-    n = 1024
-    while True:
-        vals = [lift_at_0]
-        for k in range(1, n + 1):
-            z = cmath.exp(2j * math.pi * (k / n))
-            p = (cmath.phase(circle_map(z)) / TWO_PI) % 1.0
-            step = (p - vals[-1]) % 1.0
-            if step > 0.5:
-                step -= 1.0
-            if abs(step) >= 0.25:
-                break
-            vals.append(vals[-1] + step)
-        else:
-            return vals
-        if n >= 1 << 16:
-            raise ArithmeticError("argument tracking did not stabilise")
-        n *= 2
-
-
 def _moebius_extremes(f: LiftedCircleMap) -> tuple:
     """(t, f(t) - t) at the minimum and the maximum of D = f - id, lowest first,
     for a Moebius lift or a word of them; a word with PL letters raises ValueError.
@@ -474,29 +433,31 @@ def _moebius_extremes(f: LiftedCircleMap) -> tuple:
     return tuple(sorted(((t, g.eval(t) - t) for t in ts), key=lambda e: e[1]))
 
 
-def sup_displacement(f: LiftedCircleMap) -> Scalar:
-    """sup over one period of f(t) - t, without sampling.
+def _extremes(f: LiftedCircleMap) -> tuple:
+    """((t_lo, D_lo), (t_hi, D_hi)), the first minimum and the first maximum
+    over one period of D = f - id, without sampling.
 
-    Exact for (words of) piecewise-linear maps: the displacement is linear
-    between breakpoints, so the sup is attained at a breakpoint.  For Moebius
-    data, the larger critical value in closed form (`_moebius_extremes`).  A
+    Exact `Fraction`s for (words of) piecewise-linear maps: D is linear
+    between breakpoints, so both are attained at a breakpoint.  For Moebius
+    data, the two critical points in closed form (`_moebius_extremes`).  A
     word mixing PL and Moebius letters raises ValueError.
     """
     pl = _as_piecewise_linear(f)
-    if pl is not None:
-        ds = _displacements(pl)
-        return Fraction(*ds[_first_max(ds)])
-    return _moebius_extremes(f)[1][1]
+    if pl is None:
+        return _moebius_extremes(f)
+    ds = _displacements(pl)
+    return tuple((Fraction(pl._tn[i], pl._td[i]), Fraction(*ds[i]))
+                 for i in (_first_max([(-n, d) for n, d in ds]), _first_max(ds)))
+
+
+def sup_displacement(f: LiftedCircleMap) -> Scalar:
+    """sup over one period of f(t) - t (`_extremes`)."""
+    return _extremes(f)[1][1]
 
 
 def inf_displacement(f: LiftedCircleMap) -> Scalar:
-    """inf over one period of f(t) - t, equal to -sup_displacement(f^-1) and
-    found the same way: at a breakpoint, or the lower critical value."""
-    pl = _as_piecewise_linear(f)
-    if pl is not None:
-        ds = _displacements(pl)
-        return Fraction(*ds[_first_max([(-n, d) for n, d in ds])])
-    return _moebius_extremes(f)[0][1]
+    """inf over one period of f(t) - t (`_extremes`), equal to -sup_displacement(f^-1)."""
+    return _extremes(f)[0][1]
 
 
 @dataclass(frozen=True)
@@ -687,24 +648,15 @@ class DisplacementCheck:
 
 
 def displacement_within(f: LiftedCircleMap, bound: Scalar) -> DisplacementCheck:
-    """Check |f(t) - t| <= bound without sampling and with no slack: exactly
-    at the breakpoints for PL data, at the two critical points of the
-    displacement for Moebius data (`_moebius_extremes`).  A failed check names
-    the first point of largest |displacement| as its witness; a word mixing PL
-    and Moebius letters raises ValueError."""
-    pl = _as_piecewise_linear(f)
-    if pl is None:
-        t, d = max(_moebius_extremes(f), key=lambda e: abs(e[1]))
-        ok = abs(d) <= bound
-    else:
-        ds = _displacements(pl)
-        i = _first_max([(abs(n), d) for n, d in ds])
-        n, d = ds[i]
-        ok = Fraction(abs(n), d) <= bound
-        t, d = pl._tn[i] / pl._td[i], n / d
-    if ok:
+    """Check |f(t) - t| <= bound at the extremes (`_extremes`), with no slack:
+    exactly at the breakpoints for PL data, at the two critical points of the
+    displacement for Moebius data.  A failed check names the first point of
+    largest |displacement| as its witness; a word mixing PL and Moebius
+    letters raises ValueError."""
+    t, d = min(_extremes(f), key=lambda e: (-abs(e[1]), e[0]))
+    if abs(d) <= bound:
         return DisplacementCheck(True, float(bound))
-    return DisplacementCheck(False, float(bound), t, d)
+    return DisplacementCheck(False, float(bound), float(t), float(d))
 
 
 def wood_bound_check(maps: Sequence[LiftedCircleMap]) -> DisplacementCheck:
@@ -717,17 +669,31 @@ def wood_bound_check(maps: Sequence[LiftedCircleMap]) -> DisplacementCheck:
 
 
 def euler_from_sections(fD: LiftedCircleMap, fK: LiftedCircleMap) -> int:
-    """The constant integer fD(t) - fK(t), verified at the 256 points k/256:
-    NonConstantDifference is raised if the difference varies by more than
-    1e-9, NonIntegerDifference if the constant is farther than 1e-9 from Z."""
-    diffs = [float(fD.eval(k / 256)) - float(fK.eval(k / 256)) for k in range(256)]
-    lo, hi = min(diffs), max(diffs)
-    if hi - lo > 1e-9:
+    """The constant integer fD(t) - fK(t), from extremes, not samples.
+
+    With s = fK(t), fD(t) - fK(t) = h(s) - s for h = fD o fK^-1, so the
+    difference ranges over [inf, sup] of h's displacement (`_extremes`).  If h
+    mixes PL and Moebius letters, the range lies in [inf D_fD - sup D_fK,
+    sup D_fD - inf D_fK]: a Moebius lift that is affine on an interval is a
+    rotation, so the difference is constant only if both lifts are
+    translations, and then that interval is a point.  Exact (`Fraction`) ends
+    are compared exactly, float ends within 1e-9.  NonConstantDifference is
+    raised if the difference varies, NonIntegerDifference if the constant is
+    not an integer, ValueError if fD or fK itself mixes PL and Moebius letters.
+    """
+    try:
+        (_, lo), (_, hi) = _extremes(compose(fD, fK.inverse()))
+    except ValueError:
+        (_, d_lo), (_, d_hi) = _extremes(fD)
+        (_, k_lo), (_, k_hi) = _extremes(fK)
+        lo, hi = d_lo - k_hi, d_hi - k_lo
+    tol = 0 if isinstance(lo, Fraction) else 1e-9
+    if hi - lo > tol:
         raise NonConstantDifference(f"difference varies over [{lo}, {hi}]")
-    mean = math.fsum(diffs) / len(diffs)
-    k = round(mean)
-    if abs(mean - k) > 1e-9:
-        raise NonIntegerDifference(f"constant difference {mean} is not an integer")
+    mid = (lo + hi) / 2
+    k = round(mid)
+    if abs(mid - k) > tol:
+        raise NonIntegerDifference(f"constant difference {mid} is not an integer")
     return int(k)
 
 

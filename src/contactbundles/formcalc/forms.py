@@ -98,13 +98,19 @@ class Chart:
                 axes.append(np.linspace(lo, hi, n))
         return axes
 
+    @functools.cached_property
+    def _exclusion_kernels(self) -> tuple:
+        """(kernel, eps) for each exclusion, compiled on first use only;
+        `cached_property` writes the instance dict, which frozen leaves open."""
+        return tuple((compile_expr(normalize(expr), self.names), eps)
+                     for expr, eps in self.exclusions)
+
     def sample_mask(self, mesh: Sequence[np.ndarray]) -> np.ndarray:
         """True where the point survives all exclusions, on the broadcast
         shape of the coordinates the exclusions read: length 1 along every
         other axis, so sparse `meshgrid` axes give a reduced mask."""
         keep = np.ones((1,) * np.ndim(mesh[0]), dtype=bool)
-        for expr, eps in self.exclusions:
-            fn = compile_expr(normalize(expr), self.names)
+        for fn, eps in self._exclusion_kernels:
             with np.errstate(all="ignore"):
                 keep = keep & (np.abs(fn(*mesh)) >= eps)
         return keep

@@ -191,6 +191,17 @@ class TestWoodBound:
         check = cd.wood_bound_check(lifts)
         assert check.ok and check.bound == 4.0
 
+    @pytest.mark.parametrize("knots, witness", [
+        ([(Fraction(1, 4), Fraction(3, 8)), (Fraction(3, 4), Fraction(5, 8))],
+         (0.25, 0.125)),
+        ([(Fraction(1, 4), Fraction(1, 8)), (Fraction(1, 2), Fraction(1, 2)),
+          (Fraction(3, 4), Fraction(7, 8))], (0.25, -0.125)),
+    ], ids=["max-first", "min-first"])
+    def test_tied_extremes_name_the_earlier_knot(self, knots, witness):
+        check = cd.displacement_within(cd.PiecewiseLinearMap(knots), Fraction(1, 16))
+        assert not check.ok
+        assert (check.witness_t, check.witness_displacement) == witness
+
     def test_synthetic_violation_with_witness(self):
         g = 2
         synthetic = cd.translation(2 * g + 1)
@@ -220,6 +231,35 @@ class TestEulerFromSections:
     def test_noninteger_difference(self):
         with pytest.raises(cd.NonIntegerDifference):
             cd.euler_from_sections(cd.translation(Fraction(1, 2)), cd.identity())
+
+    @pytest.mark.parametrize("knots", [
+        [(0, 0), (Fraction(1, 1024), Fraction(3, 2048)), (Fraction(2, 1024), Fraction(2, 1024))],
+        [(0, 0), (Fraction(1, 512), Fraction(1, 512) + Fraction(1, 10 ** 6)),
+         (Fraction(1, 256), Fraction(1, 256))],
+    ], ids=["bump-1/2048", "bump-1e-6"])
+    def test_a_bump_between_grid_points_is_not_constant(self, knots):
+        with pytest.raises(cd.NonConstantDifference):
+            cd.euler_from_sections(cd.PiecewiseLinearMap(knots), cd.identity())
+
+    @pytest.mark.parametrize("wD, wK, euler", [(2, 0, 2), (1, -2, 3)])
+    def test_moebius_lifts_of_one_isometry(self, wD, wK, euler):
+        iso = hy.Isometry2H(2.0, 0.3, 0.1, 0.515)
+        fD, fK = cd.MoebiusBoundaryLift(iso, wD), cd.MoebiusBoundaryLift(iso, wK)
+        assert cd.euler_from_sections(fD, fK) == euler
+
+    @pytest.mark.parametrize("make", [
+        lambda: (cd.MoebiusBoundaryLift(hy.Isometry2H(2.0, 0.3, 0.1, 0.515), 1),
+                 cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9))),
+        lambda: (cd.translation(-3), cd.MoebiusBoundaryLift(hy.Isometry2H(2.0, 0.0, 0.0, 0.5))),
+    ], ids=["two-isometries", "translation-vs-hyperbolic"])
+    def test_lifts_of_different_maps(self, make):
+        with pytest.raises(cd.NonConstantDifference):
+            cd.euler_from_sections(*make())
+
+    def test_a_mixed_section_is_refused(self):
+        mixed = cd.compose(cd.translation(1), cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9)))
+        with pytest.raises(ValueError, match="mixing"):
+            cd.euler_from_sections(mixed, cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.4)))
 
 
 class TestRepresentationInvariants:
@@ -255,6 +295,35 @@ class TestRepresentationInvariants:
                                    (Fraction(1, 2), Fraction(3, 2))])
 
 
+def track_lift(circle_map, lift_at_0):
+    """Continue a lift along [0, 1] by unwrapping the image argument: the
+    winding oracle of the closed-form Moebius lift.
+
+    `circle_map(z)` maps the unit circle to itself.  The subdivision starts at
+    1024 samples and doubles until successive principal arguments differ by
+    less than 1/4 of a turn; past 2**16 samples it raises ArithmeticError.
+    Returns the list of lift values at the subdivision points, starting from
+    `lift_at_0`.
+    """
+    n = 1024
+    while True:
+        vals = [lift_at_0]
+        for k in range(1, n + 1):
+            z = cmath.exp(2j * math.pi * (k / n))
+            p = (cmath.phase(circle_map(z)) / (2 * math.pi)) % 1.0
+            step = (p - vals[-1]) % 1.0
+            if step > 0.5:
+                step -= 1.0
+            if abs(step) >= 0.25:
+                break
+            vals.append(vals[-1] + step)
+        else:
+            return vals
+        if n >= 1 << 16:
+            raise ArithmeticError("argument tracking did not stabilise")
+        n *= 2
+
+
 class TestTrackLift:
     def test_tracking_matches_pointwise_eval(self):
         poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
@@ -268,7 +337,7 @@ class TestTrackLift:
                 w = (a * w + b) / (b.conjugate() * w + a.conjugate())
             return w
 
-        vals = cd.track_lift(circle_map, rel.eval(0.0))
+        vals = track_lift(circle_map, rel.eval(0.0))
         n = len(vals) - 1
         assert abs(vals[-1] - vals[0] - 1.0) <= 1e-9  # degree one
         for k in range(0, n + 1, n // 64):
@@ -288,7 +357,7 @@ class TestTrackLift:
                 w = (a * w + b) / (b.conjugate() * w + a.conjugate())
             return w
 
-        vals = cd.track_lift(circle_map, rel.eval(0.0))
+        vals = track_lift(circle_map, rel.eval(0.0))
         canon0 = cd.MoebiusBoundaryLift(flat.iso, 0).eval(0.0)
         assert flat.winding == round(vals[0] - canon0)
 
@@ -566,35 +635,24 @@ class TestMoebiusDisplacement:
 # `ref_compose` and `ref_orbit` are that engine, kept here as the oracle.
 
 class RefPL:
-    """Piecewise-linear lift evaluated in `Fraction` (or, for floats, binary64)."""
+    """Piecewise-linear lift evaluated in `Fraction`."""
 
     def __init__(self, breakpoints):
         self.knots = tuple(sorted((Fraction(t), Fraction(v)) for t, v in breakpoints))
         self._ts = [t for t, _ in self.knots]
-        self._float_knots = [(float(t), float(v)) for t, v in self.knots]
-
-    def _segment(self, idx, exact):
-        knots = self.knots if exact else self._float_knots
-        t0, v0 = knots[idx]
-        if idx + 1 < len(knots):
-            t1, v1 = knots[idx + 1]
-        else:
-            t1, v1 = knots[0][0] + 1, knots[0][1] + 1
-        return t0, v0, t1, v1
 
     def eval(self, t):
-        exact = not isinstance(t, float)
-        if exact:
-            t = Fraction(t)
+        t = Fraction(t)
         n = math.floor(t)
         tau = t - n
-        knots = self.knots if exact else self._float_knots
-        if tau < self._ts[0]:
-            t0, v0 = knots[-1]
+        knots = self.knots
+        idx = bisect.bisect_right(self._ts, tau) - 1
+        if idx < 0:
+            (t0, v0), (t1, v1) = knots[-1], knots[0]
             t0, v0 = t0 - 1, v0 - 1
-            t1, v1 = knots[0]
         else:
-            t0, v0, t1, v1 = self._segment(bisect.bisect_right(self._ts, tau) - 1, exact)
+            t0, v0 = knots[idx]
+            t1, v1 = knots[idx + 1] if idx + 1 < len(knots) else (knots[0][0] + 1, knots[0][1] + 1)
         return v0 + (v1 - v0) * (tau - t0) / (t1 - t0) + n
 
     def inverse(self):
@@ -667,6 +725,31 @@ def probe_floats(f):
     return pts
 
 
+class TestEulerAgainstKnots:
+    @settings(max_examples=200, deadline=None)
+    @given(pl_maps(), pl_maps(),
+           st.one_of(st.none(), st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+    @example(cd.translation(Fraction(5, 7)), cd.translation(Fraction(-2, 7)), None)
+    @example(cd.PiecewiseLinearMap([(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 5))]),
+             cd.PiecewiseLinearMap([(0, Fraction(-7, 4)), (Fraction(1, 2), Fraction(-7, 5))]),
+             None)
+    def test_matches_the_difference_at_the_knots(self, fD, fK, shift):
+        """A drawn pair, or fD against fD shifted by `shift`, whose difference
+        is constant; fD - fK is linear between the union of both maps' knots."""
+        if shift is not None:
+            fK = cd.compose(cd.translation(shift), fD)
+        ts = {t for t, _ in fD.knots} | {t for t, _ in fK.knots}
+        diffs = {fD.eval(t) - fK.eval(t) for t in ts}
+        if len(diffs) > 1:
+            with pytest.raises(cd.NonConstantDifference):
+                cd.euler_from_sections(fD, fK)
+        elif diffs.pop().denominator != 1:
+            with pytest.raises(cd.NonIntegerDifference):
+                cd.euler_from_sections(fD, fK)
+        else:
+            assert cd.euler_from_sections(fD, fK) == fD.eval(0) - fK.eval(0)
+
+
 def seeded_relator(rng, g):
     return cd.evaluate_relator([random_pl(rng) for _ in range(2 * g)])
 
@@ -680,7 +763,13 @@ class TestIntegerEngine:
             assert v == ref.eval(t) and isinstance(v, Fraction)
         assert f.eval(3) == ref.eval(3) and f.eval("1/3") == ref.eval(Fraction(1, 3))
         for x in probe_floats(ref):
-            assert f.eval(x).hex() == ref.eval(x).hex(), x
+            # the exact value at the float, rounded once
+            assert f.eval(x) == float(ref.eval(Fraction(x))), x
+        with pytest.raises(ValueError):
+            f.eval(math.nan)
+        for x in (math.inf, -math.inf):
+            with pytest.raises(OverflowError):
+                f.eval(x)
 
     @settings(max_examples=150, deadline=None)
     @given(pl_maps(), pl_maps())

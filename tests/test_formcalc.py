@@ -573,6 +573,38 @@ class TestCompiledSamples:
         with pytest.raises(ValueError, match="no samples survive the exclusions"):
             fc.forms_equal_numeric(f, f, points=3)
 
+    @staticmethod
+    def exclusion_compiles(chart, call):
+        """How often `call()` compiles each of the chart's exclusions."""
+        compiled = []
+
+        def counting(expr, names):
+            compiled.append(expr)
+            return compile_expr(expr, names)
+
+        with mock.patch.object(forms, "compile_expr", counting):
+            call()
+        return [compiled.count(fc.normalize(e)) for e, _ in chart.exclusions]
+
+    def test_a_refusal_compiles_each_exclusion_once(self):
+        chart = fc.parse_chart("chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude 1<2")
+        f = fc.parse_form("dz - y*dx", chart)
+
+        def refuse():
+            with pytest.raises(ValueError, match="in 3000 random draws"):
+                fc.forms_equal_numeric(f, f, points=3)
+        assert self.exclusion_compiles(chart, refuse) == [1]
+
+    def test_a_refined_sign_compiles_each_exclusion_once(self):
+        # every sample is flagged: 48^3 refined in 27 chunks, none excluded
+        form = fc.parse_form_file(ALL_AXES.replace(
+            "; form", "; exclude x - 5<1; exclude y*z - 3<1; form"))
+        reports = []
+        counts = self.exclusion_compiles(
+            form.chart, lambda: reports.append(fc.contact_sign(form, grid=48)))
+        assert counts == [1, 1]
+        assert reports[0].samples == 48 ** 3 * 28
+
     def test_slope_matches_pointwise_evaluation(self):
         f = fc.parse_form("(2 + sin(theta)*r)*dz + r^2*cos(z)*dtheta",
                           fc.solid_torus_universal_form().chart)
