@@ -135,7 +135,7 @@ def cmd_holonomy(args) -> int:
         "area": area,
         "circumradius": poly.circumradius,
         "commutator_trace": comm.trace(),
-        "commutator_class": comm.classification(1e-9),
+        "commutator_class": comm.classification(),
         "rho": float(est.value),
         "abs_rho": abs(float(est.value)),
         "target_abs_rho": target,
@@ -166,7 +166,7 @@ def cmd_polygon(args) -> int:
         "requested_area": area,
         "circumradius": poly.circumradius,
         "computed_area": hyperbolic.polygon_area(poly),
-        "side_length": poly.side_lengths()[0],
+        "side_length": hyperbolic.hdistance(poly.vertex(1), poly.vertex(2)),
         "pairing_residual_max": max(residuals),
         "commutator_trace": comm.trace(),
         "expected_abs_trace": expected,

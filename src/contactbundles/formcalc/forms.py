@@ -360,9 +360,11 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
     """Classify the sign of alpha ^ d(alpha) on the chart grid minus exclusions.
 
     Samples with |coefficient| below 10*SIGN_TOL trigger a local x2 refinement
-    before a Mixed verdict is returned.  A grid sample that no exclusion
-    removes and where the coefficient is not finite (an overflow, a pole)
-    raises ArithmeticError naming the first such point in C order.
+    before a Mixed verdict is returned: the 3^dim neighbours at half a grid
+    step, each coordinate clamped to its range on a non-periodic axis.  A
+    grid sample that no exclusion removes and where the coefficient is not
+    finite (an overflow, a pole) raises ArithmeticError naming the first such
+    point in C order.
 
     The coefficient and the exclusion mask are evaluated on sparse
     `meshgrid` axes, i.e. on their broadcast shape, which spans only the
@@ -414,8 +416,13 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
         # and mask.  A chunk of n samples is a (3, ..., 3, n) block with axis d
         # offset along dimension d, so the order of the refined points, by
         # sample and then by offset as in itertools.product((-1, 0, 1),
-        # repeat=dim), is C order of its (3^dim, n) transpose.
+        # repeat=dim), is C order of its (3^dim, n) transpose.  A neighbour
+        # beyond a non-periodic range is clamped onto its edge, not dropped:
+        # every sample keeps 3^dim neighbours, so a count along an axis the
+        # coefficient does not read stays `repeat` times the reduced one.
         steps = [(ax[1] - ax[0]) / 2 if len(ax) > 1 else 0.0 for ax in axes]
+        clamp = [(-math.inf, math.inf) if per else rng
+                 for rng, per in zip(chart.ranges, chart.periodic)]
         offsets = np.array((-1, 0, 1))
         dim = chart.dim
         best, witness, count = math.inf, None, 0
@@ -427,9 +434,9 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
                       for lo in range(0, b.size, REFINE_CHUNK)):
             n = chunk.size
             centers = [ax[i] for ax, i in zip(axes, np.unravel_index(chunk, flagged.shape))]
-            cols = [(c + (offsets * step)[:, None]).reshape(
+            cols = [np.clip(c + (offsets * step)[:, None], *bounds).reshape(
                         (1,) * d + (3,) + (1,) * (dim - 1 - d) + (n,))
-                    for d, (c, step) in enumerate(zip(centers, steps))]
+                    for d, (c, step, bounds) in enumerate(zip(centers, steps, clamp))]
             with np.errstate(all="ignore"):
                 block = _padded(fn, cols)
             kept = chart.sample_mask(cols) & np.isfinite(block)

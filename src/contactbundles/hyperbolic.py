@@ -16,9 +16,9 @@ boundary lift has translation number -area/(2*pi) up to the orientation sign.
 Isometries are stored as real SL(2) matrices (PSL(2, R), identified with
 their negation) and act on the disk through the Cayley transform; the
 boundary circle is the circle-dynamics coordinate, so no further conjugation
-is needed.  Interior angles are computed by the hyperbolic law of cosines on
-the isoceles center triangles; numeric geodesic integration is used only as
-a test oracle.
+is needed.  The area is measured on one isoceles centre triangle, whose
+rotations tile the polygon (`polygon_area`); numeric geodesic integration is
+used only as a test oracle.
 
 The right triangle (centre, edge midpoint, vertex) has angles pi/n and
 beta/2, with n = 4g and interior angle beta = ((n-2)*pi - area)/n, so the
@@ -34,7 +34,6 @@ stay bounded as the area approaches (4g-2)*pi and the vertices the boundary.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -47,14 +46,12 @@ class AreaOutOfRange(ValueError):
     """Requested area is outside (0, (4g-2)*pi)."""
 
 
-class LengthMismatch(ValueError):
-    """Oriented segments of different hyperbolic lengths cannot be glued."""
-
-
 class Isometry2H:
     """An element of PSL(2, R): real matrix with det 1, up to global sign."""
 
     __slots__ = ("a", "b", "c", "d")
+    #: ||trace| - 2| at or below which `classification` answers parabolic
+    _PARABOLIC_TOL = 1e-9
 
     def __init__(self, a: float, b: float, c: float, d: float):
         det = a * d - b * c
@@ -107,9 +104,9 @@ class Isometry2H:
     def trace(self) -> float:
         return self.a + self.d
 
-    def classification(self, tol: float = 1e-12) -> str:
+    def classification(self) -> str:
         t = abs(self.trace())
-        if abs(t - 2.0) <= tol:
+        if abs(t - 2.0) <= self._PARABOLIC_TOL:
             return "parabolic"
         return "elliptic" if t < 2.0 else "hyperbolic"
 
@@ -200,11 +197,9 @@ def build_symmetric_polygon(g: int, radius: float) -> SymmetricPolygon:
         raise ValueError("circumradius must be positive")
     n = 4 * g
     re = math.tanh(radius / 2.0)  # Euclidean radius of the hyperbolic circle
-    verts = []
-    for k in range(n):
-        theta = -2.0 * math.pi * k / n  # clockwise numbering
-        verts.append(HPoint(re * math.cos(theta), re * math.sin(theta)))
-    poly = SymmetricPolygon(genus=g, circumradius=radius, vertices=tuple(verts))
+    angles = [-2.0 * math.pi * k / n for k in range(n)]  # clockwise numbering
+    verts = tuple(HPoint(re * math.cos(t), re * math.sin(t)) for t in angles)
+    poly = SymmetricPolygon(genus=g, circumradius=radius, vertices=verts)
     lengths = poly.side_lengths()
     bound = 48 * sys.float_info.epsilon * (
         lengths[0] + n + 1.0 / ((1.0 - re) * (1.0 + re)))
@@ -213,31 +208,25 @@ def build_symmetric_polygon(g: int, radius: float) -> SymmetricPolygon:
     return poly
 
 
-def _triangle_angle(adj1: float, adj2: float, opposite: float) -> float:
-    """Angle between the sides of lengths adj1, adj2 in a hyperbolic triangle."""
-    c = (math.cosh(adj1) * math.cosh(adj2) - math.cosh(opposite)) / (
-        math.sinh(adj1) * math.sinh(adj2))
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
 def polygon_area(poly: SymmetricPolygon) -> float:
-    """Gauss-Bonnet area: (4g-2)*pi minus the sum of interior angles.
+    """Gauss-Bonnet area (n-2)*pi - 2n*theta, read off one centre triangle.
 
-    Each interior angle is split by the ray to the center into two base
-    angles of isoceles center triangles, computed by the law of cosines.
+    The n rotations of (O, s_1, s_2) tile the polygon (its sides are equal,
+    `build_symmetric_polygon`), and each interior angle is two base angles
+    theta.  With a = d(O, s_1), b = d(O, s_2), s = d(s_1, s_2) measured on
+    the vertices and p = (a + b + s)/2, the half-angle law of cosines
+    (Beardon, The Geometry of Discrete Groups, ch. 7) gives theta at s_1 by
+    sin^2(theta/2) = sinh(p - a)*sinh(p - s)/(sinh(a)*sinh(s)).  Near the top
+    theta -> 0 while p - a -> s/2 and p - s = (a + b - s)/2 -> -ln(sin(pi/n)),
+    so nothing cancels: theta keeps the relative accuracy its cosine loses.
     """
-    verts = poly.vertices
-    n = len(verts)
-    origin = HPoint(0.0, 0.0)
-    radii = [hdistance(origin, v) for v in verts]
-    sides = poly.side_lengths()
-    angle_sum = 0.0
-    for k in range(n):
-        # angle at vertex k inside triangle (O, v_k, v_{k+1})
-        angle_sum += _triangle_angle(radii[k], sides[k], radii[(k + 1) % n])
-        # angle at vertex k inside triangle (O, v_{k-1}, v_k)
-        angle_sum += _triangle_angle(radii[k], sides[(k - 1) % n], radii[(k - 1) % n])
-    return (n - 2) * math.pi - angle_sum
+    n = len(poly.vertices)
+    o, s1, s2 = HPoint(0.0, 0.0), poly.vertex(1), poly.vertex(2)
+    a, b, s = hdistance(o, s1), hdistance(o, s2), hdistance(s1, s2)
+    p = (a + b + s) / 2.0
+    theta = 2.0 * math.asin(math.sqrt(
+        math.sinh(p - a) * math.sinh(p - s) / (math.sinh(a) * math.sinh(s))))
+    return (n - 2) * math.pi - 2 * n * theta
 
 
 def radius_for_area(g: int, area: float) -> float:
@@ -275,27 +264,6 @@ def _from_origin(z: complex) -> Isometry2H:
     return Isometry2H.from_disk_coefficients(1.0 + 0.0j, z)
 
 
-def isometry_from_segments(a: HPoint, b: HPoint, a2: HPoint, b2: HPoint) -> Isometry2H:
-    """The orientation-preserving isometry with a -> a2, b -> b2.
-
-    Exists and is unique when the oriented segments have the same length;
-    raises LengthMismatch (tolerance 1e-9) otherwise.
-    """
-    d1 = hdistance(a, b)
-    d2 = hdistance(a2, b2)
-    if abs(d1 - d2) > 1e-9:
-        raise LengthMismatch(f"segment lengths differ: {d1} vs {d2}")
-    ta = _from_origin(a.as_complex()).inverse()
-    ta2 = _from_origin(a2.as_complex()).inverse()
-    wb = ta.apply_complex(b.as_complex())
-    wb2 = ta2.apply_complex(b2.as_complex())
-    if abs(wb) < 1e-15 and abs(wb2) < 1e-15:
-        phi = 0.0
-    else:
-        phi = cmath.phase(wb2) - cmath.phase(wb)
-    return ta2.inverse() @ Isometry2H.rotation(phi) @ ta
-
-
 def side_pairings(poly: SymmetricPolygon) -> List[Isometry2H]:
     """The 2g side-pairing isometries of the symmetric polygon.
 
@@ -307,7 +275,7 @@ def side_pairings(poly: SymmetricPolygon) -> List[Isometry2H]:
     With H(m_k) the half-turn about the midpoint of E_k = (s_k, s_{k+1}),
     at angle -(2k-1)*pi/n and inradius rho, which reverses that edge:
     phi_{2i-1} = Rot(+4*pi/n) o H(m_{4i-1}), phi_{2i} = Rot(-4*pi/n) o
-    H(m_{4i-2}).  `isometry_from_segments` gives the same maps from vertices.
+    H(m_{4i-2}); tests/test_hyperbolic.py checks them against their vertices.
     """
     n = 4 * poly.genus
     rho = math.atanh(math.tanh(poly.circumradius) * math.cos(math.pi / n))
@@ -345,10 +313,9 @@ def boundary_lift(iso: Isometry2H) -> cd.MoebiusBoundaryLift:
     return cd.MoebiusBoundaryLift(iso, 0)
 
 
-#: Largest genus `symmetric_pairings` builds.  A `polygon` or `holonomy`
-#: request costs time linear in g: in-process on a 2-vCPU VM (Python 3.11,
-#: best of 3) g = 10^3 took 0.07 s for either, and g = 10^4 0.62 s for
-#: `polygon` and 0.85 s for `holonomy`, so the bound keeps a request under 1 s.
+#: Largest genus `symmetric_pairings` builds.  Requests cost time linear in g:
+#: at g = 10^4 (in-process, 2-vCPU VM, Python 3.11, best of 5) `polygon` took
+#: 0.44-0.46 s and `holonomy` 0.79-0.97 s, so the bound keeps either near 1 s.
 MAX_GENUS = 10 ** 4
 
 

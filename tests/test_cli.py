@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -139,6 +140,37 @@ class TestPolygonCommand:
         out = rep["outputs"]
         assert out["pairing_residual_max"] <= 1e-7
         assert abs(abs(out["commutator_trace"]) - out["expected_abs_trace"]) <= 1e-6
+
+    @pytest.mark.parametrize("g", [1, 2, 8])
+    def test_one_centre_triangle_measures_the_area(self, capsys, monkeypatch, g):
+        # n sides for the drift check, n pairing residuals, 3 for the area
+        # and 1 for the side length: at most 2n + 4 distances per report
+        calls = []
+        distance = hyperbolic.hdistance
+
+        def counted(p, q):
+            calls.append((p, q))
+            return distance(p, q)
+
+        monkeypatch.setattr(hyperbolic, "hdistance", counted)
+        code, _, _ = run(capsys, "polygon", "--genus", str(g), "--area", f"{2 * g - 1}pi")
+        assert code == 0 and len(calls) <= 2 * 4 * g + 4
+        poly = hyperbolic.build_symmetric_polygon(g, 1.5)
+        calls.clear()
+        hyperbolic.polygon_area(poly)
+        assert len(calls) == 3
+
+    def test_side_length_is_the_first_side(self, capsys):
+        rng = random.Random(41)
+        for g in (1, 2, 3, 8):
+            for _ in range(10):
+                share = rng.uniform(0.001, 0.999)
+                area = share * (4 * g - 2)
+                _, rep, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", f"{area!r}pi")
+                poly, _ = hyperbolic.symmetric_pairings(g, area * math.pi)
+                first = poly.side_lengths()[0]
+                assert hyperbolic.hdistance(poly.vertex(1), poly.vertex(2)) == first
+                assert rep["outputs"]["side_length"] == cli._round12(first)
 
 
 class TestFormsCommand:

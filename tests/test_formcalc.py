@@ -229,13 +229,13 @@ class TestContactSign:
         assert rep.sign == "Positive" and rep.min_abs > 0.5
 
     def test_refinement_skips_poles(self):
-        # volume coefficient (x+2)/(x+9/4): zero on the grid at x = -2, pole
-        # at the refined neighbour x = -2.25
-        f = fc.parse_form("dz - y*(x+2)/(x+9/4)*dx", XYZ)
+        # volume coefficient (x+1)/(x+5/4): zero on the grid at x = -1, pole
+        # at the refined neighbour x = -1.25, inside the chart [-2, 2]^3
+        f = fc.parse_form("dz - y*(x+1)/(x+5/4)*dx", XYZ)
         rep = fc.contact_sign(f, grid=9)
         assert rep.sign == "Mixed" and rep.min_abs == 0.0
         (w,) = rep.witnesses
-        assert w[0] == -2.0
+        assert w == (-1.0, -2.0, -2.0)  # y and z clamped onto the chart
         coeff = fc.volume_coefficient(f)
         assert eval_expr(coeff, dict(zip(XYZ.names, w))) == 0.0
         # 81 flagged grid points, each with 27 refined points, 9 of them poles
@@ -335,6 +335,7 @@ class TestReducedGrid:
     @example(("0", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, 9)  # dz - (y^2/2) dx: Mixed
     @example(("y^2/2", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, (5, 1, 3))
     @example(("y*(x + 2)/(x + 9/4)", "0", "-1"), [], [(-2.0, 2.0)] * 3, (False,) * 3, 9)
+    @example(("y*(x + 1)/(x + 5/4)", "0", "-1"), [], [(-2.0, 2.0)] * 3, (False,) * 3, 9)
     @example(("1", "0", "0"), [("x", "1/4")], [(-1.0, 1.0)] * 3, (False,) * 3, (7, 1, 1))
     @example(("x*y", "z", "1"), [("1", "1/2")], [(-1.0, 1.0)] * 3, (False,) * 3, 4)
     @example(("y/x", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, 9)  # a pole at x = 0
@@ -418,12 +419,13 @@ class TestChunkedRefinement:
     @pytest.mark.parametrize("chunk", [1, 2, 5, 47, 48, 49, 53, 54])
     def test_chunk_boundaries_with_a_late_minimum(self, chunk):
         # coefficient (2 - x)/10^13: every sample is flagged and positive, and
-        # the least value is met first at the refined points x = 1 + 1/8 of
-        # sample 48 of 54, tied at each later sample on x = 1
+        # the least value is met first at the refined points on x = 1 of
+        # sample 48 of 54 (y and z, and x = 1 + 1/8, clamped onto the chart
+        # [-1, 1]^3), tied at each later sample on x = 1
         form, grid = _reduced_case(("-(2 - x)*y/10000000000000", "0", "1"), [],
                                    [(-1.0, 1.0)] * 3, (False,) * 3, (9, 3, 2))
         whole = self.sign_with_chunk(form, grid, 10 ** 6)
-        assert "witnesses=((1.125, -1.5, -2.0),), samples=1512" in whole
+        assert "witnesses=((1.0, -1.0, -1.0),), samples=1512" in whole
         assert self.sign_with_chunk(form, grid, chunk) == whole
         assert whole == _outcome(_dense_contact_sign, form, grid)
 
@@ -469,6 +471,16 @@ class TestChunkedRefinement:
         assert rep.sign == "Mixed" and rep.samples == 256 ** 3 * 28
         _, *refined = sizes
         assert sum(refined) <= 27
+
+    def test_refinement_stays_inside_a_non_periodic_chart(self):
+        # the neighbours of the corner sample at half a grid step are clamped
+        # onto [-1, 1] on non-periodic axes, and each sample keeps all 27
+        text = FLAT_DX.read_text()
+        rep = fc.contact_sign(fc.parse_form_file(text), grid=32)
+        assert rep.witnesses == ((-1.0, -1.0, -1.0),) and rep.samples == 32 ** 3 * 28
+        periodic = text.replace("form", "periodic x; form")
+        rep = fc.contact_sign(fc.parse_form_file(periodic), grid=32)
+        assert rep.witnesses == ((-1.03125, -1.0, -1.0),) and rep.samples == 32 ** 3 * 28
 
 
 class TestPullback:
@@ -901,7 +913,11 @@ def _dense_contact_sign(form, grid=64, tol=1e-12):
         steps = np.array([(ax[1] - ax[0]) / 2 if len(ax) > 1 else 0.0 for ax in axes])
         centers = np.stack([m[flagged] for m in mesh], axis=-1)
         offsets = np.array(list(itertools.product((-1, 0, 1), repeat=chart.dim)))
-        pts = (centers[:, None, :] + offsets * steps).reshape(-1, chart.dim)
+        # clamped onto a non-periodic range
+        bounds = np.array([(-np.inf, np.inf) if per else r
+                           for r, per in zip(chart.ranges, chart.periodic)])
+        pts = np.clip(centers[:, None, :] + offsets * steps, bounds[:, 0], bounds[:, 1])
+        pts = pts.reshape(-1, chart.dim)
         cols = list(pts.T)
         with np.errstate(all="ignore"):
             ref_vals = padded(fn, cols)

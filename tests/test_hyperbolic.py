@@ -43,6 +43,33 @@ def fan_defect_area(poly: hy.SymmetricPolygon) -> float:
     return total
 
 
+class LengthMismatch(ValueError):
+    """Oriented segments of different hyperbolic lengths cannot be glued."""
+
+
+def isometry_from_segments(a: hy.HPoint, b: hy.HPoint,
+                           a2: hy.HPoint, b2: hy.HPoint) -> hy.Isometry2H:
+    """Reference for `side_pairings`: the orientation-preserving isometry
+    with a -> a2, b -> b2.
+
+    Exists and is unique when the oriented segments have the same length;
+    raises LengthMismatch (tolerance 1e-9) otherwise.
+    """
+    d1 = hy.hdistance(a, b)
+    d2 = hy.hdistance(a2, b2)
+    if abs(d1 - d2) > 1e-9:
+        raise LengthMismatch(f"segment lengths differ: {d1} vs {d2}")
+    ta = hy._from_origin(a.as_complex()).inverse()
+    ta2 = hy._from_origin(a2.as_complex()).inverse()
+    wb = ta.apply_complex(b.as_complex())
+    wb2 = ta2.apply_complex(b2.as_complex())
+    if abs(wb) < 1e-15 and abs(wb2) < 1e-15:
+        phi = 0.0
+    else:
+        phi = cmath.phase(wb2) - cmath.phase(wb)
+    return ta2.inverse() @ hy.Isometry2H.rotation(phi) @ ta
+
+
 def random_point(rng, rmax=0.95) -> hy.HPoint:
     r = rmax * math.sqrt(rng.uniform(0, 1))
     t = rng.uniform(0, 2 * math.pi)
@@ -201,7 +228,7 @@ class TestGaussBonnet:
 class TestIsometryFromSegments:
     def test_identity_case(self):
         a, b = hy.HPoint(0.1, 0.2), hy.HPoint(-0.3, 0.4)
-        iso = hy.isometry_from_segments(a, b, a, b)
+        iso = isometry_from_segments(a, b, a, b)
         assert iso.proj_distance(hy.Isometry2H.identity()) <= 1e-10
 
     def test_known_rotation(self):
@@ -209,13 +236,13 @@ class TestIsometryFromSegments:
         phi = 1.234
         rot = hy.Isometry2H.rotation(phi)
         a, b = random_point(rng), random_point(rng)
-        iso = hy.isometry_from_segments(a, b, rot.apply(a), rot.apply(b))
+        iso = isometry_from_segments(a, b, rot.apply(a), rot.apply(b))
         assert iso.proj_distance(rot) <= 1e-10
 
     def test_length_mismatch(self):
-        with pytest.raises(hy.LengthMismatch):
-            hy.isometry_from_segments(hy.HPoint(0, 0), hy.HPoint(0.5, 0),
-                                      hy.HPoint(0, 0), hy.HPoint(0.2, 0))
+        with pytest.raises(LengthMismatch):
+            isometry_from_segments(hy.HPoint(0, 0), hy.HPoint(0.5, 0),
+                                   hy.HPoint(0, 0), hy.HPoint(0.2, 0))
 
 
 class TestSidePairings:
@@ -258,8 +285,8 @@ class TestSidePairings:
             s = poly.vertex
             pairings = hy.side_pairings(poly)
             for i in range(1, g + 1):
-                ref_odd = hy.isometry_from_segments(s(4 * i - 1), s(4 * i), s(4 * i - 2), s(4 * i - 3))
-                ref_even = hy.isometry_from_segments(s(4 * i - 2), s(4 * i - 1), s(4 * i + 1), s(4 * i))
+                ref_odd = isometry_from_segments(s(4 * i - 1), s(4 * i), s(4 * i - 2), s(4 * i - 3))
+                ref_even = isometry_from_segments(s(4 * i - 2), s(4 * i - 1), s(4 * i + 1), s(4 * i))
                 assert pairings[2 * i - 2].proj_distance(ref_odd) <= 1e-9
                 assert pairings[2 * i - 1].proj_distance(ref_even) <= 1e-9
 
@@ -408,6 +435,23 @@ class TestTopOfAreaRange:
             lifts = [hy.boundary_lift(p) for p in pairings]
             est = cd.translation_number(cd.evaluate_relator(lifts), 2000)
             assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 8, 10])
+    def test_area_holds_to_the_top(self, g):
+        # the base angle theta = (top - area)/(2n) falls below sqrt(eps) at
+        # these shares, yet the area keeps it: within 16 eps of the top
+        s_max = (4 * g - 2) * math.pi
+        checked = 0
+        for k in range(7, 15):
+            area = (1 - 10.0 ** -k) * s_max
+            try:
+                radius = hy.radius_for_area(g, area)
+            except hy.AreaOutOfRange:
+                continue
+            poly = hy.build_symmetric_polygon(g, radius)
+            assert abs(hy.polygon_area(poly) - area) <= 16 * sys.float_info.epsilon * s_max
+            checked += 1
+        assert checked == 8
 
     def test_holonomy_translation_number_at_top(self):
         area = (1 - 1e-6) * 6 * math.pi
