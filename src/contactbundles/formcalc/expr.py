@@ -7,7 +7,8 @@ are immutable, and a node computes its structural hash once, on first use.
 rational coefficients, over one sparse polynomial ring (`_ring`), and `diff`
 differentiates on that ring, atom by atom.  The calculus of `forms` combines
 ring polynomials with the private `_ring`, `_diff`, `_times` and `_sum` and
-rebuilds each result into a tree once (`_rebuild`).  This decides the
+rebuilds each result into a tree once (`_rebuild`).  A rebuilt tree keeps
+its polynomial, so `_ring` expands no normal form twice.  This decides the
 cancellations the calculus layer relies on (mixed partials, d o d = 0), while
 equality of general expressions remains a numeric check at random points, not
 a canonical-form decision.
@@ -23,8 +24,8 @@ grammar of `forms` when given basis names.  Rational literals (including
 decimal and scientific notation) are parsed bit-exactly into
 `fractions.Fraction`.
 
-`compile_expr` is the numeric evaluator of the library: a straight-line
-numpy kernel that computes each repeated subtree once and returns values on
+`compile_expr` is the numeric evaluator of the library: a value-numbered list
+of numpy steps that computes each repeated subtree once and returns values on
 the broadcast shape of the coordinates it reads.  `eval_expr` walks the tree
 point by point and is kept as its reference.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,8 +64,9 @@ class Expr:
 
     The structural hash is computed on first use and kept on the node, so a
     dict or `lru_cache` probe costs one lookup instead of a walk of the
-    subtree.  str hashes are salted per process, so `__reduce__` rebuilds a
-    node from its fields alone and the kept value never travels.
+    subtree.  A tree `_rebuild` returns also keeps its ring polynomial, set
+    after the hash.  str hashes are salted per process, so `__reduce__`
+    rebuilds a node from its fields alone and kept values never travel.
     """
 
     __slots__ = ()
@@ -77,7 +80,7 @@ class Expr:
             return h
 
     def __reduce__(self):
-        return type(self), tuple(v for k, v in self.__dict__.items() if k != "_hash")
+        return type(self), tuple(v for k, v in self.__dict__.items() if k[0] != "_")
 
 
 def _node(cls):
@@ -269,9 +272,15 @@ def _invert(p: dict) -> dict:
     return _atom(Pow(_rebuild(p), -1))
 
 
-@lru_cache(maxsize=65536)
 def _ring(e: Expr) -> dict:
-    """The polynomial of e, with every product and power multiplied out."""
+    """The polynomial of e, with every product and power multiplied out: the
+    one `_rebuild` kept on e, else the expansion."""
+    p = e.__dict__.get("_poly")
+    return _expand(e) if p is None else p
+
+
+@lru_cache(maxsize=65536)
+def _expand(e: Expr) -> dict:
     if isinstance(e, Rat):
         return {frozenset(): e.value} if e.value else {}
     if isinstance(e, (Pi, Var)):
@@ -307,7 +316,8 @@ def _factor_key(factor: Tuple[Expr, int]) -> Tuple[str, int]:
 
 def _rebuild(p: dict) -> Expr:
     """The tree of p: a sum of products, the factors of each product and then
-    the products ordered by their (rendered atom, exponent) keys."""
+    the products ordered by their (rendered atom, exponent) keys.  The tree
+    keeps p, which `_ring` then reads instead of expanding the tree again."""
     if not p:
         return ZERO
     monomials = sorted(([sorted(m, key=_factor_key), c] for m, c in p.items()),
@@ -317,7 +327,10 @@ def _rebuild(p: dict) -> Expr:
         out = [Rat(c)] if c != 1 or not factors else []
         out += [a if k == 1 else Pow(a, k) for a, k in factors]
         terms.append(out[0] if len(out) == 1 else Mul(tuple(out)))
-    return terms[0] if len(terms) == 1 else Add(tuple(terms))
+    tree = terms[0] if len(terms) == 1 else Add(tuple(terms))
+    hash(tree)  # taken first, so the hash reads the fields alone
+    tree.__dict__["_poly"] = p
+    return tree
 
 
 @lru_cache(maxsize=65536)
@@ -326,7 +339,7 @@ def normalize(e: Expr) -> Expr:
     products and integer powers multiplied out, like terms merged, and a
     quotient by a sum of two or more terms written with the atom (sum)^-1.
     ZeroDivisionError on a division by a symbolic zero."""
-    return _rebuild(_ring(e))
+    return e if "_poly" in e.__dict__ else _rebuild(_ring(e))  # a rebuilt tree is normal
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +394,16 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 
 def variables(e: Expr) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, (Rat, Pi)):
-        return set()
-    if isinstance(e, (Neg, Sin, Cos, Exp)):
-        return variables(e.arg)
-    if isinstance(e, Add):
-        return set().union(*(variables(t) for t in e.terms)) if e.terms else set()
-    if isinstance(e, Mul):
-        return set().union(*(variables(f) for f in e.factors)) if e.factors else set()
-    if isinstance(e, Div):
-        return variables(e.num) | variables(e.den)
-    if isinstance(e, Pow):
-        return variables(e.base)
-    raise TypeError(f"not an expression: {e!r}")
+    names, stack = set(), [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            names.add(x.name)
+        elif isinstance(x, Expr):
+            stack += _children(x)
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+    return names
 
 
 def eval_expr(e: Expr, env: Mapping[str, float]) -> float:
@@ -433,76 +441,68 @@ def compile_expr(e: Expr, names: Sequence[str]):
     The kernel takes one array per name and returns the value on the
     broadcast shape of the arguments the expression reads (a float if it
     reads none), so on `np.meshgrid(..., sparse=True)` axes it touches only
-    the axes it uses.  It is a straight-line `def` built by value numbering
-    (Aho, Lam, Sethi and Ullman, *Compilers*, §6.1): a subtree that occurs
-    twice or more is computed once into a temporary, deleted after its last
-    use; everything else is written inline, so numpy frees intermediates as
-    it goes.  The operations inside each subtree keep their order, so the
-    values are those of the tree written out in full.
+    the axes it uses.  It runs a value-numbered list of steps (Aho, Lam,
+    Sethi and Ullman, *Compilers*, §6.1), each a (slot, numpy ufunc or
+    `operator` function, one or two operand slots) in depth-first order: a
+    subtree that occurs twice or more is computed once, and every slot is
+    cleared after its last use, so intermediates are freed as it goes.  Sums
+    and products fold left to right, constants are Python floats and a
+    negative exponent is a float, so the values are, bit for bit, those of
+    the tree written out in full as Python arithmetic.
     """
-    uses: Dict[Expr, int] = {}
+    slots: list = [None] * len(names)  # the arguments, then constants and step results
+    numbered: Dict[Expr, int] = {Var(n): i for i, n in enumerate(names)}
+    steps = []
 
-    def count(x: Expr) -> None:
-        if isinstance(x, (Rat, Pi, Var)):  # leaves are always written inline
-            return
-        seen = uses.get(x, 0)
-        uses[x] = seen + 1
-        if not seen:
-            for c in _children(x):
-                count(c)
+    def slot(value) -> int:
+        slots.append(value)
+        return len(slots) - 1
 
-    count(e)
-    arg = {n: f"_a{i}" for i, n in enumerate(names)}
-    temps: Dict[Expr, str] = {}
-    lines = []
+    def step(fn, x: int, y: Optional[int] = None) -> int:
+        steps.append((slot(None), fn, x, y))
+        return len(slots) - 1
 
-    def emit(x: Expr) -> str:
-        if isinstance(x, Rat):
-            return f"({float(x.value)!r})" if x.value < 0 else repr(float(x.value))
-        if isinstance(x, Pi):
-            return "np.pi"
-        if isinstance(x, Var):
-            return arg[x.name]
-        if x in temps:
-            return temps[x]
-        if isinstance(x, Neg):
-            text = f"(-{emit(x.arg)})"
-        elif isinstance(x, Add):
-            text = "(" + " + ".join(emit(t) for t in x.terms) + ")" if x.terms else "0.0"
-        elif isinstance(x, Mul):
-            text = "(" + " * ".join(emit(f) for f in x.factors) + ")" if x.factors else "1.0"
+    def emit(x: Expr) -> int:
+        if x in numbered:
+            return numbered[x]
+        if isinstance(x, (Rat, Pi)):
+            out = slot(math.pi if isinstance(x, Pi) else float(x.value))
+        elif isinstance(x, (Add, Mul)):  # left to right, as in a + b + c
+            fn, xs = (operator.add, x.terms) if isinstance(x, Add) else (operator.mul, x.factors)
+            out = emit(xs[0]) if xs else slot(0.0 if isinstance(x, Add) else 1.0)
+            for t in xs[1:]:
+                out = step(fn, out, emit(t))
         elif isinstance(x, Div):
-            text = f"({emit(x.num)} / {emit(x.den)})"
+            out = step(operator.truediv, emit(x.num), emit(x.den))
         elif isinstance(x, Pow):
-            k = f"{x.exponent:.1f}" if x.exponent < 0 else str(x.exponent)
-            text = f"({emit(x.base)} ** {k})"
-        elif isinstance(x, Sin):
-            text = f"np.sin({emit(x.arg)})"
-        elif isinstance(x, Cos):
-            text = f"np.cos({emit(x.arg)})"
-        elif isinstance(x, Exp):
-            text = f"np.exp({emit(x.arg)})"
+            k = x.exponent
+            out = step(operator.pow, emit(x.base), slot(float(k) if k < 0 else k))
+        elif isinstance(x, (Neg, Sin, Cos, Exp)):
+            out = step(_UNARY[type(x)], emit(x.arg))
         else:
-            raise TypeError(f"not an expression: {x!r}")
-        if uses[x] == 1:
-            return text
-        temps[x] = f"_t{len(temps)}"
-        lines.append(f"{temps[x]} = {text}")
-        return temps[x]
+            raise TypeError(f"not an expression over {tuple(names)}: {x!r}")
+        numbered[x] = out
+        return out
 
-    lines.append(f"return {emit(e)}")
-    last = {t: i for i, line in enumerate(lines) for t in re.findall(r"_t\d+", line)}
-    body = []
-    for i, line in enumerate(lines[:-1]):
-        body.append(line)
-        dead = [t for t in dict.fromkeys(re.findall(r"_t\d+", line)) if last[t] == i]
-        if dead:
-            body.append(f"del {', '.join(dead)}")
-    body.append(lines[-1])
-    src = f"def kernel({', '.join(arg.values())}):\n" + "".join(f"    {b}\n" for b in body)
-    scope = {"np": np}
-    exec(src, scope)  # noqa: S102 - source is generated here
-    return scope["kernel"]
+    result = emit(e)
+    last = {s: i for i, (_, _, x, y) in enumerate(steps) for s in (x, y)}
+    program = [(out, fn, x, y, tuple(s for s in {x, y} - {None} if last[s] == i))
+               for i, (out, fn, x, y) in enumerate(steps)]
+    start = slots[len(names):]
+
+    def kernel(*args):
+        if len(args) != len(names):
+            raise TypeError(f"kernel takes {len(names)} arguments, got {len(args)}")
+        regs = [*args, *start]
+        for out, fn, x, y, dead in program:
+            regs[out] = fn(regs[x]) if y is None else fn(regs[x], regs[y])
+            for s in dead:
+                regs[s] = None
+        return regs[result]
+    return kernel
+
+
+_UNARY = {Neg: operator.neg, Sin: np.sin, Cos: np.cos, Exp: np.exp}
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,17 @@ class TestExteriorDerivative:
             assert eval_expr(d.coefficient(0, 2), env) == pytest.approx(-4 * r ** 3, rel=1e-12)
             assert abs(eval_expr(d.coefficient(1, 2), env)) <= 1e-15
 
+    def test_calculus_expands_no_coefficient_again(self):
+        # `normalize` leaves each coefficient with the ring polynomial it was
+        # rebuilt from, so the calculus reads it instead of expanding the tree
+        form = fc.parse_form_file((Path(__file__).parent / "data" / "torus_pullback.form")
+                                  .read_text())
+        with mock.patch.object(fc.expr, "_expand", wraps=fc.expr._expand) as expand:
+            fc.volume_coefficient(form)
+            fc.exterior_derivative(form)
+        expanded = [call.args[0] for call in expand.call_args_list]
+        assert not [c for c in form.coefficients if c in expanded]
+
 
 class TestDerivativeOracle:
     def test_matches_central_differences(self):
@@ -749,6 +760,39 @@ SMALL_TREES = st.recursive(SMALL_LEAVES, lambda c: st.one_of(
     st.builds(Pow, c, st.integers(0, 3))), max_leaves=5)
 
 
+def _written_out(e, env):
+    """Reference for `compile_expr`: e written out in full as Python
+    arithmetic on the numpy values of `env`, each subtree computed where it
+    occurs, sums and products left to right, constants as Python floats."""
+    if isinstance(e, Rat):
+        return float(e.value)
+    if isinstance(e, Pi):
+        return math.pi
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, (Add, Mul)):
+        xs, op, empty = (e.terms, operator.add, 0.0) if isinstance(e, Add) else \
+            (e.factors, operator.mul, 1.0)
+        return functools.reduce(op, (_written_out(x, env) for x in xs)) if xs else empty
+    if isinstance(e, Div):
+        return _written_out(e.num, env) / _written_out(e.den, env)
+    if isinstance(e, Pow):
+        return _written_out(e.base, env) ** (float(e.exponent) if e.exponent < 0 else e.exponent)
+    if isinstance(e, Neg):
+        return -_written_out(e.arg, env)
+    return {Sin: np.sin, Cos: np.cos, Exp: np.exp}[type(e)](_written_out(e.arg, env))
+
+
+def _outcome_of(evaluate):
+    """evaluate() with numpy warnings off, or the type of the ArithmeticError
+    it raised (Python float arithmetic raises where numpy gives inf)."""
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate()
+    except ArithmeticError as err:
+        return type(err)
+
+
 class TestKernel:
     @settings(max_examples=150, deadline=None)
     @given(SMALL_TREES, SMALL_TREES)
@@ -771,21 +815,54 @@ class TestKernel:
                 assert abs(k - want) <= 1e-9 * (1 + abs(want)), (k, want)
 
     def test_shared_subtree_computed_once(self):
-        kernel = compile_expr(fc.parse_expr("sin(x)*sin(x) + sin(x)", "xyz"), "xyz")
         calls = []
 
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
+        def counting_sin(a):
+            calls.append(a)
+            return np.sin(a)
 
-            def sin(self, a):
-                calls.append(a)
-                return np.sin(a)
-
-        kernel.__globals__["np"] = CountingNumpy()
+        with mock.patch.dict(fc.expr._UNARY, {Sin: counting_sin}):
+            kernel = compile_expr(fc.parse_expr("sin(x)*sin(x) + sin(x)", "xyz"), "xyz")
         x = np.linspace(-2.0, 2.0, 9)
         assert np.array_equal(kernel(x, 0.0, 0.0), np.sin(x) * np.sin(x) + np.sin(x))
         assert len(calls) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(SMALL_TREES, SMALL_TREES)
+    @example(Rat(Fraction(1)), Rat(Fraction(0)))  # 1.0 / 0.0 raises, as Python floats do
+    def test_bit_identical_to_the_tree_written_out(self, s, t):
+        # s and t shared, a quotient and a negative power: the operation-order
+        # contract of `compile_expr`
+        cases = (s, Add((Mul((s, t)), Sin(s), Neg(Mul((t, s))), Cos(Add((s, t))))),
+                 Div(s, Add((t, Pow(s, 2)))), Pow(Add((s, t)), -2))
+        line = [np.linspace(-1.0, 1.0, 11) + k / 7 for k in range(3)]
+        mesh = np.meshgrid(*(np.linspace(-1.0, 1.0, n) for n in (3, 4, 5)),
+                           indexing="ij", sparse=True)
+        for e in cases:
+            for cols in (line, mesh):
+                env = dict(zip("xyz", cols))
+                got = _outcome_of(lambda: compile_expr(e, "xyz")(*cols))
+                want = _outcome_of(lambda: _written_out(e, env))
+                assert type(got) is type(want), (e, got, want)
+                if not isinstance(want, type):
+                    assert np.shape(got) == np.shape(want)
+                    assert np.array_equal(got, want, equal_nan=True), (e, got, want)
+
+    def test_slots_are_cleared_after_their_last_use(self):
+        # sin(x + k), k = 1..8, each used twice early on and never again:
+        # cleared slots leave about 3 arrays alive at once, kept ones 30
+        x = Var("x")
+        shared = [Sin(Add((x, Rat(Fraction(k))))) for k in range(1, 9)]
+        squares = Add(tuple(Mul((s, s)) for s in shared))
+        kernel = compile_expr(Cos(Exp(Neg(squares))), "xyz")
+        cols = (np.linspace(0.0, 1.0, 2 ** 21), 0.0, 0.0)
+        tracemalloc.start()
+        try:
+            kernel(*cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * cols[0].nbytes
 
     def test_value_on_the_axes_it_reads(self):
         x, y, z = np.meshgrid(*[np.linspace(0.0, 1.0, n) for n in (3, 4, 5)],
@@ -813,6 +890,12 @@ class TestNodeHash:
         hash(e)
         copy = pickle.loads(pickle.dumps(e))
         assert copy == e and "_hash" not in vars(copy) and hash(copy) == hash(e)
+
+    def test_the_kept_polynomial_stays_out_of_hash_and_pickle(self):
+        e = fc.normalize(fc.parse_expr("sin(x)*y + 1/3 + y*sin(x)", "xyz"))
+        copy = pickle.loads(pickle.dumps(e))
+        assert "_poly" in vars(e) and "_poly" not in vars(copy)
+        assert copy == e and hash(copy) == hash(e) and fc.normalize(copy) == e
 
 
 class TestNormalizer:

@@ -15,6 +15,7 @@ value.
 
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -272,6 +273,10 @@ def test_normal_form_and_derivative_match_the_reference(e):
         return
     assert render(fc.normalize(e)) == render(expected)
     assert fc.normalize(fc.normalize(e)) == fc.normalize(e)
+    # the polynomial a normal form keeps is the one its tree expands to
+    # afresh, so `_ring` may read it instead
+    n = fc.normalize(e)
+    assert fc.expr._expand.__wrapped__(pickle.loads(pickle.dumps(n))) == vars(n).get("_poly", {})
     rng = random.Random(7)
     points = [{n: rng.uniform(-2.0, 2.0) for n in "xyz"} for _ in range(5)]
     for var in "xy":
