@@ -13,7 +13,8 @@ representations are provided:
 `flatten` folds an all-PL word into one exact PL map and an all-Moebius word
 into one Moebius lift; two Moebius lifts compose by multiplying their
 matrices and fixing the integer winding from values in [0, 2) at one point
-(`_compose_moebius`).  `translation_number` iterates PL data exactly, and
+(`_compose_moebius`); the fold carries the rounding bound of its matrix
+(`error_scale`).  `translation_number` iterates PL data exactly, and
 reads a single Moebius lift's translation number in closed form, whatever N
 (`_moebius_rho`: the rotation angle of an elliptic matrix, or the exact
 integer at a boundary fixed point).  Nothing is sampled: `_extremes` reads
@@ -219,8 +220,10 @@ class MoebiusBoundaryLift(LiftedCircleMap):
 
     `iso` is any object exposing `disk_coefficients() -> (alpha, beta)` for
     the disk action w -> (alpha*w + beta) / (conj(beta)*w + conj(alpha)) and
-    an `inverse()`; see `hyperbolic.Isometry2H`.  `winding` shifts the
-    canonical lift by an integer.
+    `inverse()` and `compose()`; see `hyperbolic.Isometry2H`.  `winding`
+    shifts the canonical lift by an integer.  `error_scale` is the S of
+    `_moebius_rho_slack`: |alpha| + |beta| for a lift of one matrix, kept by
+    `inverse`, summed over the letters by a fold (`_as_moebius`).
 
     Evaluation is pointwise exact up to float roundoff: the canonical lift
     restricted to [0, 1) takes values in [c0, c0 + 1), with c0 = f(0) the
@@ -235,6 +238,7 @@ class MoebiusBoundaryLift(LiftedCircleMap):
         alpha, beta = iso.disk_coefficients()
         self._alpha = a = complex(alpha)
         self._beta = b = complex(beta)
+        self.error_scale = abs(a) + abs(b)
         w1 = (a + b) / (b.conjugate() + a.conjugate())
         c0 = (math.atan2(w1.imag, w1.real) / TWO_PI) % 1.0
         self._c0 = 0.0 if c0 == 1.0 else c0  # a turn just below 0 rounds to 1.0
@@ -264,9 +268,10 @@ class MoebiusBoundaryLift(LiftedCircleMap):
         return self._canonical(tau) + self.winding + n
 
     def inverse(self) -> "MoebiusBoundaryLift":
-        inv0 = MoebiusBoundaryLift(self.iso.inverse(), 0)
-        x = inv0.eval(self.eval(0.0))
-        return MoebiusBoundaryLift(self.iso.inverse(), -int(round(x)))
+        inv = MoebiusBoundaryLift(self.iso.inverse())
+        inv.winding = -round(inv.eval(self.eval(0.0)))
+        inv.error_scale = self.error_scale
+        return inv
 
 
 class WordMap(LiftedCircleMap):
@@ -382,17 +387,25 @@ def _compose_moebius(a: MoebiusBoundaryLift, b: MoebiusBoundaryLift) -> MoebiusB
 
 
 def _as_moebius(f: LiftedCircleMap) -> Optional[MoebiusBoundaryLift]:
-    """Collapse an all-Moebius word to a single lift (pointwise identical)."""
+    """Collapse an all-Moebius word to a single lift (pointwise identical),
+    folded from the left, with `error_scale` S = sum_i ||P_<i||*S_i*||P_>i||
+    (`_moebius_rho_slack`): ||P_<i|| from the fold's accumulator, ||P_>i||
+    from one right-to-left pass of `iso.compose`."""
     if isinstance(f, MoebiusBoundaryLift):
         return f
     if not (isinstance(f, WordMap) and f.letters()):
         return None
     if not all(isinstance(m, MoebiusBoundaryLift) for m, _ in f.letters()):
         return None
-    factors = reversed(f._chain)
-    acc = next(factors)
-    for m in factors:
+    chain = f._chain  # A_k..A_1 (evaluation order); after[j] is ||P_>i|| of chain[j]
+    suffixes = accumulate((m.iso for m in chain[:-1]), lambda p, iso: iso.compose(p))
+    after = [1.0] + [abs(a) + abs(b) for a, b in (p.disk_coefficients() for p in suffixes)]
+    acc, terms = chain[-1], [chain[-1].error_scale * after[-1]]
+    for m, q in zip(chain[-2::-1], after[-2::-1]):
+        terms.append((abs(acc._alpha) + abs(acc._beta)) * m.error_scale * q)
         acc = _compose_moebius(acc, m)
+    if len(chain) > 1:  # a one-letter word is that letter, left as it is
+        acc.error_scale = math.fsum(terms)
     return acc
 
 
@@ -524,17 +537,6 @@ def _moebius_rho(f: MoebiusBoundaryLift) -> float:
     return float(round(f.eval(t) - t))
 
 
-def _su11_norm(alpha: complex, beta: complex) -> float:
-    """Spectral norm of the isometry with disk coefficients (alpha, beta)."""
-    return abs(alpha) + abs(beta)
-
-
-def _su11_mul(x: tuple, y: tuple) -> tuple:
-    """Disk coefficients of the product of two isometries given by theirs."""
-    (a1, b1), (a2, b2) = x, y
-    return a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
-
-
 def _rho_from_trace_slack(trace: float, err: float) -> float:
     """How far rho can move while the SL(2) trace moves by at most `err`.
 
@@ -557,36 +559,34 @@ def _rho_from_trace_slack(trace: float, err: float) -> float:
     return slack
 
 
-def _moebius_rho_slack(factors: Sequence[MoebiusBoundaryLift], flat: MoebiusBoundaryLift) -> float:
-    """Bound on |rho(flat) - rho(exact product of the letters' isometries)|.
+def _moebius_rho_slack(f: MoebiusBoundaryLift) -> float:
+    """Bound on |rho(f) - rho(exact product of the letters' isometries)|.
 
-    `factors` are the letters A_1..A_k in product order and `flat` their
-    folded lift with matrix M^.  To first order in eps, with P_<i and P_>i the
-    products of the letters before and after A_i,
+    f is a letter or the fold of letters A_1..A_k, with computed matrix M^.
+    To first order in eps, with P_<i and P_>i the products of the letters
+    before and after A_i,
 
         ||M^ - M|| <= e := (LETTER_ERROR_ULPS + 4) * eps * S,
         S = sum_i ||P_<i|| * ||A_i|| * ||P_>i||,
 
     since an error D in A_i reaches M as P_<i D P_>i, and the rounded 2x2
-    product that forms P_<=i errs by at most 4*eps*||P_<i||*||A_i||.  Each
-    product is rescaled by 1/sqrt(det); the next rescaling cancels that
-    scalar, so only the last one counts: it moves the trace by a relative
-    4*eps*||M^||^2.  So |trace(M^) - trace(M)| <= 2*e + 4*eps*||M^||^2*|trace|,
-    and rho, a function of the trace for a Moebius lift, moves by at most
+    product that forms P_<=i errs by at most 4*eps*||P_<i||*||A_i||.  The fold
+    carries S as `f.error_scale`; a letter that is itself a fold enters with
+    its S for ||A_i|| (its first letter entered no product, and that 4*eps
+    share covers the product taking the fold in).  Each product is rescaled by
+    1/sqrt(det); the next rescaling cancels that scalar, so only the last one
+    counts: it moves the trace by a relative 4*eps*||M^||^2.  So
+    |trace(M^) - trace(M)| <= 2*e + 4*eps*||M^||^2*|trace|, and rho, a
+    function of the trace for a Moebius lift, moves by at most
     `_rho_from_trace_slack` of that.  Near traces +-2 the bound grows like the
     square root of the trace error, as the error itself does: the rotation
-    angle of a near-parabolic matrix is that ill-conditioned.  (A bound on
-    the displacement of the boundary map would not do: rho is not Lipschitz
-    in the displacement near such maps.)
+    angle of a near-parabolic matrix is that ill-conditioned.  (A bound on the
+    displacement of the boundary map would not do: rho is not Lipschitz in the
+    displacement near such maps.)
     """
-    coeffs = [(m._alpha, m._beta) for m in factors]
-    before = [1.0] + [_su11_norm(*p) for p in accumulate(coeffs[:-1], _su11_mul)]
-    after = [_su11_norm(*p) for p in accumulate(coeffs[:0:-1], lambda p, c: _su11_mul(c, p))]
-    after = after[::-1] + [1.0]
-    s = math.fsum(p * _su11_norm(*c) * q for p, c, q in zip(before, coeffs, after))
-    e = (LETTER_ERROR_ULPS + 4) * _EPS * s
-    norm = _su11_norm(flat._alpha, flat._beta)
-    trace = 2.0 * flat._alpha.real
+    e = (LETTER_ERROR_ULPS + 4) * _EPS * f.error_scale
+    norm = abs(f._alpha) + abs(f._beta)
+    trace = 2.0 * f._alpha.real
     return _rho_from_trace_slack(trace, 2.0 * e + 4.0 * _EPS * norm * norm * abs(trace))
 
 
@@ -608,10 +608,9 @@ def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumber
         raise ValueError("iterations must be >= 1")
     g = flatten(f)
     if isinstance(g, MoebiusBoundaryLift):
-        factors = tuple(reversed(f._chain)) if isinstance(f, WordMap) else (g,)
         # 1 / N of two ints, so an N beyond the float range gives 0.0, not OverflowError
         return TranslationNumberEstimate(
-            value=_moebius_rho(g), error_bound=1 / iterations + _moebius_rho_slack(factors, g),
+            value=_moebius_rho(g), error_bound=1 / iterations + _moebius_rho_slack(g),
             iterations=iterations)
     if not isinstance(g, PiecewiseLinearMap):
         raise ValueError("translation_number: a word mixing piecewise-linear and Moebius "

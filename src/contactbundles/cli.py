@@ -127,15 +127,15 @@ def cmd_classify(args) -> int:
 def cmd_holonomy(args) -> int:
     area = _parse_area(args.area)
     poly, pairings = hyperbolic.symmetric_pairings(args.genus, area)
-    est = circle_dynamics.translation_number(hyperbolic.holonomy_relator(pairings), args.iters)
-    comm = hyperbolic.commutator_product(pairings)
+    relator = circle_dynamics.flatten(hyperbolic.holonomy_relator(pairings))  # one fold
+    est = circle_dynamics.translation_number(relator, args.iters)
     target = area / (2.0 * math.pi)
     out = {
         "genus": args.genus,
         "area": area,
         "circumradius": poly.circumradius,
-        "commutator_trace": comm.trace(),
-        "commutator_class": comm.classification(),
+        "commutator_trace": relator.iso.trace(),
+        "commutator_class": relator.iso.classification(),
         "rho": float(est.value),
         "abs_rho": abs(float(est.value)),
         "target_abs_rho": target,

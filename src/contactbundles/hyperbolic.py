@@ -34,6 +34,7 @@ stay bounded as the area approaches (4g-2)*pi and the vertices the boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -294,18 +295,16 @@ def side_pairings(poly: SymmetricPolygon) -> List[Isometry2H]:
 def commutator_product(pairings: Sequence[Isometry2H]) -> Isometry2H:
     """prod_{i=1..g} [phi_{2i-1}, phi_{2i}], composed left to right.
 
+    A left fold of phi_1, phi_2, phi_1^-1, phi_2^-1, phi_3, ..., as `flatten`
+    folds the lifts: bit-identical to `flatten(holonomy_relator(pairings)).iso`.
     For polygon side pairings this is the rotation about s_1 by the polygon's
     total interior angle, hence elliptic with
     |trace| = 2*|cos(((4g-2)*pi - area)/2)|.
     """
     if len(pairings) < 2 or len(pairings) % 2:
         raise ValueError("need an even number (>= 2) of isometries")
-    prod = Isometry2H.identity()
-    for i in range(0, len(pairings), 2):
-        a, b = pairings[i], pairings[i + 1]
-        comm = a @ b @ a.inverse() @ b.inverse()
-        prod = prod @ comm
-    return prod
+    return functools.reduce(Isometry2H.compose, [
+        x for a, b in zip(pairings[::2], pairings[1::2]) for x in (a, b, a.inverse(), b.inverse())])
 
 
 def boundary_lift(iso: Isometry2H) -> cd.MoebiusBoundaryLift:
@@ -314,8 +313,9 @@ def boundary_lift(iso: Isometry2H) -> cd.MoebiusBoundaryLift:
 
 
 #: Largest genus `symmetric_pairings` builds.  Requests cost time linear in g:
-#: at g = 10^4 (in-process, 2-vCPU VM, Python 3.11, best of 5) `polygon` took
-#: 0.44-0.46 s and `holonomy` 0.79-0.97 s, so the bound keeps either near 1 s.
+#: at g = 10^4 (in-process CPU time, 2-vCPU VM, Python 3.11, 20 runs each)
+#: `polygon` took 0.26-0.48 s and `holonomy` 0.48-0.66 s, so the bound keeps
+#: either below 1 s.
 MAX_GENUS = 10 ** 4
 
 

@@ -3,6 +3,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -375,13 +376,29 @@ SHARES_AT_TOP = tuple(1 - 10.0 ** -k for k in range(8, 14))
 POWERS = (1, 2, 3, 1000, 10 ** 4, 10 ** 5)
 
 
+def disk_product(x, y):
+    """Disk coefficients (alpha, beta) of the product of two isometries given by theirs."""
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
+
+
 def rotation_about(v, angle, winding):
     """Lift of the rotation by `angle` about the disk point v."""
     s = math.sqrt((1 - abs(v)) * (1 + abs(v)))
     h, h_inv = (1 / s, -v / s), (1 / s, v / s)
     spin = (complex(math.cos(angle / 2), math.sin(angle / 2)), 0j)
-    alpha, beta = cd._su11_mul(h_inv, cd._su11_mul(spin, h))
+    alpha, beta = disk_product(h_inv, disk_product(spin, h))
     return cd.MoebiusBoundaryLift(hy.Isometry2H.from_disk_coefficients(alpha, beta), winding)
+
+
+def error_scale_of_letters(word):
+    """S = sum_i ||P_<i|| * ||A_i|| * ||P_>i|| over the letters A_i of a word of
+    Moebius lifts, from prefix and suffix products of disk coefficients."""
+    coeffs = [(m._alpha, m._beta) for m in reversed(word._chain)]
+    norms = [abs(a) + abs(b) for a, b in coeffs]
+    before = [1.0] + [abs(a) + abs(b) for a, b in accumulate(coeffs[:-1], disk_product)]
+    after = [abs(a) + abs(b) for a, b in accumulate(coeffs[:0:-1], lambda p, c: disk_product(c, p))]
+    return math.fsum(p * s * q for p, s, q in zip(before, norms, after[::-1] + [1.0]))
 
 
 class TestMoebiusSeam:
@@ -500,6 +517,33 @@ class TestMoebiusRho:
                     x = f(x)
         est = cd.translation_number(rel, n)
         assert abs(est.value * n - float(x)) < 1 + n * (est.error_bound - 1 / n)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_flattened_relator_keeps_its_bound(self, g):
+        """The fold carries the rounding bound of its letters, so a relator and
+        its flattened lift give the same estimate."""
+        for share in SHARES_LOW + SHARES_TOP:
+            rel, _ = polygon_relator(g, share)
+            flat = cd.flatten(rel)
+            assert flat.error_scale == pytest.approx(error_scale_of_letters(rel), rel=1e-9)
+            for n in (1000, 10 ** 12):
+                assert cd.translation_number(flat, n) == cd.translation_number(rel, n)
+
+    @pytest.mark.parametrize("g,share", [(1, 0.5), (3, 0.99), (8, 1 - 1e-4)])
+    def test_nested_fold_bounds_the_plain_word(self, g, share):
+        """a o F o a^-1 with F a flattened relator: conjugation keeps rho, and
+        the nested fold's bound covers the same word spelt in plain letters."""
+        rel, area = polygon_relator(g, share)
+        a = rel.letters()[1][0]
+        nested = cd.WordMap([(a, 1), (cd.flatten(rel), 1), (a, -1)])
+        plain = cd.WordMap([(a, 1), (rel, 1), (a, -1)])
+        assert len(nested.letters()) == 3 and len(plain.letters()) == 4 * g + 2
+        n = 10 ** 12
+        est = cd.translation_number(nested, n)
+        assert cd.translation_number(cd.flatten(nested), n) == est
+        assert cd.flatten(nested).error_scale >= cd.flatten(plain).error_scale * (1 - 1e-9)
+        assert est.error_bound >= cd.translation_number(plain, n).error_bound * (1 - 1e-9)
+        assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
 
     @pytest.mark.parametrize("winding", [0, 3, -2])
     def test_hyperbolic_parabolic_and_identity_lifts_have_integer_rho(self, winding):

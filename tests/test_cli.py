@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from contactbundles import cli, hyperbolic
+from contactbundles import circle_dynamics, cli, hyperbolic
 from contactbundles import multicurve as mc
 
 DATA = Path(__file__).parent / "data"
@@ -119,6 +119,20 @@ class TestHolonomyCommand:
         _, out2, _ = run(capsys, "holonomy", "--genus", "2", "--area", "pi/2",
                          "--iters", "1000")
         assert out1 == out2
+
+    @pytest.mark.parametrize("g,area", [(1, "1.5pi"), (2, "4pi"), (3, "9.99pi"), (8, "29.997pi")])
+    def test_one_fold_and_the_trace_of_polygon(self, capsys, monkeypatch, g, area):
+        """holonomy folds the relator once and reads its trace off that fold,
+        the trace `polygon` prints."""
+        _, pol, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", area)
+        folds = []
+        compose = circle_dynamics._compose_moebius
+        monkeypatch.setattr(circle_dynamics, "_compose_moebius",
+                            lambda a, b: folds.append(1) or compose(a, b))
+        monkeypatch.setattr(hyperbolic, "commutator_product", None)
+        _, hol, _ = run_json(capsys, "holonomy", "--genus", str(g), "--area", area, "--iters", "10")
+        assert len(folds) == 4 * g - 1
+        assert hol["outputs"]["commutator_trace"] == pol["outputs"]["commutator_trace"]
 
 
 class TestPolygonCommand:

@@ -330,6 +330,15 @@ class TestCommutatorProduct:
         prod = hy.commutator_product(hy.side_pairings(poly))
         assert hy.hdistance(prod.apply(poly.vertex(1)), poly.vertex(1)) <= 1e-9
 
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_same_fold_as_the_flattened_relator(self, g):
+        """One association for both: the matrices are bit-identical."""
+        for share in (0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.9999, 1 - 1e-6):
+            _, pairings = hy.symmetric_pairings(g, share * (4 * g - 2) * math.pi)
+            prod = hy.commutator_product(pairings)
+            flat = cd.flatten(hy.holonomy_relator(pairings)).iso
+            assert (prod.a, prod.b, prod.c, prod.d) == (flat.a, flat.b, flat.c, flat.d)
+
 
 class TestBoundaryLift:
     def test_identity_lift(self):
