@@ -5,7 +5,10 @@ sums, products, quotients, integer powers, sin/cos/exp and negation.  Trees
 are immutable, and a node computes its structural hash once, on first use.
 `normalize` rewrites a tree into a sum of products of atoms with exact
 rational coefficients, over one sparse polynomial ring (`_ring`), and `diff`
-differentiates on that ring, atom by atom.  The calculus of `forms` combines
+differentiates on that ring, atom by atom.  A ring polynomial is a pair
+(nums, den) of integer numerators by monomial over one positive denominator,
+in lowest terms, so the calculus adds and multiplies integers and equal
+polynomials are equal pairs.  The calculus of `forms` combines
 ring polynomials with the private `_ring`, `_diff`, `_times` and `_sum` and
 rebuilds each result into a tree once (`_rebuild`).  A rebuilt tree keeps
 its polynomial, so `_ring` expands no normal form twice.  This decides the
@@ -36,6 +39,7 @@ import itertools
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,10 +88,10 @@ class Expr:
 
 
 def _node(cls):
-    """`dataclass(frozen=True)`, keeping `Expr.__hash__` over the generated one."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Expr.__hash__
-    return cls
+    """`dataclass(frozen=True)`, keeping the class's own `__hash__`, else
+    `Expr.__hash__`, over the generated one."""
+    cls.__hash__ = cls.__dict__.get("__hash__", Expr.__hash__)
+    return dataclass(frozen=True)(cls)
 
 
 @_node
@@ -95,7 +99,18 @@ class Rat(Expr):
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", Fraction(self.value))
+
+    def __hash__(self):
+        """Over the numerator and denominator: `Fraction.__hash__` takes a
+        modular inverse."""
+        try:
+            return self._hash
+        except AttributeError:
+            v = self.value
+            h = self.__dict__["_hash"] = hash((Rat, v.numerator, v.denominator))
+            return h
 
 
 @_node
@@ -215,35 +230,67 @@ def _render(e: Expr, prec: int) -> str:
 # ---------------------------------------------------------------------------
 # normalization and differentiation on a sparse polynomial ring
 #
-# A polynomial is a {monomial: Fraction} dict without zero coefficients, and
-# a monomial the frozenset of its (atom, exponent) pairs, exponents nonzero
-# (S. C. Johnson, "Sparse polynomial arithmetic", ACM SIGSAM Bull. 8(3),
-# 1974).  The atoms are Var, Pi, Sin/Cos/Exp of a normalized nonzero
-# argument, and Pow(s, -1) of a normalized sum s of two or more terms.  The
-# polynomials `_ring` and `_datom` return are shared through their memos and
-# never mutated.
+# A polynomial is a pair (nums, den): nums a {monomial: int} dict without
+# zero entries, den an int > 0, in lowest terms (gcd(den, *nums.values())
+# is 1), so equal polynomials are equal pairs; the zero polynomial is
+# ({}, 1).  The coefficient of m is nums[m]/den.  A monomial is the
+# frozenset of its (atom, exponent) pairs, exponents nonzero (S. C. Johnson,
+# "Sparse polynomial arithmetic", ACM SIGSAM Bull. 8(3), 1974).  Sums,
+# products and derivatives add and multiply integers over the lcm of the
+# denominators they combine and reduce once, by one gcd, per result (Knuth,
+# TAOCP vol. 2, §4.5.1); an integer polynomial (den 1) takes no gcd.
+# `Fraction` appears only where the ring meets trees: a `Rat` leaf, the
+# reciprocal of a monomial and the `Rat` coefficients `_rebuild` writes.  The
+# atoms are Var, Pi, Sin/Cos/Exp of a normalized nonzero argument, and
+# Pow(s, -1) of a normalized sum s of two or more terms.  The polynomials
+# `_ring` and `_datom` return are shared through their memos and never
+# mutated.
 
-_ONE = {frozenset(): Fraction(1)}
+_ZERO = ({}, 1)
+_ONE = ({frozenset(): 1}, 1)
 
 
-def _atom(a: Expr, k: int = 1, c: Fraction = Fraction(1)) -> dict:
-    return {frozenset(((a, k),)): c}
+def _atom(a: Expr, k: int = 1, c: int = 1) -> tuple:
+    return {frozenset(((a, k),)): c}, 1
 
 
-def _add_term(out: dict, m: frozenset, c: Fraction) -> None:
-    """out += c*m, in place."""
-    c = out.pop(m) + c if m in out else c
-    if c:
+def _reduced(nums: dict, den: int) -> tuple:
+    """The polynomial nums/den in lowest terms."""
+    if den != 1:
+        if not nums:
+            return _ZERO
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: c // g for m, c in nums.items()}
+            den //= g
+    return nums, den
+
+
+def _add_term(out: dict, m: frozenset, c: int) -> None:
+    """out[m] += c, in place, dropping a zero."""
+    if m in out:
+        c += out[m]
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    else:
         out[m] = c
 
 
-def _sum(polys: Iterable[dict], signs: Iterable[int] = itertools.repeat(1)) -> dict:
+def _sum(polys: Iterable[tuple], signs: Iterable[int] = itertools.repeat(1)) -> tuple:
     """The sum of sign*p over the pairs of `polys` and `signs` (each +1 or -1)."""
+    pairs = list(zip(polys, signs))
+    den = 1
+    for p, _ in pairs:
+        if p[1] != 1:
+            den = math.lcm(den, p[1])
     out: dict = {}
-    for p, sign in zip(polys, signs):
-        for m, c in p.items():
-            _add_term(out, m, c if sign > 0 else -c)
-    return out
+    for (nums, d), sign in pairs:
+        scale = den // d if sign > 0 else -(den // d)
+        for m, c in nums.items():
+            _add_term(out, m, c * scale)
+    return _reduced(out, den)
 
 
 def _product(m1: frozenset, m2) -> frozenset:
@@ -254,25 +301,28 @@ def _product(m1: frozenset, m2) -> frozenset:
     return frozenset((a, k) for a, k in powers.items() if k)
 
 
-def _times(p: dict, q: dict) -> dict:
+def _times(p: tuple, q: tuple) -> tuple:
+    (pn, pd), (qn, qd) = p, q
     out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
+    for m1, c1 in pn.items():
+        for m2, c2 in qn.items():
             _add_term(out, _product(m1, m2), c1 * c2)
-    return out
+    return _reduced(out, pd * qd)
 
 
-def _invert(p: dict) -> dict:
+def _invert(p: tuple) -> tuple:
     """1/p: the reciprocal of a monomial, or the atom p^-1 of a sum."""
-    if not p:
+    nums, den = p
+    if not nums:
         raise ZeroDivisionError("division by symbolic zero")
-    if len(p) == 1:
-        (m, c), = p.items()
-        return {frozenset((a, -k) for a, k in m): 1 / c}
+    if len(nums) == 1:
+        (m, c), = nums.items()
+        r = Fraction(den, c)
+        return {frozenset((a, -k) for a, k in m): r.numerator}, r.denominator
     return _atom(Pow(_rebuild(p), -1))
 
 
-def _ring(e: Expr) -> dict:
+def _ring(e: Expr) -> tuple:
     """The polynomial of e, with every product and power multiplied out: the
     one `_rebuild` kept on e, else the expansion."""
     p = e.__dict__.get("_poly")
@@ -280,13 +330,15 @@ def _ring(e: Expr) -> dict:
 
 
 @lru_cache(maxsize=65536)
-def _expand(e: Expr) -> dict:
+def _expand(e: Expr) -> tuple:
     if isinstance(e, Rat):
-        return {frozenset(): e.value} if e.value else {}
+        v = e.value
+        return ({frozenset(): v.numerator}, v.denominator) if v.numerator else _ZERO
     if isinstance(e, (Pi, Var)):
         return _atom(e)
     if isinstance(e, Neg):
-        return _sum((_ring(e.arg),), (-1,))
+        nums, den = _ring(e.arg)
+        return {m: -c for m, c in nums.items()}, den
     if isinstance(e, Add):
         return _sum(map(_ring, e.terms))
     if isinstance(e, Mul):
@@ -305,7 +357,7 @@ def _expand(e: Expr) -> dict:
     if isinstance(e, (Sin, Cos, Exp)):
         arg = normalize(e.arg)
         if isinstance(arg, Rat) and arg.value == 0:
-            return {} if isinstance(e, Sin) else _ONE
+            return _ZERO if isinstance(e, Sin) else _ONE
         return _atom(type(e)(arg))
     raise TypeError(f"not an expression: {e!r}")
 
@@ -314,17 +366,18 @@ def _factor_key(factor: Tuple[Expr, int]) -> Tuple[str, int]:
     return render(factor[0]), factor[1]
 
 
-def _rebuild(p: dict) -> Expr:
+def _rebuild(p: tuple) -> Expr:
     """The tree of p: a sum of products, the factors of each product and then
     the products ordered by their (rendered atom, exponent) keys.  The tree
     keeps p, which `_ring` then reads instead of expanding the tree again."""
-    if not p:
+    nums, den = p
+    if not nums:
         return ZERO
-    monomials = sorted(([sorted(m, key=_factor_key), c] for m, c in p.items()),
+    monomials = sorted(([sorted(m, key=_factor_key), c] for m, c in nums.items()),
                        key=lambda mc: [_factor_key(f) for f in mc[0]])
     terms = []
     for factors, c in monomials:
-        out = [Rat(c)] if c != 1 or not factors else []
+        out = [Rat(Fraction(c, den))] if c != den or not factors else []
         out += [a if k == 1 else Pow(a, k) for a, k in factors]
         terms.append(out[0] if len(out) == 1 else Mul(tuple(out)))
     tree = terms[0] if len(terms) == 1 else Add(tuple(terms))
@@ -351,24 +404,35 @@ def diff(e: Expr, var: str) -> Expr:
     return _rebuild(_diff(_ring(e), var))
 
 
-def _diff(p: dict, var: str) -> dict:
-    out: dict = {}
-    for m, c in p.items():
+def _diff(p: tuple, var: str) -> tuple:
+    nums, den = p
+    chain = []  # (m, a, c*k, d a/d var) for each factor a^k of each term c*m
+    scale = 1  # the lcm of the denominators of the atom derivatives
+    for m, c in nums.items():
         for a, k in m:
-            for m2, c2 in _datom(a, var).items():
-                _add_term(out, _product(m, ((a, -1), *m2)), c * k * c2)
-    return out
+            da = _datom(a, var)
+            if da[0]:
+                chain.append((m, a, c * k, da))
+                if da[1] != 1:
+                    scale = math.lcm(scale, da[1])
+    out: dict = {}
+    for m, a, ck, (dnums, dden) in chain:
+        if dden != scale:
+            ck *= scale // dden
+        for m2, c2 in dnums.items():
+            _add_term(out, _product(m, ((a, -1), *m2)), ck * c2)
+    return _reduced(out, den * scale)
 
 
 @lru_cache(maxsize=65536)
-def _datom(a: Expr, var: str) -> dict:
+def _datom(a: Expr, var: str) -> tuple:
     """The derivative of the atom a by var."""
     if isinstance(a, (Var, Pi)):
-        return _ONE if a == Var(var) else {}
+        return _ONE if a == Var(var) else _ZERO
     if isinstance(a, Pow):
-        return _times(_atom(a, 2, Fraction(-1)), _diff(_ring(a.base), var))
+        return _times(_atom(a, 2, -1), _diff(_ring(a.base), var))
     outer = (_atom(Cos(a.arg)) if isinstance(a, Sin) else
-             _atom(Sin(a.arg), 1, Fraction(-1)) if isinstance(a, Cos) else _atom(a))
+             _atom(Sin(a.arg), 1, -1) if isinstance(a, Cos) else _atom(a))
     return _times(outer, _diff(_ring(a.arg), var))
 
 
@@ -394,15 +458,22 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 
 def variables(e: Expr) -> set:
+    """The names of the variables e reads.  Of a tree that keeps its
+    polynomial, only the atoms are read, and of them only their arguments."""
     names, stack = set(), [e]
     while stack:
         x = stack.pop()
-        if isinstance(x, Var):
-            names.add(x.name)
-        elif isinstance(x, Expr):
-            stack += _children(x)
-        else:
+        if not isinstance(x, Expr):
             raise TypeError(f"not an expression: {x!r}")
+        p = x.__dict__.get("_poly")
+        if p is not None:
+            atoms = {a for m in p[0] for a, _ in m}
+            names.update(a.name for a in atoms if isinstance(a, Var))
+            stack += [c for a in atoms for c in _children(a)]
+        elif isinstance(x, Var):
+            names.add(x.name)
+        else:
+            stack += _children(x)
     return names
 
 
@@ -517,11 +588,8 @@ _TOKEN_RE = re.compile(
 _FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | ident | op | end
-    text: str
-    pos: int
+#: kind is number, ident, op or end
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def tokenize(text: str) -> list:

@@ -216,6 +216,27 @@ class TestExteriorDerivative:
         expanded = [call.args[0] for call in expand.call_args_list]
         assert not [c for c in form.coefficients if c in expanded]
 
+    def test_calculus_does_no_fraction_arithmetic(self):
+        # ring polynomials are integer numerators over one denominator, so
+        # `Fraction` only reads and writes the `Rat` leaves of trees
+        form = fc.parse_form_file((Path(__file__).parent / "data" / "torus_pullback.form")
+                                  .read_text())
+        fc.expr._datom.cache_clear()
+        calls = dict.fromkeys(("__mul__", "__add__", "__sub__", "__neg__"), 0)
+
+        def counted(name):
+            op = getattr(Fraction, name)
+
+            def call(*args):
+                calls[name] += 1
+                return op(*args)
+            return call
+
+        with mock.patch.multiple(Fraction, **{name: counted(name) for name in calls}):
+            fc.volume_coefficient(form)
+            fc.exterior_derivative(form)
+        assert calls == dict.fromkeys(calls, 0)
+
 
 class TestDerivativeOracle:
     def test_matches_central_differences(self):

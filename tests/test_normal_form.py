@@ -276,7 +276,8 @@ def test_normal_form_and_derivative_match_the_reference(e):
     # the polynomial a normal form keeps is the one its tree expands to
     # afresh, so `_ring` may read it instead
     n = fc.normalize(e)
-    assert fc.expr._expand.__wrapped__(pickle.loads(pickle.dumps(n))) == vars(n).get("_poly", {})
+    kept = vars(n).get("_poly", fc.expr._ZERO)
+    assert fc.expr._expand.__wrapped__(pickle.loads(pickle.dumps(n))) == kept
     rng = random.Random(7)
     points = [{n: rng.uniform(-2.0, 2.0) for n in "xyz"} for _ in range(5)]
     for var in "xy":
@@ -288,6 +289,51 @@ def test_normal_form_and_derivative_match_the_reference(e):
             if g is None or r is None or not all(map(math.isfinite, (*g, *r))):
                 continue
             assert _close(g[0], r[0], max(g[1], r[1])), (render(got), render(ref))
+
+
+def _distinct_subtrees(e):
+    seen, stack = set(), [e]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack += fc.expr._children(x)
+    return seen
+
+
+def _assert_canonical(p):
+    """Integer numerators over one positive denominator, in lowest terms."""
+    nums, den = p
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for c in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_trees())
+@example(Mul((Rat(Fraction(2, 3)), Rat(Fraction(3, 2)), X)))
+@example(Add((Mul((Rat(Fraction(1, 6)), X)), Mul((Rat(Fraction(1, 3)), X)), Y)))
+@example(Div(Rat(Fraction(4, 9)), Mul((Rat(Fraction(2, 3)), X))))
+@example(Pow(Div(X, Add((Rat(Fraction(1, 2)), Y))), -2))
+def test_ring_keeps_integer_numerators_over_one_reduced_denominator(e):
+    """Every polynomial the ring returns is canonical, so equal polynomials
+    are equal pairs (the memos and d o d = 0 rely on it), and its
+    coefficients are those of the tuple reference."""
+    for s in _distinct_subtrees(e):
+        try:
+            expected = _to_sop(s)
+        except ZeroDivisionError:
+            continue
+        p = fc.expr._ring(s)
+        _assert_canonical(p)
+        nums, den = p
+        assert ({m: Fraction(c, den) for m, c in nums.items()}
+                == {frozenset(m): c for m, c in expected.items()})
+        for var in "xy":
+            dp = fc.expr._diff(p, var)
+            _assert_canonical(dp)
+            _assert_canonical(fc.expr._times(p, dp))
+            assert fc.expr._sum((dp, dp), (1, -1)) == fc.expr._ZERO
 
 
 def test_quotient_by_a_sum_differentiates_through_its_atom():
