@@ -154,10 +154,10 @@ def cmd_polygon(args) -> int:
     for i in range(1, g + 1):
         po, pe = pairings[2 * (i - 1)], pairings[2 * (i - 1) + 1]
         residuals += [
-            hyperbolic.hdistance(po.apply(poly.vertex(4 * i - 1)), poly.vertex(4 * i - 2)),
-            hyperbolic.hdistance(po.apply(poly.vertex(4 * i)), poly.vertex(4 * i - 3)),
-            hyperbolic.hdistance(pe.apply(poly.vertex(4 * i - 2)), poly.vertex(4 * i + 1)),
-            hyperbolic.hdistance(pe.apply(poly.vertex(4 * i - 1)), poly.vertex(4 * i)),
+            hyperbolic.image_distance(po, poly.vertex(4 * i - 1), poly.vertex(4 * i - 2)),
+            hyperbolic.image_distance(po, poly.vertex(4 * i), poly.vertex(4 * i - 3)),
+            hyperbolic.image_distance(pe, poly.vertex(4 * i - 2), poly.vertex(4 * i + 1)),
+            hyperbolic.image_distance(pe, poly.vertex(4 * i - 1), poly.vertex(4 * i)),
         ]
     comm = hyperbolic.commutator_product(pairings)
     expected = 2.0 * abs(math.cos(((4 * g - 2) * math.pi - area) / 2.0))

@@ -319,7 +319,7 @@ def _read_float(text: str, pos: int) -> float:
 # ---------------------------------------------------------------------------
 # calculus
 
-def _d(form: OneForm) -> Dict[Tuple[int, int], dict]:
+def _d(form: OneForm) -> Dict[Tuple[int, int], tuple]:
     """d_i alpha_j - d_j alpha_i on the ring, keyed by (i, j) for i < j."""
     names = form.chart.names
     rings = [_ring(c) for c in form.coefficients]

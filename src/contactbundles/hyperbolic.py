@@ -16,9 +16,11 @@ boundary lift has translation number -area/(2*pi) up to the orientation sign.
 Isometries are stored as real SL(2) matrices (PSL(2, R), identified with
 their negation) and act on the disk through the Cayley transform; the
 boundary circle is the circle-dynamics coordinate, so no further conjugation
-is needed.  The area is measured on one isoceles centre triangle, whose
-rotations tile the polygon (`polygon_area`); numeric geodesic integration is
-used only as a test oracle.
+is needed.  A disk point is a `complex` z with |z| < 1, moved by
+`Isometry2H.apply_complex`; `image_distance` measures an image from its
+source point, never from the rounded image.  The area is measured on one
+isoceles centre triangle, whose rotations tile the polygon (`polygon_area`);
+numeric geodesic integration is used only as a test oracle.
 
 The right triangle (centre, edge midpoint, vertex) has angles pi/n and
 beta/2, with n = 4g and interior angle beta = ((n-2)*pi - area)/n, so the
@@ -44,7 +46,11 @@ from . import circle_dynamics as cd
 
 
 class AreaOutOfRange(ValueError):
-    """Requested area is outside (0, (4g-2)*pi)."""
+    """Requested area is outside (0, (4g-2)*pi) or beyond its float limits."""
+
+
+#: Largest tanh(R/2) of the vertices: x^2 + y^2 rounds by a relative 4*eps, so |z| stays < 1
+_R_MAX = 1.0 - 4 * sys.float_info.epsilon
 
 
 class Isometry2H:
@@ -115,10 +121,6 @@ class Isometry2H:
         alpha, beta = self.disk_coefficients()
         return (alpha * w + beta) / (beta.conjugate() * w + alpha.conjugate())
 
-    def apply(self, p: "HPoint") -> "HPoint":
-        w = self.apply_complex(complex(p.x, p.y))
-        return HPoint(w.real, w.imag)
-
     def proj_distance(self, other: "Isometry2H") -> float:
         """max-norm distance in PSL(2, R): min over the sign ambiguity."""
         dplus = max(abs(self.a - other.a), abs(self.b - other.b),
@@ -128,31 +130,26 @@ class Isometry2H:
         return min(dplus, dminus)
 
 
-@dataclass(frozen=True)
-class HPoint:
-    """A point of the Poincare disk model."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.x * self.x + self.y * self.y >= 1.0:
-            raise ValueError("point must lie strictly inside the unit disk")
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
+def _distance(chord: float, rp: float, rq: float) -> float:
+    """2*asinh(chord / sqrt((1 - rp^2)(1 - rq^2))); 1 - r^2 as (1 - r)(1 + r) keeps its digits."""
+    return 2.0 * math.asinh(chord / math.sqrt((1.0 - rp) * (1.0 + rp) * (1.0 - rq) * (1.0 + rq)))
 
 
-def hdistance(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance in the disk model (curvature -1).
+def hdistance(p: complex, q: complex) -> float:
+    """Hyperbolic distance (curvature -1) of two disk points; ValueError unless |p|, |q| < 1."""
+    rp, rq = abs(p), abs(q)
+    if max(rp, rq) >= 1.0:
+        raise ValueError("point must lie strictly inside the unit disk")
+    return _distance(abs(p - q), rp, rq)
 
-    d = 2*asinh(|p - q| / sqrt((1 - |p|^2)(1 - |q|^2))), with 1 - |z|^2
-    taken as (1 - |z|)(1 + |z|) so that it keeps its digits near the boundary.
-    """
-    zp, zq = p.as_complex(), q.as_complex()
-    rp, rq = abs(zp), abs(zq)
-    den = math.sqrt((1.0 - rp) * (1.0 + rp) * (1.0 - rq) * (1.0 + rq))
-    return 2.0 * math.asinh(abs(zp - zq) / den)
+
+def image_distance(iso: Isometry2H, p: complex, q: complex) -> float:
+    """hdistance(iso(p), q) with the image's conformal factor read off p: iso(p) =
+    (alpha*p + beta)/m and det 1 give 1 - |iso(p)|^2 = (1 - |p|^2)/|m|^2 (Beardon, The
+    Geometry of Discrete Groups), so it stays finite where iso(p) rounds onto |z| = 1."""
+    alpha, beta = iso.disk_coefficients()
+    m = beta.conjugate() * p + alpha.conjugate()
+    return _distance(abs((alpha * p + beta) / m - q) * abs(m), abs(p), abs(q))
 
 
 @dataclass(frozen=True)
@@ -162,14 +159,14 @@ class SymmetricPolygon:
     Full symmetry forces the side-pairing length constraints
     dist(s_{4i-3}, s_{4i-2}) = dist(s_{4i-1}, s_{4i}) and
     dist(s_{4i-2}, s_{4i-1}) = dist(s_{4i}, s_{4i+1}), and the circumradius
-    sweeps every area in (0, (4g-2)*pi).
+    sweeps every area in (0, (4g-2)*pi).  The vertices are complex numbers.
     """
 
     genus: int
     circumradius: float
-    vertices: Tuple[HPoint, ...]
+    vertices: Tuple[complex, ...]
 
-    def vertex(self, k: int) -> HPoint:
+    def vertex(self, k: int) -> complex:
         """1-indexed accessor for s_k, indices mod 4g."""
         return self.vertices[(k - 1) % len(self.vertices)]
 
@@ -191,15 +188,16 @@ def build_symmetric_polygon(g: int, radius: float) -> SymmetricPolygon:
     2*tanh(s/2) < 2 times the relative error of u (above, plus 6*eps to
     evaluate u) plus eps*s, so two sides differ by at most
     eps*(2s + 20n + 48/(1 - |z|^2)) <= 48*eps*(s + n + 1/(1 - |z|^2)).
+    A radius with r not in (0, _R_MAX] raises ValueError.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    if radius <= 0:
-        raise ValueError("circumradius must be positive")
     n = 4 * g
     re = math.tanh(radius / 2.0)  # Euclidean radius of the hyperbolic circle
+    if not 0.0 < re <= _R_MAX:
+        raise ValueError(f"circumradius {radius!r} must be positive and keep the vertices off |z| = 1")
     angles = [-2.0 * math.pi * k / n for k in range(n)]  # clockwise numbering
-    verts = tuple(HPoint(re * math.cos(t), re * math.sin(t)) for t in angles)
+    verts = tuple(complex(re * math.cos(t), re * math.sin(t)) for t in angles)
     poly = SymmetricPolygon(genus=g, circumradius=radius, vertices=verts)
     lengths = poly.side_lengths()
     bound = 48 * sys.float_info.epsilon * (
@@ -222,7 +220,7 @@ def polygon_area(poly: SymmetricPolygon) -> float:
     so nothing cancels: theta keeps the relative accuracy its cosine loses.
     """
     n = len(poly.vertices)
-    o, s1, s2 = HPoint(0.0, 0.0), poly.vertex(1), poly.vertex(2)
+    o, s1, s2 = 0j, poly.vertex(1), poly.vertex(2)
     a, b, s = hdistance(o, s1), hdistance(o, s2), hdistance(s1, s2)
     p = (a + b + s) / 2.0
     theta = 2.0 * math.asin(math.sqrt(
@@ -237,9 +235,8 @@ def radius_for_area(g: int, area: float) -> float:
     (module docstring).  Since pi/n + beta/2 = pi/2 - area/(2n), it is
     evaluated without cancellation at either end of (0, (4g-2)*pi) as
     2*sinh(R/2)^2 = cosh R - 1 = sin(area/(2n)) / (sin(pi/n) * sin(beta/2)).
-    Rounding moves x^2 + y^2 of the vertices of `build_symmetric_polygon` by
-    a relative 4*eps, so their radius tanh(R/2) must stay below 1 - 4*eps:
-    the areas above that float limit (within ~1e-15 of the top) are refused.
+    Areas beyond the float limits at both ends are refused: below 2n times the smallest
+    normal float, R loses its digits; above tanh(R/2) = _R_MAX, the vertices reach |z| = 1.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
@@ -247,13 +244,15 @@ def radius_for_area(g: int, area: float) -> float:
     if not (0.0 < area < amax):
         raise AreaOutOfRange(f"area must lie strictly between 0 and {amax}")
     n = 4 * g
+    bottom = 2 * n * sys.float_info.min  # exact; below it area/(2n) is subnormal
+    if area < bottom:
+        raise AreaOutOfRange(f"area {area!r} is below the float limit {bottom!r} above 0")
     half_beta = (amax - area) / (2 * n)
     excess = math.sin(area / (2 * n)) / (math.sin(math.pi / n) * math.sin(half_beta))
     radius = 2.0 * math.asinh(math.sqrt(excess / 2.0))
-    r_max = 1.0 - 4 * sys.float_info.epsilon
-    if math.tanh(radius / 2.0) > r_max:
-        # the area at r = r_max: cot(beta/2) = cosh R * tan(pi/n), cosh R = (1 + r^2)/(1 - r^2)
-        cosh_max = (1.0 + r_max * r_max) / ((1.0 - r_max) * (1.0 + r_max))
+    if math.tanh(radius / 2.0) > _R_MAX:
+        # the area at r = _R_MAX: cot(beta/2) = cosh R * tan(pi/n), cosh R = (1 + r^2)/(1 - r^2)
+        cosh_max = (1.0 + _R_MAX * _R_MAX) / ((1.0 - _R_MAX) * (1.0 + _R_MAX))
         limit = amax - 2 * n * math.atan(1.0 / (cosh_max * math.tan(math.pi / n)))
         raise AreaOutOfRange(f"area {area!r} is above the float limit {limit!r} below the top "
                              f"{amax}: the polygon's vertices would round onto the unit circle")
@@ -322,8 +321,8 @@ MAX_GENUS = 10 ** 4
 def symmetric_pairings(g: int, area: float) -> Tuple[SymmetricPolygon, List[Isometry2H]]:
     """The symmetric 4g-gon of the given area and its 2g side pairings.
 
-    The domain is 1 <= g <= MAX_GENUS and 0 < area < (4g-2)*pi below the
-    float limit of `radius_for_area`; outside it this raises ValueError
+    The domain is 1 <= g <= MAX_GENUS and 0 < area < (4g-2)*pi between the
+    float limits of `radius_for_area`; outside it this raises ValueError
     (AreaOutOfRange for the area).
     """
     if g > MAX_GENUS:

@@ -147,6 +147,28 @@ class TestPolygonCommand:
         code, out, err = run(capsys, "polygon", "--genus", "10", "--area", area)
         assert code == 2 and out == "" and "float limit" in err
 
+    @pytest.mark.parametrize("g", [10, 20, 40])
+    def test_every_accepted_area_below_the_top_gets_a_report(self, capsys, g):
+        # the image of a vertex under its pairing rounds onto the unit circle
+        # near the top; the residual is read off the vertex, so it stays finite
+        area = (4 * g - 2) * math.pi
+        reports = 0
+        for _ in range(300):
+            area = math.nextafter(area, 0.0)
+            try:
+                hyperbolic.radius_for_area(g, area)
+            except hyperbolic.AreaOutOfRange:
+                continue
+            code, rep, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", repr(area))
+            assert code == 0 and math.isfinite(rep["outputs"]["pairing_residual_max"])
+            reports += 1
+        assert reports > 0
+
+    def test_float_limit_of_the_bottom_exits_2(self, capsys):
+        for cmd, g, area in (("polygon", 1, "5e-324"), ("holonomy", 10 ** 4, "1e-320")):
+            code, out, err = run(capsys, cmd, "--genus", str(g), "--area", area)
+            assert code == 2 and out == "" and "float limit" in err
+
     def test_near_top_of_area_range(self, capsys):
         # 5.7pi is 0.95 of the top 6pi, where the vertices approach the boundary
         code, rep, _ = run_json(capsys, "polygon", "--genus", "2", "--area", "5.7pi")
@@ -157,8 +179,8 @@ class TestPolygonCommand:
 
     @pytest.mark.parametrize("g", [1, 2, 8])
     def test_one_centre_triangle_measures_the_area(self, capsys, monkeypatch, g):
-        # n sides for the drift check, n pairing residuals, 3 for the area
-        # and 1 for the side length: at most 2n + 4 distances per report
+        # n sides for the drift check, 3 for the area and 1 for the side
+        # length; the pairing residuals use `image_distance`: n + 4 per report
         calls = []
         distance = hyperbolic.hdistance
 
@@ -168,7 +190,7 @@ class TestPolygonCommand:
 
         monkeypatch.setattr(hyperbolic, "hdistance", counted)
         code, _, _ = run(capsys, "polygon", "--genus", str(g), "--area", f"{2 * g - 1}pi")
-        assert code == 0 and len(calls) <= 2 * 4 * g + 4
+        assert code == 0 and len(calls) == 4 * g + 4
         poly = hyperbolic.build_symmetric_polygon(g, 1.5)
         calls.clear()
         hyperbolic.polygon_area(poly)

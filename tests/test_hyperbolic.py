@@ -19,15 +19,15 @@ def apply_su(m, w: complex) -> complex:
     return (a * w + b) / (b.conjugate() * w + a.conjugate())
 
 
-def angle_at(p: hy.HPoint, q1: hy.HPoint, q2: hy.HPoint) -> float:
+def angle_at(p: complex, q1: complex, q2: complex) -> float:
     """Hyperbolic angle at p between the geodesics to q1 and q2.
 
     Translating p to the origin turns both geodesics into straight rays, and
     the disk metric is conformal, so the angle is the Euclidean one there.
     """
-    m = mobius_to_origin(p.as_complex())
-    w1 = apply_su(m, q1.as_complex())
-    w2 = apply_su(m, q2.as_complex())
+    m = mobius_to_origin(p)
+    w1 = apply_su(m, q1)
+    w2 = apply_su(m, q2)
     d = abs(cmath.phase(w1) - cmath.phase(w2))
     return min(d, 2 * math.pi - d)
 
@@ -47,8 +47,8 @@ class LengthMismatch(ValueError):
     """Oriented segments of different hyperbolic lengths cannot be glued."""
 
 
-def isometry_from_segments(a: hy.HPoint, b: hy.HPoint,
-                           a2: hy.HPoint, b2: hy.HPoint) -> hy.Isometry2H:
+def isometry_from_segments(a: complex, b: complex,
+                           a2: complex, b2: complex) -> hy.Isometry2H:
     """Reference for `side_pairings`: the orientation-preserving isometry
     with a -> a2, b -> b2.
 
@@ -59,10 +59,10 @@ def isometry_from_segments(a: hy.HPoint, b: hy.HPoint,
     d2 = hy.hdistance(a2, b2)
     if abs(d1 - d2) > 1e-9:
         raise LengthMismatch(f"segment lengths differ: {d1} vs {d2}")
-    ta = hy._from_origin(a.as_complex()).inverse()
-    ta2 = hy._from_origin(a2.as_complex()).inverse()
-    wb = ta.apply_complex(b.as_complex())
-    wb2 = ta2.apply_complex(b2.as_complex())
+    ta = hy._from_origin(a).inverse()
+    ta2 = hy._from_origin(a2).inverse()
+    wb = ta.apply_complex(b)
+    wb2 = ta2.apply_complex(b2)
     if abs(wb) < 1e-15 and abs(wb2) < 1e-15:
         phi = 0.0
     else:
@@ -70,16 +70,16 @@ def isometry_from_segments(a: hy.HPoint, b: hy.HPoint,
     return ta2.inverse() @ hy.Isometry2H.rotation(phi) @ ta
 
 
-def random_point(rng, rmax=0.95) -> hy.HPoint:
+def random_point(rng, rmax=0.95) -> complex:
     r = rmax * math.sqrt(rng.uniform(0, 1))
     t = rng.uniform(0, 2 * math.pi)
-    return hy.HPoint(r * math.cos(t), r * math.sin(t))
+    return complex(r * math.cos(t), r * math.sin(t))
 
 
 def random_isometry(rng) -> hy.Isometry2H:
     # random product of a rotation and a translation along a random direction
     rot = hy.Isometry2H.rotation(rng.uniform(0, 2 * math.pi))
-    p = random_point(rng, 0.7).as_complex()
+    p = random_point(rng, 0.7)
     s = math.sqrt(1.0 - abs(p) ** 2)
     trans = hy.Isometry2H.from_disk_coefficients(1.0 / s, p / s)
     return rot @ trans
@@ -87,19 +87,19 @@ def random_isometry(rng) -> hy.Isometry2H:
 
 class TestDistance:
     def test_coincident_points(self):
-        p = hy.HPoint(0.3, -0.2)
+        p = complex(0.3, -0.2)
         assert hy.hdistance(p, p) == 0.0
 
     def test_center_to_radius_closed_form(self):
         for r in (0.1, 0.5, 0.9):
-            d = hy.hdistance(hy.HPoint(0, 0), hy.HPoint(r, 0))
+            d = hy.hdistance(complex(0, 0), complex(r, 0))
             assert d == pytest.approx(2 * math.atanh(r), abs=1e-14)
 
     def test_center_to_radius_integration_oracle(self):
         from scipy.integrate import quad
         for r in (0.2, 0.6, 0.8):
             val, err = quad(lambda t: 2.0 / (1.0 - t * t), 0.0, r)
-            assert abs(hy.hdistance(hy.HPoint(0, 0), hy.HPoint(r, 0)) - val) <= 1e-10 + err
+            assert abs(hy.hdistance(complex(0, 0), complex(r, 0)) - val) <= 1e-10 + err
 
     def test_isometry_invariance(self):
         rng = random.Random(10)
@@ -107,7 +107,7 @@ class TestDistance:
             p, q = random_point(rng), random_point(rng)
             iso = random_isometry(rng)
             d0 = hy.hdistance(p, q)
-            d1 = hy.hdistance(iso.apply(p), iso.apply(q))
+            d1 = hy.hdistance(iso.apply_complex(p), iso.apply_complex(q))
             assert abs(d0 - d1) <= 1e-10
 
     def test_accurate_near_boundary(self):
@@ -118,14 +118,14 @@ class TestDistance:
         for gap in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
             for _ in range(20):
                 t, dt = rng.uniform(0, 2 * math.pi), 10 ** rng.uniform(-6, 0.5)
-                pts = [hy.HPoint(r * math.cos(a), r * math.sin(a))
+                pts = [complex(r * math.cos(a), r * math.sin(a))
                        for r, a in ((1 - gap * rng.uniform(0.5, 2), t),
                                     (1 - gap * rng.uniform(0.5, 2), t + dt))]
                 with mp.workdps(40):
-                    zp, zq = (mp.mpc(p.x, p.y) for p in pts)
+                    zp, zq = (mp.mpc(p.real, p.imag) for p in pts)
                     exact = float(2 * mp.asinh(
                         abs(zp - zq) / mp.sqrt((1 - abs(zp) ** 2) * (1 - abs(zq) ** 2))))
-                one_minus = min(1 - abs(p.as_complex()) ** 2 for p in pts)
+                one_minus = min(1 - abs(p) ** 2 for p in pts)
                 err = abs(hy.hdistance(*pts) - exact)
                 assert err <= 4 * sys.float_info.epsilon / one_minus
 
@@ -208,6 +208,23 @@ class TestGaussBonnet:
         with pytest.raises(hy.AreaOutOfRange, match="float limit"):
             hy.radius_for_area(10, (1 - 2.3e-16) * 38 * math.pi)
 
+    def test_float_limit_of_the_bottom(self):
+        # sin(area/(2n)) underflows here, and the circumradius with it
+        for g, area in ((1, 5e-324), (10 ** 4, 1e-320)):
+            with pytest.raises(hy.AreaOutOfRange, match="float limit"):
+                hy.radius_for_area(g, area)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 10])
+    def test_first_floats_above_the_bottom(self, g):
+        # above the limit 2n * (smallest normal float) the area holds as at the top
+        s_max = (4 * g - 2) * math.pi
+        limit = 8 * g * sys.float_info.min
+        with pytest.raises(hy.AreaOutOfRange, match="float limit"):
+            hy.radius_for_area(g, math.nextafter(limit, 0.0))
+        for area in [limit * (1 + k / 64) for k in range(64)] + [limit * 10.0 ** k for k in range(1, 300, 7)]:
+            poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, area))
+            assert abs(hy.polygon_area(poly) - area) <= 16 * sys.float_info.epsilon * s_max
+
     @pytest.mark.parametrize("g", [1, 2, 3, 10, 40])
     def test_last_floats_below_the_top(self, g):
         # each of the 300 largest areas is refused or builds a polygon
@@ -227,7 +244,7 @@ class TestGaussBonnet:
 
 class TestIsometryFromSegments:
     def test_identity_case(self):
-        a, b = hy.HPoint(0.1, 0.2), hy.HPoint(-0.3, 0.4)
+        a, b = complex(0.1, 0.2), complex(-0.3, 0.4)
         iso = isometry_from_segments(a, b, a, b)
         assert iso.proj_distance(hy.Isometry2H.identity()) <= 1e-10
 
@@ -236,13 +253,13 @@ class TestIsometryFromSegments:
         phi = 1.234
         rot = hy.Isometry2H.rotation(phi)
         a, b = random_point(rng), random_point(rng)
-        iso = isometry_from_segments(a, b, rot.apply(a), rot.apply(b))
+        iso = isometry_from_segments(a, b, rot.apply_complex(a), rot.apply_complex(b))
         assert iso.proj_distance(rot) <= 1e-10
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            isometry_from_segments(hy.HPoint(0, 0), hy.HPoint(0.5, 0),
-                                   hy.HPoint(0, 0), hy.HPoint(0.2, 0))
+            isometry_from_segments(complex(0, 0), complex(0.5, 0),
+                                   complex(0, 0), complex(0.2, 0))
 
 
 class TestSidePairings:
@@ -250,10 +267,10 @@ class TestSidePairings:
         poly = hy.build_symmetric_polygon(1, 1.3)
         p1, p2 = hy.side_pairings(poly)
         s = poly.vertex
-        assert hy.hdistance(p1.apply(s(3)), s(2)) <= 1e-9
-        assert hy.hdistance(p1.apply(s(4)), s(1)) <= 1e-9
-        assert hy.hdistance(p2.apply(s(2)), s(5)) <= 1e-9
-        assert hy.hdistance(p2.apply(s(3)), s(4)) <= 1e-9
+        assert hy.hdistance(p1.apply_complex(s(3)), s(2)) <= 1e-9
+        assert hy.hdistance(p1.apply_complex(s(4)), s(1)) <= 1e-9
+        assert hy.hdistance(p2.apply_complex(s(2)), s(5)) <= 1e-9
+        assert hy.hdistance(p2.apply_complex(s(3)), s(4)) <= 1e-9
 
     def test_genus2_conditions(self):
         poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 5 * math.pi))
@@ -261,20 +278,20 @@ class TestSidePairings:
         s = poly.vertex
         for i in range(1, 3):
             po, pe = pairings[2 * (i - 1)], pairings[2 * (i - 1) + 1]
-            assert hy.hdistance(po.apply(s(4 * i - 1)), s(4 * i - 2)) <= 1e-9
-            assert hy.hdistance(po.apply(s(4 * i)), s(4 * i - 3)) <= 1e-9
-            assert hy.hdistance(pe.apply(s(4 * i - 2)), s(4 * i + 1)) <= 1e-9
-            assert hy.hdistance(pe.apply(s(4 * i - 1)), s(4 * i)) <= 1e-9
+            assert hy.hdistance(po.apply_complex(s(4 * i - 1)), s(4 * i - 2)) <= 1e-9
+            assert hy.hdistance(po.apply_complex(s(4 * i)), s(4 * i - 3)) <= 1e-9
+            assert hy.hdistance(pe.apply_complex(s(4 * i - 2)), s(4 * i + 1)) <= 1e-9
+            assert hy.hdistance(pe.apply_complex(s(4 * i - 1)), s(4 * i)) <= 1e-9
 
     def test_degenerate_limit_becomes_center_rotation(self):
         # as the polygon shrinks the pairings converge to rotations about the
         # center: the center displacement is O(radius) and the trace excess
         # over the elliptic range is O(radius^2)
-        center = hy.HPoint(0.0, 0.0)
+        center = complex(0.0, 0.0)
         for g in (1, 2):
             for radius in (1e-3, 1e-4):
                 for p in hy.side_pairings(hy.build_symmetric_polygon(g, radius)):
-                    assert hy.hdistance(p.apply(center), center) <= 5 * radius
+                    assert hy.hdistance(p.apply_complex(center), center) <= 5 * radius
                     assert abs(p.trace()) <= 2.0 + 10 * radius ** 2
 
     @pytest.mark.parametrize("g", [1, 2, 3, 5])
@@ -296,7 +313,7 @@ class TestSidePairings:
         for iso in hy.side_pairings(poly):
             for _ in range(25):
                 p, q = random_point(rng), random_point(rng)
-                assert abs(hy.hdistance(iso.apply(p), iso.apply(q)) -
+                assert abs(hy.hdistance(iso.apply_complex(p), iso.apply_complex(q)) -
                            hy.hdistance(p, q)) <= 1e-9
 
 
@@ -328,7 +345,7 @@ class TestCommutatorProduct:
     def test_fixes_first_vertex(self):
         poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 7.0))
         prod = hy.commutator_product(hy.side_pairings(poly))
-        assert hy.hdistance(prod.apply(poly.vertex(1)), poly.vertex(1)) <= 1e-9
+        assert hy.hdistance(prod.apply_complex(poly.vertex(1)), poly.vertex(1)) <= 1e-9
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_same_fold_as_the_flattened_relator(self, g):
@@ -416,7 +433,35 @@ class TestIsometryValidation:
 
     def test_point_outside_disk_rejected(self):
         with pytest.raises(ValueError):
-            hy.HPoint(0.8, 0.7)
+            hy.hdistance(complex(0.8, 0.7), 0j)
+
+
+class TestDiskDomain:
+    """|z| < 1 is checked where a formula needs it: `hdistance` on its points,
+    `build_symmetric_polygon` on its radius; a computed image is never checked."""
+
+    def test_boundary_point_and_huge_radius_rejected(self):
+        with pytest.raises(ValueError, match="unit disk"):
+            hy.hdistance(1 + 0j, 0j)
+        with pytest.raises(ValueError, match="circumradius"):
+            hy.build_symmetric_polygon(2, 80.0)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_image_distance_matches_the_rounded_image(self, g):
+        # below the top the image of a vertex stays inside the disk, and the
+        # distance from the rounded image agrees with the one read off p
+        rng = random.Random(20 + g)
+        s_max = (4 * g - 2) * math.pi
+        shares = [rng.uniform(0.001, 0.999) for _ in range(6)] + list(TestTopOfAreaRange.SHARES)
+        for share in shares:
+            poly, pairings = hy.symmetric_pairings(g, share * s_max)
+            s = poly.vertex
+            for i in range(1, g + 1):
+                po, pe = pairings[2 * i - 2], pairings[2 * i - 1]
+                for iso, a, b in ((po, 4 * i - 1, 4 * i - 2), (po, 4 * i, 4 * i - 3),
+                                  (pe, 4 * i - 2, 4 * i + 1), (pe, 4 * i - 1, 4 * i)):
+                    old = hy.hdistance(iso.apply_complex(s(a)), s(b))
+                    assert abs(hy.image_distance(iso, s(a), s(b)) - old) <= 1e-8 * old
 
 
 class TestTopOfAreaRange:
@@ -437,7 +482,7 @@ class TestTopOfAreaRange:
                 po, pe = pairings[2 * i - 2], pairings[2 * i - 1]
                 for iso, a, b in ((po, 4 * i - 1, 4 * i - 2), (po, 4 * i, 4 * i - 3),
                                   (pe, 4 * i - 2, 4 * i + 1), (pe, 4 * i - 1, 4 * i)):
-                    assert hy.hdistance(iso.apply(s(a)), s(b)) <= 1e-7
+                    assert hy.hdistance(iso.apply_complex(s(a)), s(b)) <= 1e-7
             assert abs(hy.polygon_area(poly) - area) <= 1e-9 * s_max
             trace = hy.commutator_product(pairings).trace()
             assert abs(abs(trace) - 2 * abs(math.cos((s_max - area) / 2))) <= 1e-6
