@@ -14,10 +14,10 @@ representations are provided:
 into one Moebius lift; two Moebius lifts compose by multiplying their
 matrices and fixing the integer winding from values in [0, 2) at one point
 (`_compose_moebius`); the fold carries the rounding bound of its matrix
-(`error_scale`).  `translation_number` iterates PL data exactly, and
-reads a single Moebius lift's translation number in closed form, whatever N
-(`_moebius_rho`: the rotation angle of an elliptic matrix, or the exact
-integer at a boundary fixed point).  Nothing is sampled: `_extremes` reads
+(`error_scale`, computed when first read).  `translation_number` iterates
+PL data exactly, and reads a single Moebius lift's translation number in
+closed form, whatever N (`_moebius_rho`: the rotation angle of an elliptic
+matrix, or the exact integer at a boundary fixed point).  Nothing is sampled: `_extremes` reads
 the extremes of f(t) - t at PL breakpoints, or where a Moebius lift has
 slope 1 (`_moebius_extremes`), and decides the displacement checks and the
 Euler number of a pair of lifts.  A word that mixes the two has neither an
@@ -222,8 +222,10 @@ class MoebiusBoundaryLift(LiftedCircleMap):
     the disk action w -> (alpha*w + beta) / (conj(beta)*w + conj(alpha)) and
     `inverse()` and `compose()`; see `hyperbolic.Isometry2H`.  `winding`
     shifts the canonical lift by an integer.  `error_scale` is the S of
-    `_moebius_rho_slack`: |alpha| + |beta| for a lift of one matrix, kept by
-    `inverse`, summed over the letters by a fold (`_as_moebius`).
+    `trace_slack`: |alpha| + |beta| for a lift of one matrix, kept by
+    `inverse`, summed over the letters by a fold (`_as_moebius`).  It may be
+    set to a function of no arguments, which is called when S is first read,
+    so that a fold whose S no caller reads never computes it.
 
     Evaluation is pointwise exact up to float roundoff: the canonical lift
     restricted to [0, 1) takes values in [c0, c0 + 1), with c0 = f(0) the
@@ -238,10 +240,20 @@ class MoebiusBoundaryLift(LiftedCircleMap):
         alpha, beta = iso.disk_coefficients()
         self._alpha = a = complex(alpha)
         self._beta = b = complex(beta)
-        self.error_scale = abs(a) + abs(b)
+        self._error_scale = abs(a) + abs(b)
         w1 = (a + b) / (b.conjugate() + a.conjugate())
         c0 = (math.atan2(w1.imag, w1.real) / TWO_PI) % 1.0
         self._c0 = 0.0 if c0 == 1.0 else c0  # a turn just below 0 rounds to 1.0
+
+    @property
+    def error_scale(self) -> float:
+        if callable(self._error_scale):
+            self._error_scale = self._error_scale()
+        return self._error_scale
+
+    @error_scale.setter
+    def error_scale(self, value) -> None:
+        self._error_scale = value
 
     def _canonical(self, tau: float) -> float:
         """The canonical lift at tau in [0, 1): a value in [c0, c0 + 1) within [0, 2).
@@ -270,7 +282,7 @@ class MoebiusBoundaryLift(LiftedCircleMap):
     def inverse(self) -> "MoebiusBoundaryLift":
         inv = MoebiusBoundaryLift(self.iso.inverse())
         inv.winding = -round(inv.eval(self.eval(0.0)))
-        inv.error_scale = self.error_scale
+        inv.error_scale = lambda: self.error_scale
         return inv
 
 
@@ -389,24 +401,32 @@ def _compose_moebius(a: MoebiusBoundaryLift, b: MoebiusBoundaryLift) -> MoebiusB
 def _as_moebius(f: LiftedCircleMap) -> Optional[MoebiusBoundaryLift]:
     """Collapse an all-Moebius word to a single lift (pointwise identical),
     folded from the left, with `error_scale` S = sum_i ||P_<i||*S_i*||P_>i||
-    (`_moebius_rho_slack`): ||P_<i|| from the fold's accumulator, ||P_>i||
-    from one right-to-left pass of `iso.compose`."""
+    (`trace_slack`): ||P_<i|| from the fold's accumulator, ||P_>i||
+    from one right-to-left pass of `iso.compose`, made when S is first read."""
     if isinstance(f, MoebiusBoundaryLift):
         return f
     if not (isinstance(f, WordMap) and f.letters()):
         return None
     if not all(isinstance(m, MoebiusBoundaryLift) for m, _ in f.letters()):
         return None
-    chain = f._chain  # A_k..A_1 (evaluation order); after[j] is ||P_>i|| of chain[j]
-    suffixes = accumulate((m.iso for m in chain[:-1]), lambda p, iso: iso.compose(p))
-    after = [1.0] + [abs(a) + abs(b) for a, b in (p.disk_coefficients() for p in suffixes)]
-    acc, terms = chain[-1], [chain[-1].error_scale * after[-1]]
-    for m, q in zip(chain[-2::-1], after[-2::-1]):
-        terms.append((abs(acc._alpha) + abs(acc._beta)) * m.error_scale * q)
+    chain = f._chain  # A_k..A_1 (evaluation order)
+    acc, before = chain[-1], []
+    for m in chain[-2::-1]:
+        before.append(abs(acc._alpha) + abs(acc._beta))
         acc = _compose_moebius(acc, m)
     if len(chain) > 1:  # a one-letter word is that letter, left as it is
-        acc.error_scale = math.fsum(terms)
+        acc.error_scale = lambda: _fold_error_scale(chain, before)
     return acc
+
+
+def _fold_error_scale(chain: Sequence[MoebiusBoundaryLift], before: Sequence[float]) -> float:
+    """S of the fold of `chain` (evaluation order), given ||P_<i|| for every
+    letter but the first applied; after[j] is ||P_>i|| of chain[j]."""
+    suffixes = accumulate((m.iso for m in chain[:-1]), lambda p, iso: iso.compose(p))
+    after = [1.0] + [abs(a) + abs(b) for a, b in (p.disk_coefficients() for p in suffixes)]
+    terms = [chain[-1].error_scale * after[-1]]
+    terms += [norm * m.error_scale * q for norm, m, q in zip(before, chain[-2::-1], after[-2::-1])]
+    return math.fsum(terms)
 
 
 def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
@@ -559,12 +579,12 @@ def _rho_from_trace_slack(trace: float, err: float) -> float:
     return slack
 
 
-def _moebius_rho_slack(f: MoebiusBoundaryLift) -> float:
-    """Bound on |rho(f) - rho(exact product of the letters' isometries)|.
+def trace_slack(f: MoebiusBoundaryLift) -> float:
+    """Bound on |trace(M^) - trace(M)| (SL(2) traces) for the computed matrix
+    M^ of f against the exact product M of its letters' isometries.
 
-    f is a letter or the fold of letters A_1..A_k, with computed matrix M^.
-    To first order in eps, with P_<i and P_>i the products of the letters
-    before and after A_i,
+    f is a letter or the fold of letters A_1..A_k.  To first order in eps,
+    with P_<i and P_>i the products of the letters before and after A_i,
 
         ||M^ - M|| <= e := (LETTER_ERROR_ULPS + 4) * eps * S,
         S = sum_i ||P_<i|| * ||A_i|| * ||P_>i||,
@@ -575,19 +595,26 @@ def _moebius_rho_slack(f: MoebiusBoundaryLift) -> float:
     its S for ||A_i|| (its first letter entered no product, and that 4*eps
     share covers the product taking the fold in).  Each product is rescaled by
     1/sqrt(det); the next rescaling cancels that scalar, so only the last one
-    counts: it moves the trace by a relative 4*eps*||M^||^2.  So
-    |trace(M^) - trace(M)| <= 2*e + 4*eps*||M^||^2*|trace|, and rho, a
-    function of the trace for a Moebius lift, moves by at most
-    `_rho_from_trace_slack` of that.  Near traces +-2 the bound grows like the
-    square root of the trace error, as the error itself does: the rotation
-    angle of a near-parabolic matrix is that ill-conditioned.  (A bound on the
-    displacement of the boundary map would not do: rho is not Lipschitz in the
-    displacement near such maps.)
+    counts: it moves the trace by a relative 4*eps*||M^||^2.  So the bound is
+    2*e + 4*eps*||M^||^2*|trace|.  A lift whose S bounds the trace error
+    directly (`hyperbolic.symmetric_relator`) is read the same way.
     """
     e = (LETTER_ERROR_ULPS + 4) * _EPS * f.error_scale
     norm = abs(f._alpha) + abs(f._beta)
-    trace = 2.0 * f._alpha.real
-    return _rho_from_trace_slack(trace, 2.0 * e + 4.0 * _EPS * norm * norm * abs(trace))
+    return 2.0 * e + 4.0 * _EPS * norm * norm * abs(2.0 * f._alpha.real)
+
+
+def _moebius_rho_slack(f: MoebiusBoundaryLift) -> float:
+    """Bound on |rho(f) - rho(exact product of the letters' isometries)|.
+
+    rho is a function of the trace for a Moebius lift, so it moves by at most
+    `_rho_from_trace_slack` of `trace_slack`.  Near traces +-2 the bound grows
+    like the square root of the trace error, as the error itself does: the
+    rotation angle of a near-parabolic matrix is that ill-conditioned.  (A
+    bound on the displacement of the boundary map would not do: rho is not
+    Lipschitz in the displacement near such maps.)
+    """
+    return _rho_from_trace_slack(2.0 * f._alpha.real, trace_slack(f))
 
 
 def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumberEstimate:

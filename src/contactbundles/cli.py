@@ -126,16 +126,19 @@ def cmd_classify(args) -> int:
 
 def cmd_holonomy(args) -> int:
     area = _parse_area(args.area)
-    poly, pairings = hyperbolic.symmetric_pairings(args.genus, area)
-    relator = circle_dynamics.flatten(hyperbolic.holonomy_relator(pairings))  # one fold
+    radius = hyperbolic.checked_radius(args.genus, area)
+    relator = hyperbolic.symmetric_relator(args.genus, radius)
     est = circle_dynamics.translation_number(relator, args.iters)
+    trace = relator.iso.trace()
     target = area / (2.0 * math.pi)
     out = {
         "genus": args.genus,
         "area": area,
-        "circumradius": poly.circumradius,
-        "commutator_trace": relator.iso.trace(),
-        "commutator_class": relator.iso.classification(),
+        "circumradius": radius,
+        "commutator_trace": trace,
+        # exactly the rotation about s_1 by (4g-2)*pi - area: elliptic or the identity
+        "commutator_class": ("elliptic" if abs(trace) < 2.0 - circle_dynamics.trace_slack(relator)
+                             else "undecided"),
         "rho": float(est.value),
         "abs_rho": abs(float(est.value)),
         "target_abs_rho": target,
@@ -159,7 +162,6 @@ def cmd_polygon(args) -> int:
             hyperbolic.image_distance(pe, poly.vertex(4 * i - 2), poly.vertex(4 * i + 1)),
             hyperbolic.image_distance(pe, poly.vertex(4 * i - 1), poly.vertex(4 * i)),
         ]
-    comm = hyperbolic.commutator_product(pairings)
     expected = 2.0 * abs(math.cos(((4 * g - 2) * math.pi - area) / 2.0))
     out = {
         "genus": g,
@@ -168,7 +170,7 @@ def cmd_polygon(args) -> int:
         "computed_area": hyperbolic.polygon_area(poly),
         "side_length": hyperbolic.hdistance(poly.vertex(1), poly.vertex(2)),
         "pairing_residual_max": max(residuals),
-        "commutator_trace": comm.trace(),
+        "commutator_trace": hyperbolic.relator_matrix(g, pairings[0], pairings[1]).trace(),
         "expected_abs_trace": expected,
     }
     return _emit("polygon", {"genus": g, "area": args.area}, out)

@@ -12,6 +12,11 @@ indices mod 4g, so that consecutive edges are glued in the pattern
 exactly one pairing.  The product of commutators of the pairings is then an
 elliptic rotation about s_1 by the polygon's total interior angle, and its
 boundary lift has translation number -area/(2*pi) up to the orientation sign.
+The pairings of one handle are those of the previous one conjugated by the
+rotation Rot(-2*pi/g), so the relator is one handle's commutator times that
+rotation, raised to the g-th power (`symmetric_relator`, O(log g) products,
+no polygon); `polygon` builds the 4g vertices and all 2g pairings
+(`symmetric_pairings`).
 
 Isometries are stored as real SL(2) matrices (PSL(2, R), identified with
 their negation) and act on the disk through the Cayley transform; the
@@ -40,7 +45,8 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Tuple
 
 from . import circle_dynamics as cd
 
@@ -120,14 +126,6 @@ class Isometry2H:
     def apply_complex(self, w: complex) -> complex:
         alpha, beta = self.disk_coefficients()
         return (alpha * w + beta) / (beta.conjugate() * w + alpha.conjugate())
-
-    def proj_distance(self, other: "Isometry2H") -> float:
-        """max-norm distance in PSL(2, R): min over the sign ambiguity."""
-        dplus = max(abs(self.a - other.a), abs(self.b - other.b),
-                    abs(self.c - other.c), abs(self.d - other.d))
-        dminus = max(abs(self.a + other.a), abs(self.b + other.b),
-                     abs(self.c + other.c), abs(self.d + other.d))
-        return min(dplus, dminus)
 
 
 def _distance(chord: float, rp: float, rq: float) -> float:
@@ -264,6 +262,23 @@ def _from_origin(z: complex) -> Isometry2H:
     return Isometry2H.from_disk_coefficients(1.0 + 0.0j, z)
 
 
+def _pairings(g: int, radius: float, handles: int) -> List[Isometry2H]:
+    """phi_1, ..., phi_{2*handles} of the symmetric 4g-gon of circumradius
+    `radius` (`side_pairings`)."""
+    n = 4 * g
+    rho = math.atanh(math.tanh(radius) * math.cos(math.pi / n))
+    # half-turn about the point at distance rho on the positive real axis
+    to_midpoint = _from_origin(complex(math.tanh(rho / 2.0)))
+    half_turn = to_midpoint @ Isometry2H.rotation(math.pi) @ to_midpoint.inverse()
+
+    def pairing(k: int, turn: float) -> Isometry2H:
+        psi = -(2 * k - 1) * math.pi / n
+        return Isometry2H.rotation(turn + psi) @ half_turn @ Isometry2H.rotation(-psi)
+
+    return [phi for i in range(1, handles + 1)
+            for phi in (pairing(4 * i - 1, 4 * math.pi / n), pairing(4 * i - 2, -4 * math.pi / n))]
+
+
 def side_pairings(poly: SymmetricPolygon) -> List[Isometry2H]:
     """The 2g side-pairing isometries of the symmetric polygon.
 
@@ -277,33 +292,7 @@ def side_pairings(poly: SymmetricPolygon) -> List[Isometry2H]:
     phi_{2i-1} = Rot(+4*pi/n) o H(m_{4i-1}), phi_{2i} = Rot(-4*pi/n) o
     H(m_{4i-2}); tests/test_hyperbolic.py checks them against their vertices.
     """
-    n = 4 * poly.genus
-    rho = math.atanh(math.tanh(poly.circumradius) * math.cos(math.pi / n))
-    # half-turn about the point at distance rho on the positive real axis
-    to_midpoint = _from_origin(complex(math.tanh(rho / 2.0)))
-    half_turn = to_midpoint @ Isometry2H.rotation(math.pi) @ to_midpoint.inverse()
-
-    def pairing(k: int, turn: float) -> Isometry2H:
-        psi = -(2 * k - 1) * math.pi / n
-        return Isometry2H.rotation(turn + psi) @ half_turn @ Isometry2H.rotation(-psi)
-
-    return [phi for i in range(1, poly.genus + 1)
-            for phi in (pairing(4 * i - 1, 4 * math.pi / n), pairing(4 * i - 2, -4 * math.pi / n))]
-
-
-def commutator_product(pairings: Sequence[Isometry2H]) -> Isometry2H:
-    """prod_{i=1..g} [phi_{2i-1}, phi_{2i}], composed left to right.
-
-    A left fold of phi_1, phi_2, phi_1^-1, phi_2^-1, phi_3, ..., as `flatten`
-    folds the lifts: bit-identical to `flatten(holonomy_relator(pairings)).iso`.
-    For polygon side pairings this is the rotation about s_1 by the polygon's
-    total interior angle, hence elliptic with
-    |trace| = 2*|cos(((4g-2)*pi - area)/2)|.
-    """
-    if len(pairings) < 2 or len(pairings) % 2:
-        raise ValueError("need an even number (>= 2) of isometries")
-    return functools.reduce(Isometry2H.compose, [
-        x for a, b in zip(pairings[::2], pairings[1::2]) for x in (a, b, a.inverse(), b.inverse())])
+    return _pairings(poly.genus, poly.circumradius, poly.genus)
 
 
 def boundary_lift(iso: Isometry2H) -> cd.MoebiusBoundaryLift:
@@ -311,38 +300,132 @@ def boundary_lift(iso: Isometry2H) -> cd.MoebiusBoundaryLift:
     return cd.MoebiusBoundaryLift(iso, 0)
 
 
-#: Largest genus `symmetric_pairings` builds.  Requests cost time linear in g:
-#: at g = 10^4 (in-process CPU time, 2-vCPU VM, Python 3.11, 20 runs each)
-#: `polygon` took 0.26-0.48 s and `holonomy` 0.48-0.66 s, so the bound keeps
-#: either below 1 s.
+def _norm(iso: Isometry2H) -> float:
+    """Spectral norm |alpha| + |beta|."""
+    alpha, beta = iso.disk_coefficients()
+    return abs(alpha) + abs(beta)
+
+
+def _power(x, g: int, multiply) -> tuple:
+    """(x^g, nodes) by binary powering with `multiply`, lowest bit first; nodes
+    holds (A, B, a + b, c) for each product A B = x^a x^b, which occurs c
+    times in x^g written out as a product of g letters x."""
+    power, e, acc, acc_e, nodes, k = x, 1, None, 0, [], g
+    while True:
+        if k & 1:
+            if acc is None:
+                acc, acc_e = power, e
+            else:
+                nodes.append((acc, power, acc_e + e, 1))
+                acc, acc_e = multiply(acc, power), acc_e + e
+        k >>= 1
+        if not k:
+            return acc, nodes
+        nodes.append((power, power, 2 * e, k))  # x^(2e) occurs floor(g / 2e) = k times
+        power, e = multiply(power, power), 2 * e
+
+
+def relator_matrix(g: int, phi_1: Isometry2H, phi_2: Isometry2H) -> Isometry2H:
+    """-(C R)^g, C = [phi_1, phi_2] and R = Rot(-2*pi/g): the matrix of
+    `symmetric_relator`, bit for bit (the same products in the same order),
+    from the first handle's pairings and without lifts."""
+    x = functools.reduce(Isometry2H.compose, [phi_1, phi_2, phi_1.inverse(), phi_2.inverse(),
+                                              Isometry2H.rotation(-2.0 * math.pi / g)])
+    xg = _power(x, g, Isometry2H.compose)[0]
+    return Isometry2H(-xg.a, -xg.b, -xg.c, -xg.d)
+
+
+def symmetric_relator(g: int, radius: float) -> cd.MoebiusBoundaryLift:
+    """The lifted relator prod_{i=1..g} [phi_{2i-1}, phi_{2i}] of the symmetric
+    4g-gon of circumradius `radius`, from one handle in O(log g) products.
+
+    The pairings of handle i + 1 are those of handle i conjugated by the
+    polygon's rotation R = Rot(-2*pi/g) (`_pairings`: psi steps by -2*pi/g),
+    so with C = [phi_1, phi_2] the relator telescopes to
+    prod_i R^i C R^-i = (C R)^g R^-g.  A commutator of lifts does not depend
+    on the lifts, so the same holds for the canonical lifts, and R~^g is the
+    translation by the integer m nearest g*R~(0) (R~ translates by R~(0)).
+    X = C R is folded from its five letters and raised to the g-th power by
+    binary powering (`_power`) through `_compose_moebius`, which carries the
+    winding; the result is shifted by -m.  In SL(2, R), R^g = -I exactly, so
+    the matrix is -X^g (`relator_matrix`): its trace is the relator's.
+
+    `error_scale` (computed when first read) bounds the first-order error of
+    the trace, which is all `circle_dynamics.trace_slack` and
+    `translation_number` read: |trace(M^) - trace(M)| <= 2*(U + 4)*eps*S plus
+    the last rescaling's term, with U = LETTER_ERROR_ULPS.  Every rounding
+    error F sits between powers of X, X^l F X^r, and the trace is cyclic, so
+    it moves the trace of X^l F X^r by tr(F X^(l+r)); rescaling M^ + D to
+    det 1 moves it by a further -tr(M)*tr(M^-1 D)/2, with M^-1 X^l F X^r
+    giving tr(F X^(l+r-g)).  |tr(AB)| <= 2*||A||*||B|| then gives
+
+        S = g * sum_i ||P_<i||*||A_i||*(||P_>i X^(g-1)|| + |tr M|/2*||P_<=i||)
+            + 4/(U + 4) * sum_nodes c*||A||*||B||*(N(g - a - b) + |tr M|/2*||A B||),
+
+    the first sum over the five letters A_i of X (P_<i, P_>i the products
+    before and after A_i; each letter and the product that takes it in err
+    by (U + 4)*eps*||P_<i||*||A_i||, as in `trace_slack`; each letter occurs
+    g times), the second over the products A B = X^a X^b of the powering,
+    each rounded within 4*eps*||A||*||B|| and occurring c times in the
+    expanded power.  The exact X is elliptic (X^g is), so
+    X^e = U_{e-1}(cos h)*X - U_{e-2}(cos h)*I with cos h = Re(alpha), and
+    |U_{e-1}| = |sin(e*h)/sin(h)| <= min(e, 1/sin h): ||X^e|| <= N(e) =
+    sqrt(1 + b^2) + b with b = |beta|*min(e, 1/sin h).  No norm is multiplied
+    level by level, so S grows linearly in g.  This S bounds the trace error,
+    not ||M^ - M||, so the lift is not a letter for a further fold.
+    """
+    phi_1, phi_2 = (boundary_lift(p) for p in _pairings(g, radius, 1))
+    rot = boundary_lift(Isometry2H.rotation(-2.0 * math.pi / g))
+    letters = [phi_1, phi_2, phi_1.inverse(), phi_2.inverse(), rot]
+    prefixes = list(accumulate(letters, cd._compose_moebius))  # P_<=i
+    x = prefixes[-1]
+    acc, nodes = _power(x, g, cd._compose_moebius)
+    xg = acc.iso
+    relator = cd.MoebiusBoundaryLift(Isometry2H(-xg.a, -xg.b, -xg.c, -xg.d),
+                                     acc.winding - round(g * rot.eval(0.0)))
+
+    def error_scale() -> float:
+        half_trace = abs(xg.trace()) / 2.0
+        suffixes = [xg @ x.iso.inverse()]  # P_>i X^(g-1), last letter first
+        for a in letters[:0:-1]:
+            suffixes.append(a.iso @ suffixes[-1])
+        before = [1.0] + [_norm(p.iso) for p in prefixes]
+        letter_terms = [p * _norm(a.iso) * (_norm(q) + half_trace * pa)
+                        for p, a, q, pa in zip(before, letters, suffixes[::-1], before[1:])]
+        alpha, beta = x.iso.disk_coefficients()
+        sin_h = math.sqrt(max(0.0, (1.0 - alpha.real) * (1.0 + alpha.real)))
+
+        def power_norm(exponent: int) -> float:
+            b = abs(beta) * (min(exponent, 1.0 / sin_h) if sin_h else exponent)
+            return math.sqrt(1.0 + b * b) + b
+
+        node_terms = [count * _norm(a.iso) * _norm(b.iso)
+                      * (power_norm(g - ab) + half_trace * _norm(a.iso @ b.iso))
+                      for a, b, ab, count in nodes]
+        return (g * math.fsum(letter_terms)
+                + 4.0 / (cd.LETTER_ERROR_ULPS + 4) * math.fsum(node_terms))
+
+    relator.error_scale = error_scale
+    return relator
+
+
+#: Largest genus `checked_radius` accepts.  `polygon` builds the polygon in
+#: time linear in g: at g = 10^4 (in-process CPU time, 2-vCPU VM, Python 3.11,
+#: 20 runs) it took 0.26-0.48 s, so the bound keeps it below 1 s.
 MAX_GENUS = 10 ** 4
 
 
-def symmetric_pairings(g: int, area: float) -> Tuple[SymmetricPolygon, List[Isometry2H]]:
-    """The symmetric 4g-gon of the given area and its 2g side pairings.
-
-    The domain is 1 <= g <= MAX_GENUS and 0 < area < (4g-2)*pi between the
-    float limits of `radius_for_area`; outside it this raises ValueError
-    (AreaOutOfRange for the area).
-    """
+def checked_radius(g: int, area: float) -> float:
+    """`radius_for_area` on the domain 1 <= g <= MAX_GENUS and 0 < area <
+    (4g-2)*pi between its float limits; outside it this raises ValueError
+    (AreaOutOfRange for the area)."""
     if g > MAX_GENUS:
         raise ValueError(f"genus must be <= {MAX_GENUS}: the polygon is built in time linear in g")
-    poly = build_symmetric_polygon(g, radius_for_area(g, area))
+    return radius_for_area(g, area)
+
+
+def symmetric_pairings(g: int, area: float) -> Tuple[SymmetricPolygon, List[Isometry2H]]:
+    """The symmetric 4g-gon of the given area and its 2g side pairings, on the
+    domain of `checked_radius`."""
+    poly = build_symmetric_polygon(g, checked_radius(g, area))
     return poly, side_pairings(poly)
-
-
-def holonomy_relator(pairings: Sequence[Isometry2H]) -> cd.WordMap:
-    """The relator prod_i [phi_{2i-1}, phi_{2i}] of the pairings' canonical boundary lifts."""
-    return cd.evaluate_relator([boundary_lift(p) for p in pairings])
-
-
-def holonomy_translation_number(g: int, area: float, iterations: int) -> cd.TranslationNumberEstimate:
-    """Translation number of the lifted commutator product for the area-`area` polygon.
-
-    The canonical lift is taken for every generator; the relator's value does
-    not depend on that choice because each generator occurs with both
-    exponents and integer translations are central.  |value| approximates
-    area/(2*pi) within the estimate's error bound.
-    """
-    _, pairings = symmetric_pairings(g, area)
-    return cd.translation_number(holonomy_relator(pairings), iterations)

@@ -1,0 +1,49 @@
+"""Reference geometry for the tests: the holonomy relator folded letter by
+letter over all 2g side pairings, the O(g) oracle for
+`hyperbolic.symmetric_relator`, and a distance on PSL(2, R)."""
+
+import functools
+from typing import Sequence
+
+from contactbundles import circle_dynamics as cd
+from contactbundles import hyperbolic as hy
+
+
+def proj_distance(x: hy.Isometry2H, y: hy.Isometry2H) -> float:
+    """max-norm distance in PSL(2, R): min over the sign ambiguity."""
+    dplus = max(abs(x.a - y.a), abs(x.b - y.b), abs(x.c - y.c), abs(x.d - y.d))
+    dminus = max(abs(x.a + y.a), abs(x.b + y.b), abs(x.c + y.c), abs(x.d + y.d))
+    return min(dplus, dminus)
+
+
+def commutator_product(pairings: Sequence[hy.Isometry2H]) -> hy.Isometry2H:
+    """prod_{i=1..g} [phi_{2i-1}, phi_{2i}], composed left to right.
+
+    A left fold of phi_1, phi_2, phi_1^-1, phi_2^-1, phi_3, ..., as `flatten`
+    folds the lifts: bit-identical to `flatten(holonomy_relator(pairings)).iso`.
+    For polygon side pairings this is the rotation about s_1 by the polygon's
+    total interior angle, hence elliptic with
+    |trace| = 2*|cos(((4g-2)*pi - area)/2)|.
+    """
+    if len(pairings) < 2 or len(pairings) % 2:
+        raise ValueError("need an even number (>= 2) of isometries")
+    return functools.reduce(hy.Isometry2H.compose, [
+        x for a, b in zip(pairings[::2], pairings[1::2]) for x in (a, b, a.inverse(), b.inverse())])
+
+
+def holonomy_relator(pairings: Sequence[hy.Isometry2H]) -> cd.WordMap:
+    """The relator prod_i [phi_{2i-1}, phi_{2i}] of the pairings' canonical boundary lifts."""
+    return cd.evaluate_relator([hy.boundary_lift(p) for p in pairings])
+
+
+def holonomy_translation_number(g: int, area: float, iterations: int) -> cd.TranslationNumberEstimate:
+    """Translation number of the lifted relator of the area-`area` polygon,
+    folded over all 4g letters.
+
+    The canonical lift is taken for every generator; the relator's value does
+    not depend on that choice because each generator occurs with both
+    exponents and integer translations are central.  |value| approximates
+    area/(2*pi) within the estimate's error bound.
+    """
+    _, pairings = hy.symmetric_pairings(g, area)
+    return cd.translation_number(holonomy_relator(pairings), iterations)

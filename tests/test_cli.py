@@ -120,19 +120,51 @@ class TestHolonomyCommand:
                          "--iters", "1000")
         assert out1 == out2
 
-    @pytest.mark.parametrize("g,area", [(1, "1.5pi"), (2, "4pi"), (3, "9.99pi"), (8, "29.997pi")])
+    @pytest.mark.parametrize("g,area", [(1, "1.5pi"), (2, "4pi"), (3, "9.99pi"), (8, "29.997pi"),
+                                        (20, "77.9pi")])
     def test_one_fold_and_the_trace_of_polygon(self, capsys, monkeypatch, g, area):
-        """holonomy folds the relator once and reads its trace off that fold,
-        the trace `polygon` prints."""
+        """holonomy folds one handle's commutator and the rotation once, then
+        powers it (log g products), and reads its trace off that relator,
+        which `polygon` reads too: the two commands print one trace."""
         _, pol, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", area)
         folds = []
         compose = circle_dynamics._compose_moebius
         monkeypatch.setattr(circle_dynamics, "_compose_moebius",
                             lambda a, b: folds.append(1) or compose(a, b))
-        monkeypatch.setattr(hyperbolic, "commutator_product", None)
         _, hol, _ = run_json(capsys, "holonomy", "--genus", str(g), "--area", area, "--iters", "10")
-        assert len(folds) == 4 * g - 1
+        assert len(folds) == 4 + (g.bit_length() - 1) + (bin(g).count("1") - 1)
         assert hol["outputs"]["commutator_trace"] == pol["outputs"]["commutator_trace"]
+
+    def test_top_genus_builds_a_few_isometries(self, capsys, monkeypatch):
+        """O(log g): tens of isometries at g = 10^4, where the 4g-letter fold made 180,002."""
+        made = []
+        init = hyperbolic.Isometry2H.__init__
+        monkeypatch.setattr(hyperbolic.Isometry2H, "__init__",
+                            lambda iso, *abcd: made.append(1) or init(iso, *abcd))
+        code, rep, _ = run_json(capsys, "holonomy", "--genus", "10000", "--area", "19999pi",
+                                "--iters", "100000")
+        assert code == 0 and len(made) <= 100
+        out = rep["outputs"]
+        assert abs(out["abs_rho"] - out["target_abs_rho"]) <= out["error_bound"]
+
+    def test_builds_no_polygon(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("holonomy built the polygon")
+
+        monkeypatch.setattr(hyperbolic, "build_symmetric_polygon", refuse)
+        monkeypatch.setattr(hyperbolic, "side_pairings", refuse)
+        code, rep, _ = run_json(capsys, "holonomy", "--genus", "8", "--area", "29.997pi")
+        assert code == 0 and rep["outputs"]["commutator_class"] == "elliptic"
+
+    @pytest.mark.parametrize("g,area,cls", [
+        (3, "2pi", "undecided"),  # a whole turn: the identity, trace -2.0
+        (1, repr(0.99999 * 2 * math.pi), "elliptic"),  # |trace| = 2 - 1e-9
+        (1000, repr((1 - 1e-6) * 3998 * math.pi), "undecided"),  # trace -2.0008 rounds hyperbolic
+    ])
+    def test_commutator_class_is_decided_by_the_trace_slack(self, capsys, g, area, cls):
+        """The relator is exactly a rotation: elliptic where |trace| < 2 - slack."""
+        code, rep, _ = run_json(capsys, "holonomy", "--genus", str(g), "--area", area)
+        assert code == 0 and rep["outputs"]["commutator_class"] == cls
 
 
 class TestPolygonCommand:

@@ -4,9 +4,13 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
+from fold_reference import (commutator_product, holonomy_relator, holonomy_translation_number,
+                            proj_distance)
 
 
 def mobius_to_origin(p: complex):
@@ -246,7 +250,7 @@ class TestIsometryFromSegments:
     def test_identity_case(self):
         a, b = complex(0.1, 0.2), complex(-0.3, 0.4)
         iso = isometry_from_segments(a, b, a, b)
-        assert iso.proj_distance(hy.Isometry2H.identity()) <= 1e-10
+        assert proj_distance(iso, hy.Isometry2H.identity()) <= 1e-10
 
     def test_known_rotation(self):
         rng = random.Random(12)
@@ -254,7 +258,7 @@ class TestIsometryFromSegments:
         rot = hy.Isometry2H.rotation(phi)
         a, b = random_point(rng), random_point(rng)
         iso = isometry_from_segments(a, b, rot.apply_complex(a), rot.apply_complex(b))
-        assert iso.proj_distance(rot) <= 1e-10
+        assert proj_distance(iso, rot) <= 1e-10
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -304,8 +308,8 @@ class TestSidePairings:
             for i in range(1, g + 1):
                 ref_odd = isometry_from_segments(s(4 * i - 1), s(4 * i), s(4 * i - 2), s(4 * i - 3))
                 ref_even = isometry_from_segments(s(4 * i - 2), s(4 * i - 1), s(4 * i + 1), s(4 * i))
-                assert pairings[2 * i - 2].proj_distance(ref_odd) <= 1e-9
-                assert pairings[2 * i - 1].proj_distance(ref_even) <= 1e-9
+                assert proj_distance(pairings[2 * i - 2], ref_odd) <= 1e-9
+                assert proj_distance(pairings[2 * i - 1], ref_even) <= 1e-9
 
     def test_pairings_preserve_distance(self):
         rng = random.Random(13)
@@ -321,30 +325,30 @@ class TestCommutatorProduct:
     def test_commuting_inputs(self):
         a = hy.Isometry2H.rotation(0.8)
         b = hy.Isometry2H.rotation(2.1)
-        prod = hy.commutator_product([a, b])
+        prod = commutator_product([a, b])
         assert abs(abs(prod.trace()) - 2.0) <= 1e-12
 
     def test_area_4pi_gives_identity(self):
         poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
-        prod = hy.commutator_product(hy.side_pairings(poly))
-        assert prod.proj_distance(hy.Isometry2H.identity()) <= 1e-6
+        prod = commutator_product(hy.side_pairings(poly))
+        assert proj_distance(prod, hy.Isometry2H.identity()) <= 1e-6
 
     def test_area_5pi_trace_zero(self):
         poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 5 * math.pi))
-        prod = hy.commutator_product(hy.side_pairings(poly))
+        prod = commutator_product(hy.side_pairings(poly))
         assert abs(prod.trace()) <= 1e-6
 
     @pytest.mark.parametrize("g,area", [(1, 1.0), (2, 2.0), (2, 10.0), (3, 20.0)])
     def test_elliptic_with_angle_sum_trace(self, g, area):
         poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, area))
-        prod = hy.commutator_product(hy.side_pairings(poly))
+        prod = commutator_product(hy.side_pairings(poly))
         expected = 2 * abs(math.cos(((4 * g - 2) * math.pi - area) / 2))
         assert abs(abs(prod.trace()) - expected) <= 1e-6
-        assert prod.proj_distance(prod) == 0.0
+        assert proj_distance(prod, prod) == 0.0
 
     def test_fixes_first_vertex(self):
         poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 7.0))
-        prod = hy.commutator_product(hy.side_pairings(poly))
+        prod = commutator_product(hy.side_pairings(poly))
         assert hy.hdistance(prod.apply_complex(poly.vertex(1)), poly.vertex(1)) <= 1e-9
 
     @pytest.mark.parametrize("g", range(1, 9))
@@ -352,9 +356,50 @@ class TestCommutatorProduct:
         """One association for both: the matrices are bit-identical."""
         for share in (0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.9999, 1 - 1e-6):
             _, pairings = hy.symmetric_pairings(g, share * (4 * g - 2) * math.pi)
-            prod = hy.commutator_product(pairings)
-            flat = cd.flatten(hy.holonomy_relator(pairings)).iso
+            prod = commutator_product(pairings)
+            flat = cd.flatten(holonomy_relator(pairings)).iso
             assert (prod.a, prod.b, prod.c, prod.d) == (flat.a, flat.b, flat.c, flat.d)
+
+
+class TestSymmetricRelator:
+    """One handle's commutator and the polygon's rotation, raised to the g-th
+    power, against the 4g-letter fold over all 2g side pairings."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 50), st.one_of(st.floats(1e-6, 1.0, exclude_max=True),
+                                        st.integers(1, 14).map(lambda k: 1 - 10.0 ** -k)))
+    @example(1000, 0.5)
+    @example(100, 1 - 1e-6)
+    @example(3, 0.2)
+    def test_agrees_with_the_fold(self, g, share):
+        area = share * (4 * g - 2) * math.pi
+        try:
+            radius = hy.checked_radius(g, area)
+        except hy.AreaOutOfRange:
+            return
+        n = 10 ** 15
+        est = cd.translation_number(hy.symmetric_relator(g, radius), n)
+        ref = holonomy_translation_number(g, area, n)
+        assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
+        assert abs(est.value + area / (2 * math.pi)) <= est.error_bound
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 8, 20])
+    def test_trace_of_the_fold(self, g):
+        """-(C R)^g: the fold's trace with its sign, within the two slacks."""
+        for share in (0.001, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6):
+            poly, pairings = hy.symmetric_pairings(g, share * (4 * g - 2) * math.pi)
+            rel = hy.symmetric_relator(g, poly.circumradius)
+            fold = cd.flatten(holonomy_relator(pairings))
+            assert (abs(rel.iso.trace() - fold.iso.trace())
+                    <= cd.trace_slack(rel) + cd.trace_slack(fold))
+
+    def test_pairings_of_the_next_handle_are_rotated(self):
+        """phi_{2i+1} = R phi_{2i-1} R^-1 with R = Rot(-2 pi/g), which the power rests on."""
+        for g in (2, 5, 40):
+            _, pairings = hy.symmetric_pairings(g, 0.7 * (4 * g - 2) * math.pi)
+            rot = hy.Isometry2H.rotation(-2 * math.pi / g)
+            for i in range(2 * g - 2):
+                assert proj_distance(pairings[i + 2], rot @ pairings[i] @ rot.inverse()) <= 1e-9
 
 
 class TestBoundaryLift:
@@ -378,29 +423,29 @@ class TestBoundaryLift:
 
 class TestHolonomy:
     def test_small_area_small_rho(self):
-        est = hy.holonomy_translation_number(2, 1e-3, 2000)
+        est = holonomy_translation_number(2, 1e-3, 2000)
         assert abs(est.value) <= 1e-3 / (2 * math.pi) + est.error_bound
 
     @pytest.mark.parametrize("area_mult,target", [(1.0, 0.5), (4.0, 2.0)])
     def test_reference_areas(self, area_mult, target):
-        est = hy.holonomy_translation_number(2, area_mult * math.pi, 5000)
+        est = holonomy_translation_number(2, area_mult * math.pi, 5000)
         assert abs(abs(est.value) - target) <= est.error_bound
 
     def test_area_sweep(self):
         g = 2
         for area in [math.pi / 2 * k for k in range(1, 12)]:
-            est = hy.holonomy_translation_number(g, area, 2000)
+            est = holonomy_translation_number(g, area, 2000)
             assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
 
     def test_out_of_range(self):
         with pytest.raises(hy.AreaOutOfRange):
-            hy.holonomy_translation_number(2, 6 * math.pi, 100)
+            holonomy_translation_number(2, 6 * math.pi, 100)
 
     def test_genus_domain(self, monkeypatch):
         monkeypatch.setattr(hy, "MAX_GENUS", 2)
-        hy.holonomy_translation_number(2, math.pi, 100)
+        holonomy_translation_number(2, math.pi, 100)
         with pytest.raises(ValueError, match="genus must be <= 2"):
-            hy.holonomy_translation_number(3, math.pi, 100)
+            holonomy_translation_number(3, math.pi, 100)
         with pytest.raises(ValueError, match="genus must be >= 1"):
             hy.symmetric_pairings(0, math.pi)
 
@@ -484,7 +529,7 @@ class TestTopOfAreaRange:
                                   (pe, 4 * i - 2, 4 * i + 1), (pe, 4 * i - 1, 4 * i)):
                     assert hy.hdistance(iso.apply_complex(s(a)), s(b)) <= 1e-7
             assert abs(hy.polygon_area(poly) - area) <= 1e-9 * s_max
-            trace = hy.commutator_product(pairings).trace()
+            trace = commutator_product(pairings).trace()
             assert abs(abs(trace) - 2 * abs(math.cos((s_max - area) / 2))) <= 1e-6
             lifts = [hy.boundary_lift(p) for p in pairings]
             est = cd.translation_number(cd.evaluate_relator(lifts), 2000)
@@ -509,5 +554,5 @@ class TestTopOfAreaRange:
 
     def test_holonomy_translation_number_at_top(self):
         area = (1 - 1e-6) * 6 * math.pi
-        est = hy.holonomy_translation_number(2, area, 2000)
+        est = holonomy_translation_number(2, area, 2000)
         assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
