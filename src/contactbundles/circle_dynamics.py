@@ -30,7 +30,9 @@ each affine segment as integers (A, B, C), x -> (A*x + B)/C.  Inversion and
 composition build reduced knot pairs with one gcd per knot.  The orbit in
 `translation_number` keeps x = P/Q unreduced: with n = P // Q and
 r = P - n*Q on the segment (A, B, C) holding r/Q, the next point is
-(A*r + (B + n*C)*Q) / (C*Q), and only F^N(0)/N is reduced.  The public
+(A*r + (B + n*C)*Q) / (C*Q), and only F^N(0)/N is reduced.  Once a cycle of
+segments provably holds the orbit, F^N(0) is read off in closed form
+(`_captured_average`).  The public
 values stay exact `Fraction`s: `knots`, `eval` at a rational point, and the
 estimate's `value`; `eval` at a float is the exact value there, rounded once.
 
@@ -51,6 +53,7 @@ import cmath
 import math
 import sys
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -341,19 +344,25 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
                 ginv: Optional[PiecewiseLinearMap] = None) -> PiecewiseLinearMap:
     """Exact breakpoints of f o g: g's knots plus g-preimages of f's knots.
 
-    `ginv` is g's inverse when the caller has it.  The knots are reduced
-    integer pairs, sorted on their numerators over a common denominator.
+    `ginv` is g's inverse when the caller has it.  Each knot costs at most one
+    evaluation: at a preimage u = g^-1(s) of f's knot (s, w), reduced mod 1 to
+    u - m, f(g(u - m)) = f(s - m) = w - m; at g's knot (t, v) it is f(v).  The
+    knots are reduced integer pairs, sorted on their numerators over a common
+    denominator.
     """
     if ginv is None:
         ginv = g.inverse()
-    ts = set(zip(g._tn, g._td))
-    for s in zip(f._tn, f._td):
-        p, q = ginv._eval_pair(*s)
-        ts.add(_reduced(p % q, q))
-    den = math.lcm(*(q for _, q in ts))
+    knots = {}
+    for sn, sd, wn, wd in f._pairs:
+        p, q = ginv._eval_pair(sn, sd)
+        m = p // q
+        knots[_reduced(p - m * q, q)] = (wn - m * wd, wd)
+    for tn, td, vn, vd in g._pairs:
+        if (tn, td) not in knots:
+            knots[tn, td] = _reduced(*f._eval_pair(vn, vd))
+    den = math.lcm(*(q for _, q in knots))
     return PiecewiseLinearMap._from_pairs(
-        [(p, q) + _reduced(*f._eval_pair(*g._eval_pair(p, q)))
-         for p, q in sorted(ts, key=lambda t: t[0] * (den // t[1]))])
+        [t + v for t, v in sorted(knots.items(), key=lambda kv: kv[0][0] * (den // kv[0][1]))])
 
 
 def _as_piecewise_linear(f: LiftedCircleMap) -> Optional[PiecewiseLinearMap]:
@@ -400,9 +409,9 @@ def _compose_moebius(a: MoebiusBoundaryLift, b: MoebiusBoundaryLift) -> MoebiusB
 
 def _as_moebius(f: LiftedCircleMap) -> Optional[MoebiusBoundaryLift]:
     """Collapse an all-Moebius word to a single lift (pointwise identical),
-    folded from the left, with `error_scale` S = sum_i ||P_<i||*S_i*||P_>i||
-    (`trace_slack`): ||P_<i|| from the fold's accumulator, ||P_>i||
-    from one right-to-left pass of `iso.compose`, made when S is first read."""
+    folded from the left, with the `error_scale` S of `trace_slack`: the
+    prefixes P_<=i are the fold's accumulator, and the suffixes P_>i come from
+    one right-to-left pass of `iso.compose`, made when S is first read."""
     if isinstance(f, MoebiusBoundaryLift):
         return f
     if not (isinstance(f, WordMap) and f.letters()):
@@ -410,23 +419,29 @@ def _as_moebius(f: LiftedCircleMap) -> Optional[MoebiusBoundaryLift]:
     if not all(isinstance(m, MoebiusBoundaryLift) for m, _ in f.letters()):
         return None
     chain = f._chain  # A_k..A_1 (evaluation order)
-    acc, before = chain[-1], []
+    acc, prefixes = chain[-1], []
     for m in chain[-2::-1]:
-        before.append(abs(acc._alpha) + abs(acc._beta))
+        prefixes.append((acc._alpha, acc._beta))
         acc = _compose_moebius(acc, m)
     if len(chain) > 1:  # a one-letter word is that letter, left as it is
-        acc.error_scale = lambda: _fold_error_scale(chain, before)
+        prefixes.append((acc._alpha, acc._beta))
+        acc.error_scale = lambda: _fold_error_scale(chain, prefixes)
     return acc
 
 
-def _fold_error_scale(chain: Sequence[MoebiusBoundaryLift], before: Sequence[float]) -> float:
-    """S of the fold of `chain` (evaluation order), given ||P_<i|| for every
-    letter but the first applied; after[j] is ||P_>i|| of chain[j]."""
+def _fold_error_scale(chain: Sequence[MoebiusBoundaryLift], prefixes: Sequence[tuple]) -> float:
+    """S of the fold of `chain` (evaluation order), given the disk
+    coefficients of P_<=i for the letters A_1..A_k, the whole product last;
+    after[j] holds those of P_>i for chain[j].  With h = trace/2 = Re(alpha)
+    of the product, P_<=i^-1 has coefficients (conj(alpha), -beta), and a
+    matrix of the form [[a, b], [conj(b), conj(a)]] has norm |a| + |b|."""
+    h = prefixes[-1][0].real
     suffixes = accumulate((m.iso for m in chain[:-1]), lambda p, iso: iso.compose(p))
-    after = [1.0] + [abs(a) + abs(b) for a, b in (p.disk_coefficients() for p in suffixes)]
-    terms = [chain[-1].error_scale * after[-1]]
-    terms += [norm * m.error_scale * q for norm, m, q in zip(before, chain[-2::-1], after[-2::-1])]
-    return math.fsum(terms)
+    after = [(1.0, 0.0)] + [p.disk_coefficients() for p in suffixes]
+    before = [1.0] + [abs(a) + abs(b) for a, b in prefixes[:-1]]
+    return math.fsum(
+        p * m.error_scale * max(abs(qa) + abs(qb), abs(qa - h * a.conjugate()) + abs(qb + h * b))
+        for p, m, (qa, qb), (a, b) in zip(before, chain[::-1], after[::-1], prefixes))
 
 
 def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
@@ -584,19 +599,26 @@ def trace_slack(f: MoebiusBoundaryLift) -> float:
     M^ of f against the exact product M of its letters' isometries.
 
     f is a letter or the fold of letters A_1..A_k.  To first order in eps,
-    with P_<i and P_>i the products of the letters before and after A_i,
+    with P_<i and P_>i the products of the letters before and after A_i, an
+    error D in A_i reaches P_<=i as P_<i D, and the rounded 2x2 product that
+    forms P_<=i adds at most 4*eps*||P_<i||*||A_i||: an error F_i of norm at
+    most (LETTER_ERROR_ULPS + 4)*eps*||P_<i||*||A_i|| in P_<=i, which reaches
+    M as F_i P_>i.  Each product is rescaled by 1/sqrt(det); the next
+    rescaling cancels that scalar, so only the last one counts.  Dividing
+    M + F by sqrt(det(M + F)) = sqrt(1 + tr(M^-1 F)) moves the trace by a
+    further -tr(M)*tr(M^-1 F)/2, and tr(M^-1 F_i P_>i) = tr(F_i P_<=i^-1).
+    So the trace moves by sum_i tr(F_i W_i), W_i = P_>i - trace/2*P_<=i^-1,
+    and with |tr X| <= 2*||X||
 
-        ||M^ - M|| <= e := (LETTER_ERROR_ULPS + 4) * eps * S,
-        S = sum_i ||P_<i|| * ||A_i|| * ||P_>i||,
+        |trace(M^) - trace(M)| <= 2*e,  e := (LETTER_ERROR_ULPS + 4) * eps * S,
+        S = sum_i ||P_<i|| * ||A_i|| * max(||P_>i||, ||W_i||),
 
-    since an error D in A_i reaches M as P_<i D P_>i, and the rounded 2x2
-    product that forms P_<=i errs by at most 4*eps*||P_<i||*||A_i||.  The fold
-    carries S as `f.error_scale`; a letter that is itself a fold enters with
-    its S for ||A_i|| (its first letter entered no product, and that 4*eps
-    share covers the product taking the fold in).  Each product is rescaled by
-    1/sqrt(det); the next rescaling cancels that scalar, so only the last one
-    counts: it moves the trace by a relative 4*eps*||M^||^2.  So the bound is
-    2*e + 4*eps*||M^||^2*|trace|.  A lift whose S bounds the trace error
+    plus 4*eps*||M^||^2*|trace| for the rounding of det itself.  The fold
+    carries S as `f.error_scale`, and a letter that is itself a fold enters
+    with its S for ||A_i|| (its first letter entered no product, and that
+    4*eps share covers the product taking the fold in); the max keeps that S
+    at least the bound on ||M^ - M|| before the fold's own last rescaling,
+    which is not counted there.  A lift whose S bounds the trace error
     directly (`hyperbolic.symmetric_relator`) is read the same way.
     """
     e = (LETTER_ERROR_ULPS + 4) * _EPS * f.error_scale
@@ -621,7 +643,14 @@ def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumber
     """Estimate the translation number rho of f; N = `iterations`.
 
     * Piecewise-linear data: the exact rational orbit average f^N(0)/N,
-      error bound 1/N.
+      error bound 1/N.  The orbit is stepped only until a cycle of segments
+      is proved to hold it (`_captured_average`: an exactly periodic orbit,
+      or an attracting cycle whose hulls stay in their closed segments);
+      the rest is one integer power, so a captured orbit costs a fixed number
+      of steps and O(N) bits, not O(N^2).  A PL map with a periodic orbit
+      and slopes other than 1 usually has an attracting cycle (M. Herman,
+      Publ. Math. IHES 49, 1979).  An orbit never captured is stepped N
+      times.
     * A Moebius lift, or a word of them (flattened to one lift first): rho of
       the computed matrix in closed form (`_moebius_rho`), at a cost that does
       not depend on N.  The bound is 1/N plus `_moebius_rho_slack`, the
@@ -642,13 +671,145 @@ def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumber
     if not isinstance(g, PiecewiseLinearMap):
         raise ValueError("translation_number: a word mixing piecewise-linear and Moebius "
                          "letters has no derived error bound")
-    # the orbit stays an unreduced pair p/q: each step multiplies q by the
-    # segment's C, and only the returned value is reduced
+    return TranslationNumberEstimate(value=_orbit_average(g, iterations),
+                                     error_bound=1 / iterations, iterations=iterations)
+
+
+#: The PL orbit of `translation_number` looks for a cycle that captures it
+#: after CAPTURE_FIRST_STEP steps and again whenever the step count doubles,
+#: at most log2(N / CAPTURE_FIRST_STEP) checks ...
+CAPTURE_FIRST_STEP = 8
+#: ... among periods up to CAPTURE_MAX_PERIOD steps, so it keeps the last
+#: 2 * CAPTURE_MAX_PERIOD + 1 points.  Of the 120 distinct relators (one to
+#: three handles) of the `perfbench` geometry seeds 101-110, 106 were
+#: captured at the first check, 13 by the check at 128 steps, and 1 never.
+CAPTURE_MAX_PERIOD = 32
+
+
+def _orbit_average(g: PiecewiseLinearMap, n: int) -> Fraction:
+    """F^n(0)/n for the PL map g, exact.
+
+    The orbit stays an unreduced pair p/q: each step multiplies q by the
+    segment's C, and only the returned value is reduced.  At each check
+    (CAPTURE_FIRST_STEP) `_captured_average` tries to prove that the orbit
+    stays on a cycle of segments from there on, and then reads F^n(0) off a
+    closed form; an orbit never captured is stepped to the end.
+    """
     p, q = 0, 1
-    for _ in range(iterations):
-        p, q = g._eval_pair(p, q)
-    return TranslationNumberEstimate(value=Fraction(p, q * iterations), error_bound=1 / iterations,
-                                     iterations=iterations)
+    points = deque([(p, q)], maxlen=2 * CAPTURE_MAX_PERIOD + 1)
+    k, check = 0, CAPTURE_FIRST_STEP
+    while k < n:
+        stop = min(check, n)
+        for _ in range(stop - k):
+            p, q = g._eval_pair(p, q)
+            points.append((p, q))
+        k, check = stop, 2 * check
+        if k < n:
+            average = _captured_average(g, list(points), n - k, n)
+            if average is not None:
+                return average
+    return Fraction(p, q * n)
+
+
+def _captured_average(g: PiecewiseLinearMap, points: list, ahead: int,
+                      n: int) -> Optional[Fraction]:
+    """F^n(0)/n from the last orbit points x_(k-w)..x_k, with k = n - ahead,
+    if a cycle of at most CAPTURE_MAX_PERIOD segments is proved to hold the
+    orbit from x_s on; None otherwise.
+
+    A period c is tried when the segments of the last c steps repeat those of
+    the c before, with s = k - c.  Step j of the cycle is F on the closed
+    segment holding x_(s+j), shifted by its floor: an increasing affine map.
+    The c steps compose to L(x) = lam*x + mu, and p is the floor of x_(s+c)
+    minus that of x_s.  Write n - s = m*c + r.  The cycle holds the orbit if
+
+    * x_(s+c) = x_s + p exactly: then F^c(x_s) = x_s + p, and
+      x_n = x_(s+r) + m*p; or
+    * 0 < lam < 1 and the cycle point y_j of x* = (mu - p)/(1 - lam), the
+      fixed point of L - p, lies in step j's closed segment for every j.
+      Each step sends the hull of x_(s+j) and y_j, which lies in its segment,
+      onto the next hull, and L - p shrinks hull(x_s, x*) into itself, so
+      every later point stays on the cycle, and
+      x_n = y_r + m*p + lam^m * (x_(s+r) - y_r) (`_jump_average`).
+
+    Both give F^n(0) itself, so the value is the stepped orbit's.
+    """
+    steps = []  # (segment, floor) of each point
+    for p, q in points:
+        fl, r = divmod(p, q)
+        steps.append((g._locate(r, q), fl))
+    segs = [i for i, _ in steps]
+    last = len(points) - 1
+    for period in range(1, min(CAPTURE_MAX_PERIOD, last // 2) + 1):
+        start = last - period
+        if segs[start - period:start] != segs[start:last]:
+            continue
+        shift = steps[last][1] - steps[start][1]
+        m, r = divmod(ahead + period, period)
+        (p0, q0), (pc, qc), (pr, qr) = points[start], points[last], points[start + r]
+        if pc * q0 - p0 * qc == shift * q0 * qc:
+            return Fraction(pr + m * shift * qr, qr * n)
+        maps = []  # step j as x -> (A*x + B')/C: its segment (A, B, C) at its floor
+        for i, fl in steps[start:last]:
+            sa, sb, sc = g._segs[i]
+            maps.append((sa, sb + fl * (sc - sa), sc))
+        a, b, c = 1, 0, 1  # L(x) = (a*x + b)/c
+        for sa, sb, sc in maps:
+            a, b, c = sa * a, sa * b + sb * c, sc * c
+        if a >= c:
+            continue
+        y = Fraction(b - shift * c, c - a)
+        cycle = []
+        for (i, fl), (sa, sb, sc) in zip(steps[start:last], maps):
+            if not _on_segment(g, i, y - fl):
+                break
+            cycle.append(y)
+            y = (sa * y + sb) / sc
+        else:
+            d = math.gcd(a, c)
+            return _jump_average(a // d, c // d, m, cycle[r], (pr, qr), m * shift, n)
+    return None
+
+
+def _on_segment(g: PiecewiseLinearMap, i: int, u: Fraction) -> bool:
+    """Whether u lies in the closed segment i of g (-1: [t_last - 1, t_0])."""
+    tn, td = g._tn, g._td
+    lo_n, lo_d = (tn[i] - td[i], td[i]) if i < 0 else (tn[i], td[i])
+    hi_n, hi_d = (tn[i + 1], td[i + 1]) if i + 1 < len(tn) else (tn[0] + td[0], td[0])
+    un, ud = u.numerator, u.denominator
+    return lo_n * ud <= un * lo_d and un * hi_d <= hi_n * ud
+
+
+def _jump_average(a: int, c: int, m: int, y: Fraction, x: tuple, shift: int,
+                  n: int) -> Fraction:
+    """(y + shift + (a/c)^m * (x - y)) / n for coprime a, c > 0 and x = (p, q),
+    reduced with no gcd of two numbers that grow with m.
+
+    Over the common denominator S*c^m, S = D*G*n with y = Y/D and
+    x - y = E/G, the numerator is X*c^m + a^m*Z with Z = E*D.  As a and c are
+    coprime, it shares h = gcd(Z, c^m) with c^m, and once h is divided out it
+    is coprime to the rest of c^m: what remains is its gcd with S.
+    """
+    yn, yd = y.numerator, y.denominator
+    p, q = x
+    z = (p * yd - yn * q) * yd
+    if not z:
+        return Fraction(yn + shift * yd, yd * n)
+    small = yd * q * yd * n
+    big = c ** m
+    num = (yn + shift * yd) * q * yd * big + a ** m * z
+    h = math.gcd(z, pow(c, m, abs(z)))
+    num, big = num // h, big // h
+    d = math.gcd(num, small)
+    return _coprime_fraction(num // d, small // d * big)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """The Fraction num/den for coprime num and den > 0, built without the
+    constructor's gcd (what `Fraction._from_coprime_ints` does in 3.12)."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
 
 
 def evaluate_relator(maps: Sequence[LiftedCircleMap]) -> WordMap:

@@ -57,8 +57,8 @@ def _emit(command: str, inputs: dict, outputs: dict, error: dict = None) -> int:
     }
     if error:
         report["error"] = error
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # one write: json.dump would write each encoder chunk separately
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if not error else VALIDATION_ERROR
 
 

@@ -1,8 +1,11 @@
 """Reference geometry for the tests: the holonomy relator folded letter by
 letter over all 2g side pairings, the O(g) oracle for
-`hyperbolic.symmetric_relator`, and a distance on PSL(2, R)."""
+`hyperbolic.symmetric_relator`, the fold's rounding bound summed from plain
+complex products, and a distance on PSL(2, R)."""
 
 import functools
+import math
+from itertools import accumulate
 from typing import Sequence
 
 from contactbundles import circle_dynamics as cd
@@ -47,3 +50,28 @@ def holonomy_translation_number(g: int, area: float, iterations: int) -> cd.Tran
     """
     _, pairings = hy.symmetric_pairings(g, area)
     return cd.translation_number(holonomy_relator(pairings), iterations)
+
+
+def disk_product(x, y):
+    """Disk coefficients (alpha, beta) of the product of two isometries given by theirs."""
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
+
+
+def fold_error_scale(word: cd.WordMap, rescaling: bool = True) -> float:
+    """S of `circle_dynamics.trace_slack` for the fold of a word of Moebius
+    lifts A_1..A_k, from prefix and suffix products of disk coefficients:
+    sum_i ||P_<i|| * ||A_i|| * max(||P_>i||, ||P_>i - h*P_<=i^-1||), with
+    h = Re(alpha) = trace/2 of the product and ||(a, b)|| = |a| + |b|.  The
+    second norm is how an error in P_<=i moves the trace once the product is
+    rescaled to det 1; `rescaling=False` leaves it out (the sum before that
+    term was counted)."""
+    coeffs = [(m._alpha, m._beta) for m in reversed(word._chain)]
+    prefixes = list(accumulate(coeffs, disk_product))  # P_<=i
+    suffixes = list(accumulate(coeffs[:0:-1], lambda p, c: disk_product(c, p)))[::-1]
+    suffixes.append((1.0, 0.0))  # P_>i
+    h = prefixes[-1][0].real if rescaling else 0.0
+    before = [1.0] + [abs(a) + abs(b) for a, b in prefixes[:-1]]
+    return math.fsum(
+        p * (abs(a) + abs(b)) * max(abs(qa) + abs(qb), abs(qa - h * pa.conjugate()) + abs(qb + h * pb))
+        for p, (a, b), (qa, qb), (pa, pb) in zip(before, coeffs, suffixes, prefixes))

@@ -3,7 +3,6 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
-from fold_reference import holonomy_translation_number
+from fold_reference import disk_product, fold_error_scale, holonomy_translation_number
 
 
 def random_pl(rng, max_knots=5, max_den=32):
@@ -377,12 +376,6 @@ SHARES_AT_TOP = tuple(1 - 10.0 ** -k for k in range(8, 14))
 POWERS = (1, 2, 3, 1000, 10 ** 4, 10 ** 5)
 
 
-def disk_product(x, y):
-    """Disk coefficients (alpha, beta) of the product of two isometries given by theirs."""
-    (a1, b1), (a2, b2) = x, y
-    return a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
-
-
 def rotation_about(v, angle, winding):
     """Lift of the rotation by `angle` about the disk point v."""
     s = math.sqrt((1 - abs(v)) * (1 + abs(v)))
@@ -390,16 +383,6 @@ def rotation_about(v, angle, winding):
     spin = (complex(math.cos(angle / 2), math.sin(angle / 2)), 0j)
     alpha, beta = disk_product(h_inv, disk_product(spin, h))
     return cd.MoebiusBoundaryLift(hy.Isometry2H.from_disk_coefficients(alpha, beta), winding)
-
-
-def error_scale_of_letters(word):
-    """S = sum_i ||P_<i|| * ||A_i|| * ||P_>i|| over the letters A_i of a word of
-    Moebius lifts, from prefix and suffix products of disk coefficients."""
-    coeffs = [(m._alpha, m._beta) for m in reversed(word._chain)]
-    norms = [abs(a) + abs(b) for a, b in coeffs]
-    before = [1.0] + [abs(a) + abs(b) for a, b in accumulate(coeffs[:-1], disk_product)]
-    after = [abs(a) + abs(b) for a, b in accumulate(coeffs[:0:-1], lambda p, c: disk_product(c, p))]
-    return math.fsum(p * s * q for p, s, q in zip(before, norms, after[::-1] + [1.0]))
 
 
 class TestMoebiusSeam:
@@ -526,7 +509,7 @@ class TestMoebiusRho:
         for share in SHARES_LOW + SHARES_TOP:
             rel, _ = polygon_relator(g, share)
             flat = cd.flatten(rel)
-            assert flat.error_scale == pytest.approx(error_scale_of_letters(rel), rel=1e-9)
+            assert flat.error_scale == pytest.approx(fold_error_scale(rel), rel=1e-9)
             for n in (1000, 10 ** 12):
                 assert cd.translation_number(flat, n) == cd.translation_number(rel, n)
 
@@ -545,6 +528,15 @@ class TestMoebiusRho:
         assert cd.flatten(nested).error_scale >= cd.flatten(plain).error_scale * (1 - 1e-9)
         assert est.error_bound >= cd.translation_number(plain, n).error_bound * (1 - 1e-9)
         assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
+
+    @pytest.mark.parametrize("g,share", [(1, 0.9999), (2, 0.99), (8, 1 - 1e-6)])
+    def test_fold_bound_counts_the_last_rescaling(self, g, share):
+        """Rescaling the product to det 1 moves the trace by
+        -trace/2 * tr(M^-1 F); near the top that outweighs the rest of S."""
+        rel, _ = polygon_relator(g, share)
+        flat = cd.flatten(rel)
+        assert flat.error_scale == pytest.approx(fold_error_scale(rel), rel=1e-9)
+        assert flat.error_scale > 2 * fold_error_scale(rel, rescaling=False)
 
     def test_fold_bound_is_made_when_read(self, monkeypatch):
         """Displacement queries make no suffix pass; the bound read later is the
@@ -871,11 +863,15 @@ class TestIntegerEngine:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(pl_maps(), min_size=2, max_size=6).filter(lambda ms: len(ms) % 2 == 0),
-           st.integers(1, 300))
+           st.integers(1, 3000))
+    @example([cd.translation(Fraction(5, 7)), SPECIAL_MAPS[3]], 3000)
     def test_drawn_translation_numbers_match_reference_orbit(self, maps, iterations):
+        """Past 8 steps the orbit may be captured (`TestOrbitCapture`); the
+        value is the stepped orbit's all the same."""
         rel = cd.evaluate_relator(maps)
         est = cd.translation_number(rel, iterations)
         assert est.value == ref_orbit(ref_flatten(rel.letters()), iterations)
+        assert est.error_bound == 1 / iterations and est.iterations == iterations
 
     def test_flatten_reuses_the_words_inverses(self, monkeypatch):
         rel = seeded_relator(random.Random(3), 3)
@@ -885,3 +881,141 @@ class TestIntegerEngine:
                             lambda f: calls.append(f) or inverse(f))
         cd.flatten(rel)
         assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(pl_maps(), pl_maps())
+    def test_composition_evaluates_once_per_knot(self, f, g):
+        """g's knots read f at g's knot values; preimages of f's knots read
+        f's knot values: K + k evaluations in all, the inverse's included."""
+        ginv = g.inverse()
+        calls = []
+        evaluate = cd.PiecewiseLinearMap._eval_pair
+        cd.PiecewiseLinearMap._eval_pair = lambda m, p, q: calls.append(1) or evaluate(m, p, q)
+        try:
+            fg = cd._compose_pl(f, g, ginv)
+        finally:
+            cd.PiecewiseLinearMap._eval_pair = evaluate
+        assert len(calls) <= len(f.knots) + len(g.knots)
+        assert fg.knots == ref_compose(RefPL(f.knots), RefPL(g.knots)).knots
+
+
+def counted_translation_number(monkeypatch, f, iterations):
+    """translation_number(f, iterations) and the number of `_eval_pair` calls it made."""
+    calls = []
+    evaluate = cd.PiecewiseLinearMap._eval_pair
+    monkeypatch.setattr(cd.PiecewiseLinearMap, "_eval_pair",
+                        lambda m, p, q: calls.append(1) or evaluate(m, p, q))
+    est = cd.translation_number(f, iterations)
+    monkeypatch.setattr(cd.PiecewiseLinearMap, "_eval_pair", evaluate)
+    return est, len(calls)
+
+
+# bump: slope 3/2, 1/2, 3/2 on [1/8, 1/4, 1/2, 5/8], the identity elsewhere.
+# [bump, T_1/2] is bump on [1/8, 5/8] and T bump^-1 T^-1 on [5/8, 9/8], where
+# it contracts by 2/3 onto the knot 1/8 + 1 from below: F^N(0) = (1 - (2/3)^N)/8.
+BUMP = cd.PiecewiseLinearMap([(Fraction(1, 8), Fraction(1, 8)), (Fraction(1, 4), Fraction(5, 16)),
+                              (Fraction(1, 2), Fraction(7, 16)), (Fraction(5, 8), Fraction(5, 8))])
+KNOT_CYCLE_RELATOR = cd.evaluate_relator([BUMP, cd.translation(Fraction(1, 2))])
+
+
+def knot_cycle_average(n):
+    """F^n(0)/n for KNOT_CYCLE_RELATOR in closed form."""
+    return Fraction(3 ** n - 2 ** n, 8 * n * 3 ** n)
+
+
+def shifted_three_cycle(offset):
+    """Slope 1/2 on [c - 1/12, c + 1/12] about c = 1/6, 1/2, 5/6, which it
+    sends to c + 1/3 + 2, and 3/2 between: an attracting 3-cycle of shift 7
+    and a repelling one through 0, 1/3, 2/3; conjugated by t -> t - offset."""
+    knots = [(Fraction(1, 12), Fraction(11, 24)), (Fraction(1, 4), Fraction(13, 24)),
+             (Fraction(5, 12), Fraction(19, 24)), (Fraction(7, 12), Fraction(21, 24)),
+             (Fraction(3, 4), Fraction(9, 8)), (Fraction(11, 12), Fraction(29, 24))]
+    return cd.PiecewiseLinearMap([(t - offset, v - offset + 2) for t, v in knots])
+
+
+class TestOrbitCapture:
+    """The PL orbit jumps to F^N(0) once a certified cycle holds it, and
+    returns what the stepped orbit returns, bit for bit."""
+
+    def test_translation_is_exactly_periodic(self, monkeypatch):
+        """lam = 1: x_(k+7) = x_k + 5 exactly, found at the second check."""
+        f = cd.translation(Fraction(5, 7))
+        assert counted_translation_number(monkeypatch, f, 10 ** 6) == (
+            cd.TranslationNumberEstimate(Fraction(5, 7), 1e-6, 10 ** 6), 16)
+        assert cd.translation_number(f, 1000).value == ref_orbit(RefPL(f.knots), 1000)
+
+    def test_orbit_on_a_repelling_periodic_point(self, monkeypatch):
+        """0 lies on the repelling 3-cycle (lam = 27/8): exact periodicity
+        captures it all the same, with shift 7."""
+        f = shifted_three_cycle(0)
+        assert [f.eval(x) for x in (0, Fraction(7, 3), Fraction(14, 3))] == [
+            Fraction(7, 3), Fraction(14, 3), 7]
+        for n in (10, 1000, 1001):
+            est, calls = counted_translation_number(monkeypatch, f, n)
+            assert est.value == ref_orbit(RefPL(f.knots), n) and calls == 8
+        assert cd.translation_number(f, 10 ** 5 + 1).value == Fraction(7, 3)
+
+    def test_repelling_cycle_falls_back_to_the_loop(self, monkeypatch):
+        """A repelling fixed point 2^-20 from 0 (slope 2): the orbit keeps the
+        period-1 itinerary for 17 steps, and lam = 2 is not certified."""
+        c = Fraction(1, 2 ** 20)
+        f = cd.PiecewiseLinearMap([(Fraction(1, 8), Fraction(1, 4) - c),
+                                   (Fraction(7, 8), Fraction(3, 4) - c)])
+        for n in (16, 17):
+            est, calls = counted_translation_number(monkeypatch, f, n)
+            assert calls == n and est.value == ref_orbit(RefPL(f.knots), n)
+        # it escapes to the attracting fixed point and is captured there
+        est, calls = counted_translation_number(monkeypatch, f, 300)
+        assert calls < 300 and est.value == ref_orbit(RefPL(f.knots), 300)
+
+    def test_fixed_point_off_the_segment_is_not_captured(self, monkeypatch):
+        """Slope 15/16 on [0, 3/4] towards the point 1, off the segment: the
+        orbit 1 - (15/16)^k keeps segment 0 for 22 steps while lam < 1, but
+        x* = 1 fails the hull check, so no check before step 22 captures it."""
+        f = cd.PiecewiseLinearMap([(0, Fraction(1, 16)), (Fraction(3, 4), Fraction(49, 64))])
+        for n in (10, 20):
+            est, calls = counted_translation_number(monkeypatch, f, n)
+            assert calls == n and est.value == (1 - Fraction(15, 16) ** n) / n
+        assert cd.translation_number(f, 400).value == ref_orbit(RefPL(f.knots), 400)
+
+    def test_three_cycle_with_integer_shift(self, monkeypatch):
+        """Period 3, shift 7, lam = 1/8, x* = 1/12: x_3m = x* + 7m - 8^-m/12."""
+        f = shifted_three_cycle(Fraction(1, 12))
+        assert cd.translation_number(f, 500).value == ref_orbit(RefPL(f.knots), 500)
+        for m in (10 ** 3, 10 ** 4):
+            est, calls = counted_translation_number(monkeypatch, f, 3 * m)
+            assert est.value == (Fraction(1, 12) + 7 * m - Fraction(1, 12 * 8 ** m)) / (3 * m)
+            assert calls == 8
+
+    def test_jump_is_reduced_against_the_power(self):
+        """x* = 2^10/3^7 and slope 1/2 on [0, 1/2]: x_k - x* = -x*/2^k keeps a
+        power of 2 in its numerator past the first check, which the reduced
+        value must divide out of 2^m, not only out of the small factors."""
+        x_star = Fraction(2 ** 10, 3 ** 7)
+        f = cd.PiecewiseLinearMap([(0, x_star / 2), (Fraction(1, 2), x_star / 2 + Fraction(1, 4))])
+        for n in (9, 11, 1001):
+            value = cd.translation_number(f, n).value
+            assert value == x_star * (1 - Fraction(1, 2 ** n)) / n
+            assert math.gcd(value.numerator, value.denominator) == 1
+
+    def test_certified_hull_ends_on_a_knot(self, monkeypatch):
+        """The cycle point 1/8 is a knot of the flattened relator, the right
+        end of its segment; the closed segment holds the hull."""
+        flat = cd.flatten(KNOT_CYCLE_RELATOR)
+        assert (Fraction(1, 8), Fraction(1, 8)) in flat.knots
+        counts = set()
+        for n in (10, 200, 10 ** 4, 10 ** 5):
+            est, calls = counted_translation_number(monkeypatch, KNOT_CYCLE_RELATOR, n)
+            assert est.value == knot_cycle_average(n)
+            counts.add(calls)
+        assert len(counts) == 1
+        assert cd.translation_number(KNOT_CYCLE_RELATOR, 300).value == ref_orbit(
+            ref_flatten(KNOT_CYCLE_RELATOR.letters()), 300)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_relator_steps_do_not_grow_with_n(self, monkeypatch, seed):
+        rel = seeded_relator(random.Random(seed), 1 + seed)
+        est, calls = counted_translation_number(monkeypatch, rel, 10 ** 5)
+        assert est.iterations == 10 ** 5 and calls < 2000
+        assert counted_translation_number(monkeypatch, rel, 2000)[1] == calls
+        assert cd.translation_number(rel, 2000).value == ref_orbit(ref_flatten(rel.letters()), 2000)
