@@ -3,18 +3,21 @@
 The node set is deliberately small: variables, exact rational constants, pi,
 sums, products, quotients, integer powers, sin/cos/exp and negation.  Trees
 are immutable, and a node computes its structural hash once, on first use.
+Nodes are slotted dataclasses without an instance dict, and a rational
+constant (`Rat`) holds its integer numerator and denominator.
 `normalize` rewrites a tree into a sum of products of atoms with exact
 rational coefficients, over one sparse polynomial ring (`_ring`), and `diff`
-differentiates on that ring, atom by atom.  A ring polynomial is a pair
-(nums, den) of integer numerators by monomial over one positive denominator,
-in lowest terms, so the calculus adds and multiplies integers and equal
-polynomials are equal pairs.  The calculus of `forms` combines
-ring polynomials with the private `_ring`, `_diff`, `_times` and `_sum` and
-rebuilds each result into a tree once (`_rebuild`).  A rebuilt tree keeps
-its polynomial, so `_ring` expands no normal form twice.  This decides the
-cancellations the calculus layer relies on (mixed partials, d o d = 0), while
-equality of general expressions remains a numeric check at random points, not
-a canonical-form decision.
+differentiates on that ring, atom by atom.  A ring polynomial holds integer
+numerators by monomial over one positive denominator, in lowest terms, so
+the calculus adds and multiplies integers and equal polynomials have equal
+numerators and denominator; a monomial is a sorted tuple of (atom id,
+exponent) int pairs, over ids that `_ATOM_IDS` gives atoms weakly.  The
+calculus of `forms` combines ring polynomials with the private `_ring`,
+`_diff`, `_times` and `_sum` and rebuilds each result into a tree once
+(`_rebuild`).  A rebuilt tree keeps its polynomial, so `_ring` expands no
+normal form twice.  This decides the cancellations the calculus layer relies
+on (mixed partials, d o d = 0), while equality of general expressions remains
+a numeric check at random points, not a canonical-form decision.
 
 Surface syntax for coefficients:
 
@@ -24,8 +27,8 @@ with |INT| <= MAX_EXPONENT, decimal exponents of literals at most
 MAX_DECIMAL_EXPONENT in absolute value, and trees at most MAX_DEPTH levels
 tall.  The same parser reads the 1-form
 grammar of `forms` when given basis names.  Rational literals (including
-decimal and scientific notation) are parsed bit-exactly into
-`fractions.Fraction`.
+decimal and scientific notation) are parsed bit-exactly, through
+`fractions.Fraction`, into the integers of a `Rat`.
 
 `compile_expr` is the numeric evaluator of the library: a value-numbered list
 of numpy steps that computes each repeated subtree once and returns values on
@@ -39,6 +42,7 @@ import itertools
 import math
 import operator
 import re
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,54 +67,59 @@ class UnknownVariableError(FormSyntaxError):
 
 
 class Expr:
-    """Base of the expression nodes: frozen dataclasses, equal when their
-    fields are.
+    """Base of the expression nodes: frozen, slotted dataclasses, equal when
+    their fields are.
 
-    The structural hash is computed on first use and kept on the node, so a
+    A node has no instance dict: its fields, `_hash` and `_poly` are slots.
+    The structural hash is computed on first use and kept in `_hash`, so a
     dict or `lru_cache` probe costs one lookup instead of a walk of the
-    subtree.  A tree `_rebuild` returns also keeps its ring polynomial, set
-    after the hash.  str hashes are salted per process, so `__reduce__`
-    rebuilds a node from its fields alone and kept values never travel.
+    subtree.  A tree `_rebuild` returns also keeps its ring polynomial in
+    `_poly`, set after the hash.  str hashes are salted per process, so
+    `__reduce__` rebuilds a node from its fields alone and kept values never
+    travel.  `__weakref__` lets `_ATOM_IDS` number atoms without keeping them.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_poly", "__weakref__")
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            fields = self.__dict__
-            h = fields["_hash"] = hash((type(self), *fields.values()))
+            # a dataclass's __match_args__ names its fields, in order
+            h = hash((type(self), *map(self.__getattribute__, self.__match_args__)))
+            object.__setattr__(self, "_hash", h)
             return h
 
     def __reduce__(self):
-        return type(self), tuple(v for k, v in self.__dict__.items() if k[0] != "_")
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
 
 def _node(cls):
-    """`dataclass(frozen=True)`, keeping the class's own `__hash__`, else
-    `Expr.__hash__`, over the generated one."""
-    cls.__hash__ = cls.__dict__.get("__hash__", Expr.__hash__)
-    return dataclass(frozen=True)(cls)
+    """`dataclass(frozen=True, slots=True)` over `Expr.__hash__`."""
+    cls.__hash__ = Expr.__hash__
+    return dataclass(frozen=True, slots=True)(cls)
 
 
 @_node
 class Rat(Expr):
-    value: Fraction
+    """The rational constant num/den, kept in lowest terms with den > 0.
+    `Rat(v)` takes any v that `Fraction(v)` takes; `value` builds that
+    `Fraction` when read."""
+
+    num: int
+    den: int = 1
 
     def __post_init__(self):
-        if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", Fraction(self.value))
+        num, den = self.num, self.den
+        if type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1:
+            return
+        v = Fraction(num) if den == 1 else Fraction(num, den)
+        object.__setattr__(self, "num", v.numerator)
+        object.__setattr__(self, "den", v.denominator)
 
-    def __hash__(self):
-        """Over the numerator and denominator: `Fraction.__hash__` takes a
-        modular inverse."""
-        try:
-            return self._hash
-        except AttributeError:
-            v = self.value
-            h = self.__dict__["_hash"] = hash((Rat, v.numerator, v.denominator))
-            return h
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
 
 @_node
@@ -165,12 +174,12 @@ class Exp(Expr):
     arg: Expr
 
 
-ZERO = Rat(Fraction(0))
-ONE = Rat(Fraction(1))
+ZERO = Rat(0)
+ONE = Rat(1)
 
 
 def rational(v) -> Rat:
-    return Rat(Fraction(v))
+    return Rat(v)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +194,10 @@ def render(e: Expr) -> str:
 def _render(e: Expr, prec: int) -> str:
     # precedence levels: 0 sum, 1 product, 2 unary, 3 power/atom
     if isinstance(e, Rat):
-        v = e.value
-        s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        if v < 0 and prec >= 2:
+        s = str(e.num) if e.den == 1 else f"{e.num}/{e.den}"
+        if e.num < 0 and prec >= 2:
             return f"({s})"
-        if v.denominator != 1 and prec >= 1:
+        if e.den != 1 and prec >= 1:
             return f"({s})"
         return s
     if isinstance(e, Pi):
@@ -230,43 +238,70 @@ def _render(e: Expr, prec: int) -> str:
 # ---------------------------------------------------------------------------
 # normalization and differentiation on a sparse polynomial ring
 #
-# A polynomial is a pair (nums, den): nums a {monomial: int} dict without
-# zero entries, den an int > 0, in lowest terms (gcd(den, *nums.values())
-# is 1), so equal polynomials are equal pairs; the zero polynomial is
-# ({}, 1).  The coefficient of m is nums[m]/den.  A monomial is the
-# frozenset of its (atom, exponent) pairs, exponents nonzero (S. C. Johnson,
-# "Sparse polynomial arithmetic", ACM SIGSAM Bull. 8(3), 1974).  Sums,
-# products and derivatives add and multiply integers over the lcm of the
-# denominators they combine and reduce once, by one gcd, per result (Knuth,
-# TAOCP vol. 2, §4.5.1); an integer polynomial (den 1) takes no gcd.
-# `Fraction` appears only where the ring meets trees: a `Rat` leaf, the
-# reciprocal of a monomial and the `Rat` coefficients `_rebuild` writes.  The
+# A polynomial is a triple (nums, den, atoms): nums a {monomial: int} dict
+# without zero entries and den an int > 0, in lowest terms (gcd(den,
+# *nums.values()) is 1), so equal polynomials have equal (nums, den); atoms
+# maps the id of every atom in nums to that atom (it may hold more).  The
+# zero polynomial is ({}, 1, {}).  The coefficient of m is nums[m]/den.  A
+# monomial is the tuple of its (atom id, exponent) int pairs, sorted by id,
+# exponents nonzero (S. C. Johnson, "Sparse polynomial arithmetic", ACM
+# SIGSAM Bull. 8(3), 1974): the collector stops tracking a tuple of ints,
+# and hashing one calls no `Expr.__hash__`.  Sums, products and derivatives
+# add and multiply integers over the lcm of the denominators they combine
+# and reduce once, by one gcd, per result (Knuth, TAOCP vol. 2, §4.5.1); an
+# integer polynomial (den 1) takes no gcd, and no `Fraction` is built.  The
 # atoms are Var, Pi, Sin/Cos/Exp of a normalized nonzero argument, and
-# Pow(s, -1) of a normalized sum s of two or more terms.  The polynomials
-# `_ring` and `_datom` return are shared through their memos and never
-# mutated.
+# Pow(s, -1) of a normalized sum s of two or more terms.  `_ATOM_IDS` numbers
+# them weakly: an atom keeps its id while a polynomial, a tree or a memo
+# holds it, and no id is given twice.  The polynomials `_ring` and `_datom`
+# return are shared through their memos and never mutated.
 
-_ZERO = ({}, 1)
-_ONE = ({frozenset(): 1}, 1)
+_ZERO = ({}, 1, {})
+_ONE = ({(): 1}, 1, {})
+
+#: atom -> (id, weak reference to the atom that id was given to)
+_ATOM_IDS: "weakref.WeakKeyDictionary[Expr, tuple]" = weakref.WeakKeyDictionary()
+_NEXT_ID = itertools.count()
 
 
 def _atom(a: Expr, k: int = 1, c: int = 1) -> tuple:
-    return {frozenset(((a, k),)): c}, 1
+    """The polynomial c*a^k.  Its atom is the one `_ATOM_IDS` numbered: a, or
+    an equal atom numbered before it, so equal atoms share one id."""
+    entry = _ATOM_IDS.get(a)
+    if entry is None:
+        i = next(_NEXT_ID)
+        _ATOM_IDS[a] = i, weakref.ref(a)
+    else:
+        i, a = entry[0], entry[1]()
+    return {((i, k),): c}, 1, {i: a}
 
 
-def _reduced(nums: dict, den: int) -> tuple:
+def _merged(a: dict, b: dict) -> dict:
+    """The union of two atom maps, sharing one of them where it holds the other."""
+    if a is b or not b:
+        return a
+    if not a:
+        return b
+    if b.keys() <= a.keys():
+        return a
+    if a.keys() <= b.keys():
+        return b
+    return {**a, **b}
+
+
+def _reduced(nums: dict, den: int, atoms: dict) -> tuple:
     """The polynomial nums/den in lowest terms."""
+    if not nums:
+        return _ZERO
     if den != 1:
-        if not nums:
-            return _ZERO
         g = math.gcd(den, *nums.values())
         if g != 1:
             nums = {m: c // g for m, c in nums.items()}
             den //= g
-    return nums, den
+    return nums, den, atoms
 
 
-def _add_term(out: dict, m: frozenset, c: int) -> None:
+def _add_term(out: dict, m: tuple, c: int) -> None:
     """out[m] += c, in place, dropping a zero."""
     if m in out:
         c += out[m]
@@ -281,64 +316,78 @@ def _add_term(out: dict, m: frozenset, c: int) -> None:
 def _sum(polys: Iterable[tuple], signs: Iterable[int] = itertools.repeat(1)) -> tuple:
     """The sum of sign*p over the pairs of `polys` and `signs` (each +1 or -1)."""
     pairs = list(zip(polys, signs))
-    den = 1
+    den, atoms = 1, {}
     for p, _ in pairs:
         if p[1] != 1:
             den = math.lcm(den, p[1])
+        atoms = _merged(atoms, p[2])
     out: dict = {}
-    for (nums, d), sign in pairs:
+    for (nums, d, _), sign in pairs:
         scale = den // d if sign > 0 else -(den // d)
         for m, c in nums.items():
             _add_term(out, m, c * scale)
-    return _reduced(out, den)
+    return _reduced(out, den, atoms)
 
 
-def _product(m1: frozenset, m2) -> frozenset:
-    """The monomial m1*m2; m2 may be any iterable of (atom, exponent) pairs."""
-    powers = dict(m1)
-    for a, k in m2:
-        powers[a] = powers.get(a, 0) + k
-    return frozenset((a, k) for a, k in powers.items() if k)
+def _monomial(m: tuple, pairs: Iterable) -> tuple:
+    """The monomial m times the atom powers `pairs`, (atom id, exponent)
+    pairs in any order."""
+    powers = dict(m)
+    for i, k in pairs:
+        powers[i] = powers.get(i, 0) + k
+    return tuple(sorted(ik for ik in powers.items() if ik[1]))
+
+
+def _product(m1: tuple, m2: tuple) -> tuple:
+    """The monomial m1*m2: their concatenation where their ids do not
+    interleave."""
+    if not m2:
+        return m1
+    if not m1:
+        return m2
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
+    return _monomial(m1, m2)
 
 
 def _times(p: tuple, q: tuple) -> tuple:
-    (pn, pd), (qn, qd) = p, q
+    (pn, pd, pa), (qn, qd, qa) = p, q
     out: dict = {}
     for m1, c1 in pn.items():
         for m2, c2 in qn.items():
             _add_term(out, _product(m1, m2), c1 * c2)
-    return _reduced(out, pd * qd)
+    return _reduced(out, pd * qd, _merged(pa, qa))
 
 
 def _invert(p: tuple) -> tuple:
     """1/p: the reciprocal of a monomial, or the atom p^-1 of a sum."""
-    nums, den = p
+    nums, den, atoms = p
     if not nums:
         raise ZeroDivisionError("division by symbolic zero")
     if len(nums) == 1:
-        (m, c), = nums.items()
-        r = Fraction(den, c)
-        return {frozenset((a, -k) for a, k in m): r.numerator}, r.denominator
+        (m, c), = nums.items()  # in lowest terms, so gcd(c, den) is 1
+        return {tuple((i, -k) for i, k in m): den if c > 0 else -den}, abs(c), atoms
     return _atom(Pow(_rebuild(p), -1))
 
 
 def _ring(e: Expr) -> tuple:
     """The polynomial of e, with every product and power multiplied out: the
     one `_rebuild` kept on e, else the expansion."""
-    p = e.__dict__.get("_poly")
+    p = getattr(e, "_poly", None)
     return _expand(e) if p is None else p
 
 
 @lru_cache(maxsize=65536)
 def _expand(e: Expr) -> tuple:
     if isinstance(e, Rat):
-        v = e.value
-        return ({frozenset(): v.numerator}, v.denominator) if v.numerator else _ZERO
+        return ({(): e.num}, e.den, {}) if e.num else _ZERO
     if isinstance(e, (Pi, Var)):
         return _atom(e)
     if isinstance(e, Neg):
-        nums, den = _ring(e.arg)
-        return {m: -c for m, c in nums.items()}, den
+        nums, den, atoms = _ring(e.arg)
+        return {m: -c for m, c in nums.items()}, den, atoms
     if isinstance(e, Add):
         return _sum(map(_ring, e.terms))
     if isinstance(e, Mul):
@@ -356,7 +405,7 @@ def _expand(e: Expr) -> tuple:
         return out
     if isinstance(e, (Sin, Cos, Exp)):
         arg = normalize(e.arg)
-        if isinstance(arg, Rat) and arg.value == 0:
+        if arg == ZERO:
             return _ZERO if isinstance(e, Sin) else _ONE
         return _atom(type(e)(arg))
     raise TypeError(f"not an expression: {e!r}")
@@ -368,21 +417,24 @@ def _factor_key(factor: Tuple[Expr, int]) -> Tuple[str, int]:
 
 def _rebuild(p: tuple) -> Expr:
     """The tree of p: a sum of products, the factors of each product and then
-    the products ordered by their (rendered atom, exponent) keys.  The tree
-    keeps p, which `_ring` then reads instead of expanding the tree again."""
-    nums, den = p
+    the products ordered by their (rendered atom, exponent) keys, never by
+    atom ids.  The tree keeps p, which `_ring` then reads instead of
+    expanding the tree again."""
+    nums, den, atoms = p
     if not nums:
         return ZERO
-    monomials = sorted(([sorted(m, key=_factor_key), c] for m, c in nums.items()),
+    monomials = sorted(([sorted([(atoms[i], k) for i, k in m], key=_factor_key), c]
+                        for m, c in nums.items()),
                        key=lambda mc: [_factor_key(f) for f in mc[0]])
     terms = []
     for factors, c in monomials:
-        out = [Rat(Fraction(c, den))] if c != den or not factors else []
+        g = math.gcd(c, den)
+        out = [Rat(c // g, den // g)] if c != den or not factors else []
         out += [a if k == 1 else Pow(a, k) for a, k in factors]
         terms.append(out[0] if len(out) == 1 else Mul(tuple(out)))
     tree = terms[0] if len(terms) == 1 else Add(tuple(terms))
     hash(tree)  # taken first, so the hash reads the fields alone
-    tree.__dict__["_poly"] = p
+    object.__setattr__(tree, "_poly", p)
     return tree
 
 
@@ -392,7 +444,7 @@ def normalize(e: Expr) -> Expr:
     products and integer powers multiplied out, like terms merged, and a
     quotient by a sum of two or more terms written with the atom (sum)^-1.
     ZeroDivisionError on a division by a symbolic zero."""
-    return e if "_poly" in e.__dict__ else _rebuild(_ring(e))  # a rebuilt tree is normal
+    return e if hasattr(e, "_poly") else _rebuild(_ring(e))  # a rebuilt tree is normal
 
 
 # ---------------------------------------------------------------------------
@@ -405,23 +457,24 @@ def diff(e: Expr, var: str) -> Expr:
 
 
 def _diff(p: tuple, var: str) -> tuple:
-    nums, den = p
-    chain = []  # (m, a, c*k, d a/d var) for each factor a^k of each term c*m
+    nums, den, atoms = p
+    chain = []  # (m, id of a, c*k, d a/d var) for each factor a^k of each term c*m
     scale = 1  # the lcm of the denominators of the atom derivatives
     for m, c in nums.items():
-        for a, k in m:
-            da = _datom(a, var)
+        for i, k in m:
+            da = _datom(atoms[i], var)
             if da[0]:
-                chain.append((m, a, c * k, da))
+                chain.append((m, i, c * k, da))
                 if da[1] != 1:
                     scale = math.lcm(scale, da[1])
     out: dict = {}
-    for m, a, ck, (dnums, dden) in chain:
+    for m, i, ck, (dnums, dden, datoms) in chain:
         if dden != scale:
             ck *= scale // dden
         for m2, c2 in dnums.items():
-            _add_term(out, _product(m, ((a, -1), *m2)), ck * c2)
-    return _reduced(out, den * scale)
+            _add_term(out, _monomial(m, ((i, -1), *m2)), ck * c2)
+        atoms = _merged(atoms, datoms)
+    return _reduced(out, den * scale, atoms)
 
 
 @lru_cache(maxsize=65536)
@@ -465,9 +518,9 @@ def variables(e: Expr) -> set:
         x = stack.pop()
         if not isinstance(x, Expr):
             raise TypeError(f"not an expression: {x!r}")
-        p = x.__dict__.get("_poly")
+        p = getattr(x, "_poly", None)
         if p is not None:
-            atoms = {a for m in p[0] for a, _ in m}
+            atoms = {p[2][i] for m in p[0] for i, _ in m}
             names.update(a.name for a in atoms if isinstance(a, Var))
             stack += [c for a in atoms for c in _children(a)]
         elif isinstance(x, Var):
@@ -479,7 +532,7 @@ def variables(e: Expr) -> set:
 
 def eval_expr(e: Expr, env: Mapping[str, float]) -> float:
     if isinstance(e, Rat):
-        return float(e.value)
+        return e.num / e.den
     if isinstance(e, Pi):
         return math.pi
     if isinstance(e, Var):
@@ -537,7 +590,7 @@ def compile_expr(e: Expr, names: Sequence[str]):
         if x in numbered:
             return numbered[x]
         if isinstance(x, (Rat, Pi)):
-            out = slot(math.pi if isinstance(x, Pi) else float(x.value))
+            out = slot(math.pi if isinstance(x, Pi) else x.num / x.den)
         elif isinstance(x, (Add, Mul)):  # left to right, as in a + b + c
             fn, xs = (operator.add, x.terms) if isinstance(x, Add) else (operator.mul, x.factors)
             out = emit(xs[0]) if xs else slot(0.0 if isinstance(x, Add) else 1.0)
@@ -579,9 +632,11 @@ _UNARY = {Neg: operator.neg, Sin: np.sin, Cos: np.cos, Exp: np.exp}
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
+#: an identifier: a coordinate, parameter or function name, pi or a differential
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<op>[-+*/^()]))"
 )
 
@@ -636,8 +691,8 @@ _EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 def _read_number(text: str, pos: int) -> Fraction:
     """Fraction(text), refused with FormSyntaxError at `pos` when it is not a
-    number or its decimal exponent exceeds MAX_DECIMAL_EXPONENT in absolute
-    value."""
+    number, has a zero denominator or its decimal exponent exceeds
+    MAX_DECIMAL_EXPONENT in absolute value."""
     exp10 = _EXPONENT_RE.search(text)
     digits = exp10[1].replace("_", "").lstrip("0") if exp10 else ""
     if len(digits) > 9 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
@@ -647,6 +702,8 @@ def _read_number(text: str, pos: int) -> Fraction:
         return Fraction(text)
     except ValueError:
         raise FormSyntaxError(f"not a number: {text.strip()!r}", pos) from None
+    except ZeroDivisionError:
+        raise FormSyntaxError(f"zero denominator in {text.strip()!r}", pos) from None
 
 
 def _children(e: Expr) -> Tuple[Expr, ...]:
@@ -829,7 +886,8 @@ class _Parser:
     def parse_atom(self) -> Expr:
         t = self.next()
         if t.kind == "number":
-            return Rat(_read_number(t.text, t.pos))
+            v = _read_number(t.text, t.pos)
+            return Rat(v.numerator, v.denominator)
         if t.kind == "op" and t.text == "(":
             inner = self.nested(t, self.parse_sum)
             self.expect_op(")")

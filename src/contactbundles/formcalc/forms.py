@@ -44,9 +44,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import (Add, Div, Expr, FormSyntaxError, Neg, Rat, UnknownVariableError, ZERO,
-                   _diff, _Parser, _read_number, _rebuild, _ring, _sum, _times, compile_expr,
-                   normalize, parse_expr, render, subst, variables)
+from .expr import (_FUNCTIONS, _IDENT, ONE, ZERO, Add, Div, Expr, FormSyntaxError, Neg,
+                   UnknownVariableError, _diff, _Parser, _read_number, _rebuild, _ring, _sum,
+                   _times, compile_expr, normalize, parse_expr, render, subst, variables)
 
 
 class DegenerateKernel(ValueError):
@@ -190,9 +190,9 @@ class OneForm:
     def text(self) -> str:
         parts = []
         for name, coeff in zip(self.chart.names, self.coefficients):
-            if isinstance(coeff, Rat) and coeff.value == 0:
+            if coeff == ZERO:
                 continue
-            if isinstance(coeff, Rat) and coeff.value == 1:
+            if coeff == ONE:
                 parts.append(f"d{name}")
             else:
                 parts.append(f"{render_coeff(coeff)}*d{name}")
@@ -248,9 +248,12 @@ def parse_form_file(text: str, params: Optional[Mapping[str, object]] = None) ->
     """Parse a chart header followed by a `form <...>` statement.
 
     `param name=value;` statements bind identifiers for the form expression.
-    Errors in the header and in `param` statements are at offsets into
-    `text`; errors in the form are at offsets into the form's own text, from
-    the first character after `form` and its blanks.
+    A param name must be an identifier that the form could otherwise not
+    read: not a chart coordinate, pi, sin, cos, exp or a differential
+    d<coordinate>.  A file has one chart and one form statement, and binds a
+    name at most once.  Errors in the header and in `param` statements are
+    at offsets into `text`; errors in the form are at offsets into the
+    form's own text, from the first character after `form` and its blanks.
     """
     bound: Dict[str, object] = dict(params or {})
     chart, form_text = _parse_statements(text, bound)
@@ -265,12 +268,17 @@ def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional
     ranges: List[Tuple[float, float]] = []
     periodic: List[Tuple[str, int]] = []  # name, file offset
     exclusions: List[Tuple[int, str, float]] = []
+    params: Dict[str, int] = {}  # name, file offset
+    seen = set()  # chart and form statements
     form_text: Optional[str] = None
     for stmt in re.finditer(r"[^;\s][^;]*", text):
         head = stmt[0].split(None, 1)[0]
         rest = stmt[0][len(head):]
         at = stmt.start() + len(head)  # offset of `rest`
+        if head in seen:
+            raise FormSyntaxError(f"second {head} statement", stmt.start())
         if head == "chart":
+            seen.add(head)
             for field in re.finditer(r"\S+", rest):
                 name, _, rng = field[0].partition(":")
                 if not rng.startswith("[") or not rng.endswith("]"):
@@ -288,10 +296,18 @@ def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional
             expr_text, _, eps_text = rest.partition("<")
             exclusions.append((at, expr_text, _read_float(eps_text, at + len(expr_text) + 1)))
         elif head == "form" and bound is not None:
+            seen.add(head)
             form_text = rest.strip()
         elif head == "param" and bound is not None:
-            name, _, val = rest.partition("=")
-            bound[name.strip()] = _read_number(val, at + len(name) + 1)
+            raw, _, val = rest.partition("=")
+            name = raw.strip()
+            pos = at + len(raw) - len(raw.lstrip())
+            if not re.fullmatch(_IDENT, name):
+                raise FormSyntaxError(f"param name {name!r} is not an identifier", pos)
+            if name in params:
+                raise FormSyntaxError(f"second param {name!r}", pos)
+            params[name] = pos
+            bound[name] = _read_number(val, at + len(raw) + 1)
         else:
             raise FormSyntaxError(f"unknown chart directive {head!r}", stmt.start())
     if bound is not None and form_text is None:
@@ -301,6 +317,12 @@ def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional
     for name, pos in periodic:
         if name not in names:
             raise FormSyntaxError(f"periodic {name!r} is not a chart coordinate", pos)
+    reserved = {"pi", *_FUNCTIONS, *(f"d{n}" for n in names)}
+    for name, pos in params.items():
+        if name in names:
+            raise FormSyntaxError(f"param {name!r} is a chart coordinate", pos)
+        if name in reserved:
+            raise FormSyntaxError(f"param {name!r} is pi, a function or a differential", pos)
     marked = {name for name, _ in periodic}
     flags = tuple(n in marked for n in names)
     # behind as many blanks as precede it, an exclusion's error offsets are file offsets

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -143,6 +144,28 @@ class TestParser:
         ("chart x:[-1,1] y:[-1,1] theta:[0,6.283185307179586]; periodic thta; "
          "form dtheta - y*dx", "thta"),
         ("periodic z w;\nchart x:[-1,1] y:[-1,1] z:[-1,1];\nform dz", "w;"),
+        # a param over a coordinate, before or after the chart: it replaced x
+        # in the form but not in the exclusions
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1];\nparam x=2;\nform dz + x*dy", "x=2"),
+        ("param x=2;\nchart x:[-1,1] y:[-1,1] z:[-1,1];\nform dz + x*dy", "x=2"),
+        # a param that pi, a function or a differential hides was ignored
+        ("param pi=2; chart x:[-1,1] y:[-1,1] z:[-1,1]; form dz", "pi="),
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1]; param sin=2; form dz", "sin="),
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1]; param dz=1; form dz", "dz="),
+        ("param dx=1; chart x:[-1,1] y:[-1,1] z:[-1,1]; form dz", "dx="),
+        # a param name no identifier reaches was accepted
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1];\nparam  =1;\nform dz", "=1"),
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1];\nparam a b=1;\nform dz", "a b"),
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1];\nparam 3=1;\nform dz", "3="),
+        # a second param overrode the first, a second form replaced the
+        # first and a second chart added its coordinates
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1]; param a=1; param a=2; form a*dz", "a=2"),
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1]; form dz; form dy", "form dy"),
+        ("chart x:[-1,1] y:[-1,1]; chart z:[-1,1]; form dz", "chart z"),
+        # a zero denominator raised ZeroDivisionError, with no offset
+        ("chart x:[1/0,1] y:[-1,1] z:[-1,1]; form dz", "[1/0"),
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude x<1/0; form dz", "1/0"),
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1]; param a=1/0; form a*dz", "1/0"),
     ])
     def test_header_errors_at_file_offsets(self, text, at):
         with pytest.raises(fc.FormSyntaxError) as info:
@@ -910,13 +933,63 @@ class TestNodeHash:
         e = fc.parse_expr("sin(x)*y + 1/3", "xyz")
         hash(e)
         copy = pickle.loads(pickle.dumps(e))
-        assert copy == e and "_hash" not in vars(copy) and hash(copy) == hash(e)
+        assert copy == e and not hasattr(copy, "_hash") and hash(copy) == hash(e)
 
     def test_the_kept_polynomial_stays_out_of_hash_and_pickle(self):
         e = fc.normalize(fc.parse_expr("sin(x)*y + 1/3 + y*sin(x)", "xyz"))
         copy = pickle.loads(pickle.dumps(e))
-        assert "_poly" in vars(e) and "_poly" not in vars(copy)
+        assert hasattr(e, "_poly") and not hasattr(copy, "_poly")
         assert copy == e and hash(copy) == hash(e) and fc.normalize(copy) == e
+
+    def test_no_node_has_an_instance_dict(self):
+        x = Var("x")
+        nodes = [Rat(3, 6), Pi(), x, Add((x, Pi())), Mul((x, Pi())), Div(x, Pi()), Pow(x, 2),
+                 Neg(x), Sin(x), Cos(x), Exp(x)]
+        assert ({type(n).__name__ for n in nodes}
+                == {c.__name__ for c in fc.expr.Expr.__subclasses__()})
+        for n in nodes + [fc.normalize(n) for n in nodes]:
+            hash(n)
+            assert not hasattr(n, "__dict__"), type(n)
+
+    def test_the_monomials_of_kept_polynomials_are_untracked(self):
+        # tuples of ints leave the collector's lists, and frozensets never
+        # did.  A collection visits a monomial before its (id, exponent)
+        # pairs, so the first untracks the pairs and the second the monomial
+        form = fc.parse_form_file((Path(__file__).parent / "data" / "torus_pullback.form")
+                                  .read_text())
+        kept = [*form.coefficients, fc.volume_coefficient(form),
+                *(c for _, _, c in fc.exterior_derivative(form).table)]
+        gc.collect()
+        gc.collect()
+        monomials = [m for c in kept for m in c._poly[0]]
+        assert len(monomials) > 10
+        assert not [m for m in monomials if gc.is_tracked(m)]
+
+    def test_dropped_forms_give_their_atom_ids_back(self):
+        # the id table holds atoms weakly, so the memos' bound is its bound
+        def cleared():
+            for memo in (fc.normalize, fc.render, fc.expr._expand, fc.expr._datom):
+                memo.cache_clear()
+            gc.collect()
+            return len(fc.expr._ATOM_IDS)
+
+        start = cleared()
+        for k in range(2000):
+            e = fc.parse_expr(f"sin({k}*x)*y + exp(z/{k + 1}) - x/(y + {k})", "xyz")
+            fc.diff(fc.normalize(e), "x")
+        assert len(fc.expr._ATOM_IDS) >= start + 3 * 2000
+        assert cleared() == start
+
+    def test_equal_atoms_keep_one_id_while_a_polynomial_holds_one(self):
+        # the second polynomial must hold the atom that was numbered, not its
+        # own equal copy, or the id is given back while that copy lives on
+        atom = Sin(Var("atom_id_probe"))
+        p1 = fc.expr._atom(atom)
+        p2 = fc.expr._atom(Sin(Var("atom_id_probe")))
+        del p1, atom
+        gc.collect()
+        p3 = fc.expr._atom(Sin(Var("atom_id_probe")))
+        assert p3[0] == p2[0] and fc.expr._sum((p2, p3), (1, -1)) == fc.expr._ZERO
 
 
 class TestNormalizer:
