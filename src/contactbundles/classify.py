@@ -259,52 +259,6 @@ def morphism_image_divisor(vector: Sequence[int], n: int) -> int:
     return d if d else n
 
 
-def _transvection_matrix(v: Tuple[int, ...], g: int, n: int) -> List[List[int]]:
-    """Matrix of x -> x + <x, v> v over Z/n, with <a_i, b_i> = 1."""
-    dim = 2 * g
-
-    def pairing(x, y):
-        s = 0
-        for i in range(g):
-            s += x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i]
-        return s % n
-
-    cols = []
-    for j in range(dim):
-        e = tuple(1 if k == j else 0 for k in range(dim))
-        coef = pairing(e, v)
-        cols.append(tuple((e[k] + coef * v[k]) % n for k in range(dim)))
-    # column-major to row-major
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
-
-
-def _sp_generators(g: int, n: int) -> List[List[List[int]]]:
-    """Generators of the symplectic action on (Z/n)^{2g}.
-
-    Transvections along the 2g basis vectors generate each handle's SL(2);
-    the chain transvections along b_i + a_{i+1} mix adjacent handles, and the
-    cyclic handle permutation completes the standard mapping-class generators.
-    """
-    dim = 2 * g
-    gens = []
-    basis = []
-    for j in range(dim):
-        basis.append(tuple(1 if k == j else 0 for k in range(dim)))
-    for v in basis:
-        gens.append(_transvection_matrix(v, g, n))
-    for i in range(g - 1):
-        v = tuple((1 if k in (2 * i + 1, 2 * i + 2) else 0) for k in range(dim))
-        gens.append(_transvection_matrix(v, g, n))
-    if g > 1:
-        perm = [[0] * dim for _ in range(dim)]
-        for i in range(g):
-            j = (i + 1) % g
-            perm[2 * j][2 * i] = 1
-            perm[2 * j + 1][2 * i + 1] = 1
-        gens.append(perm)
-    return gens
-
-
 #: Largest number n^{2g} of vectors the orbit oracle enumerates; the memory
 #: it bounds is derived in `cohomology_orbit_count`.
 MAX_ORBIT_VECTORS = 2 ** 16
@@ -330,23 +284,41 @@ def _vector_count(g: int, n: int) -> int:
     return count
 
 
-def _image_index(matrix, digits, weights, index, n: int):
-    """Index of the image of every vector (digit columns) under `matrix` mod n.
+def _generator_images(g: int, n: int):
+    """Image index of every vector under each generator of the symplectic
+    action on (Z/n)^{2g}, as int64 arrays in propagation order: the chain
+    transvections along b_i + a_{i+1}, the cyclic handle permutation (handle
+    i to handle i + 1; both only for g >= 2), then the transvections along
+    a_1, b_1, ..., a_g, b_g.
 
-    Only the rows of `matrix` that differ from the identity's are applied,
-    each from its nonzero entries: at most two rows of at most three entries
-    for a transvection, and 2g rows of one entry (a weighted sum of permuted
-    digit rows) for the handle permutation.
+    The basis is a_1, b_1, ..., a_g, b_g with <a_i, b_i> = 1, and the index
+    of x is sum_k x_k n^(2g-1-k).  The indices form a grid of shape
+    (n,) * 2g, with axes[k] = arange(n) along axis k.  A transvection
+    x -> x + <x, v> v adds ((x_k + <x, v>) mod n - x_k) n^(2g-1-k) for each
+    k in the support of v, and <x, v> is a table over one or two axes, so
+    each image is the grid plus one small broadcast table.  The handle
+    permutation is one transpose of the grid.
     """
-    image = index.copy()
-    for k, row in enumerate(matrix):
-        terms = [(j, a) for j, a in enumerate(row) if a]
-        if terms != [(k, 1)]:
-            new = sum(a * digits[j] for j, a in terms) % n
-            new -= digits[k]
-            new *= weights[k]
-            image += new
-    return image
+    import numpy as np  # on use, see _orbit_labels
+    dim = 2 * g
+    grid = np.arange(n ** dim, dtype=np.int64).reshape((n,) * dim)
+    axes = [np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (dim - 1 - k))
+            for k in range(dim)]
+
+    def transvection(support, pairing):
+        # x -> x + <x, v> v, for v the sum of the basis vectors in `support`
+        delta = sum(((axes[k] + pairing) % n - axes[k]) * n ** (dim - 1 - k)
+                    for k in support)
+        return (grid + delta).ravel()
+
+    images = [transvection((2 * i + 1, 2 * i + 2), axes[2 * i] - axes[2 * i + 3])
+              for i in range(g - 1)]
+    if g > 1:
+        images.append(grid.transpose([*range(2, dim), 0, 1]).ravel())
+    for i in range(g):
+        images.append(transvection((2 * i,), -axes[2 * i + 1]))
+        images.append(transvection((2 * i + 1,), axes[2 * i]))
+    return images
 
 
 def _orbit_labels(g: int, n: int, size: int):
@@ -357,19 +329,20 @@ def _orbit_labels(g: int, n: int, size: int):
     import numpy as np
     if size == 1:  # n = 1, whatever the genus: no generators to build
         return np.zeros(1, dtype=np.int64)
-    weights = n ** np.arange(2 * g - 1, -1, -1, dtype=np.int64)
-    index = np.arange(size, dtype=np.int64)
-    digits = index // weights[:, None]
-    digits %= n
-    images = [_image_index(m, digits, weights, index, n) for m in _sp_generators(g, n)]
-    del digits
-    lab = index
+    images = _generator_images(g, n)
+    if g == 1:
+        lab = np.arange(size, dtype=np.int64)
+    else:
+        # each handle's pair at its own one-handle label, on a (n^2,) * g grid
+        one = _orbit_labels(1, n, n * n)
+        lab = sum(one.reshape((n * n,) + (1,) * (g - 1 - i)) * n ** (2 * (g - 1 - i))
+                  for i in range(g)).ravel()
     while True:
-        before = lab.copy()
+        before = int(lab.sum())
         for img in images:
             np.minimum(lab, lab[img], out=lab)
         lab = lab[lab]
-        if np.array_equal(lab, before):
+        if lab.sum() == before:
             return lab
 
 
@@ -377,21 +350,29 @@ def cohomology_orbit_count(g: int, n: int) -> int:
     """Count of orbits of the symplectic action on (Z/n)^{2g}; it must equal tau(n).
 
     Vector x is encoded as the index sum_k x_k n^(2g-1-k), 0 .. n^{2g} - 1 in
-    `itertools.product` order.  Each generator of `_sp_generators` becomes one
-    image-index array, built from the digit rows it changes (`_image_index`).
-    Labels start as the indices; lab = min(lab, lab[img]) over the generators,
-    then lab = lab[lab] (pointer jumping), repeat until nothing changes
-    (Shiloach-Vishkin).  The generated group is finite, so each orbit is
-    strongly connected along forward images, and the fixed point labels every
-    vector with the smallest index of its orbit; the orbits are the labels
-    equal to their own index.
+    `itertools.product` order.  Each generator becomes one image-index array
+    (`_generator_images`).  The labels start at the indices for g = 1; for
+    g >= 2 each handle's pair (x_{2i}, x_{2i+1}) starts at its label under
+    the g = 1 action, which the transvections along a_i and b_i generate.
+    Then lab = min(lab, lab[img]) over the generators, lab = lab[lab]
+    (pointer jumping), repeat until nothing changes (Shiloach-Vishkin).
+
+    Any start with lab[x] in the orbit of x and lab[x] <= x reaches the same
+    fixed point, and both steps keep that invariant.  The generated group is
+    finite, so each orbit is strongly connected along forward images; at the
+    fixed point lab does not grow along any image, so it is constant on each
+    orbit, and by the invariant it is the smallest index there.  The orbits
+    are the labels equal to their own index.  Neither step raises a label
+    (lab[lab[x]] <= lab[x] by the invariant), so a round changed nothing
+    exactly when the sum of the labels did not fall.
 
     Memory: the arrays are int64, 8 bytes per vector in each row.  Building
-    the images holds the index row, the 2g digit rows, one image row per
-    generator (2 for g = 1, 3g above) and at most three temporary rows:
-    5g + 4 rows for g >= 2, more than the 3g + 4 of the propagation.
-    Up to MAX_ORBIT_VECTORS = 2^16 vectors the worst case is g = 8, n = 2:
-    44 rows, 8 B x 44 x 2^16 = 22 MiB (g = 2, n = 16 takes 7 MiB).
+    the images holds the index grid and the images, 3g + 1 rows; the
+    propagation holds one image row per generator (2 for g = 1, 3g above),
+    the labels and one gathered row: 3g + 2 rows for g >= 2.  Up to
+    MAX_ORBIT_VECTORS = 2^16 vectors the worst case is g = 8, n = 2: 26 rows,
+    8 B x 26 x 2^16 = 13 MiB (g = 2, n = 16 takes 8 rows, 4 MiB); tracemalloc
+    measures the same, plus the small broadcast tables.
     Beyond the bound it raises ScaleExceeded; g < 1 or n < 1 is a ValueError.
     """
     import numpy as np  # on use, see _orbit_labels
@@ -406,7 +387,7 @@ def orbit_of_vector(vector: Sequence[int], n: int) -> FrozenSet[Tuple[int, ...]]
     The labels of `cohomology_orbit_count` (min-label propagation with pointer
     jumping over one image-index array per generator), decoded back to tuples
     for the indices that share the label of `vector`.  Same domain and memory
-    bound: at most MAX_ORBIT_VECTORS vectors, 5g + 4 int64 rows of them.
+    bound: at most MAX_ORBIT_VECTORS vectors, 3g + 2 int64 rows of them.
     """
     dim = len(vector)
     if dim % 2:

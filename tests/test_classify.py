@@ -167,7 +167,7 @@ class TestCounting:
         assert cl.cohomology_orbit_count(g, n) == cl.count_tangent_conjugacy_classes(n)
 
     @pytest.mark.parametrize("g,n", [(1, n) for n in range(1, 9)] + [(2, n) for n in range(1, 9)]
-                             + [(3, n) for n in range(1, 4)])
+                             + [(3, n) for n in range(1, 4)] + [(4, 2), (4, 3), (5, 2)])
     def test_orbit_partition_equals_tuple_bfs(self, g, n):
         reference = _bfs_orbits(g, n)
         assert cl.cohomology_orbit_count(g, n) == len(reference)
@@ -175,17 +175,34 @@ class TestCounting:
         for orbit in reference:
             assert cl.orbit_of_vector(min(orbit), n) == orbit
 
-    @pytest.mark.parametrize("g,n", [(g, n) for g in (1, 2, 3) for n in range(1, 7)] + [(8, 2)])
-    def test_image_index_equals_matrix_product(self, g, n):
+    @pytest.mark.parametrize("g,n", [(g, n) for g in (1, 2, 3) for n in range(1, 7)]
+                             + [(4, 4), (8, 2)])
+    def test_generator_images_equal_matrix_product(self, g, n):
         import numpy as np
         weights = n ** np.arange(2 * g - 1, -1, -1, dtype=np.int64)
         index = np.arange(n ** (2 * g), dtype=np.int64)
         digits = index // weights[:, None] % n
-        for m in cl._sp_generators(g, n):
+        images = cl._generator_images(g, n)
+        matrices = _sp_generators(g, n)
+        assert len(images) == len(matrices) == (2 if g == 1 else 3 * g)
+        for image, m in zip(images, matrices):
             reference = weights @ (np.array(m, dtype=np.int64) @ digits % n)
-            image = cl._image_index(m, digits, weights, index, n)
             assert image.dtype == np.int64
             assert np.array_equal(image, reference)
+
+    @pytest.mark.parametrize("g,n", [(8, 2), (2, 16)])
+    def test_orbit_memory_within_documented_bound(self, g, n):
+        # 3g + 2 int64 rows of n^{2g} entries, as derived in cohomology_orbit_count;
+        # the 64 KiB allowance covers the broadcast tables and the one-handle labels;
+        # numpy is imported before tracing starts, so its own allocations are not counted
+        import numpy  # noqa: F401
+        tracemalloc.start()
+        try:
+            assert cl.cohomology_orbit_count(g, n) == cl.count_tangent_conjugacy_classes(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * g + 2) * n ** (2 * g) + 2 ** 16
 
     @pytest.mark.parametrize("g,n", [(1, 12), (1, 30), (2, 6), (2, 12), (3, 4), (3, 6)])
     def test_orbit_is_image_divisor_class(self, g, n):
@@ -236,10 +253,55 @@ class TestCounting:
             cl.cohomology_orbit_count(g, n)
 
 
+def _transvection_matrix(v, g, n):
+    """Matrix of x -> x + <x, v> v over Z/n, with <a_i, b_i> = 1."""
+    dim = 2 * g
+
+    def pairing(x, y):
+        s = 0
+        for i in range(g):
+            s += x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i]
+        return s % n
+
+    cols = []
+    for j in range(dim):
+        e = tuple(1 if k == j else 0 for k in range(dim))
+        coef = pairing(e, v)
+        cols.append(tuple((e[k] + coef * v[k]) % n for k in range(dim)))
+    # column-major to row-major
+    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+
+
+def _sp_generators(g, n):
+    """Reference: the matrices of the generators of the symplectic action on
+    (Z/n)^{2g}, in the order of `cl._generator_images`.
+
+    The chain transvections along b_i + a_{i+1} mix adjacent handles, the
+    cyclic handle permutation moves handle i to handle i + 1, and the
+    transvections along the 2g basis vectors generate each handle's SL(2).
+    """
+    dim = 2 * g
+    basis = [tuple(1 if k == j else 0 for k in range(dim)) for j in range(dim)]
+    gens = []
+    for i in range(g - 1):
+        v = tuple((1 if k in (2 * i + 1, 2 * i + 2) else 0) for k in range(dim))
+        gens.append(_transvection_matrix(v, g, n))
+    if g > 1:
+        perm = [[0] * dim for _ in range(dim)]
+        for i in range(g):
+            j = (i + 1) % g
+            perm[2 * j][2 * i] = 1
+            perm[2 * j + 1][2 * i + 1] = 1
+        gens.append(perm)
+    for v in basis:
+        gens.append(_transvection_matrix(v, g, n))
+    return gens
+
+
 def _bfs_orbits(g, n):
     """Reference: the orbits of `_sp_generators(g, n)` by breadth-first closure
     over tuples, one vector and one generator at a time."""
-    gens = cl._sp_generators(g, n)
+    gens = _sp_generators(g, n)
     dim = 2 * g
     seen = set()
     orbits = []
