@@ -373,11 +373,10 @@ class ContactReport:
     min_abs: float
     witnesses: Tuple[Tuple[float, ...], ...] = ()
     samples: int = 0
-    tolerance: float = SIGN_TOL
 
     def __post_init__(self):
-        if self.sign in ("Positive", "Negative") and not (self.min_abs > self.tolerance):
-            raise ValueError("definite sign requires min_abs above tolerance")
+        if self.sign in ("Positive", "Negative") and not (self.min_abs > SIGN_TOL):
+            raise ValueError("definite sign requires min_abs above SIGN_TOL")
 
 
 def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> ContactReport:

@@ -1082,7 +1082,7 @@ def _dense_contact_sign(form, grid=64, tol=1e-12):
         wp = witness_at(np.nan_to_num(vals, nan=0.0) > tol)
         wn = witness_at(np.nan_to_num(vals, nan=0.0) < -tol)
         return fc.ContactReport("Mixed", float(np.nanmin(np.abs(vals))), (wp, wn),
-                                samples=int(flat.size), tolerance=tol)
+                                samples=int(flat.size))
 
     flagged = np.isfinite(vals) & (np.abs(vals) < 10 * tol)
     min_abs = float(np.min(np.abs(flat)))
@@ -1106,6 +1106,6 @@ def _dense_contact_sign(form, grid=64, tol=1e-12):
             witness = (tuple(pts[np.argmin(np.abs(ref_vals))].tolist()) if ref_vals.size
                        else witness_at(flagged))
             return fc.ContactReport("Mixed", min_abs, (witness,),
-                                    samples=int(all_vals.size), tolerance=tol)
+                                    samples=int(all_vals.size))
     sign = "Positive" if has_pos else "Negative"
-    return fc.ContactReport(sign, min_abs, (), samples=int(flat.size), tolerance=tol)
+    return fc.ContactReport(sign, min_abs, (), samples=int(flat.size))
