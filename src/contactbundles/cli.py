@@ -151,26 +151,27 @@ def cmd_holonomy(args) -> int:
 
 def cmd_polygon(args) -> int:
     area = _parse_area(args.area)
-    poly, pairings = hyperbolic.symmetric_pairings(args.genus, area)
     g = args.genus
-    residuals = []
-    for i in range(1, g + 1):
-        po, pe = pairings[2 * (i - 1)], pairings[2 * (i - 1) + 1]
-        residuals += [
-            hyperbolic.image_distance(po, poly.vertex(4 * i - 1), poly.vertex(4 * i - 2)),
-            hyperbolic.image_distance(po, poly.vertex(4 * i), poly.vertex(4 * i - 3)),
-            hyperbolic.image_distance(pe, poly.vertex(4 * i - 2), poly.vertex(4 * i + 1)),
-            hyperbolic.image_distance(pe, poly.vertex(4 * i - 1), poly.vertex(4 * i)),
-        ]
+    radius = hyperbolic.checked_radius(g, area)
+    # handle i + 1 is handle i turned by Rot(-2*pi/g): measure the first, bound them all
+    s1, s2, s3, s4, s5 = hyperbolic.polygon_vertices(g, radius, 5)
+    phi_1, phi_2 = hyperbolic._pairings(g, radius, 1)
+    residuals = (
+        hyperbolic.image_distance(phi_1, s3, s2),
+        hyperbolic.image_distance(phi_1, s4, s1),
+        hyperbolic.image_distance(phi_2, s2, s5),
+        hyperbolic.image_distance(phi_2, s3, s4),
+    )
     expected = 2.0 * abs(math.cos(((4 * g - 2) * math.pi - area) / 2.0))
     out = {
         "genus": g,
         "requested_area": area,
-        "circumradius": poly.circumradius,
-        "computed_area": hyperbolic.polygon_area(poly),
-        "side_length": hyperbolic.hdistance(poly.vertex(1), poly.vertex(2)),
+        "circumradius": radius,
+        "computed_area": hyperbolic.polygon_area(g, s1, s2),
+        "side_length": hyperbolic.hdistance(s1, s2),
         "pairing_residual_max": max(residuals),
-        "commutator_trace": hyperbolic.relator_matrix(g, pairings[0], pairings[1]).trace(),
+        "pairing_residual_bound": hyperbolic.pairing_residual_bound(g, radius),
+        "commutator_trace": hyperbolic.relator_matrix(g, phi_1, phi_2).trace(),
         "expected_abs_trace": expected,
     }
     return _emit("polygon", {"genus": g, "area": args.area}, out)

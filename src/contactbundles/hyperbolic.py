@@ -12,11 +12,12 @@ indices mod 4g, so that consecutive edges are glued in the pattern
 exactly one pairing.  The product of commutators of the pairings is then an
 elliptic rotation about s_1 by the polygon's total interior angle, and its
 boundary lift has translation number -area/(2*pi) up to the orientation sign.
-The pairings of one handle are those of the previous one conjugated by the
-rotation Rot(-2*pi/g), so the relator is one handle's commutator times that
-rotation, raised to the g-th power (`symmetric_relator`, O(log g) products,
-no polygon); `polygon` builds the 4g vertices and all 2g pairings
-(`symmetric_pairings`).
+The pairings and vertices of one handle are those of the previous one turned
+by the rotation Rot(-2*pi/g), so the relator is one handle's commutator times
+that rotation, raised to the g-th power (`symmetric_relator`, O(log g)
+products), and `polygon` measures the first handle only: the vertices
+s_1..s_5 (`polygon_vertices`), phi_1 and phi_2 (`_pairings`), and a residual
+bound that covers every handle (`pairing_residual_bound`).
 
 Isometries are stored as real SL(2) matrices (PSL(2, R), identified with
 their negation) and act on the disk through the Cayley transform; the
@@ -35,7 +36,7 @@ Groups, 7.11 and 7.17)
     cosh R = cot(pi/n) * cot(beta/2),    tanh rho = tanh R * cos(pi/n).
 
 The pairings are half-turns about edge midpoints followed by rotations about
-the origin (`side_pairings`); since rho < atanh(cos(pi/n)), their entries
+the origin (`_pairings`); since rho < atanh(cos(pi/n)), their entries
 stay bounded as the area approaches (4g-2)*pi and the vertices the boundary.
 """
 
@@ -44,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Tuple
 
@@ -142,39 +142,21 @@ def image_distance(iso: Isometry2H, p: complex, q: complex) -> float:
     return _distance(abs((alpha * p + beta) / m - q) * abs(m), abs(p), abs(q))
 
 
-@dataclass(frozen=True)
-class SymmetricPolygon:
-    """Regular 4g-gon centred at the origin, vertices numbered clockwise.
+def polygon_vertices(g: int, radius: float, count: int) -> List[complex]:
+    """s_1, ..., s_count (indices mod n) of the regular n-gon, n = 4g, with
+    hyperbolic circumradius `radius` about the origin, numbered clockwise.
 
-    Full symmetry forces the side-pairing length constraints
-    dist(s_{4i-3}, s_{4i-2}) = dist(s_{4i-1}, s_{4i}) and
-    dist(s_{4i-2}, s_{4i-1}) = dist(s_{4i}, s_{4i+1}), and the circumradius
-    sweeps every area in (0, (4g-2)*pi).  The vertices are complex numbers.
-    """
-
-    genus: int
-    circumradius: float
-    vertices: Tuple[complex, ...]
-
-    def vertex(self, k: int) -> complex:
-        """1-indexed accessor for s_k, indices mod 4g."""
-        return self.vertices[(k - 1) % len(self.vertices)]
-
-
-def build_symmetric_polygon(g: int, radius: float) -> SymmetricPolygon:
-    """Regular 4g-gon with hyperbolic circumradius `radius` about the origin.
-
-    Vertices s_k = r*exp(-2*pi*i*(k-1)/n), r = tanh(radius/2).  All
-    vertices share one rounded r, so to first order in the unit roundoff eps
-    only per-vertex rounding separates the sides: it moves a vertex by
-    (2*pi + 3)*eps*r along the circle, a relative 5*n*eps of the chord
-    |p - q| = 2r*sin(pi/n) >= 4r/n, and |z| by 3*eps, a relative
-    6*eps/(1 - |z|^2) of 1 - |z|^2.  The side s = 2*asinh(u) moves by
-    2*tanh(s/2) < 2 times the relative error of u (above, plus 6*eps to
-    evaluate u) plus eps*s, so two sides differ by at most
-    eps*(2s + 20n + 48/(1 - |z|^2)) <= 48*eps*(s + n + 1/(1 - |z|^2)), a
-    bound that tests/test_hyperbolic.py checks over the whole domain of
-    `checked_radius`.  A radius with r not in (0, _R_MAX] raises ValueError.
+    s_k = r*exp(-2*pi*i*(k-1)/n), r = tanh(radius/2).  All vertices share one
+    rounded r, so to first order in the unit roundoff eps only per-vertex
+    rounding separates the sides: it moves a vertex by (2*pi + 3)*eps*r
+    along the circle, a relative 5*n*eps of the chord |p - q| = 2r*sin(pi/n)
+    >= 4r/n, and |z| by 3*eps, a relative 6*eps/(1 - |z|^2) of 1 - |z|^2.
+    The side s = 2*asinh(u) moves by 2*tanh(s/2) < 2 times the relative
+    error of u (above, plus 6*eps to evaluate u) plus eps*s, so two sides
+    differ by at most eps*(2s + 20n + 48/(1 - |z|^2)) <= 48*eps*(s + n +
+    1/(1 - |z|^2)), a bound that tests/test_hyperbolic.py checks over the
+    whole domain of `checked_radius`.  A radius with r not in (0, _R_MAX]
+    raises ValueError.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
@@ -182,16 +164,16 @@ def build_symmetric_polygon(g: int, radius: float) -> SymmetricPolygon:
     re = math.tanh(radius / 2.0)  # Euclidean radius of the hyperbolic circle
     if not 0.0 < re <= _R_MAX:
         raise ValueError(f"circumradius {radius!r} must be positive and keep the vertices off |z| = 1")
-    angles = [-2.0 * math.pi * k / n for k in range(n)]  # clockwise numbering
-    verts = tuple(complex(re * math.cos(t), re * math.sin(t)) for t in angles)
-    return SymmetricPolygon(genus=g, circumradius=radius, vertices=verts)
+    angles = [-2.0 * math.pi * (k % n) / n for k in range(count)]  # clockwise numbering
+    return [complex(re * math.cos(t), re * math.sin(t)) for t in angles]
 
 
-def polygon_area(poly: SymmetricPolygon) -> float:
-    """Gauss-Bonnet area (n-2)*pi - 2n*theta, read off one centre triangle.
+def polygon_area(g: int, s1: complex, s2: complex) -> float:
+    """Gauss-Bonnet area (n-2)*pi - 2n*theta of the regular n-gon, n = 4g,
+    with first vertices s_1 and s_2, read off one centre triangle.
 
     The n rotations of (O, s_1, s_2) tile the polygon (its sides are equal,
-    `build_symmetric_polygon`), and each interior angle is two base angles
+    `polygon_vertices`), and each interior angle is two base angles
     theta.  With a = d(O, s_1), b = d(O, s_2), s = d(s_1, s_2) measured on
     the vertices and p = (a + b + s)/2, the half-angle law of cosines
     (Beardon, The Geometry of Discrete Groups, ch. 7) gives theta at s_1 by
@@ -199,9 +181,8 @@ def polygon_area(poly: SymmetricPolygon) -> float:
     theta -> 0 while p - a -> s/2 and p - s = (a + b - s)/2 -> -ln(sin(pi/n)),
     so nothing cancels: theta keeps the relative accuracy its cosine loses.
     """
-    n = len(poly.vertices)
-    o, s1, s2 = 0j, poly.vertex(1), poly.vertex(2)
-    a, b, s = hdistance(o, s1), hdistance(o, s2), hdistance(s1, s2)
+    n = 4 * g
+    a, b, s = hdistance(0j, s1), hdistance(0j, s2), hdistance(s1, s2)
     p = (a + b + s) / 2.0
     theta = 2.0 * math.asin(math.sqrt(
         math.sinh(p - a) * math.sinh(p - s) / (math.sinh(a) * math.sinh(s))))
@@ -246,7 +227,18 @@ def _from_origin(z: complex) -> Isometry2H:
 
 def _pairings(g: int, radius: float, handles: int) -> List[Isometry2H]:
     """phi_1, ..., phi_{2*handles} of the symmetric 4g-gon of circumradius
-    `radius` (`side_pairings`)."""
+    `radius`; all 2g of them at handles = g.
+
+    phi_{2i-1} carries the oriented edge (s_{4i-1}, s_{4i}) to
+    (s_{4i-2}, s_{4i-3}); phi_{2i} carries (s_{4i-2}, s_{4i-1}) to
+    (s_{4i+1}, s_{4i}).  Every edge of the polygon belongs to exactly one
+    pairing, and the commutator product fixes s_1.
+
+    With H(m_k) the half-turn about the midpoint of E_k = (s_k, s_{k+1}),
+    at angle -(2k-1)*pi/n and inradius rho, which reverses that edge:
+    phi_{2i-1} = Rot(+4*pi/n) o H(m_{4i-1}), phi_{2i} = Rot(-4*pi/n) o
+    H(m_{4i-2}); tests/test_hyperbolic.py checks them against their vertices.
+    """
     n = 4 * g
     rho = math.atanh(math.tanh(radius) * math.cos(math.pi / n))
     # half-turn about the point at distance rho on the positive real axis
@@ -261,20 +253,53 @@ def _pairings(g: int, radius: float, handles: int) -> List[Isometry2H]:
             for phi in (pairing(4 * i - 1, 4 * math.pi / n), pairing(4 * i - 2, -4 * math.pi / n))]
 
 
-def side_pairings(poly: SymmetricPolygon) -> List[Isometry2H]:
-    """The 2g side-pairing isometries of the symmetric polygon.
+def pairing_residual_bound(g: int, radius: float) -> float:
+    """Bound on image_distance(phi, p, q) for every pairing phi of `_pairings`
+    and each of its two vertex pairs (p, q) of `polygon_vertices`, at every
+    handle of the 4g-gon of circumradius `radius`.
 
-    phi_{2i-1} carries the oriented edge (s_{4i-1}, s_{4i}) to
-    (s_{4i-2}, s_{4i-3}); phi_{2i} carries (s_{4i-2}, s_{4i-1}) to
-    (s_{4i+1}, s_{4i}).  Every edge of the polygon belongs to exactly one
-    pairing, and the commutator product fixes s_1.
-
-    With H(m_k) the half-turn about the midpoint of E_k = (s_k, s_{k+1}),
-    at angle -(2k-1)*pi/n and inradius rho, which reverses that edge:
-    phi_{2i-1} = Rot(+4*pi/n) o H(m_{4i-1}), phi_{2i} = Rot(-4*pi/n) o
-    H(m_{4i-2}); tests/test_hyperbolic.py checks them against their vertices.
+    For det-1 disk coefficients (alpha, beta), `image_distance` is
+    2*asinh(N/D) with N = |alpha*p + beta - q*m|, m = conj(beta)*p +
+    conj(alpha), and D = sqrt((1 - |p|^2)(1 - |q|^2)).  N vanishes on the
+    exact data.  An error in p or q enters N times alpha - conj(beta)*q or m,
+    both of modulus 1 there (phi keeps the circle |z| = r), and an error in
+    (alpha, beta) times at most |p| + |q| <= 2; a common scale of (alpha,
+    beta), such as a rescaling to det 1, scales N and so is second order.
+    To first order in the unit roundoff eps, rounding adds to N:
+      - 20*eps from the two vertices, each within 10*eps of its place
+        (tanh to eps; the angle, below 2*pi, to 1.2*eps of itself; cos, sin
+        and the product to 1.2*eps);
+      - 25*eps from the two rotations: their angles, below 2*pi and 3*pi, are
+        within 7.6*eps and 14.6*eps, their entries add eps each, and an angle
+        error delta moves a point of the circle by r*delta, which H keeps;
+      - eps*(6*cosh(rho) + 4.4) from the inradius: x = tanh(R)*cos(pi/n) is
+        within 3*eps*x, so rho = atanh(x) is within 3*eps*x*cosh(rho)^2 +
+        eps*rho, and the centre tanh(rho/2) adds eps*(sinh(rho) + 2)/2.
+        Moving the centre of H by delta moves the image of a vertex, which
+        lies s/2 from the centre along the edge, by 2*asinh(sinh(delta)*
+        cosh(s/2)) in distance, and so by (1 - r^2)*delta*cosh(s/2) <
+        2*delta/cosh(rho) in N, as cosh R = cosh(rho)*cosh(s/2) (Beardon,
+        7.11);
+      - 2*eps from the half-turn's angle pi;
+      - eps*(21*e^rho + 2) <= eps*(42*cosh(rho) + 2) from the four 2x2
+        products, each within 4*(eps/2)*||A||*||B|| in the spectral norm
+        |alpha| + |beta| (e^rho for H), and from image_distance's own
+        arithmetic.
+    So N <= eps*(48*cosh(rho) + 54).  The second-order terms are below a
+    relative 3*eps*cosh(rho)^2 < 3*eps/sin(pi/n)^2 < 2e-7 up to MAX_GENUS,
+    and 64*eps*(1 + cosh(rho)) covers them and the bound's own rounding.
+    Every computed |z| is at most (1 + 3*eps)*r (the argument of _R_MAX),
+    so D >= (1 - r - 3*eps)*(1 + r) > 0 with r the rounded tanh(R/2).  Near
+    the top D is not close to 1 - r^2 and N/D is not small, so the bound
+    keeps the distance formula instead of its first order 2*N/D.  No handle
+    enters, and tests/test_hyperbolic.py checks the bound against every
+    handle of the full build over the domain of `checked_radius`.
     """
-    return _pairings(poly.genus, poly.circumradius, poly.genus)
+    eps = sys.float_info.epsilon
+    x = math.tanh(radius) * math.cos(math.pi / (4 * g))
+    cosh_rho = 1.0 / math.sqrt((1.0 - x) * (1.0 + x))
+    r = math.tanh(radius / 2.0)
+    return 2.0 * math.asinh(64 * eps * (1.0 + cosh_rho) / ((1.0 - r - 3 * eps) * (1.0 + r)))
 
 
 def boundary_lift(iso: Isometry2H) -> cd.MoebiusBoundaryLift:
@@ -391,9 +416,11 @@ def symmetric_relator(g: int, radius: float) -> cd.MoebiusBoundaryLift:
     return relator
 
 
-#: Largest genus `checked_radius` accepts.  `polygon` builds the polygon in
-#: time linear in g: at g = 10^4 (in-process CPU time, 2-vCPU VM, Python 3.11,
-#: 100 runs over three areas) it took 0.13-0.30 s, so the bound keeps it below 1 s.
+#: Largest genus `checked_radius` accepts.  `polygon` and `holonomy` do work
+#: logarithmic in g, but `pairing_residual_bound` and the side bound of
+#: `polygon_vertices` are tested against the full build only up to here, and
+#: from g ~ 10^3 on `holonomy`'s error bound is about 2, so a larger genus
+#: would get reports that say little.
 MAX_GENUS = 10 ** 4
 
 
@@ -402,12 +429,6 @@ def checked_radius(g: int, area: float) -> float:
     (4g-2)*pi between its float limits; outside it this raises ValueError
     (AreaOutOfRange for the area)."""
     if g > MAX_GENUS:
-        raise ValueError(f"genus must be <= {MAX_GENUS}: the polygon is built in time linear in g")
+        raise ValueError(f"genus must be <= {MAX_GENUS}: the polygon's rounding bounds "
+                         "are tested only up to there")
     return radius_for_area(g, area)
-
-
-def symmetric_pairings(g: int, area: float) -> Tuple[SymmetricPolygon, List[Isometry2H]]:
-    """The symmetric 4g-gon of the given area and its 2g side pairings, on the
-    domain of `checked_radius`."""
-    poly = build_symmetric_polygon(g, checked_radius(g, area))
-    return poly, side_pairings(poly)

@@ -10,6 +10,7 @@ from typing import Sequence
 
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
+from polygon_reference import symmetric_pairings
 
 
 def proj_distance(x: hy.Isometry2H, y: hy.Isometry2H) -> float:
@@ -48,7 +49,7 @@ def holonomy_translation_number(g: int, area: float, iterations: int) -> cd.Tran
     exponents and integer translations are central.  |value| approximates
     area/(2*pi) within the estimate's error bound.
     """
-    _, pairings = hy.symmetric_pairings(g, area)
+    _, pairings = symmetric_pairings(g, area)
     return cd.translation_number(holonomy_relator(pairings), iterations)
 
 

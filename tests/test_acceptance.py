@@ -19,6 +19,7 @@ from contactbundles import multicurve as mc
 from contactbundles.formcalc.expr import eval_expr
 from contactbundles.formcalc.models import fiber_tube_pullback, torus_wrapping_pullback
 from fold_reference import commutator_product, holonomy_translation_number, proj_distance
+from polygon_reference import build_symmetric_polygon, polygon_area, side_pairings
 
 DATA = Path(__file__).parent / "data"
 AREAS = [math.pi / 2, math.pi, 2 * math.pi, 4 * math.pi, 5 * math.pi]
@@ -50,12 +51,12 @@ def test_01_holonomy_translation_numbers():
 def test_02_commutator_ellipticity():
     worst = 0.0
     for area in AREAS:
-        poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, area))
-        prod = commutator_product(hy.side_pairings(poly))
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, area))
+        prod = commutator_product(side_pairings(poly))
         expected = 2 * abs(math.cos(((4 * 2 - 2) * math.pi - area) / 2))
         worst = max(worst, abs(abs(prod.trace()) - expected))
-    poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
-    prod = commutator_product(hy.side_pairings(poly))
+    poly = build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
+    prod = commutator_product(side_pairings(poly))
     ident_dev = proj_distance(prod, hy.Isometry2H.identity())
     report("2 commutator ellipticity",
            worst <= 1e-5 and ident_dev <= 1e-5,
@@ -85,16 +86,16 @@ def test_04_gauss_bonnet_and_round_trip():
     worst_area = 0.0
     for g in (1, 2, 3):
         for radius in (0.5, 1.0, 2.0):
-            poly = hy.build_symmetric_polygon(g, radius)
+            poly = build_symmetric_polygon(g, radius)
             worst_area = max(worst_area,
-                             abs(hy.polygon_area(poly) - fan_defect_area(poly)))
+                             abs(polygon_area(poly) - fan_defect_area(poly)))
     worst_rt = 0.0
     for g in (1, 2, 3):
         for frac in (0.1, 0.5, 0.9):
             area = frac * (4 * g - 2) * math.pi
             radius = hy.radius_for_area(g, area)
             worst_rt = max(worst_rt,
-                           abs(hy.polygon_area(hy.build_symmetric_polygon(g, radius)) - area))
+                           abs(polygon_area(build_symmetric_polygon(g, radius)) - area))
     report("4 Gauss-Bonnet oracle and radius round trip",
            worst_area <= 1e-9 and worst_rt <= 1e-8,
            f"oracle dev {worst_area:.2e}, round trip {worst_rt:.2e}")

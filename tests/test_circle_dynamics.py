@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
 from fold_reference import disk_product, fold_error_scale, holonomy_translation_number
+from polygon_reference import build_symmetric_polygon, side_pairings, symmetric_pairings
 
 
 def random_pl(rng, max_knots=5, max_den=32):
@@ -187,8 +188,8 @@ class TestWoodBound:
         assert cd.wood_bound_check([a, b]).ok
 
     def test_hyperbolic_pairings_within_bound(self):
-        poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
-        lifts = [hy.boundary_lift(p) for p in hy.side_pairings(poly)]
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
+        lifts = [hy.boundary_lift(p) for p in side_pairings(poly)]
         check = cd.wood_bound_check(lifts)
         assert check.ok and check.bound == 4.0
 
@@ -327,8 +328,8 @@ def track_lift(circle_map, lift_at_0):
 
 class TestTrackLift:
     def test_tracking_matches_pointwise_eval(self):
-        poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [hy.boundary_lift(p) for p in hy.side_pairings(poly)]
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
+        lifts = [hy.boundary_lift(p) for p in side_pairings(poly)]
         rel = cd.evaluate_relator(lifts)
 
         def circle_map(z):
@@ -345,8 +346,8 @@ class TestTrackLift:
             assert abs(vals[k] - rel.eval(k / n)) <= 1e-9
 
     def test_flatten_agrees_with_tracking_winding(self):
-        poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [hy.boundary_lift(p) for p in hy.side_pairings(poly)]
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
+        lifts = [hy.boundary_lift(p) for p in side_pairings(poly)]
         rel = cd.evaluate_relator(lifts)
         flat = cd.flatten(rel)
         assert isinstance(flat, cd.MoebiusBoundaryLift)
@@ -366,8 +367,8 @@ class TestTrackLift:
 def polygon_relator(g, share):
     """The lifted holonomy relator of the symmetric 4g-gon and its area."""
     area = share * (4 * g - 2) * math.pi
-    poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, area))
-    return cd.evaluate_relator([hy.boundary_lift(p) for p in hy.side_pairings(poly)]), area
+    poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
+    return cd.evaluate_relator([hy.boundary_lift(p) for p in side_pairings(poly)]), area
 
 
 SHARES_LOW = (0.001, 0.01, 0.1, 0.5, 0.9)
@@ -416,8 +417,8 @@ class TestMoebiusSeam:
                       | {2.0 ** -j for j in range(1, 200)})
         lifts = list(self.half_turns(100))
         for g, share in ((2, 0.5), (2, 1 - 1e-6), (3, 0.99)):
-            poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, share * (4 * g - 2) * math.pi))
-            lifts += [hy.boundary_lift(p) for p in hy.side_pairings(poly)]
+            poly = build_symmetric_polygon(g, hy.radius_for_area(g, share * (4 * g - 2) * math.pi))
+            lifts += [hy.boundary_lift(p) for p in side_pairings(poly)]
         for f in lifts:
             values = [f.eval(t) for t in grid]
             assert all(a <= b for a, b in zip(values, values[1:]))
@@ -636,7 +637,7 @@ class TestMoebiusDisplacement:
     @pytest.mark.parametrize("g", range(1, 9))
     def test_polygon_relators_obey_milnor_wood(self, g):
         for share in SHARES_LOW + SHARES_TOP:
-            _, pairings = hy.symmetric_pairings(g, share * (4 * g - 2) * math.pi)
+            _, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
             lifts = [hy.boundary_lift(p) for p in pairings]
             check = cd.wood_bound_check(lifts)
             assert check.ok and check.bound == 2 * g

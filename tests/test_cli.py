@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import polygon_reference
 from contactbundles import circle_dynamics, cli, hyperbolic
 from contactbundles import multicurve as mc
 
@@ -28,6 +29,19 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out) if out else None, err
+
+
+def refuse_full_build(monkeypatch, vertices: int):
+    """Let a command read at most `vertices` vertices and one handle's
+    pairings; reading more, as the full build does, raises."""
+    def refuse():
+        raise AssertionError("the command built the whole polygon")
+
+    polygon_vertices, pairings = hyperbolic.polygon_vertices, hyperbolic._pairings
+    monkeypatch.setattr(hyperbolic, "polygon_vertices", lambda g, radius, count: (
+        polygon_vertices(g, radius, count) if count <= vertices else refuse()))
+    monkeypatch.setattr(hyperbolic, "_pairings", lambda g, radius, handles: (
+        pairings(g, radius, handles) if handles == 1 else refuse()))
 
 
 class TestClassifyCommand:
@@ -148,11 +162,7 @@ class TestHolonomyCommand:
         assert abs(out["abs_rho"] - out["target_abs_rho"]) <= out["error_bound"]
 
     def test_builds_no_polygon(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("holonomy built the polygon")
-
-        monkeypatch.setattr(hyperbolic, "build_symmetric_polygon", refuse)
-        monkeypatch.setattr(hyperbolic, "side_pairings", refuse)
+        refuse_full_build(monkeypatch, vertices=0)
         code, rep, _ = run_json(capsys, "holonomy", "--genus", "8", "--area", "29.997pi")
         assert code == 0 and rep["outputs"]["commutator_class"] == "elliptic"
 
@@ -223,10 +233,70 @@ class TestPolygonCommand:
         monkeypatch.setattr(hyperbolic, "hdistance", counted)
         code, _, _ = run(capsys, "polygon", "--genus", str(g), "--area", f"{2 * g - 1}pi")
         assert code == 0 and len(calls) == 4
-        poly = hyperbolic.build_symmetric_polygon(g, 1.5)
         calls.clear()
-        hyperbolic.polygon_area(poly)
+        hyperbolic.polygon_area(g, *hyperbolic.polygon_vertices(g, 1.5, 2))
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("g", [1, 8, 10 ** 4])
+    def test_measures_one_handle(self, capsys, monkeypatch, g):
+        """O(1) work in g: five vertices, the first handle's two pairings,
+        4 image distances and 4 distances per report, at every genus."""
+        refuse_full_build(monkeypatch, vertices=5)
+        calls = []
+        for name in ("hdistance", "image_distance"):
+            fn = getattr(hyperbolic, name)
+            monkeypatch.setattr(hyperbolic, name,
+                                lambda *args, _name=name, _fn=fn: calls.append(_name) or _fn(*args))
+        for share in (1e-3, 0.5, 1 - 1e-6):
+            area = share * (4 * g - 2)
+            code, rep, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", f"{area!r}pi")
+            assert code == 0 and sorted(calls) == ["hdistance"] * 4 + ["image_distance"] * 4
+            out = rep["outputs"]
+            assert out["pairing_residual_max"] <= out["pairing_residual_bound"]
+            calls.clear()
+
+    #: the shares of the `geometry` benchmark's `polygon` requests at the top
+    TOP_SHARES = (0.95, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6)
+
+    @staticmethod
+    def outputs(monkeypatch, g, area_text):
+        """The unrounded outputs of one `polygon` report."""
+        seen = []
+        monkeypatch.setattr(cli, "_emit", lambda command, inputs, outputs, error=None:
+                            seen.append(outputs) or 0)
+        assert cli.main(["polygon", "--genus", str(g), "--area", area_text]) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("g", [*range(1, 9), 10 ** 4])
+    def test_fields_match_the_full_build(self, monkeypatch, g):
+        """Bit for bit against the report measured on all 4g vertices and 2g
+        pairings, but for the residual, which the full build takes over every
+        handle: at g = 1 handle 1 is the whole polygon, so it matches too."""
+        rng = random.Random(g)
+        shares = ([(i + rng.random()) * 0.9 / 14 for i in range(14)] + list(self.TOP_SHARES)
+                  if g <= 8 else [1e-3, 0.5, 1 - 1e-6])
+        for share in shares:
+            area_text = f"{share * (4 * g - 2)!r}pi"
+            out = self.outputs(monkeypatch, g, area_text)
+            ref = polygon_reference.polygon_outputs(g, cli._parse_area(area_text))
+            residual, bound = out.pop("pairing_residual_max"), out.pop("pairing_residual_bound")
+            full_residual = ref.pop("pairing_residual_max")
+            assert out == ref, (g, share)
+            assert residual <= full_residual <= bound
+            if g == 1:
+                assert residual == full_residual
+
+    def test_residual_near_the_top_within_its_bound(self, capsys):
+        """At g = 2, share 1 - 1e-8, the residual passed 1e-7 (1.16e-7 once):
+        it is not small there, but it lies within its derived bound, on every
+        handle of the full build too."""
+        area = (1 - 1e-8) * 6
+        code, rep, _ = run_json(capsys, "polygon", "--genus", "2", "--area", f"{area!r}pi")
+        out = rep["outputs"]
+        assert code == 0 and out["pairing_residual_max"] <= out["pairing_residual_bound"]
+        poly, pairings = polygon_reference.symmetric_pairings(2, area * math.pi)
+        bound = hyperbolic.pairing_residual_bound(2, poly.circumradius)
+        assert max(polygon_reference.pairing_residuals(poly, pairings)) <= bound
 
     def test_side_length_is_the_first_side(self, capsys):
         rng = random.Random(41)
@@ -235,7 +305,7 @@ class TestPolygonCommand:
                 share = rng.uniform(0.001, 0.999)
                 area = share * (4 * g - 2)
                 _, rep, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", f"{area!r}pi")
-                poly, _ = hyperbolic.symmetric_pairings(g, area * math.pi)
+                poly, _ = polygon_reference.symmetric_pairings(g, area * math.pi)
                 first = hyperbolic.hdistance(poly.vertex(1), poly.vertex(2))
                 assert rep["outputs"]["side_length"] == cli._round12(first)
 
@@ -478,7 +548,8 @@ class TestArgumentDomains:
         assert code == 0 and rep["outputs"]["genus"] == 3
         code, out, err = run(capsys, command, "--genus", "4", "--area", "1pi")
         assert code == 2 and out == ""
-        assert err == "error: genus must be <= 3: the polygon is built in time linear in g\n"
+        assert err == ("error: genus must be <= 3: the polygon's rounding bounds are tested "
+                       "only up to there\n")
 
     @pytest.mark.parametrize("command", ["holonomy", "polygon"])
     @pytest.mark.parametrize("genus", [hyperbolic.MAX_GENUS + 1, 10 ** 20])

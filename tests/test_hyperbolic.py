@@ -12,6 +12,8 @@ from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
 from fold_reference import (commutator_product, holonomy_relator, holonomy_translation_number,
                             proj_distance)
+from polygon_reference import (SymmetricPolygon, build_symmetric_polygon, pairing_residuals,
+                               polygon_area, side_pairings, symmetric_pairings)
 
 
 def mobius_to_origin(p: complex):
@@ -37,7 +39,7 @@ def angle_at(p: complex, q1: complex, q2: complex) -> float:
     return min(d, 2 * math.pi - d)
 
 
-def fan_defect_area(poly: hy.SymmetricPolygon) -> float:
+def fan_defect_area(poly: SymmetricPolygon) -> float:
     """Triangulated angle-defect oracle: fan from s_1, defect pi - (sum of angles)."""
     v = poly.vertices
     total = 0.0
@@ -165,14 +167,14 @@ class TestDistance:
 
 class TestPolygon:
     def test_square_all_sides_equal(self):
-        poly = hy.build_symmetric_polygon(1, 1.0)
+        poly = build_symmetric_polygon(1, 1.0)
         assert len(poly.vertices) == 4
         lengths = [hy.hdistance(poly.vertex(k), poly.vertex(k + 1)) for k in range(1, 5)]
         assert max(lengths) - min(lengths) <= 1e-12
 
     @pytest.mark.parametrize("g", [1, 2, 3, 5, 8, 10, 20, 40, 100, 300, 1000, 3000, 10 ** 4])
     def test_side_drift_within_derived_bound(self, g):
-        # the rounding bound derived in `build_symmetric_polygon`, over its
+        # the rounding bound derived in `polygon_vertices`, over its
         # domain up to the largest accepted area (at most 0.084 of the bound,
         # at g = 20 there); 1 - 1e-12 lies above the float limit from g = 3000
         s_max, n = (4 * g - 2) * math.pi, 4 * g
@@ -183,7 +185,7 @@ class TestPolygon:
                 radius = hy.radius_for_area(g, area)
             except hy.AreaOutOfRange:
                 continue
-            poly = hy.build_symmetric_polygon(g, radius)
+            poly = build_symmetric_polygon(g, radius)
             sides = [hy.hdistance(poly.vertex(k), poly.vertex(k + 1)) for k in range(1, n + 1)]
             r = math.tanh(radius / 2.0)
             bound = 48 * sys.float_info.epsilon * (sides[0] + n + 1.0 / ((1.0 - r) * (1.0 + r)))
@@ -191,8 +193,20 @@ class TestPolygon:
             checked += 1
         assert checked == (8 if g >= 3000 else 9)
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 8, 20, 100, 1000, 10 ** 4])
+    def test_pairing_residual_within_derived_bound(self, g):
+        # `polygon` measures one handle and reports `pairing_residual_bound`:
+        # every handle of the full build lies within it, up to the largest
+        # accepted area (at most 0.081 of it in sinh(d/2), at g = 10^4)
+        s_max = (4 * g - 2) * math.pi
+        shares = (1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9)
+        for area in [share * s_max for share in shares] + [largest_accepted_area(g)]:
+            poly, pairings = symmetric_pairings(g, area)
+            bound = hy.pairing_residual_bound(g, poly.circumradius)
+            assert max(pairing_residuals(poly, pairings)) <= bound, (g, area)
+
     def test_pairing_length_constraints(self):
-        poly = hy.build_symmetric_polygon(2, 2.0)
+        poly = build_symmetric_polygon(2, 2.0)
         assert len(poly.vertices) == 8
         d = hy.hdistance
         for i in range(1, 3):
@@ -202,11 +216,11 @@ class TestPolygon:
 
     def test_small_radius_small_area(self):
         for g in (1, 2):
-            assert hy.polygon_area(hy.build_symmetric_polygon(g, 1e-4)) <= 1e-6
+            assert polygon_area(build_symmetric_polygon(g, 1e-4)) <= 1e-6
 
     def test_area_below_ideal_bound(self):
         for radius in (0.5, 2.0, 6.0):
-            area = hy.polygon_area(hy.build_symmetric_polygon(1, radius))
+            area = polygon_area(build_symmetric_polygon(1, radius))
             assert 0.0 < area < 2 * math.pi
 
 
@@ -214,13 +228,13 @@ class TestGaussBonnet:
     @pytest.mark.parametrize("g", [1, 2, 3])
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
     def test_area_matches_fan_defect_oracle(self, g, radius):
-        poly = hy.build_symmetric_polygon(g, radius)
-        assert abs(hy.polygon_area(poly) - fan_defect_area(poly)) <= 1e-9
+        poly = build_symmetric_polygon(g, radius)
+        assert abs(polygon_area(poly) - fan_defect_area(poly)) <= 1e-9
 
     def test_radius_for_area_round_trip(self):
         for g, area in ((1, 1.0), (2, 4 * math.pi), (2, 12.0), (3, 25.0)):
             radius = hy.radius_for_area(g, area)
-            assert abs(hy.polygon_area(hy.build_symmetric_polygon(g, radius)) - area) <= 1e-9
+            assert abs(polygon_area(build_symmetric_polygon(g, radius)) - area) <= 1e-9
 
     def test_radius_closed_form_oracle(self):
         # cosh R = cot(pi/n) * cot(beta/2), evaluated in 40-digit arithmetic
@@ -270,8 +284,8 @@ class TestGaussBonnet:
         with pytest.raises(hy.AreaOutOfRange, match="float limit"):
             hy.radius_for_area(g, math.nextafter(limit, 0.0))
         for area in [limit * (1 + k / 64) for k in range(64)] + [limit * 10.0 ** k for k in range(1, 300, 7)]:
-            poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, area))
-            assert abs(hy.polygon_area(poly) - area) <= 16 * sys.float_info.epsilon * s_max
+            poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
+            assert abs(polygon_area(poly) - area) <= 16 * sys.float_info.epsilon * s_max
 
     @pytest.mark.parametrize("g", [1, 2, 3, 10, 40])
     def test_last_floats_below_the_top(self, g):
@@ -285,7 +299,7 @@ class TestGaussBonnet:
             except hy.AreaOutOfRange:
                 assert built == 0  # refused areas lie above every accepted one
                 continue
-            hy.side_pairings(hy.build_symmetric_polygon(g, radius))
+            side_pairings(build_symmetric_polygon(g, radius))
             built += 1
         assert built > 0
 
@@ -312,8 +326,8 @@ class TestIsometryFromSegments:
 
 class TestSidePairings:
     def test_square_vertex_conditions(self):
-        poly = hy.build_symmetric_polygon(1, 1.3)
-        p1, p2 = hy.side_pairings(poly)
+        poly = build_symmetric_polygon(1, 1.3)
+        p1, p2 = side_pairings(poly)
         s = poly.vertex
         assert hy.hdistance(p1.apply_complex(s(3)), s(2)) <= 1e-9
         assert hy.hdistance(p1.apply_complex(s(4)), s(1)) <= 1e-9
@@ -321,8 +335,8 @@ class TestSidePairings:
         assert hy.hdistance(p2.apply_complex(s(3)), s(4)) <= 1e-9
 
     def test_genus2_conditions(self):
-        poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 5 * math.pi))
-        pairings = hy.side_pairings(poly)
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5 * math.pi))
+        pairings = side_pairings(poly)
         s = poly.vertex
         for i in range(1, 3):
             po, pe = pairings[2 * (i - 1)], pairings[2 * (i - 1) + 1]
@@ -338,7 +352,7 @@ class TestSidePairings:
         center = complex(0.0, 0.0)
         for g in (1, 2):
             for radius in (1e-3, 1e-4):
-                for p in hy.side_pairings(hy.build_symmetric_polygon(g, radius)):
+                for p in side_pairings(build_symmetric_polygon(g, radius)):
                     assert hy.hdistance(p.apply_complex(center), center) <= 5 * radius
                     assert abs(p.trace()) <= 2.0 + 10 * radius ** 2
 
@@ -346,9 +360,9 @@ class TestSidePairings:
     def test_half_turns_match_segment_reference(self, g):
         s_max = (4 * g - 2) * math.pi
         for share in (0.2, 0.5, 0.8):
-            poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, share * s_max))
+            poly = build_symmetric_polygon(g, hy.radius_for_area(g, share * s_max))
             s = poly.vertex
-            pairings = hy.side_pairings(poly)
+            pairings = side_pairings(poly)
             for i in range(1, g + 1):
                 ref_odd = isometry_from_segments(s(4 * i - 1), s(4 * i), s(4 * i - 2), s(4 * i - 3))
                 ref_even = isometry_from_segments(s(4 * i - 2), s(4 * i - 1), s(4 * i + 1), s(4 * i))
@@ -357,8 +371,8 @@ class TestSidePairings:
 
     def test_pairings_preserve_distance(self):
         rng = random.Random(13)
-        poly = hy.build_symmetric_polygon(2, 1.7)
-        for iso in hy.side_pairings(poly):
+        poly = build_symmetric_polygon(2, 1.7)
+        for iso in side_pairings(poly):
             for _ in range(25):
                 p, q = random_point(rng), random_point(rng)
                 assert abs(hy.hdistance(iso.apply_complex(p), iso.apply_complex(q)) -
@@ -373,33 +387,33 @@ class TestCommutatorProduct:
         assert abs(abs(prod.trace()) - 2.0) <= 1e-12
 
     def test_area_4pi_gives_identity(self):
-        poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
-        prod = commutator_product(hy.side_pairings(poly))
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
+        prod = commutator_product(side_pairings(poly))
         assert proj_distance(prod, hy.Isometry2H.identity()) <= 1e-6
 
     def test_area_5pi_trace_zero(self):
-        poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 5 * math.pi))
-        prod = commutator_product(hy.side_pairings(poly))
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5 * math.pi))
+        prod = commutator_product(side_pairings(poly))
         assert abs(prod.trace()) <= 1e-6
 
     @pytest.mark.parametrize("g,area", [(1, 1.0), (2, 2.0), (2, 10.0), (3, 20.0)])
     def test_elliptic_with_angle_sum_trace(self, g, area):
-        poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, area))
-        prod = commutator_product(hy.side_pairings(poly))
+        poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
+        prod = commutator_product(side_pairings(poly))
         expected = 2 * abs(math.cos(((4 * g - 2) * math.pi - area) / 2))
         assert abs(abs(prod.trace()) - expected) <= 1e-6
         assert proj_distance(prod, prod) == 0.0
 
     def test_fixes_first_vertex(self):
-        poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 7.0))
-        prod = commutator_product(hy.side_pairings(poly))
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 7.0))
+        prod = commutator_product(side_pairings(poly))
         assert hy.hdistance(prod.apply_complex(poly.vertex(1)), poly.vertex(1)) <= 1e-9
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_same_fold_as_the_flattened_relator(self, g):
         """One association for both: the matrices are bit-identical."""
         for share in (0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.9999, 1 - 1e-6):
-            _, pairings = hy.symmetric_pairings(g, share * (4 * g - 2) * math.pi)
+            _, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
             prod = commutator_product(pairings)
             flat = cd.flatten(holonomy_relator(pairings)).iso
             assert (prod.a, prod.b, prod.c, prod.d) == (flat.a, flat.b, flat.c, flat.d)
@@ -431,7 +445,7 @@ class TestSymmetricRelator:
     def test_trace_of_the_fold(self, g):
         """-(C R)^g: the fold's trace with its sign, within the two slacks."""
         for share in (0.001, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6):
-            poly, pairings = hy.symmetric_pairings(g, share * (4 * g - 2) * math.pi)
+            poly, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
             rel = hy.symmetric_relator(g, poly.circumradius)
             fold = cd.flatten(holonomy_relator(pairings))
             assert (abs(rel.iso.trace() - fold.iso.trace())
@@ -440,7 +454,7 @@ class TestSymmetricRelator:
     def test_pairings_of_the_next_handle_are_rotated(self):
         """phi_{2i+1} = R phi_{2i-1} R^-1 with R = Rot(-2 pi/g), which the power rests on."""
         for g in (2, 5, 40):
-            _, pairings = hy.symmetric_pairings(g, 0.7 * (4 * g - 2) * math.pi)
+            _, pairings = symmetric_pairings(g, 0.7 * (4 * g - 2) * math.pi)
             rot = hy.Isometry2H.rotation(-2 * math.pi / g)
             for i in range(2 * g - 2):
                 assert proj_distance(pairings[i + 2], rot @ pairings[i] @ rot.inverse()) <= 1e-9
@@ -491,11 +505,11 @@ class TestHolonomy:
         with pytest.raises(ValueError, match="genus must be <= 2"):
             holonomy_translation_number(3, math.pi, 100)
         with pytest.raises(ValueError, match="genus must be >= 1"):
-            hy.symmetric_pairings(0, math.pi)
+            symmetric_pairings(0, math.pi)
 
     def test_lift_independence_of_relator(self):
-        poly = hy.build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [hy.boundary_lift(p) for p in hy.side_pairings(poly)]
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
+        lifts = [hy.boundary_lift(p) for p in side_pairings(poly)]
         rel = cd.evaluate_relator(lifts)
         bumped = list(lifts)
         bumped[2] = cd.MoebiusBoundaryLift(lifts[2].iso, lifts[2].winding + 1)
@@ -522,13 +536,13 @@ class TestIsometryValidation:
 
 class TestDiskDomain:
     """|z| < 1 is checked where a formula needs it: `hdistance` on its points,
-    `build_symmetric_polygon` on its radius; a computed image is never checked."""
+    `polygon_vertices` on its radius; a computed image is never checked."""
 
     def test_boundary_point_and_huge_radius_rejected(self):
         with pytest.raises(ValueError, match="unit disk"):
             hy.hdistance(1 + 0j, 0j)
         with pytest.raises(ValueError, match="circumradius"):
-            hy.build_symmetric_polygon(2, 80.0)
+            build_symmetric_polygon(2, 80.0)
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_image_distance_matches_the_rounded_image(self, g):
@@ -538,7 +552,7 @@ class TestDiskDomain:
         s_max = (4 * g - 2) * math.pi
         shares = [rng.uniform(0.001, 0.999) for _ in range(6)] + list(TestTopOfAreaRange.SHARES)
         for share in shares:
-            poly, pairings = hy.symmetric_pairings(g, share * s_max)
+            poly, pairings = symmetric_pairings(g, share * s_max)
             s = poly.vertex
             for i in range(1, g + 1):
                 po, pe = pairings[2 * i - 2], pairings[2 * i - 1]
@@ -559,15 +573,15 @@ class TestTopOfAreaRange:
         s_max = (4 * g - 2) * math.pi
         for share in self.SHARES:
             area = share * s_max
-            poly = hy.build_symmetric_polygon(g, hy.radius_for_area(g, area))
-            pairings = hy.side_pairings(poly)
+            poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
+            pairings = side_pairings(poly)
             s = poly.vertex
             for i in range(1, g + 1):
                 po, pe = pairings[2 * i - 2], pairings[2 * i - 1]
                 for iso, a, b in ((po, 4 * i - 1, 4 * i - 2), (po, 4 * i, 4 * i - 3),
                                   (pe, 4 * i - 2, 4 * i + 1), (pe, 4 * i - 1, 4 * i)):
                     assert hy.hdistance(iso.apply_complex(s(a)), s(b)) <= 1e-7
-            assert abs(hy.polygon_area(poly) - area) <= 1e-9 * s_max
+            assert abs(polygon_area(poly) - area) <= 1e-9 * s_max
             trace = commutator_product(pairings).trace()
             assert abs(abs(trace) - 2 * abs(math.cos((s_max - area) / 2))) <= 1e-6
             lifts = [hy.boundary_lift(p) for p in pairings]
@@ -589,8 +603,8 @@ class TestTopOfAreaRange:
                 radius = hy.radius_for_area(g, area)
             except hy.AreaOutOfRange:
                 continue
-            poly = hy.build_symmetric_polygon(g, radius)
-            assert abs(hy.polygon_area(poly) - area) <= 16 * sys.float_info.epsilon * s_max
+            poly = build_symmetric_polygon(g, radius)
+            assert abs(polygon_area(poly) - area) <= 16 * sys.float_info.epsilon * s_max
             checked += 1
         assert checked == (14 if g == 20 else 15)
 
