@@ -331,10 +331,6 @@ def compose(f: LiftedCircleMap, g: LiftedCircleMap) -> LiftedCircleMap:
     return WordMap(f.letters() + g.letters())
 
 
-def invert(f: LiftedCircleMap) -> LiftedCircleMap:
-    return f.inverse()
-
-
 def _reduced(p: int, q: int) -> tuple:
     d = math.gcd(p, q)
     return p // d, q // d
@@ -882,12 +878,3 @@ def euler_from_sections(fD: LiftedCircleMap, fK: LiftedCircleMap) -> int:
     if abs(mid - k) > tol:
         raise NonIntegerDifference(f"constant difference {mid} is not an integer")
     return int(k)
-
-
-def translation(c: Scalar) -> PiecewiseLinearMap:
-    """The lift t -> t + c."""
-    return PiecewiseLinearMap.translation(c)
-
-
-def identity() -> PiecewiseLinearMap:
-    return PiecewiseLinearMap.identity()

@@ -82,8 +82,6 @@ def _parse_area(text: str) -> float:
 
 def cmd_classify(args) -> int:
     chiS, euler = args.chi_s, args.euler
-    if chiS % 2 or chiS > 2:
-        raise ValueError("--chi-s must be an even integer <= 2")
     te = classify.transverse_exists(chiS, euler)
     out = {
         "transverse_exists": te,
@@ -126,7 +124,7 @@ def cmd_classify(args) -> int:
 
 def cmd_holonomy(args) -> int:
     area = _parse_area(args.area)
-    radius = hyperbolic.checked_radius(args.genus, area)
+    radius = hyperbolic.radius_for_area(args.genus, area)
     relator = hyperbolic.symmetric_relator(args.genus, radius)
     est = circle_dynamics.translation_number(relator, args.iters)
     trace = relator.iso.trace()
@@ -152,10 +150,10 @@ def cmd_holonomy(args) -> int:
 def cmd_polygon(args) -> int:
     area = _parse_area(args.area)
     g = args.genus
-    radius = hyperbolic.checked_radius(g, area)
+    radius = hyperbolic.radius_for_area(g, area)
     # handle i + 1 is handle i turned by Rot(-2*pi/g): measure the first, bound them all
     s1, s2, s3, s4, s5 = hyperbolic.polygon_vertices(g, radius, 5)
-    phi_1, phi_2 = hyperbolic._pairings(g, radius, 1)
+    phi_1, phi_2 = hyperbolic.side_pairings(g, radius, 1)
     residuals = (
         hyperbolic.image_distance(phi_1, s3, s2),
         hyperbolic.image_distance(phi_1, s4, s1),

@@ -1,7 +1,7 @@
 """Symbolic differential 1-forms: parsing, exterior calculus, model catalog."""
 
-from .expr import (Expr, FormSyntaxError, UnknownVariableError, diff, eval_expr,
-                   normalize, parse_expr, rational, render, subst)
+from .expr import (Expr, FormSyntaxError, UnknownVariableError, diff, normalize, parse_expr,
+                   rational, render, subst)
 from .forms import (MAX_GRID_POINTS, Chart, ContactReport, DegenerateKernel, OneForm,
                     SlopeOutOfRange, TorusSlope, TwoForm, characteristic_slope_on_torus,
                     contact_sign, exterior_derivative, forms_equal_numeric, grid_counts,
@@ -13,8 +13,8 @@ from .models import (HopfCheck, ModelForm, clairaut_band_form, connection_family
                      three_torus_form, torus_wrapping_pullback)
 
 __all__ = [
-    "Expr", "FormSyntaxError", "UnknownVariableError", "diff", "eval_expr",
-    "normalize", "parse_expr", "rational", "render", "subst",
+    "Expr", "FormSyntaxError", "UnknownVariableError", "diff", "normalize", "parse_expr",
+    "rational", "render", "subst",
     "MAX_GRID_POINTS", "Chart", "ContactReport", "DegenerateKernel", "OneForm", "SlopeOutOfRange",
     "TorusSlope", "TwoForm", "characteristic_slope_on_torus", "contact_sign",
     "exterior_derivative", "forms_equal_numeric", "grid_counts", "parse_chart", "parse_form",

@@ -32,8 +32,8 @@ decimal and scientific notation) are parsed bit-exactly, through
 
 `compile_expr` is the numeric evaluator of the library: a value-numbered list
 of numpy steps that computes each repeated subtree once and returns values on
-the broadcast shape of the coordinates it reads.  `eval_expr` walks the tree
-point by point and is kept as its reference.
+the broadcast shape of the coordinates it reads.  Its reference, the
+tree-walking `eval_expr`, is kept with the tests (tests/expr_reference.py).
 """
 
 from __future__ import annotations
@@ -528,35 +528,6 @@ def variables(e: Expr) -> set:
         else:
             stack += _children(x)
     return names
-
-
-def eval_expr(e: Expr, env: Mapping[str, float]) -> float:
-    if isinstance(e, Rat):
-        return e.num / e.den
-    if isinstance(e, Pi):
-        return math.pi
-    if isinstance(e, Var):
-        return float(env[e.name])
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, env)
-    if isinstance(e, Add):
-        return math.fsum(eval_expr(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= eval_expr(f, env)
-        return out
-    if isinstance(e, Div):
-        return eval_expr(e.num, env) / eval_expr(e.den, env)
-    if isinstance(e, Pow):
-        return eval_expr(e.base, env) ** e.exponent
-    if isinstance(e, Sin):
-        return math.sin(eval_expr(e.arg, env))
-    if isinstance(e, Cos):
-        return math.cos(eval_expr(e.arg, env))
-    if isinstance(e, Exp):
-        return math.exp(eval_expr(e.arg, env))
-    raise TypeError(f"not an expression: {e!r}")
 
 
 def compile_expr(e: Expr, names: Sequence[str]):

@@ -24,12 +24,13 @@ normalized or rebuilt tree keeps its polynomial, which `_ring` reads, so
 each coefficient is expanded once.
 
 Numbers come from `compile_expr` kernels, value-numbered lists of numpy
-steps evaluated on numpy arrays; the tree-walking `expr.eval_expr` is the
-reference they are tested against.  `contact_sign` evaluates and refines on
-sparse `meshgrid` axes, so its cost follows the axes the coefficient and the
-exclusions read, and its grid is bounded by MAX_GRID_POINTS.  Callers that
-need one value per point (`coefficient_values`, `characteristic_slope_on_torus`,
-a refinement block) pad kernel values to the full shape with `_padded`.
+steps evaluated on numpy arrays; the tree-walking `eval_expr` of the tests
+(tests/expr_reference.py) is the reference they are tested against.
+`contact_sign` evaluates and refines on sparse `meshgrid` axes, so its cost
+follows the axes the coefficient and the exclusions read, and its grid is
+bounded by MAX_GRID_POINTS.  Callers that need one value per point
+(`coefficient_values`, `characteristic_slope_on_torus`, a refinement block)
+pad kernel values to the full shape with `_padded`.
 """
 
 from __future__ import annotations

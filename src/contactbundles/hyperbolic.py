@@ -16,7 +16,7 @@ The pairings and vertices of one handle are those of the previous one turned
 by the rotation Rot(-2*pi/g), so the relator is one handle's commutator times
 that rotation, raised to the g-th power (`symmetric_relator`, O(log g)
 products), and `polygon` measures the first handle only: the vertices
-s_1..s_5 (`polygon_vertices`), phi_1 and phi_2 (`_pairings`), and a residual
+s_1..s_5 (`polygon_vertices`), phi_1 and phi_2 (`side_pairings`), and a residual
 bound that covers every handle (`pairing_residual_bound`).
 
 Isometries are stored as real SL(2) matrices (PSL(2, R), identified with
@@ -36,7 +36,7 @@ Groups, 7.11 and 7.17)
     cosh R = cot(pi/n) * cot(beta/2),    tanh rho = tanh R * cos(pi/n).
 
 The pairings are half-turns about edge midpoints followed by rotations about
-the origin (`_pairings`); since rho < atanh(cos(pi/n)), their entries
+the origin (`side_pairings`); since rho < atanh(cos(pi/n)), their entries
 stay bounded as the area approaches (4g-2)*pi and the vertices the boundary.
 """
 
@@ -155,7 +155,7 @@ def polygon_vertices(g: int, radius: float, count: int) -> List[complex]:
     error of u (above, plus 6*eps to evaluate u) plus eps*s, so two sides
     differ by at most eps*(2s + 20n + 48/(1 - |z|^2)) <= 48*eps*(s + n +
     1/(1 - |z|^2)), a bound that tests/test_hyperbolic.py checks over the
-    whole domain of `checked_radius`.  A radius with r not in (0, _R_MAX]
+    whole domain of `radius_for_area`.  A radius with r not in (0, _R_MAX]
     raises ValueError.
     """
     if g < 1:
@@ -189,6 +189,14 @@ def polygon_area(g: int, s1: complex, s2: complex) -> float:
     return (n - 2) * math.pi - 2 * n * theta
 
 
+#: Largest genus `radius_for_area` accepts.  `polygon` and `holonomy` do work
+#: logarithmic in g, but `pairing_residual_bound` and the side bound of
+#: `polygon_vertices` are tested against the full build only up to here, and
+#: from g ~ 10^3 on `holonomy`'s error bound is about 2, so a larger genus
+#: would get reports that say little.
+MAX_GENUS = 10 ** 4
+
+
 def radius_for_area(g: int, area: float) -> float:
     """Circumradius R of the regular 4g-gon of the given area, in closed form.
 
@@ -196,11 +204,16 @@ def radius_for_area(g: int, area: float) -> float:
     (module docstring).  Since pi/n + beta/2 = pi/2 - area/(2n), it is
     evaluated without cancellation at either end of (0, (4g-2)*pi) as
     2*sinh(R/2)^2 = cosh R - 1 = sin(area/(2n)) / (sin(pi/n) * sin(beta/2)).
-    Areas beyond the float limits at both ends are refused: below 2n times the smallest
-    normal float, R loses its digits; above tanh(R/2) = _R_MAX, the vertices reach |z| = 1.
+    The domain is 1 <= g <= MAX_GENUS and 0 < area < (4g-2)*pi; outside it this
+    raises ValueError (AreaOutOfRange for the area).  Areas beyond the float limits at
+    both ends are refused too: below 2n times the smallest normal float, R loses its
+    digits; above tanh(R/2) = _R_MAX, the vertices reach |z| = 1.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
+    if g > MAX_GENUS:
+        raise ValueError(f"genus must be <= {MAX_GENUS}: the polygon's rounding bounds "
+                         "are tested only up to there")
     amax = (4 * g - 2) * math.pi
     if not (0.0 < area < amax):
         raise AreaOutOfRange(f"area must lie strictly between 0 and {amax}")
@@ -225,7 +238,7 @@ def _from_origin(z: complex) -> Isometry2H:
     return Isometry2H.from_disk_coefficients(1.0 + 0.0j, z)
 
 
-def _pairings(g: int, radius: float, handles: int) -> List[Isometry2H]:
+def side_pairings(g: int, radius: float, handles: int) -> List[Isometry2H]:
     """phi_1, ..., phi_{2*handles} of the symmetric 4g-gon of circumradius
     `radius`; all 2g of them at handles = g.
 
@@ -254,7 +267,7 @@ def _pairings(g: int, radius: float, handles: int) -> List[Isometry2H]:
 
 
 def pairing_residual_bound(g: int, radius: float) -> float:
-    """Bound on image_distance(phi, p, q) for every pairing phi of `_pairings`
+    """Bound on image_distance(phi, p, q) for every pairing phi of `side_pairings`
     and each of its two vertex pairs (p, q) of `polygon_vertices`, at every
     handle of the 4g-gon of circumradius `radius`.
 
@@ -293,18 +306,13 @@ def pairing_residual_bound(g: int, radius: float) -> float:
     the top D is not close to 1 - r^2 and N/D is not small, so the bound
     keeps the distance formula instead of its first order 2*N/D.  No handle
     enters, and tests/test_hyperbolic.py checks the bound against every
-    handle of the full build over the domain of `checked_radius`.
+    handle of the full build over the domain of `radius_for_area`.
     """
     eps = sys.float_info.epsilon
     x = math.tanh(radius) * math.cos(math.pi / (4 * g))
     cosh_rho = 1.0 / math.sqrt((1.0 - x) * (1.0 + x))
     r = math.tanh(radius / 2.0)
     return 2.0 * math.asinh(64 * eps * (1.0 + cosh_rho) / ((1.0 - r - 3 * eps) * (1.0 + r)))
-
-
-def boundary_lift(iso: Isometry2H) -> cd.MoebiusBoundaryLift:
-    """Canonical lift (value at 0 in [0, 1)) of the boundary circle action."""
-    return cd.MoebiusBoundaryLift(iso, 0)
 
 
 def _norm(iso: Isometry2H) -> float:
@@ -347,7 +355,7 @@ def symmetric_relator(g: int, radius: float) -> cd.MoebiusBoundaryLift:
     4g-gon of circumradius `radius`, from one handle in O(log g) products.
 
     The pairings of handle i + 1 are those of handle i conjugated by the
-    polygon's rotation R = Rot(-2*pi/g) (`_pairings`: psi steps by -2*pi/g),
+    polygon's rotation R = Rot(-2*pi/g) (`side_pairings`: psi steps by -2*pi/g),
     so with C = [phi_1, phi_2] the relator telescopes to
     prod_i R^i C R^-i = (C R)^g R^-g.  A commutator of lifts does not depend
     on the lifts, so the same holds for the canonical lifts, and R~^g is the
@@ -381,8 +389,8 @@ def symmetric_relator(g: int, radius: float) -> cd.MoebiusBoundaryLift:
     level by level, so S grows linearly in g.  This S bounds the trace error,
     not ||M^ - M||, so the lift is not a letter for a further fold.
     """
-    phi_1, phi_2 = (boundary_lift(p) for p in _pairings(g, radius, 1))
-    rot = boundary_lift(Isometry2H.rotation(-2.0 * math.pi / g))
+    phi_1, phi_2 = (cd.MoebiusBoundaryLift(p) for p in side_pairings(g, radius, 1))
+    rot = cd.MoebiusBoundaryLift(Isometry2H.rotation(-2.0 * math.pi / g))
     letters = [phi_1, phi_2, phi_1.inverse(), phi_2.inverse(), rot]
     prefixes = list(accumulate(letters, cd._compose_moebius))  # P_<=i
     x = prefixes[-1]
@@ -414,21 +422,3 @@ def symmetric_relator(g: int, radius: float) -> cd.MoebiusBoundaryLift:
 
     relator.error_scale = error_scale
     return relator
-
-
-#: Largest genus `checked_radius` accepts.  `polygon` and `holonomy` do work
-#: logarithmic in g, but `pairing_residual_bound` and the side bound of
-#: `polygon_vertices` are tested against the full build only up to here, and
-#: from g ~ 10^3 on `holonomy`'s error bound is about 2, so a larger genus
-#: would get reports that say little.
-MAX_GENUS = 10 ** 4
-
-
-def checked_radius(g: int, area: float) -> float:
-    """`radius_for_area` on the domain 1 <= g <= MAX_GENUS and 0 < area <
-    (4g-2)*pi between its float limits; outside it this raises ValueError
-    (AreaOutOfRange for the area)."""
-    if g > MAX_GENUS:
-        raise ValueError(f"genus must be <= {MAX_GENUS}: the polygon's rounding bounds "
-                         "are tested only up to there")
-    return radius_for_area(g, area)

@@ -37,7 +37,7 @@ def commutator_product(pairings: Sequence[hy.Isometry2H]) -> hy.Isometry2H:
 
 def holonomy_relator(pairings: Sequence[hy.Isometry2H]) -> cd.WordMap:
     """The relator prod_i [phi_{2i-1}, phi_{2i}] of the pairings' canonical boundary lifts."""
-    return cd.evaluate_relator([hy.boundary_lift(p) for p in pairings])
+    return cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in pairings])
 
 
 def holonomy_translation_number(g: int, area: float, iterations: int) -> cd.TranslationNumberEstimate:

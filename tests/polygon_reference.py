@@ -34,16 +34,16 @@ def build_symmetric_polygon(g: int, radius: float) -> SymmetricPolygon:
     return SymmetricPolygon(g, radius, tuple(hy.polygon_vertices(g, radius, 4 * g)))
 
 
-def side_pairings(poly: SymmetricPolygon) -> List[hy.Isometry2H]:
-    """All 2g side pairings of `hyperbolic._pairings`."""
-    return hy._pairings(poly.genus, poly.circumradius, poly.genus)
+def all_pairings(poly: SymmetricPolygon) -> List[hy.Isometry2H]:
+    """All 2g side pairings of `hyperbolic.side_pairings`."""
+    return hy.side_pairings(poly.genus, poly.circumradius, poly.genus)
 
 
 def symmetric_pairings(g: int, area: float) -> Tuple[SymmetricPolygon, List[hy.Isometry2H]]:
     """The symmetric 4g-gon of the given area and its 2g side pairings, on the
-    domain of `checked_radius`."""
-    poly = build_symmetric_polygon(g, hy.checked_radius(g, area))
-    return poly, side_pairings(poly)
+    domain of `radius_for_area`."""
+    poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
+    return poly, all_pairings(poly)
 
 
 def polygon_area(poly: SymmetricPolygon) -> float:

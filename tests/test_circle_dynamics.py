@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
 from fold_reference import disk_product, fold_error_scale, holonomy_translation_number
-from polygon_reference import build_symmetric_polygon, side_pairings, symmetric_pairings
+from polygon_reference import all_pairings, build_symmetric_polygon, symmetric_pairings
 
 
 def random_pl(rng, max_knots=5, max_den=32):
@@ -43,13 +43,14 @@ class TestCompose:
     def test_identity_neutral(self):
         rng = random.Random(0)
         f = random_pl(rng)
-        comp = cd.compose(cd.identity(), f)
+        comp = cd.compose(cd.PiecewiseLinearMap.identity(), f)
         ts = [Fraction(i, 97) for i in range(97)]
         assert pl_equal(comp, f, ts)
 
     def test_translations_add_exactly(self):
-        f = cd.compose(cd.translation(Fraction(2, 3)), cd.translation(Fraction(1, 5)))
-        expected = cd.translation(Fraction(2, 3) + Fraction(1, 5))
+        f = cd.compose(cd.PiecewiseLinearMap.translation(Fraction(2, 3)),
+                       cd.PiecewiseLinearMap.translation(Fraction(1, 5)))
+        expected = cd.PiecewiseLinearMap.translation(Fraction(2, 3) + Fraction(1, 5))
         ts = [Fraction(i, 41) for i in range(41)]
         assert pl_equal(f, expected, ts)
 
@@ -66,13 +67,13 @@ class TestCompose:
 
 class TestInvert:
     def test_translation(self):
-        inv = cd.invert(cd.translation(Fraction(5, 7)))
+        inv = cd.PiecewiseLinearMap.translation(Fraction(5, 7)).inverse()
         assert inv.eval(Fraction(0)) == Fraction(-5, 7)
 
     def test_pl_round_trip_exact(self):
         f = cd.PiecewiseLinearMap([(Fraction(0), Fraction(1, 4)),
                                    (Fraction(1, 2), Fraction(3, 5))])
-        inv = cd.invert(f)
+        inv = f.inverse()
         for i in range(101):
             t = Fraction(i - 50, 33)
             assert inv.eval(f.eval(t)) == t
@@ -95,9 +96,10 @@ class TestInvert:
 
 class TestDisplacement:
     def test_translation_and_identity(self):
-        assert cd.sup_displacement(cd.translation(Fraction(3, 11))) == Fraction(3, 11)
-        assert cd.inf_displacement(cd.translation(Fraction(3, 11))) == Fraction(3, 11)
-        assert cd.sup_displacement(cd.identity()) == 0
+        f = cd.PiecewiseLinearMap.translation(Fraction(3, 11))
+        assert cd.sup_displacement(f) == Fraction(3, 11)
+        assert cd.inf_displacement(f) == Fraction(3, 11)
+        assert cd.sup_displacement(cd.PiecewiseLinearMap.identity()) == 0
 
     def test_subadditivity_exact_on_random_pairs(self):
         rng = random.Random(3)
@@ -111,13 +113,13 @@ class TestDisplacement:
         rng = random.Random(4)
         for _ in range(40):
             f = random_pl(rng)
-            assert cd.inf_displacement(f) == -cd.sup_displacement(cd.invert(f))
+            assert cd.inf_displacement(f) == -cd.sup_displacement(f.inverse())
             assert cd.inf_displacement(f) <= cd.sup_displacement(f)
 
 
 class TestTranslationNumber:
     def test_exact_translation(self):
-        est = cd.translation_number(cd.translation(Fraction(3, 7)), 100)
+        est = cd.translation_number(cd.PiecewiseLinearMap.translation(Fraction(3, 7)), 100)
         assert est.value == Fraction(3, 7)
         assert est.error_bound == pytest.approx(0.01)
 
@@ -138,7 +140,7 @@ class TestTranslationNumber:
         rng = random.Random(5)
         for _ in range(5):
             f, g = random_pl(rng), random_pl(rng)
-            conj = cd.compose(cd.compose(g, f), cd.invert(g))
+            conj = cd.compose(cd.compose(g, f), g.inverse())
             e1 = cd.translation_number(f, 120)
             e2 = cd.translation_number(conj, 120)
             assert abs(e1.value - e2.value) <= e1.error_bound + e2.error_bound
@@ -153,7 +155,7 @@ class TestTranslationNumber:
     def test_full_turn_shifts_by_one(self):
         rng = random.Random(6)
         f = random_pl(rng)
-        shifted = cd.compose(f, cd.translation(1))
+        shifted = cd.compose(f, cd.PiecewiseLinearMap.translation(1))
         e1 = cd.translation_number(f, 150)
         e2 = cd.translation_number(shifted, 150)
         assert abs((e2.value - e1.value) - 1) <= e1.error_bound + e2.error_bound
@@ -161,20 +163,21 @@ class TestTranslationNumber:
 
 class TestRelator:
     def test_all_identity(self):
-        rel = cd.evaluate_relator([cd.identity()] * 4)
+        rel = cd.evaluate_relator([cd.PiecewiseLinearMap.identity()] * 4)
         for i in range(50):
             t = Fraction(i, 50)
             assert rel.eval(t) == t
 
     def test_commuting_translations(self):
-        rel = cd.evaluate_relator([cd.translation(Fraction(1, 3)), cd.translation(Fraction(2, 7))])
+        rel = cd.evaluate_relator([cd.PiecewiseLinearMap.translation(Fraction(1, 3)),
+                                   cd.PiecewiseLinearMap.translation(Fraction(2, 7))])
         for i in range(50):
             t = Fraction(i, 50)
             assert rel.eval(t) == t
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
-            cd.evaluate_relator([cd.identity()] * 3)
+            cd.evaluate_relator([cd.PiecewiseLinearMap.identity()] * 3)
 
     def test_polygon_relator_translation_number(self):
         est = holonomy_translation_number(2, 4 * math.pi, 3000)
@@ -189,7 +192,7 @@ class TestWoodBound:
 
     def test_hyperbolic_pairings_within_bound(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
-        lifts = [hy.boundary_lift(p) for p in side_pairings(poly)]
+        lifts = [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
         check = cd.wood_bound_check(lifts)
         assert check.ok and check.bound == 4.0
 
@@ -206,7 +209,7 @@ class TestWoodBound:
 
     def test_synthetic_violation_with_witness(self):
         g = 2
-        synthetic = cd.translation(2 * g + 1)
+        synthetic = cd.PiecewiseLinearMap.translation(2 * g + 1)
         check = cd.displacement_within(synthetic, Fraction(2 * g))
         assert not check.ok
         assert check.witness_displacement == 2 * g + 1
@@ -214,25 +217,26 @@ class TestWoodBound:
 
 class TestEulerFromSections:
     def test_equal_lifts(self):
-        f = cd.translation(Fraction(1, 6))
+        f = cd.PiecewiseLinearMap.translation(Fraction(1, 6))
         assert cd.euler_from_sections(f, f) == 0
 
     def test_relator_vs_translation(self):
         a = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9))
         b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2.2))
         fK = cd.evaluate_relator([a, b])
-        fD = cd.translation(-3)
+        fD = cd.PiecewiseLinearMap.translation(-3)
         assert cd.euler_from_sections(fD, fK) == -3
 
     def test_nonconstant_difference(self):
         f = cd.PiecewiseLinearMap([(Fraction(0), Fraction(0)),
                                    (Fraction(1, 2), Fraction(2, 3))])
         with pytest.raises(cd.NonConstantDifference):
-            cd.euler_from_sections(f, cd.identity())
+            cd.euler_from_sections(f, cd.PiecewiseLinearMap.identity())
 
     def test_noninteger_difference(self):
         with pytest.raises(cd.NonIntegerDifference):
-            cd.euler_from_sections(cd.translation(Fraction(1, 2)), cd.identity())
+            cd.euler_from_sections(cd.PiecewiseLinearMap.translation(Fraction(1, 2)),
+                                   cd.PiecewiseLinearMap.identity())
 
     @pytest.mark.parametrize("knots", [
         [(0, 0), (Fraction(1, 1024), Fraction(3, 2048)), (Fraction(2, 1024), Fraction(2, 1024))],
@@ -241,7 +245,7 @@ class TestEulerFromSections:
     ], ids=["bump-1/2048", "bump-1e-6"])
     def test_a_bump_between_grid_points_is_not_constant(self, knots):
         with pytest.raises(cd.NonConstantDifference):
-            cd.euler_from_sections(cd.PiecewiseLinearMap(knots), cd.identity())
+            cd.euler_from_sections(cd.PiecewiseLinearMap(knots), cd.PiecewiseLinearMap.identity())
 
     @pytest.mark.parametrize("wD, wK, euler", [(2, 0, 2), (1, -2, 3)])
     def test_moebius_lifts_of_one_isometry(self, wD, wK, euler):
@@ -252,14 +256,16 @@ class TestEulerFromSections:
     @pytest.mark.parametrize("make", [
         lambda: (cd.MoebiusBoundaryLift(hy.Isometry2H(2.0, 0.3, 0.1, 0.515), 1),
                  cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9))),
-        lambda: (cd.translation(-3), cd.MoebiusBoundaryLift(hy.Isometry2H(2.0, 0.0, 0.0, 0.5))),
+        lambda: (cd.PiecewiseLinearMap.translation(-3),
+                 cd.MoebiusBoundaryLift(hy.Isometry2H(2.0, 0.0, 0.0, 0.5))),
     ], ids=["two-isometries", "translation-vs-hyperbolic"])
     def test_lifts_of_different_maps(self, make):
         with pytest.raises(cd.NonConstantDifference):
             cd.euler_from_sections(*make())
 
     def test_a_mixed_section_is_refused(self):
-        mixed = cd.compose(cd.translation(1), cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9)))
+        mixed = cd.compose(cd.PiecewiseLinearMap.translation(1),
+                           cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9)))
         with pytest.raises(ValueError, match="mixing"):
             cd.euler_from_sections(mixed, cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.4)))
 
@@ -329,7 +335,7 @@ def track_lift(circle_map, lift_at_0):
 class TestTrackLift:
     def test_tracking_matches_pointwise_eval(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [hy.boundary_lift(p) for p in side_pairings(poly)]
+        lifts = [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
         rel = cd.evaluate_relator(lifts)
 
         def circle_map(z):
@@ -347,7 +353,7 @@ class TestTrackLift:
 
     def test_flatten_agrees_with_tracking_winding(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [hy.boundary_lift(p) for p in side_pairings(poly)]
+        lifts = [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
         rel = cd.evaluate_relator(lifts)
         flat = cd.flatten(rel)
         assert isinstance(flat, cd.MoebiusBoundaryLift)
@@ -368,7 +374,7 @@ def polygon_relator(g, share):
     """The lifted holonomy relator of the symmetric 4g-gon and its area."""
     area = share * (4 * g - 2) * math.pi
     poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
-    return cd.evaluate_relator([hy.boundary_lift(p) for p in side_pairings(poly)]), area
+    return cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]), area
 
 
 SHARES_LOW = (0.001, 0.01, 0.1, 0.5, 0.9)
@@ -418,7 +424,7 @@ class TestMoebiusSeam:
         lifts = list(self.half_turns(100))
         for g, share in ((2, 0.5), (2, 1 - 1e-6), (3, 0.99)):
             poly = build_symmetric_polygon(g, hy.radius_for_area(g, share * (4 * g - 2) * math.pi))
-            lifts += [hy.boundary_lift(p) for p in side_pairings(poly)]
+            lifts += [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
         for f in lifts:
             values = [f.eval(t) for t in grid]
             assert all(a <= b for a, b in zip(values, values[1:]))
@@ -638,7 +644,7 @@ class TestMoebiusDisplacement:
     def test_polygon_relators_obey_milnor_wood(self, g):
         for share in SHARES_LOW + SHARES_TOP:
             _, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
-            lifts = [hy.boundary_lift(p) for p in pairings]
+            lifts = [cd.MoebiusBoundaryLift(p) for p in pairings]
             check = cd.wood_bound_check(lifts)
             assert check.ok and check.bound == 2 * g
             rel = cd.evaluate_relator(lifts)
@@ -754,7 +760,8 @@ def pl_maps(draw):
     return cd.PiecewiseLinearMap(zip(sorted(ts), [v0] + [v0 + d for d in sorted(incs)]))
 
 
-SPECIAL_MAPS = (cd.identity(), cd.translation(Fraction(5, 7)), cd.translation(-3),
+SPECIAL_MAPS = (cd.PiecewiseLinearMap.identity(), cd.PiecewiseLinearMap.translation(Fraction(5, 7)),
+                cd.PiecewiseLinearMap.translation(-3),
                 cd.PiecewiseLinearMap([(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 5))]))
 
 
@@ -780,7 +787,8 @@ class TestEulerAgainstKnots:
     @settings(max_examples=200, deadline=None)
     @given(pl_maps(), pl_maps(),
            st.one_of(st.none(), st.fractions(min_value=-3, max_value=3, max_denominator=4)))
-    @example(cd.translation(Fraction(5, 7)), cd.translation(Fraction(-2, 7)), None)
+    @example(cd.PiecewiseLinearMap.translation(Fraction(5, 7)),
+             cd.PiecewiseLinearMap.translation(Fraction(-2, 7)), None)
     @example(cd.PiecewiseLinearMap([(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 5))]),
              cd.PiecewiseLinearMap([(0, Fraction(-7, 4)), (Fraction(1, 2), Fraction(-7, 5))]),
              None)
@@ -788,7 +796,7 @@ class TestEulerAgainstKnots:
         """A drawn pair, or fD against fD shifted by `shift`, whose difference
         is constant; fD - fK is linear between the union of both maps' knots."""
         if shift is not None:
-            fK = cd.compose(cd.translation(shift), fD)
+            fK = cd.compose(cd.PiecewiseLinearMap.translation(shift), fD)
         ts = {t for t, _ in fD.knots} | {t for t, _ in fK.knots}
         diffs = {fD.eval(t) - fK.eval(t) for t in ts}
         if len(diffs) > 1:
@@ -865,7 +873,7 @@ class TestIntegerEngine:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(pl_maps(), min_size=2, max_size=6).filter(lambda ms: len(ms) % 2 == 0),
            st.integers(1, 3000))
-    @example([cd.translation(Fraction(5, 7)), SPECIAL_MAPS[3]], 3000)
+    @example([cd.PiecewiseLinearMap.translation(Fraction(5, 7)), SPECIAL_MAPS[3]], 3000)
     def test_drawn_translation_numbers_match_reference_orbit(self, maps, iterations):
         """Past 8 steps the orbit may be captured (`TestOrbitCapture`); the
         value is the stepped orbit's all the same."""
@@ -916,7 +924,7 @@ def counted_translation_number(monkeypatch, f, iterations):
 # it contracts by 2/3 onto the knot 1/8 + 1 from below: F^N(0) = (1 - (2/3)^N)/8.
 BUMP = cd.PiecewiseLinearMap([(Fraction(1, 8), Fraction(1, 8)), (Fraction(1, 4), Fraction(5, 16)),
                               (Fraction(1, 2), Fraction(7, 16)), (Fraction(5, 8), Fraction(5, 8))])
-KNOT_CYCLE_RELATOR = cd.evaluate_relator([BUMP, cd.translation(Fraction(1, 2))])
+KNOT_CYCLE_RELATOR = cd.evaluate_relator([BUMP, cd.PiecewiseLinearMap.translation(Fraction(1, 2))])
 
 
 def knot_cycle_average(n):
@@ -940,7 +948,7 @@ class TestOrbitCapture:
 
     def test_translation_is_exactly_periodic(self, monkeypatch):
         """lam = 1: x_(k+7) = x_k + 5 exactly, found at the second check."""
-        f = cd.translation(Fraction(5, 7))
+        f = cd.PiecewiseLinearMap.translation(Fraction(5, 7))
         assert counted_translation_number(monkeypatch, f, 10 ** 6) == (
             cd.TranslationNumberEstimate(Fraction(5, 7), 1e-6, 10 ** 6), 16)
         assert cd.translation_number(f, 1000).value == ref_orbit(RefPL(f.knots), 1000)

@@ -37,10 +37,10 @@ def refuse_full_build(monkeypatch, vertices: int):
     def refuse():
         raise AssertionError("the command built the whole polygon")
 
-    polygon_vertices, pairings = hyperbolic.polygon_vertices, hyperbolic._pairings
+    polygon_vertices, pairings = hyperbolic.polygon_vertices, hyperbolic.side_pairings
     monkeypatch.setattr(hyperbolic, "polygon_vertices", lambda g, radius, count: (
         polygon_vertices(g, radius, count) if count <= vertices else refuse()))
-    monkeypatch.setattr(hyperbolic, "_pairings", lambda g, radius, handles: (
+    monkeypatch.setattr(hyperbolic, "side_pairings", lambda g, radius, handles: (
         pairings(g, radius, handles) if handles == 1 else refuse()))
 
 
@@ -72,8 +72,11 @@ class TestClassifyCommand:
             assert field in rep["outputs"]
 
     def test_odd_chi_usage_error(self, capsys):
-        code, out, err = run(capsys, "classify", "--chi-s", "-1", "--euler", "0")
-        assert code == 2 and out == ""
+        # odd or above 2: refused by the classification's own check, in one line
+        for chi_s in ("-1", "1", "3", "-3", "4"):
+            code, out, err = run(capsys, "classify", "--chi-s", chi_s, "--euler", "0")
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and "chi(S)" in err, (chi_s, err)
 
 
 class TestHolonomyCommand:

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from contactbundles import formcalc as fc
 from contactbundles.formcalc import forms
 from contactbundles.formcalc.expr import (MAX_EXPONENT, Add, Cos, Div, Exp, Mul, Neg, Pi, Pow,
-                                          Rat, Sin, Var, compile_expr, eval_expr)
+                                          Rat, Sin, Var, compile_expr)
 from contactbundles.formcalc.models import (fiber_tube_pullback, scaling_flow_components,
                                             torus_wrapping_pullback)
+from expr_reference import eval_expr
 
 XYZ = fc.Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
 
@@ -63,6 +64,13 @@ def test_pinned_parse_results(text, exc, message, offset):
     assert type(info.value) is exc
     assert message in str(info.value)
     assert info.value.position == offset
+
+
+def test_star_import_resolves_every_exported_name():
+    # a name left in __all__ after its removal fails the import here
+    namespace = {}
+    exec("from contactbundles.formcalc import *", namespace)
+    assert all(namespace[name] is getattr(fc, name) for name in fc.__all__)
 
 
 class TestParser:

@@ -12,8 +12,8 @@ from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
 from fold_reference import (commutator_product, holonomy_relator, holonomy_translation_number,
                             proj_distance)
-from polygon_reference import (SymmetricPolygon, build_symmetric_polygon, pairing_residuals,
-                               polygon_area, side_pairings, symmetric_pairings)
+from polygon_reference import (SymmetricPolygon, all_pairings, build_symmetric_polygon,
+                               pairing_residuals, polygon_area, symmetric_pairings)
 
 
 def mobius_to_origin(p: complex):
@@ -265,6 +265,14 @@ class TestGaussBonnet:
         with pytest.raises(hy.AreaOutOfRange):
             hy.radius_for_area(1, -1.0)
 
+    def test_genus_above_the_domain_is_refused_before_the_area(self):
+        # the genus message holds also where the area is out of range
+        g = hy.MAX_GENUS + 1
+        for area in (math.pi, -1.0, 0.0, (4 * g - 2) * math.pi, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"genus must be <= {hy.MAX_GENUS}: ") as info:
+                hy.radius_for_area(g, area)
+            assert not isinstance(info.value, hy.AreaOutOfRange)
+
     def test_float_limit_of_the_top(self):
         # tanh(R/2) rounds to 1.0 at this area, inside (0, 38pi) as a real number
         with pytest.raises(hy.AreaOutOfRange, match="float limit"):
@@ -299,7 +307,7 @@ class TestGaussBonnet:
             except hy.AreaOutOfRange:
                 assert built == 0  # refused areas lie above every accepted one
                 continue
-            side_pairings(build_symmetric_polygon(g, radius))
+            all_pairings(build_symmetric_polygon(g, radius))
             built += 1
         assert built > 0
 
@@ -327,7 +335,7 @@ class TestIsometryFromSegments:
 class TestSidePairings:
     def test_square_vertex_conditions(self):
         poly = build_symmetric_polygon(1, 1.3)
-        p1, p2 = side_pairings(poly)
+        p1, p2 = all_pairings(poly)
         s = poly.vertex
         assert hy.hdistance(p1.apply_complex(s(3)), s(2)) <= 1e-9
         assert hy.hdistance(p1.apply_complex(s(4)), s(1)) <= 1e-9
@@ -336,7 +344,7 @@ class TestSidePairings:
 
     def test_genus2_conditions(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5 * math.pi))
-        pairings = side_pairings(poly)
+        pairings = all_pairings(poly)
         s = poly.vertex
         for i in range(1, 3):
             po, pe = pairings[2 * (i - 1)], pairings[2 * (i - 1) + 1]
@@ -352,7 +360,7 @@ class TestSidePairings:
         center = complex(0.0, 0.0)
         for g in (1, 2):
             for radius in (1e-3, 1e-4):
-                for p in side_pairings(build_symmetric_polygon(g, radius)):
+                for p in all_pairings(build_symmetric_polygon(g, radius)):
                     assert hy.hdistance(p.apply_complex(center), center) <= 5 * radius
                     assert abs(p.trace()) <= 2.0 + 10 * radius ** 2
 
@@ -362,7 +370,7 @@ class TestSidePairings:
         for share in (0.2, 0.5, 0.8):
             poly = build_symmetric_polygon(g, hy.radius_for_area(g, share * s_max))
             s = poly.vertex
-            pairings = side_pairings(poly)
+            pairings = all_pairings(poly)
             for i in range(1, g + 1):
                 ref_odd = isometry_from_segments(s(4 * i - 1), s(4 * i), s(4 * i - 2), s(4 * i - 3))
                 ref_even = isometry_from_segments(s(4 * i - 2), s(4 * i - 1), s(4 * i + 1), s(4 * i))
@@ -372,7 +380,7 @@ class TestSidePairings:
     def test_pairings_preserve_distance(self):
         rng = random.Random(13)
         poly = build_symmetric_polygon(2, 1.7)
-        for iso in side_pairings(poly):
+        for iso in all_pairings(poly):
             for _ in range(25):
                 p, q = random_point(rng), random_point(rng)
                 assert abs(hy.hdistance(iso.apply_complex(p), iso.apply_complex(q)) -
@@ -388,25 +396,25 @@ class TestCommutatorProduct:
 
     def test_area_4pi_gives_identity(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
-        prod = commutator_product(side_pairings(poly))
+        prod = commutator_product(all_pairings(poly))
         assert proj_distance(prod, hy.Isometry2H.identity()) <= 1e-6
 
     def test_area_5pi_trace_zero(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5 * math.pi))
-        prod = commutator_product(side_pairings(poly))
+        prod = commutator_product(all_pairings(poly))
         assert abs(prod.trace()) <= 1e-6
 
     @pytest.mark.parametrize("g,area", [(1, 1.0), (2, 2.0), (2, 10.0), (3, 20.0)])
     def test_elliptic_with_angle_sum_trace(self, g, area):
         poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
-        prod = commutator_product(side_pairings(poly))
+        prod = commutator_product(all_pairings(poly))
         expected = 2 * abs(math.cos(((4 * g - 2) * math.pi - area) / 2))
         assert abs(abs(prod.trace()) - expected) <= 1e-6
         assert proj_distance(prod, prod) == 0.0
 
     def test_fixes_first_vertex(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 7.0))
-        prod = commutator_product(side_pairings(poly))
+        prod = commutator_product(all_pairings(poly))
         assert hy.hdistance(prod.apply_complex(poly.vertex(1)), poly.vertex(1)) <= 1e-9
 
     @pytest.mark.parametrize("g", range(1, 9))
@@ -432,7 +440,7 @@ class TestSymmetricRelator:
     def test_agrees_with_the_fold(self, g, share):
         area = share * (4 * g - 2) * math.pi
         try:
-            radius = hy.checked_radius(g, area)
+            radius = hy.radius_for_area(g, area)
         except hy.AreaOutOfRange:
             return
         n = 10 ** 15
@@ -451,6 +459,26 @@ class TestSymmetricRelator:
             assert (abs(rel.iso.trace() - fold.iso.trace())
                     <= cd.trace_slack(rel) + cd.trace_slack(fold))
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 5, 8, 20, 100, 1000, 10 ** 4])
+    def test_relator_matrix_is_the_lifted_relator_bit_for_bit(self, g):
+        # `polygon` prints the trace of `relator_matrix` and `holonomy` that of
+        # `symmetric_relator`: the same products on the same first-handle
+        # pairings, so the two reports carry the same commutator trace
+        s_max = (4 * g - 2) * math.pi
+        shares = (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12)
+        checked = 0
+        for area in [share * s_max for share in shares] + [largest_accepted_area(g)]:
+            try:
+                radius = hy.radius_for_area(g, area)
+            except hy.AreaOutOfRange:
+                continue
+            m = hy.relator_matrix(g, *hy.side_pairings(g, radius, 1))
+            iso = hy.symmetric_relator(g, radius).iso
+            assert ([x.hex() for x in (m.a, m.b, m.c, m.d)]
+                    == [x.hex() for x in (iso.a, iso.b, iso.c, iso.d)]), (g, area)
+            checked += 1
+        assert checked == (9 if g >= 3000 else 10)
+
     def test_pairings_of_the_next_handle_are_rotated(self):
         """phi_{2i+1} = R phi_{2i-1} R^-1 with R = Rot(-2 pi/g), which the power rests on."""
         for g in (2, 5, 40):
@@ -462,20 +490,20 @@ class TestSymmetricRelator:
 
 class TestBoundaryLift:
     def test_identity_lift(self):
-        f = hy.boundary_lift(hy.Isometry2H.identity())
+        f = cd.MoebiusBoundaryLift(hy.Isometry2H.identity())
         for t in (-1.5, 0.0, 0.25, 2.0):
             assert abs(f.eval(t) - t) <= 1e-12
 
     def test_center_rotation_translation_number(self):
         theta = 0.37
-        f = hy.boundary_lift(hy.Isometry2H.rotation(2 * math.pi * theta))
+        f = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2 * math.pi * theta))
         est = cd.translation_number(f, 3000)
         assert abs(est.value - theta) <= est.error_bound
 
     def test_hyperbolic_element_has_zero_rotation(self):
         iso = hy.Isometry2H(2.0, 0.0, 0.0, 0.5)
         assert abs(iso.trace()) > 2
-        est = cd.translation_number(hy.boundary_lift(iso), 2000)
+        est = cd.translation_number(cd.MoebiusBoundaryLift(iso), 2000)
         assert abs(est.value) <= est.error_bound
 
 
@@ -509,7 +537,7 @@ class TestHolonomy:
 
     def test_lift_independence_of_relator(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [hy.boundary_lift(p) for p in side_pairings(poly)]
+        lifts = [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
         rel = cd.evaluate_relator(lifts)
         bumped = list(lifts)
         bumped[2] = cd.MoebiusBoundaryLift(lifts[2].iso, lifts[2].winding + 1)
@@ -574,7 +602,7 @@ class TestTopOfAreaRange:
         for share in self.SHARES:
             area = share * s_max
             poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
-            pairings = side_pairings(poly)
+            pairings = all_pairings(poly)
             s = poly.vertex
             for i in range(1, g + 1):
                 po, pe = pairings[2 * i - 2], pairings[2 * i - 1]
@@ -584,7 +612,7 @@ class TestTopOfAreaRange:
             assert abs(polygon_area(poly) - area) <= 1e-9 * s_max
             trace = commutator_product(pairings).trace()
             assert abs(abs(trace) - 2 * abs(math.cos((s_max - area) / 2))) <= 1e-6
-            lifts = [hy.boundary_lift(p) for p in pairings]
+            lifts = [cd.MoebiusBoundaryLift(p) for p in pairings]
             est = cd.translation_number(cd.evaluate_relator(lifts), 2000)
             assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
 
