@@ -106,8 +106,7 @@ class Isometry2H:
             self.c * other.b + self.d * other.d,
         )
 
-    def __matmul__(self, other: "Isometry2H") -> "Isometry2H":
-        return self.compose(other)
+    __matmul__ = compose
 
     def inverse(self) -> "Isometry2H":
         return Isometry2H(self.d, -self.b, -self.c, self.a)
@@ -321,10 +320,10 @@ def _norm(iso: Isometry2H) -> float:
     return abs(alpha) + abs(beta)
 
 
-def _power(x, g: int, multiply) -> tuple:
-    """(x^g, nodes) by binary powering with `multiply`, lowest bit first; nodes
-    holds (A, B, a + b, c) for each product A B = x^a x^b, which occurs c
-    times in x^g written out as a product of g letters x."""
+def _power(x: Isometry2H, g: int) -> tuple:
+    """(x^g, nodes) by binary powering, lowest bit first; nodes holds
+    (A, B, a + b, c) for each product A B = x^a x^b, which occurs c times in
+    x^g written out as a product of g letters x."""
     power, e, acc, acc_e, nodes, k = x, 1, None, 0, [], g
     while True:
         if k & 1:
@@ -332,21 +331,20 @@ def _power(x, g: int, multiply) -> tuple:
                 acc, acc_e = power, e
             else:
                 nodes.append((acc, power, acc_e + e, 1))
-                acc, acc_e = multiply(acc, power), acc_e + e
+                acc, acc_e = acc @ power, acc_e + e
         k >>= 1
         if not k:
             return acc, nodes
         nodes.append((power, power, 2 * e, k))  # x^(2e) occurs floor(g / 2e) = k times
-        power, e = multiply(power, power), 2 * e
+        power, e = power @ power, 2 * e
 
 
 def relator_matrix(g: int, phi_1: Isometry2H, phi_2: Isometry2H) -> Isometry2H:
-    """-(C R)^g, C = [phi_1, phi_2] and R = Rot(-2*pi/g): the matrix of
-    `symmetric_relator`, bit for bit (the same products in the same order),
-    from the first handle's pairings and without lifts."""
+    """-(C R)^g, C = [phi_1, phi_2] and R = Rot(-2*pi/g), from the first handle's
+    pairings without lifts: the matrix of `symmetric_relator`, bit for bit."""
     x = functools.reduce(Isometry2H.compose, [phi_1, phi_2, phi_1.inverse(), phi_2.inverse(),
                                               Isometry2H.rotation(-2.0 * math.pi / g)])
-    xg = _power(x, g, Isometry2H.compose)[0]
+    xg = _power(x, g)[0]
     return Isometry2H(-xg.a, -xg.b, -xg.c, -xg.d)
 
 
@@ -354,16 +352,21 @@ def symmetric_relator(g: int, radius: float) -> cd.MoebiusBoundaryLift:
     """The lifted relator prod_{i=1..g} [phi_{2i-1}, phi_{2i}] of the symmetric
     4g-gon of circumradius `radius`, from one handle in O(log g) products.
 
-    The pairings of handle i + 1 are those of handle i conjugated by the
-    polygon's rotation R = Rot(-2*pi/g) (`side_pairings`: psi steps by -2*pi/g),
-    so with C = [phi_1, phi_2] the relator telescopes to
-    prod_i R^i C R^-i = (C R)^g R^-g.  A commutator of lifts does not depend
-    on the lifts, so the same holds for the canonical lifts, and R~^g is the
-    translation by the integer m nearest g*R~(0) (R~ translates by R~(0)).
-    X = C R is folded from its five letters and raised to the g-th power by
-    binary powering (`_power`) through `_compose_moebius`, which carries the
-    winding; the result is shifted by -m.  In SL(2, R), R^g = -I exactly, so
-    the matrix is -X^g (`relator_matrix`): its trace is the relator's.
+    The pairings of handle i + 1 are those of handle i conjugated by
+    R = Rot(-2*pi/g) (`side_pairings`), so with C = [phi_1, phi_2] the relator
+    telescopes to prod_i R^i C R^-i = (C R)^g R^-g, for the canonical lifts too
+    (a commutator of lifts does not depend on them); R~^g translates by the
+    integer m nearest g*R~(0).  Only the five letters of X~ = C~ R~ are lifted
+    (four `_compose_moebius` calls); X^g is taken on bare matrices (`_power`).
+    R^g = -I in SL(2, R), so the matrix is -X^g (`relator_matrix`, bit for
+    bit).  As rho(F^k) = k*rho(F) (Ghys, Enseign. Math. 2001), the exact
+    relator has rho = g*rho(X~) - m; its lift is the canonical lift c of -X^g
+    with winding w = round(g*rho^(X~) - rho^(c)) - m, rho^ = `_moebius_rho`.
+    Let s_X, s_rel be the `_moebius_rho_slack` of X~ and of the relator, and
+    w* the winding that puts c + w* within s_rel of the exact rho.  Then
+    |g*rho^(X~) - m - rho^(c) - w*| <= g*s_X + s_rel, so where that is < 1/2,
+    w = w* and `translation_number`'s bound holds as derived below; elsewhere
+    only |rho - (g*rho(X~) - m)| <= 1/2 + g*s_X is derived.
 
     `error_scale` (computed when first read) bounds the first-order error of
     the trace, which is all `circle_dynamics.trace_slack` and
@@ -394,10 +397,10 @@ def symmetric_relator(g: int, radius: float) -> cd.MoebiusBoundaryLift:
     letters = [phi_1, phi_2, phi_1.inverse(), phi_2.inverse(), rot]
     prefixes = list(accumulate(letters, cd._compose_moebius))  # P_<=i
     x = prefixes[-1]
-    acc, nodes = _power(x, g, cd._compose_moebius)
-    xg = acc.iso
-    relator = cd.MoebiusBoundaryLift(Isometry2H(-xg.a, -xg.b, -xg.c, -xg.d),
-                                     acc.winding - round(g * rot.eval(0.0)))
+    xg, nodes = _power(x.iso, g)
+    relator = cd.MoebiusBoundaryLift(Isometry2H(-xg.a, -xg.b, -xg.c, -xg.d))
+    relator.winding = (round(g * cd._moebius_rho(x) - cd._moebius_rho(relator))
+                       - round(g * rot.eval(0.0)))
 
     def error_scale() -> float:
         half_trace = abs(xg.trace()) / 2.0
@@ -414,8 +417,8 @@ def symmetric_relator(g: int, radius: float) -> cd.MoebiusBoundaryLift:
             b = abs(beta) * (min(exponent, 1.0 / sin_h) if sin_h else exponent)
             return math.sqrt(1.0 + b * b) + b
 
-        node_terms = [count * _norm(a.iso) * _norm(b.iso)
-                      * (power_norm(g - ab) + half_trace * _norm(a.iso @ b.iso))
+        node_terms = [count * _norm(a) * _norm(b)
+                      * (power_norm(g - ab) + half_trace * _norm(a @ b))
                       for a, b, ab, count in nodes]
         return (g * math.fsum(letter_terms)
                 + 4.0 / (cd.LETTER_ERROR_ULPS + 4) * math.fsum(node_terms))

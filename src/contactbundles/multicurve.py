@@ -239,16 +239,13 @@ def universal_tightness(dec: SurfaceDecomposition, euler: int) -> TightnessVerdi
     _require_valid(dec)
     n = dec.n_curves()
     if dec.ambient_sphere:
-        if euler < 0 and n == 0:
+        if n == 0:  # no disk piece, nothing contradicts tightness
+            return (TightnessVerdict.UNIVERSALLY_TIGHT if euler < 0
+                    else TightnessVerdict.NOT_UNIVERSALLY_TIGHT)
+        # every nonempty multicurve on the sphere cuts off a disk
+        if n == 1 and euler >= 0:
             return TightnessVerdict.UNIVERSALLY_TIGHT
-        if euler >= 0 and n == 1:
-            return TightnessVerdict.UNIVERSALLY_TIGHT
-        if n == 0:
-            # no disk piece, nothing contradicts tightness
-            return TightnessVerdict.NOT_UNIVERSALLY_TIGHT
-        if n > 1 or euler < 0:
-            return TightnessVerdict.OVERTWISTED_CERTIFICATE
-        return TightnessVerdict.NOT_UNIVERSALLY_TIGHT
+        return TightnessVerdict.OVERTWISTED_CERTIFICATE
     if not dec.has_disk_piece():
         return TightnessVerdict.UNIVERSALLY_TIGHT
     if n != 1 or euler <= 0:

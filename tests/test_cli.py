@@ -138,19 +138,39 @@ class TestHolonomyCommand:
         assert out1 == out2
 
     @pytest.mark.parametrize("g,area", [(1, "1.5pi"), (2, "4pi"), (3, "9.99pi"), (8, "29.997pi"),
-                                        (20, "77.9pi")])
+                                        (20, "77.9pi"), (10000, "19999pi")])
     def test_one_fold_and_the_trace_of_polygon(self, capsys, monkeypatch, g, area):
-        """holonomy folds one handle's commutator and the rotation once, then
-        powers it (log g products), and reads its trace off that relator,
-        which `polygon` reads too: the two commands print one trace."""
+        """holonomy lifts one handle's commutator and the rotation, four lifted
+        products at every genus; the power is taken on bare matrices, as
+        `polygon` takes it, so the two commands print one trace."""
         _, pol, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", area)
         folds = []
         compose = circle_dynamics._compose_moebius
         monkeypatch.setattr(circle_dynamics, "_compose_moebius",
                             lambda a, b: folds.append(1) or compose(a, b))
         _, hol, _ = run_json(capsys, "holonomy", "--genus", str(g), "--area", area, "--iters", "10")
-        assert len(folds) == 4 + (g.bit_length() - 1) + (bin(g).count("1") - 1)
+        assert len(folds) == 4
         assert hol["outputs"]["commutator_trace"] == pol["outputs"]["commutator_trace"]
+
+    @pytest.mark.parametrize("g", [4000, 6000, 8000, 10000])
+    def test_rho_within_its_bound_near_the_top_at_large_genus(self, capsys, g):
+        """A winding carried through every product of the power drifted by
+        whole turns here; read once from g*rho(X~), rho keeps its bound at 150
+        shares of the top with 1 - share from 1e-1 to 1e-6."""
+        for i in range(150):
+            area = f"{(1 - 10.0 ** (-1 - 5 * i / 149)) * (4 * g - 2)!r}pi"
+            code, rep, _ = run_json(capsys, "holonomy", "--genus", str(g), "--area", area,
+                                    "--iters", "100000")
+            out = rep["outputs"]
+            assert code == 0 and abs(out["abs_rho"] - out["target_abs_rho"]) <= out["error_bound"], area
+
+    @pytest.mark.parametrize("area", ["39978.8pi", "39994pi"])
+    def test_rho_within_its_bound_where_the_carried_winding_drifted(self, capsys, area):
+        # the carried winding printed rho -19970.24 at 39978.8pi, 19 turns off
+        code, rep, _ = run_json(capsys, "holonomy", "--genus", "10000", "--area", area,
+                                "--iters", "100000")
+        out = rep["outputs"]
+        assert code == 0 and abs(out["abs_rho"] - out["target_abs_rho"]) <= out["error_bound"]
 
     def test_top_genus_builds_a_few_isometries(self, capsys, monkeypatch):
         """O(log g): tens of isometries at g = 10^4, where the 4g-letter fold made 180,002."""
@@ -515,6 +535,29 @@ class TestReportShape:
     def test_rational_rendering(self, capsys):
         _, rep, _ = run_json(capsys, "classify", "--chi-s", "-2", "--euler", "1")
         assert rep["outputs"]["boundary_slope"]["mu"] == "-1/2"
+
+
+#: the golden reports and the argv that prints each, as the CI workflow runs
+#: them from the repository root
+GOLDEN = [
+    ("library_grid16.json", "forms --library --grid 16"),
+    ("torus_pullback_grid24.json", "forms --form-file tests/data/torus_pullback.form --grid 24"),
+    ("torus_pullback_grid64.json", "forms --form-file tests/data/torus_pullback.form --grid 64"),
+    ("quotient_by_sum_grid24.json", "forms --form-file tests/data/quotient_by_sum.form --grid 24"),
+    ("connection_grid24.json", "forms --form-file tests/data/connection.form --grid 24"),
+    ("holonomy_g8_29.997pi.json", "holonomy --genus 8 --area 29.997pi --iters 10000"),
+    ("polygon_g8_29.997pi.json", "polygon --genus 8 --area 29.997pi"),
+    ("holonomy_g10000_19999pi.json", "holonomy --genus 10000 --area 19999pi --iters 100000"),
+    ("holonomy_g10000_39978.8pi.json", "holonomy --genus 10000 --area 39978.8pi --iters 100000"),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_golden_report_is_byte_identical(capsys, monkeypatch, name, argv):
+    monkeypatch.chdir(DATA.parents[1])
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / name).read_bytes()
 
 
 class TestArgumentDomains:

@@ -140,6 +140,23 @@ class TestParser:
         assert chart.periodic == (False, False, True)
         assert len(chart.exclusions) == 1 and chart.exclusions[0][1] == pytest.approx(1e-3)
 
+    def test_chart_header_with_blanks_around_the_bound(self):
+        # the exclusion's text ends in a blank, which the tokenizer skips
+        chart = fc.parse_chart("chart r:[0,1] y:[-1,1] z:[-1,1]; exclude r < 1e-3;")
+        assert chart.exclusions == fc.parse_chart(
+            "chart r:[0,1] y:[-1,1] z:[-1,1]; exclude r<1e-3;").exclusions
+
+    @pytest.mark.parametrize("text", ["x/(y + 1)", "-x*y", "-(x + y)/z", "x ", "-x", "x/y/z",
+                                      "-(x/y)", "-x/(1 - y)^2"])
+    def test_render_round_trip_and_subst(self, text):
+        """Raw Div and Neg trees render to text that parses back to them, and
+        subst reaches through both: x = y + 1 gives the tree of the text with
+        (y + 1) written for x."""
+        e = fc.parse_expr(text, XYZ.names)
+        assert fc.parse_expr(fc.render(e), XYZ.names) == e
+        assert (fc.subst(e, {"x": fc.parse_expr("y + 1", XYZ.names)})
+                == fc.parse_expr(text.replace("x", "(y + 1)"), XYZ.names))
+
     @pytest.mark.parametrize("text, at", [
         ("param a=1;\n\n   chart x:0,1] y:[-1,1] z:[-1,1];\nform dz - a*y*dx", "x:0,1]"),
         ("param a=1;\n\nchart x:[-1,1] y:[-1,1] z:[-1,1];\n\nexclude x + w<1e-3;\nform dz",

@@ -479,6 +479,30 @@ class TestSymmetricRelator:
             checked += 1
         assert checked == (9 if g >= 3000 else 10)
 
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_winding_read_is_exact_over_the_benchmark_range(self, g):
+        """g*s_X + s_rel < 1/2, the condition under which the relator's one
+        winding read gives the exact winding (`symmetric_relator`), at the
+        benchmark's shares (below 0.9 and its top shares), every whole turn,
+        shares up to 1 - 1e-15 and the largest accepted area."""
+        top = 4 * g - 2
+        shares = [(i + 0.5) / 300 * 0.9 for i in range(300)]
+        shares += [0.95, 0.99] + [1 - 10.0 ** -k for k in range(3, 16)]
+        shares += [2 * k / top for k in range(1, 2 * g - 1)]
+        checked = 0
+        for area in [u * top * math.pi for u in shares] + [largest_accepted_area(g)]:
+            try:
+                radius = hy.radius_for_area(g, area)
+            except hy.AreaOutOfRange:
+                continue
+            phi_1, phi_2 = (cd.MoebiusBoundaryLift(p) for p in hy.side_pairings(g, radius, 1))
+            rot = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(-2 * math.pi / g))
+            x = cd.flatten(cd.WordMap([(phi_1, 1), (phi_2, 1), (phi_1, -1), (phi_2, -1), (rot, 1)]))
+            rel = hy.symmetric_relator(g, radius)
+            assert g * cd._moebius_rho_slack(x) + cd._moebius_rho_slack(rel) < 0.5, (g, area)
+            checked += 1
+        assert checked >= 300 + 2 * g
+
     def test_pairings_of_the_next_handle_are_rotated(self):
         """phi_{2i+1} = R phi_{2i-1} R^-1 with R = Rot(-2 pi/g), which the power rests on."""
         for g in (2, 5, 40):

@@ -406,6 +406,34 @@ class TestTightness:
             verdict = mc.universal_tightness(sphere_disk_chain(k), euler=1)
             assert (verdict is UT) == (k == 1)
 
+    def test_every_branch_against_the_three_clause_table(self):
+        # on the sphere a multicurve has a disk piece iff it is nonempty, and
+        # off it the empty multicurve has none: those keys cannot be built
+        found = {}
+        for dec in ([sphere_disk_chain(n) for n in range(4)]
+                    + [from_edges([(0, i) for i in (1, 2, 3)], [0] * 4),  # pants and 3 disks
+                       mc.SurfaceDecomposition(((1, 0),), (), 0, False),
+                       mc.SurfaceDecomposition(((2, 0),), (), -2, False)]
+                    + [annuli_cycle(n) for n in (1, 2, 3)]
+                    + [from_edges([(0, 1)] + [(1, 1)] * (n - 1), [0, 1]) for n in (1, 2, 3)]):
+            assert mc.validate(dec)[0]
+            key = (dec.ambient_sphere, dec.has_disk_piece(), dec.n_curves())
+            found.setdefault(key, []).append(dec)
+        assert set(found) == ({(False, False, n) for n in range(4)}
+                              | {(False, True, n) for n in (1, 2, 3)}
+                              | {(True, False, 0)} | {(True, True, n) for n in (1, 2, 3)})
+        for (sphere, disk, n), decs in found.items():
+            for euler in range(-3, 4):
+                if (not sphere and not disk or sphere and euler < 0 and n == 0
+                        or sphere and euler >= 0 and n == 1):
+                    want = UT
+                elif disk and (n != 1 or (euler < 0 if sphere else euler <= 0)):
+                    want = OT
+                else:
+                    want = NUT
+                for dec in decs:
+                    assert mc.universal_tightness(dec, euler) is want, (sphere, disk, n, euler)
+
     def test_invalid_decomposition_raises(self):
         bad = mc.SurfaceDecomposition(((0, 1),), (), -2, False)
         with pytest.raises(mc.InvalidDecomposition):
@@ -475,6 +503,16 @@ class TestIsotopyEqual:
         start = time.perf_counter()
         with pytest.raises(mc.ScaleExceeded):
             mc.isotopy_equal(annuli_cycle(9), annuli_cycle(9))
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("dec", [sphere_disk_chain(1599), annuli_cycle(1600)],
+                             ids=["path", "cycle"])
+    def test_long_chain_answers_quickly(self, dec):
+        # the splitter queue refines each of these in well under a second;
+        # the plain colour refinement of `equitable_cells` takes tens of seconds
+        assert len(dec.pieces) == 1600
+        start = time.perf_counter()
+        assert mc.isotopy_equal(dec, dec)
         assert time.perf_counter() - start < 2.0
 
     def test_complete_multigraph_is_one_leaf(self, monkeypatch):
