@@ -451,9 +451,8 @@ def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
     return f
 
 
-def _moebius_extremes(f: LiftedCircleMap) -> tuple:
-    """(t, f(t) - t) at the minimum and the maximum of D = f - id, lowest first,
-    for a Moebius lift or a word of them; a word with PL letters raises ValueError.
+def _moebius_extremes(g: MoebiusBoundaryLift) -> tuple:
+    """(t, g(t) - t) at the minimum and the maximum of D = g - id, lowest first.
 
     The lift is w(z) = (alpha*z + beta)/(conj(beta)*z + conj(alpha)) with
     |alpha|^2 - |beta|^2 = 1 (`Isometry2H` normalises the determinant); its
@@ -467,10 +466,6 @@ def _moebius_extremes(f: LiftedCircleMap) -> tuple:
     phi = pi/2 and D is constant.  D' = 0 at both points, so rounding in t
     moves D only at second order.
     """
-    g = _as_moebius(f)
-    if g is None:
-        raise ValueError("displacement: a word mixing piecewise-linear and Moebius "
-                         "letters has no closed-form extremes")
     a, b = g._alpha, g._beta
     mid, phi = cmath.phase(-a.conjugate() * b), math.atan2(1.0, abs(b))
     ts = [((mid + s * phi) / TWO_PI) % 1.0 for s in (-1.0, 1.0)]
@@ -486,11 +481,14 @@ def _extremes(f: LiftedCircleMap) -> tuple:
     data, the two critical points in closed form (`_moebius_extremes`).  A
     word mixing PL and Moebius letters raises ValueError.
     """
-    pl = _as_piecewise_linear(f)
-    if pl is None:
-        return _moebius_extremes(f)
-    ds = _displacements(pl)
-    return tuple((Fraction(pl._tn[i], pl._td[i]), Fraction(*ds[i]))
+    g = flatten(f)
+    if isinstance(g, MoebiusBoundaryLift):
+        return _moebius_extremes(g)
+    if not isinstance(g, PiecewiseLinearMap):
+        raise ValueError("displacement: a word mixing piecewise-linear and Moebius "
+                         "letters has no closed-form extremes")
+    ds = _displacements(g)
+    return tuple((Fraction(g._tn[i], g._td[i]), Fraction(*ds[i]))
                  for i in (_first_max([(-n, d) for n, d in ds]), _first_max(ds)))
 
 

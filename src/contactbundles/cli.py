@@ -63,16 +63,17 @@ def _emit(command: str, inputs: dict, outputs: dict, error: dict = None) -> int:
 
 
 def _parse_area(text: str) -> float:
-    """Accept a float or a multiple of pi such as '4pi', '0.5pi', 'pi/2'."""
+    """Accept a float or a multiple of pi such as '4pi', '0.5pi', 'pi/2', '-pi'."""
     s = text.strip().lower()
     try:
         if s.endswith("pi"):
-            head = s[:-2].strip()
-            return (float(head) if head else 1.0) * math.pi
-        if "pi/" in s:
+            num, den = s[:-2], "1"
+        elif "pi/" in s:
             num, _, den = s.partition("pi/")
-            return (float(num) if num else 1.0) * math.pi / float(den)
-        return float(s)
+        else:
+            return float(s)
+        num = num.strip()  # a bare sign, or nothing, stands for 1
+        return float(num + "1" if num in ("", "+", "-") else num) * math.pi / float(den)
     except (ValueError, ArithmeticError):
         raise ValueError(f"cannot parse area {text!r}")
 

@@ -178,10 +178,6 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def rational(v) -> Rat:
-    return Rat(v)
-
-
 # ---------------------------------------------------------------------------
 # rendering (also provides the deterministic sort key for normalization)
 
@@ -704,7 +700,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.i = 0
         self.allowed = set(allowed)
-        self.params = {k: (v if isinstance(v, Expr) else rational(v))
+        self.params = {k: (v if isinstance(v, Expr) else Rat(v))
                        for k, v in (params or {}).items()}
         self.basis = {f"d{name}": axis for axis, name in enumerate(basis)}
         self.depth = 0

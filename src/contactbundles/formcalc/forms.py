@@ -138,18 +138,20 @@ class Chart:
 
 #: most points `grid_counts` admits: grid 256 on a 3-dimensional chart.
 #: `contact_sign` evaluates on the reduced grid, so the bound matters for
-#: coefficients that read every coordinate.  The torus pullback coefficient
-#: of the benchmark is one; its tracemalloc peak in `contact_sign` is 52 MB
-#: at 2^21 points (grid 128), about 25 bytes per point, and 416 MB at 2^24.
-#: Refinement adds 3^dim points per flagged sample of that reduced grid, and
-#: takes REFINE_CHUNK of them at a time, so its memory does not grow with it.
+#: coefficients that read every coordinate: its tracemalloc peak, whatever
+#: the verdict, is then 38 MiB at 2^21 points (grid 128) and 304 MiB at 2^24
+#: for 1 + 3*x*y^2*z (Mixed), and 49 and 387 MiB for the benchmark's torus
+#: pullback coefficient.  Refinement adds 3^dim points per flagged sample of
+#: that reduced grid, and takes REFINE_CHUNK of them at a time, so its memory
+#: does not grow with it.
 MAX_GRID_POINTS = 2 ** 24
 
 #: |alpha ^ d(alpha)| at or below which `contact_sign` counts a sample as zero
 SIGN_TOL = 1e-12
 
 #: flagged reduced samples `contact_sign` refines at once; on a 3-dimensional
-#: chart the refinement then peaks at about 7 MB in tracemalloc, at any grid
+#: chart the refinement then adds about 5 MiB to the grid's own arrays in
+#: tracemalloc, at any grid
 REFINE_CHUNK = 2 ** 12
 
 
@@ -233,22 +235,14 @@ def parse_form(text: str, chart: Chart, params: Optional[Mapping[str, object]] =
     return OneForm(chart, _Parser(text, chart.names, params, basis=chart.names).parse_form())
 
 
-def parse_chart(text: str) -> Chart:
-    """Parse the plain-text chart header.
-
-    chart x:[-2,2] y:[-2,2] z:[-2,2]; periodic theta; exclude r<1e-3;
-
-    A range's endpoints and its width must be finite floats, and a periodic
-    name must be a chart coordinate.  Errors are FormSyntaxErrors at offsets
-    into `text`.
-    """
-    return _parse_statements(text, None)[0]
-
-
 def parse_form_file(text: str, params: Optional[Mapping[str, object]] = None) -> OneForm:
     """Parse a chart header followed by a `form <...>` statement.
 
-    `param name=value;` statements bind identifiers for the form expression.
+    chart x:[-2,2] y:[-2,2] z:[-2,2]; periodic z; exclude x<1e-3; form dz - y*dx
+
+    A range's endpoints and its width must be finite floats, and a periodic
+    name must be a chart coordinate.  `param name=value;` statements bind
+    identifiers for the form expression.
     A param name must be an identifier that the form could otherwise not
     read: not a chart coordinate, pi, sin, cos, exp or a differential
     d<coordinate>.  A file has one chart and one form statement, and binds a
@@ -261,10 +255,9 @@ def parse_form_file(text: str, params: Optional[Mapping[str, object]] = None) ->
     return parse_form(form_text, chart, bound)
 
 
-def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional[str]]:
+def _parse_statements(text: str, bound: dict) -> Tuple[Chart, str]:
     """The chart of the ';'-separated statements of `text`, and the text of
-    its form statement.  A form file passes `bound`, which its `param`
-    statements extend; without it `form` and `param` are unknown directives."""
+    its form statement; its `param` statements extend `bound`."""
     names: List[str] = []
     ranges: List[Tuple[float, float]] = []
     periodic: List[Tuple[str, int]] = []  # name, file offset
@@ -296,10 +289,10 @@ def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional
         elif head == "exclude":
             expr_text, _, eps_text = rest.partition("<")
             exclusions.append((at, expr_text, _read_float(eps_text, at + len(expr_text) + 1)))
-        elif head == "form" and bound is not None:
+        elif head == "form":
             seen.add(head)
             form_text = rest.strip()
-        elif head == "param" and bound is not None:
+        elif head == "param":
             raw, _, val = rest.partition("=")
             name = raw.strip()
             pos = at + len(raw) - len(raw.lstrip())
@@ -311,7 +304,7 @@ def _parse_statements(text: str, bound: Optional[dict]) -> Tuple[Chart, Optional
             bound[name] = _read_number(val, at + len(raw) + 1)
         else:
             raise FormSyntaxError(f"unknown chart directive {head!r}", stmt.start())
-    if bound is not None and form_text is None:
+    if form_text is None:
         raise FormSyntaxError("missing form statement", len(text))
     if not names:
         raise FormSyntaxError("no chart statement", 0)
@@ -398,6 +391,10 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
     refined once and counted once per grid point it stands for, and counts,
     witnesses (the first grid point in C order) and min_abs are the dense
     grid's.
+
+    Every grid question is read off one value array, NaN where an exclusion
+    removes a sample, and its magnitudes, and a witness is a mask's first True
+    entry (`np.argmax`): a Mixed verdict costs no more memory than a definite one.
     """
     chart = form.chart
     fn = compile_expr(volume_coefficient(form), chart.names)
@@ -410,27 +407,26 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
     finite = np.isfinite(vals)
 
     def witness_at(mask: np.ndarray) -> Tuple[float, ...]:
-        idx = [int(k[0]) for k in np.nonzero(mask)]
+        idx = np.unravel_index(int(np.argmax(mask)), mask.shape)
         return tuple(float(ax[i]) for ax, i in zip(axes, idx))
 
     bad = keep & ~finite
     if bad.any():
-        raise ArithmeticError(f"alpha ^ d(alpha) is {vals[bad][0]} at the grid point "
-                              f"{witness_at(bad)}, which no exclusion removes")
-    flat = vals[finite]
-    if flat.size == 0:
+        raise ArithmeticError(f"alpha ^ d(alpha) is {vals.flat[np.argmax(bad)]} at the grid "
+                              f"point {witness_at(bad)}, which no exclusion removes")
+    samples = int(np.count_nonzero(finite)) * repeat
+    if not samples:
         raise ValueError("no samples survive the exclusions")
 
-    has_pos = bool((flat > SIGN_TOL).any())
-    has_neg = bool((flat < -SIGN_TOL).any())
+    mag = np.abs(vals)
+    min_abs = float(np.nanmin(mag))
+    has_pos = bool((vals > SIGN_TOL).any())
+    has_neg = bool((vals < -SIGN_TOL).any())
     if has_pos and has_neg:
-        wp = witness_at(np.nan_to_num(vals, nan=0.0) > SIGN_TOL)
-        wn = witness_at(np.nan_to_num(vals, nan=0.0) < -SIGN_TOL)
-        return ContactReport("Mixed", float(np.nanmin(np.abs(vals))), (wp, wn),
-                             samples=int(flat.size) * repeat)
+        return ContactReport("Mixed", min_abs, (witness_at(vals > SIGN_TOL),
+                                                witness_at(vals < -SIGN_TOL)), samples=samples)
 
-    flagged = finite & (np.abs(vals) < 10 * SIGN_TOL)
-    min_abs = float(np.min(np.abs(flat)))
+    flagged = mag < 10 * SIGN_TOL
     if flagged.any():
         # each flagged reduced sample and its 3^dim neighbours at half the
         # grid step, REFINE_CHUNK samples at a time in C order, found in
@@ -471,7 +467,7 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
             low = float(np.min(np.abs(ref_vals)))
             if low < best:
                 at = ((np.abs(block) == low) & kept).reshape(-1, n).T
-                sample, offset = (int(i[0]) for i in np.nonzero(at))
+                sample, offset = divmod(int(np.argmax(at)), 3 ** dim)
                 digits = np.unravel_index(offset, (3,) * dim)
                 best = low
                 witness = tuple(float(c.reshape(3, n)[i, sample]) for c, i in zip(cols, digits))
@@ -480,9 +476,9 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
         min_abs = min(min_abs, best)
         if min_abs <= SIGN_TOL or (has_pos_ref and has_neg_ref):
             return ContactReport("Mixed", min_abs, (witness or witness_at(flagged),),
-                                 samples=int(flat.size) * repeat + count)
+                                 samples=samples + count)
     sign = "Positive" if has_pos else "Negative"
-    return ContactReport(sign, min_abs, (), samples=int(flat.size) * repeat)
+    return ContactReport(sign, min_abs, (), samples=samples)
 
 
 def pullback(components: Sequence[Expr], source_chart: Chart, form: OneForm) -> OneForm:

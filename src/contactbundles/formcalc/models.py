@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import Add, Cos, Exp, Expr, Mul, Neg, Pi, Rat, Sin, Var, parse_expr, rational
+from .expr import Add, Cos, Exp, Expr, Mul, Neg, Pi, Rat, Sin, Var, parse_expr
 from .forms import Chart, OneForm, coefficient_values, parse_form, pullback, r_of_slope
 
 TWO_PI = 2.0 * math.pi
@@ -44,7 +44,7 @@ def connection_family(u: Expr) -> OneForm:
     chart = _box(["y", "x", "theta"],
                  [(-2.0, 2.0), (-2.0, 2.0), (0.0, TWO_PI)],
                  periodic=(False, False, True))
-    return OneForm(chart, (rational(0), Neg(u), rational(1)))
+    return OneForm(chart, (Rat(0), Neg(u), Rat(1)))
 
 
 def fiber_rotation_form(n: int) -> OneForm:

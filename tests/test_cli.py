@@ -545,6 +545,8 @@ GOLDEN = [
     ("torus_pullback_grid64.json", "forms --form-file tests/data/torus_pullback.form --grid 64"),
     ("quotient_by_sum_grid24.json", "forms --form-file tests/data/quotient_by_sum.form --grid 24"),
     ("connection_grid24.json", "forms --form-file tests/data/connection.form --grid 24"),
+    ("mixed_all_axes_grid24.json", "forms --form-file tests/data/mixed_all_axes.form --grid 24"),
+    ("flat_dx_grid5.json", "forms --form-file tests/data/flat_dx.form --grid 5"),
     ("holonomy_g8_29.997pi.json", "holonomy --genus 8 --area 29.997pi --iters 10000"),
     ("polygon_g8_29.997pi.json", "polygon --genus 8 --area 29.997pi"),
     ("holonomy_g10000_19999pi.json", "holonomy --genus 10000 --area 19999pi --iters 100000"),
@@ -573,6 +575,21 @@ class TestArgumentDomains:
     def test_unparseable_area_exits_2(self, capsys):
         code, out, err = run(capsys, "holonomy", "--genus", "1", "--area", "2tau")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("command", ["holonomy", "polygon"])
+    @pytest.mark.parametrize("signed,plain", [("+pi", "pi"), ("+pi/2", "pi/2"), (" + pi ", "pi")])
+    def test_signed_pi_area_reads_as_its_multiple(self, capsys, command, signed, plain):
+        code, rep, err = run_json(capsys, command, "--genus", "2", f"--area={signed}")
+        _, plain_rep, _ = run_json(capsys, command, "--genus", "2", "--area", plain)
+        assert (code, err) == (0, "")
+        assert rep["outputs"] == plain_rep["outputs"]
+
+    @pytest.mark.parametrize("command", ["holonomy", "polygon"])
+    @pytest.mark.parametrize("area", ["-pi", "-pi/2", " - pi"])
+    def test_negative_pi_area_reaches_the_domain_check(self, capsys, command, area):
+        code, out, err = run(capsys, command, "--genus", "2", f"--area={area}")
+        assert code == 2 and out == ""
+        assert "area must lie strictly between 0" in err
 
     @pytest.mark.parametrize("command", ["holonomy", "polygon"])
     @pytest.mark.parametrize("area", ["pi/0", "0pi/0", "pi/-0"])

@@ -135,16 +135,18 @@ class TestParser:
         assert time.perf_counter() - t0 < 0.1
 
     def test_chart_header(self):
-        chart = fc.parse_chart("chart x:[-2,2] y:[-2,2] z:[-2,2]; periodic z; exclude x<1e-3;")
+        chart = fc.parse_form_file(
+            "chart x:[-2,2] y:[-2,2] z:[-2,2]; periodic z; exclude x<1e-3; form dx").chart
         assert chart.names == ("x", "y", "z")
         assert chart.periodic == (False, False, True)
         assert len(chart.exclusions) == 1 and chart.exclusions[0][1] == pytest.approx(1e-3)
 
     def test_chart_header_with_blanks_around_the_bound(self):
         # the exclusion's text ends in a blank, which the tokenizer skips
-        chart = fc.parse_chart("chart r:[0,1] y:[-1,1] z:[-1,1]; exclude r < 1e-3;")
-        assert chart.exclusions == fc.parse_chart(
-            "chart r:[0,1] y:[-1,1] z:[-1,1]; exclude r<1e-3;").exclusions
+        chart = fc.parse_form_file(
+            "chart r:[0,1] y:[-1,1] z:[-1,1]; exclude r < 1e-3; form dr").chart
+        assert chart.exclusions == fc.parse_form_file(
+            "chart r:[0,1] y:[-1,1] z:[-1,1]; exclude r<1e-3; form dr").chart.exclusions
 
     @pytest.mark.parametrize("text", ["x/(y + 1)", "-x*y", "-(x + y)/z", "x ", "-x", "x/y/z",
                                       "-(x/y)", "-x/(1 - y)^2"])
@@ -452,9 +454,25 @@ class TestReducedGrid:
 
 
 FLAT_DX = Path(__file__).parent / "data" / "flat_dx.form"
+#: dz - (y^3*x*z + y)*dx: 1 + 3*x*y^2*z takes both signs on [-1, 1]^3
+MIXED_ALL_AXES = Path(__file__).parent / "data" / "mixed_all_axes.form"
 #: a coefficient that reads every axis and is flagged on every sample, so its
 #: reduced grid is the whole grid: 1/10^13 + 3*x*y^2*z/10^14
 ALL_AXES = "chart x:[-1,1] y:[-1,1] z:[-1,1]; form dz - ((y + y^3*x*z/10)/10^13)*dx"
+
+
+def peak_of_sign(text, grid):
+    """The report of `contact_sign` on the form file `text` at `grid`, and
+    its tracemalloc peak in bytes, with the symbolic caches warm."""
+    form = fc.parse_form_file(text)
+    fc.contact_sign(form, grid=2)
+    tracemalloc.start()
+    try:
+        rep = fc.contact_sign(form, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rep, peak
 
 
 class TestChunkedRefinement:
@@ -513,14 +531,7 @@ class TestChunkedRefinement:
     def peak_at_grid_128(text):
         # every sample of the grid is flagged: at grid 128 the unchunked
         # refinement built 2^21 * 27 points, about 4 GB
-        form = fc.parse_form_file(text)
-        fc.contact_sign(form, grid=2)
-        tracemalloc.start()
-        try:
-            rep = fc.contact_sign(form, grid=128)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rep, peak = peak_of_sign(text, 128)
         assert rep.sign == "Mixed" and rep.samples == 128 ** 3 * 28
         return peak
 
@@ -528,9 +539,22 @@ class TestChunkedRefinement:
         assert self.peak_at_grid_128(FLAT_DX.read_text()) < 16 * 2 ** 20
 
     def test_memory_of_an_all_axes_form(self):
-        # its reduced grid is the whole grid, whose evaluation alone peaks at
-        # 52 MB (see MAX_GRID_POINTS)
+        # its reduced grid is the whole grid, whose evaluation and sign
+        # alone peak at 38 MiB (see MAX_GRID_POINTS)
         assert self.peak_at_grid_128(ALL_AXES) < 64 * 2 ** 20
+
+    def test_a_mixed_verdict_costs_no_more_memory_than_a_definite_one(self):
+        # both coefficients read every axis, so at grid 128 one value array
+        # is 16 MiB: 1 + 3*x*y^2*z/10 is positive on the chart, and
+        # 1 + 3*x*y^2*z takes both signs.  The bounds leave no room for a
+        # grid-sized copy of the values beside the value array and its
+        # magnitudes (38 MiB for either verdict).
+        positive, low = peak_of_sign(
+            "chart x:[-1,1] y:[-1,1] z:[-1,1]; form dz - (y + y^3*x*z/10)*dx", 128)
+        mixed, high = peak_of_sign(MIXED_ALL_AXES.read_text(), 128)
+        assert (positive.sign, mixed.sign) == ("Positive", "Mixed")
+        assert low < 46 * 2 ** 20
+        assert high <= 1.05 * low
 
     def test_flat_form_refines_its_one_reduced_sample(self):
         # dx reads no axis: one reduced sample stands for all 256^3 grid
@@ -658,7 +682,7 @@ class TestCompiledSamples:
         assert chart.random_points(40, random.Random(5)) == expected
 
     def test_random_points_refuse_a_chart_the_exclusions_empty(self):
-        chart = fc.parse_chart("chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude 1<2")
+        chart = fc.parse_form_file("chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude 1<2; form dx").chart
         with pytest.raises(ValueError, match="no samples survive the exclusions in 5000 "):
             chart.random_points(5, random.Random(0))
         f = fc.parse_form("dz - y*dx", chart)
@@ -679,7 +703,7 @@ class TestCompiledSamples:
         return [compiled.count(fc.normalize(e)) for e, _ in chart.exclusions]
 
     def test_a_refusal_compiles_each_exclusion_once(self):
-        chart = fc.parse_chart("chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude 1<2")
+        chart = fc.parse_form_file("chart x:[-1,1] y:[-1,1] z:[-1,1]; exclude 1<2; form dx").chart
         f = fc.parse_form("dz - y*dx", chart)
 
         def refuse():
