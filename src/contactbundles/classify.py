@@ -321,20 +321,21 @@ def _generator_images(g: int, n: int):
     return images
 
 
-def _orbit_labels(g: int, n: int, size: int):
+def _orbit_labels(g: int, n: int):
     """Label of every vector of (Z/n)^{2g}, the smallest index in its orbit
-    (algorithm in `cohomology_orbit_count`), as an int64 numpy array."""
+    (algorithm in `cohomology_orbit_count`), as an int64 numpy array.  The
+    callers bound n^{2g} through `_vector_count` first."""
     # numpy is imported on use, so that the package and the CLI commands
     # other than `covers` and `forms` load without it
     import numpy as np
-    if size == 1:  # n = 1, whatever the genus: no generators to build
+    if n == 1:  # whatever the genus: one vector, no generators to build
         return np.zeros(1, dtype=np.int64)
     images = _generator_images(g, n)
     if g == 1:
-        lab = np.arange(size, dtype=np.int64)
+        lab = np.arange(n * n, dtype=np.int64)
     else:
         # each handle's pair at its own one-handle label, on a (n^2,) * g grid
-        one = _orbit_labels(1, n, n * n)
+        one = _orbit_labels(1, n)
         lab = sum(one.reshape((n * n,) + (1,) * (g - 1 - i)) * n ** (2 * (g - 1 - i))
                   for i in range(g)).ravel()
     while True:
@@ -377,7 +378,8 @@ def cohomology_orbit_count(g: int, n: int) -> int:
     """
     import numpy as np  # on use, see _orbit_labels
 
-    lab = _orbit_labels(g, n, _vector_count(g, n))
+    _vector_count(g, n)
+    lab = _orbit_labels(g, n)
     return int(np.count_nonzero(lab == np.arange(lab.size)))
 
 
@@ -393,11 +395,11 @@ def orbit_of_vector(vector: Sequence[int], n: int) -> FrozenSet[Tuple[int, ...]]
     if dim % 2:
         raise ValueError("vector length must be even")
     g = dim // 2
-    size = _vector_count(g, n)
+    _vector_count(g, n)
     start = 0
     for v in vector:
         start = start * n + v % n
-    lab = _orbit_labels(g, n, size)
+    lab = _orbit_labels(g, n)
     members = (lab == lab[start]).nonzero()[0]
     rows = []
     for _ in range(dim):

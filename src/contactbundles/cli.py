@@ -230,10 +230,13 @@ def cmd_forms(args) -> int:
 
 
 def cmd_multicurve(args) -> int:
+    inputs = {"file": args.file}
+    if args.compare:
+        inputs["compare"] = args.compare
     try:
         dec = multicurve.parse_decomposition(_read(args.file))
     except (*READ_ERRORS, multicurve.InvalidDecomposition) as e:
-        return _emit("multicurve", {"file": args.file}, {}, error=_error(e))
+        return _emit("multicurve", inputs, {}, error=_error(e))
     ok, diags = multicurve.validate(dec)
     out = {"valid": ok, "diagnostics": diags}
     if ok:
@@ -246,11 +249,7 @@ def cmd_multicurve(args) -> int:
             dec2 = multicurve.parse_decomposition(_read(args.compare))
             out["isotopy_equal"] = multicurve.isotopy_equal(dec, dec2)
         except (*READ_ERRORS, multicurve.InvalidDecomposition) as e:
-            return _emit("multicurve", {"file": args.file, "compare": args.compare}, out,
-                         error=_error(e))
-    inputs = {"file": args.file}
-    if args.compare:
-        inputs["compare"] = args.compare
+            return _emit("multicurve", inputs, out, error=_error(e))
     if not ok:
         return _emit("multicurve", inputs, out,
                      error={"type": "InvalidDecomposition", "message": "; ".join(diags)})

@@ -1,10 +1,12 @@
 """Expression trees for form coefficients: parser, differentiation, evaluation.
 
 The node set is deliberately small: variables, exact rational constants, pi,
-sums, products, quotients, integer powers, sin/cos/exp and negation.  Trees
-are immutable, and a node computes its structural hash once, on first use.
-Nodes are slotted dataclasses without an instance dict, and a rational
-constant (`Rat`) holds its integer numerator and denominator.
+sums, products, integer powers and sin/cos/exp: the operations of a ring.
+The parser writes a - b as a + (-1)*b and a/b as a*b^-1, and the negation
+of a number as the negative number.  Trees are immutable, and a node
+computes its structural hash once, on first use.  Nodes are slotted
+dataclasses without an instance dict, and a rational constant (`Rat`)
+holds its integer numerator and denominator.
 `normalize` rewrites a tree into a sum of products of atoms with exact
 rational coefficients, over one sparse polynomial ring (`_ring`), and `diff`
 differentiates on that ring, atom by atom.  A ring polynomial holds integer
@@ -46,7 +48,7 @@ import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,20 +145,9 @@ class Mul(Expr):
 
 
 @_node
-class Div(Expr):
-    num: Expr
-    den: Expr
-
-
-@_node
 class Pow(Expr):
     base: Expr
     exponent: int
-
-
-@_node
-class Neg(Expr):
-    arg: Expr
 
 
 @_node
@@ -183,7 +174,9 @@ ONE = Rat(1)
 
 @lru_cache(maxsize=65536)
 def render(e: Expr) -> str:
-    """Canonical text; reparses to an equal tree."""
+    """Canonical text.  A tree the parser built from integer literals
+    reparses to an equal tree, and any tree within the parser's bounds
+    reparses to one with the same normal form."""
     return _render(e, 0)
 
 
@@ -206,9 +199,6 @@ def _render(e: Expr, prec: int) -> str:
     if isinstance(e, Mul):
         s = "*".join(_render(f, 2) for f in e.factors)
         return f"({s})" if prec >= 2 else s
-    if isinstance(e, Div):
-        s = f"{_render(e.num, 2)}/{_render(e.den, 3)}"
-        return f"({s})" if prec >= 2 else s
     if isinstance(e, Pow):
         k = e.exponent
         if abs(k) > MAX_EXPONENT:  # printed powers stay within what the parser reads
@@ -219,9 +209,6 @@ def _render(e: Expr, prec: int) -> str:
         else:
             b = f"({_render(e.base, 0)})"
         return f"{b}^{e.exponent}"
-    if isinstance(e, Neg):
-        s = f"-{_render(e.arg, 2)}"
-        return f"({s})" if prec >= 2 else s
     if isinstance(e, Sin):
         return f"sin({_render(e.arg, 0)})"
     if isinstance(e, Cos):
@@ -381,24 +368,16 @@ def _expand(e: Expr) -> tuple:
         return ({(): e.num}, e.den, {}) if e.num else _ZERO
     if isinstance(e, (Pi, Var)):
         return _atom(e)
-    if isinstance(e, Neg):
-        nums, den, atoms = _ring(e.arg)
-        return {m: -c for m, c in nums.items()}, den, atoms
     if isinstance(e, Add):
         return _sum(map(_ring, e.terms))
+    # products start at their first factor: _times(_ONE, p) is p
     if isinstance(e, Mul):
-        out = _ONE
-        for f in e.factors:
-            out = _times(out, _ring(f))
-        return out
-    if isinstance(e, Div):
-        return _times(_ring(e.num), _invert(_ring(e.den)))
+        rings = map(_ring, e.factors)
+        return reduce(_times, rings, next(rings, _ONE))
     if isinstance(e, Pow):
         core = _ring(e.base) if e.exponent >= 0 else _invert(_ring(e.base))
-        out = _ONE
-        for _ in range(abs(e.exponent)):
-            out = _times(out, core)
-        return out
+        k = abs(e.exponent)
+        return reduce(_times, itertools.repeat(core, k - 1), core) if k else _ONE
     if isinstance(e, (Sin, Cos, Exp)):
         arg = normalize(e.arg)
         if arg == ZERO:
@@ -438,7 +417,8 @@ def _rebuild(p: tuple) -> Expr:
 def normalize(e: Expr) -> Expr:
     """Canonical sum of products of atoms with exact rational coefficients:
     products and integer powers multiplied out, like terms merged, and a
-    quotient by a sum of two or more terms written with the atom (sum)^-1.
+    negative power of a sum of two or more terms written with the atom
+    (sum)^-1.
     ZeroDivisionError on a division by a symbolic zero."""
     return e if hasattr(e, "_poly") else _rebuild(_ring(e))  # a rebuilt tree is normal
 
@@ -491,14 +471,10 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         return mapping.get(e.name, e)
     if isinstance(e, (Rat, Pi)):
         return e
-    if isinstance(e, Neg):
-        return Neg(subst(e.arg, mapping))
     if isinstance(e, Add):
         return Add(tuple(subst(t, mapping) for t in e.terms))
     if isinstance(e, Mul):
         return Mul(tuple(subst(f, mapping) for f in e.factors))
-    if isinstance(e, Div):
-        return Div(subst(e.num, mapping), subst(e.den, mapping))
     if isinstance(e, Pow):
         return Pow(subst(e.base, mapping), e.exponent)
     if isinstance(e, (Sin, Cos, Exp)):
@@ -563,12 +539,10 @@ def compile_expr(e: Expr, names: Sequence[str]):
             out = emit(xs[0]) if xs else slot(0.0 if isinstance(x, Add) else 1.0)
             for t in xs[1:]:
                 out = step(fn, out, emit(t))
-        elif isinstance(x, Div):
-            out = step(operator.truediv, emit(x.num), emit(x.den))
         elif isinstance(x, Pow):
             k = x.exponent
             out = step(operator.pow, emit(x.base), slot(float(k) if k < 0 else k))
-        elif isinstance(x, (Neg, Sin, Cos, Exp)):
+        elif isinstance(x, (Sin, Cos, Exp)):
             out = step(_UNARY[type(x)], emit(x.arg))
         else:
             raise TypeError(f"not an expression over {tuple(names)}: {x!r}")
@@ -593,7 +567,7 @@ def compile_expr(e: Expr, names: Sequence[str]):
     return kernel
 
 
-_UNARY = {Neg: operator.neg, Sin: np.sin, Cos: np.cos, Exp: np.exp}
+_UNARY = {Sin: np.sin, Cos: np.cos, Exp: np.exp}
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +618,12 @@ MAX_EXPONENT = 16
 #: and the tree walkers recurse once per level
 MAX_NESTING = 100
 #: tallest expression tree the parser builds, counted in nodes from the root to
-#: a leaf: a chain of k factors joined by '*' or '/' is a left-deep tree k - 1
-#: tall, and so is the sum of k terms on one differential of a form.  Hashing
-#: and the tree walkers recurse once or twice per level: a 500-factor chain
-#: ran them out of Python's default 1000 frames, a 400-factor one did not
+#: a leaf: a chain of k factors joined by '*' is a left-deep tree k - 1 tall,
+#: and so is the sum of k terms on one differential of a form; the reciprocal
+#: b^-1 of a quotient by b counts as one level, so a chain of k factors joined
+#: by '/' is k tall.  Hashing and the tree walkers recurse once or twice per
+#: level: a 500-factor chain ran them out of Python's default 1000 frames, a
+#: 400-factor one did not
 MAX_DEPTH = 200
 #: largest |e| accepted in a literal 1e<e>: beyond it the value is not a
 #: float, and the exact Fraction("1e9999999") alone costs seconds
@@ -678,11 +654,9 @@ def _children(e: Expr) -> Tuple[Expr, ...]:
         return e.terms
     if isinstance(e, Mul):
         return e.factors
-    if isinstance(e, Div):
-        return (e.num, e.den)
     if isinstance(e, Pow):
         return (e.base,)
-    if isinstance(e, (Neg, Sin, Cos, Exp)):
+    if isinstance(e, (Sin, Cos, Exp)):
         return (e.arg,)
     return ()
 
@@ -717,12 +691,17 @@ class _Parser:
         here; leaves and parameters count height 0."""
         if degree > MAX_EXPONENT:
             raise FormSyntaxError(f"expansion degree exceeds {MAX_EXPONENT}", t.pos)
-        height = 1 + max(self.heights.get(id(c), 0) for c in _children(e))
+        height = 1 + max((self.heights.get(id(c), 0) for c in _children(e)), default=-1)
         if height > MAX_DEPTH:
             raise FormSyntaxError(f"expression depth exceeds {MAX_DEPTH}", t.pos)
         self.degrees[id(e)] = degree
         self.heights[id(e)] = height
         return e
+
+    def negated(self, e: Expr, t: _Token) -> Expr:
+        """-e for the sign t: the negative number for a number e, else (-1)*e."""
+        minus_e = Rat(-e.num, e.den) if isinstance(e, Rat) else Mul((Rat(-1), e))
+        return self.bounded(minus_e, self.degree(e), t)
 
     def nested(self, t: _Token, parse):
         """parse() one level deeper than `t`, within MAX_NESTING levels."""
@@ -767,7 +746,7 @@ class _Parser:
             t = self.peek()
             axis, coeff = self.parse_term()
             if negate:
-                coeff = self.bounded(Neg(coeff), self.degree(coeff), t)
+                coeff = self.negated(coeff, t)
             coeffs[axis] = self.bounded(Add((coeffs[axis], coeff)),
                                         max(self.degree(coeffs[axis]), self.degree(coeff), 1), t)
             t = self.next()
@@ -807,7 +786,7 @@ class _Parser:
             t = self.peek()
             rhs = self.parse_product()
             degree = max(degree, self.degree(rhs))
-            terms.append(rhs if sign == "+" else self.bounded(Neg(rhs), self.degree(rhs), t))
+            terms.append(rhs if sign == "+" else self.negated(rhs, t))
         if len(terms) == 1:
             return terms[0]
         return self.bounded(Add(tuple(terms)), max(degree, 1), start)
@@ -822,14 +801,15 @@ class _Parser:
             t = self.peek()
             rhs = self.parse_unary()
             degree += self.degree(rhs)
-            out = self.bounded(Mul((out, rhs)) if op == "*" else Div(out, rhs), degree, t)
+            if op == "/":
+                rhs = self.bounded(Pow(rhs, -1), self.degree(rhs), t)
+            out = self.bounded(Mul((out, rhs)), degree, t)
         return out
 
     def parse_unary(self) -> Expr:
         if self.at_op("-"):
             t = self.next()
-            arg = self.nested(t, self.parse_unary)
-            return self.bounded(Neg(arg), self.degree(arg), t)
+            return self.negated(self.nested(t, self.parse_unary), t)
         if self.at_op("+"):
             return self.nested(self.next(), self.parse_unary)
         return self.parse_power()

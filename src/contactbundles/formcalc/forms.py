@@ -41,11 +41,12 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import (_FUNCTIONS, _IDENT, ONE, ZERO, Add, Div, Expr, FormSyntaxError, Neg,
+from .expr import (_FUNCTIONS, _IDENT, ONE, ZERO, Add, Expr, FormSyntaxError, Mul, Rat,
                    UnknownVariableError, _diff, _Parser, _read_number, _rebuild, _ring, _sum,
                    _times, compile_expr, normalize, parse_expr, render, subst, variables)
 
@@ -204,7 +205,7 @@ class OneForm:
 
 def render_coeff(coeff: Expr) -> str:
     s = render(coeff)
-    if isinstance(coeff, (Add, Div)) or s.startswith("-"):
+    if isinstance(coeff, Add) or s.startswith("-"):
         return f"({s})"
     return s
 
@@ -220,7 +221,7 @@ class TwoForm:
         """The entry of dx_i ^ dx_j for i < j, and the normalized negation of
         the entry of dx_j ^ dx_i for i > j."""
         c = next((c for a, b, c in self.table if (a, b) in ((i, j), (j, i))), ZERO)
-        return c if i < j else normalize(Neg(c))
+        return c if i < j else normalize(Mul((Rat(-1), c)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,7 @@ def parse_form(text: str, chart: Chart, params: Optional[Mapping[str, object]] =
     return OneForm(chart, _Parser(text, chart.names, params, basis=chart.names).parse_form())
 
 
-def parse_form_file(text: str, params: Optional[Mapping[str, object]] = None) -> OneForm:
+def parse_form_file(text: str) -> OneForm:
     """Parse a chart header followed by a `form <...>` statement.
 
     chart x:[-2,2] y:[-2,2] z:[-2,2]; periodic z; exclude x<1e-3; form dz - y*dx
@@ -250,19 +251,19 @@ def parse_form_file(text: str, params: Optional[Mapping[str, object]] = None) ->
     at offsets into `text`; errors in the form are at offsets into the
     form's own text, from the first character after `form` and its blanks.
     """
-    bound: Dict[str, object] = dict(params or {})
-    chart, form_text = _parse_statements(text, bound)
+    chart, form_text, bound = _parse_statements(text)
     return parse_form(form_text, chart, bound)
 
 
-def _parse_statements(text: str, bound: dict) -> Tuple[Chart, str]:
-    """The chart of the ';'-separated statements of `text`, and the text of
-    its form statement; its `param` statements extend `bound`."""
+def _parse_statements(text: str) -> Tuple[Chart, str, Dict[str, Fraction]]:
+    """The chart of the ';'-separated statements of `text`, the text of its
+    form statement and the values its `param` statements bind."""
     names: List[str] = []
     ranges: List[Tuple[float, float]] = []
     periodic: List[Tuple[str, int]] = []  # name, file offset
     exclusions: List[Tuple[int, str, float]] = []
     params: Dict[str, int] = {}  # name, file offset
+    bound: Dict[str, Fraction] = {}
     seen = set()  # chart and form statements
     form_text: Optional[str] = None
     for stmt in re.finditer(r"[^;\s][^;]*", text):
@@ -321,7 +322,7 @@ def _parse_statements(text: str, bound: dict) -> Tuple[Chart, str]:
     flags = tuple(n in marked for n in names)
     # behind as many blanks as precede it, an exclusion's error offsets are file offsets
     excl = tuple((parse_expr(" " * at + src, names), eps) for at, src, eps in exclusions)
-    return Chart(tuple(names), tuple(ranges), flags, excl), form_text
+    return Chart(tuple(names), tuple(ranges), flags, excl), form_text, bound
 
 
 def _read_float(text: str, pos: int) -> float:

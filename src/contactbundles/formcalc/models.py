@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import Add, Cos, Exp, Expr, Mul, Neg, Pi, Rat, Sin, Var, parse_expr
+from .expr import Add, Cos, Exp, Expr, Mul, Pi, Rat, Sin, Var, parse_expr
 from .forms import Chart, OneForm, coefficient_values, parse_form, pullback, r_of_slope
 
 TWO_PI = 2.0 * math.pi
@@ -44,7 +44,7 @@ def connection_family(u: Expr) -> OneForm:
     chart = _box(["y", "x", "theta"],
                  [(-2.0, 2.0), (-2.0, 2.0), (0.0, TWO_PI)],
                  periodic=(False, False, True))
-    return OneForm(chart, (Rat(0), Neg(u), Rat(1)))
+    return OneForm(chart, (Rat(0), Mul((Rat(-1), u)), Rat(1)))
 
 
 def fiber_rotation_form(n: int) -> OneForm:
@@ -221,14 +221,14 @@ def _block_rotation_components(t: Fraction, variant: int) -> Sequence[Expr]:
     ang = Mul((Rat(2 * Fraction(t)), Pi()))
     c, s = Cos(ang), Sin(ang)
     x1, y1, x2, y2 = Var("x1"), Var("y1"), Var("x2"), Var("y2")
-    first = (Add((Mul((c, x1)), Neg(Mul((s, y1))))),
+    first = (Add((Mul((c, x1)), Mul((Rat(-1), s, y1)))),
              Add((Mul((s, x1)), Mul((c, y1)))))
     if variant > 0:
-        second = (Add((Mul((c, x2)), Neg(Mul((s, y2))))),
+        second = (Add((Mul((c, x2)), Mul((Rat(-1), s, y2)))),
                   Add((Mul((s, x2)), Mul((c, y2)))))
     else:
         second = (Add((Mul((c, x2)), Mul((s, y2)))),
-                  Add((Neg(Mul((s, x2))), Mul((c, y2)))))
+                  Add((Mul((Rat(-1), s, x2)), Mul((c, y2)))))
     return (first[0], first[1], second[0], second[1])
 
 

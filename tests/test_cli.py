@@ -414,10 +414,14 @@ class TestMulticurveCommand:
         dec.write_text(mc.format_decomposition(mc.SurfaceDecomposition(
             ((0, 2), (0, 2)), (((0, 0), (1, 0)), ((0, 1), (1, 1))), 0, False)))
         for argv in (["--file", str(tmp_path)], ["--file", str(tmp_path / "missing.dec")],
-                     ["--file", str(dec), "--compare", str(tmp_path)]):
+                     ["--file", str(dec), "--compare", str(tmp_path)],
+                     ["--file", str(tmp_path / "missing.dec"), "--compare", str(dec)]):
             code, rep, _ = run_json(capsys, "multicurve", *argv)
             assert code == 1
             assert rep["error"]["type"] in ("IsADirectoryError", "FileNotFoundError")
+            # every error report echoes the files it was given, --compare too
+            assert rep["inputs"] == dict(zip(("file", "compare"), argv[1::2]))
+
     def test_compare_identical(self, capsys, tmp_path):
         dec = mc.SurfaceDecomposition(((0, 2), (0, 2)),
                                       (((0, 0), (1, 0)), ((0, 1), (1, 1))), 0, False)
@@ -547,6 +551,8 @@ GOLDEN = [
     ("connection_grid24.json", "forms --form-file tests/data/connection.form --grid 24"),
     ("mixed_all_axes_grid24.json", "forms --form-file tests/data/mixed_all_axes.form --grid 24"),
     ("flat_dx_grid5.json", "forms --form-file tests/data/flat_dx.form --grid 5"),
+    ("signs_and_quotients_grid24.json",
+     "forms --form-file tests/data/signs_and_quotients.form --grid 24"),
     ("holonomy_g8_29.997pi.json", "holonomy --genus 8 --area 29.997pi --iters 10000"),
     ("polygon_g8_29.997pi.json", "polygon --genus 8 --area 29.997pi"),
     ("holonomy_g10000_19999pi.json", "holonomy --genus 10000 --area 19999pi --iters 100000"),

@@ -19,8 +19,9 @@ from hypothesis import strategies as st  # noqa: E402
 from contactbundles import cli  # noqa: E402
 from contactbundles import formcalc as fc  # noqa: E402
 from contactbundles import multicurve as mc  # noqa: E402
-from contactbundles.formcalc.expr import (Add, Cos, Div, Exp, Mul, Neg, Pi, Pow,  # noqa: E402
+from contactbundles.formcalc.expr import (Add, Cos, Exp, Expr, Mul, Pi, Pow,  # noqa: E402
                                           Rat, Sin, Var)
+from expr_reference import div, neg  # noqa: E402
 
 XYZ = fc.Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
 
@@ -34,9 +35,9 @@ def _extend(children):
     return st.one_of(
         st.builds(lambda a, b: Add((a, b)), children, children),
         st.builds(lambda a, b: Mul((a, b)), children, children),
-        st.builds(Div, children, children),
+        st.builds(div, children, children),
         st.builds(Pow, children, st.integers(-3, 3)),
-        st.builds(Neg, children),
+        st.builds(neg, children),
         st.builds(Sin, children),
         st.builds(Cos, children),
         st.builds(Exp, children),
@@ -123,8 +124,9 @@ def test_chain_bounded_by_tree_depth(tmp_path, op, factor):
     """A form whose tree is MAX_DEPTH tall runs through `forms`; a chain one
     level taller than MAX_DEPTH is refused at its last factor."""
     depth = fc.expr.MAX_DEPTH
-    # the form adds one level above its coefficient; sin(y) one under each factor
-    k = depth if factor != "sin(y)" else depth - 1
+    # the form adds one level above its coefficient; sin(y), and the
+    # reciprocal of a factor after '/', one under each factor
+    k = depth - 1 if op == "/" or factor == "sin(y)" else depth
     path = tmp_path / "deep.form"
     path.write_text(f"chart x:[-1,1] y:[-1,1] z:[-1,1];\n"
                     f"form dz + {op.join([factor] * k)}*dy\n")
@@ -143,7 +145,33 @@ def test_chains_stay_left_deep():
     """The depth bound refuses long chains; it does not regroup short ones."""
     x, y, z, two = Var("x"), Var("y"), Var("z"), Rat(Fraction(2))
     assert fc.expr.parse_expr("x*y/z*2/x", "xyz") == \
-        Div(Mul((Div(Mul((x, y)), z), two)), x)
+        Mul((Mul((Mul((Mul((x, y)), Pow(z, -1))), two)), Pow(x, -1)))
+
+
+RING_NODES = {Rat, Pi, Var, Add, Mul, Pow, Sin, Cos, Exp}
+COEFFICIENT_TOKENS = [t for t in FORM_TOKENS if not t.startswith("d")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(coefficients.map(fc.render),
+                 st.lists(st.sampled_from(COEFFICIENT_TOKENS), max_size=14).map("".join)))
+@example("-1 - -(x + y)/(1 - z)^2 + 2*-3/4 - x^-1/-y")
+def test_parsed_trees_hold_only_ring_nodes(text):
+    """The parser writes -a as (-1)*a and a/b as a*b^-1: every subtree of a
+    parsed coefficient is one of the nine node types `expr` defines, and a
+    tree parsed from integer literals renders to text that parses back to it."""
+    assert {c.__name__ for c in Expr.__subclasses__()} == {c.__name__ for c in RING_NODES}
+    try:
+        e = fc.parse_expr(text, "xyz")
+    except fc.FormSyntaxError:
+        assume(False)
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        assert type(node) in RING_NODES, (text, node)
+        stack += fc.expr._children(node)
+    if "0.5" not in text:
+        assert fc.parse_expr(fc.render(e), "xyz") == e
 
 
 def test_nested_exponents_bounded_by_their_product():

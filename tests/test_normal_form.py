@@ -7,16 +7,13 @@ The reference expands a tree into a dict from sorted ((atom, exponent), ...)
 tuples to Fractions, re-sorting each product by the rendered atoms, and
 differentiates by building the chain-rule tree and normalising it.  Both
 normalisers treat the same atoms as independent indeterminates, so their
-normal forms render identically.  The derivatives differ only through a
-quotient by a sum s: the reference's quotient rule divides by the expanded
-s^2, a new atom, while the ring writes (s^-1)^2; there the two must agree in
-value.
+normal forms and derivatives render identically: a quotient by a sum s is a
+product with s^-1, which both differentiate through the atom s^-1.
 """
 
 import itertools
 import math
 import pickle
-import random
 from fractions import Fraction
 
 import pytest
@@ -24,9 +21,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactbundles import formcalc as fc
-from contactbundles.formcalc.expr import (MAX_EXPONENT, ONE, ZERO, Add, Cos, Div, Exp, Mul, Neg,
-                                          Pi, Pow, Rat, Sin, Var, render)
-from expr_reference import eval_expr
+from contactbundles.formcalc.expr import (MAX_EXPONENT, ONE, ZERO, Add, Cos, Exp, Mul, Pi, Pow,
+                                          Rat, Sin, Var, render)
+from expr_reference import div, neg
 from test_formcalc import REDUCED_COEFFS
 
 
@@ -94,8 +91,6 @@ def _to_sop(e):
         return _sop_const(e.value)
     if isinstance(e, (Pi, Var)):
         return _sop_atom(e)
-    if isinstance(e, Neg):
-        return {m: -c for m, c in _to_sop(e.arg).items()}
     if isinstance(e, Add):
         out = {}
         for t in e.terms:
@@ -106,8 +101,6 @@ def _to_sop(e):
         for f in e.factors:
             out = _sop_mul(out, _to_sop(f))
         return out
-    if isinstance(e, Div):
-        return _sop_mul(_to_sop(e.num), _sop_invert(_to_sop(e.den)))
     if isinstance(e, Pow):
         base = _to_sop(e.base)
         k = e.exponent
@@ -150,18 +143,12 @@ def _tree_diff(e, var):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
-    if isinstance(e, Neg):
-        return Neg(_tree_diff(e.arg, var))
     if isinstance(e, Add):
         return Add(tuple(_tree_diff(t, var) for t in e.terms))
     if isinstance(e, Mul):
         fs = e.factors
         return Add(tuple(Mul(fs[:i] + (_tree_diff(fs[i], var),) + fs[i + 1:])
                          for i in range(len(fs))))
-    if isinstance(e, Div):
-        return Div(Add((Mul((_tree_diff(e.num, var), e.den)),
-                        Neg(Mul((e.num, _tree_diff(e.den, var)))))),
-                   Pow(e.den, 2))
     if isinstance(e, Pow):
         if e.exponent == 0:
             return ZERO
@@ -170,7 +157,7 @@ def _tree_diff(e, var):
     if isinstance(e, Sin):
         return Mul((Cos(e.arg), _tree_diff(e.arg, var)))
     if isinstance(e, Cos):
-        return Neg(Mul((Sin(e.arg), _tree_diff(e.arg, var))))
+        return neg(Mul((Sin(e.arg), _tree_diff(e.arg, var))))
     if isinstance(e, Exp):
         return Mul((Exp(e.arg), _tree_diff(e.arg, var)))
     raise TypeError(f"not an expression: {e!r}")
@@ -183,16 +170,6 @@ def reference_diff(e, var):
 # ---------------------------------------------------------------------------
 # random trees with shared subtrees
 
-def _subtrees(e):
-    yield e
-    for c in fc.expr._children(e):
-        yield from _subtrees(c)
-
-
-def divides_by_a_sum(e) -> bool:
-    return any(isinstance(n, Div) and len(_to_sop(n.den)) > 1 for n in _subtrees(e))
-
-
 RATIONALS = st.builds(lambda p, q: Rat(Fraction(p, q)), st.integers(-4, 4), st.integers(1, 3))
 
 
@@ -201,15 +178,16 @@ def shared_trees(draw, steps=8, max_degree=MAX_EXPONENT):
     """A tree built bottom-up in 1..`steps` steps, each node over the one
     before and two earlier ones, so a subtree may occur several times: sums,
     products, quotients (by sums too), powers with exponents -2..3,
-    negations, and sin/cos/exp, some of a zero argument."""
+    negations, and sin/cos/exp, some of a zero argument; a quotient and a
+    negation are the ring trees the parser builds for them."""
     pool = [Var("x"), Var("y"), Var("z"), Pi(), draw(RATIONALS)]
     for _ in range(draw(st.integers(1, steps))):
         a, k = pool[-1], draw(st.integers(-2, 3))
         b, c = (pool[draw(st.integers(0, len(pool) - 1))] for _ in range(2))
-        zero = Add((b, Neg(b)))
+        zero = Add((b, neg(b)))
         pool.append(draw(st.sampled_from([
-            Add((a, b)), Add((a, b, c)), Mul((a, b)), Div(a, b), Div(a, Add((b, c))),
-            Pow(a, k), Neg(a), Sin(a), Cos(a), Exp(a), Sin(zero), Cos(zero), Mul((Sin(zero), a)),
+            Add((a, b)), Add((a, b, c)), Mul((a, b)), div(a, b), div(a, Add((b, c))),
+            Pow(a, k), neg(a), Sin(a), Cos(a), Exp(a), Sin(zero), Cos(zero), Mul((Sin(zero), a)),
         ])))
     assume(_degree(pool[-1]) <= max_degree)
     return pool[-1]
@@ -222,8 +200,8 @@ def _degree(e) -> int:
         return 1
     if isinstance(e, Add):
         return max(map(_degree, e.terms))
-    if isinstance(e, (Mul, Div)):
-        return sum(map(_degree, fc.expr._children(e)))
+    if isinstance(e, Mul):
+        return sum(map(_degree, e.factors))
     if isinstance(e, Pow):
         return abs(e.exponent) * _degree(e.base)
     return _degree(e.arg)
@@ -233,36 +211,15 @@ X, Y, Z = Var("x"), Var("y"), Var("z")
 S = Add((X, Y))
 
 
-def _close(a: float, b: float, scale: float) -> bool:
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b), scale)
-
-
-def _scale(e, env) -> float:
-    """Largest |term| of the sum e at env: rounding in either form is
-    relative to it."""
-    terms = e.terms if isinstance(e, Add) else (e,)
-    return max(abs(eval_expr(t, env)) for t in terms)
-
-
-def _values(e, points):
-    out = []
-    for env in points:
-        try:
-            out.append((eval_expr(e, env), _scale(e, env)))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            out.append(None)
-    return out
-
-
 @settings(max_examples=300, deadline=None)
 @given(shared_trees())
-@example(Div(X, S))
-@example(Div(S, S))
-@example(Div(ONE, Div(ONE, S)))
-@example(Pow(Div(X, S), -2))
-@example(Mul((Sin(Add((X, Neg(X)))), Div(Y, Add((Z, Neg(Z)))))))
-@example(Exp(Div(Cos(Add((Y, Neg(Y)))), Add((X, Pi())))))
-@example(Mul((Pow(Add((X, Mul((Y, Cos(S))))), 3), Div(Sin(S), Add((ONE, Mul((X, Cos(S)))))))))
+@example(div(X, S))
+@example(div(S, S))
+@example(div(ONE, div(ONE, S)))
+@example(Pow(div(X, S), -2))
+@example(Mul((Sin(Add((X, neg(X)))), div(Y, Add((Z, neg(Z)))))))
+@example(Exp(div(Cos(Add((Y, neg(Y)))), Add((X, Pi())))))
+@example(Mul((Pow(Add((X, Mul((Y, Cos(S))))), 3), div(Sin(S), Add((ONE, Mul((X, Cos(S)))))))))
 def test_normal_form_and_derivative_match_the_reference(e):
     try:
         expected = reference_normalize(e)
@@ -279,17 +236,8 @@ def test_normal_form_and_derivative_match_the_reference(e):
     n = fc.normalize(e)
     kept = getattr(n, "_poly", fc.expr._ZERO)
     assert fc.expr._expand.__wrapped__(pickle.loads(pickle.dumps(n)))[:2] == kept[:2]
-    rng = random.Random(7)
-    points = [{n: rng.uniform(-2.0, 2.0) for n in "xyz"} for _ in range(5)]
     for var in "xy":
-        got, ref = fc.diff(e, var), reference_diff(e, var)
-        if not divides_by_a_sum(e):
-            assert render(got) == render(ref)
-            continue
-        for g, r in zip(_values(got, points), _values(ref, points)):
-            if g is None or r is None or not all(map(math.isfinite, (*g, *r))):
-                continue
-            assert _close(g[0], r[0], max(g[1], r[1])), (render(got), render(ref))
+        assert render(fc.diff(e, var)) == render(reference_diff(e, var))
 
 
 def _distinct_subtrees(e):
@@ -326,8 +274,8 @@ def _coefficients(p):
 @given(shared_trees())
 @example(Mul((Rat(Fraction(2, 3)), Rat(Fraction(3, 2)), X)))
 @example(Add((Mul((Rat(Fraction(1, 6)), X)), Mul((Rat(Fraction(1, 3)), X)), Y)))
-@example(Div(Rat(Fraction(4, 9)), Mul((Rat(Fraction(2, 3)), X))))
-@example(Pow(Div(X, Add((Rat(Fraction(1, 2)), Y))), -2))
+@example(div(Rat(Fraction(4, 9)), Mul((Rat(Fraction(2, 3)), X))))
+@example(Pow(div(X, Add((Rat(Fraction(1, 2)), Y))), -2))
 def test_ring_keeps_integer_numerators_over_one_reduced_denominator(e):
     """Every polynomial the ring returns is canonical, so equal polynomials
     are equal pairs (the memos and d o d = 0 rely on it), and its
@@ -348,17 +296,17 @@ def test_ring_keeps_integer_numerators_over_one_reduced_denominator(e):
 
 
 def test_quotient_by_a_sum_differentiates_through_its_atom():
-    """The one text the ring changes: (s^-1)^2 where the reference wrote the
-    expanded s^2 as a new atom."""
-    e = Div(X, S)
+    """x/s is x*s^-1, so the ring and the reference's power rule both write
+    (s^-1)^2, never the expanded s^2 as a new atom."""
+    e = div(X, S)
     assert render(fc.diff(e, "x")) == "(x + y)^-1 + (-1)*((x + y)^-1)^2*x"
-    assert render(reference_diff(e, "x")) == "(2*x*y + x^2 + y^2)^-1*y"
+    assert render(reference_diff(e, "x")) == render(fc.diff(e, "x"))
     assert fc.normalize(fc.parse_expr(render(fc.diff(e, "x")), "xyz")) == fc.diff(e, "x")
 
 
-@pytest.mark.parametrize("e", [Div(X, Add((Y, Neg(Y)))), Pow(Mul((Y, ZERO)), -1),
-                               Div(X, Sin(Add((Z, Neg(Z))))),
-                               Pow(Div(ONE, Add((X, Neg(X)))), 0)])
+@pytest.mark.parametrize("e", [div(X, Add((Y, neg(Y)))), Pow(Mul((Y, ZERO)), -1),
+                               div(X, Sin(Add((Z, neg(Z))))),
+                               Pow(div(ONE, Add((X, neg(X)))), 0)])
 def test_division_by_a_symbolic_zero_raises(e):
     with pytest.raises(ZeroDivisionError):
         fc.normalize(e)
@@ -371,14 +319,14 @@ def test_division_by_a_symbolic_zero_raises(e):
 
 def reference_exterior_derivative(form):
     names, a = form.chart.names, form.coefficients
-    return {(i, j): fc.normalize(Add((fc.diff(a[j], names[i]), Neg(fc.diff(a[i], names[j])))))
+    return {(i, j): fc.normalize(Add((fc.diff(a[j], names[i]), neg(fc.diff(a[i], names[j])))))
             for i, j in itertools.combinations(range(len(names)), 2)}
 
 
 def reference_volume_coefficient(form):
     d = reference_exterior_derivative(form)
     a1, a2, a3 = form.coefficients
-    return fc.normalize(Add((Mul((a1, d[1, 2])), Neg(Mul((a2, d[0, 2]))), Mul((a3, d[0, 1])))))
+    return fc.normalize(Add((Mul((a1, d[1, 2])), neg(Mul((a2, d[0, 2]))), Mul((a3, d[0, 1])))))
 
 
 def reference_pullback(components, source_chart, form):
@@ -404,11 +352,11 @@ def _outcome(fn, *args):
 
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(COEFFS, COEFFS, COEFFS), st.tuples(COEFFS, COEFFS, COEFFS))
-@example((Neg(Q), ZERO, ONE), (X, Y, Z))
-@example((Div(Sin(X), Add((Y, Cos(Z)))), Exp(Div(X, S)), Pow(S, -2)),
-         (Div(ONE, Add((X, Pi()))), Mul((Y, Exp(Z))), Cos(S)))
-@example((Y, Div(X, Add((Y, Neg(Y)))), ONE), (X, Y, Z))
-@example((Div(X, S), ZERO, Y), (Div(X, Add((Z, Neg(Z)))), Y, Z))
+@example((neg(Q), ZERO, ONE), (X, Y, Z))
+@example((div(Sin(X), Add((Y, Cos(Z)))), Exp(div(X, S)), Pow(S, -2)),
+         (div(ONE, Add((X, Pi()))), Mul((Y, Exp(Z))), Cos(S)))
+@example((Y, div(X, Add((Y, neg(Y)))), ONE), (X, Y, Z))
+@example((div(X, S), ZERO, Y), (div(X, Add((Z, neg(Z)))), Y, Z))
 def test_calculus_on_the_ring_matches_the_tree_route(coeffs, components):
     form = _outcome(fc.OneForm, CHART, coeffs)
     assume(form is not ZeroDivisionError)
@@ -416,7 +364,7 @@ def test_calculus_on_the_ring_matches_the_tree_route(coeffs, components):
     assert dict(((i, j), c) for i, j, c in d.table) == reference_exterior_derivative(form)
     for i, j, c in d.table:
         assert d.coefficient(i, j) is c
-        assert d.coefficient(j, i) == fc.normalize(Neg(c))
+        assert d.coefficient(j, i) == fc.normalize(neg(c))
         assert d.coefficient(i, i) == ZERO
     assert fc.volume_coefficient(form) == reference_volume_coefficient(form)
     got = _outcome(fc.pullback, components, CHART, form)
