@@ -5,8 +5,8 @@ The package is organised around five independent engines plus a CLI:
 * `circle_dynamics` -- lifts of circle homeomorphisms: displacement bounds,
   translation numbers, holonomy relators, Euler numbers from pairs of lifts.
 * `hyperbolic` -- symmetric polygons in the Poincare disk, side-pairing
-  isometries, and the holonomy relator as one handle's commutator and the
-  polygon's rotation raised to the g-th power, with its boundary lift.
+  isometries, and the holonomy relator's translation number and trace, read
+  from how one handle's two pairings turn at four vertices.
 * `formcalc` -- a small symbolic engine for differential 1-forms: parser,
   exterior derivative, contact-sign grids, pullbacks, the model-form catalog.
 * `classify` -- the integer existence / counting / bound formulas, and the

@@ -612,8 +612,7 @@ def trace_slack(f: MoebiusBoundaryLift) -> float:
     with its S for ||A_i|| (its first letter entered no product, and that
     4*eps share covers the product taking the fold in); the max keeps that S
     at least the bound on ||M^ - M|| before the fold's own last rescaling,
-    which is not counted there.  A lift whose S bounds the trace error
-    directly (`hyperbolic.symmetric_relator`) is read the same way.
+    which is not counted there.
     """
     e = (LETTER_ERROR_ULPS + 4) * _EPS * f.error_scale
     norm = abs(f._alpha) + abs(f._beta)

@@ -24,7 +24,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import __version__, circle_dynamics, classify, hyperbolic, multicurve
+from . import __version__, classify, hyperbolic, multicurve
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -45,6 +45,13 @@ def _round12(obj):
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
     return obj
+
+
+#: A float printed to 12 significant digits (`_round12`) lies within 5e-12 of
+#: itself, relatively, plus a double's rounding.  A printed bound adds this
+#: share of the value it bounds, so that comparing two printed values of that
+#: size (|rho| and A/2pi, |trace| and its expected value) stays within it.
+PRINT_SLACK = 1.1e-11
 
 
 def _emit(command: str, inputs: dict, outputs: dict, error: dict = None) -> int:
@@ -125,27 +132,31 @@ def cmd_classify(args) -> int:
 
 def cmd_holonomy(args) -> int:
     area = _parse_area(args.area)
-    radius = hyperbolic.radius_for_area(args.genus, area)
-    relator = hyperbolic.symmetric_relator(args.genus, radius)
-    est = circle_dynamics.translation_number(relator, args.iters)
-    trace = relator.iso.trace()
+    g = args.genus
+    radius = hyperbolic.radius_for_area(g, area)
+    if args.iters < 1:
+        raise ValueError("iterations must be >= 1")
+    rho, rho_bound, trace, trace_bound = hyperbolic.relator_rotation(
+        g, hyperbolic.polygon_vertices(g, radius, 5), *hyperbolic.side_pairings(g, radius, 1))
+    trace_bound += PRINT_SLACK * abs(trace)
     target = area / (2.0 * math.pi)
     out = {
-        "genus": args.genus,
+        "genus": g,
         "area": area,
         "circumradius": radius,
         "commutator_trace": trace,
+        "commutator_trace_bound": trace_bound,
         # exactly the rotation about s_1 by (4g-2)*pi - area: elliptic or the identity
-        "commutator_class": ("elliptic" if abs(trace) < 2.0 - circle_dynamics.trace_slack(relator)
-                             else "undecided"),
-        "rho": float(est.value),
-        "abs_rho": abs(float(est.value)),
+        "commutator_class": "elliptic" if abs(trace) < 2.0 - trace_bound else "undecided",
+        "rho": rho,
+        "abs_rho": abs(rho),
         "target_abs_rho": target,
-        "residual": abs(abs(float(est.value)) - target),
-        "error_bound": est.error_bound,
-        "iterations": est.iterations,
+        "residual": abs(abs(rho) - target),
+        # 1 / N of two ints, so an N beyond the float range gives 0.0, not OverflowError
+        "error_bound": 1 / args.iters + rho_bound + PRINT_SLACK * abs(rho),
+        "iterations": args.iters,
     }
-    return _emit("holonomy", {"genus": args.genus, "area": args.area, "iters": args.iters}, out)
+    return _emit("holonomy", {"genus": g, "area": args.area, "iters": args.iters}, out)
 
 
 def cmd_polygon(args) -> int:
@@ -153,8 +164,10 @@ def cmd_polygon(args) -> int:
     g = args.genus
     radius = hyperbolic.radius_for_area(g, area)
     # handle i + 1 is handle i turned by Rot(-2*pi/g): measure the first, bound them all
-    s1, s2, s3, s4, s5 = hyperbolic.polygon_vertices(g, radius, 5)
+    vertices = hyperbolic.polygon_vertices(g, radius, 5)
+    s1, s2, s3, s4, s5 = vertices
     phi_1, phi_2 = hyperbolic.side_pairings(g, radius, 1)
+    _, _, trace, trace_bound = hyperbolic.relator_rotation(g, vertices, phi_1, phi_2)
     residuals = (
         hyperbolic.image_distance(phi_1, s3, s2),
         hyperbolic.image_distance(phi_1, s4, s1),
@@ -170,7 +183,8 @@ def cmd_polygon(args) -> int:
         "side_length": hyperbolic.hdistance(s1, s2),
         "pairing_residual_max": max(residuals),
         "pairing_residual_bound": hyperbolic.pairing_residual_bound(g, radius),
-        "commutator_trace": hyperbolic.relator_matrix(g, phi_1, phi_2).trace(),
+        "commutator_trace": trace,
+        "commutator_trace_bound": trace_bound + PRINT_SLACK * abs(trace),
         "expected_abs_trace": expected,
     }
     return _emit("polygon", {"genus": g, "area": args.area}, out)

@@ -812,9 +812,9 @@ class _Parser:
             return self.negated(self.nested(t, self.parse_unary), t)
         if self.at_op("+"):
             return self.nested(self.next(), self.parse_unary)
-        return self.parse_power()
+        return self.parse_pow()
 
-    def parse_power(self) -> Expr:
+    def parse_pow(self) -> Expr:
         base = self.parse_atom()
         if not self.at_op("^"):
             return base

@@ -11,13 +11,13 @@ indices mod 4g, so that consecutive edges are glued in the pattern
 (E_{4i-3}, E_{4i-2}, E_{4i-1}, E_{4i}) ~ (a, b, a, b); each edge is used by
 exactly one pairing.  The product of commutators of the pairings is then an
 elliptic rotation about s_1 by the polygon's total interior angle, and its
-boundary lift has translation number -area/(2*pi) up to the orientation sign.
-The pairings and vertices of one handle are those of the previous one turned
-by the rotation Rot(-2*pi/g), so the relator is one handle's commutator times
-that rotation, raised to the g-th power (`symmetric_relator`, O(log g)
-products), and `polygon` measures the first handle only: the vertices
-s_1..s_5 (`polygon_vertices`), phi_1 and phi_2 (`side_pairings`), and a residual
-bound that covers every handle (`pairing_residual_bound`).
+boundary lift has translation number -area/(2*pi).  The pairings and
+vertices of one handle are those of the previous one turned by the rotation
+Rot(-2*pi/g), so both commands measure the first handle only: the vertices
+s_1..s_5 (`polygon_vertices`), phi_1 and phi_2 (`side_pairings`), a residual
+bound that covers every handle (`pairing_residual_bound`), and the relator's
+translation number and trace, read from how the two pairings turn at four
+vertices (`relator_rotation`), with their derived bounds.
 
 Isometries are stored as real SL(2) matrices (PSL(2, R), identified with
 their negation) and act on the disk through the Cayley transform; the
@@ -42,13 +42,10 @@ stay bounded as the area approaches (4g-2)*pi and the vertices the boundary.
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 import sys
-from itertools import accumulate
-from typing import List, Tuple
-
-from . import circle_dynamics as cd
+from typing import List, Sequence, Tuple
 
 
 class AreaOutOfRange(ValueError):
@@ -189,10 +186,8 @@ def polygon_area(g: int, s1: complex, s2: complex) -> float:
 
 
 #: Largest genus `radius_for_area` accepts.  `polygon` and `holonomy` do work
-#: logarithmic in g, but `pairing_residual_bound` and the side bound of
-#: `polygon_vertices` are tested against the full build only up to here, and
-#: from g ~ 10^3 on `holonomy`'s error bound is about 2, so a larger genus
-#: would get reports that say little.
+#: independent of g, but `pairing_residual_bound` and the side bound of
+#: `polygon_vertices` are tested against the full build only up to here.
 MAX_GENUS = 10 ** 4
 
 
@@ -207,6 +202,13 @@ def radius_for_area(g: int, area: float) -> float:
     raises ValueError (AreaOutOfRange for the area).  Areas beyond the float limits at
     both ends are refused too: below 2n times the smallest normal float, R loses its
     digits; above tanh(R/2) = _R_MAX, the vertices reach |z| = 1.
+
+    To first order in eps, R is the exact radius of an area within
+    26*eps*(4g-2)*pi of `area`.  The top (4g-2)*pi is within eps of itself,
+    so beta/2, sin(beta/2) and `excess` err by a relative eps*top/(top - area)
+    plus 5.5*eps from the other roundings; sqrt and asinh move R by tanh(R/2)
+    times that plus eps*R/2; and dA/dR = n*tanh(R)*sin(beta) <= top - area.
+    With R < 36 below _R_MAX, that is at most eps*top*(7.5 + R/2).
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
@@ -314,114 +316,69 @@ def pairing_residual_bound(g: int, radius: float) -> float:
     return 2.0 * math.asinh(64 * eps * (1.0 + cosh_rho) / ((1.0 - r - 3 * eps) * (1.0 + r)))
 
 
-def _norm(iso: Isometry2H) -> float:
-    """Spectral norm |alpha| + |beta|."""
-    alpha, beta = iso.disk_coefficients()
-    return abs(alpha) + abs(beta)
+def relator_rotation(g: int, vertices: Sequence[complex], phi_1: Isometry2H,
+                     phi_2: Isometry2H) -> Tuple[float, float, float, float]:
+    """(rho, rho_bound, trace, trace_bound) of the lifted relator
+    prod_{i=1..g} [phi_{2i-1}, phi_{2i}] of the symmetric 4g-gon, read from
+    the vertices s_1..s_5 (`polygon_vertices`) and the first handle's
+    pairings (`side_pairings`) at the circumradius R = radius_for_area(g, A).
 
+    For w(z) = (alpha*z + beta)/(conj(beta)*z + conj(alpha)) with |beta| <
+    |alpha|, alpha*z + beta = z*conj(conj(beta)*z + conj(alpha)) on |z| = 1,
+    so the displacement w~(t) - t of a lift extends continuously into the
+    closed disk as Theta(z) = -arg(conj(beta)*z + conj(alpha))/pi plus an
+    integer.  The chain rule gives Theta_{AB}(z) = Theta_A(Bz) + Theta_B(z),
+    so Theta_{A^-1}(Az) = -Theta_A(z), and the rho of an elliptic lift is
+    Theta at its fixed point (Beardon, The Geometry of Discrete Groups, 9.8;
+    Ghys, Enseign. Math. 2001).  Handle i + 1 is handle i conjugated by
+    R = Rot(-2*pi/g) (`side_pairings`), so the relator's lift is
+    (C~ R~)^g R~^-g with C = [phi_1, phi_2], and X = C R fixes s_1 along
+    s_1 ->R s_5 ->phi_2^-1 s_2 ->phi_1^-1 s_3 ->phi_2 s_4 ->phi_1 s_1.  Along
+    that path each pairing's integer cancels against its inverse's, and R's
+    constant Theta against R~^-g (g*R~(0) = g - 1 = m).  What is left is
 
-def _power(x: Isometry2H, g: int) -> tuple:
-    """(x^g, nodes) by binary powering, lowest bit first; nodes holds
-    (A, B, a + b, c) for each product A B = x^a x^b, which occurs c times in
-    x^g written out as a product of g letters x."""
-    power, e, acc, acc_e, nodes, k = x, 1, None, 0, [], g
-    while True:
-        if k & 1:
-            if acc is None:
-                acc, acc_e = power, e
-            else:
-                nodes.append((acc, power, acc_e + e, 1))
-                acc, acc_e = acc @ power, acc_e + e
-        k >>= 1
-        if not k:
-            return acc, nodes
-        nodes.append((power, power, 2 * e, k))  # x^(2e) occurs floor(g / 2e) = k times
-        power, e = power @ power, 2 * e
+        rho = -g*D/pi,  D = arg((1 + b_1 s_4)/(1 + b_1 s_3)) + arg((1 + b_2 s_3)/(1 + b_2 s_2)),
 
+    with b = conj(beta)/conj(alpha) of phi_1 and phi_2; |b*z| < 1, so each
+    quotient's arg is a difference of two args in (-pi/2, pi/2).  The lift
+    with Theta = u at its fixed point has SL(2) trace 2*cos(pi*u), so the
+    trace is 2*cos(g*D).  In exact arithmetic D = A/(2g).
 
-def relator_matrix(g: int, phi_1: Isometry2H, phi_2: Isometry2H) -> Isometry2H:
-    """-(C R)^g, C = [phi_1, phi_2] and R = Rot(-2*pi/g), from the first handle's
-    pairings without lifts: the matrix of `symmetric_relator`, bit for bit."""
-    x = functools.reduce(Isometry2H.compose, [phi_1, phi_2, phi_1.inverse(), phi_2.inverse(),
-                                              Isometry2H.rotation(-2.0 * math.pi / g)])
-    xg = _power(x, g)[0]
-    return Isometry2H(-xg.a, -xg.b, -xg.c, -xg.d)
-
-
-def symmetric_relator(g: int, radius: float) -> cd.MoebiusBoundaryLift:
-    """The lifted relator prod_{i=1..g} [phi_{2i-1}, phi_{2i}] of the symmetric
-    4g-gon of circumradius `radius`, from one handle in O(log g) products.
-
-    The pairings of handle i + 1 are those of handle i conjugated by
-    R = Rot(-2*pi/g) (`side_pairings`), so with C = [phi_1, phi_2] the relator
-    telescopes to prod_i R^i C R^-i = (C R)^g R^-g, for the canonical lifts too
-    (a commutator of lifts does not depend on them); R~^g translates by the
-    integer m nearest g*R~(0).  Only the five letters of X~ = C~ R~ are lifted
-    (four `_compose_moebius` calls); X^g is taken on bare matrices (`_power`).
-    R^g = -I in SL(2, R), so the matrix is -X^g (`relator_matrix`, bit for
-    bit).  As rho(F^k) = k*rho(F) (Ghys, Enseign. Math. 2001), the exact
-    relator has rho = g*rho(X~) - m; its lift is the canonical lift c of -X^g
-    with winding w = round(g*rho^(X~) - rho^(c)) - m, rho^ = `_moebius_rho`.
-    Let s_X, s_rel be the `_moebius_rho_slack` of X~ and of the relator, and
-    w* the winding that puts c + w* within s_rel of the exact rho.  Then
-    |g*rho^(X~) - m - rho^(c) - w*| <= g*s_X + s_rel, so where that is < 1/2,
-    w = w* and `translation_number`'s bound holds as derived below; elsewhere
-    only |rho - (g*rho(X~) - m)| <= 1/2 + g*s_X is derived.
-
-    `error_scale` (computed when first read) bounds the first-order error of
-    the trace, which is all `circle_dynamics.trace_slack` and
-    `translation_number` read: |trace(M^) - trace(M)| <= 2*(U + 4)*eps*S plus
-    the last rescaling's term, with U = LETTER_ERROR_ULPS.  Every rounding
-    error F sits between powers of X, X^l F X^r, and the trace is cyclic, so
-    it moves the trace of X^l F X^r by tr(F X^(l+r)); rescaling M^ + D to
-    det 1 moves it by a further -tr(M)*tr(M^-1 D)/2, with M^-1 X^l F X^r
-    giving tr(F X^(l+r-g)).  |tr(AB)| <= 2*||A||*||B|| then gives
-
-        S = g * sum_i ||P_<i||*||A_i||*(||P_>i X^(g-1)|| + |tr M|/2*||P_<=i||)
-            + 4/(U + 4) * sum_nodes c*||A||*||B||*(N(g - a - b) + |tr M|/2*||A B||),
-
-    the first sum over the five letters A_i of X (P_<i, P_>i the products
-    before and after A_i; each letter and the product that takes it in err
-    by (U + 4)*eps*||P_<i||*||A_i||, as in `trace_slack`; each letter occurs
-    g times), the second over the products A B = X^a X^b of the powering,
-    each rounded within 4*eps*||A||*||B|| and occurring c times in the
-    expanded power.  The exact X is elliptic (X^g is), so
-    X^e = U_{e-1}(cos h)*X - U_{e-2}(cos h)*I with cos h = Re(alpha), and
-    |U_{e-1}| = |sin(e*h)/sin(h)| <= min(e, 1/sin h): ||X^e|| <= N(e) =
-    sqrt(1 + b^2) + b with b = |beta|*min(e, 1/sin h).  No norm is multiplied
-    level by level, so S grows linearly in g.  This S bounds the trace error,
-    not ||M^ - M||, so the lift is not a letter for a further fold.
+    D^ errs from A/(2g) by at most dD = 256*eps*(|alpha| + 1), to first
+    order in eps, with |alpha| = cosh(rho_in) of both pairings (rho_in the
+    inradius).  On exact data |conj(beta)*z + conj(alpha)|^-2 = |phi'(z)| =
+    (1 - |phi(z)|^2)/(1 - |z|^2) = 1 at the four vertices, so |1 + b*z| =
+    1/|alpha|, and an error d in b*z moves its arg by at most |alpha|*d.  Per
+    arg term:
+      - 10*eps from the vertex (`pairing_residual_bound`), and 6*eps from
+        dividing for b and multiplying by z;
+      - the pairing's rounding.  b = -conj(phi^-1(0)) does not change under
+        a rotation after phi or a real scale, and any other error E in
+        (alpha, beta) moves b*z by at most ||E||/|alpha|.  In the norm
+        |.| + |.|, with e^rho_in = ||phi|| <= 2*|alpha|, the four products
+        add 8*eps*e^rho_in (as in `pairing_residual_bound`), the rounding of
+        1 +- c in the translations and of their normalisation 3*eps*e^rho_in,
+        and `disk_coefficients` 2*eps*e^rho_in: 26*eps*|alpha| in all.
+        Directly in b: the first rotation's angle and entries (8.6*eps) turn
+        it by as much, the half-turn's angle (2*eps) moves it by at most half
+        of that, and the inradius moves |b| = tanh(rho_in) by at most 4.5*eps
+        (x within 3*eps*x, `pairing_residual_bound`): 14.1*eps*|alpha|.
+    That is 56.1*eps*|alpha| per term and 224.4*eps*|alpha| for the four.
+    Not amplified by |alpha|: the two quotients and their args, 2*(4 + pi)*eps;
+    their sum, pi*eps; g*D and /pi, 1.5*eps*|D| <= 3*pi*eps; and the area:
+    R is the exact radius of an area within 26*eps*(4g - 2)*pi of A
+    (`radius_for_area`), which moves D by at most 52*pi*eps.  These come to
+    190*eps.  Rounding up covers the second-order terms (a relative
+    224.4*eps*|alpha| < 1e-9 up to MAX_GENUS) and the bound's own rounding.
+    So rho_bound = g*dD/pi bounds |rho + A/(2*pi)|, and trace_bound = 2*g*dD
+    bounds |trace - 2*cos(A/2)|, the 66*eps left over covering the cosine.
+    No power of X is formed, and no lift.
     """
-    phi_1, phi_2 = (cd.MoebiusBoundaryLift(p) for p in side_pairings(g, radius, 1))
-    rot = cd.MoebiusBoundaryLift(Isometry2H.rotation(-2.0 * math.pi / g))
-    letters = [phi_1, phi_2, phi_1.inverse(), phi_2.inverse(), rot]
-    prefixes = list(accumulate(letters, cd._compose_moebius))  # P_<=i
-    x = prefixes[-1]
-    xg, nodes = _power(x.iso, g)
-    relator = cd.MoebiusBoundaryLift(Isometry2H(-xg.a, -xg.b, -xg.c, -xg.d))
-    relator.winding = (round(g * cd._moebius_rho(x) - cd._moebius_rho(relator))
-                       - round(g * rot.eval(0.0)))
-
-    def error_scale() -> float:
-        half_trace = abs(xg.trace()) / 2.0
-        suffixes = [xg @ x.iso.inverse()]  # P_>i X^(g-1), last letter first
-        for a in letters[:0:-1]:
-            suffixes.append(a.iso @ suffixes[-1])
-        before = [1.0] + [_norm(p.iso) for p in prefixes]
-        letter_terms = [p * _norm(a.iso) * (_norm(q) + half_trace * pa)
-                        for p, a, q, pa in zip(before, letters, suffixes[::-1], before[1:])]
-        alpha, beta = x.iso.disk_coefficients()
-        sin_h = math.sqrt(max(0.0, (1.0 - alpha.real) * (1.0 + alpha.real)))
-
-        def power_norm(exponent: int) -> float:
-            b = abs(beta) * (min(exponent, 1.0 / sin_h) if sin_h else exponent)
-            return math.sqrt(1.0 + b * b) + b
-
-        node_terms = [count * _norm(a) * _norm(b)
-                      * (power_norm(g - ab) + half_trace * _norm(a @ b))
-                      for a, b, ab, count in nodes]
-        return (g * math.fsum(letter_terms)
-                + 4.0 / (cd.LETTER_ERROR_ULPS + 4) * math.fsum(node_terms))
-
-    relator.error_scale = error_scale
-    return relator
+    _, s2, s3, s4, _ = vertices
+    (alpha_1, beta_1), (alpha_2, beta_2) = phi_1.disk_coefficients(), phi_2.disk_coefficients()
+    b_1, b_2 = beta_1.conjugate() / alpha_1.conjugate(), beta_2.conjugate() / alpha_2.conjugate()
+    d = (cmath.phase((1.0 + b_1 * s4) / (1.0 + b_1 * s3))
+         + cmath.phase((1.0 + b_2 * s3) / (1.0 + b_2 * s2)))
+    delta = 256 * sys.float_info.epsilon * (max(abs(alpha_1), abs(alpha_2)) + 1.0)
+    # 0.0 - x: where D rounds to 0, rho is 0.0, not -0.0
+    return 0.0 - g * d / math.pi, g * delta / math.pi, 2.0 * math.cos(g * d), 2.0 * g * delta

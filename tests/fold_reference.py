@@ -1,9 +1,8 @@
-"""Reference geometry for the tests: the holonomy relator folded letter by
-letter over all 2g side pairings, the O(g) oracle for
-`hyperbolic.symmetric_relator`, the fold's rounding bound summed from plain
+"""Reference geometry for the tests: the lifted holonomy relator folded
+letter by letter over all 2g side pairings, the O(g) oracle for
+`hyperbolic.relator_rotation`, the fold's rounding bound summed from plain
 complex products, and a distance on PSL(2, R)."""
 
-import functools
 import math
 from itertools import accumulate
 from typing import Sequence
@@ -18,21 +17,6 @@ def proj_distance(x: hy.Isometry2H, y: hy.Isometry2H) -> float:
     dplus = max(abs(x.a - y.a), abs(x.b - y.b), abs(x.c - y.c), abs(x.d - y.d))
     dminus = max(abs(x.a + y.a), abs(x.b + y.b), abs(x.c + y.c), abs(x.d + y.d))
     return min(dplus, dminus)
-
-
-def commutator_product(pairings: Sequence[hy.Isometry2H]) -> hy.Isometry2H:
-    """prod_{i=1..g} [phi_{2i-1}, phi_{2i}], composed left to right.
-
-    A left fold of phi_1, phi_2, phi_1^-1, phi_2^-1, phi_3, ..., as `flatten`
-    folds the lifts: bit-identical to `flatten(holonomy_relator(pairings)).iso`.
-    For polygon side pairings this is the rotation about s_1 by the polygon's
-    total interior angle, hence elliptic with
-    |trace| = 2*|cos(((4g-2)*pi - area)/2)|.
-    """
-    if len(pairings) < 2 or len(pairings) % 2:
-        raise ValueError("need an even number (>= 2) of isometries")
-    return functools.reduce(hy.Isometry2H.compose, [
-        x for a, b in zip(pairings[::2], pairings[1::2]) for x in (a, b, a.inverse(), b.inverse())])
 
 
 def holonomy_relator(pairings: Sequence[hy.Isometry2H]) -> cd.WordMap:

@@ -1,12 +1,20 @@
 """Reference geometry for the tests: the full symmetric 4g-gon with all 4g
 vertices and all 2g side pairings, built from the same `hyperbolic` helpers
-as `polygon` (so bit-identical to its first handle), and the `polygon` report
-measured over every handle, the O(g) oracle for `cli.cmd_polygon`."""
+as `polygon` (so bit-identical to its first handle), the relator as the
+4g-letter product of their matrices, and the `polygon` report measured over
+every handle, the O(g) oracle for `cli.cmd_polygon`; also the largest area
+`radius_for_area` accepts, and a CLI report's outputs as printed."""
 
+import contextlib
+import functools
+import io
+import json
 import math
+import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
+from contactbundles import cli
 from contactbundles import hyperbolic as hy
 
 
@@ -46,6 +54,21 @@ def symmetric_pairings(g: int, area: float) -> Tuple[SymmetricPolygon, List[hy.I
     return poly, all_pairings(poly)
 
 
+def commutator_product(pairings: Sequence[hy.Isometry2H]) -> hy.Isometry2H:
+    """prod_{i=1..g} [phi_{2i-1}, phi_{2i}], composed left to right.
+
+    A left fold of phi_1, phi_2, phi_1^-1, phi_2^-1, phi_3, ..., as `flatten`
+    folds the lifts: bit-identical to `flatten(holonomy_relator(pairings)).iso`.
+    For polygon side pairings this is the rotation about s_1 by the polygon's
+    total interior angle, hence elliptic with
+    |trace| = 2*|cos(((4g-2)*pi - area)/2)|.
+    """
+    if len(pairings) < 2 or len(pairings) % 2:
+        raise ValueError("need an even number (>= 2) of isometries")
+    return functools.reduce(hy.Isometry2H.compose, [
+        x for a, b in zip(pairings[::2], pairings[1::2]) for x in (a, b, a.inverse(), b.inverse())])
+
+
 def polygon_area(poly: SymmetricPolygon) -> float:
     return hy.polygon_area(poly.genus, poly.vertex(1), poly.vertex(2))
 
@@ -68,7 +91,9 @@ def pairing_residuals(poly: SymmetricPolygon, pairings: List[hy.Isometry2H]) -> 
 
 def polygon_outputs(g: int, area: float) -> dict:
     """The outputs of `polygon` measured on the full build, with the largest
-    residual over every handle."""
+    residual over every handle and the trace of the 4g-letter product, which
+    is within `circle_dynamics.trace_slack` of its lifted fold (no
+    `commutator_trace_bound`: the full build derives none)."""
     poly, pairings = symmetric_pairings(g, area)
     return {
         "genus": g,
@@ -77,6 +102,36 @@ def polygon_outputs(g: int, area: float) -> dict:
         "computed_area": polygon_area(poly),
         "side_length": hy.hdistance(poly.vertex(1), poly.vertex(2)),
         "pairing_residual_max": max(pairing_residuals(poly, pairings)),
-        "commutator_trace": hy.relator_matrix(g, pairings[0], pairings[1]).trace(),
+        "commutator_trace": commutator_product(pairings).trace(),
         "expected_abs_trace": 2.0 * abs(math.cos(((4 * g - 2) * math.pi - area) / 2.0)),
     }
+
+
+def largest_accepted_area(g: int) -> float:
+    """The largest float below the top (4g - 2)*pi that `radius_for_area`
+    accepts, by bisection on the bit patterns of the positive floats, which
+    are ordered as the floats are."""
+    def bits(x: float) -> int:
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def area(i: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+
+    s_max = (4 * g - 2) * math.pi
+    lo, hi = bits(s_max / 2), bits(s_max)  # accepted, refused
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            hy.radius_for_area(g, area(mid))
+            lo = mid
+        except hy.AreaOutOfRange:
+            hi = mid
+    return area(lo)
+
+
+def printed_outputs(*argv: str) -> dict:
+    """The outputs of one CLI report as printed, rounded to 12 digits."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return json.loads(out.getvalue())["outputs"]

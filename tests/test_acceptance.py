@@ -18,8 +18,8 @@ from contactbundles import hyperbolic as hy
 from contactbundles import multicurve as mc
 from contactbundles.formcalc.models import fiber_tube_pullback, torus_wrapping_pullback
 from expr_reference import eval_expr
-from fold_reference import commutator_product, holonomy_translation_number, proj_distance
-from polygon_reference import all_pairings, build_symmetric_polygon, polygon_area
+from fold_reference import holonomy_translation_number, proj_distance
+from polygon_reference import all_pairings, build_symmetric_polygon, commutator_product, polygon_area
 
 DATA = Path(__file__).parent / "data"
 AREAS = [math.pi / 2, math.pi, 2 * math.pi, 4 * math.pi, 5 * math.pi]

@@ -14,6 +14,8 @@ import pytest
 import polygon_reference
 from contactbundles import circle_dynamics, cli, hyperbolic
 from contactbundles import multicurve as mc
+from fold_reference import holonomy_relator
+from polygon_reference import largest_accepted_area
 
 DATA = Path(__file__).parent / "data"
 #: the directory that holds the imported package, for child processes
@@ -139,18 +141,28 @@ class TestHolonomyCommand:
 
     @pytest.mark.parametrize("g,area", [(1, "1.5pi"), (2, "4pi"), (3, "9.99pi"), (8, "29.997pi"),
                                         (20, "77.9pi"), (10000, "19999pi")])
-    def test_one_fold_and_the_trace_of_polygon(self, capsys, monkeypatch, g, area):
-        """holonomy lifts one handle's commutator and the rotation, four lifted
-        products at every genus; the power is taken on bare matrices, as
-        `polygon` takes it, so the two commands print one trace."""
+    def test_no_lifted_product_and_the_trace_of_polygon(self, capsys, monkeypatch, g, area):
+        """holonomy reads rho off the first handle's pairings at four
+        vertices, with no lifted product at any genus, and prints the trace
+        and bound that `polygon` prints."""
         _, pol, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", area)
         folds = []
         compose = circle_dynamics._compose_moebius
         monkeypatch.setattr(circle_dynamics, "_compose_moebius",
                             lambda a, b: folds.append(1) or compose(a, b))
         _, hol, _ = run_json(capsys, "holonomy", "--genus", str(g), "--area", area, "--iters", "10")
-        assert len(folds) == 4
-        assert hol["outputs"]["commutator_trace"] == pol["outputs"]["commutator_trace"]
+        assert folds == []
+        for key in ("commutator_trace", "commutator_trace_bound"):
+            assert hol["outputs"][key] == pol["outputs"][key]
+
+    @pytest.mark.parametrize("g,area", [(1, "1.5pi"), (8, "29.997pi"), (10000, "39997.99999pi")])
+    def test_constructs_no_lift(self, capsys, monkeypatch, g, area):
+        def refuse(*args):
+            raise AssertionError("holonomy built a boundary lift")
+
+        monkeypatch.setattr(circle_dynamics.MoebiusBoundaryLift, "__init__", refuse)
+        code, rep, _ = run_json(capsys, "holonomy", "--genus", str(g), "--area", area)
+        assert code == 0 and rep["outputs"]["residual"] <= rep["outputs"]["error_bound"]
 
     @pytest.mark.parametrize("g", [4000, 6000, 8000, 10000])
     def test_rho_within_its_bound_near_the_top_at_large_genus(self, capsys, g):
@@ -173,7 +185,7 @@ class TestHolonomyCommand:
         assert code == 0 and abs(out["abs_rho"] - out["target_abs_rho"]) <= out["error_bound"]
 
     def test_top_genus_builds_a_few_isometries(self, capsys, monkeypatch):
-        """O(log g): tens of isometries at g = 10^4, where the 4g-letter fold made 180,002."""
+        """O(1) in g: tens of isometries at g = 10^4, where the 4g-letter fold made 180,002."""
         made = []
         init = hyperbolic.Isometry2H.__init__
         monkeypatch.setattr(hyperbolic.Isometry2H, "__init__",
@@ -185,19 +197,27 @@ class TestHolonomyCommand:
         assert abs(out["abs_rho"] - out["target_abs_rho"]) <= out["error_bound"]
 
     def test_builds_no_polygon(self, capsys, monkeypatch):
-        refuse_full_build(monkeypatch, vertices=0)
+        refuse_full_build(monkeypatch, vertices=5)
         code, rep, _ = run_json(capsys, "holonomy", "--genus", "8", "--area", "29.997pi")
         assert code == 0 and rep["outputs"]["commutator_class"] == "elliptic"
 
     @pytest.mark.parametrize("g,area,cls", [
         (3, "2pi", "undecided"),  # a whole turn: the identity, trace -2.0
         (1, repr(0.99999 * 2 * math.pi), "elliptic"),  # |trace| = 2 - 1e-9
-        (1000, repr((1 - 1e-6) * 3998 * math.pi), "undecided"),  # trace -2.0008 rounds hyperbolic
+        (1000, repr((1 - 1e-6) * 3998 * math.pi), "elliptic"),  # |trace| = 2 - 3.9e-5
     ])
-    def test_commutator_class_is_decided_by_the_trace_slack(self, capsys, g, area, cls):
-        """The relator is exactly a rotation: elliptic where |trace| < 2 - slack."""
+    def test_commutator_class_is_decided_by_the_trace_bound(self, capsys, g, area, cls):
+        """The relator is exactly a rotation: elliptic where |trace| < 2 - bound."""
         code, rep, _ = run_json(capsys, "holonomy", "--genus", str(g), "--area", area)
         assert code == 0 and rep["outputs"]["commutator_class"] == cls
+
+    @pytest.mark.parametrize("g", [1, 2, 10000])
+    def test_rho_of_a_zero_turn_is_positive_zero(self, capsys, g):
+        """D rounds to 0 at tiny areas; rho is then 0.0, never -0.0."""
+        code, out, _ = run(capsys, "holonomy", "--genus", str(g), "--area", "1e-300")
+        rep = json.loads(out)["outputs"]
+        assert code == 0 and '"rho": 0.0,' in out and "-0.0" not in out
+        assert rep["residual"] <= rep["error_bound"]
 
 
 class TestPolygonCommand:
@@ -294,20 +314,49 @@ class TestPolygonCommand:
     def test_fields_match_the_full_build(self, monkeypatch, g):
         """Bit for bit against the report measured on all 4g vertices and 2g
         pairings, but for the residual, which the full build takes over every
-        handle: at g = 1 handle 1 is the whole polygon, so it matches too."""
+        handle (at g = 1 handle 1 is the whole polygon, so it matches too),
+        and the trace, which it takes from the 4g-letter product: the two
+        traces agree within the report's bound plus the product's slack."""
         rng = random.Random(g)
         shares = ([(i + rng.random()) * 0.9 / 14 for i in range(14)] + list(self.TOP_SHARES)
                   if g <= 8 else [1e-3, 0.5, 1 - 1e-6])
         for share in shares:
             area_text = f"{share * (4 * g - 2)!r}pi"
+            area = cli._parse_area(area_text)
             out = self.outputs(monkeypatch, g, area_text)
-            ref = polygon_reference.polygon_outputs(g, cli._parse_area(area_text))
+            ref = polygon_reference.polygon_outputs(g, area)
             residual, bound = out.pop("pairing_residual_max"), out.pop("pairing_residual_bound")
             full_residual = ref.pop("pairing_residual_max")
+            trace, trace_bound = out.pop("commutator_trace"), out.pop("commutator_trace_bound")
+            full_trace = ref.pop("commutator_trace")
             assert out == ref, (g, share)
             assert residual <= full_residual <= bound
             if g == 1:
                 assert residual == full_residual
+            _, pairings = polygon_reference.symmetric_pairings(g, area)
+            fold = circle_dynamics.flatten(holonomy_relator(pairings))
+            assert abs(trace - full_trace) <= trace_bound + circle_dynamics.trace_slack(fold)
+
+    @pytest.mark.parametrize("g", [2, 10 ** 4])
+    def test_trace_within_its_bound_near_the_top(self, capsys, g):
+        """The relator's power read 0.7541806821933981 for |trace| at every share
+        from 1 - 1e-5 at g = 10^4; the printed trace now keeps its printed bound
+        of the exact 2|cos(((4g - 2)pi - A)/2)| up to the largest accepted area."""
+        top = 4 * g - 2
+        areas = [f"{(1 - 10.0 ** -k) * top!r}pi" for k in range(5, 13)]
+        areas.append(repr(largest_accepted_area(g)))
+        reports = 0
+        for area_text in areas:
+            try:
+                hyperbolic.radius_for_area(g, cli._parse_area(area_text))
+            except hyperbolic.AreaOutOfRange:
+                continue
+            code, rep, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", area_text)
+            out = rep["outputs"]
+            assert code == 0 and (abs(abs(out["commutator_trace"]) - out["expected_abs_trace"])
+                    <= out["commutator_trace_bound"]), area_text
+            reports += 1
+        assert reports == (9 if g == 2 else 8)
 
     def test_residual_near_the_top_within_its_bound(self, capsys):
         """At g = 2, share 1 - 1e-8, the residual passed 1e-7 (1.16e-7 once):
@@ -573,10 +622,11 @@ class TestArgumentDomains:
         code, out, err = run(capsys, "holonomy", "--genus", "0", "--area", "1.0")
         assert code == 2 and out == ""
 
-    def test_bad_iters_exits_2(self, capsys):
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_bad_iters_exits_2(self, capsys, iters):
         code, out, err = run(capsys, "holonomy", "--genus", "1", "--area", "1.0",
-                             "--iters", "0")
-        assert code == 2 and out == ""
+                             "--iters", iters)
+        assert code == 2 and out == "" and err == "error: iterations must be >= 1\n"
 
     def test_unparseable_area_exits_2(self, capsys):
         code, out, err = run(capsys, "holonomy", "--genus", "1", "--area", "2tau")

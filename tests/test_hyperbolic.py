@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-import struct
 import sys
 
 import pytest
@@ -10,10 +9,10 @@ from hypothesis import strategies as st
 
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
-from fold_reference import (commutator_product, holonomy_relator, holonomy_translation_number,
-                            proj_distance)
+from fold_reference import holonomy_relator, holonomy_translation_number, proj_distance
 from polygon_reference import (SymmetricPolygon, all_pairings, build_symmetric_polygon,
-                               pairing_residuals, polygon_area, symmetric_pairings)
+                               commutator_product, largest_accepted_area, pairing_residuals,
+                               polygon_area, printed_outputs, symmetric_pairings)
 
 
 def mobius_to_origin(p: complex):
@@ -48,28 +47,6 @@ def fan_defect_area(poly: SymmetricPolygon) -> float:
         angles = angle_at(a, b, c) + angle_at(b, a, c) + angle_at(c, a, b)
         total += math.pi - angles
     return total
-
-
-def largest_accepted_area(g: int) -> float:
-    """The largest float below the top (4g - 2)*pi that `radius_for_area`
-    accepts, by bisection on the bit patterns of the positive floats, which
-    are ordered as the floats are."""
-    def bits(x: float) -> int:
-        return struct.unpack("<q", struct.pack("<d", x))[0]
-
-    def area(i: int) -> float:
-        return struct.unpack("<d", struct.pack("<q", i))[0]
-
-    s_max = (4 * g - 2) * math.pi
-    lo, hi = bits(s_max / 2), bits(s_max)  # accepted, refused
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            hy.radius_for_area(g, area(mid))
-            lo = mid
-        except hy.AreaOutOfRange:
-            hi = mid
-    return area(lo)
 
 
 class LengthMismatch(ValueError):
@@ -427,9 +404,16 @@ class TestCommutatorProduct:
             assert (prod.a, prod.b, prod.c, prod.d) == (flat.a, flat.b, flat.c, flat.d)
 
 
-class TestSymmetricRelator:
-    """One handle's commutator and the polygon's rotation, raised to the g-th
-    power, against the 4g-letter fold over all 2g side pairings."""
+def first_handle_rotation(g: int, radius: float) -> tuple:
+    """`relator_rotation` on the first handle, as both commands call it."""
+    return hy.relator_rotation(g, hy.polygon_vertices(g, radius, 5),
+                               *hy.side_pairings(g, radius, 1))
+
+
+class TestRelatorRotation:
+    """The relator's rho and trace from how the first handle's pairings turn
+    at four vertices, against the 4g-letter fold over all 2g side pairings
+    and against the area in 60-digit arithmetic."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 50), st.one_of(st.floats(1e-6, 1.0, exclude_max=True),
@@ -443,68 +427,70 @@ class TestSymmetricRelator:
             radius = hy.radius_for_area(g, area)
         except hy.AreaOutOfRange:
             return
-        n = 10 ** 15
-        est = cd.translation_number(hy.symmetric_relator(g, radius), n)
-        ref = holonomy_translation_number(g, area, n)
-        assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
-        assert abs(est.value + area / (2 * math.pi)) <= est.error_bound
+        rho, rho_bound, _, _ = first_handle_rotation(g, radius)
+        ref = holonomy_translation_number(g, area, 10 ** 15)
+        assert abs(rho - ref.value) <= rho_bound + ref.error_bound
+        assert abs(rho + area / (2 * math.pi)) <= rho_bound
 
     @pytest.mark.parametrize("g", [1, 2, 3, 8, 20])
     def test_trace_of_the_fold(self, g):
-        """-(C R)^g: the fold's trace with its sign, within the two slacks."""
+        """2*cos(g*D): the fold's trace with its sign, within the two bounds."""
         for share in (0.001, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6):
             poly, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
-            rel = hy.symmetric_relator(g, poly.circumradius)
+            _, _, trace, trace_bound = first_handle_rotation(g, poly.circumradius)
             fold = cd.flatten(holonomy_relator(pairings))
-            assert (abs(rel.iso.trace() - fold.iso.trace())
-                    <= cd.trace_slack(rel) + cd.trace_slack(fold))
+            assert abs(trace - fold.iso.trace()) <= trace_bound + cd.trace_slack(fold)
 
-    @pytest.mark.parametrize("g", [1, 2, 3, 5, 8, 20, 100, 1000, 10 ** 4])
-    def test_relator_matrix_is_the_lifted_relator_bit_for_bit(self, g):
-        # `polygon` prints the trace of `relator_matrix` and `holonomy` that of
-        # `symmetric_relator`: the same products on the same first-handle
-        # pairings, so the two reports carry the same commutator trace
-        s_max = (4 * g - 2) * math.pi
-        shares = (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12)
+    @pytest.mark.parametrize("g", [1, 2, 3, 8, 20, 100, 1000, 10 ** 4])
+    def test_within_its_bounds_of_the_exact_relator(self, g):
+        """Against Gauss-Bonnet at 60 digits from the same float R, which the
+        relator of the exact construction meets (rho = -A(R)/2pi, trace
+        2*cos(A(R)/2)): rho within rho_bound and the trace within
+        trace_bound, at the shares 1e-6 to 1 - 1e-12, every whole turn for
+        g <= 8 and the largest accepted area; `holonomy`'s |rho| within
+        `error_bound` of A/2pi at N = 10^12; and the area of R within
+        26*eps*(4g - 2)*pi of A (`radius_for_area`)."""
+        mp = pytest.importorskip("mpmath")
+        n, top = 4 * g, (4 * g - 2) * math.pi
+        shares = [1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99] + [1 - 10.0 ** -k for k in range(3, 13)]
+        if g <= 8:
+            shares += [2 * k / (4 * g - 2) for k in range(1, 2 * g - 1)]
         checked = 0
-        for area in [share * s_max for share in shares] + [largest_accepted_area(g)]:
+        for area in [u * top for u in shares] + [largest_accepted_area(g)]:
             try:
                 radius = hy.radius_for_area(g, area)
             except hy.AreaOutOfRange:
                 continue
-            m = hy.relator_matrix(g, *hy.side_pairings(g, radius, 1))
-            iso = hy.symmetric_relator(g, radius).iso
-            assert ([x.hex() for x in (m.a, m.b, m.c, m.d)]
-                    == [x.hex() for x in (iso.a, iso.b, iso.c, iso.d)]), (g, area)
+            rho, rho_bound, trace, trace_bound = first_handle_rotation(g, radius)
+            with mp.workdps(60):
+                exact_area = (n - 2) * mp.pi - 2 * n * mp.acot(
+                    mp.cosh(mp.mpf(radius)) * mp.tan(mp.pi / n))
+                exact_rho = float(-exact_area / (2 * mp.pi))
+                exact_trace = float(2 * mp.cos(exact_area / 2))
+                area_error = float(abs(exact_area - mp.mpf(area)))
+            assert abs(rho - exact_rho) <= rho_bound, (g, area)
+            assert abs(trace - exact_trace) <= trace_bound, (g, area)
+            assert area_error <= 26 * sys.float_info.epsilon * top, (g, area)
+            out = printed_outputs("holonomy", "--genus", str(g), "--area", repr(area),
+                                  "--iters", str(10 ** 12))
+            assert out["rho"] == float(f"{rho:.12g}")
+            assert abs(out["abs_rho"] - area / (2 * math.pi)) <= out["error_bound"], (g, area)
             checked += 1
-        assert checked == (9 if g >= 3000 else 10)
+        assert checked == len(shares) + (g < 10 ** 4)  # 1 - 1e-12 is refused at g = 10^4
 
-    @pytest.mark.parametrize("g", range(1, 9))
-    def test_winding_read_is_exact_over_the_benchmark_range(self, g):
-        """g*s_X + s_rel < 1/2, the condition under which the relator's one
-        winding read gives the exact winding (`symmetric_relator`), at the
-        benchmark's shares (below 0.9 and its top shares), every whole turn,
-        shares up to 1 - 1e-15 and the largest accepted area."""
-        top = 4 * g - 2
-        shares = [(i + 0.5) / 300 * 0.9 for i in range(300)]
-        shares += [0.95, 0.99] + [1 - 10.0 ** -k for k in range(3, 16)]
-        shares += [2 * k / top for k in range(1, 2 * g - 1)]
-        checked = 0
-        for area in [u * top * math.pi for u in shares] + [largest_accepted_area(g)]:
-            try:
-                radius = hy.radius_for_area(g, area)
-            except hy.AreaOutOfRange:
-                continue
-            phi_1, phi_2 = (cd.MoebiusBoundaryLift(p) for p in hy.side_pairings(g, radius, 1))
-            rot = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(-2 * math.pi / g))
-            x = cd.flatten(cd.WordMap([(phi_1, 1), (phi_2, 1), (phi_1, -1), (phi_2, -1), (rot, 1)]))
-            rel = hy.symmetric_relator(g, radius)
-            assert g * cd._moebius_rho_slack(x) + cd._moebius_rho_slack(rel) < 0.5, (g, area)
-            checked += 1
-        assert checked >= 300 + 2 * g
+    def test_bounds_say_something_at_the_top_genus(self):
+        """rho within 1e-5 of a turn and the trace within 2e-5 over the whole
+        area range at g = 10^4, where the bound of the relator's power reached
+        1.6 turns."""
+        for area in [u * 39998 * math.pi for u in (1e-6, 0.5, 0.9, 1 - 1e-6)] + [
+                largest_accepted_area(10 ** 4)]:
+            radius = hy.radius_for_area(10 ** 4, area)
+            _, rho_bound, _, trace_bound = first_handle_rotation(10 ** 4, radius)
+            assert rho_bound <= 1e-5 and trace_bound <= 2e-5
 
     def test_pairings_of_the_next_handle_are_rotated(self):
-        """phi_{2i+1} = R phi_{2i-1} R^-1 with R = Rot(-2 pi/g), which the power rests on."""
+        """phi_{2i+1} = R phi_{2i-1} R^-1 with R = Rot(-2 pi/g), which the relator's
+        telescoping to (C R)^g R^-g rests on."""
         for g in (2, 5, 40):
             _, pairings = symmetric_pairings(g, 0.7 * (4 * g - 2) * math.pi)
             rot = hy.Isometry2H.rotation(-2 * math.pi / g)
