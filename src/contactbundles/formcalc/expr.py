@@ -1,41 +1,33 @@
-"""Expression trees for form coefficients: parser, differentiation, evaluation.
+"""Form coefficients as polynomials over atoms: parser, calculus, evaluation.
 
-The node set is deliberately small: variables, exact rational constants, pi,
-sums, products, integer powers and sin/cos/exp: the operations of a ring.
-The parser writes a - b as a + (-1)*b and a/b as a*b^-1, and the negation
-of a number as the negative number.  Trees are immutable, and a node
-computes its structural hash once, on first use.  Nodes are slotted
-dataclasses without an instance dict, and a rational constant (`Rat`)
-holds its integer numerator and denominator.
-`normalize` rewrites a tree into a sum of products of atoms with exact
-rational coefficients, over one sparse polynomial ring (`_ring`), and `diff`
-differentiates on that ring, atom by atom.  A ring polynomial holds integer
-numerators by monomial over one positive denominator, in lowest terms, so
-the calculus adds and multiplies integers and equal polynomials have equal
-numerators and denominator; a monomial is a sorted tuple of (atom id,
-exponent) int pairs, over ids that `_ATOM_IDS` gives atoms weakly.  The
-calculus of `forms` combines ring polynomials with the private `_ring`,
-`_diff`, `_times` and `_sum` and rebuilds each result into a tree once
-(`_rebuild`).  A rebuilt tree keeps its polynomial, so `_ring` expands no
-normal form twice.  This decides the cancellations the calculus layer relies
-on (mixed partials, d o d = 0), while equality of general expressions remains
-a numeric check at random points, not a canonical-form decision.
+A coefficient is one `Expr` from parse to report: a polynomial with exact
+rational coefficients in atoms, in the distributed sparse representation
+(J. H. Davenport, Y. Siret and E. Tournier, *Computer Algebra*, Academic
+Press 1988, ch. 2).  The atoms are the only nodes: variables, pi, sin, cos
+and exp of a nonzero polynomial, and the reciprocal (`Recip`) of a sum of
+two or more terms.  Each production of the parser returns a polynomial, so
+sums, products and integer powers are multiplied out and like terms merged
+as the text is read; a - b is a + (-1)*b, -a is (-1)*a and a/b is a*b^-1.
+Equal polynomials are equal objects, which decides the cancellations the
+calculus relies on (mixed partials, d o d = 0); equality of general
+expressions remains a numeric check at random points.  `diff`
+differentiates atom by atom, `subst` composes polynomials, and `render` and
+`compile_expr` read the terms in one order, by rendered atoms
+(`_monomials`).
 
 Surface syntax for coefficients:
 
     Expr  := sum over IDENT, RATIONAL, pi, + - * / ^INT, sin cos exp, parens
 
 with |INT| <= MAX_EXPONENT, decimal exponents of literals at most
-MAX_DECIMAL_EXPONENT in absolute value, and trees at most MAX_DEPTH levels
-tall.  The same parser reads the 1-form
-grammar of `forms` when given basis names.  Rational literals (including
-decimal and scientific notation) are parsed bit-exactly, through
-`fractions.Fraction`, into the integers of a `Rat`.
+MAX_DECIMAL_EXPONENT in absolute value, and at most MAX_DEPTH levels of
+operations.  The same parser reads the 1-form grammar of `forms` when given
+basis names.  Rational literals (including decimal and scientific notation)
+are read bit-exactly, through `fractions.Fraction`.
 
-`compile_expr` is the numeric evaluator of the library: a value-numbered list
-of numpy steps that computes each repeated subtree once and returns values on
-the broadcast shape of the coordinates it reads.  Its reference, the
-tree-walking `eval_expr`, is kept with the tests (tests/expr_reference.py).
+`compile_expr` is the numeric evaluator of the library, a value-numbered
+list of numpy steps; its reference, the pointwise `eval_expr`, is kept with
+the tests (tests/expr_reference.py).
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,19 +61,62 @@ class UnknownVariableError(FormSyntaxError):
 
 
 class Expr:
-    """Base of the expression nodes: frozen, slotted dataclasses, equal when
-    their fields are.
+    """A coefficient: the sum of nums[m]/den * m over its monomials m.
 
-    A node has no instance dict: its fields, `_hash` and `_poly` are slots.
-    The structural hash is computed on first use and kept in `_hash`, so a
-    dict or `lru_cache` probe costs one lookup instead of a walk of the
-    subtree.  A tree `_rebuild` returns also keeps its ring polynomial in
-    `_poly`, set after the hash.  str hashes are salted per process, so
-    `__reduce__` rebuilds a node from its fields alone and kept values never
-    travel.  `__weakref__` lets `_ATOM_IDS` number atoms without keeping them.
+    `nums` maps each monomial to a nonzero int and `den` is an int > 0 with
+    gcd(den, *nums.values()) = 1, so equal polynomials have equal (nums,
+    den); `atoms` maps the id of every atom in `nums` to that atom (it may
+    hold more).  A monomial is the tuple of its (atom id, exponent) int
+    pairs, sorted by id, exponents nonzero (S. C. Johnson, "Sparse
+    polynomial arithmetic", ACM SIGSAM Bull. 8(3), 1974): the collector
+    stops tracking a tuple of ints.  Polynomials are never mutated.  The
+    hash is kept in `_hash`; atom ids are per process, so a polynomial
+    pickles by its atoms and exponents.  -, * and ** are ring operations.
     """
 
-    __slots__ = ("_hash", "_poly", "__weakref__")
+    __slots__ = ("nums", "den", "atoms", "_hash")
+
+    def __init__(self, nums: dict, den: int, atoms: dict):
+        self.nums, self.den, self.atoms = nums, den, atoms
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Expr and self.den == other.den
+                                 and self.nums == other.nums)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.den, frozenset(self.nums.items())))
+            return h
+
+    def __reduce__(self):
+        return _from_terms, (_terms(self), self.den)
+
+    def __repr__(self):
+        return f"Expr({render(self)!r})"
+
+    def __neg__(self):
+        return _sum((self,), (-1,))
+
+    def __sub__(self, other):
+        return _sum((self, other), (1, -1))
+
+    def __mul__(self, other):
+        return _times(self, other)
+
+    def __pow__(self, k: int):
+        core = self if k >= 0 else _invert(self)
+        return reduce(_times, itertools.repeat(core, abs(k) - 1), core) if k else ONE
+
+
+class Atom:
+    """Base of the atoms: frozen, slotted dataclasses, equal when their
+    fields are.  The hash is computed on first use and kept in `_hash`; str
+    hashes are salted per process, so `__reduce__` rebuilds an atom from its
+    fields alone.  `__weakref__` lets `_ATOM_IDS` number atoms weakly."""
+
+    __slots__ = ("_hash", "__weakref__")
 
     def __hash__(self):
         try:
@@ -97,166 +132,102 @@ class Expr:
 
 
 def _node(cls):
-    """`dataclass(frozen=True, slots=True)` over `Expr.__hash__`."""
-    cls.__hash__ = Expr.__hash__
+    """`dataclass(frozen=True, slots=True)` over `Atom.__hash__`."""
+    cls.__hash__ = Atom.__hash__
     return dataclass(frozen=True, slots=True)(cls)
 
 
 @_node
-class Rat(Expr):
-    """The rational constant num/den, kept in lowest terms with den > 0.
-    `Rat(v)` takes any v that `Fraction(v)` takes; `value` builds that
-    `Fraction` when read."""
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1:
-            return
-        v = Fraction(num) if den == 1 else Fraction(num, den)
-        object.__setattr__(self, "num", v.numerator)
-        object.__setattr__(self, "den", v.denominator)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-
-@_node
-class Pi(Expr):
+class Pi(Atom):
     pass
 
 
 @_node
-class Var(Expr):
+class Var(Atom):
     name: str
 
 
 @_node
-class Add(Expr):
-    terms: Tuple[Expr, ...]
-
-
-@_node
-class Mul(Expr):
-    factors: Tuple[Expr, ...]
-
-
-@_node
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-
-@_node
-class Sin(Expr):
+class Sin(Atom):
     arg: Expr
 
 
 @_node
-class Cos(Expr):
+class Cos(Atom):
     arg: Expr
 
 
 @_node
-class Exp(Expr):
+class Exp(Atom):
     arg: Expr
 
 
-ZERO = Rat(0)
-ONE = Rat(1)
+@_node
+class Recip(Atom):
+    """1/arg for a sum arg of two or more terms."""
+
+    arg: Expr
 
 
 # ---------------------------------------------------------------------------
-# rendering (also provides the deterministic sort key for normalization)
-
-@lru_cache(maxsize=65536)
-def render(e: Expr) -> str:
-    """Canonical text.  A tree the parser built from integer literals
-    reparses to an equal tree, and any tree within the parser's bounds
-    reparses to one with the same normal form."""
-    return _render(e, 0)
-
-
-def _render(e: Expr, prec: int) -> str:
-    # precedence levels: 0 sum, 1 product, 2 unary, 3 power/atom
-    if isinstance(e, Rat):
-        s = str(e.num) if e.den == 1 else f"{e.num}/{e.den}"
-        if e.num < 0 and prec >= 2:
-            return f"({s})"
-        if e.den != 1 and prec >= 1:
-            return f"({s})"
-        return s
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        s = " + ".join(_render(t, 1) for t in e.terms)
-        return f"({s})" if prec >= 1 else s
-    if isinstance(e, Mul):
-        s = "*".join(_render(f, 2) for f in e.factors)
-        return f"({s})" if prec >= 2 else s
-    if isinstance(e, Pow):
-        k = e.exponent
-        if abs(k) > MAX_EXPONENT:  # printed powers stay within what the parser reads
-            head = MAX_EXPONENT if k > 0 else -MAX_EXPONENT
-            return _render(Mul((Pow(e.base, head), Pow(e.base, k - head))), prec)
-        if isinstance(e.base, (Var, Pi, Sin, Cos, Exp)):
-            b = _render(e.base, 3)
-        else:
-            b = f"({_render(e.base, 0)})"
-        return f"{b}^{e.exponent}"
-    if isinstance(e, Sin):
-        return f"sin({_render(e.arg, 0)})"
-    if isinstance(e, Cos):
-        return f"cos({_render(e.arg, 0)})"
-    if isinstance(e, Exp):
-        return f"exp({_render(e.arg, 0)})"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# normalization and differentiation on a sparse polynomial ring
+# the ring
 #
-# A polynomial is a triple (nums, den, atoms): nums a {monomial: int} dict
-# without zero entries and den an int > 0, in lowest terms (gcd(den,
-# *nums.values()) is 1), so equal polynomials have equal (nums, den); atoms
-# maps the id of every atom in nums to that atom (it may hold more).  The
-# zero polynomial is ({}, 1, {}).  The coefficient of m is nums[m]/den.  A
-# monomial is the tuple of its (atom id, exponent) int pairs, sorted by id,
-# exponents nonzero (S. C. Johnson, "Sparse polynomial arithmetic", ACM
-# SIGSAM Bull. 8(3), 1974): the collector stops tracking a tuple of ints,
-# and hashing one calls no `Expr.__hash__`.  Sums, products and derivatives
-# add and multiply integers over the lcm of the denominators they combine
-# and reduce once, by one gcd, per result (Knuth, TAOCP vol. 2, §4.5.1); an
-# integer polynomial (den 1) takes no gcd, and no `Fraction` is built.  The
-# atoms are Var, Pi, Sin/Cos/Exp of a normalized nonzero argument, and
-# Pow(s, -1) of a normalized sum s of two or more terms.  `_ATOM_IDS` numbers
-# them weakly: an atom keeps its id while a polynomial, a tree or a memo
-# holds it, and no id is given twice.  The polynomials `_ring` and `_datom`
-# return are shared through their memos and never mutated.
+# Sums, products and derivatives add and multiply integers over the lcm of
+# the denominators they combine and reduce once, by one gcd, per result
+# (Knuth, TAOCP vol. 2, §4.5.1); an integer polynomial (den 1) takes no gcd,
+# and no `Fraction` is built.  `_ATOM_IDS` numbers the atoms weakly: an atom
+# keeps its id while a polynomial or a memo holds it, and no id is given
+# twice.
 
-_ZERO = ({}, 1, {})
-_ONE = ({(): 1}, 1, {})
+ZERO = Expr({}, 1, {})
+ONE = Expr({(): 1}, 1, {})
 
 #: atom -> (id, weak reference to the atom that id was given to)
-_ATOM_IDS: "weakref.WeakKeyDictionary[Expr, tuple]" = weakref.WeakKeyDictionary()
+_ATOM_IDS: "weakref.WeakKeyDictionary[Atom, tuple]" = weakref.WeakKeyDictionary()
 _NEXT_ID = itertools.count()
 
 
-def _atom(a: Expr, k: int = 1, c: int = 1) -> tuple:
-    """The polynomial c*a^k.  Its atom is the one `_ATOM_IDS` numbered: a, or
-    an equal atom numbered before it, so equal atoms share one id."""
+def _numbered(a: Atom) -> tuple:
+    """(id, atom) for a: a, or an equal atom numbered before it, so equal
+    atoms share one id."""
     entry = _ATOM_IDS.get(a)
     if entry is None:
-        i = next(_NEXT_ID)
-        _ATOM_IDS[a] = i, weakref.ref(a)
-    else:
-        i, a = entry[0], entry[1]()
-    return {((i, k),): c}, 1, {i: a}
+        _ATOM_IDS[a] = entry = next(_NEXT_ID), weakref.ref(a)
+        return entry[0], a
+    return entry[0], entry[1]()
+
+
+def _atom(a: Atom, k: int = 1, c: int = 1) -> Expr:
+    """The polynomial c*a^k."""
+    i, a = _numbered(a)
+    return Expr({((i, k),): c}, 1, {i: a})
+
+
+def _const(v: Fraction) -> Expr:
+    return Expr({(): v.numerator}, v.denominator, {}) if v else ZERO
+
+
+def _function(kind: type, arg: Expr) -> Expr:
+    """kind(arg) for an atom type: sin 0 = 0, cos 0 = exp 0 = 1, and Recip
+    through `_invert`."""
+    if kind is Recip:
+        return _invert(arg)
+    if not arg.nums:
+        return ZERO if kind is Sin else ONE
+    return _atom(kind(arg))
+
+
+def _terms(e: Expr) -> tuple:
+    """The terms of e as (((atom, exponent), ...), numerator) pairs."""
+    return tuple((tuple((e.atoms[i], k) for i, k in m), c) for m, c in e.nums.items())
+
+
+def _from_terms(terms: tuple, den: int, image=_atom) -> Expr:
+    """The polynomial of `_terms` over den, each atom a replaced by image(a):
+    how an `Expr` unpickles, its atoms numbered in this process, and how
+    `subst` composes."""
+    return _sum(reduce(_times, (image(a) ** k for a, k in factors), _reduced({(): c}, den, {}))
+                for factors, c in terms)
 
 
 def _merged(a: dict, b: dict) -> dict:
@@ -272,16 +243,16 @@ def _merged(a: dict, b: dict) -> dict:
     return {**a, **b}
 
 
-def _reduced(nums: dict, den: int, atoms: dict) -> tuple:
+def _reduced(nums: dict, den: int, atoms: dict) -> Expr:
     """The polynomial nums/den in lowest terms."""
     if not nums:
-        return _ZERO
+        return ZERO
     if den != 1:
         g = math.gcd(den, *nums.values())
         if g != 1:
             nums = {m: c // g for m, c in nums.items()}
             den //= g
-    return nums, den, atoms
+    return Expr(nums, den, atoms)
 
 
 def _add_term(out: dict, m: tuple, c: int) -> None:
@@ -296,18 +267,18 @@ def _add_term(out: dict, m: tuple, c: int) -> None:
         out[m] = c
 
 
-def _sum(polys: Iterable[tuple], signs: Iterable[int] = itertools.repeat(1)) -> tuple:
+def _sum(polys: Iterable[Expr], signs: Iterable[int] = itertools.repeat(1)) -> Expr:
     """The sum of sign*p over the pairs of `polys` and `signs` (each +1 or -1)."""
     pairs = list(zip(polys, signs))
     den, atoms = 1, {}
     for p, _ in pairs:
-        if p[1] != 1:
-            den = math.lcm(den, p[1])
-        atoms = _merged(atoms, p[2])
+        if p.den != 1:
+            den = math.lcm(den, p.den)
+        atoms = _merged(atoms, p.atoms)
     out: dict = {}
-    for (nums, d, _), sign in pairs:
-        scale = den // d if sign > 0 else -(den // d)
-        for m, c in nums.items():
+    for p, sign in pairs:
+        scale = den // p.den if sign > 0 else -(den // p.den)
+        for m, c in p.nums.items():
             _add_term(out, m, c * scale)
     return _reduced(out, den, atoms)
 
@@ -335,170 +306,167 @@ def _product(m1: tuple, m2: tuple) -> tuple:
     return _monomial(m1, m2)
 
 
-def _times(p: tuple, q: tuple) -> tuple:
-    (pn, pd, pa), (qn, qd, qa) = p, q
+def _times(p: Expr, q: Expr) -> Expr:
     out: dict = {}
-    for m1, c1 in pn.items():
-        for m2, c2 in qn.items():
+    for m1, c1 in p.nums.items():
+        for m2, c2 in q.nums.items():
             _add_term(out, _product(m1, m2), c1 * c2)
-    return _reduced(out, pd * qd, _merged(pa, qa))
+    return _reduced(out, p.den * q.den, _merged(p.atoms, q.atoms))
 
 
-def _invert(p: tuple) -> tuple:
-    """1/p: the reciprocal of a monomial, or the atom p^-1 of a sum."""
-    nums, den, atoms = p
-    if not nums:
+def _invert(p: Expr) -> Expr:
+    """1/p: the reciprocal of a monomial, or the atom Recip(p) of a sum."""
+    if not p.nums:
         raise ZeroDivisionError("division by symbolic zero")
-    if len(nums) == 1:
-        (m, c), = nums.items()  # in lowest terms, so gcd(c, den) is 1
-        return {tuple((i, -k) for i, k in m): den if c > 0 else -den}, abs(c), atoms
-    return _atom(Pow(_rebuild(p), -1))
-
-
-def _ring(e: Expr) -> tuple:
-    """The polynomial of e, with every product and power multiplied out: the
-    one `_rebuild` kept on e, else the expansion."""
-    p = getattr(e, "_poly", None)
-    return _expand(e) if p is None else p
-
-
-@lru_cache(maxsize=65536)
-def _expand(e: Expr) -> tuple:
-    if isinstance(e, Rat):
-        return ({(): e.num}, e.den, {}) if e.num else _ZERO
-    if isinstance(e, (Pi, Var)):
-        return _atom(e)
-    if isinstance(e, Add):
-        return _sum(map(_ring, e.terms))
-    # products start at their first factor: _times(_ONE, p) is p
-    if isinstance(e, Mul):
-        rings = map(_ring, e.factors)
-        return reduce(_times, rings, next(rings, _ONE))
-    if isinstance(e, Pow):
-        core = _ring(e.base) if e.exponent >= 0 else _invert(_ring(e.base))
-        k = abs(e.exponent)
-        return reduce(_times, itertools.repeat(core, k - 1), core) if k else _ONE
-    if isinstance(e, (Sin, Cos, Exp)):
-        arg = normalize(e.arg)
-        if arg == ZERO:
-            return _ZERO if isinstance(e, Sin) else _ONE
-        return _atom(type(e)(arg))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _factor_key(factor: Tuple[Expr, int]) -> Tuple[str, int]:
-    return render(factor[0]), factor[1]
-
-
-def _rebuild(p: tuple) -> Expr:
-    """The tree of p: a sum of products, the factors of each product and then
-    the products ordered by their (rendered atom, exponent) keys, never by
-    atom ids.  The tree keeps p, which `_ring` then reads instead of
-    expanding the tree again."""
-    nums, den, atoms = p
-    if not nums:
-        return ZERO
-    monomials = sorted(([sorted([(atoms[i], k) for i, k in m], key=_factor_key), c]
-                        for m, c in nums.items()),
-                       key=lambda mc: [_factor_key(f) for f in mc[0]])
-    terms = []
-    for factors, c in monomials:
-        g = math.gcd(c, den)
-        out = [Rat(c // g, den // g)] if c != den or not factors else []
-        out += [a if k == 1 else Pow(a, k) for a, k in factors]
-        terms.append(out[0] if len(out) == 1 else Mul(tuple(out)))
-    tree = terms[0] if len(terms) == 1 else Add(tuple(terms))
-    hash(tree)  # taken first, so the hash reads the fields alone
-    object.__setattr__(tree, "_poly", p)
-    return tree
+    if len(p.nums) == 1:
+        (m, c), = p.nums.items()  # in lowest terms, so gcd(c, den) is 1
+        return Expr({tuple((i, -k) for i, k in m): p.den if c > 0 else -p.den}, abs(c), p.atoms)
+    return _atom(Recip(p))
 
 
 @lru_cache(maxsize=65536)
 def normalize(e: Expr) -> Expr:
-    """Canonical sum of products of atoms with exact rational coefficients:
-    products and integer powers multiplied out, like terms merged, and a
-    negative power of a sum of two or more terms written with the atom
-    (sum)^-1.
-    ZeroDivisionError on a division by a symbolic zero."""
-    return e if hasattr(e, "_poly") else _rebuild(_ring(e))  # a rebuilt tree is normal
+    """The shared instance of e: the polynomial equal to e that this memo
+    returned first, so equal coefficients are one object and the memos find
+    them by identity (`perfbench` reads its `cache_info()`).  Every `Expr`
+    is in normal form: products and integer powers multiplied out, like
+    terms merged, and a negative power of a sum of two or more terms written
+    with the atom Recip(sum)."""
+    return e
+
+
+# ---------------------------------------------------------------------------
+# rendering, in the order of `_monomials`
+
+@lru_cache(maxsize=65536)
+def _text(a: Atom) -> str:
+    if isinstance(a, Var):
+        return a.name
+    if isinstance(a, Pi):
+        return "pi"
+    if isinstance(a, Recip):
+        return f"({render(a.arg)})^-1"
+    return f"{type(a).__name__.lower()}({render(a.arg)})"
+
+
+def _power_key(power: Tuple[Atom, int]) -> Tuple[str, int]:
+    return _text(power[0]), power[1]
+
+
+#: the coefficient of a term of `_monomials`, in lowest terms
+_Ratio = namedtuple("_Ratio", "num den")
+
+
+@lru_cache(maxsize=65536)
+def _monomials(e: Expr) -> tuple:
+    """The terms of e in the order `render` and `compile_expr` read them,
+    each the tuple of its factors: its coefficient (`_Ratio`), unless it
+    is 1 and atom powers follow, then its atom powers (atom, exponent)
+    ordered by (rendered atom, exponent); the terms ordered by the keys of
+    their atom powers, never by atom ids."""
+    terms = []
+    for m, c in e.nums.items():
+        powers = sorted(((e.atoms[i], k) for i, k in m), key=_power_key)
+        g = math.gcd(c, e.den)
+        coef = [_Ratio(c // g, e.den // g)] if c != e.den or not powers else []
+        terms.append((tuple(coef + powers), [_power_key(f) for f in powers]))
+    terms.sort(key=operator.itemgetter(1))
+    return tuple(term for term, _ in terms)
+
+
+def render(e: Expr) -> str:
+    """Canonical text, which parses back to an equal polynomial: the terms
+    of `_monomials` joined by ' + ', the factors of each by '*'."""
+    terms = _monomials(e)
+    prec = 1 if len(terms) > 1 else 0  # precedence: 0 sum, 1 term, 2 factor
+    return " + ".join(_factor_text(t[0], prec) if len(t) == 1 else
+                      "*".join(_factor_text(f, 2) for f in t) for t in terms) or "0"
+
+
+def _factor_text(f, prec: int) -> str:
+    if isinstance(f, _Ratio):
+        s = str(f.num) if f.den == 1 else f"{f.num}/{f.den}"
+        return f"({s})" if (f.num < 0 and prec >= 2) or (f.den != 1 and prec >= 1) else s
+    return _text(f[0]) if f[1] == 1 else _power_text(*f, prec)
+
+
+def _power_text(a: Atom, k: int, prec: int) -> str:
+    if abs(k) > MAX_EXPONENT:  # printed powers stay within what the parser reads
+        head = MAX_EXPONENT if k > 0 else -MAX_EXPONENT
+        s = f"{_power_text(a, head, 2)}*{_power_text(a, k - head, 2)}"
+        return f"({s})" if prec >= 2 else s
+    return f"({_text(a)})^{k}" if isinstance(a, Recip) else f"{_text(a)}^{k}"
 
 
 # ---------------------------------------------------------------------------
 # calculus and substitution
 
 def diff(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative, normalized: the chain rule applied to the
-    atoms of normalize(e), with d(s^-1) = -(s^-1)^2 ds for a sum s."""
-    return _rebuild(_diff(_ring(e), var))
+    """Symbolic partial derivative: the chain rule applied to the atoms of
+    e, with d(s^-1) = -(s^-1)^2 ds for a sum s."""
+    return _diff(e, var)
 
 
-def _diff(p: tuple, var: str) -> tuple:
-    nums, den, atoms = p
+def _diff(p: Expr, var: str) -> Expr:
+    atoms = p.atoms
     chain = []  # (m, id of a, c*k, d a/d var) for each factor a^k of each term c*m
     scale = 1  # the lcm of the denominators of the atom derivatives
-    for m, c in nums.items():
+    for m, c in p.nums.items():
         for i, k in m:
             da = _datom(atoms[i], var)
-            if da[0]:
+            if da.nums:
                 chain.append((m, i, c * k, da))
-                if da[1] != 1:
-                    scale = math.lcm(scale, da[1])
+                if da.den != 1:
+                    scale = math.lcm(scale, da.den)
     out: dict = {}
-    for m, i, ck, (dnums, dden, datoms) in chain:
-        if dden != scale:
-            ck *= scale // dden
-        for m2, c2 in dnums.items():
+    for m, i, ck, da in chain:
+        if da.den != scale:
+            ck *= scale // da.den
+        for m2, c2 in da.nums.items():
             _add_term(out, _monomial(m, ((i, -1), *m2)), ck * c2)
-        atoms = _merged(atoms, datoms)
-    return _reduced(out, den * scale, atoms)
+        atoms = _merged(atoms, da.atoms)
+    return _reduced(out, p.den * scale, atoms)
 
 
 @lru_cache(maxsize=65536)
-def _datom(a: Expr, var: str) -> tuple:
+def _datom(a: Atom, var: str) -> Expr:
     """The derivative of the atom a by var."""
     if isinstance(a, (Var, Pi)):
-        return _ONE if a == Var(var) else _ZERO
-    if isinstance(a, Pow):
-        return _times(_atom(a, 2, -1), _diff(_ring(a.base), var))
-    outer = (_atom(Cos(a.arg)) if isinstance(a, Sin) else
-             _atom(Sin(a.arg), 1, -1) if isinstance(a, Cos) else _atom(a))
-    return _times(outer, _diff(_ring(a.arg), var))
+        return ONE if a == Var(var) else ZERO
+    outer = (_atom(a, 2, -1) if isinstance(a, Recip) else _atom(Cos(a.arg)) if isinstance(a, Sin)
+             else _atom(Sin(a.arg), 1, -1) if isinstance(a, Cos) else _atom(a))
+    return _times(outer, _diff(a.arg, var))
 
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Simultaneous substitution of variables by expressions (not normalized)."""
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, (Rat, Pi)):
-        return e
-    if isinstance(e, Add):
-        return Add(tuple(subst(t, mapping) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(subst(f, mapping) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(subst(e.base, mapping), e.exponent)
-    if isinstance(e, (Sin, Cos, Exp)):
-        return type(e)(subst(e.arg, mapping))
-    raise TypeError(f"not an expression: {e!r}")
+    """e with its variables replaced, simultaneously, by the polynomials of
+    `mapping`: the composition, multiplied out.  ZeroDivisionError where a
+    reciprocal or a negative power meets a symbolic zero."""
+    images: dict = {}
+
+    def image(a: Atom) -> Expr:
+        if a not in images:
+            if isinstance(a, Var):
+                images[a] = mapping[a.name] if a.name in mapping else _atom(a)
+            else:
+                images[a] = _atom(a) if isinstance(a, Pi) else _function(type(a), subst(a.arg, mapping))
+        return images[a]
+    return _from_terms(_terms(e), e.den, image)
 
 
 def variables(e: Expr) -> set:
-    """The names of the variables e reads.  Of a tree that keeps its
-    polynomial, only the atoms are read, and of them only their arguments."""
+    """The names of the variables e reads: in its monomials and in the
+    arguments of their atoms."""
+    if type(e) is not Expr:
+        raise TypeError(f"not an expression: {e!r}")
     names, stack = set(), [e]
     while stack:
-        x = stack.pop()
-        if not isinstance(x, Expr):
-            raise TypeError(f"not an expression: {x!r}")
-        p = getattr(x, "_poly", None)
-        if p is not None:
-            atoms = {p[2][i] for m in p[0] for i, _ in m}
-            names.update(a.name for a in atoms if isinstance(a, Var))
-            stack += [c for a in atoms for c in _children(a)]
-        elif isinstance(x, Var):
-            names.add(x.name)
-        else:
-            stack += _children(x)
+        p = stack.pop()
+        for a in {p.atoms[i] for m in p.nums for i, _ in m}:
+            if isinstance(a, Var):
+                names.add(a.name)
+            elif not isinstance(a, Pi):
+                stack.append(a.arg)
     return names
 
 
@@ -511,14 +479,16 @@ def compile_expr(e: Expr, names: Sequence[str]):
     the axes it uses.  It runs a value-numbered list of steps (Aho, Lam,
     Sethi and Ullman, *Compilers*, §6.1), each a (slot, numpy ufunc or
     `operator` function, one or two operand slots) in depth-first order: a
-    subtree that occurs twice or more is computed once, and every slot is
-    cleared after its last use, so intermediates are freed as it goes.  Sums
-    and products fold left to right, constants are Python floats and a
-    negative exponent is a float, so the values are, bit for bit, those of
-    the tree written out in full as Python arithmetic.
+    polynomial, term, atom, atom power or constant that occurs twice or more
+    is computed once, and every slot is cleared after its last use, so
+    intermediates are freed as it goes.  The terms of a polynomial are added
+    and the factors of a term multiplied left to right in `_monomials`
+    order, constants are Python floats and a negative exponent is a float,
+    so the values are, bit for bit, those of the polynomial written out in
+    that order as Python arithmetic (tests/expr_reference.py, `rebuild`).
     """
     slots: list = [None] * len(names)  # the arguments, then constants and step results
-    numbered: Dict[Expr, int] = {Var(n): i for i, n in enumerate(names)}
+    numbered: dict = {Var(n): i for i, n in enumerate(names)}
     steps = []
 
     def slot(value) -> int:
@@ -529,27 +499,48 @@ def compile_expr(e: Expr, names: Sequence[str]):
         steps.append((slot(None), fn, x, y))
         return len(slots) - 1
 
-    def emit(x: Expr) -> int:
-        if x in numbered:
-            return numbered[x]
-        if isinstance(x, (Rat, Pi)):
-            out = slot(math.pi if isinstance(x, Pi) else x.num / x.den)
-        elif isinstance(x, (Add, Mul)):  # left to right, as in a + b + c
-            fn, xs = (operator.add, x.terms) if isinstance(x, Add) else (operator.mul, x.factors)
-            out = emit(xs[0]) if xs else slot(0.0 if isinstance(x, Add) else 1.0)
-            for t in xs[1:]:
-                out = step(fn, out, emit(t))
-        elif isinstance(x, Pow):
-            k = x.exponent
-            out = step(operator.pow, emit(x.base), slot(float(k) if k < 0 else k))
-        elif isinstance(x, (Sin, Cos, Exp)):
-            out = step(_UNARY[type(x)], emit(x.arg))
-        else:
-            raise TypeError(f"not an expression over {tuple(names)}: {x!r}")
-        numbered[x] = out
+    def fold(fn, items: tuple, emit) -> int:
+        out = emit(items[0])
+        for x in items[1:]:
+            out = step(fn, out, emit(x))
         return out
 
-    result = emit(e)
+    def poly(p: Expr) -> int:
+        if p not in numbered:
+            numbered[p] = fold(operator.add, _monomials(p) or ((_Ratio(0, 1),),), term)
+        return numbered[p]
+
+    def term(factors: tuple) -> int:
+        if len(factors) == 1:
+            return factor(factors[0])
+        if factors not in numbered:
+            numbered[factors] = fold(operator.mul, factors, factor)
+        return numbered[factors]
+
+    def factor(f) -> int:
+        if isinstance(f, _Ratio):
+            if f not in numbered:
+                numbered[f] = slot(f.num / f.den)
+        elif f[1] == 1:
+            return atom(f[0])
+        elif f not in numbered:
+            numbered[f] = step(operator.pow, atom(f[0]), slot(float(f[1]) if f[1] < 0 else f[1]))
+        return numbered[f]
+
+    def atom(a: Atom) -> int:
+        if a not in numbered:
+            if isinstance(a, Pi):
+                out = slot(math.pi)
+            elif isinstance(a, Recip):
+                out = step(operator.pow, poly(a.arg), slot(-1.0))
+            elif isinstance(a, (Sin, Cos, Exp)):
+                out = step(_UNARY[type(a)], poly(a.arg))
+            else:
+                raise TypeError(f"not an expression over {tuple(names)}: {a!r}")
+            numbered[a] = out
+        return numbered[a]
+
+    result = poly(e)
     last = {s: i for i, (_, _, x, y) in enumerate(steps) for s in (x, y)}
     program = [(out, fn, x, y, tuple(s for s in {x, y} - {None} if last[s] == i))
                for i, (out, fn, x, y) in enumerate(steps)]
@@ -611,19 +602,23 @@ def tokenize(text: str) -> list:
 #: parsed expression: a sum of several terms counts the largest of them, at
 #: least 1; a product or quotient the sum of its factors; a power |k| times
 #: its base; variables, numbers, pi, parameters and function calls count 0.
-#: `normalize` multiplies sums out, so (x + y + z + 1)^32 alone costs seconds,
-#: as does (x + y + z + 1)^16 * (x + y + z + 1)^16
+#: The parser multiplies sums out as it reads them and checks the bound
+#: before each product and power, so (x + y + z + 1)^32 and
+#: (x + y + z + 1)^16 * (x + y + z + 1)^16, which would each cost seconds to
+#: multiply out, are refused before they are
 MAX_EXPONENT = 16
 #: deepest nesting of parentheses, function calls and unary signs; the parser
-#: and the tree walkers recurse once per level
+#: recurses once per level, and so do `render`, `diff` and `subst` through
+#: nested atoms
 MAX_NESTING = 100
-#: tallest expression tree the parser builds, counted in nodes from the root to
-#: a leaf: a chain of k factors joined by '*' is a left-deep tree k - 1 tall,
-#: and so is the sum of k terms on one differential of a form; the reciprocal
-#: b^-1 of a quotient by b counts as one level, so a chain of k factors joined
-#: by '/' is k tall.  Hashing and the tree walkers recurse once or twice per
-#: level: a 500-factor chain ran them out of Python's default 1000 frames, a
-#: 400-factor one did not
+#: most levels of operations the parser reads, counted as in a tree of them
+#: from the root to a leaf: a chain of k factors joined by '*' is k - 1
+#: levels, and so is the sum of k terms on one differential of a form; the
+#: reciprocal b^-1 of a quotient by b counts as one level, so a chain of k
+#: factors joined by '/' is k.  Coefficients are polynomials, which recurse
+#: only through nested atoms, so the bound guards no recursion any more; it
+#: keeps the domain the parser had when coefficients were trees, whose
+#: walkers a 500-factor chain ran out of Python's default 1000 frames
 MAX_DEPTH = 200
 #: largest |e| accepted in a literal 1e<e>: beyond it the value is not a
 #: float, and the exact Fraction("1e9999999") alone costs seconds
@@ -649,24 +644,16 @@ def _read_number(text: str, pos: int) -> Fraction:
         raise FormSyntaxError(f"zero denominator in {text.strip()!r}", pos) from None
 
 
-def _children(e: Expr) -> Tuple[Expr, ...]:
-    if isinstance(e, Add):
-        return e.terms
-    if isinstance(e, Mul):
-        return e.factors
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Sin, Cos, Exp)):
-        return (e.arg,)
-    return ()
-
-
 class _Parser:
     """Recursive descent over the coefficient grammar and, given basis names,
     the 1-form grammar of `forms` (`parse_form`).
 
-    A basis differential d<name> may only end a top-level term of a form;
-    anywhere else it is a syntax error.
+    Each production returns (polynomial, expansion degree, levels): the
+    degree as MAX_EXPONENT counts it and the levels as MAX_DEPTH does,
+    leaves, parameters and the negation of a number counting 0.  A division
+    by a symbolic zero is refused once the whole text is read, so a syntax
+    error after it still wins.  A basis differential d<name> may only end a
+    top-level term of a form; anywhere else it is a syntax error.
     """
 
     def __init__(self, text: str, allowed: Iterable[str],
@@ -674,34 +661,44 @@ class _Parser:
         self.tokens = tokenize(text)
         self.i = 0
         self.allowed = set(allowed)
-        self.params = {k: (v if isinstance(v, Expr) else Rat(v))
+        self.params = {k: (v if isinstance(v, Expr) else _const(Fraction(v)))
                        for k, v in (params or {}).items()}
         self.basis = {f"d{name}": axis for axis, name in enumerate(basis)}
         self.depth = 0
-        self.degrees: Dict[int, int] = {}
-        self.heights: Dict[int, int] = {}
+        self.zero_division = False
+        self.leaves: dict = {}  # name -> what pi or a variable reads as
 
-    def degree(self, e: Expr) -> int:
-        """Expansion degree (see MAX_EXPONENT) of a node this parser built."""
-        return self.degrees.get(id(e), 0)
-
-    def bounded(self, e: Expr, degree: int, t: _Token) -> Expr:
-        """Record e's expansion degree and height; past MAX_EXPONENT or
-        MAX_DEPTH it is an error at t.  Every node the parser builds passes
-        here; leaves and parameters count height 0."""
+    def bounded(self, degree: int, levels: int, t: _Token) -> None:
+        """Past MAX_EXPONENT or MAX_DEPTH, an error at t."""
         if degree > MAX_EXPONENT:
             raise FormSyntaxError(f"expansion degree exceeds {MAX_EXPONENT}", t.pos)
-        height = 1 + max((self.heights.get(id(c), 0) for c in _children(e)), default=-1)
-        if height > MAX_DEPTH:
+        if levels > MAX_DEPTH:
             raise FormSyntaxError(f"expression depth exceeds {MAX_DEPTH}", t.pos)
-        self.degrees[id(e)] = degree
-        self.heights[id(e)] = height
-        return e
 
-    def negated(self, e: Expr, t: _Token) -> Expr:
-        """-e for the sign t: the negative number for a number e, else (-1)*e."""
-        minus_e = Rat(-e.num, e.den) if isinstance(e, Rat) else Mul((Rat(-1), e))
-        return self.bounded(minus_e, self.degree(e), t)
+    def inverse(self, p: Expr) -> Expr:
+        try:
+            return _invert(p)
+        except ZeroDivisionError:
+            self.zero_division = True
+            return p
+
+    def done(self, result):
+        if self.zero_division:
+            raise ZeroDivisionError("division by symbolic zero")
+        return result
+
+    def negated(self, read: tuple, t: _Token) -> tuple:
+        """-p for the sign t: one level more, except for a number."""
+        p, degree, levels = read
+        if levels or p.nums.keys() - {()}:
+            levels += 1
+        self.bounded(degree, levels, t)
+        return -p, degree, levels
+
+    def leaf(self, name: str, atom: Atom) -> tuple:
+        if name not in self.leaves:
+            self.leaves[name] = _atom(atom), 0, 0
+        return self.leaves[name]
 
     def nested(self, t: _Token, parse):
         """parse() one level deeper than `t`, within MAX_NESTING levels."""
@@ -738,30 +735,31 @@ class _Parser:
         """form := ['-'] term (('+'|'-') term)*; one coefficient per basis name."""
         if self.peek().kind == "end":
             raise FormSyntaxError("empty form", 0)
-        coeffs = [ZERO] * len(self.basis)
+        sums = [([], 0, 0) for _ in self.basis]  # (terms, degree, levels) per differential
         negate = self.at_op("-")
         if negate:
             self.next()
         while True:
             t = self.peek()
-            axis, coeff = self.parse_term()
-            if negate:
-                coeff = self.negated(coeff, t)
-            coeffs[axis] = self.bounded(Add((coeffs[axis], coeff)),
-                                        max(self.degree(coeffs[axis]), self.degree(coeff), 1), t)
+            axis, read = self.parse_term()
+            p, degree, levels = self.negated(read, t) if negate else read
+            terms, degree0, levels0 = sums[axis]
+            sums[axis] = terms, max(degree0, degree, 1), 1 + max(levels0, levels)
+            self.bounded(*sums[axis][1:], t)
+            terms.append(p)
             t = self.next()
             if t.kind == "end":
-                return tuple(coeffs)
+                return self.done(tuple(_sum(terms) for terms, _, _ in sums))
             negate = t.text == "-"
 
-    def parse_term(self) -> Tuple[int, Expr]:
+    def parse_term(self) -> Tuple[int, tuple]:
         """term := product '*' basis | basis, followed by '+', '-' or the end."""
         start = self.peek()
         if start.kind == "end" or self.at_op("+-"):
             raise FormSyntaxError("empty term", start.pos)
-        coeff = ONE
+        read = ONE, 0, 0
         if not self.at_basis():
-            coeff = self.parse_product(basis_ends=True)
+            read = self.parse_product(basis_ends=True)
             t = self.peek()
             if t.kind == "end" or self.at_op("+-"):
                 raise FormSyntaxError("term carries no differential", start.pos)
@@ -775,38 +773,42 @@ class _Parser:
         basis = self.next()
         if not (self.peek().kind == "end" or self.at_op("+-")):
             raise FormSyntaxError("differential must end its term", basis.pos)
-        return self.basis[basis.text], coeff
+        return self.basis[basis.text], read
 
-    def parse_sum(self) -> Expr:
+    def parse_sum(self) -> tuple:
         start = self.peek()
         terms = [self.parse_product()]
-        degree = self.degree(terms[0])
         while self.at_op("+-"):
             sign = self.next().text
             t = self.peek()
             rhs = self.parse_product()
-            degree = max(degree, self.degree(rhs))
             terms.append(rhs if sign == "+" else self.negated(rhs, t))
         if len(terms) == 1:
             return terms[0]
-        return self.bounded(Add(tuple(terms)), max(degree, 1), start)
+        degree = max(1, *(d for _, d, _ in terms))
+        levels = 1 + max(n for _, _, n in terms)
+        self.bounded(degree, levels, start)
+        return _sum(p for p, _, _ in terms), degree, levels
 
-    def parse_product(self, basis_ends: bool = False) -> Expr:
+    def parse_product(self, basis_ends: bool = False) -> tuple:
         """Factors joined by '*' or '/'; with `basis_ends`, stops before an
         operator whose right operand is a basis differential."""
-        out = self.parse_unary()
-        degree = self.degree(out)
+        p, degree, levels = self.parse_unary()
         while self.at_op("*/") and not (basis_ends and self.at_basis(1)):
             op = self.next().text
             t = self.peek()
-            rhs = self.parse_unary()
-            degree += self.degree(rhs)
+            q, d, n = self.parse_unary()
+            degree += d
             if op == "/":
-                rhs = self.bounded(Pow(rhs, -1), self.degree(rhs), t)
-            out = self.bounded(Mul((out, rhs)), degree, t)
-        return out
+                n += 1
+                self.bounded(d, n, t)
+                q = self.inverse(q)
+            levels = 1 + max(levels, n)
+            self.bounded(degree, levels, t)
+            p = _times(p, q)
+        return p, degree, levels
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> tuple:
         if self.at_op("-"):
             t = self.next()
             return self.negated(self.nested(t, self.parse_unary), t)
@@ -814,7 +816,7 @@ class _Parser:
             return self.nested(self.next(), self.parse_unary)
         return self.parse_pow()
 
-    def parse_pow(self) -> Expr:
+    def parse_pow(self) -> tuple:
         base = self.parse_atom()
         if not self.at_op("^"):
             return base
@@ -826,15 +828,17 @@ class _Parser:
         t = self.next()
         if t.kind != "number" or not t.text.isdigit():
             raise FormSyntaxError("exponent must be an integer literal", t.pos)
-        if int(t.text) > MAX_EXPONENT:
+        k = int(t.text)
+        if k > MAX_EXPONENT:
             raise FormSyntaxError(f"exponent exceeds {MAX_EXPONENT} in absolute value", t.pos)
-        return self.bounded(Pow(base, sign * int(t.text)), int(t.text) * self.degree(base), t)
+        p, degree, levels = base
+        self.bounded(k * degree, levels + 1, t)
+        return (self.inverse(p) if sign < 0 and k else p) ** k, k * degree, levels + 1
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple:
         t = self.next()
         if t.kind == "number":
-            v = _read_number(t.text, t.pos)
-            return Rat(v.numerator, v.denominator)
+            return _const(_read_number(t.text, t.pos)), 0, 0
         if t.kind == "op" and t.text == "(":
             inner = self.nested(t, self.parse_sum)
             self.expect_op(")")
@@ -843,16 +847,17 @@ class _Parser:
             if t.text in self.basis:
                 raise FormSyntaxError("differential must end its term", t.pos)
             if t.text == "pi":
-                return Pi()
+                return self.leaf(t.text, Pi())
             if t.text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.nested(t, self.parse_sum)
+                arg, _, levels = self.nested(t, self.parse_sum)
                 self.expect_op(")")
-                return self.bounded(_FUNCTIONS[t.text](arg), 0, t)
+                self.bounded(0, levels + 1, t)
+                return _function(_FUNCTIONS[t.text], arg), 0, levels + 1
             if t.text in self.params:
-                return self.params[t.text]
+                return self.params[t.text], 0, 0
             if t.text in self.allowed:
-                return Var(t.text)
+                return self.leaf(t.text, Var(t.text))
             raise UnknownVariableError(t.text, t.pos)
         raise FormSyntaxError(f"unexpected token {t.text!r}" if t.text else "unexpected end of input", t.pos)
 
@@ -860,11 +865,12 @@ class _Parser:
 def parse_expr(text: str, allowed: Iterable[str], params: Optional[Mapping[str, object]] = None) -> Expr:
     """Parse a coefficient expression over the given variable names.
 
-    `params` binds extra identifiers to numbers or expressions at parse time.
+    `params` binds extra identifiers to numbers or polynomials at parse time.
+    ZeroDivisionError on a division by a symbolic zero.
     """
     parser = _Parser(text, allowed, params)
-    out = parser.parse_sum()
+    out = parser.parse_sum()[0]
     t = parser.peek()
     if t.kind != "end":
         raise FormSyntaxError(f"trailing input {t.text!r}", t.pos)
-    return out
+    return parser.done(out)

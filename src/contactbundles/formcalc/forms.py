@@ -17,14 +17,14 @@ implements both grammars.  A term without a basis differential is rejected
 (a 1-form has no scalar part), and so is a differential anywhere but at the
 end of its term.
 
-`exterior_derivative`, `volume_coefficient` and `pullback` compute on the
-ring polynomials of `expr` and leave the ring once, through one `_rebuild`
-per returned coefficient; a `OneForm` normalizes the trees it is given.  A
-normalized or rebuilt tree keeps its polynomial, which `_ring` reads, so
-each coefficient is expanded once.
+Coefficients are the polynomials of `expr` throughout: the parser returns
+them, `exterior_derivative`, `volume_coefficient` and `pullback` compute on
+them with the ring operations of `expr`, and `render` and
+`compile_expr` read them.  A `OneForm` keeps the `normalize`d, shared
+instance of each coefficient it is given.
 
 Numbers come from `compile_expr` kernels, value-numbered lists of numpy
-steps evaluated on numpy arrays; the tree-walking `eval_expr` of the tests
+steps evaluated on numpy arrays; the pointwise `eval_expr` of the tests
 (tests/expr_reference.py) is the reference they are tested against.
 `contact_sign` evaluates and refines on sparse `meshgrid` axes, so its cost
 follows the axes the coefficient and the exclusions read, and its grid is
@@ -46,9 +46,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import (_FUNCTIONS, _IDENT, ONE, ZERO, Add, Expr, FormSyntaxError, Mul, Rat,
-                   UnknownVariableError, _diff, _Parser, _read_number, _rebuild, _ring, _sum,
-                   _times, compile_expr, normalize, parse_expr, render, subst, variables)
+from .expr import (_FUNCTIONS, _IDENT, ONE, ZERO, Expr, FormSyntaxError, UnknownVariableError,
+                   _diff, _Parser, _read_number, _sum, compile_expr, normalize,
+                   parse_expr, render, subst, variables)
 
 
 class DegenerateKernel(ValueError):
@@ -106,7 +106,7 @@ class Chart:
     def _exclusion_kernels(self) -> tuple:
         """(kernel, eps) for each exclusion, compiled on first use only;
         `cached_property` writes the instance dict, which frozen leaves open."""
-        return tuple((compile_expr(normalize(expr), self.names), eps)
+        return tuple((compile_expr(expr, self.names), eps)
                      for expr, eps in self.exclusions)
 
     def sample_mask(self, mesh: Sequence[np.ndarray]) -> np.ndarray:
@@ -205,7 +205,7 @@ class OneForm:
 
 def render_coeff(coeff: Expr) -> str:
     s = render(coeff)
-    if isinstance(coeff, Add) or s.startswith("-"):
+    if len(coeff.nums) > 1 or s.startswith("-"):
         return f"({s})"
     return s
 
@@ -218,10 +218,10 @@ class TwoForm:
     table: Tuple[Tuple[int, int, Expr], ...]
 
     def coefficient(self, i: int, j: int) -> Expr:
-        """The entry of dx_i ^ dx_j for i < j, and the normalized negation of
-        the entry of dx_j ^ dx_i for i > j."""
+        """The entry of dx_i ^ dx_j for i < j, and the negation of the entry
+        of dx_j ^ dx_i for i > j."""
         c = next((c for a, b, c in self.table if (a, b) in ((i, j), (j, i))), ZERO)
-        return c if i < j else normalize(Mul((Rat(-1), c)))
+        return c if i < j else -c
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +336,16 @@ def _read_float(text: str, pos: int) -> float:
 # ---------------------------------------------------------------------------
 # calculus
 
-def _d(form: OneForm) -> Dict[Tuple[int, int], tuple]:
-    """d_i alpha_j - d_j alpha_i on the ring, keyed by (i, j) for i < j."""
-    names = form.chart.names
-    rings = [_ring(c) for c in form.coefficients]
-    return {(i, j): _sum((_diff(rings[j], names[i]), _diff(rings[i], names[j])), (1, -1))
+def _d(form: OneForm) -> Dict[Tuple[int, int], Expr]:
+    """d_i alpha_j - d_j alpha_i, keyed by (i, j) for i < j."""
+    names, a = form.chart.names, form.coefficients
+    return {(i, j): _diff(a[j], names[i]) - _diff(a[i], names[j])
             for i, j in itertools.combinations(range(len(names)), 2)}
 
 
 def exterior_derivative(form: OneForm) -> TwoForm:
     """d(alpha): table of d_i alpha_j - d_j alpha_i for i < j."""
-    return TwoForm(form.chart, tuple((i, j, _rebuild(p)) for (i, j), p in _d(form).items()))
+    return TwoForm(form.chart, tuple((i, j, p) for (i, j), p in _d(form).items()))
 
 
 def volume_coefficient(form: OneForm) -> Expr:
@@ -355,9 +354,8 @@ def volume_coefficient(form: OneForm) -> Expr:
     if form.chart.dim != 3:
         raise ValueError("contact condition requires a 3-dimensional chart")
     d = _d(form)
-    a1, a2, a3 = (_ring(c) for c in form.coefficients)
-    return _rebuild(_sum((_times(a1, d[1, 2]), _times(a2, d[0, 2]), _times(a3, d[0, 1])),
-                         (1, -1, 1)))
+    a1, a2, a3 = form.coefficients
+    return _sum((a1 * d[1, 2], a2 * d[0, 2], a3 * d[0, 1]), (1, -1, 1))
 
 
 @dataclass(frozen=True)
@@ -496,10 +494,9 @@ def pullback(components: Sequence[Expr], source_chart: Chart, form: OneForm) -> 
         extra = variables(comp) - set(source_chart.names)
         if extra:
             raise UnknownVariableError(sorted(extra)[0], 0)
-    pulled = [_ring(subst(c, mapping)) for c in form.coefficients]
-    comps = [_ring(c) for c in components]
+    pulled = [subst(c, mapping) for c in form.coefficients]
     return OneForm(source_chart, tuple(
-        _rebuild(_sum(_times(p, _diff(c, name)) for p, c in zip(pulled, comps)))
+        _sum(p * _diff(c, name) for p, c in zip(pulled, components))
         for name in source_chart.names))
 
 

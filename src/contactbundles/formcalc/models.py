@@ -4,7 +4,8 @@ Each entry records the chart (in the order that makes the verified sign
 Positive), the expected contact sign, and the fiber-enrollment metadata when
 the model carries one.  Entries with parameters are instantiated at the
 catalog's default values; the builder functions are exposed for other
-parameter choices.
+parameter choices.  Fixed forms, components and exclusions are written as text
+and read by the parser of `expr`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import Add, Cos, Exp, Expr, Mul, Pi, Rat, Sin, Var, parse_expr
+from .expr import ONE, ZERO, Expr, parse_expr
 from .forms import Chart, OneForm, coefficient_values, parse_form, pullback, r_of_slope
 
 TWO_PI = 2.0 * math.pi
@@ -32,7 +33,9 @@ class ModelForm:
 
 
 def _box(names, bounds, periodic=(), exclusions=()):
-    return Chart(tuple(names), tuple(bounds), tuple(periodic), tuple(exclusions))
+    """The chart; each exclusion is (text, eps), its text over the names."""
+    return Chart(tuple(names), tuple(bounds), tuple(periodic),
+                 tuple((parse_expr(text, names), eps) for text, eps in exclusions))
 
 
 def connection_family(u: Expr) -> OneForm:
@@ -44,7 +47,7 @@ def connection_family(u: Expr) -> OneForm:
     chart = _box(["y", "x", "theta"],
                  [(-2.0, 2.0), (-2.0, 2.0), (0.0, TWO_PI)],
                  periodic=(False, False, True))
-    return OneForm(chart, (Rat(0), Mul((Rat(-1), u)), Rat(1)))
+    return OneForm(chart, (ZERO, -u, ONE))
 
 
 def fiber_rotation_form(n: int) -> OneForm:
@@ -70,7 +73,7 @@ def solid_torus_universal_form() -> OneForm:
     chart = _box(["r", "theta", "z"],
                  [(0.05, 1.4), (0.0, TWO_PI), (0.0, TWO_PI)],
                  periodic=(False, True, True),
-                 exclusions=((Var("r"), 1e-3),))
+                 exclusions=(("r", 1e-3),))
     return parse_form("(1-r^4)*dz + r^2*dtheta", chart)
 
 
@@ -121,7 +124,7 @@ def model_library() -> Dict[str, ModelForm]:
         parse_form("dt + r^2*dtheta",
                    _box(["r", "theta", "t"], [(0.05, 1.0), (0.0, TWO_PI), (0.0, 1.0)],
                         periodic=(False, True, True),
-                        exclusions=((Var("r"), 1e-3),))), "Positive"))
+                        exclusions=(("r", 1e-3),))), "Positive"))
     entries.append(ModelForm(
         "radial_standard", "rotationally symmetric tight structure dz + x dy - y dx",
         parse_form("dz + x*dy - y*dx", _box(["x", "y", "z"], [(-2.0, 2.0)] * 3)), "Positive"))
@@ -179,7 +182,7 @@ def torus_wrapping_embedding(p: int, q: int, sign: int) -> Tuple[Sequence[Expr],
     rpq = Fraction(r_of_slope(p, q)).limit_denominator(10 ** 12)
     src = _box(["a", "s", "t"], [(0.05, 0.45), (0.0, TWO_PI), (0.0, TWO_PI)],
                periodic=(False, True, True),
-               exclusions=((Var("a"), 1e-3),))
+               exclusions=(("a", 1e-3),))
     names = ["a", "s", "t"]
     pm = "+" if sign > 0 else "-"
     comp_r = parse_expr(f"2*a*rpq*(1 {pm} (a/{q})*cos({q}*s - ({p})*t))", names,
@@ -198,9 +201,8 @@ def torus_wrapping_pullback(p: int, q: int, sign: int) -> OneForm:
 def scaling_flow_components(s: Fraction) -> Tuple[Sequence[Expr], Chart]:
     """(e^s x, e^s y, e^{2s} z) as target components over the (x, y, z) chart."""
     src = _box(["x", "y", "z"], [(-2.0, 2.0)] * 3)
-    es = Exp(Rat(s))
-    e2s = Exp(Rat(2 * Fraction(s)))
-    comps = (Mul((es, Var("x"))), Mul((es, Var("y"))), Mul((e2s, Var("z"))))
+    comps = tuple(parse_expr(text, src.names, {"s": Fraction(s)})
+                  for text in ("exp(s)*x", "exp(s)*y", "exp(2*s)*z"))
     return comps, src
 
 
@@ -218,18 +220,10 @@ class HopfCheck:
 
 def _block_rotation_components(t: Fraction, variant: int) -> Sequence[Expr]:
     """Linear components of (z, w) -> (e^{2 pi i t} z, e^{+-2 pi i t} w)."""
-    ang = Mul((Rat(2 * Fraction(t)), Pi()))
-    c, s = Cos(ang), Sin(ang)
-    x1, y1, x2, y2 = Var("x1"), Var("y1"), Var("x2"), Var("y2")
-    first = (Add((Mul((c, x1)), Mul((Rat(-1), s, y1)))),
-             Add((Mul((s, x1)), Mul((c, y1)))))
-    if variant > 0:
-        second = (Add((Mul((c, x2)), Mul((Rat(-1), s, y2)))),
-                  Add((Mul((s, x2)), Mul((c, y2)))))
-    else:
-        second = (Add((Mul((c, x2)), Mul((s, y2)))),
-                  Add((Mul((Rat(-1), s, x2)), Mul((c, y2)))))
-    return (first[0], first[1], second[0], second[1])
+    params = {"t": Fraction(t), "v": 1 if variant > 0 else -1}
+    texts = ("cos(2*t*pi)*x1 - sin(2*t*pi)*y1", "sin(2*t*pi)*x1 + cos(2*t*pi)*y1",
+             "cos(2*t*pi)*x2 - v*sin(2*t*pi)*y2", "v*sin(2*t*pi)*x2 + cos(2*t*pi)*y2")
+    return tuple(parse_expr(text, ("x1", "y1", "x2", "y2"), params) for text in texts)
 
 
 def hopf_invariance_check(times: Optional[Sequence[Fraction]] = None,

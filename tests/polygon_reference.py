@@ -3,8 +3,10 @@ vertices and all 2g side pairings, built from the same `hyperbolic` helpers
 as `polygon` (so bit-identical to its first handle), the relator as the
 4g-letter product of their matrices, and the `polygon` report measured over
 every handle, the O(g) oracle for `cli.cmd_polygon`; also the largest area
-`radius_for_area` accepts, and a CLI report's outputs as printed."""
+`radius_for_area` accepts, a CLI report's outputs as printed, and the area
+of a polygon as the sum of the angle defects of a fan of triangles."""
 
+import cmath
 import contextlib
 import functools
 import io
@@ -135,3 +137,37 @@ def printed_outputs(*argv: str) -> dict:
     with contextlib.redirect_stdout(out):
         assert cli.main(list(argv)) == 0
     return json.loads(out.getvalue())["outputs"]
+
+
+def mobius_to_origin(p: complex):
+    s = math.sqrt(1.0 - abs(p) ** 2)
+    return (1.0 / s, -p / s)
+
+
+def apply_su(m, w: complex) -> complex:
+    a, b = m
+    return (a * w + b) / (b.conjugate() * w + a.conjugate())
+
+
+def angle_at(p: complex, q1: complex, q2: complex) -> float:
+    """Hyperbolic angle at p between the geodesics to q1 and q2.
+
+    Translating p to the origin turns both geodesics into straight rays, and
+    the disk metric is conformal, so the angle is the Euclidean one there.
+    """
+    m = mobius_to_origin(p)
+    w1 = apply_su(m, q1)
+    w2 = apply_su(m, q2)
+    d = abs(cmath.phase(w1) - cmath.phase(w2))
+    return min(d, 2 * math.pi - d)
+
+
+def fan_defect_area(poly: SymmetricPolygon) -> float:
+    """Triangulated angle-defect oracle: fan from s_1, defect pi - (sum of angles)."""
+    v = poly.vertices
+    total = 0.0
+    for k in range(1, len(v) - 1):
+        a, b, c = v[0], v[k], v[k + 1]
+        angles = angle_at(a, b, c) + angle_at(b, a, c) + angle_at(c, a, b)
+        total += math.pi - angles
+    return total

@@ -19,7 +19,10 @@ from contactbundles import multicurve as mc
 from contactbundles.formcalc.models import fiber_tube_pullback, torus_wrapping_pullback
 from expr_reference import eval_expr
 from fold_reference import holonomy_translation_number, proj_distance
-from polygon_reference import all_pairings, build_symmetric_polygon, commutator_product, polygon_area
+from multicurve_reference import lattice_crossing_count
+from pl_reference import random_pl
+from polygon_reference import (all_pairings, build_symmetric_polygon, commutator_product,
+                               fan_defect_area, polygon_area)
 
 DATA = Path(__file__).parent / "data"
 AREAS = [math.pi / 2, math.pi, 2 * math.pi, 4 * math.pi, 5 * math.pi]
@@ -64,7 +67,6 @@ def test_02_commutator_ellipticity():
 
 
 def test_03_wood_inequality_500_pairs():
-    from test_circle_dynamics import random_pl
     rng = random.Random(1729)
     t0 = time.perf_counter()
     violations = 0
@@ -82,7 +84,6 @@ def test_03_wood_inequality_500_pairs():
 
 
 def test_04_gauss_bonnet_and_round_trip():
-    from test_hyperbolic import fan_defect_area
     worst_area = 0.0
     for g in (1, 2, 3):
         for radius in (0.5, 1.0, 2.0):
@@ -205,7 +206,6 @@ def test_08_counting_and_golden_table():
 
 
 def test_09_torus_intersection_oracle():
-    from test_multicurve import lattice_crossing_count
     from math import gcd
     classes = []
     for p in range(-5, 6):

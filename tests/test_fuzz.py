@@ -19,9 +19,9 @@ from hypothesis import strategies as st  # noqa: E402
 from contactbundles import cli  # noqa: E402
 from contactbundles import formcalc as fc  # noqa: E402
 from contactbundles import multicurve as mc  # noqa: E402
-from contactbundles.formcalc.expr import (Add, Cos, Exp, Expr, Mul, Pi, Pow,  # noqa: E402
-                                          Rat, Sin, Var)
-from expr_reference import div, neg  # noqa: E402
+from contactbundles.formcalc import expr as fx  # noqa: E402
+from expr_reference import (Add, Cos, Exp, Mul, Pi, Pow, Rat, Sin, Var, div, neg,  # noqa: E402
+                            render_tree, ring)
 
 XYZ = fc.Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
 
@@ -52,7 +52,7 @@ coefficients = st.recursive(leaves, _extend, max_leaves=6)
 @example((Pow(Pow(Var("x"), 3), 6), Pow(Pow(Var("y"), -3), 7), Rat(Fraction(1))))  # x^18, y^-21
 def test_printed_form_parses_back(coeffs):
     try:
-        form = fc.OneForm(XYZ, coeffs)
+        form = fc.OneForm(XYZ, tuple(map(ring, coeffs)))
     except ZeroDivisionError:  # a quotient by a symbolic zero has no form
         assume(False)
     assert fc.parse_form(form.text(), XYZ).coefficients == form.coefficients
@@ -141,37 +141,41 @@ def test_chain_bounded_by_tree_depth(tmp_path, op, factor):
     assert info.value.position == len(f"{chain}{op}")
 
 
-def test_chains_stay_left_deep():
-    """The depth bound refuses long chains; it does not regroup short ones."""
+def test_chains_read_as_their_left_deep_tree():
+    """The depth bound refuses long chains; a short one reads as the
+    polynomial of its left-deep tree."""
     x, y, z, two = Var("x"), Var("y"), Var("z"), Rat(Fraction(2))
     assert fc.expr.parse_expr("x*y/z*2/x", "xyz") == \
-        Mul((Mul((Mul((Mul((x, y)), Pow(z, -1))), two)), Pow(x, -1)))
+        ring(Mul((Mul((Mul((Mul((x, y)), Pow(z, -1))), two)), Pow(x, -1))))
 
 
-RING_NODES = {Rat, Pi, Var, Add, Mul, Pow, Sin, Cos, Exp}
+ATOMS = {fx.Pi, fx.Var, fx.Sin, fx.Cos, fx.Exp, fx.Recip}
 COEFFICIENT_TOKENS = [t for t in FORM_TOKENS if not t.startswith("d")]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(coefficients.map(fc.render),
+@given(st.one_of(coefficients.map(render_tree),
                  st.lists(st.sampled_from(COEFFICIENT_TOKENS), max_size=14).map("".join)))
 @example("-1 - -(x + y)/(1 - z)^2 + 2*-3/4 - x^-1/-y")
-def test_parsed_trees_hold_only_ring_nodes(text):
-    """The parser writes -a as (-1)*a and a/b as a*b^-1: every subtree of a
-    parsed coefficient is one of the nine node types `expr` defines, and a
-    tree parsed from integer literals renders to text that parses back to it."""
-    assert {c.__name__ for c in Expr.__subclasses__()} == {c.__name__ for c in RING_NODES}
+def test_parsed_coefficients_are_polynomials_over_atoms(text):
+    """A parsed coefficient is one polynomial: its atoms, and the atoms of
+    their arguments, are of the six atom types `expr` defines; it is the
+    polynomial of the text's tree, and it renders to text that parses back
+    to it."""
+    assert {c.__name__ for c in fx.Atom.__subclasses__()} == {c.__name__ for c in ATOMS}
     try:
         e = fc.parse_expr(text, "xyz")
-    except fc.FormSyntaxError:
+    except (fc.FormSyntaxError, ZeroDivisionError):
         assume(False)
     stack = [e]
     while stack:
-        node = stack.pop()
-        assert type(node) in RING_NODES, (text, node)
-        stack += fc.expr._children(node)
-    if "0.5" not in text:
-        assert fc.parse_expr(fc.render(e), "xyz") == e
+        p = stack.pop()
+        assert type(p) is fx.Expr, (text, p)
+        for a in p.atoms.values():
+            assert type(a) in ATOMS, (text, a)
+            if not isinstance(a, (fx.Var, fx.Pi)):
+                stack.append(a.arg)
+    assert fc.parse_expr(fc.render(e), "xyz") == e
 
 
 def test_nested_exponents_bounded_by_their_product():

@@ -10,43 +10,9 @@ from hypothesis import strategies as st
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
 from fold_reference import holonomy_relator, holonomy_translation_number, proj_distance
-from polygon_reference import (SymmetricPolygon, all_pairings, build_symmetric_polygon,
-                               commutator_product, largest_accepted_area, pairing_residuals,
+from polygon_reference import (all_pairings, build_symmetric_polygon, commutator_product,
+                               fan_defect_area, largest_accepted_area, pairing_residuals,
                                polygon_area, printed_outputs, symmetric_pairings)
-
-
-def mobius_to_origin(p: complex):
-    s = math.sqrt(1.0 - abs(p) ** 2)
-    return (1.0 / s, -p / s)
-
-
-def apply_su(m, w: complex) -> complex:
-    a, b = m
-    return (a * w + b) / (b.conjugate() * w + a.conjugate())
-
-
-def angle_at(p: complex, q1: complex, q2: complex) -> float:
-    """Hyperbolic angle at p between the geodesics to q1 and q2.
-
-    Translating p to the origin turns both geodesics into straight rays, and
-    the disk metric is conformal, so the angle is the Euclidean one there.
-    """
-    m = mobius_to_origin(p)
-    w1 = apply_su(m, q1)
-    w2 = apply_su(m, q2)
-    d = abs(cmath.phase(w1) - cmath.phase(w2))
-    return min(d, 2 * math.pi - d)
-
-
-def fan_defect_area(poly: SymmetricPolygon) -> float:
-    """Triangulated angle-defect oracle: fan from s_1, defect pi - (sum of angles)."""
-    v = poly.vertices
-    total = 0.0
-    for k in range(1, len(v) - 1):
-        a, b, c = v[0], v[k], v[k + 1]
-        angles = angle_at(a, b, c) + angle_at(b, a, c) + angle_at(c, a, b)
-        total += math.pi - angles
-    return total
 
 
 class LengthMismatch(ValueError):

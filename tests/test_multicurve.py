@@ -1,13 +1,13 @@
 import itertools
 import random
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactbundles import multicurve as mc
+from multicurve_reference import lattice_crossing_count
 
 TC = mc.TorusCurve
 UT = mc.TightnessVerdict.UNIVERSALLY_TIGHT
@@ -15,30 +15,7 @@ NUT = mc.TightnessVerdict.NOT_UNIVERSALLY_TIGHT
 OT = mc.TightnessVerdict.OVERTWISTED_CERTIFICATE
 
 
-def lattice_crossing_count(a: TC, b: TC) -> int:
-    """Straight-representative crossing count on the flat torus.
 
-    The two lines t*(p, q) and s*(p', q') + delta meet once for each integer
-    vector (m, k) making the 2x2 system solvable inside the unit box; a
-    generic rational offset delta avoids boundary coincidences.  Straight
-    representatives of distinct slopes are in minimal position.
-    """
-    det = a.p * b.q - a.q * b.p
-    if det == 0:
-        return 0
-    d1, d2 = Fraction(1, 37), Fraction(1, 53)
-    count = 0
-    pmax = abs(a.p) + abs(b.p) + 1
-    qmax = abs(a.q) + abs(b.q) + 1
-    for m in range(-pmax, pmax + 1):
-        for k in range(-qmax, qmax + 1):
-            rhs1, rhs2 = d1 + m, d2 + k
-            # t*a.p - s*b.p = rhs1 ; t*a.q - s*b.q = rhs2
-            t = Fraction(rhs1 * (-b.q) - (-b.p) * rhs2, -det)
-            s = Fraction(a.p * rhs2 - a.q * rhs1, -det)
-            if 0 <= t < 1 and 0 <= s < 1:
-                count += 1
-    return count
 
 
 def annuli_cycle(n_curves: int) -> mc.SurfaceDecomposition:

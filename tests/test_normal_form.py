@@ -1,7 +1,7 @@
-"""`normalize` and `diff` against the tuple sum-of-products normaliser and the
-tree-walking chain rule they replaced, kept here as the reference; and the
-ring calculus of `forms` against its composition from `normalize` and `diff`
-on trees.
+"""The polynomials of `expr` against the tuple sum-of-products normaliser and
+the tree-walking chain rule they replaced, kept here as the reference; the
+parser against the tree route of `expr_reference`; and the ring calculus of
+`forms` against its composition from `diff` and the tree route.
 
 The reference expands a tree into a dict from sorted ((atom, exponent), ...)
 tuples to Fractions, re-sorting each product by the rendered atoms, and
@@ -21,17 +21,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactbundles import formcalc as fc
-from contactbundles.formcalc.expr import (MAX_EXPONENT, ONE, ZERO, Add, Cos, Exp, Mul, Pi, Pow,
-                                          Rat, Sin, Var, render)
-from expr_reference import div, neg
-from test_formcalc import REDUCED_COEFFS
+from contactbundles.formcalc.expr import MAX_EXPONENT, ONE, ZERO, render
+from expr_reference import (REDUCED_COEFFS, ZERO_TREE, Add, Cos, Exp, Mul, Pi, Pow, Rat, Sin, Var,
+                            atom_tree, children, div, neg, rebuild, render_tree, ring)
 
 
 # ---------------------------------------------------------------------------
 # reference: tuple sum of products
 
 def _atom_key(a):
-    return render(a)
+    return render_tree(a)
 
 
 def _mono_mul(m1, m2):
@@ -121,7 +120,7 @@ def _to_sop(e):
 
 def _rebuild(s):
     if not s:
-        return ZERO
+        return ZERO_TREE
     terms = []
     for mono, coeff in sorted(s.items(), key=lambda mc: tuple((_atom_key(a), k)
                                                               for a, k in mc[0])):
@@ -140,9 +139,9 @@ def reference_normalize(e):
 
 def _tree_diff(e, var):
     if isinstance(e, (Rat, Pi)):
-        return ZERO
+        return Rat(0)
     if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
+        return Rat(1 if e.name == var else 0)
     if isinstance(e, Add):
         return Add(tuple(_tree_diff(t, var) for t in e.terms))
     if isinstance(e, Mul):
@@ -151,7 +150,7 @@ def _tree_diff(e, var):
                          for i in range(len(fs))))
     if isinstance(e, Pow):
         if e.exponent == 0:
-            return ZERO
+            return ZERO_TREE
         return Mul((Rat(Fraction(e.exponent)), Pow(e.base, e.exponent - 1),
                     _tree_diff(e.base, var)))
     if isinstance(e, Sin):
@@ -215,29 +214,30 @@ S = Add((X, Y))
 @given(shared_trees())
 @example(div(X, S))
 @example(div(S, S))
-@example(div(ONE, div(ONE, S)))
+@example(div(Rat(1), div(Rat(1), S)))
 @example(Pow(div(X, S), -2))
 @example(Mul((Sin(Add((X, neg(X)))), div(Y, Add((Z, neg(Z)))))))
 @example(Exp(div(Cos(Add((Y, neg(Y)))), Add((X, Pi())))))
-@example(Mul((Pow(Add((X, Mul((Y, Cos(S))))), 3), div(Sin(S), Add((ONE, Mul((X, Cos(S)))))))))
+@example(Mul((Pow(Add((X, Mul((Y, Cos(S))))), 3), div(Sin(S), Add((Rat(1), Mul((X, Cos(S)))))))))
 def test_normal_form_and_derivative_match_the_reference(e):
+    """The tree route and the parser, reading the tree's text, give one
+    polynomial, which renders as the reference normal form does."""
     try:
         expected = reference_normalize(e)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            fc.normalize(e)
+            ring(e)
         with pytest.raises(ZeroDivisionError):
-            fc.diff(e, "x")
+            fc.parse_expr(render_tree(e), "xyz")
         return
-    assert render(fc.normalize(e)) == render(expected)
-    assert fc.normalize(fc.normalize(e)) == fc.normalize(e)
-    # the polynomial a normal form keeps is the one its tree expands to
-    # afresh, so `_ring` may read it instead
-    n = fc.normalize(e)
-    kept = getattr(n, "_poly", fc.expr._ZERO)
-    assert fc.expr._expand.__wrapped__(pickle.loads(pickle.dumps(n)))[:2] == kept[:2]
+    p = ring(e)
+    assert render(p) == render_tree(expected)
+    assert fc.parse_expr(render_tree(e), "xyz") == p
+    assert fc.parse_expr(render(p), "xyz") == p
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and render(copy) == render(p)
     for var in "xy":
-        assert render(fc.diff(e, var)) == render(reference_diff(e, var))
+        assert render(fc.diff(p, var)) == render_tree(reference_diff(e, var))
 
 
 def _distinct_subtrees(e):
@@ -246,7 +246,7 @@ def _distinct_subtrees(e):
         x = stack.pop()
         if x not in seen:
             seen.add(x)
-            stack += fc.expr._children(x)
+            stack += children(x)
     return seen
 
 
@@ -254,7 +254,7 @@ def _assert_canonical(p):
     """Integer numerators over one positive denominator, in lowest terms, by
     monomials of (atom id, exponent) int pairs sorted by id, each id an atom
     the polynomial holds."""
-    nums, den, atoms = p
+    nums, den, atoms = p.nums, p.den, p.atoms
     assert type(den) is int and den > 0
     assert all(type(c) is int and c != 0 for c in nums.values())
     assert math.gcd(den, *nums.values()) == 1
@@ -265,9 +265,9 @@ def _assert_canonical(p):
 
 def _coefficients(p):
     """The coefficients of p by monomial, each monomial the frozenset of its
-    (atom, exponent) pairs."""
-    nums, den, atoms = p
-    return {frozenset((atoms[i], k) for i, k in m): Fraction(c, den) for m, c in nums.items()}
+    (atom tree, exponent) pairs."""
+    return {frozenset((atom_tree(p.atoms[i]), k) for i, k in m): Fraction(c, p.den)
+            for m, c in p.nums.items()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,55 +285,70 @@ def test_ring_keeps_integer_numerators_over_one_reduced_denominator(e):
             expected = _to_sop(s)
         except ZeroDivisionError:
             continue
-        p = fc.expr._ring(s)
+        p = ring(s)
         _assert_canonical(p)
         assert _coefficients(p) == {frozenset(m): c for m, c in expected.items()}
         for var in "xy":
             dp = fc.expr._diff(p, var)
             _assert_canonical(dp)
             _assert_canonical(fc.expr._times(p, dp))
-            assert fc.expr._sum((dp, dp), (1, -1)) == fc.expr._ZERO
+            assert dp - dp == ZERO
 
 
 def test_quotient_by_a_sum_differentiates_through_its_atom():
     """x/s is x*s^-1, so the ring and the reference's power rule both write
     (s^-1)^2, never the expanded s^2 as a new atom."""
     e = div(X, S)
-    assert render(fc.diff(e, "x")) == "(x + y)^-1 + (-1)*((x + y)^-1)^2*x"
-    assert render(reference_diff(e, "x")) == render(fc.diff(e, "x"))
-    assert fc.normalize(fc.parse_expr(render(fc.diff(e, "x")), "xyz")) == fc.diff(e, "x")
+    de = fc.diff(ring(e), "x")
+    assert render(de) == "(x + y)^-1 + (-1)*((x + y)^-1)^2*x"
+    assert render_tree(reference_diff(e, "x")) == render(de)
+    assert fc.parse_expr(render(de), "xyz") == de
 
 
-@pytest.mark.parametrize("e", [div(X, Add((Y, neg(Y)))), Pow(Mul((Y, ZERO)), -1),
+@pytest.mark.parametrize("e", [div(X, Add((Y, neg(Y)))), Pow(Mul((Y, Rat(0))), -1),
                                div(X, Sin(Add((Z, neg(Z))))),
-                               Pow(div(ONE, Add((X, neg(X)))), 0)])
+                               Pow(div(Rat(1), Add((X, neg(X)))), 0)])
 def test_division_by_a_symbolic_zero_raises(e):
     with pytest.raises(ZeroDivisionError):
-        fc.normalize(e)
+        ring(e)
     with pytest.raises(ZeroDivisionError):
-        fc.diff(e, "x")
+        fc.parse_expr(render_tree(e), "xyz")
 
 
 # ---------------------------------------------------------------------------
-# the calculus: ring polynomials against trees composed from normalize and diff
+# the calculus: the ring operations of `forms` against the tree route over
+# `diff`, and `subst` against substituting in the rebuilt tree
 
 def reference_exterior_derivative(form):
     names, a = form.chart.names, form.coefficients
-    return {(i, j): fc.normalize(Add((fc.diff(a[j], names[i]), neg(fc.diff(a[i], names[j])))))
+    return {(i, j): ring(Add((fc.diff(a[j], names[i]), neg(fc.diff(a[i], names[j])))))
             for i, j in itertools.combinations(range(len(names)), 2)}
 
 
 def reference_volume_coefficient(form):
     d = reference_exterior_derivative(form)
     a1, a2, a3 = form.coefficients
-    return fc.normalize(Add((Mul((a1, d[1, 2])), neg(Mul((a2, d[0, 2]))), Mul((a3, d[0, 1])))))
+    return ring(Add((Mul((a1, d[1, 2])), neg(Mul((a2, d[0, 2]))), Mul((a3, d[0, 1])))))
+
+
+def _substituted(tree, mapping):
+    """The tree with each variable leaf in `mapping` replaced by its polynomial."""
+    if isinstance(tree, Var):
+        return mapping.get(tree.name, tree)
+    if isinstance(tree, (Add, Mul)):
+        return type(tree)(tuple(_substituted(t, mapping) for t in children(tree)))
+    if isinstance(tree, Pow):
+        return Pow(_substituted(tree.base, mapping), tree.exponent)
+    if isinstance(tree, (Sin, Cos, Exp)):
+        return type(tree)(_substituted(tree.arg, mapping))
+    return tree
 
 
 def reference_pullback(components, source_chart, form):
     mapping = dict(zip(form.chart.names, components))
     return fc.OneForm(source_chart, tuple(
-        Add(tuple(Mul((fc.subst(a, mapping), fc.diff(c, name)))
-                  for a, c in zip(form.coefficients, components)))
+        ring(Add(tuple(Mul((_substituted(rebuild(a), mapping), fc.diff(c, name)))
+                       for a, c in zip(form.coefficients, components))))
         for name in source_chart.names))
 
 
@@ -350,6 +365,10 @@ def _outcome(fn, *args):
         return ZeroDivisionError
 
 
+def _rings(trees):
+    return tuple(map(ring, trees))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(COEFFS, COEFFS, COEFFS), st.tuples(COEFFS, COEFFS, COEFFS))
 @example((neg(Q), ZERO, ONE), (X, Y, Z))
@@ -358,15 +377,17 @@ def _outcome(fn, *args):
 @example((Y, div(X, Add((Y, neg(Y)))), ONE), (X, Y, Z))
 @example((div(X, S), ZERO, Y), (div(X, Add((Z, neg(Z)))), Y, Z))
 def test_calculus_on_the_ring_matches_the_tree_route(coeffs, components):
-    form = _outcome(fc.OneForm, CHART, coeffs)
+    form = _outcome(lambda: fc.OneForm(CHART, _rings(coeffs)))
     assume(form is not ZeroDivisionError)
     d = fc.exterior_derivative(form)
     assert dict(((i, j), c) for i, j, c in d.table) == reference_exterior_derivative(form)
     for i, j, c in d.table:
         assert d.coefficient(i, j) is c
-        assert d.coefficient(j, i) == fc.normalize(neg(c))
+        assert d.coefficient(j, i) == ring(neg(c))
         assert d.coefficient(i, i) == ZERO
     assert fc.volume_coefficient(form) == reference_volume_coefficient(form)
+    components = _outcome(_rings, components)
+    assume(components is not ZeroDivisionError)
     got = _outcome(fc.pullback, components, CHART, form)
     expected = _outcome(reference_pullback, components, CHART, form)
     assert got == expected
