@@ -11,11 +11,10 @@ representations are provided:
   evaluated by nesting.
 
 `flatten` folds an all-PL word into one exact PL map and an all-Moebius word
-into one Moebius lift; two Moebius lifts compose by multiplying their
-matrices and fixing the integer winding from values in [0, 2) at one point
-(`_compose_moebius`); the fold carries the rounding bound of its matrix
-(`error_scale`, computed when first read).  `translation_number` iterates
-PL data exactly, and reads a single Moebius lift's translation number in
+into one Moebius lift (`_as_moebius`: it multiplies the matrices, fixes the
+integer winding from values in [0, 2) at one point, and sums the rounding
+bound of the product, `error_scale`, as it goes).  `translation_number`
+iterates PL data exactly, and reads a single Moebius lift's translation number in
 closed form, whatever N (`_moebius_rho`: the rotation angle of an elliptic
 matrix, or the exact integer at a boundary fixed point).  Nothing is sampled: `_extremes` reads
 the extremes of f(t) - t at PL breakpoints, or where a Moebius lift has
@@ -225,10 +224,8 @@ class MoebiusBoundaryLift(LiftedCircleMap):
     the disk action w -> (alpha*w + beta) / (conj(beta)*w + conj(alpha)) and
     `inverse()` and `compose()`; see `hyperbolic.Isometry2H`.  `winding`
     shifts the canonical lift by an integer.  `error_scale` is the S of
-    `trace_slack`: |alpha| + |beta| for a lift of one matrix, kept by
-    `inverse`, summed over the letters by a fold (`_as_moebius`).  It may be
-    set to a function of no arguments, which is called when S is first read,
-    so that a fold whose S no caller reads never computes it.
+    `trace_slack`: |alpha| + |beta| for a lift of one matrix, copied by
+    `inverse`, summed over the letters by a fold (`_as_moebius`).
 
     Evaluation is pointwise exact up to float roundoff: the canonical lift
     restricted to [0, 1) takes values in [c0, c0 + 1), with c0 = f(0) the
@@ -243,20 +240,10 @@ class MoebiusBoundaryLift(LiftedCircleMap):
         alpha, beta = iso.disk_coefficients()
         self._alpha = a = complex(alpha)
         self._beta = b = complex(beta)
-        self._error_scale = abs(a) + abs(b)
+        self.error_scale = abs(a) + abs(b)
         w1 = (a + b) / (b.conjugate() + a.conjugate())
         c0 = (math.atan2(w1.imag, w1.real) / TWO_PI) % 1.0
         self._c0 = 0.0 if c0 == 1.0 else c0  # a turn just below 0 rounds to 1.0
-
-    @property
-    def error_scale(self) -> float:
-        if callable(self._error_scale):
-            self._error_scale = self._error_scale()
-        return self._error_scale
-
-    @error_scale.setter
-    def error_scale(self, value) -> None:
-        self._error_scale = value
 
     def _canonical(self, tau: float) -> float:
         """The canonical lift at tau in [0, 1): a value in [c0, c0 + 1) within [0, 2).
@@ -285,7 +272,7 @@ class MoebiusBoundaryLift(LiftedCircleMap):
     def inverse(self) -> "MoebiusBoundaryLift":
         inv = MoebiusBoundaryLift(self.iso.inverse())
         inv.winding = -round(inv.eval(self.eval(0.0)))
-        inv.error_scale = lambda: self.error_scale
+        inv.error_scale = self.error_scale
         return inv
 
 
@@ -361,18 +348,15 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
         [t + v for t, v in sorted(knots.items(), key=lambda kv: kv[0][0] * (den // kv[0][1]))])
 
 
-def _as_piecewise_linear(f: LiftedCircleMap) -> Optional[PiecewiseLinearMap]:
-    if isinstance(f, PiecewiseLinearMap):
-        return f
-    if isinstance(f, WordMap) and all(isinstance(m, PiecewiseLinearMap) for m, _ in f.letters()):
-        # the chain holds each letter resolved, inverse letters already inverted
-        resolved = tuple(zip(f.letters(), reversed(f._chain)))
-        inverses = {id(m): g for (m, e), g in resolved if e == -1}
-        acc = PiecewiseLinearMap.identity()
-        for (m, e), g in resolved:
-            acc = _compose_pl(acc, g, m if e == -1 else inverses.get(id(m)))
-        return acc
-    return None
+def _as_piecewise_linear(f: WordMap) -> PiecewiseLinearMap:
+    """Fold a word of PL letters (the empty word too) to one exact PL map."""
+    # the chain holds each letter resolved, inverse letters already inverted
+    resolved = tuple(zip(f.letters(), reversed(f._chain)))
+    inverses = {id(m): g for (m, e), g in resolved if e == -1}
+    acc = PiecewiseLinearMap.identity()
+    for (m, e), g in resolved:
+        acc = _compose_pl(acc, g, m if e == -1 else inverses.get(id(m)))
+    return acc
 
 
 def _displacements(pl: PiecewiseLinearMap) -> list:
@@ -389,39 +373,28 @@ def _first_max(pairs: Sequence[tuple]) -> int:
     return best
 
 
-def _compose_moebius(a: MoebiusBoundaryLift, b: MoebiusBoundaryLift) -> MoebiusBoundaryLift:
-    """The lift a o b, pointwise equal to evaluating b and then a.
+def _as_moebius(f: WordMap) -> MoebiusBoundaryLift:
+    """Fold a word of Moebius letters to one lift, pointwise identical, from
+    the left, with the `error_scale` S of `trace_slack`.
 
-    It lifts the matrix product, so it is the canonical lift c of a.iso o b.iso
-    shifted by an integer.  At 0, (a o b)(0) = a.canonical(b.c0) + a.winding +
-    b.winding, and a.canonical(b.c0) lies in [0, 2), as does c(0) = c.c0: the
-    shift is a.winding + b.winding plus the nearest integer to the difference
-    of those two, which no winding of any size enters.
+    Each step a o b lifts the matrix product, so it is the canonical lift c
+    of a.iso o b.iso shifted by an integer.  At 0, (a o b)(0) =
+    a.canonical(b.c0) + a.winding + b.winding, and a.canonical(b.c0) lies in
+    [0, 2), as does c(0) = c.c0: the shift is a.winding + b.winding plus the
+    nearest integer to the difference of those two, which no winding of any
+    size enters.  The accumulator a runs through the prefixes P_<=i, which
+    `_fold_error_scale` reads with the letters once the fold is made.
     """
-    ab = MoebiusBoundaryLift(a.iso.compose(b.iso))
-    ab.winding = a.winding + b.winding + round(a._canonical(b._c0) - ab._c0)
-    return ab
-
-
-def _as_moebius(f: LiftedCircleMap) -> Optional[MoebiusBoundaryLift]:
-    """Collapse an all-Moebius word to a single lift (pointwise identical),
-    folded from the left, with the `error_scale` S of `trace_slack`: the
-    prefixes P_<=i are the fold's accumulator, and the suffixes P_>i come from
-    one right-to-left pass of `iso.compose`, made when S is first read."""
-    if isinstance(f, MoebiusBoundaryLift):
-        return f
-    if not (isinstance(f, WordMap) and f.letters()):
-        return None
-    if not all(isinstance(m, MoebiusBoundaryLift) for m, _ in f.letters()):
-        return None
     chain = f._chain  # A_k..A_1 (evaluation order)
     acc, prefixes = chain[-1], []
     for m in chain[-2::-1]:
         prefixes.append((acc._alpha, acc._beta))
-        acc = _compose_moebius(acc, m)
+        ab = MoebiusBoundaryLift(acc.iso.compose(m.iso))
+        ab.winding = acc.winding + m.winding + round(acc._canonical(m._c0) - ab._c0)
+        acc = ab
     if len(chain) > 1:  # a one-letter word is that letter, left as it is
         prefixes.append((acc._alpha, acc._beta))
-        acc.error_scale = lambda: _fold_error_scale(chain, prefixes)
+        acc.error_scale = _fold_error_scale(chain, prefixes)
     return acc
 
 
@@ -441,13 +414,16 @@ def _fold_error_scale(chain: Sequence[MoebiusBoundaryLift], prefixes: Sequence[t
 
 
 def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
-    """Cheapest pointwise-equal representative (exact PL or single Moebius lift)."""
-    pl = _as_piecewise_linear(f)
-    if pl is not None:
-        return pl
-    mb = _as_moebius(f)
-    if mb is not None:
-        return mb
+    """Cheapest pointwise-equal representative: a word of PL letters folds
+    to one exact PL map, a word of Moebius letters to one Moebius lift; a
+    word mixing the two, and any single map, is returned as it is."""
+    if not isinstance(f, WordMap):
+        return f
+    kinds = {m.kind for m, _ in f.letters()}
+    if kinds <= {PiecewiseLinearMap.kind}:
+        return _as_piecewise_linear(f)
+    if kinds == {MoebiusBoundaryLift.kind}:
+        return _as_moebius(f)
     return f
 
 
@@ -619,19 +595,6 @@ def trace_slack(f: MoebiusBoundaryLift) -> float:
     return 2.0 * e + 4.0 * _EPS * norm * norm * abs(2.0 * f._alpha.real)
 
 
-def _moebius_rho_slack(f: MoebiusBoundaryLift) -> float:
-    """Bound on |rho(f) - rho(exact product of the letters' isometries)|.
-
-    rho is a function of the trace for a Moebius lift, so it moves by at most
-    `_rho_from_trace_slack` of `trace_slack`.  Near traces +-2 the bound grows
-    like the square root of the trace error, as the error itself does: the
-    rotation angle of a near-parabolic matrix is that ill-conditioned.  (A
-    bound on the displacement of the boundary map would not do: rho is not
-    Lipschitz in the displacement near such maps.)
-    """
-    return _rho_from_trace_slack(2.0 * f._alpha.real, trace_slack(f))
-
-
 def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumberEstimate:
     """Estimate the translation number rho of f; N = `iterations`.
 
@@ -646,10 +609,12 @@ def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumber
       times.
     * A Moebius lift, or a word of them (flattened to one lift first): rho of
       the computed matrix in closed form (`_moebius_rho`), at a cost that does
-      not depend on N.  The bound is 1/N plus `_moebius_rho_slack`, the
-      distance the rounding of the letters and of their product can put
-      between the computed matrix and the exact one, measured in rho; with
-      the 1/N it also bounds |value - f^N(0)/N|.
+      not depend on N.  The bound is 1/N plus `_rho_from_trace_slack` of
+      `trace_slack`: rho is a function of the trace, and near traces +-2 it
+      moves like the square root of the trace error, as the rotation angle
+      of a near-parabolic matrix is that ill-conditioned (rho is not
+      Lipschitz in the displacement there, so no displacement bound would
+      do).  With the 1/N it also bounds |value - f^N(0)/N|.
     * A word that flattens to neither (one mixing PL and Moebius letters)
       raises ValueError: its float orbit has no derived error bound.
     """
@@ -659,7 +624,8 @@ def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumber
     if isinstance(g, MoebiusBoundaryLift):
         # 1 / N of two ints, so an N beyond the float range gives 0.0, not OverflowError
         return TranslationNumberEstimate(
-            value=_moebius_rho(g), error_bound=1 / iterations + _moebius_rho_slack(g),
+            value=_moebius_rho(g),
+            error_bound=1 / iterations + _rho_from_trace_slack(2.0 * g._alpha.real, trace_slack(g)),
             iterations=iterations)
     if not isinstance(g, PiecewiseLinearMap):
         raise ValueError("translation_number: a word mixing piecewise-linear and Moebius "

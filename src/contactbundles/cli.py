@@ -229,17 +229,17 @@ def cmd_forms(args) -> int:
     try:
         form = fc.parse_form_file(_read(args.form_file))
         rep = fc.contact_sign(form, grid=args.grid)
+        out = {
+            "chart": list(form.chart.names),
+            "form": form.text(),
+            "sign": rep.sign,
+            "min_abs": rep.min_abs,
+            "samples": rep.samples,
+            "witnesses": [list(w) for w in rep.witnesses],
+        }
     except (*READ_ERRORS, ValueError, ArithmeticError) as e:
         return _emit("forms", {"form_file": args.form_file, "grid": args.grid}, {},
                      error=_error(e))
-    out = {
-        "chart": list(form.chart.names),
-        "form": form.text(),
-        "sign": rep.sign,
-        "min_abs": rep.min_abs,
-        "samples": rep.samples,
-        "witnesses": [list(w) for w in rep.witnesses],
-    }
     return _emit("forms", {"form_file": args.form_file, "grid": args.grid}, out)
 
 

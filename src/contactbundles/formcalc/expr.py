@@ -19,11 +19,11 @@ Surface syntax for coefficients:
 
     Expr  := sum over IDENT, RATIONAL, pi, + - * / ^INT, sin cos exp, parens
 
-with |INT| <= MAX_EXPONENT, decimal exponents of literals at most
-MAX_DECIMAL_EXPONENT in absolute value, and at most MAX_DEPTH levels of
-operations.  The same parser reads the 1-form grammar of `forms` when given
-basis names.  Rational literals (including decimal and scientific notation)
-are read bit-exactly, through `fractions.Fraction`.
+with |INT| <= MAX_EXPONENT, literal decimal exponents within
+MAX_DECIMAL_EXPONENT, MAX_DEPTH levels of operations, MAX_ATOM_EXPONENT and
+MAX_COEFFICIENT_DIGITS.  The same parser reads the 1-form grammar of `forms`
+when given basis names.  Rational literals (including decimal and
+scientific notation) are read bit-exactly, through `fractions.Fraction`.
 
 `compile_expr` is the numeric evaluator of the library, a value-numbered
 list of numpy steps; its reference, the pointwise `eval_expr`, is kept with
@@ -616,13 +616,20 @@ MAX_NESTING = 100
 #: levels, and so is the sum of k terms on one differential of a form; the
 #: reciprocal b^-1 of a quotient by b counts as one level, so a chain of k
 #: factors joined by '/' is k.  Coefficients are polynomials, which recurse
-#: only through nested atoms, so the bound guards no recursion any more; it
-#: keeps the domain the parser had when coefficients were trees, whose
-#: walkers a 500-factor chain ran out of Python's default 1000 frames
+#: only through nested atoms, so the bound guards no recursion; it bounds the
+#: length of a chain, and with it the atoms in one term and the terms on one
+#: differential
 MAX_DEPTH = 200
 #: largest |e| accepted in a literal 1e<e>: beyond it the value is not a
 #: float, and the exact Fraction("1e9999999") alone costs seconds
 MAX_DECIMAL_EXPONENT = 324
+#: largest |k| of an atom power a^k in a coefficient, the most a chain of
+#: MAX_DEPTH factors a^MAX_EXPONENT writes: nested powers multiply exponents,
+#: and `render` recurses once per MAX_EXPONENT of k (a^65536 overflowed)
+MAX_ATOM_EXPONENT = MAX_EXPONENT * MAX_DEPTH
+#: most digits of a numerator or denominator in a coefficient: Python's limit
+#: on printing an int; (((((1e300)^16)^16)^16)^16) ran over 30 s to multiply
+MAX_COEFFICIENT_DIGITS = 4300
 
 _EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
@@ -644,15 +651,23 @@ def _read_number(text: str, pos: int) -> Fraction:
         raise FormSyntaxError(f"zero denominator in {text.strip()!r}", pos) from None
 
 
+def _bits(p: Expr) -> int:
+    """Bits of the sum of |numerators| of p or of its denominator, whichever
+    is more: at least those of every int p holds, and they add under products."""
+    return max(sum(map(abs, p.nums.values())).bit_length(), p.den.bit_length())
+
+
 class _Parser:
     """Recursive descent over the coefficient grammar and, given basis names,
     the 1-form grammar of `forms` (`parse_form`).
 
-    Each production returns (polynomial, expansion degree, levels): the
-    degree as MAX_EXPONENT counts it and the levels as MAX_DEPTH does,
-    leaves, parameters and the negation of a number counting 0.  A division
-    by a symbolic zero is refused once the whole text is read, so a syntax
-    error after it still wins.  A basis differential d<name> may only end a
+    Each production returns (polynomial, expansion degree, levels, bits,
+    top): the degree as MAX_EXPONENT counts it and the levels as MAX_DEPTH
+    does, leaves, parameters and the negation of a number counting 0; bits
+    bounds `_bits` and top the largest atom exponent.  Both add under
+    products, so a product or power is refused before it is multiplied out.
+    A division by a symbolic zero is refused once the whole text is read, so
+    a syntax error after it still wins.  A basis differential d<name> may only end a
     top-level term of a form; anywhere else it is a syntax error.
     """
 
@@ -661,19 +676,25 @@ class _Parser:
         self.tokens = tokenize(text)
         self.i = 0
         self.allowed = set(allowed)
-        self.params = {k: (v if isinstance(v, Expr) else _const(Fraction(v)))
-                       for k, v in (params or {}).items()}
+        self.params = {}  # name -> what it reads as
+        for k, v in (params or {}).items():
+            v = v if isinstance(v, Expr) else _const(Fraction(v))
+            self.params[k] = v, 0, 0, _bits(v), max([abs(j) for m in v.nums for _, j in m] or [0])
         self.basis = {f"d{name}": axis for axis, name in enumerate(basis)}
         self.depth = 0
         self.zero_division = False
         self.leaves: dict = {}  # name -> what pi or a variable reads as
 
-    def bounded(self, degree: int, levels: int, t: _Token) -> None:
-        """Past MAX_EXPONENT or MAX_DEPTH, an error at t."""
+    def bounded(self, degree: int, levels: int, t: _Token, bits=0, top=0) -> None:
+        """Past MAX_EXPONENT, MAX_DEPTH or a size bound of the module, an error at t."""
         if degree > MAX_EXPONENT:
             raise FormSyntaxError(f"expansion degree exceeds {MAX_EXPONENT}", t.pos)
         if levels > MAX_DEPTH:
             raise FormSyntaxError(f"expression depth exceeds {MAX_DEPTH}", t.pos)
+        if bits > MAX_COEFFICIENT_DIGITS / math.log10(2):
+            raise FormSyntaxError(f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits", t.pos)
+        if top > MAX_ATOM_EXPONENT:
+            raise FormSyntaxError(f"atom exponent exceeds {MAX_ATOM_EXPONENT}", t.pos)
 
     def inverse(self, p: Expr) -> Expr:
         try:
@@ -689,15 +710,15 @@ class _Parser:
 
     def negated(self, read: tuple, t: _Token) -> tuple:
         """-p for the sign t: one level more, except for a number."""
-        p, degree, levels = read
+        p, degree, levels, bits, top = read
         if levels or p.nums.keys() - {()}:
             levels += 1
         self.bounded(degree, levels, t)
-        return -p, degree, levels
+        return -p, degree, levels, bits, top
 
     def leaf(self, name: str, atom: Atom) -> tuple:
         if name not in self.leaves:
-            self.leaves[name] = _atom(atom), 0, 0
+            self.leaves[name] = _atom(atom), 0, 0, 1, 1
         return self.leaves[name]
 
     def nested(self, t: _Token, parse):
@@ -735,21 +756,21 @@ class _Parser:
         """form := ['-'] term (('+'|'-') term)*; one coefficient per basis name."""
         if self.peek().kind == "end":
             raise FormSyntaxError("empty form", 0)
-        sums = [([], 0, 0) for _ in self.basis]  # (terms, degree, levels) per differential
+        sums = [(ZERO, 0, 0) for _ in self.basis]  # (sum, degree, levels) per differential
         negate = self.at_op("-")
         if negate:
             self.next()
         while True:
             t = self.peek()
             axis, read = self.parse_term()
-            p, degree, levels = self.negated(read, t) if negate else read
-            terms, degree0, levels0 = sums[axis]
-            sums[axis] = terms, max(degree0, degree, 1), 1 + max(levels0, levels)
-            self.bounded(*sums[axis][1:], t)
-            terms.append(p)
+            p, degree, levels, _, _ = self.negated(read, t) if negate else read
+            total, degree0, levels0 = sums[axis]
+            sums[axis] = total, degree, levels = (
+                _sum((total, p)), max(degree0, degree, 1), 1 + max(levels0, levels))
+            self.bounded(degree, levels, t, _bits(total))
             t = self.next()
             if t.kind == "end":
-                return self.done(tuple(_sum(terms) for terms, _, _ in sums))
+                return self.done(tuple(total for total, _, _ in sums))
             negate = t.text == "-"
 
     def parse_term(self) -> Tuple[int, tuple]:
@@ -757,7 +778,7 @@ class _Parser:
         start = self.peek()
         if start.kind == "end" or self.at_op("+-"):
             raise FormSyntaxError("empty term", start.pos)
-        read = ONE, 0, 0
+        read = ONE, 0, 0, 1, 0
         if not self.at_basis():
             read = self.parse_product(basis_ends=True)
             t = self.peek()
@@ -785,28 +806,30 @@ class _Parser:
             terms.append(rhs if sign == "+" else self.negated(rhs, t))
         if len(terms) == 1:
             return terms[0]
-        degree = max(1, *(d for _, d, _ in terms))
-        levels = 1 + max(n for _, _, n in terms)
-        self.bounded(degree, levels, start)
-        return _sum(p for p, _, _ in terms), degree, levels
+        degree = max(1, *(d for _, d, *_ in terms))
+        levels = 1 + max(n for _, _, n, *_ in terms)
+        total = _sum(p for p, *_ in terms)
+        bits = _bits(total)
+        self.bounded(degree, levels, start, bits)
+        return total, degree, levels, bits, max(top for *_, top in terms)
 
     def parse_product(self, basis_ends: bool = False) -> tuple:
         """Factors joined by '*' or '/'; with `basis_ends`, stops before an
         operator whose right operand is a basis differential."""
-        p, degree, levels = self.parse_unary()
+        p, degree, levels, bits, top = self.parse_unary()
         while self.at_op("*/") and not (basis_ends and self.at_basis(1)):
             op = self.next().text
             t = self.peek()
-            q, d, n = self.parse_unary()
-            degree += d
+            q, d, n, b, e = self.parse_unary()
+            degree, bits, top = degree + d, bits + b, top + e
             if op == "/":
                 n += 1
                 self.bounded(d, n, t)
                 q = self.inverse(q)
             levels = 1 + max(levels, n)
-            self.bounded(degree, levels, t)
+            self.bounded(degree, levels, t, bits, top)
             p = _times(p, q)
-        return p, degree, levels
+        return p, degree, levels, bits, top
 
     def parse_unary(self) -> tuple:
         if self.at_op("-"):
@@ -831,14 +854,16 @@ class _Parser:
         k = int(t.text)
         if k > MAX_EXPONENT:
             raise FormSyntaxError(f"exponent exceeds {MAX_EXPONENT} in absolute value", t.pos)
-        p, degree, levels = base
-        self.bounded(k * degree, levels + 1, t)
-        return (self.inverse(p) if sign < 0 and k else p) ** k, k * degree, levels + 1
+        p, degree, levels, bits, top = base
+        degree, levels, bits, top = k * degree, levels + 1, k * bits, k * top
+        self.bounded(degree, levels, t, bits, top)
+        return (self.inverse(p) if sign < 0 and k else p) ** k, degree, levels, bits, top
 
     def parse_atom(self) -> tuple:
         t = self.next()
         if t.kind == "number":
-            return _const(_read_number(t.text, t.pos)), 0, 0
+            p = _const(_read_number(t.text, t.pos))
+            return p, 0, 0, _bits(p), 0
         if t.kind == "op" and t.text == "(":
             inner = self.nested(t, self.parse_sum)
             self.expect_op(")")
@@ -850,12 +875,12 @@ class _Parser:
                 return self.leaf(t.text, Pi())
             if t.text in _FUNCTIONS:
                 self.expect_op("(")
-                arg, _, levels = self.nested(t, self.parse_sum)
+                arg, _, levels, _, _ = self.nested(t, self.parse_sum)
                 self.expect_op(")")
                 self.bounded(0, levels + 1, t)
-                return _function(_FUNCTIONS[t.text], arg), 0, levels + 1
+                return _function(_FUNCTIONS[t.text], arg), 0, levels + 1, 1, 1
             if t.text in self.params:
-                return self.params[t.text], 0, 0
+                return self.params[t.text]
             if t.text in self.allowed:
                 return self.leaf(t.text, Var(t.text))
             raise UnknownVariableError(t.text, t.pos)

@@ -10,6 +10,7 @@ and read by the parser of `expr`.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -98,7 +99,13 @@ def hopf_plane_field_form() -> OneForm:
 
 
 def model_library() -> Dict[str, ModelForm]:
-    """The catalog of explicit model forms, instantiated at default parameters."""
+    """The catalog of explicit model forms, instantiated at default
+    parameters: built once per process, in a new dict on each call."""
+    return dict(_catalog())
+
+
+@functools.cache
+def _catalog() -> Dict[str, ModelForm]:
     entries: List[ModelForm] = []
     u_default = parse_expr("-y", ["y", "x", "theta"])
     entries.append(ModelForm(

@@ -3,8 +3,9 @@ tier 1.
 
 A traced benchmark run reads `expr.normalize.cache_info()`, patches every
 public function of the modules in `tracer.MODULES`, `Chart.sample_mask` and
-the `eval` of three circle-map classes, answers requests through `cli.main`,
-and then checks that no wrapper is left.  A worker that fails outside a
+the `eval` of three circle-map classes, answers requests through `cli.main`
+and through the library calls of `worker._library_calls`, and then checks
+that no wrapper is left.  A worker that fails outside a
 request exits 1, so a change that breaks one of these reads breaks the
 traced run; this test breaks with it.
 """
@@ -12,6 +13,7 @@ traced run; this test breaks with it.
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -19,18 +21,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracer as bench_tracer  # noqa: E402
 import worker  # noqa: E402
+import workloads  # noqa: E402
 
 from contactbundles import cli  # noqa: E402
 from contactbundles.formcalc import expr  # noqa: E402
 
+FORM = Path(__file__).parent / "data" / "torus_pullback.form"
+
 
 def test_traced_requests_answer_and_leave_no_wrapper():
+    """The library is built once per process, so the form file is what
+    reaches `normalize` here."""
     before = expr.normalize.cache_info()
     tracer = bench_tracer.Tracer()
     tracer.install()
     try:
         for argv in (["polygon", "--genus", "2", "--area", "3pi"],
-                     ["forms", "--library", "--grid", "16"]):
+                     ["forms", "--library", "--grid", "16"],
+                     ["forms", "--form-file", str(FORM), "--grid", "16"]):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert cli.main(argv) == 0
@@ -40,5 +48,26 @@ def test_traced_requests_answer_and_leave_no_wrapper():
     after = expr.normalize.cache_info()
     assert after.hits + after.misses > before.hits + before.misses
     assert {"cli.main", "formcalc.contact_sign", "formcalc.sample_mask"} <= {
+        span[1] for span in tracer.spans}
+    assert worker.restored(tracer)
+
+
+def test_traced_library_calls_answer_on_pl_maps():
+    """One `translation_number` and one `wood_bound_check` request, drawn as
+    the geometry workload draws them, answered under the tracer."""
+    rng = random.Random(101)
+    requests = [workloads._pl_request("translation_number", rng, 2, 1000),
+                workloads._pl_request("wood_bound_check", rng, 2, 0)]
+    calls = worker._library_calls()
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        for req in requests:
+            rc, text, err = worker.send(cli, calls, req)
+            assert (rc, err) == (0, None)
+            assert json.loads(text)
+    finally:
+        tracer.uninstall()
+    assert {"circle_dynamics.translation_number", "circle_dynamics.flatten"} <= {
         span[1] for span in tracer.spans}
     assert worker.restored(tracer)

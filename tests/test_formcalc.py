@@ -792,6 +792,13 @@ class TestModelLibrary:
     def test_size(self):
         assert len(fc.model_library()) >= 10
 
+    def test_built_once_and_a_new_dict_each_call(self, monkeypatch):
+        first = fc.model_library()
+        first.clear()
+        monkeypatch.setattr(fc.models, "parse_form", None)  # a second build would fail
+        second = fc.model_library()
+        assert len(second) >= 10 and second is not fc.model_library()
+
     def test_all_3d_entries_have_recorded_sign(self):
         for key, entry in fc.model_library().items():
             if entry.expected_sign is None:

@@ -5,7 +5,8 @@ accepted, what it reads as).  The corpus covers MAX_EXPONENT and the
 expansion degree, MAX_NESTING through parentheses, unary signs and function
 calls, MAX_DEPTH through '*' chains, '/' chains and terms on one
 differential, MAX_DECIMAL_EXPONENT, zero denominators and division by a
-symbolic zero, and which refusal wins when a text has two faults.
+symbolic zero, which refusal wins when a text has two faults, and
+MAX_ATOM_EXPONENT and MAX_COEFFICIENT_DIGITS.
 
 Routes: "expr" normalizes `parse_expr(text)` over x, y, z; "form" is
 `parse_form(text)` over the chart [-2, 2]^3; "file" reads a form file with
@@ -107,6 +108,19 @@ CORPUS = [
     ("file", BOX + "exclude x + w<1e-3; form dz"),
     ("file", BOX + "exclude x^17<1e-3; form dz"),
     ("file", BOX + "exclude (" + _chain("/", "x", 201) + ")<1e-3; form dz"),
+    # MAX_ATOM_EXPONENT and MAX_COEFFICIENT_DIGITS through nested powers, chains
+    # of large numbers and sums whose denominators multiply
+    ("expr", "((x^16)^16)^12"), ("expr", "((x^16)^16)^13"), ("expr", "((x^16)^16)^16"),
+    ("expr", _chain("*", "x^16", 200)), ("expr", "((x^16)^16)^12*(y^16)^16"),
+    ("expr", "(1e300)^14*x"), ("expr", "(1e300)^15*x"), ("expr", "x*(1e-300)^-15"),
+    ("expr", "(1e300+1)^-14 + (1e300+3)^-14"),
+    ("file", BOX + "form dz + ((((sin(y))^16)^16)^16)^16*dx"),
+    ("file", BOX + "form dz + ((((x^16)^16)^16)^16)*y*dx"),
+    ("file", BOX + "form dz + (1e300)^16*x*dx"),
+    ("file", BOX + "form dz + " + _chain("*", "1e300", 15) + "*x*dx"),
+    ("file", BOX + "param k=1e300; form dz + " + _chain("*", "k", 15) + "*x*dx"),
+    ("file", BOX + "form dz + (((((1e300)^16)^16)^16)^16)*x*dx"),
+    ("file", BOX + "form dz + (1e300+1)^-14*x*dx + (1e300+3)^-14*x*dx"),
 ]
 
 
