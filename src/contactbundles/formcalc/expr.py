@@ -404,14 +404,10 @@ def _power_text(a: Atom, k: int, prec: int) -> str:
 def diff(e: Expr, var: str) -> Expr:
     """Symbolic partial derivative: the chain rule applied to the atoms of
     e, with d(s^-1) = -(s^-1)^2 ds for a sum s."""
-    return _diff(e, var)
-
-
-def _diff(p: Expr, var: str) -> Expr:
-    atoms = p.atoms
+    atoms = e.atoms
     chain = []  # (m, id of a, c*k, d a/d var) for each factor a^k of each term c*m
     scale = 1  # the lcm of the denominators of the atom derivatives
-    for m, c in p.nums.items():
+    for m, c in e.nums.items():
         for i, k in m:
             da = _datom(atoms[i], var)
             if da.nums:
@@ -425,7 +421,7 @@ def _diff(p: Expr, var: str) -> Expr:
         for m2, c2 in da.nums.items():
             _add_term(out, _monomial(m, ((i, -1), *m2)), ck * c2)
         atoms = _merged(atoms, da.atoms)
-    return _reduced(out, p.den * scale, atoms)
+    return _reduced(out, e.den * scale, atoms)
 
 
 @lru_cache(maxsize=65536)
@@ -435,7 +431,7 @@ def _datom(a: Atom, var: str) -> Expr:
         return ONE if a == Var(var) else ZERO
     outer = (_atom(a, 2, -1) if isinstance(a, Recip) else _atom(Cos(a.arg)) if isinstance(a, Sin)
              else _atom(Sin(a.arg), 1, -1) if isinstance(a, Cos) else _atom(a))
-    return _times(outer, _diff(a.arg, var))
+    return _times(outer, diff(a.arg, var))
 
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -520,7 +516,11 @@ def compile_expr(e: Expr, names: Sequence[str]):
     def factor(f) -> int:
         if isinstance(f, _Ratio):
             if f not in numbered:
-                numbered[f] = slot(f.num / f.den)
+                try:
+                    value = f.num / f.den
+                except OverflowError:  # past the float range: the inf float arithmetic gives
+                    value = math.inf if f.num > 0 else -math.inf
+                numbered[f] = slot(value)
         elif f[1] == 1:
             return atom(f[0])
         elif f not in numbered:
@@ -566,10 +566,12 @@ _UNARY = {Sin: np.sin, Cos: np.cos, Exp: np.exp}
 
 #: an identifier: a coordinate, parameter or function name, pi or a differential
 _IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
+#: one token, or (`bad`) a character no token starts with; blanks match nothing
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     rf"|(?P<ident>{_IDENT})"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
 )
 
 _FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp}
@@ -581,20 +583,11 @@ _Token = namedtuple("_Token", "kind text pos")
 
 def tokenize(text: str) -> list:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = pos + (len(text[pos:]) - len(stripped))
-            raise FormSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise FormSyntaxError(f"unexpected character {m[0]!r}", m.start())
+        tokens.append(_Token(m.lastgroup, m[0], m.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -678,8 +671,8 @@ class _Parser:
         self.allowed = set(allowed)
         self.params = {}  # name -> what it reads as
         for k, v in (params or {}).items():
-            v = v if isinstance(v, Expr) else _const(Fraction(v))
-            self.params[k] = v, 0, 0, _bits(v), max([abs(j) for m in v.nums for _, j in m] or [0])
+            v = _const(Fraction(v))
+            self.params[k] = v, 0, 0, _bits(v), 0
         self.basis = {f"d{name}": axis for axis, name in enumerate(basis)}
         self.depth = 0
         self.zero_division = False
@@ -890,7 +883,7 @@ class _Parser:
 def parse_expr(text: str, allowed: Iterable[str], params: Optional[Mapping[str, object]] = None) -> Expr:
     """Parse a coefficient expression over the given variable names.
 
-    `params` binds extra identifiers to numbers or polynomials at parse time.
+    `params` binds extra identifiers to numbers at parse time.
     ZeroDivisionError on a division by a symbolic zero.
     """
     parser = _Parser(text, allowed, params)

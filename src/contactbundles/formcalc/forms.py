@@ -47,7 +47,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .expr import (_FUNCTIONS, _IDENT, ONE, ZERO, Expr, FormSyntaxError, UnknownVariableError,
-                   _diff, _Parser, _read_number, _sum, compile_expr, normalize,
+                   _Parser, _read_number, _sum, compile_expr, diff, normalize,
                    parse_expr, render, subst, variables)
 
 
@@ -339,7 +339,7 @@ def _read_float(text: str, pos: int) -> float:
 def _d(form: OneForm) -> Dict[Tuple[int, int], Expr]:
     """d_i alpha_j - d_j alpha_i, keyed by (i, j) for i < j."""
     names, a = form.chart.names, form.coefficients
-    return {(i, j): _diff(a[j], names[i]) - _diff(a[i], names[j])
+    return {(i, j): diff(a[j], names[i]) - diff(a[i], names[j])
             for i, j in itertools.combinations(range(len(names)), 2)}
 
 
@@ -496,7 +496,7 @@ def pullback(components: Sequence[Expr], source_chart: Chart, form: OneForm) -> 
             raise UnknownVariableError(sorted(extra)[0], 0)
     pulled = [subst(c, mapping) for c in form.coefficients]
     return OneForm(source_chart, tuple(
-        _sum(p * _diff(c, name) for p, c in zip(pulled, components))
+        _sum(p * diff(c, name) for p, c in zip(pulled, components))
         for name in source_chart.names))
 
 

@@ -13,6 +13,7 @@ Non-orientable bases are rejected: pieces carry orientable genus only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -111,30 +112,31 @@ class SurfaceDecomposition:
     ambient_chiS: int
     ambient_sphere: bool
 
-    def piece_chi(self, i: int) -> int:
-        g, b = self.pieces[i]
-        return 2 - 2 * g - b
-
     def n_curves(self) -> int:
         return len(self.curves)
 
     def has_disk_piece(self) -> bool:
         return any(g == 0 and b == 1 for g, b in self.pieces)
 
+    # A decomposition is frozen, so each is checked, and its multiplicity table
+    # built, once, on first use; `cached_property` writes the instance dict,
+    # which frozen leaves open.
+    @functools.cached_property
+    def _verdict(self) -> Tuple[bool, Tuple[str, ...]]:
+        return _check(self)
+
+    @functools.cached_property
+    def _table(self) -> List[Dict[int, int]]:
+        return _multiplicities(self)
+
 
 def validate(dec: SurfaceDecomposition) -> Tuple[bool, List[str]]:
     """Check all structural invariants; diagnostics name the first violations.
 
-    A decomposition is frozen, so each object is checked once: the verdict
-    is kept on it, and every later call (among them those of `is_essential`,
-    `universal_tightness`, `convex_neighborhood_tight` and `isotopy_equal`)
-    returns a copy of it.
+    The verdict is kept on the decomposition, so every later call returns a
+    copy of it.
     """
-    kept = dec.__dict__.get("_validation")
-    if kept is None:
-        kept = _check(dec)
-        object.__setattr__(dec, "_validation", kept)
-    ok, diags = kept
+    ok, diags = dec._verdict
     return ok, list(diags)
 
 
@@ -154,7 +156,7 @@ def _check(dec: SurfaceDecomposition) -> Tuple[bool, Tuple[str, ...]]:
             diags.append(f"piece {i}: negative boundary count")
         if b == 0 and dec.curves:
             diags.append(f"piece {i}: closed piece in a nonempty decomposition")
-    chi_sum = sum(dec.piece_chi(i) for i in range(len(dec.pieces)))
+    chi_sum = sum(2 - 2 * g - b for g, b in dec.pieces)
     if chi_sum != dec.ambient_chiS:
         diags.append(f"euler mismatch: pieces sum to {chi_sum}, ambient is {dec.ambient_chiS}")
     # every slot used exactly once
@@ -181,16 +183,10 @@ def _check(dec: SurfaceDecomposition) -> Tuple[bool, Tuple[str, ...]]:
     for s in used:
         diags.append(f"curve endpoint at nonexistent slot {s[0]}.{s[1]}")
     # connectivity of the gluing graph
-    adj: Dict[int, set] = {i: set() for i in range(len(dec.pieces))}
-    for (ia, _), (ib, _) in dec.curves:
-        if ia < len(dec.pieces) and ib < len(dec.pieces):
-            adj[ia].add(ib)
-            adj[ib].add(ia)
     seen = {0}
     frontier = [0]
     while frontier:
-        i = frontier.pop()
-        for j in adj[i]:
+        for j in dec._table[frontier.pop()]:
             if j not in seen:
                 seen.add(j)
                 frontier.append(j)
@@ -200,7 +196,7 @@ def _check(dec: SurfaceDecomposition) -> Tuple[bool, Tuple[str, ...]]:
 
 
 def _require_valid(dec: SurfaceDecomposition) -> None:
-    ok, diags = validate(dec)
+    ok, diags = dec._verdict
     if not ok:
         raise InvalidDecomposition("; ".join(diags))
 
@@ -451,12 +447,15 @@ class _Node:
 
 
 def _multiplicities(dec: SurfaceDecomposition) -> List[Dict[int, int]]:
-    """adj[i][j]: the number of curves joining pieces i and j (loops at i: adj[i][i])."""
+    """adj[i][j]: the number of curves joining pieces i and j (loops at i:
+    adj[i][i]); a curve with an end at no piece joins none."""
+    n = len(dec.pieces)
     adj: List[Dict[int, int]] = [{} for _ in dec.pieces]
     for (a, _), (b, _) in dec.curves:
-        adj[a][b] = adj[a].get(b, 0) + 1
-        if a != b:
-            adj[b][a] = adj[b].get(a, 0) + 1
+        if 0 <= a < n and 0 <= b < n:
+            adj[a][b] = adj[a].get(b, 0) + 1
+            if a != b:
+                adj[b][a] = adj[b].get(a, 0) + 1
     return adj
 
 
@@ -472,7 +471,7 @@ def _canonical_form(dec: SurfaceDecomposition) -> tuple:
     """(ambient chi, sphere flag, sorted labels, least sorted edge list over
     the leaves of the search); algorithm in `isotopy_equal`."""
     n = len(dec.pieces)
-    adj = _multiplicities(dec)
+    adj = dec._table
     leaves = 0
     first = best = None  # (edge list, positions) of the first and the least leaf
     autos: List[List[int]] = []  # automorphisms found by equal leaves

@@ -71,3 +71,29 @@ def test_traced_library_calls_answer_on_pl_maps():
     assert {"circle_dynamics.translation_number", "circle_dynamics.flatten"} <= {
         span[1] for span in tracer.spans}
     assert worker.restored(tracer)
+
+
+def test_traced_diff_and_validate_spans_follow_the_calls():
+    """`formcalc.diff.ms` times the calculus's derivatives, and
+    `multicurve.validate.ms` the one check a `multicurve` request asks for:
+    the verdict is kept on each decomposition, and the commands that need it
+    read it there."""
+    data = Path(__file__).parent / "data"
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        reports = []
+        for argv in (["forms", "--form-file", str(FORM), "--grid", "16"],
+                     ["multicurve", "--file", str(data / "regular12_a.dec"),
+                      "--compare", str(data / "regular12_b.dec")]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0
+            reports.append(json.loads(out.getvalue()))
+    finally:
+        tracer.uninstall()
+    assert reports[1]["outputs"]["isotopy_equal"] is True
+    names = [span[1] for span in tracer.spans]
+    assert names.count("formcalc.diff") >= 1
+    assert names.count("multicurve.validate") == 1
+    assert worker.restored(tracer)

@@ -907,6 +907,11 @@ class TestKernel:
             if math.isfinite(want):
                 assert abs(k - want) <= 1e-9 * (1 + abs(want)), (k, want)
 
+    def test_constant_past_the_float_range_is_inf(self):
+        # the value float arithmetic gives to a quotient past the float range
+        for text, want in (("1e300*1e300*x", math.inf), ("-1e300*1e300*x", -math.inf)):
+            assert compile_expr(fc.parse_expr(text, "x"), "x")(1.0) == want
+
     def test_shared_subtree_computed_once(self):
         calls = []
 

@@ -321,6 +321,14 @@ class TestValidation:
                               "curve endpoint at nonexistent slot 1.-1",
                               "curve endpoint at nonexistent slot 3.2"]
 
+    def test_negative_piece_index_is_named(self):
+        # piece -1 is no piece: named like any other, and joined to nothing
+        bad = mc.SurfaceDecomposition(((0, 2),), (((-1, 0), (0, 0)),), 0, False)
+        ok, diags = mc.validate(bad)
+        assert not ok and "curve endpoint at nonexistent slot -1.0" in diags
+        with pytest.raises(mc.InvalidDecomposition, match="nonexistent slot -1.0"):
+            mc.is_essential(bad)
+
     def test_large_star_validates_quickly(self):
         # one (0, k) piece glued to k one-holed tori: each piece's named slots
         # are found without scanning every used slot

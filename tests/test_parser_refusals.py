@@ -5,8 +5,9 @@ accepted, what it reads as).  The corpus covers MAX_EXPONENT and the
 expansion degree, MAX_NESTING through parentheses, unary signs and function
 calls, MAX_DEPTH through '*' chains, '/' chains and terms on one
 differential, MAX_DECIMAL_EXPONENT, zero denominators and division by a
-symbolic zero, which refusal wins when a text has two faults, and
-MAX_ATOM_EXPONENT and MAX_COEFFICIENT_DIGITS.
+symbolic zero, which refusal wins when a text has two faults,
+MAX_ATOM_EXPONENT and MAX_COEFFICIENT_DIGITS, the tokenizer's unexpected
+characters and blanks, and constants past the float range.
 
 Routes: "expr" normalizes `parse_expr(text)` over x, y, z; "form" is
 `parse_form(text)` over the chart [-2, 2]^3; "file" reads a form file with
@@ -121,6 +122,13 @@ CORPUS = [
     ("file", BOX + "param k=1e300; form dz + " + _chain("*", "k", 15) + "*x*dx"),
     ("file", BOX + "form dz + (((((1e300)^16)^16)^16)^16)*x*dx"),
     ("file", BOX + "form dz + (1e300+1)^-14*x*dx + (1e300+3)^-14*x*dx"),
+    # the tokenizer: characters no token starts with, numbers cut short, blanks
+    ("expr", "x $ y"), ("expr", "é"), ("expr", ".5"), ("expr", "1."), ("expr", "1e"),
+    ("expr", "2x"), ("expr", "x + y  \t "), ("expr", "  \t "), ("expr", "x\u00a0+\u00a0y"),
+    ("form", "dz - y*dx ;"), ("file", BOX + "form dz - y*dx ;"),
+    # constants past the float range compile to inf
+    ("file", BOX + "form dz + 1e300*1e300*y*dx"),
+    ("file", BOX + "exclude 1e300*1e300*x<1; form dz - y*dx"),
 ]
 
 
