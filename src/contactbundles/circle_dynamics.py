@@ -76,15 +76,6 @@ class LiftedCircleMap:
 
     kind: str = "abstract"
 
-    def eval(self, t: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def inverse(self) -> "LiftedCircleMap":
-        raise NotImplementedError
-
-    def __call__(self, t: Scalar) -> Scalar:
-        return self.eval(t)
-
     def letters(self) -> tuple:
         """The map viewed as a one-letter word."""
         return ((self, 1),)
@@ -496,12 +487,6 @@ class TranslationNumberEstimate:
     error_bound: float
     iterations: int
 
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not math.isfinite(float(self.value)):
-            raise ValueError("estimate is not finite")
-
 
 _EPS = sys.float_info.epsilon
 
@@ -748,12 +733,14 @@ def _jump_average(a: int, c: int, m: int, y: Fraction, x: tuple, shift: int,
     x - y = E/G, the numerator is X*c^m + a^m*Z with Z = E*D.  As a and c are
     coprime, it shares h = gcd(Z, c^m) with c^m, and once h is divided out it
     is coprime to the rest of c^m: what remains is its gcd with S.
+
+    Z is never 0: x = y would put x_s on the cycle point y_0, as the steps
+    from x_s to x are injective, so `_captured_average` would have returned
+    at its exactly-periodic test.
     """
     yn, yd = y.numerator, y.denominator
     p, q = x
     z = (p * yd - yn * q) * yd
-    if not z:
-        return Fraction(yn + shift * yd, yd * n)
     small = yd * q * yd * n
     big = c ** m
     num = (yn + shift * yd) * q * yd * big + a ** m * z
@@ -788,9 +775,6 @@ class DisplacementCheck:
     bound: float
     witness_t: Optional[float] = None
     witness_displacement: Optional[float] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def displacement_within(f: LiftedCircleMap, bound: Scalar) -> DisplacementCheck:

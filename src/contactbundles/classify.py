@@ -173,7 +173,7 @@ def enrollment_connect_sum(e0: Fraction, tb1: int) -> Fraction:
 
 def lift_enrollment_over_sphere(e: Fraction, euler: int) -> Fraction:
     """Enrollment of the preimage curve in the universal cover: |euler| * e."""
-    return validate_enrollment(abs(euler) * Fraction(e))
+    return abs(euler) * validate_enrollment(e)
 
 
 def tb_vs_enrollment_unit_euler(tb: int, sign: int) -> Fraction:
@@ -256,7 +256,7 @@ def morphism_image_divisor(vector: Sequence[int], n: int) -> int:
     d = n
     for v in vector:
         d = gcd(d, v % n)
-    return d if d else n
+    return d
 
 
 #: Largest number n^{2g} of vectors the orbit oracle enumerates; the memory

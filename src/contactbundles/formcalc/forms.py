@@ -367,10 +367,6 @@ class ContactReport:
     witnesses: Tuple[Tuple[float, ...], ...] = ()
     samples: int = 0
 
-    def __post_init__(self):
-        if self.sign in ("Positive", "Negative") and not (self.min_abs > SIGN_TOL):
-            raise ValueError("definite sign requires min_abs above SIGN_TOL")
-
 
 def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> ContactReport:
     """Classify the sign of alpha ^ d(alpha) on the chart grid minus exclusions.
@@ -445,7 +441,6 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
         offsets = np.array((-1, 0, 1))
         dim = chart.dim
         best, witness, count = math.inf, None, 0
-        has_pos_ref, has_neg_ref = has_pos, has_neg
         scan = 16 * REFINE_CHUNK
         blocks = (np.flatnonzero(flagged.ravel()[s:s + scan]) + s
                   for s in range(0, flagged.size, scan))
@@ -470,10 +465,10 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
                 digits = np.unravel_index(offset, (3,) * dim)
                 best = low
                 witness = tuple(float(c.reshape(3, n)[i, sample]) for c, i in zip(cols, digits))
-            has_pos_ref = has_pos_ref or bool(ref_vals.max() > SIGN_TOL)
-            has_neg_ref = has_neg_ref or bool(ref_vals.min() < -SIGN_TOL)
+            has_pos = has_pos or bool(ref_vals.max() > SIGN_TOL)
+            has_neg = has_neg or bool(ref_vals.min() < -SIGN_TOL)
         min_abs = min(min_abs, best)
-        if min_abs <= SIGN_TOL or (has_pos_ref and has_neg_ref):
+        if min_abs <= SIGN_TOL or (has_pos and has_neg):
             return ContactReport("Mixed", min_abs, (witness or witness_at(flagged),),
                                  samples=samples + count)
     sign = "Positive" if has_pos else "Negative"

@@ -221,9 +221,6 @@ class HopfCheck:
     max_error: float
     times: Tuple[Fraction, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _block_rotation_components(t: Fraction, variant: int) -> Sequence[Expr]:
     """Linear components of (z, w) -> (e^{2 pi i t} z, e^{+-2 pi i t} w)."""

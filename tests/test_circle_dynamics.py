@@ -282,6 +282,19 @@ class TestRepresentationInvariants:
             cd.PiecewiseLinearMap([(Fraction(0), Fraction(0)),
                                    (Fraction(1, 2), Fraction(3, 2))])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cd.PiecewiseLinearMap([]), "at least one breakpoint"),
+        (lambda: cd.PiecewiseLinearMap([(1, 1)]), r"must lie in \[0, 1\)"),
+        (lambda: cd.PiecewiseLinearMap([(0, 0), (0, Fraction(1, 2))]), "duplicate"),
+        (lambda: cd.WordMap([(cd.PiecewiseLinearMap.translation(0), 2)]), "exponents"),
+        (lambda: cd.translation_number(cd.PiecewiseLinearMap.translation(0), 0),
+         "iterations must be >= 1"),
+    ], ids=["no-breakpoint", "outside-unit-interval", "duplicate", "exponent-2",
+            "zero-iterations"])
+    def test_refuses_malformed_input(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 def track_lift(circle_map, lift_at_0):
     """Continue a lift along [0, 1] by unwrapping the image argument: the

@@ -99,6 +99,12 @@ class TestEnrollment:
             assert cl.lift_enrollment_over_sphere(e, 1) == e
             assert cl.lift_enrollment_over_sphere(e, -1) == e
 
+    @pytest.mark.parametrize("e, euler", [(Fraction(1, 3), 3), (Fraction(2, 3), 0)])
+    def test_lift_over_sphere_validates_the_enrollment(self, e, euler):
+        # |euler| * e is a valid enrollment here, e is not
+        with pytest.raises(ValueError, match="denominator 1 or 2"):
+            cl.lift_enrollment_over_sphere(e, euler)
+
     def test_tb_relation(self):
         assert cl.tb_vs_enrollment_unit_euler(-1, 1) == 0
         assert cl.tb_vs_enrollment_unit_euler(-1, -1) == -2
@@ -333,3 +339,17 @@ class TestBundleData:
             cl.BundleData(1, 0)
         with pytest.raises(ValueError):
             cl.BundleData(4, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cl.legendrian_fibration_enrollment(0), "covering degree must be positive"),
+    (lambda: cl.tb_vs_enrollment_unit_euler(0, 2), r"sign must be \+1 or -1"),
+    (lambda: cl.boundary_slope(0, 1, -2), "n must be a positive integer"),
+    (lambda: cl.count_tangent_conjugacy_classes(0), "n must be a positive integer"),
+    (lambda: cl.morphism_image_divisor((1, 2), 0), "n must be a positive integer"),
+    (lambda: cl.orbit_of_vector((1, 0, 1), 2), "vector length must be even"),
+], ids=["fibration-degree-0", "tb-sign-2", "boundary-slope-n-0", "divisor-count-0",
+        "image-divisor-n-0", "odd-vector"])
+def test_refuses_input_outside_the_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

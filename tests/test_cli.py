@@ -432,6 +432,11 @@ class TestFormsCommand:
             code, rep, _ = run_json(capsys, "forms", "--form-file", str(path))
             assert code == 1 and rep["error"]["type"] == kind
 
+    def test_neither_file_nor_library_exits_2(self, capsys):
+        code, out, err = run(capsys, "forms", "--grid", "8")
+        assert code == 2 and out == ""
+        assert err == "error: provide --form-file or --library\n"
+
     @pytest.mark.parametrize("grid", ["0", "-1", "257", "2000"])
     def test_grid_outside_domain_exits_2(self, capsys, tmp_path, grid):
         path = tmp_path / "std.form"

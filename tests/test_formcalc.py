@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from contactbundles import formcalc as fc
 from contactbundles.formcalc import forms
-from contactbundles.formcalc.expr import MAX_EXPONENT, compile_expr
+from contactbundles.formcalc.expr import MAX_EXPONENT, compile_expr, variables
 from contactbundles.formcalc.models import (fiber_tube_pullback, scaling_flow_components,
-                                            torus_wrapping_pullback)
+                                            torus_wrapping_embedding, torus_wrapping_pullback)
 from expr_reference import (REDUCED_COEFFS, Add, Cos, Exp, Mul, Pi, Pow, Rat, Sin, Var, div,
                             eval_expr, neg, rebuild, ring)
 
@@ -64,6 +64,50 @@ def test_pinned_parse_results(text, exc, message, offset):
     assert type(info.value) is exc
     assert message in str(info.value)
     assert info.value.position == offset
+
+
+XY = ("x", "y")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: variables(1.0), "not an expression: 1.0"),
+    (lambda: compile_expr(fc.parse_expr("x + y", XY), ("x",)), "not an expression over"),
+    (lambda: compile_expr(fc.parse_expr("x", XY), XY)(1.0), "kernel takes 2 arguments, got 1"),
+], ids=["not-an-expr", "missing-name", "argument-count"])
+def test_expr_refuses_what_is_not_its_input(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+def _over_xyz(*texts):
+    return tuple(fc.parse_expr(t, XYZ.names) for t in texts)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fc.Chart(XY, ((-1.0, 1.0),) * 2), "charts have 3 or 4 coordinates"),
+    (lambda: fc.Chart(XYZ.names, ((-1.0, 1.0),) * 2), "one range per coordinate"),
+    (lambda: fc.Chart(XYZ.names, XYZ.ranges, (True, False)), "one periodic flag per coordinate"),
+    (lambda: fc.Chart(XYZ.names, ((-1.0, 1.0), (-1.0, 1.0), (1.0, 1.0))),
+     "ranges must be nonempty"),
+    (lambda: fc.Chart(XYZ.names, XYZ.ranges, (), ((fc.parse_expr("x", XY), 0.0),)),
+     "exclusion eps must be positive"),
+    (lambda: fc.OneForm(XYZ, _over_xyz("0", "1")), "one coefficient per coordinate"),
+    (lambda: fc.OneForm(XYZ, (fc.parse_expr("w", ("w",)),) + _over_xyz("0", "1")),
+     "unknown variable 'w'"),
+    (lambda: fc.parse_form_file("chart x:[-1,1] y:[-1,1] z:[-1,1]"), "missing form statement"),
+    (lambda: fc.parse_form_file("form dz"), "no chart statement"),
+    (lambda: fc.pullback(_over_xyz("x", "y") + (fc.parse_expr("w", ("w",)),), XYZ,
+                         fc.parse_form("dz", XYZ)), "unknown variable 'w'"),
+    (lambda: fc.characteristic_slope_on_torus(fc.hopf_plane_field_form(), 0.5),
+     "torus slopes require a 3-dimensional chart"),
+    (lambda: fc.r_of_slope(1, 0), "q must be positive"),
+    (lambda: fc.r_of_slope(2, 4), "p/q must be in lowest terms"),
+], ids=["two-coordinates", "range-too-few", "flag-too-few", "empty-range", "eps-zero",
+        "coefficient-too-few", "form-unknown-variable", "no-form", "no-chart",
+        "pullback-unknown-variable", "slope-on-4-chart", "q-zero", "not-lowest-terms"])
+def test_forms_refuses_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_star_import_resolves_every_exported_name():
@@ -420,7 +464,11 @@ class TestReducedGrid:
     @example(("y/x", "0", "1"), [("x", "1/4")], [(-1.0, 1.0)] * 3, (False,) * 3, 9)
     def test_matches_dense_oracle_bit_for_bit(self, coeffs, exclusions, ranges, periodic, grid):
         form, grid = _reduced_case(coeffs, exclusions, ranges, periodic, grid)
-        assert _outcome(fc.contact_sign, form, grid) == _outcome(_dense_contact_sign, form, grid)
+        outcome = _outcome(fc.contact_sign, form, grid)
+        assert outcome == _outcome(_dense_contact_sign, form, grid)
+        if outcome.startswith("ContactReport"):  # a definite sign clears SIGN_TOL
+            rep = fc.contact_sign(form, grid)
+            assert rep.sign == "Mixed" or rep.min_abs > forms.SIGN_TOL
 
     @pytest.mark.parametrize("coeffs,grid,sign,refined", [
         (("-y^2/2", "0", "1"), 9, "Mixed", False),
@@ -584,6 +632,10 @@ class TestChunkedRefinement:
 
 
 class TestPullback:
+    def test_forms_over_different_coordinates_differ(self):
+        abc = fc.Chart(("a", "b", "c"), XYZ.ranges)
+        assert not fc.forms_equal_numeric(fc.parse_form("dz", XYZ), fc.parse_form("dc", abc))
+
     def test_identity_map(self):
         f = fc.parse_form("dz + x*dy - y*dx", XYZ)
         comps = tuple(fc.parse_expr(n, XYZ.names) for n in XYZ.names)
@@ -823,6 +875,10 @@ class TestModelLibrary:
 
 
 class TestWrappedEmbeddings:
+    def test_sign_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+            torus_wrapping_embedding(-1, 1, 0)
+
     @pytest.mark.parametrize("pq", [(-4, 15), (-1, 1)])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_contact_positive(self, pq, sign):
@@ -832,6 +888,11 @@ class TestWrappedEmbeddings:
 
 
 class TestHopf:
+    def test_default_times_are_the_tenths(self):
+        chk = fc.hopf_invariance_check()
+        assert chk.times == tuple(Fraction(k, 10) for k in range(10))
+        assert chk.ok
+
     def test_time_zero_exact(self):
         chk = fc.hopf_invariance_check(times=[Fraction(0)], points=50)
         assert chk.ok and chk.max_error == 0.0

@@ -529,6 +529,13 @@ class TestIsometryValidation:
         iso = hy.Isometry2H(2.0, 0.0, 0.0, 2.0)
         assert abs(iso.a * iso.d - iso.b * iso.c - 1.0) <= 1e-12
 
+    def test_repr_shows_the_normalised_matrix(self):
+        assert repr(hy.Isometry2H(2.0, 0.0, 0.0, 2.0)) == "Isometry2H(1, 0, 0, 1)"
+
+    def test_genus_below_one_rejected(self):
+        with pytest.raises(ValueError, match="genus must be >= 1"):
+            hy.polygon_vertices(0, 1.0, 4)
+
     def test_negative_determinant_rejected(self):
         with pytest.raises(ValueError):
             hy.Isometry2H(1.0, 0.0, 0.0, -1.0)
@@ -611,6 +618,27 @@ class TestTopOfAreaRange:
             assert abs(polygon_area(poly) - area) <= 16 * sys.float_info.epsilon * s_max
             checked += 1
         assert checked == (14 if g == 20 else 15)
+
+    #: README's share grid for `computed_area`: 16 log-spaced shares a decade
+    #: from 1e-308 up to 10^(-1/16), then 1 - 10^(-k/16) up to 1 - 1e-14
+    AREA_SHARES = ([10.0 ** (-k / 16) for k in range(16 * 308, 0, -1)]
+                   + [1 - 10.0 ** (-k / 16) for k in range(1, 16 * 14 + 1)])
+
+    @pytest.mark.parametrize("genera, from_1e3, overall", [
+        (range(1, 21), 19.7, 24.1), ((40,), 23.2, 46.5), ((100,), 42.6, 117),
+        ((10 ** 3,), 210, 1110), ((10 ** 4,), 2440, 11800)])
+    def test_area_error_within_the_readme_maxima(self, genera, from_1e3, overall):
+        # measured maxima of |computed_area - area| in units of eps*(4g - 2)*pi
+        # over the accepted shares of AREA_SHARES, at least 1e-3 and all
+        for g in genera:
+            s_max = (4 * g - 2) * math.pi
+            for share in self.AREA_SHARES:
+                try:
+                    s1, s2 = hy.polygon_vertices(g, hy.radius_for_area(g, share * s_max), 2)
+                except hy.AreaOutOfRange:
+                    continue
+                err = abs(hy.polygon_area(g, s1, s2) - share * s_max) / s_max
+                assert err <= (from_1e3 if share >= 1e-3 else overall) * sys.float_info.epsilon
 
     def test_holonomy_translation_number_at_top(self):
         area = (1 - 1e-6) * 6 * math.pi

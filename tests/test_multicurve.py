@@ -271,6 +271,8 @@ class TestBennequinBound:
             assert mc.tb_from_degree(-n, n) == -1
         assert mc.tb_from_degree(0, 1) == 0
         assert mc.tb_from_degree(-1, 1) == -1  # deg + n - 1
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            mc.tb_from_degree(1, 0)
 
 
 class TestValidation:
@@ -298,6 +300,12 @@ class TestValidation:
                                       (((0, 0), (0, 1)), ((1, 0), (1, 1))), 0, False)
         ok, diags = mc.validate(bad)
         assert not ok and any("disconnected" in d for d in diags)
+
+    def test_negative_counts_are_named(self):
+        bad = mc.SurfaceDecomposition(((-1, -2),), (), 0, False)
+        ok, diags = mc.validate(bad)
+        assert not ok
+        assert diags[:2] == ["piece 0: negative genus", "piece 0: negative boundary count"]
 
     def test_sphere_flag_consistency(self):
         bad = mc.SurfaceDecomposition(((1, 0),), (), 0, True)
@@ -620,6 +628,9 @@ class TestTextFormat:
         ("surface chi=0 sphere=false\npiece P bound=1 boundaries=0", 2, "missing genus="),
         ("surface chi=0 sphere=false\npiece P genus=0 boundaries=2\n"
          "piece P genus=0 boundaries=2\ncurve c P.0 P.1", 3, "duplicate piece id 'P'"),
+        ("surface chi=0 sphere=false\npiece P genus=1", 2, "piece takes id, genus=, boundaries="),
+        ("surface chi=0 sphere=false\npiece P genus=0 boundaries=2\ncurve P.0 P.1", 3,
+         "curve takes id and two endpoints"),
     ])
     def test_malformed_lines_name_their_line(self, text, lineno, fragment):
         with pytest.raises(mc.InvalidDecomposition) as info:
