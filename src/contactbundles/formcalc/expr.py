@@ -24,6 +24,8 @@ MAX_DECIMAL_EXPONENT, MAX_DEPTH levels of operations, MAX_ATOM_EXPONENT and
 MAX_COEFFICIENT_DIGITS.  The same parser reads the 1-form grammar of `forms`
 when given basis names.  Rational literals (including decimal and
 scientific notation) are read bit-exactly, through `fractions.Fraction`.
+The parser reads a repeated parenthesised group or function argument once
+per text, and a repeated number literal once (`_number` keeps the last 1024).
 
 `compile_expr` is the numeric evaluator of the library, a value-numbered
 list of numpy steps; its reference, the pointwise `eval_expr`, is kept with
@@ -579,15 +581,19 @@ _FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp}
 
 #: kind is number, ident, op or end
 _Token = namedtuple("_Token", "kind text pos")
+_new_token = tuple.__new__  # the namedtuple's own constructor runs Python-level code
 
 
-def tokenize(text: str) -> list:
+def tokenize(text: str, pos: int = 0, endpos: Optional[int] = None) -> list:
+    """The tokens of text[pos:endpos], as `re.Pattern.finditer` spans it, at
+    offsets into `text`, then an end token at endpos."""
+    end = len(text) if endpos is None else endpos
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, pos, end):
         if m.lastgroup == "bad":
             raise FormSyntaxError(f"unexpected character {m[0]!r}", m.start())
-        tokens.append(_Token(m.lastgroup, m[0], m.start()))
-    tokens.append(_Token("end", "", len(text)))
+        tokens.append(_new_token(_Token, (m.lastgroup, m[0], m.start())))
+    tokens.append(_new_token(_Token, ("end", "", end)))
     return tokens
 
 
@@ -631,17 +637,26 @@ def _read_number(text: str, pos: int) -> Fraction:
     """Fraction(text), refused with FormSyntaxError at `pos` when it is not a
     number, has a zero denominator or its decimal exponent exceeds
     MAX_DECIMAL_EXPONENT in absolute value."""
+    value = _number(text)
+    if isinstance(value, str):
+        raise FormSyntaxError(value, pos)
+    return value
+
+
+@lru_cache(maxsize=1024)
+def _number(text: str):
+    """Fraction(text), or the message that refuses it: each distinct literal
+    is read once while it stays among the last 1024."""
     exp10 = _EXPONENT_RE.search(text)
     digits = exp10[1].replace("_", "").lstrip("0") if exp10 else ""
     if len(digits) > 9 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-        raise FormSyntaxError(
-            f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in absolute value", pos)
+        return f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in absolute value"
     try:
         return Fraction(text)
     except ValueError:
-        raise FormSyntaxError(f"not a number: {text.strip()!r}", pos) from None
+        return f"not a number: {text.strip()!r}"
     except ZeroDivisionError:
-        raise FormSyntaxError(f"zero denominator in {text.strip()!r}", pos) from None
+        return f"zero denominator in {text.strip()!r}"
 
 
 def _bits(p: Expr) -> int:
@@ -662,11 +677,30 @@ class _Parser:
     A division by a symbolic zero is refused once the whole text is read, so
     a syntax error after it still wins.  A basis differential d<name> may only end a
     top-level term of a form; anywhere else it is a syntax error.
+
+    A parenthesised group or function argument is read once per text, a
+    packrat memo keyed by the group's text (B. Ford, "Packrat parsing", ICFP
+    2002): a later copy takes the first copy's production if it sits no
+    deeper than the depth that copy was read at, where MAX_NESTING held, and
+    is read afresh otherwise, so it is refused as it would be without the
+    memo.  A production depends on nothing else of its position, and a read
+    that set the zero-division flag left it set for the rest of the text.
+    `span` = (pos, endpos) reads that slice of `text`, at offsets into it.
     """
 
     def __init__(self, text: str, allowed: Iterable[str],
-                 params: Optional[Mapping[str, object]] = None, basis: Sequence[str] = ()):
-        self.tokens = tokenize(text)
+                 params: Optional[Mapping[str, object]] = None, basis: Sequence[str] = (),
+                 span: Tuple[int, Optional[int]] = (0, None)):
+        self.text = text
+        self.tokens = tokenize(text, *span)
+        self.closing = {}  # index of each '(' token -> index of its ')'
+        opened = []
+        for i, t in enumerate(self.tokens):
+            if t.text == "(":
+                opened.append(i)
+            elif t.text == ")" and opened:
+                self.closing[opened.pop()] = i
+        self.groups: dict = {}  # group text -> (depth it was read at, its production)
         self.i = 0
         self.allowed = set(allowed)
         self.params = {}  # name -> what it reads as
@@ -688,6 +722,20 @@ class _Parser:
             raise FormSyntaxError(f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits", t.pos)
         if top > MAX_ATOM_EXPONENT:
             raise FormSyntaxError(f"atom exponent exceeds {MAX_ATOM_EXPONENT}", t.pos)
+
+    def group(self, t: _Token) -> tuple:
+        """The sum inside the '(' just read, and its ')', one level deeper
+        than t; a repeated group text is read once (see the class)."""
+        close = self.closing.get(self.i - 1)  # None where no ')' closes it
+        key = close and self.text[self.tokens[self.i - 1].pos:self.tokens[close].pos]
+        seen = self.groups.get(key)
+        if seen and seen[0] >= self.depth:
+            self.i = close + 1
+            return seen[1]
+        read = self.nested(t, self.parse_sum)
+        self.expect_op(")")  # a sum read without error stops at the ')' `close`
+        self.groups[key] = self.depth, read
+        return read
 
     def inverse(self, p: Expr) -> Expr:
         try:
@@ -744,6 +792,14 @@ class _Parser:
         if not self.at_op(op):
             raise FormSyntaxError(f"expected {op!r}", self.peek().pos)
         return self.next()
+
+    def parse_coefficient(self) -> Expr:
+        """The whole text as one sum."""
+        out = self.parse_sum()[0]
+        t = self.peek()
+        if t.kind != "end":
+            raise FormSyntaxError(f"trailing input {t.text!r}", t.pos)
+        return self.done(out)
 
     def parse_form(self) -> Tuple[Expr, ...]:
         """form := ['-'] term (('+'|'-') term)*; one coefficient per basis name."""
@@ -858,9 +914,7 @@ class _Parser:
             p = _const(_read_number(t.text, t.pos))
             return p, 0, 0, _bits(p), 0
         if t.kind == "op" and t.text == "(":
-            inner = self.nested(t, self.parse_sum)
-            self.expect_op(")")
-            return inner
+            return self.group(t)
         if t.kind == "ident":
             if t.text in self.basis:
                 raise FormSyntaxError("differential must end its term", t.pos)
@@ -868,8 +922,7 @@ class _Parser:
                 return self.leaf(t.text, Pi())
             if t.text in _FUNCTIONS:
                 self.expect_op("(")
-                arg, _, levels, _, _ = self.nested(t, self.parse_sum)
-                self.expect_op(")")
+                arg, _, levels, _, _ = self.group(t)
                 self.bounded(0, levels + 1, t)
                 return _function(_FUNCTIONS[t.text], arg), 0, levels + 1, 1, 1
             if t.text in self.params:
@@ -886,9 +939,4 @@ def parse_expr(text: str, allowed: Iterable[str], params: Optional[Mapping[str, 
     `params` binds extra identifiers to numbers at parse time.
     ZeroDivisionError on a division by a symbolic zero.
     """
-    parser = _Parser(text, allowed, params)
-    out = parser.parse_sum()[0]
-    t = parser.peek()
-    if t.kind != "end":
-        raise FormSyntaxError(f"trailing input {t.text!r}", t.pos)
-    return parser.done(out)
+    return _Parser(text, allowed, params).parse_coefficient()

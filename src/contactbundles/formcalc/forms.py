@@ -21,7 +21,9 @@ Coefficients are the polynomials of `expr` throughout: the parser returns
 them, `exterior_derivative`, `volume_coefficient` and `pullback` compute on
 them with the ring operations of `expr`, and `render` and
 `compile_expr` read them.  A `OneForm` keeps the `normalize`d, shared
-instance of each coefficient it is given.
+instance of each coefficient it is given, and compiles its kernels once, on
+first use: the kernel of its volume coefficient and one per coefficient, kept
+with the form and freed with it.
 
 Numbers come from `compile_expr` kernels, value-numbered lists of numpy
 steps evaluated on numpy arrays; the pointwise `eval_expr` of the tests
@@ -47,8 +49,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .expr import (_FUNCTIONS, _IDENT, ONE, ZERO, Expr, FormSyntaxError, UnknownVariableError,
-                   _Parser, _read_number, _sum, compile_expr, diff, normalize,
-                   parse_expr, render, subst, variables)
+                   _Parser, _read_number, _sum, compile_expr, diff, normalize, render, subst,
+                   variables)
 
 
 class DegenerateKernel(ValueError):
@@ -202,6 +204,17 @@ class OneForm:
                 parts.append(f"{render_coeff(coeff)}*d{name}")
         return " + ".join(parts) if parts else "0*d" + self.chart.names[0]
 
+    @functools.cached_property
+    def _volume_kernel(self):
+        """The kernel of `volume_coefficient`, compiled on first use only;
+        `cached_property` writes the instance dict, which frozen leaves open."""
+        return compile_expr(volume_coefficient(self), self.chart.names)
+
+    @functools.cached_property
+    def _coefficient_kernels(self) -> tuple:
+        """The kernel of each coefficient, compiled on first use only."""
+        return tuple(compile_expr(c, self.chart.names) for c in self.coefficients)
+
 
 def render_coeff(coeff: Expr) -> str:
     s = render(coeff)
@@ -261,7 +274,7 @@ def _parse_statements(text: str) -> Tuple[Chart, str, Dict[str, Fraction]]:
     names: List[str] = []
     ranges: List[Tuple[float, float]] = []
     periodic: List[Tuple[str, int]] = []  # name, file offset
-    exclusions: List[Tuple[int, str, float]] = []
+    exclusions: List[Tuple[int, int, float]] = []  # start and end offsets, eps
     params: Dict[str, int] = {}  # name, file offset
     bound: Dict[str, Fraction] = {}
     seen = set()  # chart and form statements
@@ -289,7 +302,8 @@ def _parse_statements(text: str) -> Tuple[Chart, str, Dict[str, Fraction]]:
             periodic.extend((f[0], at + f.start()) for f in re.finditer(r"\S+", rest))
         elif head == "exclude":
             expr_text, _, eps_text = rest.partition("<")
-            exclusions.append((at, expr_text, _read_float(eps_text, at + len(expr_text) + 1)))
+            end = at + len(expr_text)
+            exclusions.append((at, end, _read_float(eps_text, end + 1)))
         elif head == "form":
             seen.add(head)
             form_text = rest.strip()
@@ -320,8 +334,9 @@ def _parse_statements(text: str) -> Tuple[Chart, str, Dict[str, Fraction]]:
             raise FormSyntaxError(f"param {name!r} is pi, a function or a differential", pos)
     marked = {name for name, _ in periodic}
     flags = tuple(n in marked for n in names)
-    # behind as many blanks as precede it, an exclusion's error offsets are file offsets
-    excl = tuple((parse_expr(" " * at + src, names), eps) for at, src, eps in exclusions)
+    # read in place, an exclusion's error offsets are file offsets
+    excl = tuple((_Parser(text, names, span=(at, end)).parse_coefficient(), eps)
+                 for at, end, eps in exclusions)
     return Chart(tuple(names), tuple(ranges), flags, excl), form_text, bound
 
 
@@ -392,7 +407,7 @@ def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> Contact
     entry (`np.argmax`): a Mixed verdict costs no more memory than a definite one.
     """
     chart = form.chart
-    fn = compile_expr(volume_coefficient(form), chart.names)
+    fn = form._volume_kernel
     axes = chart.grid_axes(grid)
     sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
     keep = chart.sample_mask(sparse)
@@ -511,7 +526,7 @@ def coefficient_values(form: OneForm, points: Sequence[Mapping[str, float]]) -> 
     names = form.chart.names
     cols = [np.array([p[n] for p in points], dtype=float) for n in names]
     with np.errstate(all="ignore"):
-        return np.array([_padded(compile_expr(c, names), cols) for c in form.coefficients])
+        return np.array([_padded(fn, cols) for fn in form._coefficient_kernels])
 
 
 @dataclass(frozen=True)
@@ -542,8 +557,7 @@ def characteristic_slope_on_torus(form: OneForm, r: float) -> TorusSlope:
     cols = [float(r)] * 3
     cols[ia], cols[iz] = np.meshgrid(turns, turns, indexing="ij")
     with np.errstate(all="ignore"):
-        a_ang, a_z = (_padded(compile_expr(form.coefficients[k], chart.names), cols)
-                      for k in (ia, iz))
+        a_ang, a_z = (_padded(form._coefficient_kernels[k], cols) for k in (ia, iz))
     if not (np.abs(a_z) > 1e-12).all():
         raise DegenerateKernel(f"height coefficient vanishes at radius {r}")
     slopes = (-a_ang / a_z).ravel()

@@ -5,7 +5,10 @@ Positive), the expected contact sign, and the fiber-enrollment metadata when
 the model carries one.  Entries with parameters are instantiated at the
 catalog's default values; the builder functions are exposed for other
 parameter choices.  Fixed forms, components and exclusions are written as text
-and read by the parser of `expr`.
+and read by the parser of `expr`.  The builders without parameters
+(`solid_torus_universal_form`, `bennequin_tube_form`, `hopf_plane_field_form`)
+return one shared form per process, as `model_library` shares one catalog,
+so each of these forms compiles its kernels once per process.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ def clairaut_band_form(n: int) -> OneForm:
     return parse_form("cos(n*pi*x)*dy - sin(n*pi*x)*dt", chart, {"n": n})
 
 
+@functools.cache
 def solid_torus_universal_form() -> OneForm:
     """(1 - r^4) dz + r^2 dtheta, the universally tight solid-torus model."""
     chart = _box(["r", "theta", "z"],
@@ -85,6 +89,7 @@ def three_torus_form(m: int) -> OneForm:
     return parse_form("cos(m*theta)*dx1 - sin(m*theta)*dx2", chart, {"m": m})
 
 
+@functools.cache
 def bennequin_tube_form() -> OneForm:
     """dz + p dtheta near a standard Legendrian unknot; order (p, theta, z)."""
     chart = _box(["p", "theta", "z"], [(-1.0, 1.0), (0.0, TWO_PI), (-1.0, 1.0)],
@@ -92,6 +97,7 @@ def bennequin_tube_form() -> OneForm:
     return parse_form("dz + p*dtheta", chart)
 
 
+@functools.cache
 def hopf_plane_field_form() -> OneForm:
     """x1 dy1 - y1 dx1 + x2 dy2 - y2 dx2, the complex-tangency field on the 3-sphere."""
     chart = _box(["x1", "y1", "x2", "y2"], [(-1.0, 1.0)] * 4)

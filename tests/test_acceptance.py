@@ -134,6 +134,7 @@ def test_06_pullback_checks():
     worst_cross = 0.0
     for n in (1, 2, 3):
         pulled, expected = fiber_tube_pullback(n)
+        assert pulled.coefficients == expected.coefficients
         for env in pulled.chart.random_points(1000, rng):
             u = [eval_expr(c, env) for c in pulled.coefficients]
             v = [eval_expr(c, env) for c in expected.coefficients]

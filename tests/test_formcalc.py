@@ -8,6 +8,7 @@ import random
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -265,6 +266,74 @@ class TestParser:
         f = fc.parse_form_file(text)
         assert f.chart.names == ("r", "theta", "z")
         assert eval_expr(f.coefficients[1], {"r": 0.5, "theta": 1.0, "z": 1.0}) == pytest.approx(0.25)
+
+    def test_exclusions_parse_in_linear_time(self):
+        # each exclusion was read behind as many blanks as its file offset:
+        # 4000 of them took 15 s
+        text = ("chart x:[-1,1] y:[-1,1] z:[-1,1];\n"
+                + "".join(f"exclude x + {k + 2}<1e-3;\n" for k in range(4000)) + "form dz - y*dx")
+        start = time.perf_counter()
+        form = fc.parse_form_file(text)
+        assert time.perf_counter() - start < 3.0
+        assert len(form.chart.exclusions) == 4000
+        bad = text.replace("x + 3999<", "x + w<")
+        with pytest.raises(fc.UnknownVariableError) as info:
+            fc.parse_form_file(bad)
+        assert info.value.position == bad.index("w<")
+
+
+class TestParserMemo:
+    """A repeated group text is read once, and refused as without the memo."""
+
+    GROUP = "(" * 50 + "x" + ")" * 50  # 50 levels of nesting
+
+    @staticmethod
+    def sums_read(text):
+        """How many sums parsing `text` reads: the whole text and each group read afresh."""
+        calls = []
+        original = fc.expr._Parser.parse_sum
+
+        def counting(parser):
+            calls.append(1)
+            return original(parser)
+
+        with mock.patch.object(fc.expr._Parser, "parse_sum", counting):
+            e = fc.parse_expr(text, "xyz")
+        return e, len(calls)
+
+    def test_a_repeated_group_is_read_once(self):
+        # a function argument is a group too: sin(x + y) reads none
+        e, sums = self.sums_read("(x + y)*(x + y)*sin(x + y)*(x + y)")
+        assert e == fc.parse_expr("(x + y)^3*sin(x + y)", "xyz")
+        assert sums == 1 + 1
+
+    def test_a_copy_deeper_than_the_first_is_read_afresh(self):
+        e, sums = self.sums_read("(x + 1)*((x + 1))")
+        assert e == fc.parse_expr("(x + 1)^2", "xyz")
+        assert sums == 1 + 3
+        # read at depth 10, hit at 0, read afresh at 49 (99 levels), refused at 51
+        g = self.GROUP
+        text = ("sin(" * 10 + g + ")" * 10 + "+" + g + "*" + "(" * 49 + g + ")" * 49 + "+"
+                + "(" * 51 + g + ")" * 51)
+        with pytest.raises(fc.FormSyntaxError, match="nesting exceeds 100 levels") as info:
+            fc.parse_expr(text, "xyz")
+        assert info.value.position == 554 == text.rindex(g) + 49
+
+    @pytest.mark.parametrize("prefix", ["(" * 60, "-" * 60, "sin(" * 60])
+    def test_a_copy_past_max_nesting_is_refused_at_its_own_offset(self, prefix):
+        g = self.GROUP
+        text = f"{g}*{prefix}{g}" + ")" * prefix.count("(")
+        with pytest.raises(fc.FormSyntaxError, match="nesting exceeds 100 levels") as info:
+            fc.parse_expr(text, "xyz")
+        assert info.value.position == text.rindex(g) + 40  # where the parser without a memo refuses
+        assert fc.parse_expr(f"{g}*{g}", "xyz") == fc.parse_expr("x^2", "xyz")
+
+    def test_a_repeated_zero_division_is_refused_after_the_whole_text(self):
+        with pytest.raises(ZeroDivisionError):
+            fc.parse_expr("(x/(y - y))*(x/(y - y))*sin((x/(y - y)))", "xyz")
+        with pytest.raises(fc.FormSyntaxError, match="unexpected token") as info:
+            fc.parse_expr("(x/(y - y))*(x/(y - y)) + )", "xyz")
+        assert info.value.position == len("(x/(y - y))*(x/(y - y)) + ")
 
 
 class TestExteriorDerivative:
@@ -715,6 +784,18 @@ class TestPullback:
             fc.pullback((fc.parse_expr("x", "xyz"),), XYZ, fc.parse_form("dz - y*dx", XYZ))
 
 
+def compiles(call):
+    """(call(), the expressions `forms` compiled during it)."""
+    compiled = []
+
+    def counting(expr, names):
+        compiled.append(expr)
+        return compile_expr(expr, names)
+
+    with mock.patch.object(forms, "compile_expr", counting):
+        return call(), compiled
+
+
 class TestCompiledSamples:
     """The library's compiled evaluation against the tree-walking `eval_expr`."""
 
@@ -740,14 +821,7 @@ class TestCompiledSamples:
     @staticmethod
     def exclusion_compiles(chart, call):
         """How often `call()` compiles each of the chart's exclusions."""
-        compiled = []
-
-        def counting(expr, names):
-            compiled.append(expr)
-            return compile_expr(expr, names)
-
-        with mock.patch.object(forms, "compile_expr", counting):
-            call()
+        _, compiled = compiles(call)
         return [compiled.count(fc.normalize(e)) for e, _ in chart.exclusions]
 
     def test_a_refusal_compiles_each_exclusion_once(self):
@@ -788,6 +862,46 @@ class TestCompiledSamples:
         assert got.shape == (3, 20)
         for j, env in enumerate(pts):
             assert got[:, j] == pytest.approx(coeff_values(f, env), rel=1e-14, abs=1e-15)
+
+
+class TestKernelCaches:
+    """A form compiles its kernels once, and they live as long as the form."""
+
+    def test_a_second_sign_compiles_nothing(self):
+        form = fc.parse_form("dz - y*dx + x^2*z*dy", XYZ)
+        first, compiled = compiles(lambda: fc.contact_sign(form, grid=16))
+        assert compiled == [fc.volume_coefficient(form)]
+        second, compiled = compiles(lambda: fc.contact_sign(form, grid=16))
+        assert compiled == [] and second == first
+
+    def test_coefficient_kernels_serve_values_and_slopes(self):
+        form = fc.parse_form("(2 + sin(theta)*r)*dz + r^2*cos(z)*dtheta",
+                             fc.solid_torus_universal_form().chart)
+        pts = form.chart.random_points(5, random.Random(1))
+
+        def read():
+            return (fc.forms.coefficient_values(form, pts),
+                    fc.characteristic_slope_on_torus(form, 0.7))
+
+        (values, slope), compiled = compiles(read)
+        assert compiled == list(form.coefficients)
+        (again, slope_again), compiled = compiles(read)
+        assert compiled == [] and (again == values).all() and slope_again == slope
+
+    @pytest.mark.parametrize("builder", [fc.solid_torus_universal_form, fc.hopf_plane_field_form,
+                                         fc.models.bennequin_tube_form])
+    def test_constant_builders_return_one_form(self, builder):
+        assert builder() is builder()
+
+    def test_a_dropped_form_frees_its_kernels(self):
+        form = fc.parse_form("dz - y*dx + sin(x)*dy", XYZ)
+        fc.contact_sign(form, grid=8)
+        fc.forms.coefficient_values(form, [{"x": 0.0, "y": 0.0, "z": 0.0}])
+        kernel, ref = form._volume_kernel, weakref.ref(form)
+        del form
+        gc.collect()
+        assert ref() is None
+        assert kernel(0.0, 1.0, 0.0) == 2.0  # 1 + cos(x): a kernel outlives its form
 
 
 class TestSlope:

@@ -178,6 +178,42 @@ def test_parsed_coefficients_are_polynomials_over_atoms(text):
     assert fc.parse_expr(fc.render(e), "xyz") == e
 
 
+def _holding(shared):
+    """Trees that hold the subtree `shared` once, at some depth inside
+    products, sums, quotients, signs and function calls."""
+    return st.recursive(st.just(shared), lambda inner: st.one_of(
+        st.builds(lambda a, b: Mul((a, b)), inner, coefficients),
+        st.builds(lambda a, b: Add((a, b)), coefficients, inner),
+        st.builds(div, coefficients, inner),
+        st.builds(neg, inner),
+        st.builds(Sin, inner),
+        st.builds(Exp, inner),
+    ), max_leaves=4)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficients.flatmap(lambda s: st.tuples(_holding(s), _holding(s), _holding(s))))
+@example((Sin(Add((Var("x"), Var("y")))), Mul((Add((Var("x"), Var("y"))), Rat(2))),
+          Exp(Sin(Add((Var("x"), Var("y")))))))
+def test_a_shared_subtree_reads_as_its_tree(trees):
+    """The parser reads a repeated group once; the text of a tree that holds
+    one subtree three times, at any depths, still reads as the tree does,
+    a division by a symbolic zero included."""
+    tree = Add(trees)
+    try:
+        read = _outcome(lambda: fc.parse_expr(render_tree(tree), "xyz"))
+    except fc.FormSyntaxError:  # past a bound of the parser
+        assume(False)
+    assert read == _outcome(lambda: ring(tree))
+
+
 def test_nested_exponents_bounded_by_their_product():
     fc.parse_form("((x+y)^4)^4*dy + dz", XYZ)
     with pytest.raises(fc.FormSyntaxError) as info:
