@@ -10,19 +10,25 @@ when q = 1), so reports are byte-identical across runs.
 
 Fixed cost: `main` builds the argparse tree of `build_parser` on its first
 call and reuses it for every later call in the process, and looks the
-handler `cmd_<command>` up in this module when the call runs.  `formcalc`,
-and with it numpy, is imported by `cmd_forms` only, so the other commands
-start without numpy.
+handler `cmd_<command>` up in this module when the call runs.  When the
+first argument names a command, `main` reads the rest with that command's
+subparser alone, which is what the full parse does once it has read the
+name; any other argv (help, no command, an unknown or abbreviated one, a
+leading "--") goes to the full parser, so argparse writes its own text.
+`_put` rounds a report and writes its JSON in one walk, with json's C
+string escape; `json.dumps(indent=2)` would run json's pure-Python encoder.
+`formcalc`, and with it numpy, is imported by `cmd_forms` only, so the
+other commands start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, classify, hyperbolic, multicurve
 
@@ -31,23 +37,51 @@ VALIDATION_ERROR = 1
 
 
 def _fmt_fraction(x: Fraction) -> str:
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, Fraction):
-        return _fmt_fraction(obj)
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+#: the JSON names of the rounded floats that are no number, as `json` writes them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-#: A float printed to 12 significant digits (`_round12`) lies within 5e-12 of
+def _put(obj, out: list, pad: str) -> None:
+    """Append to `out` the text `json.dumps(obj, indent=2, sort_keys=True)`
+    writes, with each float first rounded to 12 significant digits and each
+    Fraction written as its quoted `_fmt_fraction` text.  `pad` is the newline
+    and indentation of the line that `obj` starts on.  A type `json` cannot
+    write, or a key that is no str, raises TypeError."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, float):
+        text = f"{obj:.12g}"
+        out.append(_NON_FINITE.get(text) or repr(float(text)))
+    elif isinstance(obj, int):
+        out.append("true" if obj is True else "false" if obj is False else int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        comma, sep = "," + inner, "{" + inner
+        for key in sorted(obj):
+            out += (sep, _quote(key), ": ")
+            _put(obj[key], out, inner)
+            sep = comma
+        out.append(pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        comma, sep = "," + inner, "[" + inner
+        for item in obj:
+            out.append(sep)
+            _put(item, out, inner)
+            sep = comma
+        out.append(pad + "]" if obj else "[]")
+    elif isinstance(obj, Fraction):
+        out.append(_quote(_fmt_fraction(obj)))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+#: A float printed to 12 significant digits (`_put`) lies within 5e-12 of
 #: itself, relatively, plus a double's rounding.  A printed bound adds this
 #: share of the value it bounds, so that comparing two printed values of that
 #: size (|rho| and A/2pi, |trace| and its expected value) stays within it.
@@ -57,15 +91,17 @@ PRINT_SLACK = 1.1e-11
 def _emit(command: str, inputs: dict, outputs: dict, error: dict = None) -> int:
     report = {
         "command": command,
-        "inputs": _round12(inputs),
-        "outputs": _round12(outputs),
+        "inputs": inputs,
+        "outputs": outputs,
         "version": __version__,
         "deterministic": True,
     }
     if error:
         report["error"] = error
-    # one write: json.dump would write each encoder chunk separately
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    out = []
+    _put(report, out, "\n")
+    out.append("\n")
+    sys.stdout.write("".join(out))
     return 0 if not error else VALIDATION_ERROR
 
 
@@ -283,7 +319,9 @@ def cmd_covers(args) -> int:
     return _emit("covers", {"genus": args.genus, "n": args.n}, out)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The top-level parser, and a table from each command's name to its
+    subparser."""
     ap = argparse.ArgumentParser(prog="contactbundles",
                                  description="circle-bundle contact structure computations")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -314,15 +352,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("covers", help="cohomology orbit count vs divisor count")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    return ap
+    return ap, sub.choices
 
 
-#: the parser of this process, built by the first `main` call
+#: the parser and command table of this process, built by the first `main` call
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        # help, a missing or unknown command and a leading "--": argparse's own text
+        args = parser.parse_args(argv)
+    else:
+        # what the full parse does after it has read the command name
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         for name, value in vars(args).items():
             if value == []:  # argparse drops the value of "--opt=--" and leaves []

@@ -7,11 +7,16 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polygon_reference
+import report_reference
 from contactbundles import circle_dynamics, cli, hyperbolic
 from contactbundles import multicurve as mc
 from fold_reference import holonomy_relator
@@ -373,7 +378,7 @@ class TestPolygonCommand:
                 _, rep, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", f"{area!r}pi")
                 poly, _ = polygon_reference.symmetric_pairings(g, area * math.pi)
                 first = hyperbolic.hdistance(poly.vertex(1), poly.vertex(2))
-                assert rep["outputs"]["side_length"] == cli._round12(first)
+                assert rep["outputs"]["side_length"] == report_reference.round12(first)
 
 
 class TestFormsCommand:
@@ -589,6 +594,61 @@ class TestReportShape:
         assert rep["outputs"]["boundary_slope"]["mu"] == "-1/2"
 
 
+def written(obj) -> str:
+    out = []
+    cli._put(obj, out, "\n")
+    return "".join(out)
+
+
+#: floats at the edges of the writer: signed zeros, the non-finite values,
+#: subnormals, and values whose 12-digit rounding changes their `repr` form
+EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
+               2.2250738585072014e-308, 1.7976931348623157e308, 9.9999999999999e-05,
+               -9.99999999999995e-05, 9999999999999998.0, 999999999999.9999, 0.1 + 0.2,
+               1e16, 1e-4, 123456789012.5, 1234567890123.0, -5.5e13, 1e100, 3.0, -7.0]
+LEAVES = (st.text() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+          | st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
+          | st.fractions() | st.booleans() | st.none())
+REPORTS = st.recursive(LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=30)
+
+
+class TestReportWriter:
+    """`cli._put` rounds and encodes in one walk; `report_reference` rounds,
+    then `json.dumps` encodes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(REPORTS)
+    @example({"a": {}, "b": [], "c": (), "d": [{}, [], ()]})
+    @example({"\u00e9\u2603\U0001f600": ["\"quoted\"", "back\\slash", "\x00\x1f\t\n\x7f"]})
+    @example([Fraction(-1, 2), Fraction(3), True, False, None, -10 ** 30, 0])
+    @example(EDGE_FLOATS)
+    @example({"z": 1, "a": {"y": 2.5, "b": np.float64(1 / 3)}})
+    def test_matches_the_two_pass_reference(self, obj):
+        assert written(obj) == report_reference.encode(obj)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.float32(1.5), np.bool_(True),
+                                       {1, 2}, frozenset(), complex(1, 2), b"bytes"])
+    def test_a_type_json_cannot_write_raises_type_error(self, value):
+        for obj in (value, {"outputs": [1, {"x": value}]}):
+            with pytest.raises(TypeError):
+                written(obj)
+            with pytest.raises(TypeError):
+                report_reference.encode(obj)
+
+    def test_a_key_that_is_no_str_raises_type_error(self):
+        # every key of a report is a str; json would write this one as "1"
+        with pytest.raises(TypeError):
+            written({1: "one"})
+
+    def test_a_report_is_one_write(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": writes.append})())
+        assert cli.main(["covers", "--genus", "2", "--n", "6"]) == 0
+        assert len(writes) == 1 and writes[0].endswith("}\n")
+
+
 #: the golden reports and the argv that prints each, as the CI workflow runs
 #: them from the repository root
 GOLDEN = [
@@ -707,6 +767,64 @@ def fresh_process(argv):
     proc = subprocess.run([sys.executable, "-m", "contactbundles.cli", *argv],
                           capture_output=True, text=True, env=child_env(), timeout=60)
     return proc.stdout, proc.stderr, proc.returncode
+
+
+#: argv that argparse answers with its own help or usage error, or that
+#: exercise how it reads an option; `main` reads a command's options with the
+#: command's subparser, and must answer each as the full parse does
+USAGE_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "polygon"],
+    ["--version"],
+    ["bogus", "--genus", "2"],
+    ["poly", "--genus", "2", "--area", "3pi"],  # a command's abbreviation
+    ["--", "polygon", "--genus", "2", "--area", "3pi"],
+    ["polygon", "--", "--genus", "2", "--area", "3pi"],
+    ["polygon", "--genus", "2", "--", "--area", "3pi"],
+    ["polygon", "--genus", "2", "--area", "3pi", "--"],
+    ["classify", "--chi-s", "-2", "--euler", "1", "--", "extra"],
+    ["polygon", "-h"],
+    ["polygon", "--genus", "2", "--area", "3pi", "--help"],
+    ["polygon", "--he"],
+    ["polygon", "-h", "--bogus"],
+    ["polygon", "--gen", "2", "--ar", "3pi"],
+    ["polygon", "--genus=2", "--area=3pi"],
+    ["classify", "--chi-s=-2", "--euler=-1"],
+    ["classify", "--chi", "-2", "--euler", "1"],
+    ["polygon", "--genus", "2", "--area", "3pi", "--bogus"],
+    ["polygon", "--genus", "2", "--area", "3pi", "extra"],
+    ["polygon", "--bogus", "x", "--genus", "2", "--area", "3pi", "extra"],
+    ["covers", "--genus", "2", "--n", "6", "-x"],
+    ["polygon", "--genus", "two", "--area", "3pi"],
+    ["polygon", "--genus", "2"],
+    ["polygon"],
+    ["multicurve", "--file"],
+    ["polygon", "--genus", "2", "--area", "-pi"],
+    ["polygon", "--genus=2", "--area=--"],
+    ["forms", "--lib", "--grid=--"],
+    ["holonomy", "--genus", "2", "--area", "4pi", "--iters", "10", "--iters", "0"],
+    ["polygon", "--area", "3pi", "--genus", "2", "polygon"],
+    ["classify", "--chi-s", "-2", "--euler", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=" ".join)
+def test_usage_is_the_full_parse(monkeypatch, argv):
+    """(stdout, stderr, exit code) of `main` equal those of the same call with
+    every argv read by the top-level parser alone."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to it
+    got = in_process(argv)
+    parser, _ = cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", lambda: (parser, {}))
+    assert got == in_process(argv)
+
+
+def test_main_reads_sys_argv_without_an_argument(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["contactbundles", "covers", "--genus", "2", "--n", "6"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["orbit_count"] == 4
 
 
 class TestOneParserPerProcess:
