@@ -215,7 +215,7 @@ def cmd_polygon(args) -> int:
         "genus": g,
         "requested_area": area,
         "circumradius": radius,
-        "computed_area": hyperbolic.polygon_area(g, s1, s2),
+        "computed_area": hyperbolic.polygon_area(g, radius),
         "side_length": hyperbolic.hdistance(s1, s2),
         "pairing_residual_max": max(residuals),
         "pairing_residual_bound": hyperbolic.pairing_residual_bound(g, radius),

@@ -24,9 +24,8 @@ their negation) and act on the disk through the Cayley transform; the
 boundary circle is the circle-dynamics coordinate, so no further conjugation
 is needed.  A disk point is a `complex` z with |z| < 1, moved by
 `Isometry2H.apply_complex`; `image_distance` measures an image from its
-source point, never from the rounded image.  The area is measured on one
-isoceles centre triangle, whose rotations tile the polygon (`polygon_area`);
-numeric geodesic integration is used only as a test oracle.
+source point, never from the rounded image.  The area is read off the
+circumradius in closed form (`polygon_area`) and tested on the built vertices.
 
 The right triangle (centre, edge midpoint, vertex) has angles pi/n and
 beta/2, with n = 4g and interior angle beta = ((n-2)*pi - area)/n, so the
@@ -164,25 +163,25 @@ def polygon_vertices(g: int, radius: float, count: int) -> List[complex]:
     return [complex(re * math.cos(t), re * math.sin(t)) for t in angles]
 
 
-def polygon_area(g: int, s1: complex, s2: complex) -> float:
-    """Gauss-Bonnet area (n-2)*pi - 2n*theta of the regular n-gon, n = 4g,
-    with first vertices s_1 and s_2, read off one centre triangle.
-
-    The n rotations of (O, s_1, s_2) tile the polygon (its sides are equal,
-    `polygon_vertices`), and each interior angle is two base angles
-    theta.  With a = d(O, s_1), b = d(O, s_2), s = d(s_1, s_2) measured on
-    the vertices and p = (a + b + s)/2, the half-angle law of cosines
-    (Beardon, The Geometry of Discrete Groups, ch. 7) gives theta at s_1 by
-    sin^2(theta/2) = sinh(p - a)*sinh(p - s)/(sinh(a)*sinh(s)).  Near the top
-    theta -> 0 while p - a -> s/2 and p - s = (a + b - s)/2 -> -ln(sin(pi/n)),
-    so nothing cancels: theta keeps the relative accuracy its cosine loses.
+def polygon_area(g: int, radius: float) -> float:
+    """Area of the regular n-gon, n = 4g, of circumradius R = `radius`:
+    (n-2)*pi - n*beta with cot(beta/2) = cosh(R)*t, t = tan(pi/n) (module docstring),
+    so 2n*(atan(cosh(R)*t) - atan(t)) = 2n*atan2(x*t, 1 + cosh(R)*t^2) with
+    x = cosh R - 1 = 2*sinh(R/2)^2, where nothing cancels.  In x, A rises and is
+    concave from A(0) = 0, and x*A'(x) = 2n*x*t/(1 + cosh(R)^2*t^2) <= top - A =
+    2n*atan(1/(cosh(R)*t)), top = (n-2)*pi, as y/(1 + y^2) <= atan(y): a relative
+    error d in x moves A by at most d*min(A, top - A), and one in t by at most d*A,
+    as |t*dA/dt| = 2n*|f(cosh(R)*t) - f(t)| with f(y) = y/(1 + y^2), |f'| <= atan'.
+    To first order in eps, with libm within an ulp, x errs here by 3*eps, t by
+    2.1*eps (tan's condition is at most pi/2), atan2's arguments by 2.5*eps and
+    atan2 and 2n*(.) by 1.5*eps.  With `radius_for_area`'s bound on R, rounded up,
+    |polygon_area(g, radius_for_area(g, A)) - A| <= eps*(9*A + (12 + R)*min(A, top - A))
+    <= eps*(21 + R)*A < A, so the area is positive; tests/test_hyperbolic.py checks it.
     """
     n = 4 * g
-    a, b, s = hdistance(0j, s1), hdistance(0j, s2), hdistance(s1, s2)
-    p = (a + b + s) / 2.0
-    theta = 2.0 * math.asin(math.sqrt(
-        math.sinh(p - a) * math.sinh(p - s) / (math.sinh(a) * math.sinh(s))))
-    return (n - 2) * math.pi - 2 * n * theta
+    t = math.tan(math.pi / n)
+    excess = 2.0 * math.sinh(radius / 2.0) ** 2
+    return 2 * n * math.atan2(excess * t, 1.0 + (1.0 + excess) * t * t)
 
 
 #: Largest genus `radius_for_area` accepts.  `polygon` and `holonomy` do work
@@ -203,12 +202,12 @@ def radius_for_area(g: int, area: float) -> float:
     both ends are refused too: below 2n times the smallest normal float, R loses its
     digits; above tanh(R/2) = _R_MAX, the vertices reach |z| = 1.
 
-    To first order in eps, R is the exact radius of an area within
-    26*eps*(4g-2)*pi of `area`.  The top (4g-2)*pi is within eps of itself,
-    so beta/2, sin(beta/2) and `excess` err by a relative eps*top/(top - area)
-    plus 5.5*eps from the other roundings; sqrt and asinh move R by tanh(R/2)
-    times that plus eps*R/2; and dA/dR = n*tanh(R)*sin(beta) <= top - area.
-    With R < 36 below _R_MAX, that is at most eps*top*(7.5 + R/2).
+    To first order in eps, with libm within an ulp, R is the exact radius of an
+    area within eps*((9 + R)*m + 2*area) of `area`, m = min(area, top - area),
+    top = (4g-2)*pi: within 26*eps*top, as R < 36 below _R_MAX.  The top is within
+    0.7*eps*top of itself, so `excess` errs by a relative eps*(6 + top/(top - area));
+    sqrt and asinh add eps*(1 + R*coth(R/2)) <= eps*(3 + R); a relative error d in
+    cosh R - 1 moves the area by at most d*m (`polygon_area`); top*m/(top - area) <= 2*area.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")

@@ -72,7 +72,7 @@ def commutator_product(pairings: Sequence[hy.Isometry2H]) -> hy.Isometry2H:
 
 
 def polygon_area(poly: SymmetricPolygon) -> float:
-    return hy.polygon_area(poly.genus, poly.vertex(1), poly.vertex(2))
+    return hy.polygon_area(poly.genus, poly.circumradius)
 
 
 def pairing_residuals(poly: SymmetricPolygon, pairings: List[hy.Isometry2H]) -> List[float]:

@@ -262,9 +262,10 @@ class TestPolygonCommand:
         assert abs(abs(out["commutator_trace"]) - out["expected_abs_trace"]) <= 1e-6
 
     @pytest.mark.parametrize("g", [1, 2, 8])
-    def test_one_centre_triangle_measures_the_area(self, capsys, monkeypatch, g):
-        # 3 for the area and 1 for the side length, at every genus; the
-        # pairing residuals use `image_distance`: 4 per report
+    def test_the_area_measures_no_distance(self, capsys, monkeypatch, g):
+        # one distance for the side length at every genus, none for the area,
+        # which is read off the circumradius; the pairing residuals use
+        # `image_distance`: 4 per report
         calls = []
         distance = hyperbolic.hdistance
 
@@ -274,15 +275,15 @@ class TestPolygonCommand:
 
         monkeypatch.setattr(hyperbolic, "hdistance", counted)
         code, _, _ = run(capsys, "polygon", "--genus", str(g), "--area", f"{2 * g - 1}pi")
-        assert code == 0 and len(calls) == 4
+        assert code == 0 and len(calls) == 1
         calls.clear()
-        hyperbolic.polygon_area(g, *hyperbolic.polygon_vertices(g, 1.5, 2))
-        assert len(calls) == 3
+        hyperbolic.polygon_area(g, 1.5)
+        assert calls == []
 
     @pytest.mark.parametrize("g", [1, 8, 10 ** 4])
     def test_measures_one_handle(self, capsys, monkeypatch, g):
         """O(1) work in g: five vertices, the first handle's two pairings,
-        4 image distances and 4 distances per report, at every genus."""
+        4 image distances and 1 distance per report, at every genus."""
         refuse_full_build(monkeypatch, vertices=5)
         calls = []
         for name in ("hdistance", "image_distance"):
@@ -292,7 +293,7 @@ class TestPolygonCommand:
         for share in (1e-3, 0.5, 1 - 1e-6):
             area = share * (4 * g - 2)
             code, rep, _ = run_json(capsys, "polygon", "--genus", str(g), "--area", f"{area!r}pi")
-            assert code == 0 and sorted(calls) == ["hdistance"] * 4 + ["image_distance"] * 4
+            assert code == 0 and sorted(calls) == ["hdistance"] + ["image_distance"] * 4
             out = rep["outputs"]
             assert out["pairing_residual_max"] <= out["pairing_residual_bound"]
             calls.clear()

@@ -175,9 +175,11 @@ class TestGaussBonnet:
         assert abs(polygon_area(poly) - fan_defect_area(poly)) <= 1e-9
 
     def test_radius_for_area_round_trip(self):
+        # the closed-form area of the radius, and the fan defects of the 4g built vertices
         for g, area in ((1, 1.0), (2, 4 * math.pi), (2, 12.0), (3, 25.0)):
-            radius = hy.radius_for_area(g, area)
-            assert abs(polygon_area(build_symmetric_polygon(g, radius)) - area) <= 1e-9
+            poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
+            assert abs(polygon_area(poly) - area) <= 1e-9
+            assert abs(fan_defect_area(poly) - area) <= 1e-9
 
     def test_radius_closed_form_oracle(self):
         # cosh R = cot(pi/n) * cot(beta/2), evaluated in 40-digit arithmetic
@@ -601,10 +603,11 @@ class TestTopOfAreaRange:
 
     @pytest.mark.parametrize("g", [1, 2, 3, 8, 10, 20])
     def test_area_holds_to_the_top(self, g):
-        # the base angle theta = (top - area)/(2n) falls below sqrt(eps) at
-        # the shares 1 - 10^-k, yet the area keeps it: within 16 eps of the
-        # top over the whole range at these genera (at most 6.6 eps, g = 20);
-        # g = 20 refuses 1 - 1e-14, above its float limit
+        # the half angle beta/2 = (top - area)/(2n) falls below sqrt(eps) at
+        # the shares 1 - 10^-k, yet the area keeps it: the closed form and the
+        # fan defects of the 4g built vertices both stay within 16 eps of the
+        # top (the fan at most 5.3 eps, g = 20); g = 20 refuses 1 - 1e-14,
+        # above its float limit
         s_max = (4 * g - 2) * math.pi
         shares = [1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9] + [1 - 10.0 ** -k for k in range(7, 15)]
         checked = 0
@@ -616,6 +619,7 @@ class TestTopOfAreaRange:
                 continue
             poly = build_symmetric_polygon(g, radius)
             assert abs(polygon_area(poly) - area) <= 16 * sys.float_info.epsilon * s_max
+            assert abs(fan_defect_area(poly) - area) <= 16 * sys.float_info.epsilon * s_max
             checked += 1
         assert checked == (14 if g == 20 else 15)
 
@@ -624,21 +628,23 @@ class TestTopOfAreaRange:
     AREA_SHARES = ([10.0 ** (-k / 16) for k in range(16 * 308, 0, -1)]
                    + [1 - 10.0 ** (-k / 16) for k in range(1, 16 * 14 + 1)])
 
-    @pytest.mark.parametrize("genera, from_1e3, overall", [
-        (range(1, 21), 19.7, 24.1), ((40,), 23.2, 46.5), ((100,), 42.6, 117),
-        ((10 ** 3,), 210, 1110), ((10 ** 4,), 2440, 11800)])
-    def test_area_error_within_the_readme_maxima(self, genera, from_1e3, overall):
-        # measured maxima of |computed_area - area| in units of eps*(4g - 2)*pi
-        # over the accepted shares of AREA_SHARES, at least 1e-3 and all
-        for g in genera:
-            s_max = (4 * g - 2) * math.pi
-            for share in self.AREA_SHARES:
-                try:
-                    s1, s2 = hy.polygon_vertices(g, hy.radius_for_area(g, share * s_max), 2)
-                except hy.AreaOutOfRange:
-                    continue
-                err = abs(hy.polygon_area(g, s1, s2) - share * s_max) / s_max
-                assert err <= (from_1e3 if share >= 1e-3 else overall) * sys.float_info.epsilon
+    @pytest.mark.parametrize("g", [*range(1, 21), 40, 100, 10 ** 3, 10 ** 4])
+    def test_area_within_its_derived_relative_bound(self, g):
+        # the bound of `polygon_area`'s docstring, at every accepted share of
+        # AREA_SHARES, the largest accepted area and the bottom limit
+        eps, s_max = sys.float_info.epsilon, (4 * g - 2) * math.pi
+        areas = [share * s_max for share in self.AREA_SHARES]
+        checked = 0
+        for area in areas + [largest_accepted_area(g), 8 * g * sys.float_info.min]:
+            try:
+                radius = hy.radius_for_area(g, area)
+            except hy.AreaOutOfRange:
+                continue
+            computed = hy.polygon_area(g, radius)
+            bound = eps * (9 * area + (12 + radius) * min(area, s_max - area))
+            assert 0.0 < computed and abs(computed - area) <= bound, (g, area)
+            checked += 1
+        assert checked > 4900
 
     def test_holonomy_translation_number_at_top(self):
         area = (1 - 1e-6) * 6 * math.pi
