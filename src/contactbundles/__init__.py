@@ -2,8 +2,9 @@
 
 The package is organised around five independent engines plus a CLI:
 
-* `circle_dynamics` -- lifts of circle homeomorphisms: displacement bounds,
-  translation numbers, holonomy relators, Euler numbers from pairs of lifts.
+* `circle_dynamics` -- lifts of circle homeomorphisms: exact displacement
+  bounds, translation numbers, relators and Euler numbers of piecewise-linear
+  lifts; Moebius boundary lifts evaluate pointwise.
 * `hyperbolic` -- symmetric polygons in the Poincare disk, side-pairing
   isometries, and the holonomy relator's translation number and trace, read
   from how one handle's two pairings turn at four vertices.

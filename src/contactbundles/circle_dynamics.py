@@ -6,21 +6,17 @@ representations are provided:
 
 * `PiecewiseLinearMap` -- exact rational breakpoints, exact evaluation;
 * `MoebiusBoundaryLift` -- the boundary action of a disk isometry, evaluated
-  in binary64, with an integer `winding` selecting the lift;
+  pointwise in binary64, with an integer `winding` selecting the lift;
 * `WordMap` -- a formal composition of other maps (with exponents +-1),
   evaluated by nesting.
 
-`flatten` folds an all-PL word into one exact PL map and an all-Moebius word
-into one Moebius lift (`_as_moebius`: it multiplies the matrices, fixes the
-integer winding from values in [0, 2) at one point, and sums the rounding
-bound of the product, `error_scale`, as it goes).  `translation_number`
-iterates PL data exactly, and reads a single Moebius lift's translation number in
-closed form, whatever N (`_moebius_rho`: the rotation angle of an elliptic
-matrix, or the exact integer at a boundary fixed point).  Nothing is sampled: `_extremes` reads
-the extremes of f(t) - t at PL breakpoints, or where a Moebius lift has
-slope 1 (`_moebius_extremes`), and decides the displacement checks and the
-Euler number of a pair of lifts.  A word that mixes the two has neither an
-exact orbit nor a matrix to derive an error bound from, so it is refused.
+`flatten` folds a word of PL letters into one exact PL map.
+`translation_number` iterates that map exactly, and `_extremes` reads the
+extremes of f(t) - t at its breakpoints, which decide the displacement checks
+and the Euler number of a pair of lifts.  Nothing is sampled.  These take
+piecewise-linear data only: a Moebius lift, or a word holding one, has no
+exact orbit or breakpoints, so it is refused.  The relator of the hyperbolic
+side pairings is read in `hyperbolic.relator_rotation`, not here.
 
 Exact PL arithmetic is done on integers, not on `Fraction` (rationals kept as
 integer pairs, reduced only where a value is returned; Knuth, TAOCP vol. 2,
@@ -50,12 +46,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 TWO_PI = 2.0 * math.pi
@@ -214,9 +208,7 @@ class MoebiusBoundaryLift(LiftedCircleMap):
     `iso` is any object exposing `disk_coefficients() -> (alpha, beta)` for
     the disk action w -> (alpha*w + beta) / (conj(beta)*w + conj(alpha)) and
     `inverse()` and `compose()`; see `hyperbolic.Isometry2H`.  `winding`
-    shifts the canonical lift by an integer.  `error_scale` is the S of
-    `trace_slack`: |alpha| + |beta| for a lift of one matrix, copied by
-    `inverse`, summed over the letters by a fold (`_as_moebius`).
+    shifts the canonical lift by an integer.
 
     Evaluation is pointwise exact up to float roundoff: the canonical lift
     restricted to [0, 1) takes values in [c0, c0 + 1), with c0 = f(0) the
@@ -231,7 +223,6 @@ class MoebiusBoundaryLift(LiftedCircleMap):
         alpha, beta = iso.disk_coefficients()
         self._alpha = a = complex(alpha)
         self._beta = b = complex(beta)
-        self.error_scale = abs(a) + abs(b)
         w1 = (a + b) / (b.conjugate() + a.conjugate())
         c0 = (math.atan2(w1.imag, w1.real) / TWO_PI) % 1.0
         self._c0 = 0.0 if c0 == 1.0 else c0  # a turn just below 0 rounds to 1.0
@@ -263,7 +254,6 @@ class MoebiusBoundaryLift(LiftedCircleMap):
     def inverse(self) -> "MoebiusBoundaryLift":
         inv = MoebiusBoundaryLift(self.iso.inverse())
         inv.winding = -round(inv.eval(self.eval(0.0)))
-        inv.error_scale = self.error_scale
         return inv
 
 
@@ -364,96 +354,30 @@ def _first_max(pairs: Sequence[tuple]) -> int:
     return best
 
 
-def _as_moebius(f: WordMap) -> MoebiusBoundaryLift:
-    """Fold a word of Moebius letters to one lift, pointwise identical, from
-    the left, with the `error_scale` S of `trace_slack`.
-
-    Each step a o b lifts the matrix product, so it is the canonical lift c
-    of a.iso o b.iso shifted by an integer.  At 0, (a o b)(0) =
-    a.canonical(b.c0) + a.winding + b.winding, and a.canonical(b.c0) lies in
-    [0, 2), as does c(0) = c.c0: the shift is a.winding + b.winding plus the
-    nearest integer to the difference of those two, which no winding of any
-    size enters.  The accumulator a runs through the prefixes P_<=i, which
-    `_fold_error_scale` reads with the letters once the fold is made.
-    """
-    chain = f._chain  # A_k..A_1 (evaluation order)
-    acc, prefixes = chain[-1], []
-    for m in chain[-2::-1]:
-        prefixes.append((acc._alpha, acc._beta))
-        ab = MoebiusBoundaryLift(acc.iso.compose(m.iso))
-        ab.winding = acc.winding + m.winding + round(acc._canonical(m._c0) - ab._c0)
-        acc = ab
-    if len(chain) > 1:  # a one-letter word is that letter, left as it is
-        prefixes.append((acc._alpha, acc._beta))
-        acc.error_scale = _fold_error_scale(chain, prefixes)
-    return acc
-
-
-def _fold_error_scale(chain: Sequence[MoebiusBoundaryLift], prefixes: Sequence[tuple]) -> float:
-    """S of the fold of `chain` (evaluation order), given the disk
-    coefficients of P_<=i for the letters A_1..A_k, the whole product last;
-    after[j] holds those of P_>i for chain[j].  With h = trace/2 = Re(alpha)
-    of the product, P_<=i^-1 has coefficients (conj(alpha), -beta), and a
-    matrix of the form [[a, b], [conj(b), conj(a)]] has norm |a| + |b|."""
-    h = prefixes[-1][0].real
-    suffixes = accumulate((m.iso for m in chain[:-1]), lambda p, iso: iso.compose(p))
-    after = [(1.0, 0.0)] + [p.disk_coefficients() for p in suffixes]
-    before = [1.0] + [abs(a) + abs(b) for a, b in prefixes[:-1]]
-    return math.fsum(
-        p * m.error_scale * max(abs(qa) + abs(qb), abs(qa - h * a.conjugate()) + abs(qb + h * b))
-        for p, m, (qa, qb), (a, b) in zip(before, chain[::-1], after[::-1], prefixes))
-
-
 def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
     """Cheapest pointwise-equal representative: a word of PL letters folds
-    to one exact PL map, a word of Moebius letters to one Moebius lift; a
-    word mixing the two, and any single map, is returned as it is."""
-    if not isinstance(f, WordMap):
-        return f
-    kinds = {m.kind for m, _ in f.letters()}
-    if kinds <= {PiecewiseLinearMap.kind}:
+    to one exact PL map; any other word, and any single map, is returned as
+    it is."""
+    if isinstance(f, WordMap) and all(m.kind == PiecewiseLinearMap.kind for m, _ in f.letters()):
         return _as_piecewise_linear(f)
-    if kinds == {MoebiusBoundaryLift.kind}:
-        return _as_moebius(f)
     return f
 
 
-def _moebius_extremes(g: MoebiusBoundaryLift) -> tuple:
-    """(t, g(t) - t) at the minimum and the maximum of D = g - id, lowest first.
-
-    The lift is w(z) = (alpha*z + beta)/(conj(beta)*z + conj(alpha)) with
-    |alpha|^2 - |beta|^2 = 1 (`Isometry2H` normalises the determinant); its
-    slope in turns at z = exp(2*pi*i*t) is 1/|conj(beta)*z + conj(alpha)|^2
-    (Beardon, The Geometry of Discrete Groups, 1983).  So D' = 0 exactly on
-    the isometric circle |z + conj(alpha)/conj(beta)| = 1/|beta|, which meets
-    |z| = 1 at theta = arg(-conj(alpha)*beta) +- phi, cos(phi) = |beta|/|alpha|
-    and sin(phi) = 1/|alpha|.  phi is atan2(1, |beta|): in acos(|beta|/|alpha|)
-    the argument rounds to 1 for large |beta| and the two points merge.
-    Nothing divides by beta: for beta = 0, a rotation about the centre,
-    phi = pi/2 and D is constant.  D' = 0 at both points, so rounding in t
-    moves D only at second order.
-    """
-    a, b = g._alpha, g._beta
-    mid, phi = cmath.phase(-a.conjugate() * b), math.atan2(1.0, abs(b))
-    ts = [((mid + s * phi) / TWO_PI) % 1.0 for s in (-1.0, 1.0)]
-    return tuple(sorted(((t, g.eval(t) - t) for t in ts), key=lambda e: e[1]))
+def _piecewise_linear(f: LiftedCircleMap, caller: str) -> PiecewiseLinearMap:
+    """`flatten(f)`, which must be one PL map: ValueError for a Moebius lift
+    or a word holding one."""
+    g = flatten(f)
+    if not isinstance(g, PiecewiseLinearMap):
+        raise ValueError(f"{caller}: takes piecewise-linear maps and words of them, "
+                         "not Moebius lifts")
+    return g
 
 
 def _extremes(f: LiftedCircleMap) -> tuple:
     """((t_lo, D_lo), (t_hi, D_hi)), the first minimum and the first maximum
-    over one period of D = f - id, without sampling.
-
-    Exact `Fraction`s for (words of) piecewise-linear maps: D is linear
-    between breakpoints, so both are attained at a breakpoint.  For Moebius
-    data, the two critical points in closed form (`_moebius_extremes`).  A
-    word mixing PL and Moebius letters raises ValueError.
-    """
-    g = flatten(f)
-    if isinstance(g, MoebiusBoundaryLift):
-        return _moebius_extremes(g)
-    if not isinstance(g, PiecewiseLinearMap):
-        raise ValueError("displacement: a word mixing piecewise-linear and Moebius "
-                         "letters has no closed-form extremes")
+    over one period of D = f - id, as exact `Fraction`s: D is linear between
+    breakpoints, so both are attained at a breakpoint."""
+    g = _piecewise_linear(f, "displacement")
     ds = _displacements(g)
     return tuple((Fraction(g._tn[i], g._td[i]), Fraction(*ds[i]))
                  for i in (_first_max([(-n, d) for n, d in ds]), _first_max(ds)))
@@ -473,148 +397,33 @@ def inf_displacement(f: LiftedCircleMap) -> Scalar:
 class TranslationNumberEstimate:
     """An estimate of the translation number rho together with its error bound.
 
-    For piecewise-linear data `value` is the exact orbit average f^N(0)/N
-    (a Fraction) with N = `iterations`, and `error_bound` is 1/N: since
-    t -> f^N(t) - t has width < 1 and rho is its mean slope,
-    |f^N(0)/N - rho| < 1/N (Ghys, Enseign. Math. 2001).  For a Moebius lift,
-    or a word of them, `value` is rho of the computed matrix in closed form,
-    so it needs no orbit; `error_bound` is 1/N plus the rounding slack of
-    that matrix (see `translation_number`), and bounds both |value - rho|
-    and |value - f^N(0)/N|.
+    `value` is the exact orbit average f^N(0)/N with N = `iterations`, and
+    `error_bound` is 1/N: since t -> f^N(t) - t has width < 1 and rho is its
+    mean slope, |f^N(0)/N - rho| < 1/N (Ghys, Enseign. Math. 2001).
     """
 
-    value: Scalar
+    value: Fraction
     error_bound: float
     iterations: int
 
 
-_EPS = sys.float_info.epsilon
-
-#: relative error (in units of eps, spectral norm) assumed for each letter's
-#: matrix against the exact isometry it stands for, e.g. a side pairing built
-#: from closed-form trigonometry in a handful of roundings
-LETTER_ERROR_ULPS = 16
-
-
-def _moebius_rho(f: MoebiusBoundaryLift) -> float:
-    """The translation number of a Moebius lift, from its matrix in O(1).
-
-    With (alpha, beta) the disk coefficients, |Re(alpha)| = |trace|/2.
-
-    * |Re(alpha)| < 1 (elliptic): f is conjugate to a rotation by 2*pi*r,
-      r = acos(+-Re(alpha))/pi in (0, 1) with the sign of Im(alpha) (the
-      rotation by theta about 0 has alpha = exp(i*theta/2)).  With no
-      boundary fixed point, D(t) = f(t) - t is never an integer, so rho and
-      every D(t) lie in one interval (m, m + 1); D(0) = c0 + winding with c0
-      in (0, 1), so rho = winding + r.
-    * |Re(alpha)| >= 1 (hyperbolic, parabolic or the identity): the boundary
-      fixed points solve conj(beta)*w^2 + (conj(alpha) - alpha)*w - beta = 0,
-      w = (+-sqrt(Re(alpha)^2 - 1) + i*Im(alpha)) / conj(beta); the sign of
-      Re(alpha) picks the attracting one t*, where rounding in t* shrinks
-      under f, and rho = f(t*) - t* is an integer.  Within 1e-3 of 0 the lift
-      is read at 0 instead (f moves 0 towards t*, so |D(0) - rho| < 2e-3),
-      which keeps the evaluation off the seam of [0, 1).  (beta = 0 is the
-      identity.)
-    """
-    a, b = f._alpha, f._beta
-    if abs(a.real) < 1.0:
-        return f.winding + math.acos(a.real if a.imag >= 0.0 else -a.real) / math.pi
-    s = math.copysign(math.sqrt(a.real * a.real - 1.0), a.real)
-    w = complex(s, a.imag) / b.conjugate() if b else 1.0
-    t = (math.atan2(w.imag, w.real) / TWO_PI) % 1.0
-    if min(t, 1.0 - t) < 1e-3:
-        t = 0.0
-    return float(round(f.eval(t) - t))
-
-
-def _rho_from_trace_slack(trace: float, err: float) -> float:
-    """How far rho can move while the SL(2) trace moves by at most `err`.
-
-    An elliptic element is conjugate to a rotation by 2h with trace 2*cos(h),
-    and its lift has rho = +-u + n with u = acos(trace/2)/pi in [0, 1].  Inside
-    (-2, 2) rho moves with u; a trace interval that reaches 2 (u = 0) or -2
-    (u = 1) lets the sign of the rotation flip, so rho can cross to the mirror
-    value.  Hyperbolic traces clamp to u = 0 or 1, an integer rho.
-    """
-    def u(x: float) -> float:
-        return math.acos(max(-1.0, min(1.0, x / 2.0))) / math.pi
-
-    lo, hi = trace - err, trace + err
-    r = u(trace)
-    slack = max(u(lo) - r, r - u(hi))
-    if hi >= 2.0:
-        slack = max(slack, r + u(lo))
-    if lo <= -2.0:
-        slack = max(slack, 2.0 - r - u(hi))
-    return slack
-
-
-def trace_slack(f: MoebiusBoundaryLift) -> float:
-    """Bound on |trace(M^) - trace(M)| (SL(2) traces) for the computed matrix
-    M^ of f against the exact product M of its letters' isometries.
-
-    f is a letter or the fold of letters A_1..A_k.  To first order in eps,
-    with P_<i and P_>i the products of the letters before and after A_i, an
-    error D in A_i reaches P_<=i as P_<i D, and the rounded 2x2 product that
-    forms P_<=i adds at most 4*eps*||P_<i||*||A_i||: an error F_i of norm at
-    most (LETTER_ERROR_ULPS + 4)*eps*||P_<i||*||A_i|| in P_<=i, which reaches
-    M as F_i P_>i.  Each product is rescaled by 1/sqrt(det); the next
-    rescaling cancels that scalar, so only the last one counts.  Dividing
-    M + F by sqrt(det(M + F)) = sqrt(1 + tr(M^-1 F)) moves the trace by a
-    further -tr(M)*tr(M^-1 F)/2, and tr(M^-1 F_i P_>i) = tr(F_i P_<=i^-1).
-    So the trace moves by sum_i tr(F_i W_i), W_i = P_>i - trace/2*P_<=i^-1,
-    and with |tr X| <= 2*||X||
-
-        |trace(M^) - trace(M)| <= 2*e,  e := (LETTER_ERROR_ULPS + 4) * eps * S,
-        S = sum_i ||P_<i|| * ||A_i|| * max(||P_>i||, ||W_i||),
-
-    plus 4*eps*||M^||^2*|trace| for the rounding of det itself.  The fold
-    carries S as `f.error_scale`, and a letter that is itself a fold enters
-    with its S for ||A_i|| (its first letter entered no product, and that
-    4*eps share covers the product taking the fold in); the max keeps that S
-    at least the bound on ||M^ - M|| before the fold's own last rescaling,
-    which is not counted there.
-    """
-    e = (LETTER_ERROR_ULPS + 4) * _EPS * f.error_scale
-    norm = abs(f._alpha) + abs(f._beta)
-    return 2.0 * e + 4.0 * _EPS * norm * norm * abs(2.0 * f._alpha.real)
-
-
 def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumberEstimate:
-    """Estimate the translation number rho of f; N = `iterations`.
+    """Estimate the translation number rho of PL data f; N = `iterations`.
 
-    * Piecewise-linear data: the exact rational orbit average f^N(0)/N,
-      error bound 1/N.  The orbit is stepped only until a cycle of segments
-      is proved to hold it (`_captured_average`: an exactly periodic orbit,
-      or an attracting cycle whose hulls stay in their closed segments);
-      the rest is one integer power, so a captured orbit costs a fixed number
-      of steps and O(N) bits, not O(N^2).  A PL map with a periodic orbit
-      and slopes other than 1 usually has an attracting cycle (M. Herman,
-      Publ. Math. IHES 49, 1979).  An orbit never captured is stepped N
-      times.
-    * A Moebius lift, or a word of them (flattened to one lift first): rho of
-      the computed matrix in closed form (`_moebius_rho`), at a cost that does
-      not depend on N.  The bound is 1/N plus `_rho_from_trace_slack` of
-      `trace_slack`: rho is a function of the trace, and near traces +-2 it
-      moves like the square root of the trace error, as the rotation angle
-      of a near-parabolic matrix is that ill-conditioned (rho is not
-      Lipschitz in the displacement there, so no displacement bound would
-      do).  With the 1/N it also bounds |value - f^N(0)/N|.
-    * A word that flattens to neither (one mixing PL and Moebius letters)
-      raises ValueError: its float orbit has no derived error bound.
+    The value is the exact rational orbit average f^N(0)/N, error bound 1/N.
+    The orbit is stepped only until a cycle of segments is proved to hold it
+    (`_captured_average`: an exactly periodic orbit, or an attracting cycle
+    whose hulls stay in their closed segments); the rest is one integer
+    power, so a captured orbit costs a fixed number of steps and O(N) bits,
+    not O(N^2).  A PL map with a periodic orbit and slopes other than 1
+    usually has an attracting cycle (M. Herman, Publ. Math. IHES 49, 1979).
+    An orbit never captured is stepped N times.  A Moebius lift, or a word
+    holding one, raises ValueError: its float orbit has no derived error
+    bound.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    g = flatten(f)
-    if isinstance(g, MoebiusBoundaryLift):
-        # 1 / N of two ints, so an N beyond the float range gives 0.0, not OverflowError
-        return TranslationNumberEstimate(
-            value=_moebius_rho(g),
-            error_bound=1 / iterations + _rho_from_trace_slack(2.0 * g._alpha.real, trace_slack(g)),
-            iterations=iterations)
-    if not isinstance(g, PiecewiseLinearMap):
-        raise ValueError("translation_number: a word mixing piecewise-linear and Moebius "
-                         "letters has no derived error bound")
+    g = _piecewise_linear(f, "translation_number")
     return TranslationNumberEstimate(value=_orbit_average(g, iterations),
                                      error_bound=1 / iterations, iterations=iterations)
 
@@ -778,11 +587,9 @@ class DisplacementCheck:
 
 
 def displacement_within(f: LiftedCircleMap, bound: Scalar) -> DisplacementCheck:
-    """Check |f(t) - t| <= bound at the extremes (`_extremes`), with no slack:
-    exactly at the breakpoints for PL data, at the two critical points of the
-    displacement for Moebius data.  A failed check names the first point of
-    largest |displacement| as its witness; a word mixing PL and Moebius
-    letters raises ValueError."""
+    """Check |f(t) - t| <= bound exactly at the breakpoints (`_extremes`).
+    A failed check names the first point of largest |displacement| as its
+    witness; Moebius data raises ValueError."""
     t, d = min(_extremes(f), key=lambda e: (-abs(e[1]), e[0]))
     if abs(d) <= bound:
         return DisplacementCheck(True, float(bound))
@@ -791,37 +598,26 @@ def displacement_within(f: LiftedCircleMap, bound: Scalar) -> DisplacementCheck:
 
 def wood_bound_check(maps: Sequence[LiftedCircleMap]) -> DisplacementCheck:
     """Check the relator displacement bound |relator(t) - t| <= 2g (Milnor-Wood)
-    with `displacement_within`: exactly for PL maps, in closed form for Moebius
-    lifts, and a mix of the two raises ValueError.  For constructed words that
-    are not honest relators, call `displacement_within` with the synthetic map.
+    exactly, with `displacement_within`; Moebius lifts raise ValueError.  For
+    constructed words that are not honest relators, call
+    `displacement_within` with the synthetic map.
     """
     return displacement_within(evaluate_relator(maps), Fraction(len(maps)))
 
 
 def euler_from_sections(fD: LiftedCircleMap, fK: LiftedCircleMap) -> int:
-    """The constant integer fD(t) - fK(t), from extremes, not samples.
+    """The constant integer fD(t) - fK(t) of two PL lifts, from extremes, not
+    samples.
 
     With s = fK(t), fD(t) - fK(t) = h(s) - s for h = fD o fK^-1, so the
-    difference ranges over [inf, sup] of h's displacement (`_extremes`).  If h
-    mixes PL and Moebius letters, the range lies in [inf D_fD - sup D_fK,
-    sup D_fD - inf D_fK]: a Moebius lift that is affine on an interval is a
-    rotation, so the difference is constant only if both lifts are
-    translations, and then that interval is a point.  Exact (`Fraction`) ends
-    are compared exactly, float ends within 1e-9.  NonConstantDifference is
-    raised if the difference varies, NonIntegerDifference if the constant is
-    not an integer, ValueError if fD or fK itself mixes PL and Moebius letters.
+    difference ranges over [inf, sup] of h's displacement (`_extremes`), whose
+    ends are exact.  NonConstantDifference is raised if the difference
+    varies, NonIntegerDifference if the constant is not an integer,
+    ValueError if fD or fK is or holds a Moebius lift.
     """
-    try:
-        (_, lo), (_, hi) = _extremes(compose(fD, fK.inverse()))
-    except ValueError:
-        (_, d_lo), (_, d_hi) = _extremes(fD)
-        (_, k_lo), (_, k_hi) = _extremes(fK)
-        lo, hi = d_lo - k_hi, d_hi - k_lo
-    tol = 0 if isinstance(lo, Fraction) else 1e-9
-    if hi - lo > tol:
+    (_, lo), (_, hi) = _extremes(compose(fD, fK.inverse()))
+    if hi > lo:
         raise NonConstantDifference(f"difference varies over [{lo}, {hi}]")
-    mid = (lo + hi) / 2
-    k = round(mid)
-    if abs(mid - k) > tol:
-        raise NonIntegerDifference(f"constant difference {mid} is not an integer")
-    return int(k)
+    if lo.denominator != 1:
+        raise NonIntegerDifference(f"constant difference {lo} is not an integer")
+    return int(lo)

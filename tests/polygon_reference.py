@@ -59,8 +59,9 @@ def symmetric_pairings(g: int, area: float) -> Tuple[SymmetricPolygon, List[hy.I
 def commutator_product(pairings: Sequence[hy.Isometry2H]) -> hy.Isometry2H:
     """prod_{i=1..g} [phi_{2i-1}, phi_{2i}], composed left to right.
 
-    A left fold of phi_1, phi_2, phi_1^-1, phi_2^-1, phi_3, ..., as `flatten`
-    folds the lifts: bit-identical to `flatten(holonomy_relator(pairings)).iso`.
+    A left fold of phi_1, phi_2, phi_1^-1, phi_2^-1, phi_3, ..., as
+    `fold_reference.fold` folds the lifts: bit-identical to
+    `fold(holonomy_relator(pairings)).iso`.
     For polygon side pairings this is the rotation about s_1 by the polygon's
     total interior angle, hence elliptic with
     |trace| = 2*|cos(((4g-2)*pi - area)/2)|.
@@ -94,7 +95,7 @@ def pairing_residuals(poly: SymmetricPolygon, pairings: List[hy.Isometry2H]) -> 
 def polygon_outputs(g: int, area: float) -> dict:
     """The outputs of `polygon` measured on the full build, with the largest
     residual over every handle and the trace of the 4g-letter product, which
-    is within `circle_dynamics.trace_slack` of its lifted fold (no
+    is within `fold_reference.trace_slack` of its lifted fold (no
     `commutator_trace_bound`: the full build derives none)."""
     poly, pairings = symmetric_pairings(g, area)
     return {

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
-from fold_reference import disk_product, fold_error_scale, holonomy_translation_number
+from fold_reference import (disk_product, fold, fold_error_scale, fold_estimate, holonomy_relator,
+                            holonomy_translation_number, moebius_extremes, moebius_rho,
+                            trace_slack)
 from pl_reference import KNOT_CYCLE_RELATOR, knot_cycle_average, random_pl
 from polygon_reference import all_pairings, build_symmetric_polygon, symmetric_pairings
 
@@ -103,19 +105,6 @@ class TestTranslationNumber:
         assert est.value == Fraction(3, 7)
         assert est.error_bound == pytest.approx(0.01)
 
-    def test_commuting_rotations_relator_is_zero(self):
-        a = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(1.1))
-        b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(-0.4))
-        rel = cd.evaluate_relator([a, b])
-        est = cd.translation_number(rel, 500)
-        assert abs(est.value) <= est.error_bound
-
-    def test_center_rotation_rho(self):
-        theta = 0.2137
-        f = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2 * math.pi * theta))
-        est = cd.translation_number(f, 4000)
-        assert abs(est.value - theta) <= est.error_bound
-
     def test_conjugation_invariance(self):
         rng = random.Random(5)
         for _ in range(5):
@@ -125,13 +114,6 @@ class TestTranslationNumber:
             e2 = cd.translation_number(conj, 120)
             assert abs(e1.value - e2.value) <= e1.error_bound + e2.error_bound
 
-    def test_mixed_word_is_refused(self):
-        # a PL o Moebius word has no exact orbit and no matrix to bound its error by
-        rng = random.Random(7)
-        mixed = cd.compose(random_pl(rng), cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9)))
-        with pytest.raises(ValueError, match="no derived error bound"):
-            cd.translation_number(mixed, 100)
-
     def test_full_turn_shifts_by_one(self):
         rng = random.Random(6)
         f = random_pl(rng)
@@ -139,6 +121,16 @@ class TestTranslationNumber:
         e1 = cd.translation_number(f, 150)
         e2 = cd.translation_number(shifted, 150)
         assert abs((e2.value - e1.value) - 1) <= e1.error_bound + e2.error_bound
+
+    def test_piecewise_linear_path_is_exact(self):
+        rng = random.Random(21)
+        f = random_pl(rng)
+        est = cd.translation_number(f, 64)
+        x = Fraction(0)
+        for _ in range(64):
+            x = f.eval(x)
+        assert est.value == Fraction(x, 64) and isinstance(est.value, Fraction)
+        assert est.error_bound == 1 / 64
 
 
 class TestRelator:
@@ -165,17 +157,6 @@ class TestRelator:
 
 
 class TestWoodBound:
-    def test_rotations_within_bound(self):
-        a = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.7))
-        b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(1.3))
-        assert cd.wood_bound_check([a, b]).ok
-
-    def test_hyperbolic_pairings_within_bound(self):
-        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
-        lifts = [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
-        check = cd.wood_bound_check(lifts)
-        assert check.ok and check.bound == 4.0
-
     @pytest.mark.parametrize("knots, witness", [
         ([(Fraction(1, 4), Fraction(3, 8)), (Fraction(3, 4), Fraction(5, 8))],
          (0.25, 0.125)),
@@ -200,13 +181,6 @@ class TestEulerFromSections:
         f = cd.PiecewiseLinearMap.translation(Fraction(1, 6))
         assert cd.euler_from_sections(f, f) == 0
 
-    def test_relator_vs_translation(self):
-        a = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9))
-        b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2.2))
-        fK = cd.evaluate_relator([a, b])
-        fD = cd.PiecewiseLinearMap.translation(-3)
-        assert cd.euler_from_sections(fD, fK) == -3
-
     def test_nonconstant_difference(self):
         f = cd.PiecewiseLinearMap([(Fraction(0), Fraction(0)),
                                    (Fraction(1, 2), Fraction(2, 3))])
@@ -227,27 +201,32 @@ class TestEulerFromSections:
         with pytest.raises(cd.NonConstantDifference):
             cd.euler_from_sections(cd.PiecewiseLinearMap(knots), cd.PiecewiseLinearMap.identity())
 
-    @pytest.mark.parametrize("wD, wK, euler", [(2, 0, 2), (1, -2, 3)])
-    def test_moebius_lifts_of_one_isometry(self, wD, wK, euler):
-        iso = hy.Isometry2H(2.0, 0.3, 0.1, 0.515)
-        fD, fK = cd.MoebiusBoundaryLift(iso, wD), cd.MoebiusBoundaryLift(iso, wK)
-        assert cd.euler_from_sections(fD, fK) == euler
+
+#: each function that takes piecewise-linear data, called on one map f
+PL_ONLY = {
+    "translation_number": lambda f: cd.translation_number(f, 100),
+    "sup_displacement": cd.sup_displacement,
+    "inf_displacement": cd.inf_displacement,
+    "displacement_within": lambda f: cd.displacement_within(f, 2),
+    "wood_bound_check": lambda f: cd.wood_bound_check([f, f]),
+    "euler_from_sections": lambda f: cd.euler_from_sections(f, f),
+}
+
+
+class TestPiecewiseLinearOnly:
+    """A Moebius lift, a word of them, or a word mixing them with PL letters
+    has no exact orbit or breakpoints: every PL decision refuses it."""
 
     @pytest.mark.parametrize("make", [
-        lambda: (cd.MoebiusBoundaryLift(hy.Isometry2H(2.0, 0.3, 0.1, 0.515), 1),
-                 cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9))),
-        lambda: (cd.PiecewiseLinearMap.translation(-3),
-                 cd.MoebiusBoundaryLift(hy.Isometry2H(2.0, 0.0, 0.0, 0.5))),
-    ], ids=["two-isometries", "translation-vs-hyperbolic"])
-    def test_lifts_of_different_maps(self, make):
-        with pytest.raises(cd.NonConstantDifference):
-            cd.euler_from_sections(*make())
-
-    def test_a_mixed_section_is_refused(self):
-        mixed = cd.compose(cd.PiecewiseLinearMap.translation(1),
-                           cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9)))
-        with pytest.raises(ValueError, match="mixing"):
-            cd.euler_from_sections(mixed, cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.4)))
+        lambda: cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9)),
+        lambda: polygon_relator(2, 0.5)[0],
+        lambda: cd.compose(random_pl(random.Random(41)),
+                           cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9))),
+    ], ids=["lift", "relator", "mixed"])
+    @pytest.mark.parametrize("call", PL_ONLY.values(), ids=PL_ONLY.keys())
+    def test_moebius_data_is_refused(self, call, make):
+        with pytest.raises(ValueError, match="piecewise-linear"):
+            call(make())
 
 
 class TestRepresentationInvariants:
@@ -348,7 +327,7 @@ class TestTrackLift:
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
         lifts = [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
         rel = cd.evaluate_relator(lifts)
-        flat = cd.flatten(rel)
+        flat = fold(rel)
         assert isinstance(flat, cd.MoebiusBoundaryLift)
 
         def circle_map(z):
@@ -429,7 +408,8 @@ class TestMoebiusSeam:
 
 
 class TestMoebiusRho:
-    """translation_number of a Moebius lift in closed form."""
+    """rho of a Moebius lift and of the fold of a relator in closed form
+    (`fold_reference`, the oracle for `hyperbolic.relator_rotation`)."""
 
     @pytest.mark.parametrize("g", range(1, 11))
     def test_closed_form_matches_iteration(self, g):
@@ -437,21 +417,20 @@ class TestMoebiusRho:
         powers = POWERS if g in (1, 2, 5, 10) else POWERS[:-1]
         for share in SHARES_LOW + SHARES_TOP:
             rel, _ = polygon_relator(g, share)
-            flat = cd.flatten(rel)
+            flat = fold(rel)
             x, done = 0.0, 0
             for n in powers:
                 for _ in range(n - done):
                     x = flat.eval(x)
                 done = n
-                assert abs(cd.translation_number(rel, n).value - x / n) <= 2.0 / n
+                assert abs(moebius_rho(flat) - x / n) <= 2.0 / n
 
     @pytest.mark.parametrize("g", range(1, 11))
     def test_error_bound_covers_area_over_two_pi(self, g):
         for share in SHARES_LOW + SHARES_TOP + SHARES_AT_TOP:
             rel, area = polygon_relator(g, share)
             for n in POWERS + (2 ** 30, 10 ** 12):
-                est = cd.translation_number(rel, n)
-                assert est.iterations == n
+                est = fold_estimate(rel, n)
                 assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
                 if share <= 0.9:
                     assert est.error_bound - 1.0 / n <= 1e-7
@@ -468,7 +447,7 @@ class TestMoebiusRho:
             f = rotation_about(v, angle, rng.randint(-3, 3))
             floors = {math.floor(f.eval(t) - t) for t in (0.1, 0.3, 0.55, 0.8)}
             assert len(floors) == 1
-            value = cd.translation_number(f, 10 ** 12).value
+            value = moebius_rho(f)
             assert abs(value - floors.pop() - angle / (2 * math.pi)) <= 1e-4
 
     @pytest.mark.parametrize("g,share", [(1, 0.5), (2, 2 / 3), (3, 0.99), (5, 1 - 1e-6)])
@@ -499,34 +478,34 @@ class TestMoebiusRho:
             for _ in range(n):
                 for f in chain:
                     x = f(x)
-        est = cd.translation_number(rel, n)
+        est = fold_estimate(rel, n)
         assert abs(est.value * n - float(x)) < 1 + n * (est.error_bound - 1 / n)
 
-    @pytest.mark.parametrize("g", range(1, 9))
-    def test_flattened_relator_keeps_its_bound(self, g):
-        """The fold carries the rounding bound of its letters, so a relator and
-        its flattened lift give the same estimate."""
-        for share in SHARES_LOW + SHARES_TOP:
-            rel, _ = polygon_relator(g, share)
-            flat = cd.flatten(rel)
-            assert flat.error_scale == pytest.approx(fold_error_scale(rel), rel=1e-9)
-            for n in (1000, 10 ** 12):
-                assert cd.translation_number(flat, n) == cd.translation_number(rel, n)
+    def test_commuting_rotations_relator_is_zero(self):
+        a = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(1.1))
+        b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(-0.4))
+        rel = cd.evaluate_relator([a, b])
+        est = fold_estimate(rel, 500)
+        assert abs(est.value) <= est.error_bound
+
+    def test_center_rotation_rho(self):
+        theta = 0.2137
+        f = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2 * math.pi * theta))
+        est = fold_estimate(cd.WordMap([(f, 1)]), 4000)
+        assert abs(est.value - theta) <= est.error_bound
 
     @pytest.mark.parametrize("g,share", [(1, 0.5), (3, 0.99), (8, 1 - 1e-4)])
-    def test_nested_fold_bounds_the_plain_word(self, g, share):
-        """a o F o a^-1 with F a flattened relator: conjugation keeps rho, and
-        the nested fold's bound covers the same word spelt in plain letters."""
+    def test_nested_fold_keeps_rho(self, g, share):
+        """a o F o a^-1 with F a folded relator: the fold takes F's winding in
+        as it takes any letter's, so its rho is that of the same word spelt in
+        plain letters, within the plain word's bound."""
         rel, area = polygon_relator(g, share)
         a = rel.letters()[1][0]
-        nested = cd.WordMap([(a, 1), (cd.flatten(rel), 1), (a, -1)])
+        nested = cd.WordMap([(a, 1), (fold(rel), 1), (a, -1)])
         plain = cd.WordMap([(a, 1), (rel, 1), (a, -1)])
         assert len(nested.letters()) == 3 and len(plain.letters()) == 4 * g + 2
-        n = 10 ** 12
-        est = cd.translation_number(nested, n)
-        assert cd.translation_number(cd.flatten(nested), n) == est
-        assert cd.flatten(nested).error_scale >= cd.flatten(plain).error_scale * (1 - 1e-9)
-        assert est.error_bound >= cd.translation_number(plain, n).error_bound * (1 - 1e-9)
+        est = fold_estimate(plain, 10 ** 12)
+        assert abs(moebius_rho(fold(nested)) - est.value) <= est.error_bound
         assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
 
     @pytest.mark.parametrize("g,share", [(1, 0.9999), (2, 0.99), (8, 1 - 1e-6)])
@@ -534,57 +513,42 @@ class TestMoebiusRho:
         """Rescaling the product to det 1 moves the trace by
         -trace/2 * tr(M^-1 F); near the top that outweighs the rest of S."""
         rel, _ = polygon_relator(g, share)
-        flat = cd.flatten(rel)
-        assert flat.error_scale == pytest.approx(fold_error_scale(rel), rel=1e-9)
-        assert flat.error_scale > 2 * fold_error_scale(rel, rescaling=False)
+        assert fold_error_scale(rel) > 2 * fold_error_scale(rel, rescaling=False)
 
     def test_fold_bound_at_top_genus_is_pinned(self):
         """The 4g-letter fold at g = 10^4 gives this estimate and bound, bit for bit."""
         rel, _ = polygon_relator(10 ** 4, 0.5)
-        est = cd.translation_number(rel, 10 ** 12)
+        est = fold_estimate(rel, 10 ** 12)
         assert (est.value, est.error_bound) == (-9999.500004109274, 1.5000041092747671)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_fold_trace_within_its_slack_of_the_exact_relator(self, g):
+        """The fold's trace against 2*cos(A(R)/2) at 60 digits, the trace of the
+        exact construction's relator for the same float R, within `trace_slack`."""
+        mp = pytest.importorskip("mpmath")
+        n = 4 * g
+        for share in SHARES_LOW + SHARES_TOP:
+            radius = hy.radius_for_area(g, share * (4 * g - 2) * math.pi)
+            rel = cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in
+                                       all_pairings(build_symmetric_polygon(g, radius))])
+            folded = fold(rel)
+            with mp.workdps(60):
+                exact_area = (n - 2) * mp.pi - 2 * n * mp.acot(
+                    mp.cosh(mp.mpf(radius)) * mp.tan(mp.pi / n))
+                exact_trace = float(2 * mp.cos(exact_area / 2))
+            assert abs(folded.iso.trace() - exact_trace) <= trace_slack(folded, rel), (g, share)
 
     @pytest.mark.parametrize("winding", [0, 3, -2])
     def test_hyperbolic_parabolic_and_identity_lifts_have_integer_rho(self, winding):
         for iso in (hy.Isometry2H(2.0, 0.0, 0.0, 0.5), hy.Isometry2H(1.0, 1.0, 0.0, 1.0),
                     hy.Isometry2H(-1.0, 1.0, 0.0, -1.0), hy.Isometry2H.identity()):
             f = cd.MoebiusBoundaryLift(iso, winding)
-            est = cd.translation_number(f, 10 ** 12)
-            assert est.value == winding
+            rho = moebius_rho(f)
+            assert rho == winding
             x = 0.0
             for _ in range(1000):
                 x = f.eval(x)
-            assert abs(est.value - x / 1000) <= 1 / 1000
-
-    @pytest.mark.parametrize("make", [
-        lambda: cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2 * math.pi * 0.2137)),
-        lambda: polygon_relator(2, 1 / 3)[0],
-        lambda: polygon_relator(2, 2 / 3)[0],
-        lambda: polygon_relator(3, SHARES_AT_TOP[-1])[0],
-        lambda: cd.MoebiusBoundaryLift(hy.Isometry2H(2.0, 0.0, 0.0, 0.5)),
-    ], ids=["elliptic", "area-2pi", "area-4pi", "top", "hyperbolic"])
-    def test_work_does_not_grow_with_iterations(self, make, monkeypatch):
-        f = make()
-        calls = []
-        canonical = cd.MoebiusBoundaryLift._canonical
-        monkeypatch.setattr(cd.MoebiusBoundaryLift, "_canonical",
-                            lambda lift, tau: calls.append(tau) or canonical(lift, tau))
-        counts = []
-        for n in (1, 10 ** 12):
-            del calls[:]
-            assert cd.translation_number(f, n).iterations == n
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 4 * len(f.letters()) + 1
-
-    def test_piecewise_linear_path_is_exact(self):
-        rng = random.Random(21)
-        f = random_pl(rng)
-        est = cd.translation_number(f, 64)
-        x = Fraction(0)
-        for _ in range(64):
-            x = f.eval(x)
-        assert est.value == Fraction(x, 64) and isinstance(est.value, Fraction)
-        assert est.error_bound == 1 / 64
+            assert abs(rho - x / 1000) <= 1 / 1000
 
 
 def seeded_moebius_lifts(family, seed=31):
@@ -610,54 +574,24 @@ MOEBIUS_FAMILIES = ("rotation", "hyperbolic", "centre")
 
 
 class TestMoebiusDisplacement:
-    """sup/inf_displacement and displacement_within of Moebius data, read at
-    the two points where the lift has slope 1."""
+    """The extremes of a Moebius lift's displacement, read at the two points
+    where the lift has slope 1 (`fold_reference.moebius_extremes`)."""
 
     @pytest.mark.parametrize("family", MOEBIUS_FAMILIES)
     def test_closed_form_bounds_a_dense_scan(self, family):
         n = 20000
         for f in seeded_moebius_lifts(family):
             scan = [f.eval(k / n) - k / n for k in range(n + 1)]
-            assert cd.sup_displacement(f) >= max(scan) - 1e-12
-            assert cd.inf_displacement(f) <= min(scan) + 1e-12
+            (_, lo), (_, hi) = moebius_extremes(f)
+            assert hi >= max(scan) - 1e-12
+            assert lo <= min(scan) + 1e-12
 
     @pytest.mark.parametrize("family", MOEBIUS_FAMILIES)
     def test_inf_is_negated_sup_of_inverse(self, family):
         for f in seeded_moebius_lifts(family, seed=37):
-            assert abs(cd.inf_displacement(f) + cd.sup_displacement(f.inverse())) <= 1e-12
-
-    @pytest.mark.parametrize("g", range(1, 9))
-    def test_polygon_relators_obey_milnor_wood(self, g):
-        for share in SHARES_LOW + SHARES_TOP:
-            _, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
-            lifts = [cd.MoebiusBoundaryLift(p) for p in pairings]
-            check = cd.wood_bound_check(lifts)
-            assert check.ok and check.bound == 2 * g
-            rel = cd.evaluate_relator(lifts)
-            assert max(abs(cd.sup_displacement(rel)), abs(cd.inf_displacement(rel))) < 2 * g
-
-    def test_mixed_word_is_refused(self):
-        rng = random.Random(41)
-        pl, mb = random_pl(rng), cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9))
-        mixed = cd.compose(pl, mb)
-        for call in (cd.sup_displacement, cd.inf_displacement,
-                     lambda f: cd.displacement_within(f, 2)):
-            with pytest.raises(ValueError, match="mixing"):
-                call(mixed)
-        with pytest.raises(ValueError, match="mixing"):
-            cd.wood_bound_check([pl, mb])
-
-    @pytest.mark.parametrize("family", MOEBIUS_FAMILIES)
-    def test_failed_check_witness_is_the_larger_extreme(self, family):
-        for f in seeded_moebius_lifts(family, seed=43):
-            if f.winding == 0:
-                continue
-            check = cd.displacement_within(f, Fraction(1, 2))
-            assert not check.ok
-            t = check.witness_t
-            assert f.eval(t) - t == check.witness_displacement
-            extreme = max(abs(cd.sup_displacement(f)), abs(cd.inf_displacement(f)))
-            assert abs(check.witness_displacement) == extreme
+            (_, lo), _ = moebius_extremes(f)
+            _, (_, hi_inverse) = moebius_extremes(f.inverse())
+            assert abs(lo + hi_inverse) <= 1e-12
 
     def test_relator_displacement_reads_two_points(self, monkeypatch):
         rel, _ = polygon_relator(3, 0.5)
@@ -665,12 +599,33 @@ class TestMoebiusDisplacement:
         canonical = cd.MoebiusBoundaryLift._canonical
         monkeypatch.setattr(cd.MoebiusBoundaryLift, "_canonical",
                             lambda lift, tau: calls.append(tau) or canonical(lift, tau))
-        for call in (cd.sup_displacement, cd.inf_displacement,
-                     lambda f: cd.displacement_within(f, 6)):
-            del calls[:]
-            call(rel)
-            # one value a letter to fix the folded winding, then the two points
-            assert len(calls) == len(rel.letters()) - 1 + 2
+        moebius_extremes(fold(rel))
+        # one value a letter to fix the folded winding, then the two points
+        assert len(calls) == len(rel.letters()) - 1 + 2
+
+    def test_rotations_within_bound(self):
+        a = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.7))
+        b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(1.3))
+        (_, lo), (_, hi) = moebius_extremes(fold(cd.evaluate_relator([a, b])))
+        assert max(abs(lo), abs(hi)) < 2
+
+    def test_hyperbolic_pairings_within_bound(self):
+        """The relator evaluated letter by letter on a dense grid stays within
+        the Milnor-Wood bound 2g and within the fold's two extremes."""
+        poly = build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
+        rel = cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)])
+        n = 2000
+        scan = [rel.eval(k / n) - k / n for k in range(n + 1)]
+        (_, lo), (_, hi) = moebius_extremes(fold(rel))
+        assert max(abs(d) for d in scan) < 4
+        assert lo - 1e-9 <= min(scan) and max(scan) <= hi + 1e-9
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_polygon_relators_obey_milnor_wood(self, g):
+        for share in SHARES_LOW + SHARES_TOP:
+            _, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
+            (_, lo), (_, hi) = moebius_extremes(fold(holonomy_relator(pairings)))
+            assert max(abs(lo), abs(hi)) < 2 * g
 
 
 # ---------------------------------------------------------------------------

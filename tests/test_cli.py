@@ -19,7 +19,7 @@ import polygon_reference
 import report_reference
 from contactbundles import circle_dynamics, cli, hyperbolic
 from contactbundles import multicurve as mc
-from fold_reference import holonomy_relator
+from fold_reference import fold, holonomy_relator, trace_slack
 from polygon_reference import largest_accepted_area
 
 DATA = Path(__file__).parent / "data"
@@ -334,8 +334,8 @@ class TestPolygonCommand:
             if g == 1:
                 assert residual == full_residual
             _, pairings = polygon_reference.symmetric_pairings(g, area)
-            fold = circle_dynamics.flatten(holonomy_relator(pairings))
-            assert abs(trace - full_trace) <= trace_bound + circle_dynamics.trace_slack(fold)
+            rel = holonomy_relator(pairings)
+            assert abs(trace - full_trace) <= trace_bound + trace_slack(fold(rel), rel)
 
     @pytest.mark.parametrize("g", [2, 10 ** 4])
     def test_trace_within_its_bound_near_the_top(self, capsys, g):

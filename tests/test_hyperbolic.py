@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
-from fold_reference import holonomy_relator, holonomy_translation_number, proj_distance
+from fold_reference import (fold, fold_estimate, holonomy_relator, holonomy_translation_number,
+                            proj_distance, trace_slack)
 from polygon_reference import (all_pairings, build_symmetric_polygon, commutator_product,
                                fan_defect_area, largest_accepted_area, pairing_residuals,
                                polygon_area, printed_outputs, symmetric_pairings)
@@ -368,7 +369,7 @@ class TestCommutatorProduct:
         for share in (0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.9999, 1 - 1e-6):
             _, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
             prod = commutator_product(pairings)
-            flat = cd.flatten(holonomy_relator(pairings)).iso
+            flat = fold(holonomy_relator(pairings)).iso
             assert (prod.a, prod.b, prod.c, prod.d) == (flat.a, flat.b, flat.c, flat.d)
 
 
@@ -406,8 +407,9 @@ class TestRelatorRotation:
         for share in (0.001, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6):
             poly, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
             _, _, trace, trace_bound = first_handle_rotation(g, poly.circumradius)
-            fold = cd.flatten(holonomy_relator(pairings))
-            assert abs(trace - fold.iso.trace()) <= trace_bound + cd.trace_slack(fold)
+            rel = holonomy_relator(pairings)
+            folded = fold(rel)
+            assert abs(trace - folded.iso.trace()) <= trace_bound + trace_slack(folded, rel)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 8, 20, 100, 1000, 10 ** 4])
     def test_within_its_bounds_of_the_exact_relator(self, g):
@@ -473,16 +475,28 @@ class TestBoundaryLift:
             assert abs(f.eval(t) - t) <= 1e-12
 
     def test_center_rotation_translation_number(self):
+        """A rotation about the centre moves every point by its angle, so the
+        orbit average is that angle."""
         theta = 0.37
         f = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2 * math.pi * theta))
-        est = cd.translation_number(f, 3000)
-        assert abs(est.value - theta) <= est.error_bound
+        for t in (-1.5, 0.0, 0.25, 0.9, 2.0):
+            assert abs(f.eval(t) - t - theta) <= 1e-12
+        x, n = 0.0, 3000
+        for _ in range(n):
+            x = f.eval(x)
+        assert abs(x / n - theta) <= 1 / n
 
     def test_hyperbolic_element_has_zero_rotation(self):
+        """The canonical lift of a hyperbolic element fixes a boundary point, so
+        no orbit gets a whole turn away from where it started."""
         iso = hy.Isometry2H(2.0, 0.0, 0.0, 0.5)
         assert abs(iso.trace()) > 2
-        est = cd.translation_number(cd.MoebiusBoundaryLift(iso), 2000)
-        assert abs(est.value) <= est.error_bound
+        f = cd.MoebiusBoundaryLift(iso)
+        for t0 in (0.0, 0.3, 0.7):
+            x = t0
+            for _ in range(2000):
+                x = f.eval(x)
+            assert abs(x - t0) < 1
 
 
 class TestHolonomy:
@@ -597,8 +611,7 @@ class TestTopOfAreaRange:
             assert abs(polygon_area(poly) - area) <= 1e-9 * s_max
             trace = commutator_product(pairings).trace()
             assert abs(abs(trace) - 2 * abs(math.cos((s_max - area) / 2))) <= 1e-6
-            lifts = [cd.MoebiusBoundaryLift(p) for p in pairings]
-            est = cd.translation_number(cd.evaluate_relator(lifts), 2000)
+            est = fold_estimate(holonomy_relator(pairings), 2000)
             assert abs(abs(est.value) - area / (2 * math.pi)) <= est.error_bound
 
     @pytest.mark.parametrize("g", [1, 2, 3, 8, 10, 20])
