@@ -21,8 +21,11 @@ side pairings is read in `hyperbolic.relator_rotation`, not here.
 Exact PL arithmetic is done on integers, not on `Fraction` (rationals kept as
 integer pairs, reduced only where a value is returned; Knuth, TAOCP vol. 2,
 4.5.1).  A PL map keeps each knot as reduced pairs (tn, td), (vn, vd) and
-each affine segment as integers (A, B, C), x -> (A*x + B)/C.  Inversion and
-composition build reduced knot pairs with one gcd per knot.  The orbit in
+each affine segment as integers (A, B, C), x -> (A*x + B)/C, built the first
+time it is read: a fold reads few segments of its intermediate maps.
+Inversion and composition build reduced knot pairs with one gcd per knot;
+knots are sorted on their parameters rounded to floats, and the order is
+checked exactly by cross-multiplying neighbours.  The orbit in
 `translation_number` keeps x = P/Q unreduced: with n = P // Q and
 r = P - n*Q on the segment (A, B, C) holding r/Q, the next point is
 (A*r + (B + n*C)*Q) / (C*Q), and only F^N(0)/N is reduced.  Once a cycle of
@@ -85,51 +88,46 @@ class PiecewiseLinearMap(LiftedCircleMap):
 
     The map is held in integers: knot i as reduced pairs t_i = tn_i/td_i and
     v_i = vn_i/vd_i, and the segment starting at knot i as (A, B, C), lowest
-    terms with C > 0, for x -> (A*x + B)/C.  The segment [t_last - 1, t_0]
-    that a point below t_0 falls on is kept too, last.  `knots` (Fraction
-    pairs) are built on first use.  `eval` at a float x is f(x) exactly,
-    rounded once to binary64.
+    terms with C > 0, for x -> (A*x + B)/C; segment -1 is [t_last - 1, t_0],
+    which a point below t_0 falls on.  Construction validates and sorts the
+    knots as integer pairs (`_sorted_knots`).  Each segment (`_Segments`) and
+    `knots` (Fraction pairs) are built on first use.  `eval` at a float x is
+    f(x) exactly, rounded once to binary64.
     """
 
     kind = "pl"
 
     def __init__(self, breakpoints: Iterable[tuple]):
-        knots = sorted((Fraction(t), Fraction(v)) for t, v in breakpoints)
-        if not knots:
+        pairs = [_ratio(t) + _ratio(v) for t, v in breakpoints]
+        if not pairs:
             raise ValueError("piecewise-linear map needs at least one breakpoint")
-        ts = [t for t, _ in knots]
-        vs = [v for _, v in knots]
-        if any(t < 0 or t >= 1 for t in ts):
+        if any(tn < 0 or tn >= td for tn, td, _, _ in pairs):
             raise ValueError("breakpoint parameters must lie in [0, 1)")
-        if len(set(ts)) != len(ts):
+        if len({(tn, td) for tn, td, _, _ in pairs}) != len(pairs):
             raise ValueError("duplicate breakpoint parameters")
-        for i in range(len(knots) - 1):
-            if vs[i + 1] <= vs[i]:
+        pairs, tf = _sorted_knots([(k[0] / k[1], k) for k in pairs])
+        for (_, _, an, ad), (_, _, bn, bd) in zip(pairs, pairs[1:]):
+            if bn * ad <= an * bd:
                 raise ValueError("breakpoint values must be strictly increasing")
-        if vs[0] + 1 <= vs[-1]:
+        (_, _, vn0, vd0), (_, _, vn, vd) = pairs[0], pairs[-1]
+        if (vn0 + vd0) * vd <= vn * vd0:
             raise ValueError("wraparound segment is not increasing")
-        self._set_pairs([(t.numerator, t.denominator, v.numerator, v.denominator)
-                         for t, v in knots])
-        self._knots = tuple(knots)
+        self._set_pairs(pairs, tf)
 
     @classmethod
-    def _from_pairs(cls, pairs: list) -> "PiecewiseLinearMap":
-        """A map from (tn, td, vn, vd) knots, reduced, sorted and increasing."""
+    def _from_pairs(cls, pairs: list, tf: list) -> "PiecewiseLinearMap":
+        """A map from (tn, td, vn, vd) knots, reduced, sorted and increasing,
+        with tf their parameters tn/td rounded."""
         self = object.__new__(cls)
-        self._set_pairs(pairs)
+        self._set_pairs(pairs, tf)
         return self
 
-    def _set_pairs(self, pairs: list) -> None:
+    def _set_pairs(self, pairs: list, tf: list) -> None:
         self._pairs = pairs
         self._tn = [tn for tn, _, _, _ in pairs]
         self._td = [td for _, td, _, _ in pairs]
-        self._tf = [tn / td for tn, td, _, _ in pairs]
-        tn0, td0, vn0, vd0 = pairs[0]
-        ends = pairs[1:] + [(tn0 + td0, td0, vn0 + vd0, vd0)]
-        tn, td, vn, vd = pairs[-1]
-        # _segs[-1] is the wrapped segment, which `_locate` calls -1
-        self._segs = [_affine(a, b) for a, b in zip(pairs, ends)]
-        self._segs.append(_affine((tn - td, td, vn - vd, vd), pairs[0]))
+        self._tf = tf
+        self._segs = _Segments(pairs)
         self._knots = None
 
     @property
@@ -184,7 +182,57 @@ class PiecewiseLinearMap(LiftedCircleMap):
             shifted.append((m, (vn - m * vd, vd, tn - m * td, td)))
         m0 = shifted[0][0]
         j = next((i for i, (m, _) in enumerate(shifted) if m > m0), len(shifted))
-        return PiecewiseLinearMap._from_pairs([k for _, k in shifted[j:] + shifted[:j]])
+        pairs = [k for _, k in shifted[j:] + shifted[:j]]
+        return PiecewiseLinearMap._from_pairs(pairs, [tn / td for tn, td, _, _ in pairs])
+
+
+def _ratio(x: Scalar) -> tuple:
+    """x as a reduced integer pair (n, d), d > 0."""
+    if not isinstance(x, (int, float, Fraction)):
+        x = Fraction(x)
+    return x.as_integer_ratio()
+
+
+def _sorted_knots(keyed: list) -> tuple:
+    """(knots, tf) from keyed = [(tf, knot)], knot = (tn, td, vn, vd) with
+    distinct t = tn/td in [0, 1) and tf = t rounded: the knots sorted on t,
+    and their tf.
+
+    keyed is sorted on tf, and each adjacent pair is then checked exactly by
+    cross-multiplying.  Rounding is monotone, so only two knots whose t round
+    to one float can fail the check; then the knots are sorted again on their
+    numerators over a common denominator."""
+    keyed.sort()
+    for (_, (an, ad, _, _)), (_, (bn, bd, _, _)) in zip(keyed, keyed[1:]):
+        if an * bd >= bn * ad:
+            den = math.lcm(*(k[1] for _, k in keyed))
+            keyed.sort(key=lambda fk: fk[1][0] * (den // fk[1][1]))
+            break
+    return [k for _, k in keyed], [f for f, _ in keyed]
+
+
+class _Segments(dict):
+    """The affine segments (A, B, C) of a PL map by the index of their first
+    knot, -1 for the wrapped segment [t_last - 1, t_0], each built on its first
+    lookup."""
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, pairs: list):
+        self._pairs = pairs
+
+    def __missing__(self, i: int) -> tuple:
+        pairs = self._pairs
+        if i < 0:
+            tn, td, vn, vd = pairs[-1]
+            k0, k1 = (tn - td, td, vn - vd, vd), pairs[0]
+        elif i + 1 < len(pairs):
+            k0, k1 = pairs[i], pairs[i + 1]
+        else:
+            tn, td, vn, vd = pairs[0]
+            k0, k1 = pairs[i], (tn + td, td, vn + vd, vd)
+        seg = self[i] = _affine(k0, k1)
+        return seg
 
 
 def _affine(k0: tuple, k1: tuple) -> tuple:
@@ -311,22 +359,30 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
     `ginv` is g's inverse when the caller has it.  Each knot costs at most one
     evaluation: at a preimage u = g^-1(s) of f's knot (s, w), reduced mod 1 to
     u - m, f(g(u - m)) = f(s - m) = w - m; at g's knot (t, v) it is f(v).  The
-    knots are reduced integer pairs, sorted on their numerators over a common
-    denominator.
+    knots are reduced integer pairs, sorted by `_sorted_knots`; the segments
+    of f o g are built as they are read.
     """
     if ginv is None:
         ginv = g.inverse()
-    knots = {}
+    keyed, ts = [], set()
+    ip, i, last = ginv._pairs, -1, len(ginv._pairs) - 1
     for sn, sd, wn, wd in f._pairs:
-        p, q = ginv._eval_pair(sn, sd)
-        m = p // q
-        knots[_reduced(p - m * q, q)] = (wn - m * wd, wd)
-    for tn, td, vn, vd in g._pairs:
-        if (tn, td) not in knots:
-            knots[tn, td] = _reduced(*f._eval_pair(vn, vd))
-    den = math.lcm(*(q for _, q in knots))
-    return PiecewiseLinearMap._from_pairs(
-        [t + v for t, v in sorted(knots.items(), key=lambda kv: kv[0][0] * (den // kv[0][1]))])
+        # f's knots s = sn/sd rise through [0, 1), so one forward walk over
+        # g^-1's knots finds the segment of each, where
+        # g^-1(s) = (A*sn + B*sd)/(C*sd)
+        while i < last and ip[i + 1][0] * sd <= sn * ip[i + 1][1]:
+            i += 1
+        a, b, c = ginv._segs[i]
+        q = c * sd
+        m, r = divmod(a * sn + b * sd, q)
+        d = math.gcd(r, q)
+        tn, td = r // d, q // d
+        ts.add((tn, td))
+        keyed.append((tn / td, (tn, td, wn - m * wd, wd)))
+    for (tn, td, vn, vd), t in zip(g._pairs, g._tf):
+        if (tn, td) not in ts:
+            keyed.append((t, (tn, td) + _reduced(*f._eval_pair(vn, vd))))
+    return PiecewiseLinearMap._from_pairs(*_sorted_knots(keyed))
 
 
 def _as_piecewise_linear(f: WordMap) -> PiecewiseLinearMap:

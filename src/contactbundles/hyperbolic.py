@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 import sys
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 class AreaOutOfRange(ValueError):
@@ -200,7 +201,8 @@ def radius_for_area(g: int, area: float) -> float:
     The domain is 1 <= g <= MAX_GENUS and 0 < area < (4g-2)*pi; outside it this
     raises ValueError (AreaOutOfRange for the area).  Areas beyond the float limits at
     both ends are refused too: below 2n times the smallest normal float, R loses its
-    digits; above tanh(R/2) = _R_MAX, the vertices reach |z| = 1.
+    digits; at or above the smallest float area with tanh(R/2) > _R_MAX, the vertices
+    reach |z| = 1 (`_top_limit`).
 
     To first order in eps, with libm within an ulp, R is the exact radius of an
     area within eps*((9 + R)*m + 2*area) of `area`, m = min(area, top - area),
@@ -221,16 +223,43 @@ def radius_for_area(g: int, area: float) -> float:
     bottom = 2 * n * sys.float_info.min  # exact; below it area/(2n) is subnormal
     if area < bottom:
         raise AreaOutOfRange(f"area {area!r} is below the float limit {bottom!r} above 0")
-    half_beta = (amax - area) / (2 * n)
+    radius = _radius(n, amax, area)
+    if radius is None:
+        raise AreaOutOfRange(f"area {area!r} is at or above the float limit "
+                             f"{_top_limit(n, amax)!r} below the top {amax}: the polygon's "
+                             "vertices would round onto the unit circle")
+    return radius
+
+
+def _radius(n: int, top: float, area: float) -> Optional[float]:
+    """The circumradius of `radius_for_area` for the n-gon, or None where
+    tanh(R/2) > _R_MAX."""
+    half_beta = (top - area) / (2 * n)
     excess = math.sin(area / (2 * n)) / (math.sin(math.pi / n) * math.sin(half_beta))
     radius = 2.0 * math.asinh(math.sqrt(excess / 2.0))
-    if math.tanh(radius / 2.0) > _R_MAX:
-        # the area at r = _R_MAX: cot(beta/2) = cosh R * tan(pi/n), cosh R = (1 + r^2)/(1 - r^2)
-        cosh_max = (1.0 + _R_MAX * _R_MAX) / ((1.0 - _R_MAX) * (1.0 + _R_MAX))
-        limit = amax - 2 * n * math.atan(1.0 / (cosh_max * math.tan(math.pi / n)))
-        raise AreaOutOfRange(f"area {area!r} is above the float limit {limit!r} below the top "
-                             f"{amax}: the polygon's vertices would round onto the unit circle")
-    return radius
+    return radius if math.tanh(radius / 2.0) <= _R_MAX else None
+
+
+def _top_limit(n: int, top: float) -> float:
+    """The smallest float area in (top/2, top) that `_radius` refuses, by
+    bisection on the bit patterns of the positive floats, which are ordered as
+    the floats are: at most 52 steps, taken only on refusal.  Near the limit
+    the refusal is monotone in the area (tests/test_hyperbolic.py), so every
+    refused area lies at or above it."""
+    def bits(x: float) -> int:
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def area(i: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+
+    lo, hi = bits(top / 2), bits(top)  # accepted, refused
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _radius(n, top, area(mid)) is None:
+            hi = mid
+        else:
+            lo = mid
+    return area(hi)
 
 
 def _from_origin(z: complex) -> Isometry2H:

@@ -2,6 +2,7 @@ import bisect
 import cmath
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -265,11 +266,21 @@ class TestRepresentationInvariants:
         (lambda: cd.PiecewiseLinearMap([]), "at least one breakpoint"),
         (lambda: cd.PiecewiseLinearMap([(1, 1)]), r"must lie in \[0, 1\)"),
         (lambda: cd.PiecewiseLinearMap([(0, 0), (0, Fraction(1, 2))]), "duplicate"),
+        (lambda: cd.PiecewiseLinearMap([(Fraction(1, 2), 0), (0, Fraction(1, 2))]),
+         "strictly increasing"),
+        (lambda: cd.PiecewiseLinearMap([(Fraction(1, 2), Fraction(3, 2)), (0, 0)]),
+         "wraparound"),
+        # each input breaks the next check too: the checks run in this order
+        (lambda: cd.PiecewiseLinearMap([(1, 0), (1, Fraction(1, 2))]), r"must lie in \[0, 1\)"),
+        (lambda: cd.PiecewiseLinearMap([(0, 1), (0, 0), (Fraction(1, 2), -1)]), "duplicate"),
+        (lambda: cd.PiecewiseLinearMap([(0, 0), (Fraction(1, 4), 2), (Fraction(1, 2), 1)]),
+         "strictly increasing"),
         (lambda: cd.WordMap([(cd.PiecewiseLinearMap.translation(0), 2)]), "exponents"),
         (lambda: cd.translation_number(cd.PiecewiseLinearMap.translation(0), 0),
          "iterations must be >= 1"),
-    ], ids=["no-breakpoint", "outside-unit-interval", "duplicate", "exponent-2",
-            "zero-iterations"])
+    ], ids=["no-breakpoint", "outside-unit-interval", "duplicate", "decreasing", "wraparound",
+            "range-before-duplicate", "duplicate-before-monotone", "monotone-before-wraparound",
+            "exponent-2", "zero-iterations"])
     def test_refuses_malformed_input(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -686,16 +697,22 @@ def ref_orbit(f, iterations):
 
 
 FRACTIONS_32 = st.fractions(min_value=0, max_value=1, max_denominator=32)
+#: Denominators up to 10^20, and fractions of denominator <= 32 moved by a few
+#: 10^-20, so that distinct parameters often round to one float.
+FRACTIONS_1E20 = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10 ** 20),
+    st.builds(lambda a, k: a + Fraction(k, 10 ** 20), FRACTIONS_32, st.integers(-2, 2)))
 
 
 @st.composite
-def pl_maps(draw):
-    """1-5 knots, every parameter and value increment of denominator <= 32;
-    a single knot is a translation (the identity at 0)."""
+def pl_maps(draw, fractions=FRACTIONS_32):
+    """1-5 knots, every parameter and value increment drawn from `fractions`
+    (denominator <= 32 by default); a single knot is a translation (the
+    identity at 0)."""
     k = draw(st.integers(1, 5))
-    ts = draw(st.lists(FRACTIONS_32.filter(lambda t: t < 1), min_size=k, max_size=k,
+    ts = draw(st.lists(fractions.filter(lambda t: 0 <= t < 1), min_size=k, max_size=k,
                        unique=True))
-    incs = draw(st.lists(FRACTIONS_32.filter(lambda t: 0 < t < 1), min_size=k - 1,
+    incs = draw(st.lists(fractions.filter(lambda t: 0 < t < 1), min_size=k - 1,
                          max_size=k - 1, unique=True))
     v0 = draw(st.fractions(min_value=-4, max_value=4, max_denominator=32))
     return cd.PiecewiseLinearMap(zip(sorted(ts), [v0] + [v0 + d for d in sorted(incs)]))
@@ -750,6 +767,9 @@ class TestEulerAgainstKnots:
             assert cd.euler_from_sections(fD, fK) == fD.eval(0) - fK.eval(0)
 
 
+THIRD = Fraction(1, 3)
+
+
 def seeded_relator(rng, g):
     return cd.evaluate_relator([random_pl(rng) for _ in range(2 * g)])
 
@@ -786,6 +806,39 @@ class TestIntegerEngine:
     @given(st.lists(pl_maps(), min_size=2, max_size=6).filter(lambda ms: len(ms) % 2 == 0))
     def test_relator_flattening_matches_reference(self, maps):
         rel = cd.evaluate_relator(maps)
+        self.assert_same_map(cd.flatten(rel), ref_flatten(rel.letters()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(pl_maps(FRACTIONS_1E20), min_size=2, max_size=4)
+           .filter(lambda ms: len(ms) % 2 == 0))
+    def test_large_denominators_match_reference(self, maps):
+        for m in maps:
+            self.assert_same_map(m, RefPL(m.knots))
+        rel = cd.evaluate_relator(maps)
+        self.assert_same_map(cd.flatten(rel), ref_flatten(rel.letters()))
+
+    def test_breakpoints_of_any_rational_type(self):
+        """ints, floats and Fractions are read as they are, anything else
+        through `Fraction`."""
+        ref = RefPL([(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 4))])
+        for knots in ([(0, 0.25), (0.5, Fraction(3, 4))], [("0", "1/4"), (Decimal("0.5"), "0.75")]):
+            self.assert_same_map(cd.PiecewiseLinearMap(knots), ref)
+
+    @pytest.mark.parametrize("near", [THIRD + Fraction(1, 10 ** 30), THIRD - Fraction(1, 10 ** 30)],
+                             ids=["tie-in-order", "tie-out-of-order"])
+    def test_parameters_rounding_to_one_float(self, near):
+        """1/3 and 1/3 +- 10^-30 round to one float; ordered as integer
+        tuples, 1/3 comes first, which is the wrong order for 1/3 - 10^-30."""
+        assert float(near) == float(THIRD)
+        lo, hi = sorted([near, THIRD])
+        knots = [(Fraction(2, 3), Fraction(3, 4)), (hi, Fraction(5, 8)), (0, 0),
+                 (lo, Fraction(1, 2))]
+        f = cd.PiecewiseLinearMap(knots)
+        self.assert_same_map(f, RefPL(knots))
+        # the preimage of f's knot `near` under the identity g ties g's knot 1/3
+        g = cd.PiecewiseLinearMap([(0, 0), (THIRD, THIRD)])
+        self.assert_same_map(cd.compose(f, g), ref_compose(RefPL(f.knots), RefPL(g.knots)))
+        rel = cd.evaluate_relator([f, g])
         self.assert_same_map(cd.flatten(rel), ref_flatten(rel.letters()))
 
     @pytest.mark.parametrize("seed", range(6))

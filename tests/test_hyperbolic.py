@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -223,6 +224,16 @@ class TestGaussBonnet:
         # tanh(R/2) rounds to 1.0 at this area, inside (0, 38pi) as a real number
         with pytest.raises(hy.AreaOutOfRange, match="float limit"):
             hy.radius_for_area(10, (1 - 2.3e-16) * 38 * math.pi)
+
+    @pytest.mark.parametrize("g", [*range(1, 21), 40, 100, 10 ** 3, 10 ** 4])
+    def test_float_limit_of_the_top_is_the_smallest_refused_area(self, g):
+        # every refusal names the same limit: the next float above the largest
+        # accepted area, itself refused
+        limit = math.nextafter(largest_accepted_area(g), math.inf)
+        message = re.escape(f"at or above the float limit {limit!r} below the top")
+        for area in (limit, math.nextafter((4 * g - 2) * math.pi, 0.0)):
+            with pytest.raises(hy.AreaOutOfRange, match=message):
+                hy.radius_for_area(g, area)
 
     def test_float_limit_of_the_bottom(self):
         # sin(area/(2n)) underflows here, and the circumradius with it
