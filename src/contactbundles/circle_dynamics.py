@@ -253,10 +253,11 @@ def _affine(k0: tuple, k1: tuple) -> tuple:
 class MoebiusBoundaryLift(LiftedCircleMap):
     """Lift of the boundary circle action of a disk isometry.
 
-    `iso` is any object exposing `disk_coefficients() -> (alpha, beta)` for
-    the disk action w -> (alpha*w + beta) / (conj(beta)*w + conj(alpha)) and
-    `inverse()` and `compose()`; see `hyperbolic.Isometry2H`.  `winding`
-    shifts the canonical lift by an integer.
+    `iso` is any object with `disk_coefficients() -> (alpha, beta)`, |alpha|^2 -
+    |beta|^2 = 1, for the disk action w -> (alpha*w + beta) / (conj(beta)*w +
+    conj(alpha)), and `inverse()`: for example the tests' reference class
+    `Isometry2H` (tests/polygon_reference.py).  `winding` shifts the canonical
+    lift by an integer.
 
     Evaluation is pointwise exact up to float roundoff: the canonical lift
     restricted to [0, 1) takes values in [c0, c0 + 1), with c0 = f(0) the

@@ -19,12 +19,12 @@ bound that covers every handle (`pairing_residual_bound`), and the relator's
 translation number and trace, read from how the two pairings turn at four
 vertices (`relator_rotation`), with their derived bounds.
 
-Isometries are stored as real SL(2) matrices (PSL(2, R), identified with
-their negation) and act on the disk through the Cayley transform; the
-boundary circle is the circle-dynamics coordinate, so no further conjugation
-is needed.  A disk point is a `complex` z with |z| < 1, moved by
-`Isometry2H.apply_complex`; `image_distance` measures an image from its
-source point, never from the rounded image.  The area is read off the
+An isometry is its pair of disk coefficients (alpha, beta), |alpha|^2 -
+|beta|^2 = 1, acting as w -> (alpha*w + beta)/(conj(beta)*w + conj(alpha)),
+and identified with (-alpha, -beta); the boundary circle is the
+circle-dynamics coordinate, so no further conjugation is needed.  A disk
+point is a `complex` z with |z| < 1; `image_distance` measures an image from
+its source point, never from the rounded image.  The area is read off the
 circumradius in closed form (`polygon_area`) and tested on the built vertices.
 
 The right triangle (centre, edge midpoint, vertex) has angles pi/n and
@@ -35,8 +35,9 @@ Groups, 7.11 and 7.17)
     cosh R = cot(pi/n) * cot(beta/2),    tanh rho = tanh R * cos(pi/n).
 
 The pairings are half-turns about edge midpoints followed by rotations about
-the origin (`side_pairings`); since rho < atanh(cos(pi/n)), their entries
-stay bounded as the area approaches (4g-2)*pi and the vertices the boundary.
+the origin, with coefficients in closed form in rho (`side_pairings`); since
+rho < atanh(cos(pi/n)), they stay bounded as the area approaches (4g-2)*pi
+and the vertices the boundary.
 """
 
 from __future__ import annotations
@@ -56,66 +57,6 @@ class AreaOutOfRange(ValueError):
 _R_MAX = 1.0 - 4 * sys.float_info.epsilon
 
 
-class Isometry2H:
-    """An element of PSL(2, R): real matrix with det 1, up to global sign."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: float, b: float, c: float, d: float):
-        det = a * d - b * c
-        if det <= 0:
-            raise ValueError("matrix must have positive determinant")
-        s = math.sqrt(det)
-        self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
-
-    def __repr__(self):
-        return f"Isometry2H({self.a:.12g}, {self.b:.12g}, {self.c:.12g}, {self.d:.12g})"
-
-    @classmethod
-    def identity(cls) -> "Isometry2H":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def rotation(cls, angle: float) -> "Isometry2H":
-        """Rotation of the disk about its center by `angle`."""
-        h = angle / 2.0
-        return cls(math.cos(h), math.sin(h), -math.sin(h), math.cos(h))
-
-    @classmethod
-    def from_disk_coefficients(cls, alpha: complex, beta: complex) -> "Isometry2H":
-        a = alpha.real + beta.real
-        d = alpha.real - beta.real
-        b = alpha.imag - beta.imag
-        c = -alpha.imag - beta.imag
-        return cls(a, b, c, d)
-
-    def disk_coefficients(self) -> Tuple[complex, complex]:
-        """(alpha, beta) of the disk action w -> (alpha*w + beta)/(conj(beta)*w + conj(alpha))."""
-        alpha = complex((self.a + self.d) / 2.0, (self.b - self.c) / 2.0)
-        beta = complex((self.a - self.d) / 2.0, -(self.b + self.c) / 2.0)
-        return alpha, beta
-
-    def compose(self, other: "Isometry2H") -> "Isometry2H":
-        return Isometry2H(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    __matmul__ = compose
-
-    def inverse(self) -> "Isometry2H":
-        return Isometry2H(self.d, -self.b, -self.c, self.a)
-
-    def trace(self) -> float:
-        return self.a + self.d
-
-    def apply_complex(self, w: complex) -> complex:
-        alpha, beta = self.disk_coefficients()
-        return (alpha * w + beta) / (beta.conjugate() * w + alpha.conjugate())
-
-
 def _distance(chord: float, rp: float, rq: float) -> float:
     """2*asinh(chord / sqrt((1 - rp^2)(1 - rq^2))); 1 - r^2 as (1 - r)(1 + r) keeps its digits."""
     return 2.0 * math.asinh(chord / math.sqrt((1.0 - rp) * (1.0 + rp) * (1.0 - rq) * (1.0 + rq)))
@@ -129,11 +70,12 @@ def hdistance(p: complex, q: complex) -> float:
     return _distance(abs(p - q), rp, rq)
 
 
-def image_distance(iso: Isometry2H, p: complex, q: complex) -> float:
-    """hdistance(iso(p), q) with the image's conformal factor read off p: iso(p) =
-    (alpha*p + beta)/m and det 1 give 1 - |iso(p)|^2 = (1 - |p|^2)/|m|^2 (Beardon, The
-    Geometry of Discrete Groups), so it stays finite where iso(p) rounds onto |z| = 1."""
-    alpha, beta = iso.disk_coefficients()
+def image_distance(pairing: Tuple[complex, complex], p: complex, q: complex) -> float:
+    """hdistance(phi(p), q) for the isometry phi with disk coefficients `pairing` =
+    (alpha, beta), |alpha|^2 - |beta|^2 = 1, with the image's conformal factor read off p:
+    phi(p) = (alpha*p + beta)/m and det 1 give 1 - |phi(p)|^2 = (1 - |p|^2)/|m|^2 (Beardon,
+    The Geometry of Discrete Groups), so it stays finite where phi(p) rounds onto |z| = 1."""
+    alpha, beta = pairing
     m = beta.conjugate() * p + alpha.conjugate()
     return _distance(abs((alpha * p + beta) / m - q) * abs(m), abs(p), abs(q))
 
@@ -262,14 +204,19 @@ def _top_limit(n: int, top: float) -> float:
     return area(hi)
 
 
-def _from_origin(z: complex) -> Isometry2H:
-    """The translation along the diameter through z that sends 0 to z."""
-    return Isometry2H.from_disk_coefficients(1.0 + 0.0j, z)
+def _inradius(g: int, radius: float) -> Tuple[float, float]:
+    """(x, cosh(rho)) of the 4g-gon of circumradius `radius`, rho its inradius:
+    x = tanh(R)*cos(pi/n) = tanh(rho) (module docstring), and cosh(rho) =
+    1/sqrt((1 - x)(1 + x)), where 1 - x^2 keeps its digits."""
+    x = math.tanh(radius) * math.cos(math.pi / (4 * g))
+    return x, 1.0 / math.sqrt((1.0 - x) * (1.0 + x))
 
 
-def side_pairings(g: int, radius: float, handles: int) -> List[Isometry2H]:
+def side_pairings(g: int, radius: float, handles: int) -> List[Tuple[complex, complex]]:
     """phi_1, ..., phi_{2*handles} of the symmetric 4g-gon of circumradius
-    `radius`; all 2g of them at handles = g.
+    `radius`, each as its disk coefficients (alpha, beta), |alpha|^2 -
+    |beta|^2 = 1, of w -> (alpha*w + beta)/(conj(beta)*w + conj(alpha)); all
+    2g of them at handles = g.
 
     phi_{2i-1} carries the oriented edge (s_{4i-1}, s_{4i}) to
     (s_{4i-2}, s_{4i-3}); phi_{2i} carries (s_{4i-2}, s_{4i-1}) to
@@ -277,22 +224,33 @@ def side_pairings(g: int, radius: float, handles: int) -> List[Isometry2H]:
     pairing, and the commutator product fixes s_1.
 
     With H(m_k) the half-turn about the midpoint of E_k = (s_k, s_{k+1}),
-    at angle -(2k-1)*pi/n and inradius rho, which reverses that edge:
+    at angle psi = -(2k-1)*pi/n and inradius rho, which reverses that edge:
     phi_{2i-1} = Rot(+4*pi/n) o H(m_{4i-1}), phi_{2i} = Rot(-4*pi/n) o
-    H(m_{4i-2}); tests/test_hyperbolic.py checks them against their vertices.
+    H(m_{4i-2}) (Beardon, The Geometry of Discrete Groups, 7.11 and 7.17).
+    Rot(theta) has (e^(i*theta/2), 0), the half-turn about tanh(rho/2) on
+    the positive real axis has (i*cosh(rho), -i*sinh(rho)), and a composite
+    has (a1*a2 + b1*conj(b2), a1*b2 + b1*conj(a2)), so H(m_k) =
+    Rot(psi) o H o Rot(-psi) and Rot(turn) o H(m_k) has
+
+        alpha = i*e^(i*turn/2)*cosh(rho),  beta = -i*sinh(rho)*e^(i*(turn/2 + psi)),
+
+    b = conj(beta)/conj(alpha) = -tanh(rho)*e^(-i*psi).  The half angles turn/2
+    and turn/2 + psi are whole multiples of pi/n, and sinh(rho) = x*cosh(rho)
+    with x = tanh(rho) (`_inradius`); tests/test_hyperbolic.py checks the
+    pairings against their vertices and against these formulas at 40 digits.
     """
     n = 4 * g
-    rho = math.atanh(math.tanh(radius) * math.cos(math.pi / n))
-    # half-turn about the point at distance rho on the positive real axis
-    to_midpoint = _from_origin(complex(math.tanh(rho / 2.0)))
-    half_turn = to_midpoint @ Isometry2H.rotation(math.pi) @ to_midpoint.inverse()
+    x, cosh_rho = _inradius(g, radius)
+    sinh_rho = x * cosh_rho
 
-    def pairing(k: int, turn: float) -> Isometry2H:
-        psi = -(2 * k - 1) * math.pi / n
-        return Isometry2H.rotation(turn + psi) @ half_turn @ Isometry2H.rotation(-psi)
+    def pairing(k: int, j: int) -> Tuple[complex, complex]:
+        # Rot(turn) o H(m_k) with turn/2 = j*pi/n, so turn/2 + psi = (j - 2k + 1)*pi/n
+        t, u = j * math.pi / n, (j - 2 * k + 1) * math.pi / n
+        return (complex(-cosh_rho * math.sin(t), cosh_rho * math.cos(t)),
+                complex(sinh_rho * math.sin(u), -sinh_rho * math.cos(u)))
 
     return [phi for i in range(1, handles + 1)
-            for phi in (pairing(4 * i - 1, 4 * math.pi / n), pairing(4 * i - 2, -4 * math.pi / n))]
+            for phi in (pairing(4 * i - 1, 2), pairing(4 * i - 2, -2))]
 
 
 def pairing_residual_bound(g: int, radius: float) -> float:
@@ -307,29 +265,36 @@ def pairing_residual_bound(g: int, radius: float) -> float:
     both of modulus 1 there (phi keeps the circle |z| = r), and an error in
     (alpha, beta) times at most |p| + |q| <= 2; a common scale of (alpha,
     beta), such as a rescaling to det 1, scales N and so is second order.
-    To first order in the unit roundoff eps, rounding adds to N:
+    To first order in the unit roundoff eps, with libm within an ulp and
+    C = cosh(rho) >= S = sinh(rho), rounding adds to N:
       - 20*eps from the two vertices, each within 10*eps of its place
         (tanh to eps; the angle, below 2*pi, to 1.2*eps of itself; cos, sin
         and the product to 1.2*eps);
-      - 25*eps from the two rotations: their angles, below 2*pi and 3*pi, are
-        within 7.6*eps and 14.6*eps, their entries add eps each, and an angle
-        error delta moves a point of the circle by r*delta, which H keeps;
-      - eps*(6*cosh(rho) + 4.4) from the inradius: x = tanh(R)*cos(pi/n) is
-        within 3*eps*x, so rho = atanh(x) is within 3*eps*x*cosh(rho)^2 +
-        eps*rho, and the centre tanh(rho/2) adds eps*(sinh(rho) + 2)/2.
-        Moving the centre of H by delta moves the image of a vertex, which
-        lies s/2 from the centre along the edge, by 2*asinh(sinh(delta)*
-        cosh(s/2)) in distance, and so by (1 - r^2)*delta*cosh(s/2) <
-        2*delta/cosh(rho) in N, as cosh R = cosh(rho)*cosh(s/2) (Beardon,
-        7.11);
-      - 2*eps from the half-turn's angle pi;
-      - eps*(21*e^rho + 2) <= eps*(42*cosh(rho) + 2) from the four 2x2
-        products, each within 4*(eps/2)*||A||*||B|| in the spectral norm
-        |alpha| + |beta| (e^rho for H), and from image_distance's own
-        arithmetic.
-    So N <= eps*(48*cosh(rho) + 54).  The second-order terms are below a
-    relative 3*eps*cosh(rho)^2 < 3*eps/sin(pi/n)^2 < 2e-7 up to MAX_GENUS,
-    and 64*eps*(1 + cosh(rho)) covers them and the bound's own rounding.
+      - 14.8*eps from the angles.  The half angles turn/2 and turn/2 + psi
+        of `side_pairings`, below pi/2 and 2*pi, are within d_1 = 1.1*eps and
+        d_2 = 7.4*eps, and the computed pair is exactly that of a half-turn
+        between two rotations off by d_1 + d_2 (after) and d_1 - d_2
+        (before): an angle error delta in either moves a point of the circle
+        |z| = r by r*delta, so these add |d_1 + d_2| + |d_1 - d_2|;
+      - 3*eps*(C + S) from sin, cos and their products with C and S, which
+        leave each coordinate of alpha and beta within 1.5*eps of itself;
+      - eps*S from S = x*C: the rounding of C itself is a common scale;
+      - 6*eps*S from the inradius: x = tanh(R)*cos(pi/n) is within 3*eps*x,
+        and exact C and S of that x are the pairing of inradius atanh(x),
+        within 3*eps*x*C^2 of rho.  Moving the centre of H by delta moves
+        the image of a vertex, which lies s/2 from the centre along the
+        edge, by 2*asinh(sinh(delta)*cosh(s/2)) in distance, and so by
+        (1 - r^2)*delta*cosh(s/2) < 2*delta/C in N, as cosh R = C*cosh(s/2)
+        (Beardon, 7.11);
+      - eps*(1.12*(C + S) + 5) from image_distance's own arithmetic: the
+        products conj(beta)*p and alpha*p within sqrt(5)*eps/2 of S*r and
+        C*r (Brent, Percival and Zimmermann, Math. Comp. 76, 2007), the
+        sums m and alpha*p + beta, of moduli 1 and r, within eps/2 of them,
+        and the division within 4*eps of phi(p), |phi(p)| = r < 1.
+    No 2x2 product, square-root rescaling or translation enters.
+    So N <= eps*(15.3*C + 39.8) <= eps*(16*C + 40).  The second-order terms
+    are below a relative 3*eps*C^2 < 3*eps/sin(pi/n)^2 < 2e-7 up to
+    MAX_GENUS, and 64*eps*(1 + C) covers them and the bound's own rounding.
     Every computed |z| is at most (1 + 3*eps)*r (the argument of _R_MAX),
     so D >= (1 - r - 3*eps)*(1 + r) > 0 with r the rounded tanh(R/2).  Near
     the top D is not close to 1 - r^2 and N/D is not small, so the bound
@@ -338,14 +303,13 @@ def pairing_residual_bound(g: int, radius: float) -> float:
     handle of the full build over the domain of `radius_for_area`.
     """
     eps = sys.float_info.epsilon
-    x = math.tanh(radius) * math.cos(math.pi / (4 * g))
-    cosh_rho = 1.0 / math.sqrt((1.0 - x) * (1.0 + x))
+    _, cosh_rho = _inradius(g, radius)
     r = math.tanh(radius / 2.0)
     return 2.0 * math.asinh(64 * eps * (1.0 + cosh_rho) / ((1.0 - r - 3 * eps) * (1.0 + r)))
 
 
-def relator_rotation(g: int, vertices: Sequence[complex], phi_1: Isometry2H,
-                     phi_2: Isometry2H) -> Tuple[float, float, float, float]:
+def relator_rotation(g: int, vertices: Sequence[complex], phi_1: Tuple[complex, complex],
+                     phi_2: Tuple[complex, complex]) -> Tuple[float, float, float, float]:
     """(rho, rho_bound, trace, trace_bound) of the lifted relator
     prod_{i=1..g} [phi_{2i-1}, phi_{2i}] of the symmetric 4g-gon, read from
     the vertices s_1..s_5 (`polygon_vertices`) and the first handle's
@@ -380,30 +344,29 @@ def relator_rotation(g: int, vertices: Sequence[complex], phi_1: Isometry2H,
     arg term:
       - 10*eps from the vertex (`pairing_residual_bound`), and 6*eps from
         dividing for b and multiplying by z;
-      - the pairing's rounding.  b = -conj(phi^-1(0)) does not change under
-        a rotation after phi or a real scale, and any other error E in
-        (alpha, beta) moves b*z by at most ||E||/|alpha|.  In the norm
-        |.| + |.|, with e^rho_in = ||phi|| <= 2*|alpha|, the four products
-        add 8*eps*e^rho_in (as in `pairing_residual_bound`), the rounding of
-        1 +- c in the translations and of their normalisation 3*eps*e^rho_in,
-        and `disk_coefficients` 2*eps*e^rho_in: 26*eps*|alpha| in all.
-        Directly in b: the first rotation's angle and entries (8.6*eps) turn
-        it by as much, the half-turn's angle (2*eps) moves it by at most half
-        of that, and the inradius moves |b| = tanh(rho_in) by at most 4.5*eps
-        (x within 3*eps*x, `pairing_residual_bound`): 14.1*eps*|alpha|.
-    That is 56.1*eps*|alpha| per term and 224.4*eps*|alpha| for the four.
+      - the pairing's rounding, 15*eps*|alpha|.  b = -conj(phi^-1(0)) does
+        not change under a rotation after phi or a real scale, such as the
+        rounding of cosh(rho_in), and b = -tanh(rho_in)*e^(-i*psi)
+        (`side_pairings`).  The rotation before the half-turn, whose angle
+        is within 1.1*eps + 7.4*eps (`pairing_residual_bound`), turns b by
+        8.5*eps; sin, cos and their products, each coordinate within 1.5*eps,
+        move b by a relative 3*eps; sinh(rho_in) = x*cosh(rho_in) by 0.5*eps;
+        and x = |b|, within 3*eps*x, by 3*eps.
+    That is 31*eps*|alpha| per term and 124*eps*|alpha| for the four, with
+    no 2x2 product, square-root rescaling or translation to count.
     Not amplified by |alpha|: the two quotients and their args, 2*(4 + pi)*eps;
     their sum, pi*eps; g*D and /pi, 1.5*eps*|D| <= 3*pi*eps; and the area:
     R is the exact radius of an area within 26*eps*(4g - 2)*pi of A
     (`radius_for_area`), which moves D by at most 52*pi*eps.  These come to
-    190*eps.  Rounding up covers the second-order terms (a relative
-    224.4*eps*|alpha| < 1e-9 up to MAX_GENUS) and the bound's own rounding.
+    190*eps.  The count eps*(124*|alpha| + 190) lies below dD, whose rest
+    covers the second-order terms (a relative 124*eps*|alpha| < 1e-9 up to
+    MAX_GENUS) and the bound's own rounding.
     So rho_bound = g*dD/pi bounds |rho + A/(2*pi)|, and trace_bound = 2*g*dD
     bounds |trace - 2*cos(A/2)|, the 66*eps left over covering the cosine.
     No power of X is formed, and no lift.
     """
     _, s2, s3, s4, _ = vertices
-    (alpha_1, beta_1), (alpha_2, beta_2) = phi_1.disk_coefficients(), phi_2.disk_coefficients()
+    (alpha_1, beta_1), (alpha_2, beta_2) = phi_1, phi_2
     b_1, b_2 = beta_1.conjugate() / alpha_1.conjugate(), beta_2.conjugate() / alpha_2.conjugate()
     d = (cmath.phase((1.0 + b_1 * s4) / (1.0 + b_1 * s3))
          + cmath.phase((1.0 + b_2 * s3) / (1.0 + b_2 * s2)))

@@ -1,5 +1,6 @@
 """Reference geometry for the tests: the lifted holonomy relator folded
-letter by letter over all 2g side pairings, the O(g) oracle for
+letter by letter over all 2g side pairings of
+`polygon_reference.reference_pairings`, the O(g) oracle for
 `hyperbolic.relator_rotation`.  The fold is read in closed form: its
 translation number (`moebius_rho`), the two extremes of its displacement
 (`moebius_extremes`), and the rounding bound of its trace (`trace_slack`,
@@ -14,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
-from polygon_reference import symmetric_pairings
+from polygon_reference import Isometry2H, build_symmetric_polygon, reference_pairings
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -25,14 +26,14 @@ EPS = sys.float_info.epsilon
 LETTER_ERROR_ULPS = 16
 
 
-def proj_distance(x: hy.Isometry2H, y: hy.Isometry2H) -> float:
+def proj_distance(x: Isometry2H, y: Isometry2H) -> float:
     """max-norm distance in PSL(2, R): min over the sign ambiguity."""
     dplus = max(abs(x.a - y.a), abs(x.b - y.b), abs(x.c - y.c), abs(x.d - y.d))
     dminus = max(abs(x.a + y.a), abs(x.b + y.b), abs(x.c + y.c), abs(x.d + y.d))
     return min(dplus, dminus)
 
 
-def holonomy_relator(pairings: Sequence[hy.Isometry2H]) -> cd.WordMap:
+def holonomy_relator(pairings: Sequence[Isometry2H]) -> cd.WordMap:
     """The relator prod_i [phi_{2i-1}, phi_{2i}] of the pairings' canonical boundary lifts."""
     return cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in pairings])
 
@@ -212,5 +213,5 @@ def holonomy_translation_number(g: int, area: float, iterations: int) -> FoldEst
     exponents and integer translations are central.  |value| approximates
     area/(2*pi) within the estimate's error bound.
     """
-    _, pairings = symmetric_pairings(g, area)
-    return fold_estimate(holonomy_relator(pairings), iterations)
+    poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
+    return fold_estimate(holonomy_relator(reference_pairings(poly)), iterations)

@@ -15,7 +15,7 @@ from fold_reference import (disk_product, fold, fold_error_scale, fold_estimate,
                             holonomy_translation_number, moebius_extremes, moebius_rho,
                             trace_slack)
 from pl_reference import KNOT_CYCLE_RELATOR, knot_cycle_average, random_pl
-from polygon_reference import all_pairings, build_symmetric_polygon, symmetric_pairings
+from polygon_reference import Isometry2H, build_symmetric_polygon, reference_pairings
 
 
 def pl_equal(f, g, samples):
@@ -63,7 +63,7 @@ class TestInvert:
             assert f.eval(inv.eval(t)) == t
 
     def test_moebius_round_trip(self):
-        iso = hy.Isometry2H(2.0, 0.3, 0.1, 0.515)
+        iso = Isometry2H(2.0, 0.3, 0.1, 0.515)
         f = cd.MoebiusBoundaryLift(iso, 3)
         inv = f.inverse()
         rng = random.Random(2)
@@ -73,7 +73,7 @@ class TestInvert:
 
     def test_moebius_inverse_negates_winding(self):
         # canonical part fixes 0, so the inverse winding is exactly negated
-        f = cd.MoebiusBoundaryLift(hy.Isometry2H.identity(), 4)
+        f = cd.MoebiusBoundaryLift(Isometry2H.identity(), 4)
         assert f.inverse().winding == -4
 
 
@@ -219,10 +219,10 @@ class TestPiecewiseLinearOnly:
     has no exact orbit or breakpoints: every PL decision refuses it."""
 
     @pytest.mark.parametrize("make", [
-        lambda: cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9)),
+        lambda: cd.MoebiusBoundaryLift(Isometry2H.rotation(0.9)),
         lambda: polygon_relator(2, 0.5)[0],
         lambda: cd.compose(random_pl(random.Random(41)),
-                           cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.9))),
+                           cd.MoebiusBoundaryLift(Isometry2H.rotation(0.9))),
     ], ids=["lift", "relator", "mixed"])
     @pytest.mark.parametrize("call", PL_ONLY.values(), ids=PL_ONLY.keys())
     def test_moebius_data_is_refused(self, call, make):
@@ -237,7 +237,7 @@ class TestRepresentationInvariants:
         for _ in range(100):
             t = Fraction(rng.randrange(-500, 500), 167)
             assert f.eval(t + 1) == f.eval(t) + 1
-        iso = hy.Isometry2H(1.5, 0.2, 0.3, 0.7066666666666667)
+        iso = Isometry2H(1.5, 0.2, 0.3, 0.7066666666666667)
         m = cd.MoebiusBoundaryLift(iso)
         for _ in range(100):
             t = rng.uniform(-3, 3)
@@ -246,7 +246,7 @@ class TestRepresentationInvariants:
     def test_monotonicity(self):
         rng = random.Random(8)
         f = random_pl(rng)
-        iso = hy.Isometry2H(2.0, 0.3, 0.1, 0.515)
+        iso = Isometry2H(2.0, 0.3, 0.1, 0.515)
         m = cd.MoebiusBoundaryLift(iso)
         for _ in range(200):
             t = rng.uniform(0, 1)
@@ -318,7 +318,7 @@ def track_lift(circle_map, lift_at_0):
 class TestTrackLift:
     def test_tracking_matches_pointwise_eval(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
+        lifts = [cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)]
         rel = cd.evaluate_relator(lifts)
 
         def circle_map(z):
@@ -336,7 +336,7 @@ class TestTrackLift:
 
     def test_flatten_agrees_with_tracking_winding(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
+        lifts = [cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)]
         rel = cd.evaluate_relator(lifts)
         flat = fold(rel)
         assert isinstance(flat, cd.MoebiusBoundaryLift)
@@ -357,7 +357,7 @@ def polygon_relator(g, share):
     """The lifted holonomy relator of the symmetric 4g-gon and its area."""
     area = share * (4 * g - 2) * math.pi
     poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
-    return cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]), area
+    return cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)]), area
 
 
 SHARES_LOW = (0.001, 0.01, 0.1, 0.5, 0.9)
@@ -372,7 +372,7 @@ def rotation_about(v, angle, winding):
     h, h_inv = (1 / s, -v / s), (1 / s, v / s)
     spin = (complex(math.cos(angle / 2), math.sin(angle / 2)), 0j)
     alpha, beta = disk_product(h_inv, disk_product(spin, h))
-    return cd.MoebiusBoundaryLift(hy.Isometry2H.from_disk_coefficients(alpha, beta), winding)
+    return cd.MoebiusBoundaryLift(Isometry2H.from_disk_coefficients(alpha, beta), winding)
 
 
 class TestMoebiusSeam:
@@ -407,7 +407,7 @@ class TestMoebiusSeam:
         lifts = list(self.half_turns(100))
         for g, share in ((2, 0.5), (2, 1 - 1e-6), (3, 0.99)):
             poly = build_symmetric_polygon(g, hy.radius_for_area(g, share * (4 * g - 2) * math.pi))
-            lifts += [cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)]
+            lifts += [cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)]
         for f in lifts:
             values = [f.eval(t) for t in grid]
             assert all(a <= b for a, b in zip(values, values[1:]))
@@ -493,15 +493,15 @@ class TestMoebiusRho:
         assert abs(est.value * n - float(x)) < 1 + n * (est.error_bound - 1 / n)
 
     def test_commuting_rotations_relator_is_zero(self):
-        a = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(1.1))
-        b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(-0.4))
+        a = cd.MoebiusBoundaryLift(Isometry2H.rotation(1.1))
+        b = cd.MoebiusBoundaryLift(Isometry2H.rotation(-0.4))
         rel = cd.evaluate_relator([a, b])
         est = fold_estimate(rel, 500)
         assert abs(est.value) <= est.error_bound
 
     def test_center_rotation_rho(self):
         theta = 0.2137
-        f = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(2 * math.pi * theta))
+        f = cd.MoebiusBoundaryLift(Isometry2H.rotation(2 * math.pi * theta))
         est = fold_estimate(cd.WordMap([(f, 1)]), 4000)
         assert abs(est.value - theta) <= est.error_bound
 
@@ -541,7 +541,7 @@ class TestMoebiusRho:
         for share in SHARES_LOW + SHARES_TOP:
             radius = hy.radius_for_area(g, share * (4 * g - 2) * math.pi)
             rel = cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in
-                                       all_pairings(build_symmetric_polygon(g, radius))])
+                                       reference_pairings(build_symmetric_polygon(g, radius))])
             folded = fold(rel)
             with mp.workdps(60):
                 exact_area = (n - 2) * mp.pi - 2 * n * mp.acot(
@@ -551,8 +551,8 @@ class TestMoebiusRho:
 
     @pytest.mark.parametrize("winding", [0, 3, -2])
     def test_hyperbolic_parabolic_and_identity_lifts_have_integer_rho(self, winding):
-        for iso in (hy.Isometry2H(2.0, 0.0, 0.0, 0.5), hy.Isometry2H(1.0, 1.0, 0.0, 1.0),
-                    hy.Isometry2H(-1.0, 1.0, 0.0, -1.0), hy.Isometry2H.identity()):
+        for iso in (Isometry2H(2.0, 0.0, 0.0, 0.5), Isometry2H(1.0, 1.0, 0.0, 1.0),
+                    Isometry2H(-1.0, 1.0, 0.0, -1.0), Isometry2H.identity()):
             f = cd.MoebiusBoundaryLift(iso, winding)
             rho = moebius_rho(f)
             assert rho == winding
@@ -572,12 +572,12 @@ def seeded_moebius_lifts(family, seed=31):
                 yield rotation_about(v, rng.uniform(0, 2 * math.pi), winding)
             elif family == "hyperbolic":
                 s = 1e4 if k == 0 else 10 ** rng.uniform(0, 4)
-                iso = (hy.Isometry2H.rotation(rng.uniform(0, 2 * math.pi))
-                       @ hy.Isometry2H(s, 0.0, 0.0, 1 / s)
-                       @ hy.Isometry2H.rotation(rng.uniform(0, 2 * math.pi)))
+                iso = (Isometry2H.rotation(rng.uniform(0, 2 * math.pi))
+                       @ Isometry2H(s, 0.0, 0.0, 1 / s)
+                       @ Isometry2H.rotation(rng.uniform(0, 2 * math.pi)))
                 yield cd.MoebiusBoundaryLift(iso, winding)
             else:  # beta = 0
-                yield cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(rng.uniform(0, 2 * math.pi)),
+                yield cd.MoebiusBoundaryLift(Isometry2H.rotation(rng.uniform(0, 2 * math.pi)),
                                              winding)
 
 
@@ -615,8 +615,8 @@ class TestMoebiusDisplacement:
         assert len(calls) == len(rel.letters()) - 1 + 2
 
     def test_rotations_within_bound(self):
-        a = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(0.7))
-        b = cd.MoebiusBoundaryLift(hy.Isometry2H.rotation(1.3))
+        a = cd.MoebiusBoundaryLift(Isometry2H.rotation(0.7))
+        b = cd.MoebiusBoundaryLift(Isometry2H.rotation(1.3))
         (_, lo), (_, hi) = moebius_extremes(fold(cd.evaluate_relator([a, b])))
         assert max(abs(lo), abs(hi)) < 2
 
@@ -624,7 +624,7 @@ class TestMoebiusDisplacement:
         """The relator evaluated letter by letter on a dense grid stays within
         the Milnor-Wood bound 2g and within the fold's two extremes."""
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
-        rel = cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in all_pairings(poly)])
+        rel = cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)])
         n = 2000
         scan = [rel.eval(k / n) - k / n for k in range(n + 1)]
         (_, lo), (_, hi) = moebius_extremes(fold(rel))
@@ -634,8 +634,8 @@ class TestMoebiusDisplacement:
     @pytest.mark.parametrize("g", range(1, 9))
     def test_polygon_relators_obey_milnor_wood(self, g):
         for share in SHARES_LOW + SHARES_TOP:
-            _, pairings = symmetric_pairings(g, share * (4 * g - 2) * math.pi)
-            (_, lo), (_, hi) = moebius_extremes(fold(holonomy_relator(pairings)))
+            poly = build_symmetric_polygon(g, hy.radius_for_area(g, share * (4 * g - 2) * math.pi))
+            (_, lo), (_, hi) = moebius_extremes(fold(holonomy_relator(reference_pairings(poly))))
             assert max(abs(lo), abs(hi)) < 2 * g
 
 
@@ -888,17 +888,28 @@ class TestIntegerEngine:
     @settings(max_examples=60, deadline=None)
     @given(pl_maps(), pl_maps())
     def test_composition_evaluates_once_per_knot(self, f, g):
-        """g's knots read f at g's knot values; preimages of f's knots read
-        f's knot values: K + k evaluations in all, the inverse's included."""
+        """g's knots read f at g's knot values, one `_eval_pair` each; the
+        preimages of f's knots are read off one forward walk over g^-1's
+        knots, which builds each segment of g^-1 at most once: at most k + 1
+        of them, the wrapped one included."""
         ginv = g.inverse()
-        calls = []
-        evaluate = cd.PiecewiseLinearMap._eval_pair
+        calls, built = [], []
+        evaluate, build = cd.PiecewiseLinearMap._eval_pair, cd._Segments.__missing__
+
+        def counted_build(segs, i):
+            if segs is ginv._segs:
+                built.append(i)
+            return build(segs, i)
+
         cd.PiecewiseLinearMap._eval_pair = lambda m, p, q: calls.append(1) or evaluate(m, p, q)
+        cd._Segments.__missing__ = counted_build
         try:
             fg = cd._compose_pl(f, g, ginv)
         finally:
             cd.PiecewiseLinearMap._eval_pair = evaluate
-        assert len(calls) <= len(f.knots) + len(g.knots)
+            cd._Segments.__missing__ = build
+        assert len(calls) <= len(g.knots)
+        assert len(built) <= len(ginv.knots) + 1
         assert fg.knots == ref_compose(RefPL(f.knots), RefPL(g.knots)).knots
 
 

@@ -38,17 +38,23 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
-def refuse_full_build(monkeypatch, vertices: int):
+def refuse_full_build(monkeypatch, vertices: int) -> list:
     """Let a command read at most `vertices` vertices and one handle's
-    pairings; reading more, as the full build does, raises."""
-    def refuse():
-        raise AssertionError("the command built the whole polygon")
+    pairings; reading more, as the full build does, raises.  Returns the
+    list that each call appends its (name, count) to."""
+    calls = []
 
-    polygon_vertices, pairings = hyperbolic.polygon_vertices, hyperbolic.side_pairings
-    monkeypatch.setattr(hyperbolic, "polygon_vertices", lambda g, radius, count: (
-        polygon_vertices(g, radius, count) if count <= vertices else refuse()))
-    monkeypatch.setattr(hyperbolic, "side_pairings", lambda g, radius, handles: (
-        pairings(g, radius, handles) if handles == 1 else refuse()))
+    def limited(build, limit):
+        def read(g, radius, count):
+            calls.append((build.__name__, count))
+            if count > limit:
+                raise AssertionError("the command built the whole polygon")
+            return build(g, radius, count)
+        return read
+
+    for build, limit in ((hyperbolic.polygon_vertices, vertices), (hyperbolic.side_pairings, 1)):
+        monkeypatch.setattr(hyperbolic, build.__name__, limited(build, limit))
+    return calls
 
 
 class TestClassifyCommand:
@@ -184,14 +190,12 @@ class TestHolonomyCommand:
         assert code == 0 and abs(out["abs_rho"] - out["target_abs_rho"]) <= out["error_bound"]
 
     def test_top_genus_builds_a_few_isometries(self, capsys, monkeypatch):
-        """O(1) in g: tens of isometries at g = 10^4, where the 4g-letter fold made 180,002."""
-        made = []
-        init = hyperbolic.Isometry2H.__init__
-        monkeypatch.setattr(hyperbolic.Isometry2H, "__init__",
-                            lambda iso, *abcd: made.append(1) or init(iso, *abcd))
+        """O(1) in g: one handle's two pairings and five vertices at g = 10^4,
+        where the 4g-letter fold made 180,002 matrices."""
+        calls = refuse_full_build(monkeypatch, vertices=5)
         code, rep, _ = run_json(capsys, "holonomy", "--genus", "10000", "--area", "19999pi",
                                 "--iters", "100000")
-        assert code == 0 and len(made) <= 100
+        assert code == 0 and sorted(calls) == [("polygon_vertices", 5), ("side_pairings", 1)]
         out = rep["outputs"]
         assert abs(out["abs_rho"] - out["target_abs_rho"]) <= out["error_bound"]
 
@@ -211,12 +215,14 @@ class TestHolonomyCommand:
         assert code == 0 and rep["outputs"]["commutator_class"] == cls
 
     @pytest.mark.parametrize("g", [1, 2, 10000])
-    def test_rho_of_a_zero_turn_is_positive_zero(self, capsys, g):
-        """D rounds to 0 at tiny areas; rho is then 0.0, never -0.0."""
+    def test_rho_of_a_tiny_area_keeps_its_digits(self, capsys, g):
+        """At area 1e-300, b = -tanh(rho)*e^(-i*psi) of the closed-form pairings
+        keeps its digits, and so does D = A/(2g): rho prints -A/(2*pi) with
+        its sign, never 0.0 or -0.0."""
         code, out, _ = run(capsys, "holonomy", "--genus", str(g), "--area", "1e-300")
         rep = json.loads(out)["outputs"]
-        assert code == 0 and '"rho": 0.0,' in out and "-0.0" not in out
-        assert rep["residual"] <= rep["error_bound"]
+        assert code == 0 and rep["rho"] == float(f"{-1e-300 / (2 * math.pi):.12g}")
+        assert "-0.0" not in out and rep["residual"] <= rep["error_bound"]
 
 
 class TestPolygonCommand:
@@ -333,8 +339,8 @@ class TestPolygonCommand:
             assert residual <= full_residual <= bound
             if g == 1:
                 assert residual == full_residual
-            _, pairings = polygon_reference.symmetric_pairings(g, area)
-            rel = holonomy_relator(pairings)
+            poly = polygon_reference.build_symmetric_polygon(g, out["circumradius"])
+            rel = holonomy_relator(polygon_reference.reference_pairings(poly))
             assert abs(trace - full_trace) <= trace_bound + trace_slack(fold(rel), rel)
 
     @pytest.mark.parametrize("g", [2, 10 ** 4])
