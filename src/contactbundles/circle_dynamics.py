@@ -25,14 +25,16 @@ each affine segment as integers (A, B, C), x -> (A*x + B)/C, built the first
 time it is read: a fold reads few segments of its intermediate maps.
 Inversion and composition build reduced knot pairs with one gcd per knot;
 knots are sorted on their parameters rounded to floats, and the order is
-checked exactly by cross-multiplying neighbours.  The orbit in
-`translation_number` keeps x = P/Q unreduced: with n = P // Q and
-r = P - n*Q on the segment (A, B, C) holding r/Q, the next point is
-(A*r + (B + n*C)*Q) / (C*Q), and only F^N(0)/N is reduced.  Once a cycle of
-segments provably holds the orbit, F^N(0) is read off in closed form
-(`_captured_average`).  The public
-values stay exact `Fraction`s: `knots`, `eval` at a rational point, and the
-estimate's `value`; `eval` at a float is the exact value there, rounded once.
+checked exactly by cross-multiplying neighbours (on a float tie, the knots
+are sorted on their exact rationals).  The orbit in `translation_number`
+keeps x = P/Q unreduced: with n = P // Q and r = P - n*Q on the segment
+(A, B, C) holding r/Q, the next point is (A*r + (B + n*C)*Q) / (C*Q), and
+only F^N(0)/N is reduced.  Each orbit point is located once; once a cycle of
+segments provably holds the orbit, which the capture check reads off those
+records, F^N(0) is one closed form evaluated in `Fraction`
+(`_captured_average`).  The public values stay exact `Fraction`s: `knots`,
+`eval` at a rational point, and the estimate's `value`; `eval` at a float is
+the exact value there, rounded once.
 
 Conventions
 -----------
@@ -200,13 +202,12 @@ def _sorted_knots(keyed: list) -> tuple:
 
     keyed is sorted on tf, and each adjacent pair is then checked exactly by
     cross-multiplying.  Rounding is monotone, so only two knots whose t round
-    to one float can fail the check; then the knots are sorted again on their
-    numerators over a common denominator."""
+    to one float can fail the check; then the knots are sorted again on the
+    exact rationals t."""
     keyed.sort()
     for (_, (an, ad, _, _)), (_, (bn, bd, _, _)) in zip(keyed, keyed[1:]):
         if an * bd >= bn * ad:
-            den = math.lcm(*(k[1] for _, k in keyed))
-            keyed.sort(key=lambda fk: fk[1][0] * (den // fk[1][1]))
+            keyed.sort(key=lambda fk: Fraction(fk[1][0], fk[1][1]))
             break
     return [k for _, k in keyed], [f for f, _ in keyed]
 
@@ -222,17 +223,21 @@ class _Segments(dict):
         self._pairs = pairs
 
     def __missing__(self, i: int) -> tuple:
-        pairs = self._pairs
-        if i < 0:
-            tn, td, vn, vd = pairs[-1]
-            k0, k1 = (tn - td, td, vn - vd, vd), pairs[0]
-        elif i + 1 < len(pairs):
-            k0, k1 = pairs[i], pairs[i + 1]
-        else:
-            tn, td, vn, vd = pairs[0]
-            k0, k1 = pairs[i], (tn + td, td, vn + vd, vd)
-        seg = self[i] = _affine(k0, k1)
+        seg = self[i] = _affine(*_segment_knots(self._pairs, i))
         return seg
+
+
+def _segment_knots(pairs: list, i: int) -> tuple:
+    """The two knots (tn, td, vn, vd) of pairs that bound segment i: knots i
+    and i + 1, the one across the wrap shifted by a period (segment -1 starts
+    at the last knot minus one, the last segment ends at the first plus one)."""
+    if i < 0:
+        tn, td, vn, vd = pairs[-1]
+        return (tn - td, td, vn - vd, vd), pairs[0]
+    if i + 1 < len(pairs):
+        return pairs[i], pairs[i + 1]
+    tn, td, vn, vd = pairs[0]
+    return pairs[i], (tn + td, td, vn + vd, vd)
 
 
 def _affine(k0: tuple, k1: tuple) -> tuple:
@@ -500,32 +505,40 @@ def _orbit_average(g: PiecewiseLinearMap, n: int) -> Fraction:
     """F^n(0)/n for the PL map g, exact.
 
     The orbit stays an unreduced pair p/q: each step multiplies q by the
-    segment's C, and only the returned value is reduced.  At each check
-    (CAPTURE_FIRST_STEP) `_captured_average` tries to prove that the orbit
+    segment's C, and only the returned value is reduced.  Each step keeps the
+    (segment, floor) of the point it leaves, beside the points, so every
+    point is located once.  At each check (CAPTURE_FIRST_STEP)
+    `_captured_average` tries to prove from those records that the orbit
     stays on a cycle of segments from there on, and then reads F^n(0) off a
     closed form; an orbit never captured is stepped to the end.
     """
     p, q = 0, 1
     points = deque([(p, q)], maxlen=2 * CAPTURE_MAX_PERIOD + 1)
+    steps = deque(maxlen=2 * CAPTURE_MAX_PERIOD)  # (segment, floor) of points[j]
     k, check = 0, CAPTURE_FIRST_STEP
     while k < n:
         stop = min(check, n)
         for _ in range(stop - k):
-            p, q = g._eval_pair(p, q)
+            fl, r = divmod(p, q)
+            i = g._locate(r, q)
+            a, b, c = g._segs[i]
+            p, q = a * r + (b + fl * c) * q, c * q
+            steps.append((i, fl))
             points.append((p, q))
         k, check = stop, 2 * check
         if k < n:
-            average = _captured_average(g, list(points), n - k, n)
+            average = _captured_average(g, list(points), list(steps), n - k, n)
             if average is not None:
                 return average
     return Fraction(p, q * n)
 
 
-def _captured_average(g: PiecewiseLinearMap, points: list, ahead: int,
+def _captured_average(g: PiecewiseLinearMap, points: list, steps: list, ahead: int,
                       n: int) -> Optional[Fraction]:
     """F^n(0)/n from the last orbit points x_(k-w)..x_k, with k = n - ahead,
-    if a cycle of at most CAPTURE_MAX_PERIOD segments is proved to hold the
-    orbit from x_s on; None otherwise.
+    and the (segment, floor) of x_(k-w)..x_(k-1) in steps, if a cycle of at
+    most CAPTURE_MAX_PERIOD segments is proved to hold the orbit from x_s on;
+    None otherwise.
 
     A period c is tried when the segments of the last c steps repeat those of
     the c before, with s = k - c.  Step j of the cycle is F on the closed
@@ -540,27 +553,26 @@ def _captured_average(g: PiecewiseLinearMap, points: list, ahead: int,
       Each step sends the hull of x_(s+j) and y_j, which lies in its segment,
       onto the next hull, and L - p shrinks hull(x_s, x*) into itself, so
       every later point stays on the cycle, and
-      x_n = y_r + m*p + lam^m * (x_(s+r) - y_r) (`_jump_average`).
+      x_n = y_r + m*p + lam^m * (x_(s+r) - y_r), evaluated in `Fraction`,
+      whose sums and products divide out only the cross gcds of their
+      operands (Knuth, TAOCP vol. 2, 4.5.1).
 
     Both give F^n(0) itself, so the value is the stepped orbit's.
     """
-    steps = []  # (segment, floor) of each point
-    for p, q in points:
-        fl, r = divmod(p, q)
-        steps.append((g._locate(r, q), fl))
     segs = [i for i, _ in steps]
-    last = len(points) - 1
+    last = len(steps)
+    pk, qk = points[last]
     for period in range(1, min(CAPTURE_MAX_PERIOD, last // 2) + 1):
         start = last - period
         if segs[start - period:start] != segs[start:last]:
             continue
-        shift = steps[last][1] - steps[start][1]
+        shift = pk // qk - steps[start][1]
         m, r = divmod(ahead + period, period)
-        (p0, q0), (pc, qc), (pr, qr) = points[start], points[last], points[start + r]
-        if pc * q0 - p0 * qc == shift * q0 * qc:
+        (p0, q0), (pr, qr) = points[start], points[start + r]
+        if pk * q0 - p0 * qk == shift * q0 * qk:
             return Fraction(pr + m * shift * qr, qr * n)
         maps = []  # step j as x -> (A*x + B')/C: its segment (A, B, C) at its floor
-        for i, fl in steps[start:last]:
+        for i, fl in steps[start:]:
             sa, sb, sc = g._segs[i]
             maps.append((sa, sb + fl * (sc - sa), sc))
         a, b, c = 1, 0, 1  # L(x) = (a*x + b)/c
@@ -570,58 +582,22 @@ def _captured_average(g: PiecewiseLinearMap, points: list, ahead: int,
             continue
         y = Fraction(b - shift * c, c - a)
         cycle = []
-        for (i, fl), (sa, sb, sc) in zip(steps[start:last], maps):
+        for (i, fl), (sa, sb, sc) in zip(steps[start:], maps):
             if not _on_segment(g, i, y - fl):
                 break
             cycle.append(y)
             y = (sa * y + sb) / sc
         else:
-            d = math.gcd(a, c)
-            return _jump_average(a // d, c // d, m, cycle[r], (pr, qr), m * shift, n)
+            y = cycle[r]
+            return (y + m * shift + Fraction(a, c) ** m * (Fraction(pr, qr) - y)) / n
     return None
 
 
 def _on_segment(g: PiecewiseLinearMap, i: int, u: Fraction) -> bool:
-    """Whether u lies in the closed segment i of g (-1: [t_last - 1, t_0])."""
-    tn, td = g._tn, g._td
-    lo_n, lo_d = (tn[i] - td[i], td[i]) if i < 0 else (tn[i], td[i])
-    hi_n, hi_d = (tn[i + 1], td[i + 1]) if i + 1 < len(tn) else (tn[0] + td[0], td[0])
+    """Whether u lies in the closed segment i of g (`_segment_knots`)."""
+    (lo_n, lo_d, _, _), (hi_n, hi_d, _, _) = _segment_knots(g._pairs, i)
     un, ud = u.numerator, u.denominator
     return lo_n * ud <= un * lo_d and un * hi_d <= hi_n * ud
-
-
-def _jump_average(a: int, c: int, m: int, y: Fraction, x: tuple, shift: int,
-                  n: int) -> Fraction:
-    """(y + shift + (a/c)^m * (x - y)) / n for coprime a, c > 0 and x = (p, q),
-    reduced with no gcd of two numbers that grow with m.
-
-    Over the common denominator S*c^m, S = D*G*n with y = Y/D and
-    x - y = E/G, the numerator is X*c^m + a^m*Z with Z = E*D.  As a and c are
-    coprime, it shares h = gcd(Z, c^m) with c^m, and once h is divided out it
-    is coprime to the rest of c^m: what remains is its gcd with S.
-
-    Z is never 0: x = y would put x_s on the cycle point y_0, as the steps
-    from x_s to x are injective, so `_captured_average` would have returned
-    at its exactly-periodic test.
-    """
-    yn, yd = y.numerator, y.denominator
-    p, q = x
-    z = (p * yd - yn * q) * yd
-    small = yd * q * yd * n
-    big = c ** m
-    num = (yn + shift * yd) * q * yd * big + a ** m * z
-    h = math.gcd(z, pow(c, m, abs(z)))
-    num, big = num // h, big // h
-    d = math.gcd(num, small)
-    return _coprime_fraction(num // d, small // d * big)
-
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """The Fraction num/den for coprime num and den > 0, built without the
-    constructor's gcd (what `Fraction._from_coprime_ints` does in 3.12)."""
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = num, den
-    return f
 
 
 def evaluate_relator(maps: Sequence[LiftedCircleMap]) -> WordMap:

@@ -371,5 +371,4 @@ def relator_rotation(g: int, vertices: Sequence[complex], phi_1: Tuple[complex, 
     d = (cmath.phase((1.0 + b_1 * s4) / (1.0 + b_1 * s3))
          + cmath.phase((1.0 + b_2 * s3) / (1.0 + b_2 * s2)))
     delta = 256 * sys.float_info.epsilon * (max(abs(alpha_1), abs(alpha_2)) + 1.0)
-    # 0.0 - x: where D rounds to 0, rho is 0.0, not -0.0
-    return 0.0 - g * d / math.pi, g * delta / math.pi, 2.0 * math.cos(g * d), 2.0 * g * delta
+    return -g * d / math.pi, g * delta / math.pi, 2.0 * math.cos(g * d), 2.0 * g * delta

@@ -914,13 +914,14 @@ class TestIntegerEngine:
 
 
 def counted_translation_number(monkeypatch, f, iterations):
-    """translation_number(f, iterations) and the number of `_eval_pair` calls it made."""
+    """translation_number(f, iterations) and the number of `_locate` calls it
+    made: one per orbit step, as the capture check reads the steps' records."""
     calls = []
-    evaluate = cd.PiecewiseLinearMap._eval_pair
-    monkeypatch.setattr(cd.PiecewiseLinearMap, "_eval_pair",
-                        lambda m, p, q: calls.append(1) or evaluate(m, p, q))
+    locate = cd.PiecewiseLinearMap._locate
+    monkeypatch.setattr(cd.PiecewiseLinearMap, "_locate",
+                        lambda m, r, q: calls.append(1) or locate(m, r, q))
     est = cd.translation_number(f, iterations)
-    monkeypatch.setattr(cd.PiecewiseLinearMap, "_eval_pair", evaluate)
+    monkeypatch.setattr(cd.PiecewiseLinearMap, "_locate", locate)
     return est, len(calls)
 
 

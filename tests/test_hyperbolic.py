@@ -510,6 +510,16 @@ class TestRelatorRotation:
             checked += 1
         assert checked == len(shares) + (g < 10 ** 4)  # 1 - 1e-12 is refused at g = 10^4
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 8, 100, 10 ** 4])
+    def test_rho_keeps_its_sign_at_the_bottom(self, g):
+        """At the smallest accepted area, 2n times the smallest normal float,
+        and at the next float above it, D keeps its digits: rho is negative,
+        never 0.0 or -0.0, and within rho_bound of -A/2pi."""
+        bottom = 8 * g * sys.float_info.min
+        for area in (bottom, math.nextafter(bottom, math.inf)):
+            rho, rho_bound, _, _ = first_handle_rotation(g, hy.radius_for_area(g, area))
+            assert rho < 0 and abs(rho + area / (2 * math.pi)) <= rho_bound, (g, area)
+
     def test_bounds_say_something_at_the_top_genus(self):
         """rho within 1e-5 of a turn and the trace within 2e-5 over the whole
         area range at g = 10^4, where the bound of the relator's power reached
