@@ -5,10 +5,12 @@ Positive), the expected contact sign, and the fiber-enrollment metadata when
 the model carries one.  Entries with parameters are instantiated at the
 catalog's default values; the builder functions are exposed for other
 parameter choices.  Fixed forms, components and exclusions are written as text
-and read by the parser of `expr`.  The builders without parameters
-(`solid_torus_universal_form`, `bennequin_tube_form`, `hopf_plane_field_form`)
-return one shared form per process, as `model_library` shares one catalog,
-so each of these forms compiles its kernels once per process.
+and read by the parser of `expr`; the Hopf check, which makes two block
+rotations for each sampled time, builds them with the ring operations.  The
+builders without parameters (`solid_torus_universal_form`,
+`bennequin_tube_form`, `hopf_plane_field_form`) return one shared form per
+process, as `model_library` shares one catalog, so each of these forms
+compiles its kernels once per process.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import ONE, ZERO, Expr, parse_expr
+from .expr import (ONE, ZERO, Cos, Expr, Pi, Sin, Var, _atom, _const, _function, _sum,
+                   parse_expr)
 from .forms import Chart, OneForm, coefficient_values, parse_form, pullback, r_of_slope
 
 TWO_PI = 2.0 * math.pi
@@ -230,10 +233,21 @@ class HopfCheck:
 
 def _block_rotation_components(t: Fraction, variant: int) -> Sequence[Expr]:
     """Linear components of (z, w) -> (e^{2 pi i t} z, e^{+-2 pi i t} w)."""
-    params = {"t": Fraction(t), "v": 1 if variant > 0 else -1}
-    texts = ("cos(2*t*pi)*x1 - sin(2*t*pi)*y1", "sin(2*t*pi)*x1 + cos(2*t*pi)*y1",
-             "cos(2*t*pi)*x2 - v*sin(2*t*pi)*y2", "v*sin(2*t*pi)*x2 + cos(2*t*pi)*y2")
-    return tuple(parse_expr(text, ("x1", "y1", "x2", "y2"), params) for text in texts)
+    angle = _const(2 * Fraction(t)) * _atom(Pi())
+    c, s = _function(Cos, angle), _function(Sin, angle)
+    v = s if variant > 0 else -s
+    x1, y1, x2, y2 = (_atom(Var(name)) for name in ("x1", "y1", "x2", "y2"))
+    return (_sum((c * x1, s * y1), (1, -1)), _sum((s * x1, c * y1)),
+            _sum((c * x2, v * y2), (1, -1)), _sum((v * x2, c * y2)))
+
+
+@functools.cache
+def _hopf_reference(points: int) -> tuple:
+    """The seeded sample points of the Hopf chart and the form's
+    coefficients there, computed once per process for each `points`."""
+    lam = hopf_plane_field_form()
+    pts = lam.chart.random_points(points, random.Random(11))
+    return pts, coefficient_values(lam, pts)
 
 
 def hopf_invariance_check(times: Optional[Sequence[Fraction]] = None,
@@ -246,9 +260,7 @@ def hopf_invariance_check(times: Optional[Sequence[Fraction]] = None,
     if times is None:
         times = tuple(Fraction(k, 10) for k in range(10))
     lam = hopf_plane_field_form()
-    rng = random.Random(11)
-    pts = lam.chart.random_points(points, rng)
-    original = coefficient_values(lam, pts)
+    pts, original = _hopf_reference(points)
     worst = 0.0
     for t in times:
         for variant in (1, -1):

@@ -1008,7 +1008,7 @@ class TestOrbitCapture:
         counts = set()
         for n in (10, 200, 10 ** 4, 10 ** 5):
             est, calls = counted_translation_number(monkeypatch, KNOT_CYCLE_RELATOR, n)
-            assert est.value == knot_cycle_average(n)
+            assert est.value.as_integer_ratio() == knot_cycle_average(n)
             counts.add(calls)
         assert len(counts) == 1
         assert cd.translation_number(KNOT_CYCLE_RELATOR, 300).value == ref_orbit(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -777,8 +779,9 @@ def fresh_process(argv):
 
 
 #: argv that argparse answers with its own help or usage error, or that
-#: exercise how it reads an option; `main` reads a command's options with the
-#: command's subparser, and must answer each as the full parse does
+#: exercise how it reads an option; `main` reads plain "--opt value" tokens
+#: from the command's subparser's actions and any others with argparse, and
+#: must answer each as the full parse does
 USAGE_ARGV = [
     [],
     ["-h"],
@@ -814,6 +817,8 @@ USAGE_ARGV = [
     ["holonomy", "--genus", "2", "--area", "4pi", "--iters", "10", "--iters", "0"],
     ["polygon", "--area", "3pi", "--genus", "2", "polygon"],
     ["classify", "--chi-s", "-2", "--euler", "1"],
+    ["classify", "--chi-s", "-10", "--euler", "-3"],
+    ["forms", "--library=1"],
 ]
 
 
@@ -826,6 +831,72 @@ def test_usage_is_the_full_parse(monkeypatch, argv):
     parser, _ = cli.build_parser()
     monkeypatch.setattr(cli, "_parser", lambda: (parser, {}))
     assert got == in_process(argv)
+
+
+#: the top-level parser the differential test reads every argv with, and its subparsers
+FULL_PARSER, SUBPARSERS = cli.build_parser()
+#: values of the differential test: signs, negative numbers argparse reads
+#: as values, what no type converts, "--", and cheap input files
+VALUES = ["2", "-2", "-1.5", "-pi", "3pi", "", "--", "x", " 2", "1_0",
+          str(DATA / "flat_dx.form"), str(DATA / "regular12_a.dec"), str(DATA / "missing.dec")]
+
+
+@st.composite
+def drawn_argv(draw):
+    """A command's name and up to 5 tokens: most of the command's required
+    options and some of the others in a drawn order, each as "--opt value"
+    (a flag alone) or as "--opt=value", where up to two tokens are replaced
+    or preceded by one of the command's options, a prefix of one, a join, a
+    value, or a token argparse refuses or answers with help."""
+    name = draw(st.sampled_from(sorted(SUBPARSERS)))
+    actions = SUBPARSERS[name]._option_string_actions
+    options = sorted(o for o, a in actions.items() if a.dest != "help")
+    option, value = st.sampled_from(options), st.sampled_from(VALUES)
+    odd = st.one_of(
+        option, value,
+        st.tuples(option, st.integers(2, 6)).map(lambda ok: ok[0][:ok[1]]),
+        st.tuples(option, value).map("=".join),
+        st.sampled_from(["-h", "--help", "--", "--bogus", "extra"]))
+    # half the values written are ints, which most options read
+    paired = st.one_of(st.sampled_from(["2", "-2", " 2", "1_0"]), value)
+    tokens = []
+    for o in draw(st.permutations(options)):
+        # a required option is kept three times in four, any other one time in two
+        if draw(st.booleans()) or actions[o].required and draw(st.booleans()):
+            v = draw(paired)
+            tokens += ([f"{o}={v}"] if draw(st.booleans()) else
+                       [o] if actions[o].nargs == 0 else [o, v])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tokens)))
+        tokens[i:i + draw(st.integers(0, 1))] = [draw(odd)]
+    return [name, *tokens[:5]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn_argv())
+@example(["polygon", "--genus", "2", "--area", "3pi"])
+@example(["forms", "--library", "--grid", "2"])
+@example(["multicurve", "--euler=-2", "--file", str(DATA / "regular12_a.dec")])
+@example(["covers", "--n", "-2", "--genus", " 2"])
+def test_drawn_argv_is_the_full_parse(argv):
+    """`main` on drawn argv, plain "--opt value" or not, answers as the same
+    call with every argv read by the top-level parser alone."""
+    got = in_process(argv)
+    with mock.patch.object(cli, "_parser", lambda: (FULL_PARSER, {})):
+        assert got == in_process(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--chi-s", "-10", "--euler=-3"],
+    ["polygon", "--area", "3pi", "--genus=2"],
+    ["forms", "--library", "--grid", "4"],
+    ["multicurve", "--file", str(DATA / "missing.dec")],
+])
+def test_plain_argv_is_read_without_argparse(argv):
+    expected = in_process(argv)
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args",
+                           side_effect=AssertionError("argparse read a plain argv")):
+        assert in_process(argv) == expected
 
 
 def test_main_reads_sys_argv_without_an_argument(monkeypatch, capsys):

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from contactbundles import formcalc as fc
 from contactbundles.formcalc import forms
 from contactbundles.formcalc.expr import MAX_EXPONENT, compile_expr, variables
-from contactbundles.formcalc.models import (fiber_tube_pullback, scaling_flow_components,
-                                            torus_wrapping_embedding, torus_wrapping_pullback)
+from contactbundles.formcalc.models import (_block_rotation_components, fiber_tube_pullback,
+                                            scaling_flow_components, torus_wrapping_embedding,
+                                            torus_wrapping_pullback)
 from expr_reference import (REDUCED_COEFFS, Add, Cos, Exp, Mul, Pi, Pow, Rat, Sin, Var, div,
                             eval_expr, neg, rebuild, ring)
 
@@ -1018,6 +1019,19 @@ class TestHopf:
     def test_random_time_both_variants(self):
         chk = fc.hopf_invariance_check(times=[Fraction(7, 13)], points=100)
         assert chk.ok
+
+    @pytest.mark.parametrize("variant", [1, -1])
+    @pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 4), Fraction(3, 7), Fraction(40, 3)])
+    def test_block_rotations_are_the_parsed_ones(self, t, variant):
+        """The rotations built with ring operations are the polynomials the
+        parser reads from their written-out text."""
+        texts = ("cos(2*t*pi)*x1 - sin(2*t*pi)*y1", "sin(2*t*pi)*x1 + cos(2*t*pi)*y1",
+                 "cos(2*t*pi)*x2 - v*sin(2*t*pi)*y2", "v*sin(2*t*pi)*x2 + cos(2*t*pi)*y2")
+        parsed = [fc.parse_expr(text, ("x1", "y1", "x2", "y2"), {"t": t, "v": variant})
+                  for text in texts]
+        built = _block_rotation_components(t, variant)
+        assert [fc.render(e) for e in built] == [fc.render(e) for e in parsed]
+        assert list(built) == parsed
 
 
 SMALL_LEAVES = st.one_of(
