@@ -23,10 +23,12 @@ integer pairs, reduced only where a value is returned; Knuth, TAOCP vol. 2,
 4.5.1).  A PL map keeps each knot as reduced pairs (tn, td), (vn, vd) and
 each affine segment as integers (A, B, C), x -> (A*x + B)/C, built the first
 time it is read: a fold reads few segments of its intermediate maps.
-Inversion and composition build reduced knot pairs with one gcd per knot;
-knots are sorted on their parameters rounded to floats, and the order is
-checked exactly by cross-multiplying neighbours (on a float tie, the knots
-are sorted on their exact rationals).  The orbit in `translation_number`
+Inversion and composition build reduced knot pairs with one gcd per knot,
+and a fold starts at its first letter with the one knot that composing it
+with the identity would add (`_after_identity`); knots are sorted on their
+parameters rounded to floats, and the order is checked exactly by
+cross-multiplying neighbours (on a float tie, the knots are sorted on their
+exact rationals).  The orbit in `translation_number`
 keeps x = P/Q unreduced: with n = P // Q and r = P - n*Q on the segment
 (A, B, C) holding r/Q, the next point is (A*r + (B + n*C)*Q) / (C*Q), and
 only F^N(0)/N is reduced.  Each orbit point is located once; once a cycle of
@@ -177,14 +179,14 @@ class PiecewiseLinearMap(LiftedCircleMap):
 
     def inverse(self) -> "PiecewiseLinearMap":
         # the values of the knots lie in [v_0, v_0 + 1), so taken mod 1 they
-        # are a rotation of a sorted list; it starts at the first larger floor
-        shifted = []
+        # are a rotation of a sorted list: the knots of the larger floor first
+        _, _, vn0, vd0 = self._pairs[0]
+        m0 = vn0 // vd0
+        low, high = [], []
         for tn, td, vn, vd in self._pairs:
             m = vn // vd
-            shifted.append((m, (vn - m * vd, vd, tn - m * td, td)))
-        m0 = shifted[0][0]
-        j = next((i for i, (m, _) in enumerate(shifted) if m > m0), len(shifted))
-        pairs = [k for _, k in shifted[j:] + shifted[:j]]
+            (low if m == m0 else high).append((vn - m * vd, vd, tn - m * td, td))
+        pairs = high + low
         return PiecewiseLinearMap._from_pairs(pairs, [tn / td for tn, td, _, _ in pairs])
 
 
@@ -353,11 +355,6 @@ def compose(f: LiftedCircleMap, g: LiftedCircleMap) -> LiftedCircleMap:
     return WordMap(f.letters() + g.letters())
 
 
-def _reduced(p: int, q: int) -> tuple:
-    d = math.gcd(p, q)
-    return p // d, q // d
-
-
 def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
                 ginv: Optional[PiecewiseLinearMap] = None) -> PiecewiseLinearMap:
     """Exact breakpoints of f o g: g's knots plus g-preimages of f's knots.
@@ -371,23 +368,26 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
     if ginv is None:
         ginv = g.inverse()
     keyed, ts = [], set()
-    ip, i, last = ginv._pairs, -1, len(ginv._pairs) - 1
+    gcd, segs, itn, itd = math.gcd, ginv._segs, ginv._tn, ginv._td
+    i, last = -1, len(itn) - 1
     for sn, sd, wn, wd in f._pairs:
         # f's knots s = sn/sd rise through [0, 1), so one forward walk over
         # g^-1's knots finds the segment of each, where
         # g^-1(s) = (A*sn + B*sd)/(C*sd)
-        while i < last and ip[i + 1][0] * sd <= sn * ip[i + 1][1]:
+        while i < last and itn[i + 1] * sd <= sn * itd[i + 1]:
             i += 1
-        a, b, c = ginv._segs[i]
+        a, b, c = segs[i]
         q = c * sd
         m, r = divmod(a * sn + b * sd, q)
-        d = math.gcd(r, q)
+        d = gcd(r, q)
         tn, td = r // d, q // d
         ts.add((tn, td))
         keyed.append((tn / td, (tn, td, wn - m * wd, wd)))
     for (tn, td, vn, vd), t in zip(g._pairs, g._tf):
         if (tn, td) not in ts:
-            keyed.append((t, (tn, td) + _reduced(*f._eval_pair(vn, vd))))
+            p, q = f._eval_pair(vn, vd)
+            d = gcd(p, q)
+            keyed.append((t, (tn, td, p // d, q // d)))
     return PiecewiseLinearMap._from_pairs(*_sorted_knots(keyed))
 
 
@@ -395,11 +395,29 @@ def _as_piecewise_linear(f: WordMap) -> PiecewiseLinearMap:
     """Fold a word of PL letters (the empty word too) to one exact PL map."""
     # the chain holds each letter resolved, inverse letters already inverted
     resolved = tuple(zip(f.letters(), reversed(f._chain)))
+    if not resolved:
+        return PiecewiseLinearMap.identity()
     inverses = {id(m): g for (m, e), g in resolved if e == -1}
-    acc = PiecewiseLinearMap.identity()
+    acc = None
     for (m, e), g in resolved:
-        acc = _compose_pl(acc, g, m if e == -1 else inverses.get(id(m)))
+        ginv = m if e == -1 else inverses.get(id(m))
+        acc = _after_identity(g, ginv or g.inverse()) if acc is None else _compose_pl(acc, g, ginv)
     return acc
+
+
+def _after_identity(g: PiecewiseLinearMap, ginv: PiecewiseLinearMap) -> PiecewiseLinearMap:
+    """identity o g as `_compose_pl` builds it, without a composition: g's
+    knots and the preimage of the identity's knot (0, 0), the point u in
+    [0, 1) where g crosses an integer, with g(u) = -m for m = floor(g^-1(0))."""
+    a, b, c = ginv._segs[0 if ginv._pairs[0][0] == 0 else -1]
+    m, r = divmod(b, c)  # g^-1(0) = b/c on the segment holding 0
+    d = math.gcd(r, c)
+    un, ud = r // d, c // d
+    j = g._locate(un, ud)
+    if j >= 0 and g._tn[j] * ud == un * g._td[j]:
+        return g
+    return PiecewiseLinearMap._from_pairs(g._pairs[:j + 1] + [(un, ud, -m, 1)] + g._pairs[j + 1:],
+                                          g._tf[:j + 1] + [un / ud] + g._tf[j + 1:])
 
 
 def _displacements(pl: PiecewiseLinearMap) -> list:
@@ -407,13 +425,17 @@ def _displacements(pl: PiecewiseLinearMap) -> list:
     return [(vn * td - tn * vd, vd * td) for tn, td, vn, vd in pl._pairs]
 
 
-def _first_max(pairs: Sequence[tuple]) -> int:
-    """Index of the first largest n/d among pairs (n, d) with d > 0."""
-    best, (bn, bd) = 0, pairs[0]
+def _extreme_indices(pairs: Sequence[tuple]) -> tuple:
+    """Indices of the first smallest and the first largest n/d among pairs
+    (n, d) with d > 0."""
+    lo = hi = 0
+    ln, ld = hn, hd = pairs[0]
     for i, (n, d) in enumerate(pairs):
-        if n * bd > bn * d:
-            best, bn, bd = i, n, d
-    return best
+        if n * hd > hn * d:
+            hi, hn, hd = i, n, d
+        elif n * ld < ln * d:
+            lo, ln, ld = i, n, d
+    return lo, hi
 
 
 def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
@@ -441,8 +463,7 @@ def _extremes(f: LiftedCircleMap) -> tuple:
     breakpoints, so both are attained at a breakpoint."""
     g = _piecewise_linear(f, "displacement")
     ds = _displacements(g)
-    return tuple((Fraction(g._tn[i], g._td[i]), Fraction(*ds[i]))
-                 for i in (_first_max([(-n, d) for n, d in ds]), _first_max(ds)))
+    return tuple((Fraction(g._tn[i], g._td[i]), Fraction(*ds[i])) for i in _extreme_indices(ds))
 
 
 def sup_displacement(f: LiftedCircleMap) -> Scalar:
@@ -620,13 +641,21 @@ class DisplacementCheck:
 
 
 def displacement_within(f: LiftedCircleMap, bound: Scalar) -> DisplacementCheck:
-    """Check |f(t) - t| <= bound exactly at the breakpoints (`_extremes`).
+    """Check |f(t) - t| <= bound exactly at the breakpoints (`_extreme_indices`).
     A failed check names the first point of largest |displacement| as its
     witness; Moebius data raises ValueError."""
-    t, d = min(_extremes(f), key=lambda e: (-abs(e[1]), e[0]))
-    if abs(d) <= bound:
+    g = _piecewise_linear(f, "displacement")
+    ds = _displacements(g)
+    lo, hi = _extreme_indices(ds)
+    (ln, ld), (hn, hd) = ds[lo], ds[hi]
+    # the larger |displacement|, on a tie the earlier knot; the quotient of
+    # two ints is correctly rounded, as float() of their Fraction is
+    wider = abs(hn) * ld - abs(ln) * hd
+    i = hi if wider > 0 or (wider == 0 and hi < lo) else lo
+    n, d = ds[i]
+    if Fraction(abs(n), d) <= bound:
         return DisplacementCheck(True, float(bound))
-    return DisplacementCheck(False, float(bound), float(t), float(d))
+    return DisplacementCheck(False, float(bound), g._tn[i] / g._td[i], n / d)
 
 
 def wood_bound_check(maps: Sequence[LiftedCircleMap]) -> DisplacementCheck:

@@ -817,6 +817,36 @@ class TestIntegerEngine:
         rel = cd.evaluate_relator(maps)
         self.assert_same_map(cd.flatten(rel), ref_flatten(rel.letters()))
 
+    @settings(max_examples=100, deadline=None)
+    @given(pl_maps())
+    @example(SPECIAL_MAPS[0])
+    @example(SPECIAL_MAPS[2])
+    def test_fold_starts_as_the_identity_composition(self, g):
+        """A fold starts at its first letter plus the knot that pulls back the
+        identity's knot (0, 0), which is what composing with the identity
+        builds; a map with a knot there keeps its own knots."""
+        ginv = g.inverse()
+        first = cd._after_identity(g, ginv)
+        composed = cd._compose_pl(cd.PiecewiseLinearMap.identity(), g, ginv)
+        assert (first._pairs, first._tf) == (composed._pairs, composed._tf)
+
+    def test_empty_word_flattens_to_the_identity(self):
+        self.assert_same_map(cd.flatten(cd.WordMap(())), RefPL([(0, 0)]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(pl_maps(), min_size=2, max_size=4).filter(lambda ms: len(ms) % 2 == 0),
+           st.fractions(min_value=0, max_value=4, max_denominator=32))
+    def test_displacement_check_matches_reference(self, maps, bound):
+        """The witness is the first knot of largest |f(t) - t| of the
+        reference fold; a bound equal to that displacement holds."""
+        rel = cd.evaluate_relator(maps)
+        t, d = max(((t, v - t) for t, v in ref_flatten(rel.letters()).knots),
+                   key=lambda td: abs(td[1]))
+        for b in (bound, abs(d)):
+            expect = (cd.DisplacementCheck(True, float(b)) if abs(d) <= b
+                      else cd.DisplacementCheck(False, float(b), float(t), float(d)))
+            assert cd.displacement_within(rel, b) == expect
+
     def test_breakpoints_of_any_rational_type(self):
         """ints, floats and Fractions are read as they are, anything else
         through `Fraction`."""
