@@ -21,8 +21,9 @@ a leading "--") to the full parser, so argparse writes its own help and
 errors.  In process (timeit, best of 7, 2-vCPU host), a `classify` request
 takes 31 µs and a `polygon` request 41 µs, against 59 and 67 µs when the
 subparser read every argv.  `_put` rounds a report and writes its JSON in
-one walk, with json's C string escape; `json.dumps(indent=2)` would run
-json's pure-Python encoder.  `formcalc`, and with it numpy, is imported by
+one walk, with json's C string escape, and finds each value's writer by its
+type in one dict lookup; `json.dumps(indent=2)` would run json's
+pure-Python encoder.  `formcalc`, and with it numpy, is imported by
 `cmd_forms` only, so the other commands start without numpy.
 """
 
@@ -53,37 +54,57 @@ def _put(obj, out: list, pad: str) -> None:
     """Append to `out` the text `json.dumps(obj, indent=2, sort_keys=True)`
     writes, with each float first rounded to 12 significant digits and each
     Fraction written as its quoted `_fmt_fraction` text.  `pad` is the newline
-    and indentation of the line that `obj` starts on.  A type `json` cannot
-    write, or a key that is no str, raises TypeError."""
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, float):
-        text = f"{obj:.12g}"
-        out.append(_NON_FINITE.get(text) or repr(float(text)))
-    elif isinstance(obj, int):
-        out.append("true" if obj is True else "false" if obj is False else int.__repr__(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, dict):
-        inner = pad + "  "
-        comma, sep = "," + inner, "{" + inner
-        for key in sorted(obj):
-            out += (sep, _quote(key), ": ")
-            _put(obj[key], out, inner)
-            sep = comma
-        out.append(pad + "}" if obj else "{}")
-    elif isinstance(obj, (list, tuple)):
-        inner = pad + "  "
-        comma, sep = "," + inner, "[" + inner
-        for item in obj:
-            out.append(sep)
-            _put(item, out, inner)
-            sep = comma
-        out.append(pad + "]" if obj else "[]")
-    elif isinstance(obj, Fraction):
-        out.append(_quote(_fmt_fraction(obj)))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    and indentation of the line that `obj` starts on.  The writer is looked up
+    by `type(obj)`, and for a subclass (numpy's float64) by its first base
+    that has one.  A type `json` cannot write, or a key that is no str,
+    raises TypeError."""
+    writer = _WRITERS.get(type(obj))
+    if writer is None:
+        writer = next((_WRITERS[t] for t in type(obj).__mro__ if t in _WRITERS), _put_unknown)
+    writer(obj, out, pad)
+
+
+def _put_float(obj: float, out: list, pad: str) -> None:
+    text = f"{obj:.12g}"
+    out.append(_NON_FINITE.get(text) or repr(float(text)))
+
+
+def _put_dict(obj: dict, out: list, pad: str) -> None:
+    inner = pad + "  "
+    comma, sep = "," + inner, "{" + inner
+    for key in sorted(obj):
+        out += (sep, _quote(key), ": ")
+        _put(obj[key], out, inner)
+        sep = comma
+    out.append(pad + "}" if obj else "{}")
+
+
+def _put_list(obj, out: list, pad: str) -> None:
+    inner = pad + "  "
+    comma, sep = "," + inner, "[" + inner
+    for item in obj:
+        out.append(sep)
+        _put(item, out, inner)
+        sep = comma
+    out.append(pad + "]" if obj else "[]")
+
+
+def _put_unknown(obj, out: list, pad: str) -> None:
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+#: the writer of each type a report holds
+_WRITERS = {
+    str: lambda obj, out, pad: out.append(_quote(obj)),
+    float: _put_float,
+    int: lambda obj, out, pad: out.append(int.__repr__(obj)),
+    bool: lambda obj, out, pad: out.append("true" if obj else "false"),
+    type(None): lambda obj, out, pad: out.append("null"),
+    dict: _put_dict,
+    list: _put_list,
+    tuple: _put_list,
+    Fraction: lambda obj, out, pad: out.append(_quote(_fmt_fraction(obj))),
+}
 
 
 #: A float printed to 12 significant digits (`_put`) lies within 5e-12 of

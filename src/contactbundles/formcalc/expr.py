@@ -29,7 +29,11 @@ per text, and a repeated number literal once (`_number` keeps the last 1024).
 
 `compile_expr` is the numeric evaluator of the library, a value-numbered
 list of numpy steps; its reference, the pointwise `eval_expr`, is kept with
-the tests (tests/expr_reference.py).
+the tests (tests/expr_reference.py).  Its order of operations is part of its
+contract: a polynomial over two or more chart axes with a coordinate to a
+power of 2 or more is evaluated by Horner's rule in that coordinate, every
+other one as the sum of its terms in `_monomials` order, so a kernel's
+values do not depend on atom ids.
 """
 
 from __future__ import annotations
@@ -285,13 +289,27 @@ def _sum(polys: Iterable[Expr], signs: Iterable[int] = itertools.repeat(1)) -> E
     return _reduced(out, den, atoms)
 
 
-def _monomial(m: tuple, pairs: Iterable) -> tuple:
-    """The monomial m times the atom powers `pairs`, (atom id, exponent)
-    pairs in any order."""
-    powers = dict(m)
-    for i, k in pairs:
-        powers[i] = powers.get(i, 0) + k
-    return tuple(sorted(ik for ik in powers.items() if ik[1]))
+def _monomial(m1: tuple, m2: tuple) -> tuple:
+    """The monomial m1*m2, by one linear merge of the two sorted tuples:
+    the exponents of an id in both are added, and a zero sum is dropped."""
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        if a[0] < b[0]:
+            out.append(a)
+            i += 1
+        elif b[0] < a[0]:
+            out.append(b)
+            j += 1
+        else:
+            k = a[1] + b[1]
+            if k:
+                out.append((a[0], k))
+            i += 1
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def _product(m1: tuple, m2: tuple) -> tuple:
@@ -420,8 +438,9 @@ def diff(e: Expr, var: str) -> Expr:
     for m, i, ck, da in chain:
         if da.den != scale:
             ck *= scale // da.den
+        m = _monomial(m, ((i, -1),))
         for m2, c2 in da.nums.items():
-            _add_term(out, _monomial(m, ((i, -1), *m2)), ck * c2)
+            _add_term(out, _product(m, m2), ck * c2)
         atoms = _merged(atoms, da.atoms)
     return _reduced(out, e.den * scale, atoms)
 
@@ -476,25 +495,41 @@ def compile_expr(e: Expr, names: Sequence[str]):
     reads none), so on `np.meshgrid(..., sparse=True)` axes it touches only
     the axes it uses.  It runs a value-numbered list of steps (Aho, Lam,
     Sethi and Ullman, *Compilers*, §6.1), each a (slot, numpy ufunc or
-    `operator` function, one or two operand slots) in depth-first order: a
+    `operator` function, one or two operand slots, and for the first step of
+    a Horner evaluation the axes it reads) in depth-first order: a
     polynomial, term, atom, atom power or constant that occurs twice or more
     is computed once, and every slot is cleared after its last use, so
-    intermediates are freed as it goes.  The terms of a polynomial are added
-    and the factors of a term multiplied left to right in `_monomials`
-    order, constants are Python floats and a negative exponent is a float,
-    so the values are, bit for bit, those of the polynomial written out in
-    that order as Python arithmetic (tests/expr_reference.py, `rebuild`).
+    intermediates are freed as it goes.
+
+    The order of operations is fixed.  A polynomial that reads two or more
+    of the axes and holds a bare coordinate to a power of 2 or more is
+    evaluated by Horner's rule in one coordinate v (`_horner_split` picks v
+    and the cofactors c_k; J. M. Peña and T. Sauer, "On the multivariate
+    Horner scheme", SIAM J. Numer. Anal. 37, 2000): acc = c_d*v into a new
+    array of the polynomial's full shape, then from degree d - 1 down,
+    acc*v (not at d - 1) and + c_k (where c_k is not 0), both in place in
+    acc, which no other step reads; arguments and constants are never
+    written.  Each c_k is compiled as a polynomial in its own right, so what
+    the cofactors share is computed once.  Every other polynomial adds its
+    terms left to right in `_monomials` order; the factors of a term are
+    multiplied left to right in that order, constants are Python floats and
+    a negative exponent is a float.  So the values are, bit for bit, those
+    of the tree `rebuild` (tests/expr_reference.py) writes for the chart
+    coordinates, evaluated as Python arithmetic.  Horner's rounding error
+    is bounded in N. J. Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §5.1.
     """
     slots: list = [None] * len(names)  # the arguments, then constants and step results
-    numbered: dict = {Var(n): i for i, n in enumerate(names)}
+    axes = {Var(n): i for i, n in enumerate(names)}
+    numbered: dict = dict(axes)
     steps = []
 
     def slot(value) -> int:
         slots.append(value)
         return len(slots) - 1
 
-    def step(fn, x: int, y: Optional[int] = None) -> int:
-        steps.append((slot(None), fn, x, y))
+    def step(fn, x: int, y: Optional[int] = None, *more: int) -> int:
+        steps.append((slot(None), fn, x, y, more or None))
         return len(slots) - 1
 
     def fold(fn, items: tuple, emit) -> int:
@@ -505,7 +540,20 @@ def compile_expr(e: Expr, names: Sequence[str]):
 
     def poly(p: Expr) -> int:
         if p not in numbered:
-            numbered[p] = fold(operator.add, _monomials(p) or ((_Ratio(0, 1),),), term)
+            split = _horner_split(p, axes)
+            if split is None:
+                numbered[p] = fold(operator.add, _monomials(p) or ((_Ratio(0, 1),),), term)
+            else:
+                v, cofactors, reads = split
+                x = atom(v)
+                top, *rest = reversed(cofactors)
+                acc = step(_horner_start, poly(top), x, *reads)
+                for k, c in enumerate(rest):
+                    if k:
+                        acc = step(_multiply_into, acc, x)
+                    if c.nums:
+                        acc = step(_add_into, acc, poly(c))
+                numbered[p] = acc
         return numbered[p]
 
     def term(factors: tuple) -> int:
@@ -543,17 +591,19 @@ def compile_expr(e: Expr, names: Sequence[str]):
         return numbered[a]
 
     result = poly(e)
-    last = {s: i for i, (_, _, x, y) in enumerate(steps) for s in (x, y)}
-    program = [(out, fn, x, y, tuple(s for s in {x, y} - {None} if last[s] == i))
-               for i, (out, fn, x, y) in enumerate(steps)]
+    operands = [{x, y, *(more or ())} - {None} for _, _, x, y, more in steps]
+    last = {s: i for i, used in enumerate(operands) for s in used}
+    program = [(out, fn, x, y, more, tuple(s for s in used if last[s] == i))
+               for i, ((out, fn, x, y, more), used) in enumerate(zip(steps, operands))]
     start = slots[len(names):]
 
     def kernel(*args):
         if len(args) != len(names):
             raise TypeError(f"kernel takes {len(names)} arguments, got {len(args)}")
         regs = [*args, *start]
-        for out, fn, x, y, dead in program:
-            regs[out] = fn(regs[x]) if y is None else fn(regs[x], regs[y])
+        for out, fn, x, y, more, dead in program:
+            regs[out] = (fn(regs[x]) if y is None else fn(regs[x], regs[y]) if more is None
+                         else fn(regs[x], regs[y], *[regs[s] for s in more]))
             for s in dead:
                 regs[s] = None
         return regs[result]
@@ -561,6 +611,51 @@ def compile_expr(e: Expr, names: Sequence[str]):
 
 
 _UNARY = {Sin: np.sin, Cos: np.cos, Exp: np.exp}
+
+
+def _horner_split(p: Expr, axes: Mapping[Atom, int]) -> Optional[tuple]:
+    """(v, (c_0, ..., c_d), reads) where `compile_expr` evaluates p by
+    Horner's rule in the chart coordinate v, else None.
+
+    That is where p reads two or more chart axes (`axes` maps each
+    coordinate's `Var` to its argument index) and some coordinate occurs
+    bare, as a factor v^k of a monomial, with k >= 2.  v is the coordinate
+    of highest such degree d, the first in chart order among equals, and
+    p = sum of c_k * v^k over k = 0..d: c_k collects the terms in which v
+    has exponent k, divided by v^k, and c_0 keeps the terms that hold v to
+    a negative power, as they are.  `reads` are the argument indices of
+    the axes p reads, in chart order."""
+    degree = {}
+    for m in p.nums:
+        for i, k in m:
+            if k > degree.get(i, 1) and p.atoms[i] in axes:
+                degree[i] = k
+    if not degree:
+        return None
+    reads = tuple(sorted(axes[Var(n)] for n in variables(p) if Var(n) in axes))
+    if len(reads) < 2:
+        return None
+    top, _, vid = max((k, -axes[p.atoms[i]], i) for i, k in degree.items())
+    groups: list = [{} for _ in range(top + 1)]
+    for m, c in p.nums.items():
+        k = max(next((e for i, e in m if i == vid), 0), 0)
+        groups[k][tuple(f for f in m if f[0] != vid) if k else m] = c
+    return p.atoms[vid], tuple(_reduced(nums, p.den, p.atoms) for nums in groups), reads
+
+
+def _horner_start(c, v, *read):
+    """c*v into a new array of the broadcast shape of the arguments `read`:
+    the accumulator of a Horner evaluation, which the kernel owns."""
+    out = np.empty(np.broadcast(*read).shape, np.result_type(c, v))
+    return np.multiply(c, v, out=out)
+
+
+def _multiply_into(acc, v):
+    return np.multiply(acc, v, out=acc)
+
+
+def _add_into(acc, c):
+    return np.add(acc, c, out=acc)
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,10 @@ class Chart:
 #: most points `grid_counts` admits: grid 256 on a 3-dimensional chart.
 #: `contact_sign` evaluates on the reduced grid, so the bound matters for
 #: coefficients that read every coordinate: its tracemalloc peak, whatever
-#: the verdict, is then 38 MiB at 2^21 points (grid 128) and 304 MiB at 2^24
-#: for 1 + 3*x*y^2*z (Mixed), and 49 and 387 MiB for the benchmark's torus
-#: pullback coefficient.  Refinement adds 3^dim points per flagged sample of
+#: the verdict, is then 38 MiB at 2^21 points (grid 128) and 304 MiB at 2^24,
+#: both for 1 + 3*x*y^2*z (Mixed) and for the benchmark's torus pullback
+#: coefficient, whose Horner kernel holds one full-grid array (`compile_expr`).
+#: Refinement adds 3^dim points per flagged sample of
 #: that reduced grid, and takes REFINE_CHUNK of them at a time, so its memory
 #: does not grow with it.
 MAX_GRID_POINTS = 2 ** 24

@@ -7,8 +7,9 @@ polynomials:
 - `ring` multiplies a tree out through the ring operations of `expr`, node
   by node; a polynomial (`Expr`) may stand for a subtree;
 - `render_tree` writes a tree as text, as the parser reads it;
-- `rebuild` writes a polynomial as the tree of its terms, in the order
-  `render` and `compile_expr` read them;
+- `rebuild` writes a polynomial as the tree that `compile_expr` evaluates:
+  the sum of its terms in the order `render` reads them or, given the chart
+  coordinates, Horner's rule in one of them where `compile_expr` takes it;
 - `eval_expr` walks a tree (or the rebuilt tree of a polynomial) point by
   point in plain floats, the reference that `compile_expr` kernels are
   tested against.
@@ -171,24 +172,61 @@ def render_tree(e, prec: int = 0) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def atom_tree(a):
-    """The tree of an atom of `expr`."""
+def atom_tree(a, names=()):
+    """The tree of an atom of `expr`, its argument rebuilt over `names`."""
     if isinstance(a, fx.Var):
         return Var(a.name)
     if isinstance(a, fx.Pi):
         return Pi()
     if isinstance(a, fx.Recip):
-        return Pow(rebuild(a.arg), -1)
-    return TREES[type(a)](rebuild(a.arg))
+        return Pow(rebuild(a.arg, names), -1)
+    return TREES[type(a)](rebuild(a.arg, names))
 
 
-def rebuild(p: Expr):
-    """The tree of p: a sum of products in `_monomials` order, each product
-    its coefficient (unless 1) and its atom powers."""
+def horner_cofactors(p: Expr, names=()):
+    """(v, [c_0, ..., c_d]) where p, over the chart coordinates `names`,
+    reads two or more of them and some coordinate v occurs as a factor v^k,
+    k >= 2, of a term: v of highest such degree d, the first in `names`
+    among equals, and c_k the sum of the terms with v^k, divided by it, c_0
+    also holding the terms with a negative power of v.  None elsewhere."""
+    degree = {}
+    for factors in fx._monomials(p):
+        for f in factors:
+            if not isinstance(f, fx._Ratio) and isinstance(f[0], fx.Var) and f[0].name in names:
+                degree[f[0].name] = max(degree.get(f[0].name, 0), f[1])
+    if max(degree.values(), default=0) < 2 or len(fx.variables(p) & set(names)) < 2:
+        return None
+    v = max(names, key=lambda n: (degree.get(n, 0), -names.index(n)))
+    groups = [[] for _ in range(degree[v] + 1)]
+    for factors in fx._monomials(p):
+        k = next((f[1] for f in factors if f[0] == fx.Var(v) and f[1] > 0), 0)
+        rest = [f for f in factors if k == 0 or f[0] != fx.Var(v)]
+        groups[k].append(reduce(fx._times, (fx._const(Fraction(f.num, f.den))
+                                            if isinstance(f, fx._Ratio) else fx._atom(*f)
+                                            for f in rest), ONE))
+    return v, [fx._sum(terms) for terms in groups]
+
+
+def rebuild(p: Expr, names=()):
+    """The tree of p that `compile_expr` over the coordinates `names`
+    evaluates.  Where `horner_cofactors` splits p, Horner's rule in v: the
+    accumulator starts at c_d*v, then adds c_(d-1), and each lower degree
+    multiplies by v and adds c_k (no sum where c_k = 0).  Elsewhere a sum of
+    products in `_monomials` order, each product its coefficient (unless 1)
+    and its atom powers."""
+    split = horner_cofactors(p, tuple(names))
+    if split is not None:
+        v, cofactors = split
+        acc = rebuild(cofactors[-1], names)
+        for c in reversed(cofactors[:-1]):
+            acc = Mul((acc, Var(v)))
+            if c.nums:
+                acc = Add((acc, rebuild(c, names)))
+        return acc
     terms = []
     for factors in fx._monomials(p):
-        out = [Rat(*f) if isinstance(f, fx._Ratio) else atom_tree(f[0]) if f[1] == 1
-               else Pow(atom_tree(f[0]), f[1]) for f in factors]
+        out = [Rat(*f) if isinstance(f, fx._Ratio) else atom_tree(f[0], names) if f[1] == 1
+               else Pow(atom_tree(f[0], names), f[1]) for f in factors]
         terms.append(out[0] if len(out) == 1 else Mul(tuple(out)))
     if not terms:
         return ZERO_TREE
@@ -220,3 +258,12 @@ def eval_expr(e, env: Mapping[str, float]) -> float:
     if isinstance(e, Exp):
         return math.exp(eval_expr(e.arg, env))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def monomial_by_dict(m1: tuple, m2: tuple) -> tuple:
+    """The monomial m1*m2 as `expr._monomial` built it through a dict of
+    exponents and `sorted`, the reference for its linear merge."""
+    powers = dict(m1)
+    for i, k in m2:
+        powers[i] = powers.get(i, 0) + k
+    return tuple(sorted(ik for ik in powers.items() if ik[1]))

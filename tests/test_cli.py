@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import enum
 import io
 import json
 import math
@@ -634,6 +635,8 @@ class TestReportWriter:
     @example([Fraction(-1, 2), Fraction(3), True, False, None, -10 ** 30, 0])
     @example(EDGE_FLOATS)
     @example({"z": 1, "a": {"y": 2.5, "b": np.float64(1 / 3)}})
+    @example([enum.IntEnum("Level", "LOW HIGH").HIGH, type("Name", (str,), {})("k\u00e9y"),
+              {type("Key", (str,), {})("b"): Fraction(7, 2)}])  # subclasses: their base's writer
     def test_matches_the_two_pass_reference(self, obj):
         assert written(obj) == report_reference.encode(obj)
 

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactbundles import formcalc as fc
@@ -1117,10 +1117,12 @@ class TestKernel:
     @settings(max_examples=200, deadline=None)
     @given(SMALL_TREES, SMALL_TREES)
     @example(Var("x"), Rat(Fraction(0)))  # x^-1 and x^-2 at x = 0.0: inf, as numpy gives
+    @example(Add((Var("x"), Var("y"))), Add((Var("y"), Rat(Fraction(1, 3)))))  # Horner in y
     def test_bit_identical_to_the_polynomial_written_out(self, s, t):
         # s and t shared, a quotient and a negative power: the operation-order
-        # contract of `compile_expr`, against the tree of each polynomial in
-        # `_monomials` order
+        # contract of `compile_expr`, against the tree `rebuild` writes for
+        # the coordinates x, y and z (Horner's rule, or the sum of terms in
+        # `_monomials` order)
         cases = []
         for tree in (s, Add((Mul((s, t)), Sin(s), neg(Mul((t, s))), Cos(Add((s, t))))),
                      div(s, Add((t, Pow(s, 2)))), Pow(Add((s, t)), -2)):
@@ -1135,7 +1137,7 @@ class TestKernel:
             for cols in (line, mesh):
                 env = dict(zip("xyz", cols))
                 got = _outcome_of(lambda: compile_expr(e, "xyz")(*cols))
-                want = _outcome_of(lambda: _written_out(rebuild(e), env))
+                want = _outcome_of(lambda: _written_out(rebuild(e, "xyz"), env))
                 assert type(got) is type(want), (e, got, want)
                 if not isinstance(want, type):
                     assert np.shape(got) == np.shape(want)
@@ -1167,6 +1169,117 @@ class TestKernel:
         # (-1)^2 is the constant 1, and (-1)*x^2 multiplies -1.0 by x ** 2
         assert compile_expr(ring(Pow(Rat(Fraction(-1)), 2)), "xyz")(0.0, 0.0, 0.0) == 1.0
         assert compile_expr(fc.parse_expr("-x^2", "xyz"), "xyz")(3.0, 0.0, 0.0) == -9.0
+
+
+#: a polynomial in x, y and z: (coefficient, (ex, ey, ez)) terms
+POLY_TERMS = st.lists(st.tuples(st.fractions(-9, 9, max_denominator=7).filter(bool),
+                                st.tuples(*[st.integers(0, 5)] * 3)), min_size=1, max_size=8)
+DATA = Path(__file__).parent / "data"
+
+
+def _no_horner(p, axes):
+    return None
+
+
+def _poly_of(terms):
+    return ring(Add(tuple(Mul((Rat(c), *(Pow(Var(n), k) for n, k in zip("xyz", ks) if k)))
+                          for c, ks in terms)))
+
+
+def _xyz_terms(e):
+    """The terms of a polynomial in x, y and z as (coefficient, (ex, ey, ez))."""
+    out = []
+    for m, c in e.nums.items():
+        ks = [0, 0, 0]
+        for i, k in m:
+            ks["xyz".index(e.atoms[i].name)] = k
+        out.append((Fraction(c, e.den), tuple(ks)))
+    return out
+
+
+class TestHornerKernel:
+    """A polynomial that reads two or more axes, with a bare coordinate to a
+    power of 2 or more, compiles to Horner's rule in that coordinate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(POLY_TERMS, st.integers(0, 2**32 - 1))
+    @example([(Fraction(1), (3, 1, 0)), (Fraction(-3), (2, 0, 1)), (Fraction(3), (1, 1, 0)),
+              (Fraction(-1), (0, 0, 1))], 0)  # (x - y)^3-like cancellation
+    def test_within_the_horner_bound_of_eval_expr(self, terms, seed):
+        # Higham, Accuracy and Stability, (5.3): Horner's rule of degree d
+        # errs by at most gamma_2d * p~(|x|), p~ the polynomial of absolute
+        # coefficients.  A term of the nested form passes at most N
+        # roundings: 2 per degree of each coordinate's Horner chain, one
+        # per addition within a cofactor, one per factor (power, product,
+        # the coefficient's float); numpy's power is counted at 2 ulp.  The
+        # reference `eval_expr` sums exactly rounded terms (fsum).
+        e = _poly_of(terms)
+        assume(fc.expr._horner_split(e, {fc.expr.Var(n): i for i, n in enumerate("xyz")}))
+        degree = [max(ks[i] for _, ks in _xyz_terms(e)) for i in range(3)]
+        n = 2 * sum(degree) + len(e.nums) + 2 * 4 + 2
+        gamma = n * 2.0 ** -52 / (1 - n * 2.0 ** -52)
+        rng = random.Random(seed)
+        pts = [{v: rng.uniform(-2.0, 2.0) for v in "xyz"} for _ in range(16)]
+        cols = [np.array([p[v] for p in pts]) for v in "xyz"]
+        got = np.broadcast_to(compile_expr(e, "xyz")(*cols), (len(pts),))
+        for value, env in zip(got, pts):
+            want = eval_expr(e, env)
+            absolute = math.fsum(abs(c) * math.prod(abs(env[v]) ** k for v, k in zip("xyz", ks))
+                                 for c, ks in _xyz_terms(e))
+            assert abs(value - want) <= 2 * gamma * absolute, (e, env, value, want)
+
+    def test_never_writes_into_its_arguments(self):
+        # x and z tie at degree 3, so Horner runs in x, and its cofactors
+        # c_3 = y, c_2 = z and c_1 = y are arguments themselves
+        text = "x^3*y + x^2*z + x*y + z + y^2*z^3"
+        kernel = compile_expr(fc.parse_expr(text, "xyz"), "xyz")
+        cols = [np.linspace(-1.0, 1.0, 5) + k for k in range(3)]
+        for c in cols:
+            c.flags.writeable = False
+        copies = [c.copy() for c in cols]
+        first = kernel(*cols)
+        assert all(np.array_equal(c, k) for c, k in zip(cols, copies))
+        x, y, z = copies
+        want = x ** 3 * y + x ** 2 * z + x * y + z + y ** 2 * z ** 3
+        assert np.allclose(first, want, rtol=1e-14, atol=1e-13)
+        assert np.array_equal(kernel(*cols), first)
+
+    def test_torus_volume_kernel_holds_about_one_full_grid_array(self):
+        form = fc.parse_form_file((DATA / "torus_pullback.form").read_text(encoding="utf-8"))
+        kernel = form._volume_kernel
+        cols = np.meshgrid(*form.chart.grid_axes(128), indexing="ij", sparse=True)
+        full = 8 * 128 ** 3
+        tracemalloc.start()
+        try:
+            kernel(*cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * full
+
+    @pytest.mark.parametrize("text, grids", [
+        *[((DATA / name).read_text(encoding="utf-8"), (8, 24, 64)) for name in
+          ("torus_pullback.form", "mixed_all_axes.form", "connection.form",
+           "quotient_by_sum.form", "signs_and_quotients.form", "flat_dx.form")],
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1]; form dz - exp(exp(exp(3*x)))*y^2*z*dx", (8,)),
+        ("chart x:[-1,1] y:[-1,1] z:[-1,1]; form dz - (y^3*x*z + y - x^2*z^2/3)*dx", (8, 24, 97)),
+    ])
+    def test_same_reports_as_the_sum_of_terms(self, text, grids):
+        # the verdict, counts, witnesses, the non-finite point and the printed
+        # min_abs of the Horner kernel are those of the left-to-right sum
+        for grid in grids:
+            reports = []
+            for horner in (True, False):
+                with mock.patch.object(fc.expr, "_horner_split",
+                                       fc.expr._horner_split if horner else _no_horner):
+                    form = fc.parse_form_file(text)
+                    try:
+                        rep = fc.contact_sign(form, grid)
+                        reports.append((rep.sign, f"{rep.min_abs:.12g}", rep.witnesses,
+                                        rep.samples))
+                    except ArithmeticError as err:
+                        reports.append(str(err))
+            assert reports[0] == reports[1], (grid, reports)
 
 
 ATOM_TYPES = (fc.expr.Pi, fc.expr.Var, fc.expr.Sin, fc.expr.Cos, fc.expr.Exp, fc.expr.Recip)

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from contactbundles import formcalc as fc
 from contactbundles.formcalc.expr import MAX_EXPONENT, ONE, ZERO, render
 from expr_reference import (REDUCED_COEFFS, ZERO_TREE, Add, Cos, Exp, Mul, Pi, Pow, Rat, Sin, Var,
-                            atom_tree, children, div, neg, rebuild, render_tree, ring)
+                            atom_tree, children, div, monomial_by_dict, neg, rebuild, render_tree,
+                            ring)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,22 @@ def test_ring_keeps_integer_numerators_over_one_reduced_denominator(e):
             _assert_canonical(dp)
             _assert_canonical(fc.expr._times(p, dp))
             assert dp - dp == ZERO
+
+
+#: a monomial: (atom id, exponent) pairs sorted by id, exponents nonzero
+MONOMIALS = st.dictionaries(st.integers(0, 12), st.integers(-3, 3).filter(bool),
+                            max_size=6).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=500, deadline=None)
+@given(MONOMIALS, MONOMIALS)
+@example(((1, 2), (4, -1)), ((1, -2), (4, 1)))  # every exponent cancels
+@example((), ((0, 1),))
+def test_monomial_merge_matches_the_dict_merge(m1, m2):
+    """`_monomial`'s linear merge gives the tuple the dict-and-`sorted`
+    merge gave, for ids that interleave, coincide or cancel."""
+    assert fc.expr._monomial(m1, m2) == monomial_by_dict(m1, m2)
+    assert fc.expr._product(m1, m2) == monomial_by_dict(m1, m2)
 
 
 def test_quotient_by_a_sum_differentiates_through_its_atom():
