@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 
 class PreconditionViolated(ValueError):
@@ -30,21 +29,6 @@ class ScaleExceeded(ValueError):
 def _check_chi(chiS: int) -> None:
     if chiS % 2 or chiS > 2:
         raise ValueError("chi(S) must be an even integer <= 2 for a closed orientable base")
-
-
-@dataclass(frozen=True)
-class BundleData:
-    """The pair (chi(S), chi(V, S)) of an oriented circle bundle over a closed surface."""
-
-    chiS: int
-    euler: int
-
-    def __post_init__(self):
-        _check_chi(self.chiS)
-
-    @property
-    def genus(self) -> int:
-        return (2 - self.chiS) // 2
 
 
 @dataclass(frozen=True)
@@ -63,17 +47,6 @@ class EnrollmentSpectrum:
 
     def sorted_values(self) -> List[int]:
         return sorted(self.values)
-
-
-@dataclass(frozen=True)
-class TwistVector:
-    """The 2g integers m_i attached to a fiber-tangent structure."""
-
-    m: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.m) % 2:
-            raise ValueError("twist vector must have even length 2g")
 
 
 def validate_enrollment(e: Fraction) -> Fraction:
@@ -104,12 +77,6 @@ def confoliation_bound(chiS: int, euler: int) -> bool:
     """One-sided bound satisfied by positive confoliations: chi(V,S) <= sup{0, -chi(S)}."""
     _check_chi(chiS)
     return euler <= max(0, -chiS)
-
-
-def surgery_monotone(chiS: int, e_source: int, e_target: int) -> bool:
-    """Transverse existence transfers to any bundle with smaller Euler number."""
-    _check_chi(chiS)
-    return e_target <= e_source
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +133,6 @@ def legendrian_fibration_enrollment(d: int) -> Fraction:
     return validate_enrollment(Fraction(-d, 2))
 
 
-def enrollment_connect_sum(e0: Fraction, tb1: int) -> Fraction:
-    """Enrollment after connect-summing with an unknotted Legendrian of invariant tb1."""
-    return validate_enrollment(Fraction(e0) + tb1 + 1)
-
-
-def lift_enrollment_over_sphere(e: Fraction, euler: int) -> Fraction:
-    """Enrollment of the preimage curve in the universal cover: |euler| * e."""
-    return abs(euler) * validate_enrollment(e)
-
-
-def tb_vs_enrollment_unit_euler(tb: int, sign: int) -> Fraction:
-    """e(L) = tb(L) +- 1 when chi(V, S) = +-1 (L is then null-homologous)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return Fraction(tb + sign)
-
-
 def whitney_singular_class(e: Fraction, chiS: int) -> Tuple[int, int]:
     """Homology class (up to global sign) of the singular multicurve on the boundary torus.
 
@@ -207,17 +157,13 @@ def boundary_slope(n: int, euler: int, chiS: int) -> Tuple[Tuple[int, int], Frac
     return ((n, second), Fraction(second, n))
 
 
-def tangent_isotopy_equal(a: TwistVector, b: TwistVector) -> bool:
-    """Fiber-tangent structures are isotopic iff their twist vectors agree index-wise."""
-    return a.m == b.m
-
-
 # ---------------------------------------------------------------------------
 # counting
 
 #: Largest n whose divisors `count_tangent_conjugacy_classes` counts.  Trial
-#: division takes sqrt(n) steps: on a 2-vCPU VM (Python 3.11) n = 10^12 took
-#: 0.16 s and n = 10^13 0.54 s, and n = 10^20 did not finish in 20 s.
+#: division takes sqrt(n) steps: on a 2-vCPU Intel Xeon VM (Python 3.11.7,
+#: best of 7) n = 10^12 takes 0.11 s, the prime 999999999989 0.09 s and
+#: n = 10^13 0.30 s; at that rate n = 10^20 would take about 16 minutes.
 MAX_DIVISOR_N = 10 ** 12
 
 
@@ -244,19 +190,6 @@ def virtually_overtwisted_bound(chiS: int, euler: int) -> int:
     _check_chi(chiS)
     base = max(0, -chiS - euler - 1)
     return base + (1 if euler > 0 else 0)
-
-
-def morphism_image_divisor(vector: Sequence[int], n: int) -> int:
-    """Divisor d of n classifying a morphism H_1(S) -> Z/nZ by its image.
-
-    d = gcd of the entries and n; the image is the subgroup of order n/d.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    d = n
-    for v in vector:
-        d = gcd(d, v % n)
-    return d
 
 
 #: Largest number n^{2g} of vectors the orbit oracle enumerates; the memory
@@ -381,28 +314,3 @@ def cohomology_orbit_count(g: int, n: int) -> int:
     _vector_count(g, n)
     lab = _orbit_labels(g, n)
     return int(np.count_nonzero(lab == np.arange(lab.size)))
-
-
-def orbit_of_vector(vector: Sequence[int], n: int) -> FrozenSet[Tuple[int, ...]]:
-    """The symplectic orbit of a single vector in (Z/n)^{2g}.
-
-    The labels of `cohomology_orbit_count` (min-label propagation with pointer
-    jumping over one image-index array per generator), decoded back to tuples
-    for the indices that share the label of `vector`.  Same domain and memory
-    bound: at most MAX_ORBIT_VECTORS vectors, 3g + 2 int64 rows of them.
-    """
-    dim = len(vector)
-    if dim % 2:
-        raise ValueError("vector length must be even")
-    g = dim // 2
-    _vector_count(g, n)
-    start = 0
-    for v in vector:
-        start = start * n + v % n
-    lab = _orbit_labels(g, n)
-    members = (lab == lab[start]).nonzero()[0]
-    rows = []
-    for _ in range(dim):
-        members, digit = divmod(members, n)
-        rows.append(digit)
-    return frozenset(zip(*(row.tolist() for row in reversed(rows))))

@@ -214,14 +214,6 @@ def torus_wrapping_pullback(p: int, q: int, sign: int) -> OneForm:
     return pullback(comps, src, solid_torus_universal_form())
 
 
-def scaling_flow_components(s: Fraction) -> Tuple[Sequence[Expr], Chart]:
-    """(e^s x, e^s y, e^{2s} z) as target components over the (x, y, z) chart."""
-    src = _box(["x", "y", "z"], [(-2.0, 2.0)] * 3)
-    comps = tuple(parse_expr(text, src.names, {"s": Fraction(s)})
-                  for text in ("exp(s)*x", "exp(s)*y", "exp(2*s)*z"))
-    return comps, src
-
-
 @dataclass(frozen=True)
 class HopfCheck:
     """Result of the block-rotation invariance check of the 4-coordinate form."""

@@ -610,12 +610,3 @@ def parse_decomposition(text: str) -> SurfaceDecomposition:
     if chi is None or sphere is None:
         raise InvalidDecomposition("missing surface line")
     return SurfaceDecomposition(tuple(pieces), tuple(curves), chi, sphere)
-
-
-def format_decomposition(dec: SurfaceDecomposition) -> str:
-    lines = [f"surface chi={dec.ambient_chiS} sphere={'true' if dec.ambient_sphere else 'false'}"]
-    for i, (g, b) in enumerate(dec.pieces):
-        lines.append(f"piece P{i} genus={g} boundaries={b}")
-    for k, ((ia, sa), (ib, sb)) in enumerate(dec.curves):
-        lines.append(f"curve c{k} P{ia}.{sa} P{ib}.{sb}")
-    return "\n".join(lines) + "\n"

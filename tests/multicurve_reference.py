@@ -1,5 +1,6 @@
 """Reference for the tests of `multicurve`: crossings of straight curves on
-the flat torus, counted on the integer lattice."""
+the flat torus, counted on the integer lattice, and a decomposition written
+as the text that `parse_decomposition` reads."""
 
 from fractions import Fraction
 
@@ -30,3 +31,12 @@ def lattice_crossing_count(a: mc.TorusCurve, b: mc.TorusCurve) -> int:
             if 0 <= t < 1 and 0 <= s < 1:
                 count += 1
     return count
+
+
+def format_decomposition(dec: mc.SurfaceDecomposition) -> str:
+    lines = [f"surface chi={dec.ambient_chiS} sphere={'true' if dec.ambient_sphere else 'false'}"]
+    for i, (g, b) in enumerate(dec.pieces):
+        lines.append(f"piece P{i} genus={g} boundaries={b}")
+    for k, ((ia, sa), (ib, sb)) in enumerate(dec.curves):
+        lines.append(f"curve c{k} P{ia}.{sa} P{ib}.{sb}")
+    return "\n".join(lines) + "\n"

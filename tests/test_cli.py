@@ -23,6 +23,7 @@ import report_reference
 from contactbundles import circle_dynamics, cli, hyperbolic
 from contactbundles import multicurve as mc
 from fold_reference import fold, holonomy_relator, trace_slack
+from multicurve_reference import format_decomposition
 from polygon_reference import largest_accepted_area
 
 DATA = Path(__file__).parent / "data"
@@ -93,6 +94,16 @@ class TestClassifyCommand:
             code, out, err = run(capsys, "classify", "--chi-s", chi_s, "--euler", "0")
             assert code == 2 and out == ""
             assert len(err.splitlines()) == 1 and "chi(S)" in err, (chi_s, err)
+
+    def test_report_matches_the_classification_table(self, capsys):
+        # every cell of the golden table, read off the command's own report
+        table = json.loads((DATA / "classification_table.json").read_text())
+        assert len(table) == 52
+        for key, expected in table.items():
+            chi_s, euler = key.split(",")
+            code, rep, err = run_json(capsys, "classify", "--chi-s", chi_s, "--euler", euler)
+            assert (code, err) == (0, "")
+            assert {k: rep["outputs"][k] for k in expected} == expected, key
 
 
 class TestHolonomyCommand:
@@ -474,7 +485,7 @@ class TestFormsCommand:
 class TestMulticurveCommand:
     def test_unreadable_files_exit_1(self, capsys, tmp_path):
         dec = tmp_path / "a.dec"
-        dec.write_text(mc.format_decomposition(mc.SurfaceDecomposition(
+        dec.write_text(format_decomposition(mc.SurfaceDecomposition(
             ((0, 2), (0, 2)), (((0, 0), (1, 0)), ((0, 1), (1, 1))), 0, False)))
         for argv in (["--file", str(tmp_path)], ["--file", str(tmp_path / "missing.dec")],
                      ["--file", str(dec), "--compare", str(tmp_path)],
@@ -490,8 +501,8 @@ class TestMulticurveCommand:
                                       (((0, 0), (1, 0)), ((0, 1), (1, 1))), 0, False)
         a = tmp_path / "a.dec"
         b = tmp_path / "b.dec"
-        a.write_text(mc.format_decomposition(dec))
-        b.write_text(mc.format_decomposition(dec))
+        a.write_text(format_decomposition(dec))
+        b.write_text(format_decomposition(dec))
         code, rep, _ = run_json(capsys, "multicurve", "--file", str(a),
                                 "--compare", str(b))
         assert code == 0
@@ -677,6 +688,12 @@ GOLDEN = [
     ("polygon_g8_29.997pi.json", "polygon --genus 8 --area 29.997pi"),
     ("holonomy_g10000_19999pi.json", "holonomy --genus 10000 --area 19999pi --iters 100000"),
     ("holonomy_g10000_39978.8pi.json", "holonomy --genus 10000 --area 39978.8pi --iters 100000"),
+    ("classify_chis-2_euler1.json", "classify --chi-s -2 --euler 1"),
+    ("classify_chis0_euler0.json", "classify --chi-s 0 --euler 0"),
+    ("classify_chis2_euler-1.json", "classify --chi-s 2 --euler -1"),
+    ("covers_g2_n12.json", "covers --genus 2 --n 12"),
+    ("multicurve_regular12_compare.json",
+     "multicurve --file tests/data/regular12_a.dec --compare tests/data/regular12_b.dec"),
 ]
 
 

@@ -22,10 +22,10 @@ from contactbundles import formcalc as fc
 from contactbundles.formcalc import forms
 from contactbundles.formcalc.expr import MAX_EXPONENT, compile_expr, variables
 from contactbundles.formcalc.models import (_block_rotation_components, fiber_tube_pullback,
-                                            scaling_flow_components, torus_wrapping_embedding,
-                                            torus_wrapping_pullback)
+                                            torus_wrapping_embedding, torus_wrapping_pullback)
 from expr_reference import (REDUCED_COEFFS, Add, Cos, Exp, Mul, Pi, Pow, Rat, Sin, Var, div,
                             eval_expr, neg, rebuild, ring)
+from models_reference import scaling_flow_components
 
 XYZ = fc.Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
 

@@ -21,7 +21,8 @@ import numpy as np
 from contactbundles import formcalc as fc
 from contactbundles.formcalc.expr import compile_expr
 from contactbundles.formcalc.models import (_block_rotation_components, fiber_tube_pullback,
-                                            scaling_flow_components, torus_wrapping_pullback)
+                                            torus_wrapping_pullback)
+from models_reference import scaling_flow_components
 
 PINS = Path(__file__).parent / "data" / "library_pins.json"
 #: where each point sits along each axis, as shares of its range

