@@ -27,6 +27,8 @@ from multicurve_reference import format_decomposition
 from polygon_reference import largest_accepted_area
 
 DATA = Path(__file__).parent / "data"
+#: the golden classification table, "chi_s,euler" -> the report's expected outputs
+CLASSIFICATION_TABLE = json.loads((DATA / "classification_table.json").read_text())
 #: the directory that holds the imported package, for child processes
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -95,15 +97,15 @@ class TestClassifyCommand:
             assert code == 2 and out == ""
             assert len(err.splitlines()) == 1 and "chi(S)" in err, (chi_s, err)
 
-    def test_report_matches_the_classification_table(self, capsys):
-        # every cell of the golden table, read off the command's own report
-        table = json.loads((DATA / "classification_table.json").read_text())
-        assert len(table) == 52
-        for key, expected in table.items():
-            chi_s, euler = key.split(",")
-            code, rep, err = run_json(capsys, "classify", "--chi-s", chi_s, "--euler", euler)
-            assert (code, err) == (0, "")
-            assert {k: rep["outputs"][k] for k in expected} == expected, key
+    @pytest.mark.parametrize("cell", CLASSIFICATION_TABLE)
+    def test_report_matches_the_classification_table(self, capsys, cell):
+        # one cell of the golden table, read off the command's own report
+        assert len(CLASSIFICATION_TABLE) == 52
+        expected = CLASSIFICATION_TABLE[cell]
+        chi_s, euler = cell.split(",")
+        code, rep, err = run_json(capsys, "classify", "--chi-s", chi_s, "--euler", euler)
+        assert (code, err) == (0, "")
+        assert {k: rep["outputs"][k] for k in expected} == expected
 
 
 class TestHolonomyCommand:
