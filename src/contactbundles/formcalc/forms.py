@@ -31,8 +31,8 @@ steps evaluated on numpy arrays; the pointwise `eval_expr` of the tests
 `contact_sign` evaluates and refines on sparse `meshgrid` axes, so its cost
 follows the axes the coefficient and the exclusions read, and its grid is
 bounded by MAX_GRID_POINTS.  Callers that need one value per point
-(`coefficient_values`, `characteristic_slope_on_torus`, a refinement block)
-pad kernel values to the full shape with `_padded`.
+(`coefficient_values`, `characteristic_slope_on_torus`, a refinement block,
+the Hopf check) pad kernel values to the full shape with `_padded`.
 """
 
 from __future__ import annotations
@@ -172,10 +172,10 @@ def grid_counts(grid: Union[int, Sequence[int]], dim: int) -> Tuple[int, ...]:
     return counts
 
 
-def _padded(fn, cols: Sequence) -> np.ndarray:
-    """fn(*cols) on the full broadcast shape of `cols`: the kernel's value
-    plus 0.0*(cols[0] + cols[1] + ...)."""
-    return fn(*cols) + 0.0 * functools.reduce(operator.add, cols)
+def _padded(fn, cols: Sequence, *extra) -> np.ndarray:
+    """fn(*cols, *extra) on the full broadcast shape of `cols`: the kernel's
+    value plus 0.0*(cols[0] + cols[1] + ...)."""
+    return fn(*cols, *extra) + 0.0 * functools.reduce(operator.add, cols)
 
 
 @dataclass(frozen=True)
@@ -500,15 +500,18 @@ def pullback(components: Sequence[Expr], source_chart: Chart, form: OneForm) -> 
     """
     if len(components) != form.chart.dim:
         raise ValueError("one component per target coordinate")
-    mapping = dict(zip(form.chart.names, components))
     for comp in components:
         extra = variables(comp) - set(source_chart.names)
         if extra:
             raise UnknownVariableError(sorted(extra)[0], 0)
+    return OneForm(source_chart, _pulled_coefficients(components, source_chart.names, form))
+
+
+def _pulled_coefficients(components: Sequence[Expr], names: Sequence[str], form: OneForm) -> tuple:
+    """The coefficients of `pullback` on d(names); other variables are parameters."""
+    mapping = dict(zip(form.chart.names, components))
     pulled = [subst(c, mapping) for c in form.coefficients]
-    return OneForm(source_chart, tuple(
-        _sum(p * diff(c, name) for p, c in zip(pulled, components))
-        for name in source_chart.names))
+    return tuple(_sum(p * diff(c, name) for p, c in zip(pulled, components)) for name in names)
 
 
 def forms_equal_numeric(f1: OneForm, f2: OneForm, points: int = 1000) -> bool:

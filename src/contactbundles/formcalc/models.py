@@ -5,8 +5,8 @@ Positive), the expected contact sign, and the fiber-enrollment metadata when
 the model carries one.  Entries with parameters are instantiated at the
 catalog's default values; the builder functions are exposed for other
 parameter choices.  Fixed forms, components and exclusions are written as text
-and read by the parser of `expr`; the Hopf check, which makes two block
-rotations for each sampled time, builds them with the ring operations.  The
+and read by the parser of `expr`; the Hopf check pulls back once per process,
+along a block rotation by a symbolic angle built with the ring operations.  The
 builders without parameters (`solid_torus_universal_form`,
 `bennequin_tube_form`, `hopf_plane_field_form`) return one shared form per
 process, as `model_library` shares one catalog, so each of these forms
@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import (ONE, ZERO, Cos, Expr, Pi, Sin, Var, _atom, _const, _function, _sum,
-                   parse_expr)
-from .forms import Chart, OneForm, coefficient_values, parse_form, pullback, r_of_slope
+import numpy as np
+
+from .expr import ONE, ZERO, Cos, Expr, Sin, Var, _atom, _sum, compile_expr, parse_expr
+from .forms import (Chart, OneForm, _padded, _pulled_coefficients, coefficient_values, parse_form,
+                    pullback, r_of_slope)
 
 TWO_PI = 2.0 * math.pi
 
@@ -223,40 +225,44 @@ class HopfCheck:
     times: Tuple[Fraction, ...]
 
 
-def _block_rotation_components(t: Fraction, variant: int) -> Sequence[Expr]:
-    """Linear components of (z, w) -> (e^{2 pi i t} z, e^{+-2 pi i t} w)."""
-    angle = _const(2 * Fraction(t)) * _atom(Pi())
-    c, s = _function(Cos, angle), _function(Sin, angle)
+@functools.cache
+def _hopf_rotated(variant: int) -> tuple:
+    """The Hopf form pulled back along (z, w) -> (e^{i theta} z, e^{+-i theta} w):
+    its coefficients and their kernels over the chart names and theta."""
+    lam = hopf_plane_field_form()
+    c, s = (_atom(kind(_atom(Var("theta")))) for kind in (Cos, Sin))
     v = s if variant > 0 else -s
-    x1, y1, x2, y2 = (_atom(Var(name)) for name in ("x1", "y1", "x2", "y2"))
-    return (_sum((c * x1, s * y1), (1, -1)), _sum((s * x1, c * y1)),
-            _sum((c * x2, v * y2), (1, -1)), _sum((v * x2, c * y2)))
+    x1, y1, x2, y2 = (_atom(Var(name)) for name in lam.chart.names)
+    comps = (_sum((c * x1, s * y1), (1, -1)), _sum((s * x1, c * y1)),
+             _sum((c * x2, v * y2), (1, -1)), _sum((v * x2, c * y2)))
+    pulled = _pulled_coefficients(comps, lam.chart.names, lam)
+    return pulled, tuple(compile_expr(p, (*lam.chart.names, "theta")) for p in pulled)
 
 
 @functools.cache
 def _hopf_reference(points: int) -> tuple:
-    """The seeded sample points of the Hopf chart and the form's
-    coefficients there, computed once per process for each `points`."""
+    """The columns of the seeded sample points of the Hopf chart and the
+    form's coefficients there, computed once per process for each `points`."""
     lam = hopf_plane_field_form()
     pts = lam.chart.random_points(points, random.Random(11))
-    return pts, coefficient_values(lam, pts)
+    return [np.array([p[n] for p in pts]) for n in lam.chart.names], coefficient_values(lam, pts)
 
 
 def hopf_invariance_check(times: Optional[Sequence[Fraction]] = None,
                           points: int = 200) -> HopfCheck:
     """Check that both block-rotation flows preserve the 4-coordinate form.
 
-    The pullback under each sampled rotation is compared coefficient-wise
-    with the original at random points; it passes within 1e-12.
+    The pullback under each sampled rotation (`_hopf_rotated` at theta = float(2t)*pi)
+    is compared coefficient-wise with the original at random points; it passes within 1e-12.
     """
     if times is None:
         times = tuple(Fraction(k, 10) for k in range(10))
-    lam = hopf_plane_field_form()
-    pts, original = _hopf_reference(points)
+    cols, original = _hopf_reference(points)
     worst = 0.0
     for t in times:
+        theta = float(2 * Fraction(t)) * math.pi
         for variant in (1, -1):
-            comps = _block_rotation_components(Fraction(t), variant)
-            pulled = coefficient_values(pullback(comps, lam.chart, lam), pts)
+            with np.errstate(all="ignore"):
+                pulled = np.array([_padded(fn, cols, theta) for fn in _hopf_rotated(variant)[1]])
             worst = max(worst, float(abs(pulled - original).max(initial=0.0)))
     return HopfCheck(ok=worst <= 1e-12, max_error=worst, times=tuple(Fraction(t) for t in times))

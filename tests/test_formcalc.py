@@ -19,13 +19,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactbundles import formcalc as fc
-from contactbundles.formcalc import forms
+from contactbundles.formcalc import forms, models
 from contactbundles.formcalc.expr import MAX_EXPONENT, compile_expr, variables
-from contactbundles.formcalc.models import (_block_rotation_components, fiber_tube_pullback,
-                                            torus_wrapping_embedding, torus_wrapping_pullback)
+from contactbundles.formcalc.models import (fiber_tube_pullback, torus_wrapping_embedding,
+                                            torus_wrapping_pullback)
 from expr_reference import (REDUCED_COEFFS, Add, Cos, Exp, Mul, Pi, Pow, Rat, Sin, Var, div,
                             eval_expr, neg, rebuild, ring)
-from models_reference import scaling_flow_components
+from models_reference import _block_rotation_components, scaling_flow_components
 
 XYZ = fc.Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3)
 
@@ -1002,6 +1002,12 @@ class TestWrappedEmbeddings:
         assert rep.sign == "Positive"
 
 
+#: the tenths (0 first), 40/3 and 20 seeded times, negative ones among them
+_SEEDED = random.Random(7)
+HOPF_TIMES = tuple(Fraction(k, 10) for k in range(10)) + (Fraction(40, 3),) + tuple(
+    Fraction(_SEEDED.randint(-40, 40), _SEEDED.randint(1, 40)) for _ in range(20))
+
+
 class TestHopf:
     def test_default_times_are_the_tenths(self):
         chk = fc.hopf_invariance_check()
@@ -1019,6 +1025,52 @@ class TestHopf:
     def test_random_time_both_variants(self):
         chk = fc.hopf_invariance_check(times=[Fraction(7, 13)], points=100)
         assert chk.ok
+
+    @pytest.mark.parametrize("variant", [1, -1])
+    @pytest.mark.parametrize("t", HOPF_TIMES)
+    def test_symbolic_angle_substitutes_to_the_rotation_by_t(self, t, variant):
+        """theta -> 2t pi in the coefficients pulled back once turns them
+        into those of the pullback along the rotation by t."""
+        angle = {"theta": fc.parse_expr("2*t*pi", (), {"t": t})}
+        generic, _ = models._hopf_rotated(variant)
+        lam = fc.hopf_plane_field_form()
+        pulled = fc.pullback(_block_rotation_components(t, variant), lam.chart, lam)
+        assert [fc.subst(p, angle) for p in generic] == list(pulled.coefficients)
+
+    @pytest.mark.parametrize("variant", [1, -1])
+    @pytest.mark.parametrize("t", HOPF_TIMES)
+    def test_symbolic_angle_kernels_are_the_rotation_by_t_bit_for_bit(self, t, variant):
+        cols, _ = models._hopf_reference(100)
+        _, kernels = models._hopf_rotated(variant)
+        theta = float(2 * t) * math.pi
+        got = np.array([forms._padded(fn, cols, theta) for fn in kernels])
+        lam = fc.hopf_plane_field_form()
+        pulled = fc.pullback(_block_rotation_components(t, variant), lam.chart, lam)
+        pts = [dict(zip(lam.chart.names, row)) for row in zip(*cols)]
+        assert got.tobytes() == forms.coefficient_values(pulled, pts).tobytes()
+
+    def test_max_error_is_that_of_the_pullbacks_by_each_time(self):
+        lam = fc.hopf_plane_field_form()
+        cols, original = models._hopf_reference(60)
+        pts = [dict(zip(lam.chart.names, row)) for row in zip(*cols)]
+        for t in HOPF_TIMES:
+            worst = max(float(abs(forms.coefficient_values(fc.pullback(
+                _block_rotation_components(t, v), lam.chart, lam), pts) - original).max())
+                for v in (1, -1))
+            assert fc.hopf_invariance_check(times=[t], points=60).max_error == worst, t
+
+    def test_second_check_neither_pulls_back_nor_compiles(self, monkeypatch):
+        fc.hopf_invariance_check(times=[Fraction(1, 3)], points=60)
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
+        for module, name in ((models, "pullback"), (models, "_pulled_coefficients"),
+                             (models, "compile_expr"), (forms, "compile_expr")):
+            counted(module, name)
+        assert fc.hopf_invariance_check(times=HOPF_TIMES, points=60).ok
+        assert calls == []
 
     @pytest.mark.parametrize("variant", [1, -1])
     @pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 4), Fraction(3, 7), Fraction(40, 3)])
@@ -1065,6 +1117,34 @@ def _written_out(e, env):
     return {Sin: np.sin, Cos: np.cos, Exp: np.exp}[type(e)](_written_out(e.arg, env))
 
 
+def _magnitude(e, env) -> float:
+    """The scale of the rounding error of evaluating the tree e at env in
+    floats, in any order of its sums: |value| at a leaf, the sum of the
+    terms' magnitudes at a sum, the product of the factors' at a product,
+    and at a function or a negative power its value plus its derivative
+    times its argument's magnitude (|sin'| and |cos'| at most 1); inf past
+    the float range.  It is at least |value|, and a sum whose terms cancel
+    keeps their size."""
+    def mag(e):
+        if isinstance(e, Add):
+            return math.fsum(map(mag, e.terms))
+        if isinstance(e, Mul):
+            return math.prod(map(mag, e.factors))
+        if isinstance(e, Pow):
+            x = abs(eval_expr(e.base, env))
+            return (mag(e.base) ** e.exponent if e.exponent >= 0
+                    else x ** e.exponent * (1 + -e.exponent * mag(e.base) / x))
+        if isinstance(e, (Sin, Cos)):
+            return 1 + mag(e.arg)
+        if isinstance(e, Exp):
+            return math.exp(eval_expr(e.arg, env)) * (1 + mag(e.arg))
+        return abs(eval_expr(e, env))
+    try:
+        return mag(e)
+    except (ArithmeticError, ValueError):
+        return math.inf
+
+
 def _outcome_of(evaluate):
     """evaluate() with numpy warnings off, or the type of the ArithmeticError
     it raised (Python float arithmetic raises where numpy gives inf)."""
@@ -1078,6 +1158,8 @@ def _outcome_of(evaluate):
 class TestKernel:
     @settings(max_examples=150, deadline=None)
     @given(SMALL_TREES, SMALL_TREES)
+    # two terms near 1e17 that cancel, -cos(pi)*exp(exp(t)) - exp(exp(t))
+    @example(Add((Cos(Pi()), Cos(Rat(0)))), Exp(Add((Var("x"), Exp(Var("x"))))))
     def test_matches_eval_expr_on_shared_subtrees(self, s, t):
         # s and t occur several times, as the same objects and as equal copies
         t_copy = pickle.loads(pickle.dumps(ring(t)))
@@ -1088,13 +1170,14 @@ class TestKernel:
         with np.errstate(all="ignore"):
             got = np.broadcast_to(compile_expr(e, "xyz")(
                 *(np.array([p[n] for p in pts]) for n in "xyz")), (len(pts),))
+        tree = rebuild(e)  # the sum both evaluators add up
         for k, env in zip(got, pts):
             try:
                 want = eval_expr(e, env)
             except (ArithmeticError, ValueError):  # beyond Python's float range
                 continue
             if math.isfinite(want):
-                assert abs(k - want) <= 1e-9 * (1 + abs(want)), (k, want)
+                assert abs(k - want) <= 1e-9 * (1 + _magnitude(tree, env)), (k, want)
 
     def test_constant_past_the_float_range_is_inf(self):
         # the value float arithmetic gives to a quotient past the float range

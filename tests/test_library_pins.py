@@ -20,9 +20,8 @@ import numpy as np
 
 from contactbundles import formcalc as fc
 from contactbundles.formcalc.expr import compile_expr
-from contactbundles.formcalc.models import (_block_rotation_components, fiber_tube_pullback,
-                                            torus_wrapping_pullback)
-from models_reference import scaling_flow_components
+from contactbundles.formcalc.models import fiber_tube_pullback, torus_wrapping_pullback
+from models_reference import _block_rotation_components, scaling_flow_components
 
 PINS = Path(__file__).parent / "data" / "library_pins.json"
 #: where each point sits along each axis, as shares of its range
