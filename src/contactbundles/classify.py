@@ -42,9 +42,6 @@ class EnrollmentSpectrum:
     values: FrozenSet[int] = frozenset()
     all_n: bool = False
 
-    def __contains__(self, n: int) -> bool:
-        return n >= 1 if self.all_n else n in self.values
-
     def sorted_values(self) -> List[int]:
         return sorted(self.values)
 
@@ -130,7 +127,7 @@ def legendrian_fibration_enrollment(d: int) -> Fraction:
     """Enrollment -d/2 of the pullback structure under a degree-d fibered covering."""
     if d < 1:
         raise ValueError("covering degree must be positive")
-    return validate_enrollment(Fraction(-d, 2))
+    return Fraction(-d, 2)
 
 
 def whitney_singular_class(e: Fraction, chiS: int) -> Tuple[int, int]:

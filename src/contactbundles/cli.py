@@ -277,7 +277,7 @@ def cmd_forms(args) -> int:
                 "chart": list(entry.form.chart.names),
                 "form": entry.form.text(),
                 "expected_sign": entry.expected_sign,
-                "enrollment": Fraction(entry.enrollment) if entry.enrollment is not None else None,
+                "enrollment": entry.enrollment,
             }
             if entry.expected_sign is not None:
                 rep = fc.contact_sign(entry.form, grid=args.grid)

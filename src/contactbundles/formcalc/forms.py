@@ -18,21 +18,22 @@ implements both grammars.  A term without a basis differential is rejected
 end of its term.
 
 Coefficients are the polynomials of `expr` throughout: the parser returns
-them, `exterior_derivative`, `volume_coefficient` and `pullback` compute on
-them with the ring operations of `expr`, and `render` and
-`compile_expr` read them.  A `OneForm` keeps the `normalize`d, shared
-instance of each coefficient it is given, and compiles its kernels once, on
-first use: the kernel of its volume coefficient and one per coefficient, kept
-with the form and freed with it.
+them, `exterior_derivative` (a dict keyed by (i, j), i < j),
+`volume_coefficient` and `pullback` compute on them with the ring operations
+of `expr`, and `render` and `compile_expr` read them.  A `OneForm` keeps the
+`normalize`d, shared instance of each coefficient it is given, and compiles
+its kernels once, on first use: the kernel of its volume coefficient and one
+per coefficient, kept with the form and freed with it.
 
 Numbers come from `compile_expr` kernels, value-numbered lists of numpy
 steps evaluated on numpy arrays; the pointwise `eval_expr` of the tests
 (tests/expr_reference.py) is the reference they are tested against.
 `contact_sign` evaluates and refines on sparse `meshgrid` axes, so its cost
-follows the axes the coefficient and the exclusions read, and its grid is
-bounded by MAX_GRID_POINTS.  Callers that need one value per point
-(`coefficient_values`, `characteristic_slope_on_torus`, a refinement block,
-the Hopf check) pad kernel values to the full shape with `_padded`.
+follows the axes the coefficient and the exclusions read; its grid is one
+int, the sample count of every axis, bounded by MAX_GRID_POINTS.  Points are
+columns, one array per chart coordinate.  Callers that need one value per
+point (`coefficient_values`, `characteristic_slope_on_torus`, a refinement
+block, the Hopf check) pad kernel values to the full shape with `_padded`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,9 +96,9 @@ class Chart:
     def axis(self, name: str) -> int:
         return self.names.index(name)
 
-    def grid_axes(self, counts: Union[int, Sequence[int]]) -> List[np.ndarray]:
+    def grid_axes(self, grid: int) -> List[np.ndarray]:
         axes = []
-        for (lo, hi), per, n in zip(self.ranges, self.periodic, grid_counts(counts, self.dim)):
+        for (lo, hi), per, n in zip(self.ranges, self.periodic, grid_counts(grid, self.dim)):
             if per:
                 axes.append(lo + (hi - lo) * np.arange(n) / n)
             else:
@@ -159,17 +160,16 @@ SIGN_TOL = 1e-12
 REFINE_CHUNK = 2 ** 12
 
 
-def grid_counts(grid: Union[int, Sequence[int]], dim: int) -> Tuple[int, ...]:
-    """Per-axis sample counts of `grid` (one count for every axis, or one
-    per axis).  ValueError unless each is at least 1 and their product is at
-    most MAX_GRID_POINTS."""
-    counts = (grid,) * dim if isinstance(grid, int) else tuple(grid)
-    if len(counts) != dim:
-        raise ValueError("one sample count per axis")
-    if min(counts) < 1 or math.prod(counts) > MAX_GRID_POINTS:
+def grid_counts(grid: int, dim: int) -> Tuple[int, ...]:
+    """Per-axis sample counts of the grid of `grid` samples along each of
+    `dim` axes.  TypeError unless `grid` is an int; ValueError unless it is
+    at least 1 and grid^dim is at most MAX_GRID_POINTS."""
+    if not isinstance(grid, int):
+        raise TypeError(f"grid must be an int, not {type(grid).__name__}")
+    if grid < 1 or grid ** dim > MAX_GRID_POINTS:
         raise ValueError(f"grid {grid} is outside the domain: at least 1 sample per axis "
                          f"and at most {MAX_GRID_POINTS} points")
-    return counts
+    return (grid,) * dim
 
 
 def _padded(fn, cols: Sequence, *extra) -> np.ndarray:
@@ -222,20 +222,6 @@ def render_coeff(coeff: Expr) -> str:
     if len(coeff.nums) > 1 or s.startswith("-"):
         return f"({s})"
     return s
-
-
-@dataclass(frozen=True)
-class TwoForm:
-    """Antisymmetric coefficient table: entries for dx_i ^ dx_j with i < j."""
-
-    chart: Chart
-    table: Tuple[Tuple[int, int, Expr], ...]
-
-    def coefficient(self, i: int, j: int) -> Expr:
-        """The entry of dx_i ^ dx_j for i < j, and the negation of the entry
-        of dx_j ^ dx_i for i > j."""
-        c = next((c for a, b, c in self.table if (a, b) in ((i, j), (j, i))), ZERO)
-        return c if i < j else -c
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +338,12 @@ def _read_float(text: str, pos: int) -> float:
 # ---------------------------------------------------------------------------
 # calculus
 
-def _d(form: OneForm) -> Dict[Tuple[int, int], Expr]:
-    """d_i alpha_j - d_j alpha_i, keyed by (i, j) for i < j."""
+def exterior_derivative(form: OneForm) -> Dict[Tuple[int, int], Expr]:
+    """d(alpha): its coefficient d_i alpha_j - d_j alpha_i of dx_i ^ dx_j,
+    keyed by (i, j) for i < j in `itertools.combinations` order."""
     names, a = form.chart.names, form.coefficients
     return {(i, j): diff(a[j], names[i]) - diff(a[i], names[j])
             for i, j in itertools.combinations(range(len(names)), 2)}
-
-
-def exterior_derivative(form: OneForm) -> TwoForm:
-    """d(alpha): table of d_i alpha_j - d_j alpha_i for i < j."""
-    return TwoForm(form.chart, tuple((i, j, p) for (i, j), p in _d(form).items()))
 
 
 def volume_coefficient(form: OneForm) -> Expr:
@@ -369,7 +351,7 @@ def volume_coefficient(form: OneForm) -> Expr:
     dx1 ^ dx2 ^ dx3 in chart order."""
     if form.chart.dim != 3:
         raise ValueError("contact condition requires a 3-dimensional chart")
-    d = _d(form)
+    d = exterior_derivative(form)
     a1, a2, a3 = form.coefficients
     return _sum((a1 * d[1, 2], a2 * d[0, 2], a3 * d[0, 1]), (1, -1, 1))
 
@@ -384,7 +366,7 @@ class ContactReport:
     samples: int = 0
 
 
-def contact_sign(form: OneForm, grid: Union[int, Sequence[int]] = 64) -> ContactReport:
+def contact_sign(form: OneForm, grid: int = 64) -> ContactReport:
     """Classify the sign of alpha ^ d(alpha) on the chart grid minus exclusions.
 
     Samples with |coefficient| below 10*SIGN_TOL trigger a local x2 refinement
@@ -521,14 +503,14 @@ def forms_equal_numeric(f1: OneForm, f2: OneForm, points: int = 1000) -> bool:
         return False
     import random
     pts = f1.chart.random_points(points, random.Random(0))
-    gap = np.abs(coefficient_values(f1, pts) - coefficient_values(f2, pts))
+    cols = [np.array([p[n] for p in pts]) for n in f1.chart.names]
+    gap = np.abs(coefficient_values(f1, cols) - coefficient_values(f2, cols))
     return not (gap > 1e-10).any()
 
 
-def coefficient_values(form: OneForm, points: Sequence[Mapping[str, float]]) -> np.ndarray:
-    """Array [coefficient, point] of the form's coefficients at the points."""
-    names = form.chart.names
-    cols = [np.array([p[n] for p in points], dtype=float) for n in names]
+def coefficient_values(form: OneForm, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Array [coefficient, point] of the form's coefficients at the points
+    `cols`, one 1-dimensional array per chart coordinate."""
     with np.errstate(all="ignore"):
         return np.array([_padded(fn, cols) for fn in form._coefficient_kernels])
 

@@ -3,11 +3,12 @@
 Each entry records the chart (in the order that makes the verified sign
 Positive), the expected contact sign, and the fiber-enrollment metadata when
 the model carries one.  Entries with parameters are instantiated at the
-catalog's default values; the builder functions are exposed for other
-parameter choices.  Fixed forms, components and exclusions are written as text
-and read by the parser of `expr`; the Hopf check pulls back once per process,
-along a block rotation by a symbolic angle built with the ring operations.  The
-builders without parameters (`solid_torus_universal_form`,
+catalog's default values, written once, as the builder's argument; the
+builders are exposed for other parameter choices.  Fixed forms, components
+and exclusions are written as text and read by the parser of `expr`; the
+Hopf check pulls back once per process, along a block rotation by a symbolic
+angle built with the ring operations, and keeps its sample points as columns.
+The builders without parameters (`solid_torus_universal_form`,
 `bennequin_tube_form`, `hopf_plane_field_form`) return one shared form per
 process, as `model_library` shares one catalog, so each of these forms
 compiles its kernels once per process.
@@ -38,7 +39,6 @@ class ModelForm:
     form: OneForm
     expected_sign: Optional[str]  # None for the 4-dimensional entry
     enrollment: Optional[Fraction] = None
-    params: Tuple[Tuple[str, Fraction], ...] = ()
 
 
 def _box(names, bounds, periodic=(), exclusions=()):
@@ -125,12 +125,10 @@ def _catalog() -> Dict[str, ModelForm]:
         connection_family(u_default), "Positive"))
     entries.append(ModelForm(
         "fiber_rotation", "tube of fibers along which the plane field turns n times",
-        fiber_rotation_form(2), "Positive", enrollment=Fraction(-2),
-        params=(("n", Fraction(2)),)))
+        fiber_rotation_form(2), "Positive", enrollment=Fraction(-2)))
     entries.append(ModelForm(
         "clairaut_band", "annulus fibered by Legendrian circles, half-integer twisting",
-        clairaut_band_form(2), "Positive", enrollment=Fraction(-1),
-        params=(("n", Fraction(2)),)))
+        clairaut_band_form(2), "Positive", enrollment=Fraction(-1)))
     entries.append(ModelForm(
         "solid_torus_universal", "universally tight solid torus with radial slope profile",
         solid_torus_universal_form(), "Positive"))
@@ -148,8 +146,7 @@ def _catalog() -> Dict[str, ModelForm]:
         parse_form("dz + x*dy - y*dx", _box(["x", "y", "z"], [(-2.0, 2.0)] * 3)), "Positive"))
     entries.append(ModelForm(
         "three_torus", "fiber-tangent structure on the 3-torus, m turns",
-        three_torus_form(2), "Positive", enrollment=Fraction(-2),
-        params=(("m", Fraction(2)),)))
+        three_torus_form(2), "Positive", enrollment=Fraction(-2)))
     entries.append(ModelForm(
         "bennequin_tube", "neighborhood of a tb = -1 Legendrian unknot, dz + p dtheta",
         bennequin_tube_form(), "Positive"))
@@ -245,7 +242,8 @@ def _hopf_reference(points: int) -> tuple:
     form's coefficients there, computed once per process for each `points`."""
     lam = hopf_plane_field_form()
     pts = lam.chart.random_points(points, random.Random(11))
-    return [np.array([p[n] for p in pts]) for n in lam.chart.names], coefficient_values(lam, pts)
+    cols = [np.array([p[n] for p in pts]) for n in lam.chart.names]
+    return cols, coefficient_values(lam, cols)
 
 
 def hopf_invariance_check(times: Optional[Sequence[Fraction]] = None,
@@ -254,6 +252,7 @@ def hopf_invariance_check(times: Optional[Sequence[Fraction]] = None,
 
     The pullback under each sampled rotation (`_hopf_rotated` at theta = float(2t)*pi)
     is compared coefficient-wise with the original at random points; it passes within 1e-12.
+    An angle past the float range makes `max_error` NaN, and the check fail.
     """
     if times is None:
         times = tuple(Fraction(k, 10) for k in range(10))
@@ -264,5 +263,5 @@ def hopf_invariance_check(times: Optional[Sequence[Fraction]] = None,
         for variant in (1, -1):
             with np.errstate(all="ignore"):
                 pulled = np.array([_padded(fn, cols, theta) for fn in _hopf_rotated(variant)[1]])
-            worst = max(worst, float(abs(pulled - original).max(initial=0.0)))
+            worst = float(np.maximum(worst, abs(pulled - original).max(initial=0.0)))  # keeps NaN
     return HopfCheck(ok=worst <= 1e-12, max_error=worst, times=tuple(Fraction(t) for t in times))

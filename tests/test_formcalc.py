@@ -34,6 +34,11 @@ def coeff_values(form, env):
     return [eval_expr(c, env) for c in form.coefficients]
 
 
+def columns(chart, points):
+    """The coordinate columns, in chart order, of `points` (dicts by name)."""
+    return [np.array([p[n] for p in points]) for n in chart.names]
+
+
 # (text, exception, message, offset) for rejected forms and (text, None,
 # printed form, None) for accepted ones, over the chart XYZ
 PINNED_PARSES = [
@@ -340,15 +345,16 @@ class TestParserMemo:
 class TestExteriorDerivative:
     def test_standard_structure(self):
         d = fc.exterior_derivative(fc.parse_form("dz - y*dx", XYZ))
-        assert fc.render(d.coefficient(0, 1)) == "1"
-        assert fc.render(d.coefficient(0, 2)) == "0"
-        assert fc.render(d.coefficient(1, 2)) == "0"
+        assert list(d) == [(0, 1), (0, 2), (1, 2)]
+        assert fc.render(d[0, 1]) == "1"
+        assert fc.render(d[0, 2]) == "0"
+        assert fc.render(d[1, 2]) == "0"
 
     def test_d_squared_zero_symbolically(self):
         f = fc.parse_expr("sin(x)*y", ["x", "y", "z"])
         df = fc.OneForm(XYZ, tuple(fc.diff(f, v) for v in ("x", "y", "z")))
         dd = fc.exterior_derivative(df)
-        for _, _, c in dd.table:
+        for c in dd.values():
             assert fc.render(c) == "0"
 
     def test_d_squared_zero_numerically(self):
@@ -357,7 +363,7 @@ class TestExteriorDerivative:
         df = fc.OneForm(XYZ, tuple(fc.diff(f, v) for v in ("x", "y", "z")))
         dd = fc.exterior_derivative(df)
         for env in XYZ.random_points(100, rng):
-            for _, _, c in dd.table:
+            for c in dd.values():
                 assert abs(eval_expr(c, env)) <= 1e-10
 
     def test_cylindrical_model(self):
@@ -366,9 +372,9 @@ class TestExteriorDerivative:
         rng = random.Random(21)
         for env in zeta.chart.random_points(50, rng):
             r = env["r"]
-            assert eval_expr(d.coefficient(0, 1), env) == pytest.approx(2 * r, rel=1e-12)
-            assert eval_expr(d.coefficient(0, 2), env) == pytest.approx(-4 * r ** 3, rel=1e-12)
-            assert abs(eval_expr(d.coefficient(1, 2), env)) <= 1e-15
+            assert eval_expr(d[0, 1], env) == pytest.approx(2 * r, rel=1e-12)
+            assert eval_expr(d[0, 2], env) == pytest.approx(-4 * r ** 3, rel=1e-12)
+            assert abs(eval_expr(d[1, 2], env)) <= 1e-15
 
     def test_one_polynomial_from_parse_to_report(self):
         # the parser returns each coefficient as a polynomial, the form keeps
@@ -377,7 +383,7 @@ class TestExteriorDerivative:
                                   .read_text())
         assert all(type(c) is fc.Expr and fc.normalize(c) is c for c in form.coefficients)
         d = fc.exterior_derivative(form)
-        assert {type(fc.volume_coefficient(form))} | {type(c) for _, _, c in d.table} == {fc.Expr}
+        assert {type(fc.volume_coefficient(form))} | {type(c) for c in d.values()} == {fc.Expr}
 
     def test_calculus_does_no_fraction_arithmetic(self):
         # polynomials are integer numerators over one denominator, so the
@@ -485,10 +491,19 @@ class TestContactSign:
         with pytest.raises(ValueError):
             fc.contact_sign(fc.hopf_plane_field_form())
 
-    @pytest.mark.parametrize("grid", [0, -3, (4, 0, 4), 257, (256, 256, 257), (4, 4)])
+    @pytest.mark.parametrize("grid", [0, -3, 257])
     def test_grid_domain(self, grid):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the domain"):
             fc.contact_sign(fc.parse_form("dz - y*dx", XYZ), grid=grid)
+
+    @pytest.mark.parametrize("grid", [(4, 0, 4), (256, 256, 257), (4, 4), (4, 4, 4), 4.0, "4"])
+    def test_a_grid_is_one_int(self, grid):
+        # a per-axis grid or a count of another type is refused, not converted
+        form = fc.parse_form("dz - y*dx", XYZ)
+        with pytest.raises(TypeError, match="grid must be an int"):
+            fc.contact_sign(form, grid=grid)
+        with pytest.raises(TypeError, match="grid must be an int"):
+            fc.grid_counts(grid, 3)
 
     def test_largest_grid_in_domain(self):
         assert fc.MAX_GRID_POINTS == 256 ** 3
@@ -523,12 +538,12 @@ class TestReducedGrid:
            exclusions=st.lists(st.sampled_from(REDUCED_EXCLUSIONS), max_size=2),
            ranges=st.tuples(*[st.sampled_from(RANGES)] * 3),
            periodic=st.tuples(*[st.booleans()] * 3),
-           grid=st.one_of(st.integers(1, 9), st.tuples(*[st.integers(1, 7)] * 3)))
+           grid=st.integers(1, 9))
     @example(("0", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, 9)  # dz - (y^2/2) dx: Mixed
-    @example(("y^2/2", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, (5, 1, 3))
+    @example(("y^2/2", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, 1)  # one point: Positive
     @example(("y*(x + 2)/(x + 9/4)", "0", "-1"), [], [(-2.0, 2.0)] * 3, (False,) * 3, 9)
     @example(("y*(x + 1)/(x + 5/4)", "0", "-1"), [], [(-2.0, 2.0)] * 3, (False,) * 3, 9)
-    @example(("1", "0", "0"), [("x", "1/4")], [(-1.0, 1.0)] * 3, (False,) * 3, (7, 1, 1))
+    @example(("1", "0", "0"), [("x", "1/4")], [(-1.0, 1.0)] * 3, (False,) * 3, 7)
     @example(("x*y", "z", "1"), [("1", "1/2")], [(-1.0, 1.0)] * 3, (False,) * 3, 4)
     @example(("y/x", "0", "1"), [], [(-1.0, 1.0)] * 3, (False,) * 3, 9)  # a pole at x = 0
     @example(("y/x", "0", "1"), [("x", "1/4")], [(-1.0, 1.0)] * 3, (False,) * 3, 9)
@@ -543,14 +558,14 @@ class TestReducedGrid:
     @pytest.mark.parametrize("coeffs,grid,sign,refined", [
         (("-y^2/2", "0", "1"), 9, "Mixed", False),
         (("-y*(x + 2)/(x + 9/4)", "0", "1"), 9, "Mixed", True),
-        (("1", "0", "0"), (5, 1, 3), "Mixed", True),
-        (("x^2*y", "0", "1"), (7, 3, 1), "Mixed", True),
+        (("1", "0", "0"), 1, "Mixed", True),  # one sample: its neighbours are itself
+        (("x^2*y", "0", "1"), 7, "Mixed", True),
     ])
     def test_mixed_and_refined_cases(self, coeffs, grid, sign, refined):
         form, grid = _reduced_case(coeffs, [], [(-2.0, 2.0)] * 3, (False,) * 3, grid)
         rep = fc.contact_sign(form, grid)
         assert rep.sign == sign
-        assert (rep.samples > math.prod(fc.grid_counts(grid, 3))) == refined
+        assert (rep.samples > grid ** 3) == refined
         assert repr(rep) == repr(_dense_contact_sign(form, grid))
 
     def test_library_builds_no_dense_mesh(self):
@@ -602,10 +617,10 @@ class TestChunkedRefinement:
            exclusions=st.lists(st.sampled_from(REDUCED_EXCLUSIONS), max_size=2),
            ranges=st.tuples(*[st.sampled_from(RANGES)] * 3),
            periodic=st.tuples(*[st.booleans()] * 3),
-           grid=st.one_of(st.integers(1, 9), st.tuples(*[st.integers(1, 7)] * 3)),
+           grid=st.integers(1, 9),
            chunk=st.integers(1, 9))
-    @example(("1", "0", "0"), [], [(-2.0, 2.0)] * 3, (False,) * 3, (5, 1, 3), 2)
-    @example(("x^2*y", "0", "1"), [], [(-2.0, 2.0)] * 3, (False,) * 3, (7, 3, 1), 1)
+    @example(("1", "0", "0"), [], [(-2.0, 2.0)] * 3, (False,) * 3, 5, 2)
+    @example(("x^2*y", "0", "1"), [], [(-2.0, 2.0)] * 3, (False,) * 3, 7, 1)
     def test_small_chunks_match_dense_oracle(self, coeffs, exclusions, ranges, periodic, grid,
                                              chunk):
         form, grid = _reduced_case(coeffs, exclusions, ranges, periodic, grid)
@@ -628,16 +643,17 @@ class TestChunkedRefinement:
         # grid 5: all 125 reduced samples flagged, 3375 refined points
         self.check_chunk_boundaries(ALL_AXES, chunk)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 5, 47, 48, 49, 53, 54])
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 50, 51, 52, 60, 63, 64])
     def test_chunk_boundaries_with_a_late_minimum(self, chunk):
-        # coefficient (2 - x)/10^13: every sample is flagged and positive, and
-        # the least value is met first at the refined points on x = 1 of
-        # sample 48 of 54 (y and z, and x = 1 + 1/8, clamped onto the chart
-        # [-1, 1]^3), tied at each later sample on x = 1
-        form, grid = _reduced_case(("-(2 - x)*y/10000000000000", "0", "1"), [],
-                                   [(-1.0, 1.0)] * 3, (False,) * 3, (9, 3, 2))
+        # coefficient (2 - x)*(2 + y*z)/10^13 reads every axis, so at grid 4
+        # the reduced grid is the whole grid: every sample is flagged and
+        # positive, and the least value is met first at the refined points
+        # of sample 51 of 64, (1, -1, 1) (x = 1 + 1/3 and y = -1 - 1/3
+        # clamped onto the chart [-1, 1]^3), tied at sample 60, (1, 1, -1)
+        form, grid = _reduced_case(("-(2 - x)*(2*y + y^2*z/2)/10000000000000", "0", "1"), [],
+                                   [(-1.0, 1.0)] * 3, (False,) * 3, 4)
         whole = self.sign_with_chunk(form, grid, 10 ** 6)
-        assert "witnesses=((1.0, -1.0, -1.0),), samples=1512" in whole
+        assert "witnesses=((1.0, -1.0, 1.0),), samples=1792" in whole
         assert self.sign_with_chunk(form, grid, chunk) == whole
         assert whole == _outcome(_dense_contact_sign, form, grid)
 
@@ -859,7 +875,7 @@ class TestCompiledSamples:
     def test_coefficient_values(self):
         f = fc.parse_form("exp(x)*dz - y/(1 + z^2)*dx", XYZ)
         pts = XYZ.random_points(20, random.Random(6))
-        got = fc.forms.coefficient_values(f, pts)
+        got = fc.forms.coefficient_values(f, columns(XYZ, pts))
         assert got.shape == (3, 20)
         for j, env in enumerate(pts):
             assert got[:, j] == pytest.approx(coeff_values(f, env), rel=1e-14, abs=1e-15)
@@ -881,7 +897,7 @@ class TestKernelCaches:
         pts = form.chart.random_points(5, random.Random(1))
 
         def read():
-            return (fc.forms.coefficient_values(form, pts),
+            return (fc.forms.coefficient_values(form, columns(form.chart, pts)),
                     fc.characteristic_slope_on_torus(form, 0.7))
 
         (values, slope), compiled = compiles(read)
@@ -897,7 +913,7 @@ class TestKernelCaches:
     def test_a_dropped_form_frees_its_kernels(self):
         form = fc.parse_form("dz - y*dx + sin(x)*dy", XYZ)
         fc.contact_sign(form, grid=8)
-        fc.forms.coefficient_values(form, [{"x": 0.0, "y": 0.0, "z": 0.0}])
+        fc.forms.coefficient_values(form, [np.zeros(1)] * 3)
         kernel, ref = form._volume_kernel, weakref.ref(form)
         del form
         gc.collect()
@@ -976,8 +992,7 @@ class TestModelLibrary:
     def test_fiber_rotation_enrollment(self):
         lib = fc.model_library()
         entry = lib["fiber_rotation"]
-        n = dict(entry.params)["n"]
-        assert entry.enrollment == -n
+        assert entry.form == fc.fiber_rotation_form(2) and entry.enrollment == -2
 
     def test_connection_family_sign_criterion(self):
         # d_y u < 0 makes the connection form contact positive; the reversed
@@ -1046,18 +1061,24 @@ class TestHopf:
         got = np.array([forms._padded(fn, cols, theta) for fn in kernels])
         lam = fc.hopf_plane_field_form()
         pulled = fc.pullback(_block_rotation_components(t, variant), lam.chart, lam)
-        pts = [dict(zip(lam.chart.names, row)) for row in zip(*cols)]
-        assert got.tobytes() == forms.coefficient_values(pulled, pts).tobytes()
+        assert got.tobytes() == forms.coefficient_values(pulled, cols).tobytes()
 
     def test_max_error_is_that_of_the_pullbacks_by_each_time(self):
         lam = fc.hopf_plane_field_form()
         cols, original = models._hopf_reference(60)
-        pts = [dict(zip(lam.chart.names, row)) for row in zip(*cols)]
         for t in HOPF_TIMES:
             worst = max(float(abs(forms.coefficient_values(fc.pullback(
-                _block_rotation_components(t, v), lam.chart, lam), pts) - original).max())
+                _block_rotation_components(t, v), lam.chart, lam), cols) - original).max())
                 for v in (1, -1))
             assert fc.hopf_invariance_check(times=[t], points=60).max_error == worst, t
+
+    def test_an_angle_past_the_float_range_fails_with_a_nan_error(self):
+        # 2t*pi is inf, so every pulled value is NaN; the error stays NaN
+        # through the later times and both variants
+        huge = Fraction(5 * 10 ** 307)
+        for times in ([huge], [huge, Fraction(1, 4)], [Fraction(0), huge, Fraction(1, 3)]):
+            chk = fc.hopf_invariance_check(times=times, points=50)
+            assert not chk.ok and math.isnan(chk.max_error), times
 
     def test_second_check_neither_pulls_back_nor_compiles(self, monkeypatch):
         fc.hopf_invariance_check(times=[Fraction(1, 3)], points=60)
@@ -1418,7 +1439,7 @@ class TestPolynomialObjects:
         form = fc.parse_form_file((Path(__file__).parent / "data" / "torus_pullback.form")
                                   .read_text())
         kept = [*form.coefficients, fc.volume_coefficient(form),
-                *(c for _, _, c in fc.exterior_derivative(form).table)]
+                *fc.exterior_derivative(form).values()]
         gc.collect()
         gc.collect()
         monomials = [m for c in kept for m in c.nums]

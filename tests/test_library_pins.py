@@ -46,7 +46,7 @@ def _form_pins(prefix: str, form, out: dict, calculus: bool = True) -> None:
             for var in chart.names:
                 out[f"{prefix}/diff/{name}/{var}"] = _pin(fc.diff(coeff, var), chart)
     if calculus:
-        for i, j, coeff in fc.exterior_derivative(form).table:
+        for (i, j), coeff in fc.exterior_derivative(form).items():
             out[f"{prefix}/d/{chart.names[i]}^{chart.names[j]}"] = _pin(coeff, chart)
         if chart.dim == 3:
             out[f"{prefix}/volume"] = _pin(fc.volume_coefficient(form), chart)

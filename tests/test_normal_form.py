@@ -396,12 +396,9 @@ def _rings(trees):
 def test_calculus_on_the_ring_matches_the_tree_route(coeffs, components):
     form = _outcome(lambda: fc.OneForm(CHART, _rings(coeffs)))
     assume(form is not ZeroDivisionError)
-    d = fc.exterior_derivative(form)
-    assert dict(((i, j), c) for i, j, c in d.table) == reference_exterior_derivative(form)
-    for i, j, c in d.table:
-        assert d.coefficient(i, j) is c
-        assert d.coefficient(j, i) == ring(neg(c))
-        assert d.coefficient(i, i) == ZERO
+    # the same entries in the same (i, j) order
+    assert list(fc.exterior_derivative(form).items()) == list(
+        reference_exterior_derivative(form).items())
     assert fc.volume_coefficient(form) == reference_volume_coefficient(form)
     components = _outcome(_rings, components)
     assume(components is not ZeroDivisionError)
