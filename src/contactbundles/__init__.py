@@ -2,9 +2,10 @@
 
 The package is organised around five independent engines plus a CLI:
 
-* `circle_dynamics` -- lifts of circle homeomorphisms: exact displacement
-  bounds, translation numbers, relators and Euler numbers of piecewise-linear
-  lifts; Moebius boundary lifts evaluate pointwise.
+* `circle_dynamics` -- lifts of circle homeomorphisms: the surface-group
+  relator of piecewise-linear lifts folded to one, and exact displacement
+  bounds, translation numbers and Euler numbers of such a lift; Moebius
+  boundary lifts and composition words evaluate pointwise.
 * `hyperbolic` -- symmetric polygons in the Poincare disk, side-pairing
   isometries, and the holonomy relator's translation number and trace, read
   from how one handle's two pairings turn at four vertices.

@@ -10,13 +10,13 @@ representations are provided:
 * `WordMap` -- a formal composition of other maps (with exponents +-1),
   evaluated by nesting.
 
-`flatten` folds a word of PL letters into one exact PL map.
-`translation_number` iterates that map exactly, and `_extremes` reads the
-extremes of f(t) - t at its breakpoints, which decide the displacement checks
-and the Euler number of a pair of lifts.  Nothing is sampled.  These take
-piecewise-linear data only: a Moebius lift, or a word holding one, has no
-exact orbit or breakpoints, so it is refused.  The relator of the hyperbolic
-side pairings is read in `hyperbolic.relator_rotation`, not here.
+`evaluate_relator` folds the surface-group relator of PL maps into one PL
+map, `translation_number` iterates a PL map exactly, and `_extremes` reads
+the extremes of f(t) - t at its breakpoints, which decide the displacement
+checks and the Euler number of a pair of lifts.  Nothing is sampled.  These
+take a `PiecewiseLinearMap` only: a Moebius lift has no exact orbit or
+breakpoints, and a word is not folded, so both are refused.  The relator of
+the hyperbolic side pairings is read in `hyperbolic.relator_rotation`.
 
 Exact PL arithmetic is done on integers, not on `Fraction` (rationals kept as
 integer pairs, reduced only where a value is returned; Knuth, TAOCP vol. 2,
@@ -75,8 +75,6 @@ class NonIntegerDifference(ValueError):
 class LiftedCircleMap:
     """Base class; subclasses implement `eval` and `inverse`."""
 
-    kind: str = "abstract"
-
     def letters(self) -> tuple:
         """The map viewed as a one-letter word."""
         return ((self, 1),)
@@ -98,8 +96,6 @@ class PiecewiseLinearMap(LiftedCircleMap):
     `knots` (Fraction pairs) are built on first use.  `eval` at a float x is
     f(x) exactly, rounded once to binary64.
     """
-
-    kind = "pl"
 
     def __init__(self, breakpoints: Iterable[tuple]):
         pairs = [_ratio(t) + _ratio(v) for t, v in breakpoints]
@@ -191,10 +187,11 @@ class PiecewiseLinearMap(LiftedCircleMap):
 
 
 def _ratio(x: Scalar) -> tuple:
-    """x as a reduced integer pair (n, d), d > 0."""
-    if not isinstance(x, (int, float, Fraction)):
-        x = Fraction(x)
-    return x.as_integer_ratio()
+    """x as a reduced integer pair (n, d), d > 0; ValueError for NaN or +-inf."""
+    try:
+        return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
+    except OverflowError:
+        raise ValueError(f"breakpoints must be finite, not {x}") from None
 
 
 def _sorted_knots(keyed: list) -> tuple:
@@ -271,8 +268,6 @@ class MoebiusBoundaryLift(LiftedCircleMap):
     principal argument of the image of 1 (in turns, in [0, 1)).
     """
 
-    kind = "moebius"
-
     def __init__(self, iso, winding: int = 0):
         self.iso = iso
         self.winding = int(winding)
@@ -319,8 +314,6 @@ class WordMap(LiftedCircleMap):
     Letters are (map, exponent) with exponent +-1.  Inverse letters are
     resolved to concrete inverse maps once, at construction.
     """
-
-    kind = "word"
 
     def __init__(self, letters: Sequence[tuple]):
         flat = []
@@ -391,20 +384,6 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
     return PiecewiseLinearMap._from_pairs(*_sorted_knots(keyed))
 
 
-def _as_piecewise_linear(f: WordMap) -> PiecewiseLinearMap:
-    """Fold a word of PL letters (the empty word too) to one exact PL map."""
-    # the chain holds each letter resolved, inverse letters already inverted
-    resolved = tuple(zip(f.letters(), reversed(f._chain)))
-    if not resolved:
-        return PiecewiseLinearMap.identity()
-    inverses = {id(m): g for (m, e), g in resolved if e == -1}
-    acc = None
-    for (m, e), g in resolved:
-        ginv = m if e == -1 else inverses.get(id(m))
-        acc = _after_identity(g, ginv or g.inverse()) if acc is None else _compose_pl(acc, g, ginv)
-    return acc
-
-
 def _after_identity(g: PiecewiseLinearMap, ginv: PiecewiseLinearMap) -> PiecewiseLinearMap:
     """identity o g as `_compose_pl` builds it, without a composition: g's
     knots and the preimage of the identity's knot (0, 0), the point u in
@@ -438,42 +417,30 @@ def _extreme_indices(pairs: Sequence[tuple]) -> tuple:
     return lo, hi
 
 
-def flatten(f: LiftedCircleMap) -> LiftedCircleMap:
-    """Cheapest pointwise-equal representative: a word of PL letters folds
-    to one exact PL map; any other word, and any single map, is returned as
-    it is."""
-    if isinstance(f, WordMap) and all(m.kind == PiecewiseLinearMap.kind for m, _ in f.letters()):
-        return _as_piecewise_linear(f)
+def _piecewise_linear(f: LiftedCircleMap, caller: str) -> PiecewiseLinearMap:
+    """f, which must be a PL map: ValueError for a Moebius lift or a word."""
+    if not isinstance(f, PiecewiseLinearMap):
+        raise ValueError(f"{caller}: takes piecewise-linear maps, not {type(f).__name__}")
     return f
 
 
-def _piecewise_linear(f: LiftedCircleMap, caller: str) -> PiecewiseLinearMap:
-    """`flatten(f)`, which must be one PL map: ValueError for a Moebius lift
-    or a word holding one."""
-    g = flatten(f)
-    if not isinstance(g, PiecewiseLinearMap):
-        raise ValueError(f"{caller}: takes piecewise-linear maps and words of them, "
-                         "not Moebius lifts")
-    return g
-
-
-def _extremes(f: LiftedCircleMap) -> tuple:
+def _extremes(f: PiecewiseLinearMap, caller: str) -> tuple:
     """((t_lo, D_lo), (t_hi, D_hi)), the first minimum and the first maximum
     over one period of D = f - id, as exact `Fraction`s: D is linear between
     breakpoints, so both are attained at a breakpoint."""
-    g = _piecewise_linear(f, "displacement")
+    g = _piecewise_linear(f, caller)
     ds = _displacements(g)
     return tuple((Fraction(g._tn[i], g._td[i]), Fraction(*ds[i])) for i in _extreme_indices(ds))
 
 
-def sup_displacement(f: LiftedCircleMap) -> Scalar:
+def sup_displacement(f: PiecewiseLinearMap) -> Scalar:
     """sup over one period of f(t) - t (`_extremes`)."""
-    return _extremes(f)[1][1]
+    return _extremes(f, "sup_displacement")[1][1]
 
 
-def inf_displacement(f: LiftedCircleMap) -> Scalar:
+def inf_displacement(f: PiecewiseLinearMap) -> Scalar:
     """inf over one period of f(t) - t (`_extremes`), equal to -sup_displacement(f^-1)."""
-    return _extremes(f)[0][1]
+    return _extremes(f, "inf_displacement")[0][1]
 
 
 @dataclass(frozen=True)
@@ -490,8 +457,8 @@ class TranslationNumberEstimate:
     iterations: int
 
 
-def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumberEstimate:
-    """Estimate the translation number rho of PL data f; N = `iterations`.
+def translation_number(f: PiecewiseLinearMap, iterations: int) -> TranslationNumberEstimate:
+    """Estimate the translation number rho of the PL map f; N = `iterations`.
 
     The value is the exact rational orbit average f^N(0)/N, error bound 1/N.
     The orbit is stepped only until a cycle of segments is proved to hold it
@@ -500,9 +467,9 @@ def translation_number(f: LiftedCircleMap, iterations: int) -> TranslationNumber
     power, so a captured orbit costs a fixed number of steps and O(N) bits,
     not O(N^2).  A PL map with a periodic orbit and slopes other than 1
     usually has an attracting cycle (M. Herman, Publ. Math. IHES 49, 1979).
-    An orbit never captured is stepped N times.  A Moebius lift, or a word
-    holding one, raises ValueError: its float orbit has no derived error
-    bound.
+    An orbit never captured is stepped N times.  A Moebius lift raises
+    ValueError, as its float orbit has no derived error bound, and so does
+    a word.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -621,15 +588,20 @@ def _on_segment(g: PiecewiseLinearMap, i: int, u: Fraction) -> bool:
     return lo_n * ud <= un * lo_d and un * hi_d <= hi_n * ud
 
 
-def evaluate_relator(maps: Sequence[LiftedCircleMap]) -> WordMap:
-    """The surface-group relator prod_{i=1..g} [f_{2i-1}, f_{2i}] as a word."""
+def evaluate_relator(maps: Sequence[PiecewiseLinearMap]) -> PiecewiseLinearMap:
+    """The surface-group relator prod_{i=1..g} [f_{2i-1}, f_{2i}] of PL maps,
+    folded to one PL map: each map inverted once, the letters a, b, a^-1,
+    b^-1 of each handle composed left to right, the first by
+    `_after_identity`.  A map that is not PL raises ValueError."""
     if len(maps) < 2 or len(maps) % 2:
         raise ValueError("need an even number (>= 2) of maps")
-    letters = []
+    inverses = [_piecewise_linear(m, "evaluate_relator").inverse() for m in maps]
+    acc = None
     for i in range(0, len(maps), 2):
-        a, b = maps[i], maps[i + 1]
-        letters += [(a, 1), (b, 1), (a, -1), (b, -1)]
-    return WordMap(letters)
+        (a, b), (ainv, binv) = maps[i:i + 2], inverses[i:i + 2]
+        for g, ginv in ((a, ainv), (b, binv), (ainv, a), (binv, b)):
+            acc = _after_identity(g, ginv) if acc is None else _compose_pl(acc, g, ginv)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -640,11 +612,11 @@ class DisplacementCheck:
     witness_displacement: Optional[float] = None
 
 
-def displacement_within(f: LiftedCircleMap, bound: Scalar) -> DisplacementCheck:
+def displacement_within(f: PiecewiseLinearMap, bound: Scalar) -> DisplacementCheck:
     """Check |f(t) - t| <= bound exactly at the breakpoints (`_extreme_indices`).
     A failed check names the first point of largest |displacement| as its
-    witness; Moebius data raises ValueError."""
-    g = _piecewise_linear(f, "displacement")
+    witness; a map that is not PL raises ValueError."""
+    g = _piecewise_linear(f, "displacement_within")
     ds = _displacements(g)
     lo, hi = _extreme_indices(ds)
     (ln, ld), (hn, hd) = ds[lo], ds[hi]
@@ -658,16 +630,16 @@ def displacement_within(f: LiftedCircleMap, bound: Scalar) -> DisplacementCheck:
     return DisplacementCheck(False, float(bound), g._tn[i] / g._td[i], n / d)
 
 
-def wood_bound_check(maps: Sequence[LiftedCircleMap]) -> DisplacementCheck:
+def wood_bound_check(maps: Sequence[PiecewiseLinearMap]) -> DisplacementCheck:
     """Check the relator displacement bound |relator(t) - t| <= 2g (Milnor-Wood)
-    exactly, with `displacement_within`; Moebius lifts raise ValueError.  For
-    constructed words that are not honest relators, call
-    `displacement_within` with the synthetic map.
+    exactly, with `displacement_within`; a map that is not PL raises
+    ValueError.  For a map that is not an honest relator, call
+    `displacement_within` with it.
     """
     return displacement_within(evaluate_relator(maps), Fraction(len(maps)))
 
 
-def euler_from_sections(fD: LiftedCircleMap, fK: LiftedCircleMap) -> int:
+def euler_from_sections(fD: PiecewiseLinearMap, fK: PiecewiseLinearMap) -> int:
     """The constant integer fD(t) - fK(t) of two PL lifts, from extremes, not
     samples.
 
@@ -675,9 +647,9 @@ def euler_from_sections(fD: LiftedCircleMap, fK: LiftedCircleMap) -> int:
     difference ranges over [inf, sup] of h's displacement (`_extremes`), whose
     ends are exact.  NonConstantDifference is raised if the difference
     varies, NonIntegerDifference if the constant is not an integer,
-    ValueError if fD or fK is or holds a Moebius lift.
+    ValueError if fD or fK is not a PL map.
     """
-    (_, lo), (_, hi) = _extremes(compose(fD, fK.inverse()))
+    (_, lo), (_, hi) = _extremes(compose(fD, fK.inverse()), "euler_from_sections")
     if hi > lo:
         raise NonConstantDifference(f"difference varies over [{lo}, {hi}]")
     if lo.denominator != 1:

@@ -259,7 +259,10 @@ def hopf_invariance_check(times: Optional[Sequence[Fraction]] = None,
     cols, original = _hopf_reference(points)
     worst = 0.0
     for t in times:
-        theta = float(2 * Fraction(t)) * math.pi
+        try:
+            theta = float(2 * Fraction(t)) * math.pi
+        except OverflowError:  # 2t itself past the float range
+            theta = math.inf if Fraction(t) > 0 else -math.inf
         for variant in (1, -1):
             with np.errstate(all="ignore"):
                 pulled = np.array([_padded(fn, cols, theta) for fn in _hopf_rotated(variant)[1]])

@@ -1,7 +1,8 @@
 """Reference geometry for the tests: the lifted holonomy relator folded
 letter by letter over all 2g side pairings of
 `polygon_reference.reference_pairings`, the O(g) oracle for
-`hyperbolic.relator_rotation`.  The fold is read in closed form: its
+`hyperbolic.relator_rotation`; `relator_word` spells a relator as a word
+of its letters.  The fold is read in closed form: its
 translation number (`moebius_rho`), the two extremes of its displacement
 (`moebius_extremes`), and the rounding bound of its trace (`trace_slack`,
 with the scale `fold_error_scale` summed from plain complex products).  Also
@@ -33,9 +34,16 @@ def proj_distance(x: Isometry2H, y: Isometry2H) -> float:
     return min(dplus, dminus)
 
 
+def relator_word(maps: Sequence[cd.LiftedCircleMap]) -> cd.WordMap:
+    """The relator prod_i [f_{2i-1}, f_{2i}] as a word: the letters a, b,
+    a^-1, b^-1 of each handle, left to right."""
+    return cd.WordMap([(m, e) for i in range(0, len(maps), 2)
+                       for m, e in ((maps[i], 1), (maps[i + 1], 1), (maps[i], -1), (maps[i + 1], -1))])
+
+
 def holonomy_relator(pairings: Sequence[Isometry2H]) -> cd.WordMap:
     """The relator prod_i [phi_{2i-1}, phi_{2i}] of the pairings' canonical boundary lifts."""
-    return cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in pairings])
+    return relator_word([cd.MoebiusBoundaryLift(p) for p in pairings])
 
 
 def fold(word: cd.WordMap) -> cd.MoebiusBoundaryLift:

@@ -33,7 +33,8 @@ def random_pl(rng, max_knots=5, max_den=32):
 # it contracts by 2/3 onto the knot 1/8 + 1 from below: F^N(0) = (1 - (2/3)^N)/8.
 BUMP = cd.PiecewiseLinearMap([(Fraction(1, 8), Fraction(1, 8)), (Fraction(1, 4), Fraction(5, 16)),
                               (Fraction(1, 2), Fraction(7, 16)), (Fraction(5, 8), Fraction(5, 8))])
-KNOT_CYCLE_RELATOR = cd.evaluate_relator([BUMP, cd.PiecewiseLinearMap.translation(Fraction(1, 2))])
+KNOT_CYCLE_MAPS = (BUMP, cd.PiecewiseLinearMap.translation(Fraction(1, 2)))
+KNOT_CYCLE_RELATOR = cd.evaluate_relator(KNOT_CYCLE_MAPS)
 
 
 def knot_cycle_average(n):

@@ -68,7 +68,7 @@ def test_traced_library_calls_answer_on_pl_maps():
             assert json.loads(text)
     finally:
         tracer.uninstall()
-    assert {"circle_dynamics.translation_number", "circle_dynamics.flatten"} <= {
+    assert {"circle_dynamics.translation_number", "circle_dynamics.evaluate_relator"} <= {
         span[1] for span in tracer.spans}
     assert worker.restored(tracer)
 

@@ -13,8 +13,8 @@ from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
 from fold_reference import (disk_product, fold, fold_error_scale, fold_estimate, holonomy_relator,
                             holonomy_translation_number, moebius_extremes, moebius_rho,
-                            trace_slack)
-from pl_reference import KNOT_CYCLE_RELATOR, knot_cycle_average, random_pl
+                            relator_word, trace_slack)
+from pl_reference import KNOT_CYCLE_MAPS, KNOT_CYCLE_RELATOR, knot_cycle_average, random_pl
 from polygon_reference import Isometry2H, build_symmetric_polygon, reference_pairings
 
 
@@ -137,6 +137,7 @@ class TestTranslationNumber:
 class TestRelator:
     def test_all_identity(self):
         rel = cd.evaluate_relator([cd.PiecewiseLinearMap.identity()] * 4)
+        assert isinstance(rel, cd.PiecewiseLinearMap)
         for i in range(50):
             t = Fraction(i, 50)
             assert rel.eval(t) == t
@@ -203,30 +204,34 @@ class TestEulerFromSections:
             cd.euler_from_sections(cd.PiecewiseLinearMap(knots), cd.PiecewiseLinearMap.identity())
 
 
-#: each function that takes piecewise-linear data, called on one map f
+#: each function that takes piecewise-linear data, called on one map f, and
+#: the caller its refusal names
 PL_ONLY = {
-    "translation_number": lambda f: cd.translation_number(f, 100),
-    "sup_displacement": cd.sup_displacement,
-    "inf_displacement": cd.inf_displacement,
-    "displacement_within": lambda f: cd.displacement_within(f, 2),
-    "wood_bound_check": lambda f: cd.wood_bound_check([f, f]),
-    "euler_from_sections": lambda f: cd.euler_from_sections(f, f),
+    "translation_number": (lambda f: cd.translation_number(f, 100), "translation_number"),
+    "sup_displacement": (cd.sup_displacement, "sup_displacement"),
+    "inf_displacement": (cd.inf_displacement, "inf_displacement"),
+    "displacement_within": (lambda f: cd.displacement_within(f, 2), "displacement_within"),
+    "wood_bound_check": (lambda f: cd.wood_bound_check([f, f]), "evaluate_relator"),
+    "euler_from_sections": (lambda f: cd.euler_from_sections(f, f), "euler_from_sections"),
+    "evaluate_relator": (lambda f: cd.evaluate_relator([f, f]), "evaluate_relator"),
 }
 
 
 class TestPiecewiseLinearOnly:
     """A Moebius lift, a word of them, or a word mixing them with PL letters
-    has no exact orbit or breakpoints: every PL decision refuses it."""
+    has no exact orbit or breakpoints, and a word of PL letters is not
+    folded: every PL decision, and the relator fold, refuses each."""
 
     @pytest.mark.parametrize("make", [
         lambda: cd.MoebiusBoundaryLift(Isometry2H.rotation(0.9)),
         lambda: polygon_relator(2, 0.5)[0],
         lambda: cd.compose(random_pl(random.Random(41)),
                            cd.MoebiusBoundaryLift(Isometry2H.rotation(0.9))),
-    ], ids=["lift", "relator", "mixed"])
-    @pytest.mark.parametrize("call", PL_ONLY.values(), ids=PL_ONLY.keys())
-    def test_moebius_data_is_refused(self, call, make):
-        with pytest.raises(ValueError, match="piecewise-linear"):
+        lambda: relator_word([random_pl(random.Random(42)), random_pl(random.Random(43))]),
+    ], ids=["lift", "relator", "mixed", "pl-word"])
+    @pytest.mark.parametrize("call, caller", PL_ONLY.values(), ids=PL_ONLY.keys())
+    def test_data_that_is_not_one_pl_map_is_refused(self, call, caller, make):
+        with pytest.raises(ValueError, match=f"^{caller}: takes piecewise-linear maps, not "):
             call(make())
 
 
@@ -275,12 +280,14 @@ class TestRepresentationInvariants:
         (lambda: cd.PiecewiseLinearMap([(0, 1), (0, 0), (Fraction(1, 2), -1)]), "duplicate"),
         (lambda: cd.PiecewiseLinearMap([(0, 0), (Fraction(1, 4), 2), (Fraction(1, 2), 1)]),
          "strictly increasing"),
+        (lambda: cd.PiecewiseLinearMap([(math.inf, 0)]), "must be finite"),
+        (lambda: cd.PiecewiseLinearMap([(0, math.inf)]), "must be finite"),
         (lambda: cd.WordMap([(cd.PiecewiseLinearMap.translation(0), 2)]), "exponents"),
         (lambda: cd.translation_number(cd.PiecewiseLinearMap.translation(0), 0),
          "iterations must be >= 1"),
     ], ids=["no-breakpoint", "outside-unit-interval", "duplicate", "decreasing", "wraparound",
             "range-before-duplicate", "duplicate-before-monotone", "monotone-before-wraparound",
-            "exponent-2", "zero-iterations"])
+            "infinite-parameter", "infinite-value", "exponent-2", "zero-iterations"])
     def test_refuses_malformed_input(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -318,8 +325,7 @@ def track_lift(circle_map, lift_at_0):
 class TestTrackLift:
     def test_tracking_matches_pointwise_eval(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)]
-        rel = cd.evaluate_relator(lifts)
+        rel = holonomy_relator(reference_pairings(poly))
 
         def circle_map(z):
             w = z
@@ -336,8 +342,7 @@ class TestTrackLift:
 
     def test_flatten_agrees_with_tracking_winding(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
-        lifts = [cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)]
-        rel = cd.evaluate_relator(lifts)
+        rel = holonomy_relator(reference_pairings(poly))
         flat = fold(rel)
         assert isinstance(flat, cd.MoebiusBoundaryLift)
 
@@ -357,7 +362,7 @@ def polygon_relator(g, share):
     """The lifted holonomy relator of the symmetric 4g-gon and its area."""
     area = share * (4 * g - 2) * math.pi
     poly = build_symmetric_polygon(g, hy.radius_for_area(g, area))
-    return cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)]), area
+    return holonomy_relator(reference_pairings(poly)), area
 
 
 SHARES_LOW = (0.001, 0.01, 0.1, 0.5, 0.9)
@@ -495,7 +500,7 @@ class TestMoebiusRho:
     def test_commuting_rotations_relator_is_zero(self):
         a = cd.MoebiusBoundaryLift(Isometry2H.rotation(1.1))
         b = cd.MoebiusBoundaryLift(Isometry2H.rotation(-0.4))
-        rel = cd.evaluate_relator([a, b])
+        rel = relator_word([a, b])
         est = fold_estimate(rel, 500)
         assert abs(est.value) <= est.error_bound
 
@@ -540,8 +545,7 @@ class TestMoebiusRho:
         n = 4 * g
         for share in SHARES_LOW + SHARES_TOP:
             radius = hy.radius_for_area(g, share * (4 * g - 2) * math.pi)
-            rel = cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in
-                                       reference_pairings(build_symmetric_polygon(g, radius))])
+            rel = holonomy_relator(reference_pairings(build_symmetric_polygon(g, radius)))
             folded = fold(rel)
             with mp.workdps(60):
                 exact_area = (n - 2) * mp.pi - 2 * n * mp.acot(
@@ -617,14 +621,14 @@ class TestMoebiusDisplacement:
     def test_rotations_within_bound(self):
         a = cd.MoebiusBoundaryLift(Isometry2H.rotation(0.7))
         b = cd.MoebiusBoundaryLift(Isometry2H.rotation(1.3))
-        (_, lo), (_, hi) = moebius_extremes(fold(cd.evaluate_relator([a, b])))
+        (_, lo), (_, hi) = moebius_extremes(fold(relator_word([a, b])))
         assert max(abs(lo), abs(hi)) < 2
 
     def test_hyperbolic_pairings_within_bound(self):
         """The relator evaluated letter by letter on a dense grid stays within
         the Milnor-Wood bound 2g and within the fold's two extremes."""
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 4 * math.pi))
-        rel = cd.evaluate_relator([cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)])
+        rel = holonomy_relator(reference_pairings(poly))
         n = 2000
         scan = [rel.eval(k / n) - k / n for k in range(n + 1)]
         (_, lo), (_, hi) = moebius_extremes(fold(rel))
@@ -770,8 +774,14 @@ class TestEulerAgainstKnots:
 THIRD = Fraction(1, 3)
 
 
-def seeded_relator(rng, g):
-    return cd.evaluate_relator([random_pl(rng) for _ in range(2 * g)])
+def seeded_maps(rng, g):
+    """2g random PL maps, the letters of a relator of g handles."""
+    return [random_pl(rng) for _ in range(2 * g)]
+
+
+def ref_relator(maps):
+    """The relator of `maps` folded by the reference engine, letter by letter."""
+    return ref_flatten(relator_word(maps).letters())
 
 
 class TestIntegerEngine:
@@ -805,8 +815,7 @@ class TestIntegerEngine:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(pl_maps(), min_size=2, max_size=6).filter(lambda ms: len(ms) % 2 == 0))
     def test_relator_flattening_matches_reference(self, maps):
-        rel = cd.evaluate_relator(maps)
-        self.assert_same_map(cd.flatten(rel), ref_flatten(rel.letters()))
+        self.assert_same_map(cd.evaluate_relator(maps), ref_relator(maps))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(pl_maps(FRACTIONS_1E20), min_size=2, max_size=4)
@@ -814,8 +823,7 @@ class TestIntegerEngine:
     def test_large_denominators_match_reference(self, maps):
         for m in maps:
             self.assert_same_map(m, RefPL(m.knots))
-        rel = cd.evaluate_relator(maps)
-        self.assert_same_map(cd.flatten(rel), ref_flatten(rel.letters()))
+        self.assert_same_map(cd.evaluate_relator(maps), ref_relator(maps))
 
     @settings(max_examples=100, deadline=None)
     @given(pl_maps())
@@ -830,9 +838,6 @@ class TestIntegerEngine:
         composed = cd._compose_pl(cd.PiecewiseLinearMap.identity(), g, ginv)
         assert (first._pairs, first._tf) == (composed._pairs, composed._tf)
 
-    def test_empty_word_flattens_to_the_identity(self):
-        self.assert_same_map(cd.flatten(cd.WordMap(())), RefPL([(0, 0)]))
-
     @settings(max_examples=80, deadline=None)
     @given(st.lists(pl_maps(), min_size=2, max_size=4).filter(lambda ms: len(ms) % 2 == 0),
            st.fractions(min_value=0, max_value=4, max_denominator=32))
@@ -840,7 +845,7 @@ class TestIntegerEngine:
         """The witness is the first knot of largest |f(t) - t| of the
         reference fold; a bound equal to that displacement holds."""
         rel = cd.evaluate_relator(maps)
-        t, d = max(((t, v - t) for t, v in ref_flatten(rel.letters()).knots),
+        t, d = max(((t, v - t) for t, v in ref_relator(maps).knots),
                    key=lambda td: abs(td[1]))
         for b in (bound, abs(d)):
             expect = (cd.DisplacementCheck(True, float(b)) if abs(d) <= b
@@ -868,15 +873,13 @@ class TestIntegerEngine:
         # the preimage of f's knot `near` under the identity g ties g's knot 1/3
         g = cd.PiecewiseLinearMap([(0, 0), (THIRD, THIRD)])
         self.assert_same_map(cd.compose(f, g), ref_compose(RefPL(f.knots), RefPL(g.knots)))
-        rel = cd.evaluate_relator([f, g])
-        self.assert_same_map(cd.flatten(rel), ref_flatten(rel.letters()))
+        self.assert_same_map(cd.evaluate_relator([f, g]), ref_relator([f, g]))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_relators_match_reference(self, seed):
-        rng = random.Random(100 + seed)
-        rel = seeded_relator(rng, 1 + seed % 3)
-        ref = ref_flatten(rel.letters())
-        self.assert_same_map(cd.flatten(rel), ref)
+        maps = seeded_maps(random.Random(100 + seed), 1 + seed % 3)
+        rel, ref = cd.evaluate_relator(maps), ref_relator(maps)
+        self.assert_same_map(rel, ref)
         disp = [v - t for t, v in ref.knots]
         assert cd.sup_displacement(rel) == max(disp)
         assert cd.inf_displacement(rel) == min(disp)
@@ -887,10 +890,9 @@ class TestIntegerEngine:
     @pytest.mark.parametrize("g, iterations", [(1, 1), (1, 3000), (2, 7), (2, 1000), (3, 500),
                                                (3, 3000)])
     def test_translation_number_matches_reference_orbit(self, g, iterations):
-        rng = random.Random(7 * g + iterations)
-        rel = seeded_relator(rng, g)
-        est = cd.translation_number(rel, iterations)
-        assert est.value == ref_orbit(ref_flatten(rel.letters()), iterations)
+        maps = seeded_maps(random.Random(7 * g + iterations), g)
+        est = cd.translation_number(cd.evaluate_relator(maps), iterations)
+        assert est.value == ref_orbit(ref_relator(maps), iterations)
         assert isinstance(est.value, Fraction)
         assert est.error_bound == 1 / iterations and est.iterations == iterations
 
@@ -901,19 +903,18 @@ class TestIntegerEngine:
     def test_drawn_translation_numbers_match_reference_orbit(self, maps, iterations):
         """Past 8 steps the orbit may be captured (`TestOrbitCapture`); the
         value is the stepped orbit's all the same."""
-        rel = cd.evaluate_relator(maps)
-        est = cd.translation_number(rel, iterations)
-        assert est.value == ref_orbit(ref_flatten(rel.letters()), iterations)
+        est = cd.translation_number(cd.evaluate_relator(maps), iterations)
+        assert est.value == ref_orbit(ref_relator(maps), iterations)
         assert est.error_bound == 1 / iterations and est.iterations == iterations
 
-    def test_flatten_reuses_the_words_inverses(self, monkeypatch):
-        rel = seeded_relator(random.Random(3), 3)
+    def test_evaluate_relator_inverts_each_map_once(self, monkeypatch):
+        maps = seeded_maps(random.Random(3), 3)
         calls = []
         inverse = cd.PiecewiseLinearMap.inverse
         monkeypatch.setattr(cd.PiecewiseLinearMap, "inverse",
                             lambda f: calls.append(f) or inverse(f))
-        cd.flatten(rel)
-        assert calls == []
+        cd.evaluate_relator(maps)
+        assert calls == maps
 
     @settings(max_examples=60, deadline=None)
     @given(pl_maps(), pl_maps())
@@ -1031,10 +1032,9 @@ class TestOrbitCapture:
             assert math.gcd(value.numerator, value.denominator) == 1
 
     def test_certified_hull_ends_on_a_knot(self, monkeypatch):
-        """The cycle point 1/8 is a knot of the flattened relator, the right
+        """The cycle point 1/8 is a knot of the folded relator, the right
         end of its segment; the closed segment holds the hull."""
-        flat = cd.flatten(KNOT_CYCLE_RELATOR)
-        assert (Fraction(1, 8), Fraction(1, 8)) in flat.knots
+        assert (Fraction(1, 8), Fraction(1, 8)) in KNOT_CYCLE_RELATOR.knots
         counts = set()
         for n in (10, 200, 10 ** 4, 10 ** 5):
             est, calls = counted_translation_number(monkeypatch, KNOT_CYCLE_RELATOR, n)
@@ -1042,12 +1042,13 @@ class TestOrbitCapture:
             counts.add(calls)
         assert len(counts) == 1
         assert cd.translation_number(KNOT_CYCLE_RELATOR, 300).value == ref_orbit(
-            ref_flatten(KNOT_CYCLE_RELATOR.letters()), 300)
+            ref_relator(KNOT_CYCLE_MAPS), 300)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_seeded_relator_steps_do_not_grow_with_n(self, monkeypatch, seed):
-        rel = seeded_relator(random.Random(seed), 1 + seed)
+        maps = seeded_maps(random.Random(seed), 1 + seed)
+        rel = cd.evaluate_relator(maps)
         est, calls = counted_translation_number(monkeypatch, rel, 10 ** 5)
         assert est.iterations == 10 ** 5 and calls < 2000
         assert counted_translation_number(monkeypatch, rel, 2000)[1] == calls
-        assert cd.translation_number(rel, 2000).value == ref_orbit(ref_flatten(rel.letters()), 2000)
+        assert cd.translation_number(rel, 2000).value == ref_orbit(ref_relator(maps), 2000)

